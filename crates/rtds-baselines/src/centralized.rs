@@ -10,7 +10,7 @@
 //! comparison figures.
 
 use crate::policy::PolicyReport;
-use rtds_graph::{critical_path_tasks, Job};
+use rtds_graph::{upward_ranks, Job};
 use rtds_net::dijkstra::all_pairs_shortest_paths;
 use rtds_net::{Network, SiteId};
 use rtds_sched::admission::priority_order;
@@ -122,8 +122,7 @@ fn split_across_sites(
     }
     let arrival = SiteId(job.arrival_site);
     let deadline = job.deadline();
-    let info = critical_path_tasks(graph);
-    let order = priority_order(graph, &info.upward);
+    let order = priority_order(graph, &upward_ranks(graph));
     let mut scratch: Vec<SchedulePlan> = plans.to_vec();
     let mut placed_site = vec![SiteId(0); n_tasks];
     let mut finish = vec![0.0f64; n_tasks];

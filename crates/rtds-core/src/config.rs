@@ -42,8 +42,7 @@ pub enum DemandRule {
 
 impl DemandRule {
     /// Demands for each task of `graph`, or `None` for the single-core rule
-    /// (which lets schedulers delegate to the original single-plan
-    /// primitives verbatim).
+    /// (every task a default single-core demand).
     pub fn demands_for(&self, graph: &TaskGraph) -> Option<Vec<TaskDemand>> {
         match *self {
             DemandRule::SingleCore => None,

@@ -25,7 +25,7 @@
 //! per-processor task order, but with every surplus set to 100 % — whose
 //! makespan `M*` lower-bounds `M` and drives the §12.2 adjustment cases.
 
-use rtds_graph::{critical_path_tasks, TaskGraph, TaskId};
+use rtds_graph::{upward_ranks, TaskGraph, TaskId};
 use rtds_sched::admission::priority_order;
 use serde::{Deserialize, Serialize};
 
@@ -140,8 +140,7 @@ pub fn map_dag(input: &MapperInput<'_>) -> Option<MapperResult> {
     if m == 0 {
         return None;
     }
-    let info = critical_path_tasks(graph);
-    let order = priority_order(graph, &info.upward);
+    let order = priority_order(graph, &upward_ranks(graph));
 
     // Effective execution rates per processor for S (surplus-scaled) and for
     // S* (full surplus). Both honour the uniform-machine speed.

@@ -33,7 +33,7 @@ use crate::mapper::{map_dag, MapperInput};
 use crate::messages::{RtdsMsg, TaskSpec};
 use crate::pcs::PcsState;
 use crate::snapshot as snap;
-use crate::validate::{endorsable_with, ValidationOutcome, ValidationRound};
+use crate::validate::{endorsable_with, task_requests, ValidationOutcome, ValidationRound};
 use rtds_graph::{Job, JobId, TaskGraph, TaskId};
 use rtds_net::sphere::Sphere;
 use rtds_net::SiteId;
@@ -109,6 +109,8 @@ pub struct RtdsNode {
     /// Optional exact global distances (ablation of the ACS-diameter
     /// estimate).
     global_distances: Option<GlobalDistances>,
+    /// Reused buffer for the §10 request set of a commit (not state).
+    requests: Vec<TaskRequest>,
 }
 
 /// Builder for [`RtdsNode`]. Every field has a sensible default (no
@@ -195,6 +197,7 @@ impl NodeBuilder {
             guarantee: GuaranteeStats::default(),
             accepted: Vec::new(),
             global_distances: self.global_distances,
+            requests: Vec::new(),
         }
     }
 }
@@ -898,17 +901,8 @@ impl RtdsNode {
         ctx: &mut Context<'_, RtdsMsg>,
     ) {
         let speed = self.effective_speed();
-        let requests: Vec<TaskRequest> = tasks
-            .iter()
-            .map(|s| TaskRequest {
-                job,
-                task: s.task,
-                release: s.release,
-                deadline: s.deadline,
-                duration: s.cost / speed,
-            })
-            .collect();
-        match self.sched.satisfiable(&requests) {
+        task_requests(&mut self.requests, job, tasks, speed);
+        match self.sched.satisfiable(&self.requests) {
             Some(placements) => {
                 self.sched
                     .reserve(&placements)
@@ -1063,6 +1057,7 @@ impl RtdsNode {
                 .map(snap::decode_accepted)
                 .collect::<Result<Vec<AcceptedJob>, SnapshotError>>()?,
             global_distances,
+            requests: Vec::new(),
         })
     }
 }

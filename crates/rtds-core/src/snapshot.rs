@@ -598,7 +598,7 @@ pub(crate) fn decode_plan(j: &Json, what: &str) -> Result<SchedulePlan, Snapshot
             })
         })
         .collect::<Result<Vec<Reservation>, SnapshotError>>()?;
-    Ok(SchedulePlan::from_reservations(reservations))
+    SchedulePlan::from_reservations(reservations).map_err(|e| err(format!("{what}: {e}")))
 }
 
 // ----- site scheduler (`rtds-sched-snapshot/1`) ----------------------------
@@ -973,5 +973,53 @@ mod tests {
             .expect("default sched decodes");
         assert_eq!(back, default);
         assert!(back.resources().memory.is_infinite());
+    }
+
+    /// The plan queries rely on the sorted-and-disjoint invariant, so a
+    /// snapshot that breaks it must be refused with a typed error — a
+    /// hostile document never panics and never yields a plan.
+    #[test]
+    fn hostile_plan_documents_are_errors_not_panics() {
+        let mut plan = SchedulePlan::new();
+        for (task, (start, end)) in [(0.0, 2.0), (3.0, 5.0), (5.0, 9.0)].into_iter().enumerate() {
+            plan.insert(Reservation {
+                job: JobId(4),
+                task: TaskId(task),
+                start,
+                end,
+            })
+            .unwrap();
+        }
+        let Json::Array(rows) = encode_plan(&plan) else {
+            panic!("a plan encodes as an array");
+        };
+        assert_eq!(decode_plan(&Json::Array(rows.clone()), "plan"), Ok(plan));
+        let with_field = |row: usize, field: usize, value: f64| {
+            let mut rows = rows.clone();
+            let Json::Array(fields) = &mut rows[row] else {
+                panic!("a reservation encodes as an array");
+            };
+            fields[field] = f64_bits(value);
+            Json::Array(rows)
+        };
+        let mut swapped = rows.clone();
+        swapped.swap(0, 2);
+        let hostile = [
+            ("swapped", Json::Array(swapped)),
+            ("overlapping", with_field(1, 2, 1.0)),
+            ("overrunning", with_field(0, 3, 3.5)),
+            ("backwards", with_field(1, 3, 2.0)),
+            ("NaN start", with_field(2, 2, f64::NAN)),
+            ("infinite end", with_field(2, 3, f64::INFINITY)),
+        ];
+        for (what, doc) in hostile {
+            // Through text, as a snapshot file would arrive.
+            let parsed = Json::parse(&doc.render()).expect("still well-formed JSON");
+            let refused = decode_plan(&parsed, "core plan").expect_err(what);
+            assert!(
+                refused.to_string().contains("core plan"),
+                "{what}: {refused}"
+            );
+        }
     }
 }

@@ -37,7 +37,7 @@ use crate::system::RtdsSystem;
 use rtds_graph::{Job, JobId};
 use rtds_metrics::{MetricsRegistry, Scope};
 use rtds_net::SiteId;
-use rtds_sched::Scheduler;
+use rtds_sched::{Scheduler, SiteScheduler};
 use rtds_sim::engine::ArrivalSource;
 use rtds_sim::json::Json;
 use rtds_sim::snapshot as sim_snap;
@@ -252,6 +252,13 @@ impl ArrivalSource<RtdsMsg> for StreamAdapter<'_> {
     }
 }
 
+/// The sites whose resource bundle is not the paper's single-capacity one.
+fn multicore_sites(sim: &Simulator<RtdsNode>) -> impl Iterator<Item = (u32, &SiteScheduler)> {
+    (0..sim.network().site_count())
+        .map(|s| (s as u32, sim.node(SiteId(s)).scheduler()))
+        .filter(|(_, sched)| !sched.resources().is_degenerate())
+}
+
 /// One harvest pass: absorb acceptance records, drain reservations that
 /// completed by `cutoff`, and finalize every job whose deadline has passed
 /// (all of an accepted job's reservations end by its deadline, so its
@@ -260,29 +267,25 @@ fn harvest(sim: &mut Simulator<RtdsNode>, cutoff: f64, st: &mut HarvestState) {
     st.harvests += 1;
     st.peak_queue = st.peak_queue.max(sim.queue_len() as u64);
     let site_count = sim.network().site_count();
+    // Each gauge family is resolved once per pass, not once per site.
+    // Multicore-only gauges: on default (degenerate) bundles these are
+    // omitted entirely so the metrics JSON stays byte-identical to the
+    // single-capacity engine.
+    if multicore_sites(sim).next().is_some() {
+        let mut core_busy = st.metrics.gauge_family("core_busy");
+        for (s, sched) in multicore_sites(sim) {
+            core_busy.set(Scope::Site(s), sched.busy_cores(cutoff) as f64);
+        }
+        let mut mem_used = st.metrics.gauge_family("mem_used");
+        for (s, sched) in multicore_sites(sim) {
+            mem_used.set(Scope::Site(s), sched.mem_used(cutoff));
+        }
+    }
+    let mut plan_reservations = st.metrics.gauge_family("plan_reservations");
     for s in 0..site_count {
         let node = sim.node_mut(SiteId(s));
         st.peak_plan = st.peak_plan.max(node.plan_len() as u64);
-        st.metrics.gauge_set_scoped(
-            "plan_reservations",
-            Scope::Site(s as u32),
-            node.plan_len() as f64,
-        );
-        // Multicore-only gauges: on default (degenerate) bundles these are
-        // omitted entirely so the metrics JSON stays byte-identical to the
-        // single-capacity engine.
-        if !node.scheduler().resources().is_degenerate() {
-            st.metrics.gauge_set_scoped(
-                "core_busy",
-                Scope::Site(s as u32),
-                node.scheduler().busy_cores(cutoff) as f64,
-            );
-            st.metrics.gauge_set_scoped(
-                "mem_used",
-                Scope::Site(s as u32),
-                node.scheduler().mem_used(cutoff),
-            );
-        }
+        plan_reservations.set(Scope::Site(s as u32), node.plan_len() as f64);
         for accepted in std::mem::take(&mut node.accepted) {
             if let Some(pending) = st.inflight.get_mut(&accepted.job) {
                 pending.accepted = true;

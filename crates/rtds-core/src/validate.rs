@@ -37,18 +37,10 @@ pub fn endorsable_logical_processors(
     preemptive: bool,
 ) -> Vec<usize> {
     assert!(speed > 0.0, "site speed must be positive");
+    let mut requests = Vec::new();
     let mut endorsable = Vec::new();
     for (i, specs) in tasks_per_logical.iter().enumerate() {
-        let requests: Vec<TaskRequest> = specs
-            .iter()
-            .map(|s| TaskRequest {
-                job,
-                task: s.task,
-                release: s.release,
-                deadline: s.deadline,
-                duration: s.cost / speed,
-            })
-            .collect();
+        task_requests(&mut requests, job, specs, speed);
         if satisfiable(plan, &requests, preemptive).is_some() {
             endorsable.push(i);
         }
@@ -56,11 +48,29 @@ pub fn endorsable_logical_processors(
     endorsable
 }
 
+/// Refills `requests` with the §10 question for one logical processor's
+/// task set on a site of the given speed (durations are `cost / speed`).
+pub(crate) fn task_requests(
+    requests: &mut Vec<TaskRequest>,
+    job: JobId,
+    specs: &[TaskSpec],
+    speed: f64,
+) {
+    requests.clear();
+    requests.extend(specs.iter().map(|s| TaskRequest {
+        job,
+        task: s.task,
+        release: s.release,
+        deadline: s.deadline,
+        duration: s.cost / speed,
+    }));
+}
+
 /// Member side over a pluggable [`Scheduler`]: which logical processors can
 /// this site endorse, given its committed per-core plans? Durations are
 /// `cost / speed` with the given effective site speed. On a single-core
-/// scheduler this is exactly [`endorsable_logical_processors`] (the
-/// scheduler's satisfiability query delegates to the same §10 test).
+/// scheduler this is exactly [`endorsable_logical_processors`] (both run
+/// the same §10 test on the one plan).
 pub fn endorsable_with(
     scheduler: &dyn Scheduler,
     job: JobId,
@@ -68,18 +78,10 @@ pub fn endorsable_with(
     speed: f64,
 ) -> Vec<usize> {
     assert!(speed > 0.0, "site speed must be positive");
+    let mut requests = Vec::new();
     let mut endorsable = Vec::new();
     for (i, specs) in tasks_per_logical.iter().enumerate() {
-        let requests: Vec<TaskRequest> = specs
-            .iter()
-            .map(|s| TaskRequest {
-                job,
-                task: s.task,
-                release: s.release,
-                deadline: s.deadline,
-                duration: s.cost / speed,
-            })
-            .collect();
+        task_requests(&mut requests, job, specs, speed);
         if scheduler.satisfiable(&requests).is_some() {
             endorsable.push(i);
         }

@@ -8,7 +8,6 @@
 
 use crate::task::{Task, TaskId};
 use serde::{Deserialize, Serialize};
-use std::collections::VecDeque;
 
 /// Attributes attached to a precedence edge `(pred -> succ)`.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -274,26 +273,21 @@ impl TaskGraph {
     pub fn topological_order(&self) -> Result<Vec<TaskId>, GraphError> {
         let n = self.tasks.len();
         let mut indeg: Vec<usize> = (0..n).map(|i| self.preds[i].len()).collect();
-        // A simple ordered frontier: we repeatedly pick the smallest ready id.
-        // Using a sorted VecDeque keeps determinism without a heap dependency.
-        let mut ready: Vec<usize> = (0..n).filter(|&i| indeg[i] == 0).collect();
-        ready.sort_unstable();
-        let mut ready: VecDeque<usize> = ready.into();
-        let mut order = Vec::with_capacity(n);
-        while let Some(u) = ready.pop_front() {
-            order.push(TaskId(u));
-            let mut newly_ready = Vec::new();
-            for (v, _) in &self.succs[u] {
+        // `order[..emitted]` is the result so far and `order[emitted..]` the
+        // frontier of ready tasks, kept sorted by id so that its front is
+        // always the smallest one (the initial ascending scan is sorted).
+        let mut order: Vec<TaskId> = Vec::with_capacity(n);
+        order.extend((0..n).filter(|&i| indeg[i] == 0).map(TaskId));
+        let mut emitted = 0;
+        while emitted < order.len() {
+            let u = order[emitted];
+            emitted += 1;
+            for (v, _) in &self.succs[u.0] {
                 indeg[v.0] -= 1;
                 if indeg[v.0] == 0 {
-                    newly_ready.push(v.0);
+                    let pos = emitted + order[emitted..].partition_point(|t| t.0 < v.0);
+                    order.insert(pos, *v);
                 }
-            }
-            newly_ready.sort_unstable();
-            // Merge while keeping the frontier sorted (frontiers are small).
-            for v in newly_ready {
-                let pos = ready.iter().position(|&x| x > v).unwrap_or(ready.len());
-                ready.insert(pos, v);
             }
         }
         if order.len() == n {

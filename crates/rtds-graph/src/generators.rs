@@ -203,7 +203,7 @@ impl DagGenerator {
     /// laxity-factor range.
     pub fn generate_job(&mut self, arrival_site: usize, release: f64) -> Job {
         let graph = self.generate_graph();
-        let cp = crate::critical_path::critical_path_tasks(&graph).length;
+        let cp = crate::critical_path::critical_path_length(&graph);
         let (lo, hi) = self.config.laxity_factor;
         let factor = if hi > lo {
             self.rng.random_range(lo..=hi)

@@ -5,7 +5,7 @@
 //! is 0 and its deadline 66; generators usually derive deadlines from the
 //! critical path length and a *laxity factor*.
 
-use crate::critical_path::critical_path_tasks;
+use crate::critical_path::critical_path_length;
 use crate::dag::TaskGraph;
 use serde::{Deserialize, Serialize};
 
@@ -95,7 +95,7 @@ impl Job {
 
     /// Critical-path length of the job's graph (node weights only).
     pub fn critical_path_length(&self) -> f64 {
-        critical_path_tasks(&self.graph).length
+        critical_path_length(&self.graph)
     }
 
     /// Laxity factor of the job: window divided by critical-path length.

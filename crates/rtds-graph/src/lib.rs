@@ -35,7 +35,9 @@ pub mod job;
 pub mod paper_instance;
 pub mod task;
 
-pub use critical_path::{critical_path_tasks, downward_ranks, upward_ranks, CriticalPathInfo};
+pub use critical_path::{
+    critical_path_length, critical_path_tasks, downward_ranks, upward_ranks, CriticalPathInfo,
+};
 pub use dag::{EdgeData, TaskGraph};
 pub use generators::{DagGenerator, DagShape, GeneratorConfig};
 pub use job::{Job, JobId, JobParams};

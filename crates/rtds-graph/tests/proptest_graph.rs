@@ -152,3 +152,132 @@ proptest! {
         }
     }
 }
+
+// ----- equivalence with the pre-rewrite traversals --------------------------
+
+/// The old Kahn sort: repeatedly emit the smallest ready id, collecting and
+/// sorting each task's newly ready successors before merging them in.
+fn smallest_ready_id_order(g: &TaskGraph) -> Vec<TaskId> {
+    let n = g.task_count();
+    let mut indeg: Vec<usize> = g.task_ids().map(|t| g.in_degree(t)).collect();
+    let mut ready: Vec<usize> = (0..n).filter(|&i| indeg[i] == 0).collect();
+    let mut order = Vec::with_capacity(n);
+    while !ready.is_empty() {
+        ready.sort_unstable();
+        let u = ready.remove(0);
+        order.push(TaskId(u));
+        let mut newly_ready = Vec::new();
+        for v in g.successors(TaskId(u)) {
+            indeg[v.0] -= 1;
+            if indeg[v.0] == 0 {
+                newly_ready.push(v.0);
+            }
+        }
+        ready.extend(newly_ready);
+    }
+    order
+}
+
+/// The old three-pass analysis: upward, downward and the chain count each
+/// from their own traversal, with the empty graph special-cased.
+fn three_pass_critical_path(g: &TaskGraph) -> (Vec<f64>, Vec<f64>, f64, Vec<TaskId>, usize) {
+    const CP_EPS: f64 = 1e-9;
+    if g.is_empty() {
+        return (Vec::new(), Vec::new(), 0.0, Vec::new(), 0);
+    }
+    let mut upward = vec![0.0f64; g.task_count()];
+    for &t in smallest_ready_id_order(g).iter().rev() {
+        let best_succ = g.successors(t).map(|s| upward[s.0]).fold(0.0f64, f64::max);
+        upward[t.0] = g.cost(t) + best_succ;
+    }
+    let mut downward = vec![0.0f64; g.task_count()];
+    for &t in &smallest_ready_id_order(g) {
+        downward[t.0] = g
+            .predecessors(t)
+            .map(|p| downward[p.0] + g.cost(p))
+            .fold(0.0f64, f64::max);
+    }
+    let length = upward.iter().cloned().fold(0.0f64, f64::max);
+    let order = smallest_ready_id_order(g);
+    let critical_tasks: Vec<TaskId> = order
+        .iter()
+        .copied()
+        .filter(|t| (downward[t.0] + upward[t.0] - length).abs() <= CP_EPS)
+        .collect();
+    let mut chain = vec![0usize; g.task_count()];
+    let mut max_chain = 0usize;
+    for &t in &order {
+        if (downward[t.0] + upward[t.0] - length).abs() > CP_EPS {
+            continue;
+        }
+        chain[t.0] = chain[t.0].max(1);
+        max_chain = max_chain.max(chain[t.0]);
+        for s in g.successors(t) {
+            let edge_critical = (downward[s.0] + upward[s.0] - length).abs() <= CP_EPS
+                && (downward[s.0] - (downward[t.0] + g.cost(t))).abs() <= CP_EPS;
+            if edge_critical {
+                chain[s.0] = chain[s.0].max(chain[t.0] + 1);
+                max_chain = max_chain.max(chain[s.0]);
+            }
+        }
+    }
+    (upward, downward, length, critical_tasks, max_chain)
+}
+
+/// One generator configuration per [`DagShape`] variant.
+fn every_shape() -> [DagShape; 9] {
+    [
+        DagShape::Chain,
+        DagShape::ForkJoin,
+        DagShape::Independent,
+        DagShape::LayeredRandom {
+            layers: 4,
+            edge_prob: 0.35,
+        },
+        DagShape::ErdosRenyi { edge_prob: 0.2 },
+        DagShape::OutTree { branching: 3 },
+        DagShape::InTree { branching: 2 },
+        DagShape::GaussianElimination,
+        DagShape::FftButterfly,
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// On all nine shapes the frontier-insertion sort emits the old
+    /// smallest-ready-id order, and the one-pass critical-path analysis
+    /// equals the three-pass one field by field — floats bit for bit.
+    #[test]
+    fn traversals_match_the_pre_rewrite_ones(
+        n in 0usize..40,
+        max_cost in 0.6f64..10.0,
+        seed in 0u64..1_000,
+    ) {
+        for shape in every_shape() {
+            let cfg = GeneratorConfig {
+                task_count: n,
+                shape,
+                costs: CostDistribution::Uniform { min: 0.5, max: max_cost },
+                ccr: 0.0,
+                laxity_factor: (1.5, 4.0),
+            };
+            let g = DagGenerator::new(cfg, seed).generate_graph();
+            prop_assert_eq!(g.topological_order().unwrap(), smallest_ready_id_order(&g));
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+            let info = critical_path_tasks(&g);
+            let (upward, downward, length, critical_tasks, eta) = three_pass_critical_path(&g);
+            prop_assert_eq!(bits(&info.upward), bits(&upward), "{shape:?}");
+            prop_assert_eq!(bits(&info.downward), bits(&downward), "{shape:?}");
+            prop_assert_eq!(info.length.to_bits(), length.to_bits(), "{shape:?}");
+            prop_assert_eq!(info.critical_tasks, critical_tasks, "{shape:?}");
+            prop_assert_eq!(info.max_critical_task_count, eta, "{shape:?}");
+            prop_assert_eq!(bits(&upward_ranks(&g)), bits(&upward));
+            prop_assert_eq!(bits(&downward_ranks(&g)), bits(&downward));
+            prop_assert_eq!(
+                rtds_graph::critical_path_length(&g).to_bits(),
+                length.to_bits()
+            );
+        }
+    }
+}

@@ -33,4 +33,4 @@ pub mod histogram;
 pub mod registry;
 
 pub use histogram::{bucket_index, Histogram, HistogramSummary, BUCKET_COUNT, MAX_EXP, MIN_EXP};
-pub use registry::{Gauge, MetricsRegistry, Scope};
+pub use registry::{Gauge, GaugeFamily, MetricsRegistry, Scope};

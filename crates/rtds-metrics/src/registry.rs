@@ -66,6 +66,24 @@ impl Gauge {
     }
 }
 
+/// The scopes of one gauge, borrowed from a [`MetricsRegistry`] by
+/// [`MetricsRegistry::gauge_family`].
+#[derive(Debug)]
+pub struct GaugeFamily<'a>(&'a mut BTreeMap<Scope, Gauge>);
+
+impl GaugeFamily<'_> {
+    /// Sets one scope of the gauge (tracks both the last and the peak value).
+    pub fn set(&mut self, scope: Scope, value: f64) {
+        self.0
+            .entry(scope)
+            .or_insert(Gauge {
+                last: f64::NEG_INFINITY,
+                peak: f64::NEG_INFINITY,
+            })
+            .set(value);
+    }
+}
+
 /// Open-addressed `(name ptr, name len) → slot` cache backing the counter
 /// hot path. Every counter name in the workspace is a `&'static str`
 /// literal, so its address is stable for the life of the process and can
@@ -331,15 +349,13 @@ impl MetricsRegistry {
 
     /// Sets a scoped gauge.
     pub fn gauge_set_scoped(&mut self, name: &'static str, scope: Scope, value: f64) {
-        self.gauges
-            .entry(name)
-            .or_default()
-            .entry(scope)
-            .or_insert(Gauge {
-                last: f64::NEG_INFINITY,
-                peak: f64::NEG_INFINITY,
-            })
-            .set(value);
+        self.gauge_family(name).set(scope, value);
+    }
+
+    /// Resolves a gauge family (created empty if absent) so that a caller
+    /// setting many scopes of one gauge looks the name up once.
+    pub fn gauge_family(&mut self, name: &'static str) -> GaugeFamily<'_> {
+        GaugeFamily(self.gauges.entry(name).or_default())
     }
 
     /// Restores a gauge entry verbatim (snapshot path — unlike

@@ -12,7 +12,10 @@
 //! keeps the local test and the Mapper consistent with each other.
 
 use crate::plan::{Reservation, SchedulePlan};
-use rtds_graph::{critical_path_tasks, Job, TaskId};
+use crate::resources::SiteResources;
+use crate::scheduler::{SchedulerKind, SiteView};
+use crate::trial::with_scratch;
+use rtds_graph::{Job, TaskId};
 use serde::{Deserialize, Serialize};
 
 /// Result of a successful local admission: the reservations to commit and the
@@ -36,7 +39,8 @@ pub struct DagAdmission {
 /// * `preemptive` — whether tasks may be split across idle windows (§13).
 ///
 /// Returns `None` if at least one task cannot be placed before the job
-/// deadline.
+/// deadline. This is the protocol policy of [`crate::scheduler`] on the
+/// paper's one-core site holding `plan`.
 pub fn admit_dag_locally(
     plan: &SchedulePlan,
     job: &Job,
@@ -45,65 +49,18 @@ pub fn admit_dag_locally(
     preemptive: bool,
 ) -> Option<DagAdmission> {
     assert!(speed > 0.0, "site speed must be positive");
-    let graph = &job.graph;
-    if graph.task_count() == 0 {
-        return Some(DagAdmission {
-            reservations: Vec::new(),
-            completion: now.max(job.release()),
-        });
-    }
-    let deadline = job.deadline();
-    let start_floor = now.max(job.release());
-    let info = critical_path_tasks(graph);
-    // List scheduling: repeatedly pick the ready task with the largest upward
-    // rank (ties by task id), exactly like the Mapper of §12 but on a single
-    // site, so no communication delays apply.
-    let order = priority_order(graph, &info.upward);
-
-    let mut scratch = plan.clone();
-    let mut finish = vec![0.0f64; graph.task_count()];
-    let mut reservations = Vec::new();
-    for t in order {
-        let duration = graph.cost(t) / speed;
-        let ready = graph
-            .predecessors(t)
-            .map(|p| finish[p.0])
-            .fold(start_floor, f64::max);
-        if preemptive {
-            let chunks = scratch.earliest_fit_preemptive(ready, deadline, duration)?;
-            let mut end = ready;
-            for chunk in &chunks {
-                let r = Reservation {
-                    job: job.id,
-                    task: t,
-                    start: chunk.start,
-                    end: chunk.end,
-                };
-                scratch.insert(r).ok()?;
-                reservations.push(r);
-                end = end.max(chunk.end);
-            }
-            finish[t.0] = end;
-        } else {
-            let start = scratch.earliest_fit(ready, deadline, duration)?;
-            let r = Reservation {
-                job: job.id,
-                task: t,
-                start,
-                end: start + duration,
-            };
-            scratch.insert(r).ok()?;
-            reservations.push(r);
-            finish[t.0] = start + duration;
-        }
-        if finish[t.0] > deadline + 1e-9 {
-            return None;
-        }
-    }
-    let completion = finish.iter().copied().fold(start_floor, f64::max);
+    let site = SiteView {
+        kind: SchedulerKind::Protocol,
+        resources: SiteResources::default(),
+        base_speed: speed,
+        preemptive,
+        cores: std::slice::from_ref(plan),
+        holds: &[],
+    };
+    let schedule = with_scratch(|scratch| site.admit_dag(job, now, None, scratch))?;
     Some(DagAdmission {
-        reservations,
-        completion,
+        reservations: schedule.placements.iter().map(|p| p.reservation).collect(),
+        completion: schedule.completion,
     })
 }
 
@@ -283,8 +240,7 @@ mod tests {
     #[test]
     fn priority_order_prefers_critical_path() {
         let job = paper_job(JobId(1), 0);
-        let info = critical_path_tasks(&job.graph);
-        let order = priority_order(&job.graph, &info.upward);
+        let order = priority_order(&job.graph, &rtds_graph::upward_ranks(&job.graph));
         // Priorities are 15, 13, 9, 7, 5 for tasks 0..4, so the order is
         // exactly 0, 1, 2, 3, 4.
         assert_eq!(

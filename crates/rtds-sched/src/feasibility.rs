@@ -15,6 +15,7 @@
 //! subproblem it solves.
 
 use crate::plan::{Reservation, SchedulePlan, TIME_EPS};
+use crate::trial::{with_scratch, Scratch, Trial};
 use rtds_graph::{JobId, TaskId};
 use serde::{Deserialize, Serialize};
 
@@ -62,11 +63,37 @@ pub fn satisfiable(
     requests: &[TaskRequest],
     preemptive: bool,
 ) -> Option<Vec<Reservation>> {
+    with_scratch(|scratch| {
+        place_requests(std::slice::from_ref(plan), requests, preemptive, scratch)?;
+        Some(scratch.placed.iter().map(|p| p.reservation).collect())
+    })
+}
+
+/// The §10 test over per-core plans: places every request, in EDF order, on
+/// the core with the earliest fit, leaving the placements in
+/// `scratch.placed`. Partially placed sets live only in the scratch trial,
+/// never in `cores`.
+pub(crate) fn place_requests(
+    cores: &[SchedulePlan],
+    requests: &[TaskRequest],
+    preemptive: bool,
+    scratch: &mut Scratch,
+) -> Option<()> {
     if requests.iter().any(|r| !r.is_well_formed()) {
         return None;
     }
-    let mut ordered: Vec<&TaskRequest> = requests.iter().collect();
-    ordered.sort_by(|a, b| {
+    let Scratch {
+        added,
+        placed,
+        order,
+        chunks,
+        best_chunks,
+        ..
+    } = scratch;
+    order.clear();
+    order.extend(0..requests.len());
+    order.sort_by(|&a, &b| {
+        let (a, b) = (&requests[a], &requests[b]);
         a.deadline
             .partial_cmp(&b.deadline)
             .unwrap()
@@ -74,37 +101,33 @@ pub fn satisfiable(
             .then(a.task.0.cmp(&b.task.0))
             .then(a.job.0.cmp(&b.job.0))
     });
-    // Work on a scratch copy so partially placed sets never touch the real
-    // plan.
-    let mut scratch = plan.clone();
-    let mut added = Vec::new();
-    for req in ordered {
+    placed.clear();
+    let mut trial = Trial::new(cores, added);
+    for req in order.iter().map(|&i| &requests[i]) {
+        let reservation = |start: f64, end: f64| Reservation {
+            job: req.job,
+            task: req.task,
+            start,
+            end,
+        };
         if preemptive {
-            let chunks =
-                scratch.earliest_fit_preemptive(req.release, req.deadline, req.duration)?;
-            for chunk in chunks {
-                let r = Reservation {
-                    job: req.job,
-                    task: req.task,
-                    start: chunk.start,
-                    end: chunk.end,
-                };
-                scratch.insert(r).ok()?;
-                added.push(r);
+            let (core, _) = trial.best_preemptive_fit(
+                req.release,
+                req.deadline,
+                req.duration,
+                chunks,
+                best_chunks,
+            )?;
+            for chunk in best_chunks.iter() {
+                trial.place(core, reservation(chunk.start, chunk.end), placed)?;
             }
         } else {
-            let start = scratch.earliest_fit(req.release, req.deadline, req.duration)?;
-            let r = Reservation {
-                job: req.job,
-                task: req.task,
-                start,
-                end: start + req.duration,
-            };
-            scratch.insert(r).ok()?;
-            added.push(r);
+            let (core, start, finish) =
+                trial.best_single_fit(req.release, req.deadline, req.duration)?;
+            trial.place(core, reservation(start, finish), placed)?;
         }
     }
-    Some(added)
+    Some(())
 }
 
 #[cfg(test)]

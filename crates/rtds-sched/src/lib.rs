@@ -11,9 +11,12 @@
 //!
 //! Modules:
 //!
-//! * [`interval`] — closed-open time intervals and idle-window arithmetic,
-//! * [`plan`] — [`plan::SchedulePlan`]: committed reservations, idle-window
-//!   enumeration, non-preemptive and preemptive insertion, surplus,
+//! * [`interval`] — closed-open time intervals, and the materialising
+//!   idle-window subtraction kept as the test oracle of the plan queries,
+//! * [`plan`] — [`plan::SchedulePlan`]: committed reservations kept sorted
+//!   and disjoint, answered by one lazy idle-gap walk (`O(log R + gaps
+//!   walked)`, no allocation): non-preemptive and preemptive insertion,
+//!   idle windows, surplus,
 //! * [`admission`] — the §5 whole-DAG local guarantee test,
 //! * [`feasibility`] — the §10 per-logical-processor satisfiability test,
 //! * [`mod@surplus`] — observation-window surplus and busyness helpers,
@@ -24,9 +27,13 @@
 //!   amdahl/linear/flat [`resources::SpeedupFn`] laws),
 //! * [`scheduler`] — the pluggable [`scheduler::Scheduler`] trait over
 //!   per-core plans, with the paper's protocol policy plus HEFT-style and
-//!   one-step-lookahead baselines; the `cores = 1, memory = ∞` degenerate
-//!   case delegates verbatim to [`admission`] / [`feasibility`], keeping all
-//!   pre-multicore behaviour bit-identical.
+//!   one-step-lookahead baselines. There is one placement path: the
+//!   `cores = 1, memory = ∞` case of it *is* the paper's single-plan rule,
+//!   and [`admission`] / [`feasibility`] are that path on one plan.
+//!
+//! Trial placements (admission, validation) never copy a plan: they layer a
+//! short per-core list of tentative reservations over the committed ones
+//! (the private `trial` module) and reuse one per-thread set of buffers.
 //!
 //! Jobs and task graphs come from [`rtds_graph`]; the admission and
 //! satisfiability answers computed here feed the protocol node of
@@ -42,6 +49,7 @@ pub mod plan;
 pub mod resources;
 pub mod scheduler;
 pub mod surplus;
+mod trial;
 
 pub use admission::{admit_dag_locally, DagAdmission};
 pub use feasibility::{satisfiable, TaskRequest};
@@ -49,8 +57,7 @@ pub use interval::TimeInterval;
 pub use plan::{PlanError, Reservation, SchedulePlan};
 pub use resources::{SiteResources, SpeedupFn, TaskDemand};
 pub use scheduler::{
-    brute_force_satisfiable, heft_upward_rank, CoreId, DagSchedule, HeftScheduler,
-    LookaheadScheduler, MemHold, Placement, ProtocolScheduler, Scheduler, SchedulerKind,
-    SiteScheduler,
+    heft_upward_rank, CoreId, DagSchedule, HeftScheduler, LookaheadScheduler, MemHold, Placement,
+    ProtocolScheduler, Scheduler, SchedulerKind, SiteScheduler,
 };
 pub use surplus::{busyness, surplus};

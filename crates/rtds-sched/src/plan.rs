@@ -13,8 +13,18 @@
 //! Insertion is *non-preemptive* by default (each task occupies one
 //! contiguous slot) with a preemptive variant (a task may be split across
 //! idle windows) supporting the §13 preemptive generalisation.
+//!
+//! # Invariant and query cost
+//!
+//! Reservations are kept **sorted by start**, and every positive-length
+//! reservation is **disjoint** from every other one ([`SchedulePlan::insert`]
+//! refuses anything else, [`SchedulePlan::from_reservations`] checks it).
+//! Every query leans on that: it binary-searches the first reservation that
+//! can matter and walks forward lazily (`IdleGaps`), stopping at the first
+//! answer or at the end of the window — `O(log R + gaps walked)` time and no
+//! heap allocation.
 
-use crate::interval::{subtract_busy, TimeInterval};
+use crate::interval::TimeInterval;
 use rtds_graph::{JobId, TaskId};
 use serde::{Deserialize, Serialize};
 
@@ -45,15 +55,26 @@ impl Reservation {
     pub fn duration(&self) -> f64 {
         (self.end - self.start).max(0.0)
     }
+
+    /// `Err(Malformed)` unless both ends are finite and in order.
+    pub(crate) fn check_well_formed(&self) -> Result<(), PlanError> {
+        if self.start.is_finite() && self.end.is_finite() && self.end >= self.start - TIME_EPS {
+            Ok(())
+        } else {
+            Err(PlanError::Malformed)
+        }
+    }
 }
 
-/// Errors raised by plan mutations.
+/// Errors raised by plan mutations and by rebuilding a plan from a snapshot.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum PlanError {
     /// The new reservation overlaps an existing one.
     Overlap,
     /// The reservation is malformed (non-finite or non-positive length).
     Malformed,
+    /// A reservation list is not in start-time order.
+    Unordered,
 }
 
 impl std::fmt::Display for PlanError {
@@ -61,11 +82,193 @@ impl std::fmt::Display for PlanError {
         match self {
             PlanError::Overlap => write!(f, "reservation overlaps the committed plan"),
             PlanError::Malformed => write!(f, "malformed reservation"),
+            PlanError::Unordered => write!(f, "reservations are not sorted by start time"),
         }
     }
 }
 
 impl std::error::Error for PlanError {}
+
+/// Index of the first reservation of a sorted, disjoint list that can reach
+/// past `from`. Of the reservations starting before `from` only the last
+/// positive-length one can (disjointness); zero-length ones never do.
+fn first_reaching(reservations: &[Reservation], from: f64) -> usize {
+    let first = reservations.partition_point(|r| r.start < from);
+    match reservations[..first].iter().rposition(|r| r.end > r.start) {
+        Some(last) if reservations[last].end > from => last,
+        _ => first,
+    }
+}
+
+/// `true` if no reservation of a sorted, disjoint list overlaps `interval`
+/// (closed-open; a zero-length reservation strictly inside counts).
+fn list_is_idle(reservations: &[Reservation], interval: TimeInterval) -> bool {
+    let starting_before_end = reservations.partition_point(|r| r.start < interval.end);
+    for r in reservations[..starting_before_end].iter().rev() {
+        if r.start > interval.start {
+            return false;
+        }
+        if r.end > r.start {
+            // The last positive-length reservation starting at or before the
+            // interval; earlier ones end before this one starts.
+            return r.end <= interval.start;
+        }
+    }
+    true
+}
+
+/// One core's busy time as two start-sorted reservation lists: the committed
+/// plan, and the reservations a trial placement has tentatively put on top
+/// of it (empty for queries on the committed state). Together they satisfy
+/// the plan invariant, so every query is one merged walk — no copy of the
+/// plan is ever made to answer "what if".
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Timeline<'a> {
+    committed: &'a [Reservation],
+    trial: &'a [Reservation],
+}
+
+impl<'a> Timeline<'a> {
+    pub(crate) fn new(committed: &'a [Reservation], trial: &'a [Reservation]) -> Self {
+        Timeline { committed, trial }
+    }
+
+    /// Both reservation lists, committed first.
+    pub(crate) fn reservations(&self) -> impl Iterator<Item = &'a Reservation> {
+        self.committed.iter().chain(self.trial)
+    }
+
+    /// The idle gaps inside `[from, to)`, lazily, in time order.
+    pub(crate) fn idle_gaps(&self, from: f64, to: f64) -> IdleGaps<'a> {
+        IdleGaps {
+            committed: &self.committed[first_reaching(self.committed, from)..],
+            trial: &self.trial[first_reaching(self.trial, from)..],
+            from,
+            to,
+            cursor: from,
+            // An empty (or NaN-bounded) window has no gaps at all.
+            finished: TimeInterval::new(from, to).is_empty(),
+        }
+    }
+
+    pub(crate) fn is_idle(&self, interval: TimeInterval) -> bool {
+        interval.is_empty()
+            || (list_is_idle(self.committed, interval) && list_is_idle(self.trial, interval))
+    }
+
+    pub(crate) fn earliest_fit(&self, earliest: f64, deadline: f64, duration: f64) -> Option<f64> {
+        if duration < 0.0 || earliest + duration > deadline + TIME_EPS {
+            return None;
+        }
+        if duration == 0.0 {
+            return Some(earliest);
+        }
+        for gap in self.idle_gaps(earliest, deadline) {
+            if gap.start + duration > deadline + TIME_EPS {
+                // Later gaps start later still.
+                return None;
+            }
+            if gap.start + duration <= gap.end + TIME_EPS {
+                return Some(gap.start);
+            }
+        }
+        None
+    }
+
+    /// Preemptive fit: greedily fills idle gaps from `earliest` on, appending
+    /// the chunks used to `chunks` (in time order). Returns `false`, leaving
+    /// `chunks` as it was, if the whole duration does not fit before the
+    /// deadline.
+    pub(crate) fn fit_preemptive(
+        &self,
+        earliest: f64,
+        deadline: f64,
+        duration: f64,
+        chunks: &mut Vec<TimeInterval>,
+    ) -> bool {
+        if duration < 0.0 {
+            return false;
+        }
+        let kept = chunks.len();
+        let mut remaining = duration;
+        if remaining > 0.0 {
+            for gap in self.idle_gaps(earliest, deadline) {
+                if remaining <= TIME_EPS {
+                    break;
+                }
+                let usable = gap.duration().min(remaining);
+                if usable > TIME_EPS {
+                    chunks.push(TimeInterval::new(gap.start, gap.start + usable));
+                    remaining -= usable;
+                }
+            }
+        }
+        if remaining > TIME_EPS {
+            chunks.truncate(kept);
+        }
+        remaining <= TIME_EPS
+    }
+}
+
+/// Lazy walk over the idle gaps of a [`Timeline`] inside a window: merges
+/// the two start-sorted lists, clips each busy interval to the window and
+/// yields the space between them. Stops looking at the first reservation
+/// starting at or after the window's end.
+#[derive(Debug, Clone)]
+pub(crate) struct IdleGaps<'a> {
+    committed: &'a [Reservation],
+    trial: &'a [Reservation],
+    from: f64,
+    to: f64,
+    /// End of the busy time seen so far.
+    cursor: f64,
+    finished: bool,
+}
+
+impl<'a> IdleGaps<'a> {
+    /// The next reservation in start order across both lists.
+    fn next_busy(&mut self) -> Option<&'a Reservation> {
+        let from_trial = match (self.committed.first(), self.trial.first()) {
+            (Some(c), Some(t)) => t.start < c.start,
+            (None, Some(_)) => true,
+            _ => false,
+        };
+        let list = if from_trial {
+            &mut self.trial
+        } else {
+            &mut self.committed
+        };
+        let (next, rest) = list.split_first()?;
+        *list = rest;
+        Some(next)
+    }
+}
+
+impl Iterator for IdleGaps<'_> {
+    type Item = TimeInterval;
+
+    fn next(&mut self) -> Option<TimeInterval> {
+        if self.finished {
+            return None;
+        }
+        while let Some(r) = self.next_busy() {
+            if r.start >= self.to {
+                break;
+            }
+            let (start, end) = (r.start.max(self.from), r.end.min(self.to));
+            if end <= start {
+                continue;
+            }
+            let idle_since = self.cursor;
+            self.cursor = self.cursor.max(end);
+            if start > idle_since {
+                return Some(TimeInterval::new(idle_since, start));
+            }
+        }
+        self.finished = true;
+        (self.cursor < self.to).then(|| TimeInterval::new(self.cursor, self.to))
+    }
+}
 
 /// The committed schedule of one site, kept sorted by start time.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
@@ -80,18 +283,13 @@ impl SchedulePlan {
     }
 
     /// Rebuilds a plan from reservations captured by
-    /// [`SchedulePlan::reservations`].
-    ///
-    /// # Panics
-    /// Panics if the reservations are not in start-time order — the order
-    /// is an invariant every query relies on, and a snapshot written by
-    /// this crate always satisfies it.
-    pub fn from_reservations(reservations: Vec<Reservation>) -> Self {
-        assert!(
-            reservations.windows(2).all(|w| w[0].start <= w[1].start),
-            "reservations must be sorted by start time"
-        );
-        SchedulePlan { reservations }
+    /// [`SchedulePlan::reservations`], refusing a list that breaks the
+    /// sorted-and-disjoint invariant every query relies on (a snapshot
+    /// written by this crate always satisfies it).
+    pub fn from_reservations(reservations: Vec<Reservation>) -> Result<Self, PlanError> {
+        let plan = SchedulePlan { reservations };
+        plan.validate()?;
+        Ok(plan)
     }
 
     /// Committed reservations in start-time order.
@@ -114,31 +312,31 @@ impl SchedulePlan {
         self.reservations.iter().filter(move |r| r.job == job)
     }
 
+    /// The committed reservations as a [`Timeline`] with nothing on top.
+    pub(crate) fn timeline(&self) -> Timeline<'_> {
+        Timeline::new(&self.reservations, &[])
+    }
+
     /// Returns `true` if the given interval does not overlap any committed
     /// reservation.
     pub fn is_idle(&self, interval: TimeInterval) -> bool {
-        if interval.is_empty() {
-            return true;
-        }
-        !self
-            .reservations
-            .iter()
-            .any(|r| r.interval().overlaps(&interval))
+        self.timeline().is_idle(interval)
     }
 
     /// Idle windows of the plan inside `[from, to)`.
     pub fn idle_windows(&self, from: f64, to: f64) -> Vec<TimeInterval> {
-        let busy: Vec<TimeInterval> = self.reservations.iter().map(|r| r.interval()).collect();
-        subtract_busy(TimeInterval::new(from, to), &busy)
+        self.timeline().idle_gaps(from, to).collect()
     }
 
     /// Total busy time inside `[from, to)`.
     pub fn busy_time(&self, from: f64, to: f64) -> f64 {
         let window = TimeInterval::new(from, to);
-        self.reservations
+        self.reservations[first_reaching(&self.reservations, from)..]
             .iter()
-            .map(|r| r.interval().intersect(&window).duration())
-            .sum()
+            .take_while(|r| r.start < window.end)
+            .fold(0.0, |busy, r| {
+                busy + r.interval().intersect(&window).duration()
+            })
     }
 
     /// Earliest start `s >= earliest` such that `[s, s + duration)` is idle
@@ -146,20 +344,7 @@ impl SchedulePlan {
     ///
     /// This is the §5/§10 insertion primitive for the non-preemptive model.
     pub fn earliest_fit(&self, earliest: f64, deadline: f64, duration: f64) -> Option<f64> {
-        if duration < 0.0 || earliest + duration > deadline + TIME_EPS {
-            return None;
-        }
-        if duration == 0.0 {
-            return Some(earliest);
-        }
-        for window in self.idle_windows(earliest, deadline) {
-            let start = window.start.max(earliest);
-            if start + duration <= window.end + TIME_EPS && start + duration <= deadline + TIME_EPS
-            {
-                return Some(start);
-            }
-        }
-        None
+        self.timeline().earliest_fit(earliest, deadline, duration)
     }
 
     /// Preemptive variant of [`SchedulePlan::earliest_fit`]: greedily fills
@@ -171,38 +356,15 @@ impl SchedulePlan {
         deadline: f64,
         duration: f64,
     ) -> Option<Vec<TimeInterval>> {
-        if duration < 0.0 {
-            return None;
-        }
-        if duration == 0.0 {
-            return Some(Vec::new());
-        }
-        let mut remaining = duration;
         let mut chunks = Vec::new();
-        for window in self.idle_windows(earliest, deadline) {
-            if remaining <= TIME_EPS {
-                break;
-            }
-            let usable = window.duration().min(remaining);
-            if usable > TIME_EPS {
-                chunks.push(TimeInterval::new(window.start, window.start + usable));
-                remaining -= usable;
-            }
-        }
-        if remaining <= TIME_EPS {
-            Some(chunks)
-        } else {
-            None
-        }
+        self.timeline()
+            .fit_preemptive(earliest, deadline, duration, &mut chunks)
+            .then_some(chunks)
     }
 
     /// Commits a reservation.
     pub fn insert(&mut self, reservation: Reservation) -> Result<(), PlanError> {
-        if !(reservation.start.is_finite() && reservation.end.is_finite())
-            || reservation.end < reservation.start - TIME_EPS
-        {
-            return Err(PlanError::Malformed);
-        }
+        reservation.check_well_formed()?;
         if !self.is_idle(reservation.interval()) {
             return Err(PlanError::Overlap);
         }
@@ -213,13 +375,26 @@ impl SchedulePlan {
         Ok(())
     }
 
+    /// Takes back the most recent [`SchedulePlan::insert`] that has not been
+    /// taken back yet (it sits after every other reservation with the same
+    /// start). This is how a refused batch is undone without a backup copy.
+    pub(crate) fn undo_insert(&mut self, reservation: &Reservation) {
+        let pos = self
+            .reservations
+            .partition_point(|r| r.start <= reservation.start)
+            - 1;
+        debug_assert_eq!(&self.reservations[pos], reservation);
+        self.reservations.remove(pos);
+    }
+
     /// Commits several reservations atomically: either all succeed or the
     /// plan is left unchanged.
     pub fn insert_all(&mut self, reservations: &[Reservation]) -> Result<(), PlanError> {
-        let backup = self.reservations.clone();
-        for r in reservations {
+        for (done, r) in reservations.iter().enumerate() {
             if let Err(e) = self.insert(*r) {
-                self.reservations = backup;
+                for undone in reservations[..done].iter().rev() {
+                    self.undo_insert(undone);
+                }
                 return Err(e);
             }
         }
@@ -290,12 +465,31 @@ impl SchedulePlan {
         (idle / window).clamp(0.0, 1.0)
     }
 
-    /// Checks the internal non-overlap invariant (used by property tests and
+    /// Checks the sorted-and-disjoint invariant (used by property tests and
     /// debug assertions in the protocol layer).
     pub fn check_invariants(&self) -> bool {
-        self.reservations
-            .windows(2)
-            .all(|w| w[0].start <= w[1].start + TIME_EPS && w[0].end <= w[1].start + TIME_EPS)
+        self.validate().is_ok()
+    }
+
+    /// The invariant [`SchedulePlan::insert`] maintains: well-formed
+    /// reservations in start order, each positive-length one starting at or
+    /// after the end of the previous positive-length one.
+    fn validate(&self) -> Result<(), PlanError> {
+        let (mut last_start, mut busy_until) = (f64::NEG_INFINITY, f64::NEG_INFINITY);
+        for r in &self.reservations {
+            r.check_well_formed()?;
+            if r.start < last_start {
+                return Err(PlanError::Unordered);
+            }
+            last_start = r.start;
+            if r.end > r.start {
+                if r.start < busy_until {
+                    return Err(PlanError::Overlap);
+                }
+                busy_until = r.end;
+            }
+        }
+        Ok(())
     }
 }
 
@@ -351,12 +545,45 @@ mod tests {
     }
 
     #[test]
+    fn from_reservations_checks_the_invariant() {
+        // Back-to-back slots and a zero-length marker are what `insert`
+        // itself produces.
+        let sound = vec![
+            res(1, 0, 0.0, 5.0),
+            res(1, 1, 5.0, 5.0),
+            res(2, 0, 5.0, 9.0),
+        ];
+        let plan = SchedulePlan::from_reservations(sound.clone()).unwrap();
+        assert_eq!(plan.reservations(), &sound[..]);
+        assert!(plan.check_invariants());
+        let rebuilt = |rows: &[Reservation]| SchedulePlan::from_reservations(rows.to_vec());
+        assert_eq!(
+            rebuilt(&[sound[2], sound[0]]).unwrap_err(),
+            PlanError::Unordered
+        );
+        assert_eq!(
+            rebuilt(&[sound[0], res(2, 0, 4.0, 9.0)]).unwrap_err(),
+            PlanError::Overlap
+        );
+        // The overlap need not be between neighbours.
+        assert_eq!(
+            rebuilt(&[res(1, 0, 0.0, 8.0), sound[1], sound[2]]).unwrap_err(),
+            PlanError::Overlap
+        );
+        assert_eq!(
+            rebuilt(&[res(1, 0, 0.0, f64::INFINITY)]).unwrap_err(),
+            PlanError::Malformed
+        );
+        assert!(PlanError::Unordered.to_string().contains("sorted"));
+    }
+
+    #[test]
     fn insert_all_is_atomic() {
         let mut plan = SchedulePlan::new();
         plan.insert(res(1, 0, 10.0, 20.0)).unwrap();
         let batch = vec![res(2, 0, 0.0, 5.0), res(2, 1, 15.0, 18.0)];
         assert_eq!(plan.insert_all(&batch), Err(PlanError::Overlap));
-        assert_eq!(plan.len(), 1); // rolled back
+        assert_eq!(plan.reservations(), &[res(1, 0, 10.0, 20.0)]); // rolled back
         let ok = vec![res(2, 0, 0.0, 5.0), res(2, 1, 20.0, 25.0)];
         plan.insert_all(&ok).unwrap();
         assert_eq!(plan.len(), 3);

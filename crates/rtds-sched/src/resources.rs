@@ -4,9 +4,9 @@
 //! to a dslab-compute-style resource bundle — a number of identical cores, a
 //! relative speed and a memory capacity — plus a per-task *demand* (cores,
 //! memory, speedup law). The degenerate bundle `cores = 1, memory = ∞` with
-//! single-core demands reproduces the paper's model exactly: every scheduler
-//! built over it delegates to the original single-plan primitives, so all
-//! pre-multicore reports stay byte-identical.
+//! single-core demands reproduces the paper's model exactly: on it the one
+//! placement path of [`crate::scheduler`] makes the decisions of the original
+//! single-plan rule, so all pre-multicore reports stay byte-identical.
 
 use serde::{Deserialize, Serialize};
 

@@ -1,16 +1,15 @@
 //! The pluggable local scheduling policy.
 //!
 //! The paper leaves the local scheduler unspecified beyond the §5 insertion
-//! idea; `rtds-core` and every baseline used to call the single-plan
-//! primitives ([`crate::admission`], [`crate::feasibility`]) directly. This
-//! module extracts that decision behind the [`Scheduler`] trait over a
-//! multicore [`SiteResources`] bundle, with three implementations:
+//! idea. This module puts that decision behind the [`Scheduler`] trait over
+//! a multicore [`SiteResources`] bundle, with three implementations:
 //!
 //! * [`ProtocolScheduler`] — the paper's §5/§12 critical-path list
 //!   scheduler, generalised to place each task on the core with the
-//!   earliest fit. On the degenerate single-core bundle it *delegates
-//!   verbatim* to [`admit_dag_locally`] and [`feasibility::satisfiable`],
-//!   so every pre-multicore report stays byte-identical.
+//!   earliest fit. On the degenerate single-core bundle that *is* the
+//!   paper's single-plan rule ([`crate::admission::admit_dag_locally`] and
+//!   [`crate::feasibility::satisfiable`] are this code on one plan), so
+//!   every pre-multicore report stays byte-identical.
 //! * [`HeftScheduler`] — HEFT-style list scheduling (Topcuoglu et al.):
 //!   tasks ordered by communication-inclusive upward rank, each placed on
 //!   the core minimising its earliest finish time (insertion-based EFT).
@@ -18,18 +17,20 @@
 //!   is chosen to minimise the worst earliest finish time of its *children*
 //!   given the tentative placement (ties broken by own EFT, then core id).
 //!
-//! All three share the same mechanics (per-core [`SchedulePlan`]s, gang
-//! fits for multi-core task demands, a memory ledger) via the concrete
+//! All three share the same mechanics (per-core [`SchedulePlan`]s, trial
+//! placement over them without copies (the `trial` module), gang fits for
+//! multi-core task demands, a memory ledger) via the concrete
 //! [`SiteScheduler`], which is also what the protocol node stores — being a
 //! plain enum-dispatched struct it stays `Clone + PartialEq` and snapshots
 //! cleanly (`rtds-sched-snapshot/1`, encoded by `rtds-core`).
 
-use crate::admission::{admit_dag_locally, priority_order};
-use crate::feasibility::{self, TaskRequest};
+use crate::admission::priority_order;
+use crate::feasibility::{place_requests, TaskRequest};
 use crate::interval::TimeInterval;
 use crate::plan::{PlanError, Reservation, SchedulePlan};
 use crate::resources::{SiteResources, TaskDemand};
-use rtds_graph::{critical_path_tasks, Job, JobId, TaskGraph, TaskId};
+use crate::trial::{best_single_fit, with_scratch, Scratch, Trial};
+use rtds_graph::{upward_ranks, Job, JobId, TaskGraph, TaskId};
 use serde::{Deserialize, Serialize};
 
 /// Tolerance mirrored from the plan layer.
@@ -254,228 +255,193 @@ impl SiteScheduler {
         self.preemptive
     }
 
-    /// True when every query delegates verbatim to the single-plan
-    /// primitives (one core, default demands).
-    fn is_single_core(&self) -> bool {
-        self.cores.len() == 1
+    /// What placement decisions read of this site.
+    fn view(&self) -> SiteView<'_> {
+        SiteView {
+            kind: self.kind,
+            resources: self.resources,
+            base_speed: self.base_speed,
+            preemptive: self.preemptive,
+            cores: &self.cores,
+            holds: &self.holds,
+        }
+    }
+}
+
+/// What a placement decision reads of a site: its policy, its resources and
+/// its committed state (borrowed — trial placements go into a [`Trial`]).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct SiteView<'a> {
+    pub(crate) kind: SchedulerKind,
+    pub(crate) resources: SiteResources,
+    pub(crate) base_speed: f64,
+    pub(crate) preemptive: bool,
+    pub(crate) cores: &'a [SchedulePlan],
+    pub(crate) holds: &'a [MemHold],
+}
+
+/// One task being placed by [`SiteView::admit_dag`].
+struct Pending<'a> {
+    graph: &'a TaskGraph,
+    job: JobId,
+    task: TaskId,
+    ready: f64,
+    deadline: f64,
+    /// Per-task durations on this site / finish times of the placed tasks.
+    durations: &'a [f64],
+    finish: &'a [f64],
+}
+
+impl Pending<'_> {
+    fn duration(&self) -> f64 {
+        self.durations[self.task.0]
     }
 
-    // ----- placement helpers ------------------------------------------------
-
-    /// Earliest single-core fit across all cores under the given selection
-    /// rule; returns `(core, start, completion)`.
-    fn best_single_fit(
-        cores: &[SchedulePlan],
-        ready: f64,
-        deadline: f64,
-        duration: f64,
-    ) -> Option<(CoreId, f64, f64)> {
-        let mut best: Option<(CoreId, f64, f64)> = None;
-        for (c, plan) in cores.iter().enumerate() {
-            if let Some(start) = plan.earliest_fit(ready, deadline, duration) {
-                let finish = start + duration;
-                // Homogeneous cores: earliest start == earliest finish, so
-                // the protocol and HEFT selection rules coincide per task;
-                // ties go to the lowest core id for determinism.
-                if best.map_or(true, |(_, s, _)| start < s - TIME_EPS) {
-                    best = Some((c, start, finish));
-                }
-            }
+    fn reservation(&self, start: f64, end: f64) -> Reservation {
+        Reservation {
+            job: self.job,
+            task: self.task,
+            start,
+            end,
         }
-        best
     }
+}
 
-    /// Earliest gang fit: the earliest start `t >= ready` at which `k`
-    /// cores are simultaneously idle over `[t, t + duration)` with
-    /// `t + duration <= deadline`. Returns the occupied cores (lowest ids
-    /// first) and the start.
-    fn earliest_gang_fit(
-        cores: &[SchedulePlan],
-        ready: f64,
-        deadline: f64,
-        duration: f64,
-        k: usize,
-    ) -> Option<(Vec<CoreId>, f64)> {
-        if k > cores.len() || duration < 0.0 {
-            return None;
+impl SiteView<'_> {
+    /// The §5 local guarantee test (see [`Scheduler::admit_dag`]).
+    pub(crate) fn admit_dag(
+        &self,
+        job: &Job,
+        now: f64,
+        demands: Option<&[TaskDemand]>,
+        scratch: &mut Scratch,
+    ) -> Option<DagSchedule> {
+        let graph = &job.graph;
+        let start_floor = now.max(job.release());
+        if graph.task_count() == 0 {
+            return Some(DagSchedule {
+                placements: Vec::new(),
+                holds: Vec::new(),
+                completion: start_floor,
+            });
         }
-        // Candidate starts: the ready time plus every reservation end after
-        // it (a gang can only become feasible when some core frees up).
-        let mut candidates: Vec<f64> = vec![ready];
-        for plan in cores {
-            for r in plan.reservations() {
-                if r.end > ready + TIME_EPS {
-                    candidates.push(r.end);
+        if let Some(d) = demands {
+            assert_eq!(d.len(), graph.task_count(), "one demand per task");
+        }
+        let deadline = job.deadline();
+        let default_demand = TaskDemand::default();
+        let demand_of = |t: TaskId| demands.map_or(default_demand, |d| d[t.0]);
+        let durations: Vec<f64> = graph
+            .task_ids()
+            .map(|t| demand_of(t).duration(graph.cost(t), self.base_speed, &self.resources))
+            .collect();
+        // List scheduling: repeatedly pick the ready task with the largest
+        // rank (ties by task id), exactly like the Mapper of §12 but on a
+        // single site, so no communication delays apply.
+        let order = priority_order(graph, &self.rank(graph));
+
+        let Scratch {
+            added,
+            chunks,
+            best_chunks,
+            starts,
+            events,
+            ..
+        } = scratch;
+        let mut trial = Trial::new(self.cores, added);
+        let mut finish = vec![0.0f64; graph.task_count()];
+        let mut placements = Vec::with_capacity(graph.task_count());
+        let mut holds = Vec::new();
+        for t in order {
+            let demand = demand_of(t);
+            let k = demand.granted_cores(&self.resources);
+            let ready = graph
+                .predecessors(t)
+                .map(|p| finish[p.0])
+                .fold(start_floor, f64::max);
+            let task = Pending {
+                graph,
+                job: job.id,
+                task: t,
+                ready,
+                deadline,
+                durations: &durations,
+                finish: &finish,
+            };
+            let first_placement = placements.len();
+            let end = if k > 1 {
+                // Gang tasks occupy k cores for one contiguous slot (no
+                // preemptive splitting for gangs).
+                place_gang(&mut trial, &task, k, starts, &mut placements)?
+            } else if self.preemptive {
+                // Fill idle windows on the core whose chunks complete
+                // earliest.
+                let (core, end) = trial.best_preemptive_fit(
+                    ready,
+                    deadline,
+                    task.duration(),
+                    chunks,
+                    best_chunks,
+                )?;
+                for chunk in best_chunks.iter() {
+                    trial.place(
+                        core,
+                        task.reservation(chunk.start, chunk.end),
+                        &mut placements,
+                    )?;
                 }
-            }
-        }
-        candidates.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        candidates.dedup_by(|a, b| (*a - *b).abs() <= TIME_EPS);
-        for &t in &candidates {
-            if t + duration > deadline + TIME_EPS {
+                end.max(ready)
+            } else {
+                let (core, start, end) = match self.kind {
+                    SchedulerKind::Lookahead => lookahead_fit(&mut trial, &task)?,
+                    _ => trial.best_single_fit(ready, deadline, task.duration())?,
+                };
+                trial.place(core, task.reservation(start, end), &mut placements)?;
+                end
+            };
+            if end > deadline + TIME_EPS {
                 return None;
             }
-            let window = TimeInterval::new(t, t + duration);
-            let idle: Vec<CoreId> = cores
-                .iter()
-                .enumerate()
-                .filter(|(_, p)| p.is_idle(window))
-                .map(|(c, _)| c)
-                .collect();
-            if idle.len() >= k {
-                return Some((idle.into_iter().take(k).collect(), t));
+            finish[t.0] = end;
+            if demand.memory > 0.0 {
+                let start = placements[first_placement..]
+                    .iter()
+                    .map(|p| p.reservation.start)
+                    .fold(end, f64::min);
+                holds.push(MemHold {
+                    job: job.id,
+                    start,
+                    end,
+                    bytes: demand.memory,
+                });
             }
         }
-        None
+        if !self.memory_fits(&holds, events) {
+            return None;
+        }
+        let completion = finish.iter().copied().fold(start_floor, f64::max);
+        Some(DagSchedule {
+            placements,
+            holds,
+            completion,
+        })
     }
 
     /// Task priorities for the list-scheduling order of this kind.
     fn rank(&self, graph: &TaskGraph) -> Vec<f64> {
         match self.kind {
-            SchedulerKind::Protocol | SchedulerKind::Lookahead => critical_path_tasks(graph).upward,
+            SchedulerKind::Protocol | SchedulerKind::Lookahead => upward_ranks(graph),
             SchedulerKind::Heft => heft_upward_rank(graph),
         }
     }
 
-    /// Places one single-core task according to this scheduler's rule,
-    /// inserting into `scratch`. Returns the finish time.
-    #[allow(clippy::too_many_arguments)]
-    fn place_single(
-        &self,
-        scratch: &mut [SchedulePlan],
-        graph: &TaskGraph,
-        job: JobId,
-        t: TaskId,
-        ready: f64,
-        deadline: f64,
-        duration: f64,
-        durations: &[f64],
-        finish: &[f64],
-        out: &mut Vec<Placement>,
-    ) -> Option<f64> {
-        if self.preemptive {
-            // Preemptive placement: fill idle windows on the core whose
-            // chunks complete earliest (ties to the lowest core id).
-            let mut best: Option<(CoreId, Vec<TimeInterval>, f64)> = None;
-            for (c, plan) in scratch.iter().enumerate() {
-                if let Some(chunks) = plan.earliest_fit_preemptive(ready, deadline, duration) {
-                    let end = chunks.last().map_or(ready, |ch| ch.end);
-                    if best.as_ref().map_or(true, |(_, _, e)| end < *e - TIME_EPS) {
-                        best = Some((c, chunks, end));
-                    }
-                }
-            }
-            let (core, chunks, end) = best?;
-            for chunk in &chunks {
-                let r = Reservation {
-                    job,
-                    task: t,
-                    start: chunk.start,
-                    end: chunk.end,
-                };
-                scratch[core].insert(r).ok()?;
-                out.push(Placement {
-                    core,
-                    reservation: r,
-                });
-            }
-            return Some(end.max(ready));
-        }
-        let core = match self.kind {
-            SchedulerKind::Lookahead => self.lookahead_core(
-                scratch, graph, job, t, ready, deadline, duration, durations, finish,
-            )?,
-            _ => Self::best_single_fit(scratch, ready, deadline, duration)?.0,
-        };
-        let start = scratch[core].earliest_fit(ready, deadline, duration)?;
-        let r = Reservation {
-            job,
-            task: t,
-            start,
-            end: start + duration,
-        };
-        scratch[core].insert(r).ok()?;
-        out.push(Placement {
-            core,
-            reservation: r,
-        });
-        Some(start + duration)
-    }
-
-    /// The one-step lookahead core choice: minimise, over the task's
-    /// children, the worst insertion-based EFT the child could still get
-    /// with the task tentatively placed — ties broken by own EFT, then by
-    /// core id. Falls back to the plain EFT rule for childless tasks.
-    #[allow(clippy::too_many_arguments)]
-    fn lookahead_core(
-        &self,
-        scratch: &[SchedulePlan],
-        graph: &TaskGraph,
-        job: JobId,
-        t: TaskId,
-        ready: f64,
-        deadline: f64,
-        duration: f64,
-        durations: &[f64],
-        finish: &[f64],
-    ) -> Option<CoreId> {
-        let children: Vec<TaskId> = graph.successors(t).collect();
-        let mut best: Option<(f64, f64, CoreId)> = None;
-        for (c, plan) in scratch.iter().enumerate() {
-            let start = match plan.earliest_fit(ready, deadline, duration) {
-                Some(s) => s,
-                None => continue,
-            };
-            let own_eft = start + duration;
-            // Tentatively occupy the slot and score each child's best EFT.
-            let mut tentative: Vec<SchedulePlan> = scratch.to_vec();
-            let r = Reservation {
-                job,
-                task: t,
-                start,
-                end: own_eft,
-            };
-            tentative[c].insert(r).ok()?;
-            let mut score = own_eft;
-            for &child in &children {
-                // The child's ready time, counting already-placed parents
-                // and this tentative finish (unplaced parents unknown).
-                let child_ready = graph
-                    .predecessors(child)
-                    .map(|p| finish[p.0])
-                    .fold(own_eft, f64::max);
-                let child_eft =
-                    Self::best_single_fit(&tentative, child_ready, deadline, durations[child.0])
-                        .map(|(_, _, f)| f);
-                match child_eft {
-                    Some(f) => score = score.max(f),
-                    None => {
-                        score = f64::INFINITY;
-                        break;
-                    }
-                }
-            }
-            let better = match best {
-                None => true,
-                Some((s, e, _)) => {
-                    score < s - TIME_EPS
-                        || ((score - s).abs() <= TIME_EPS && e > own_eft + TIME_EPS)
-                }
-            };
-            if better {
-                best = Some((score, own_eft, c));
-            }
-        }
-        best.map(|(_, _, c)| c)
-    }
-
     /// Peak-memory check: with the new holds added to the committed ledger,
     /// does concurrent residency ever exceed the site's memory?
-    fn memory_fits(&self, new_holds: &[MemHold]) -> bool {
+    fn memory_fits(&self, new_holds: &[MemHold], events: &mut Vec<(f64, f64)>) -> bool {
         if self.resources.memory.is_infinite() || new_holds.is_empty() {
             return true;
         }
-        let mut events: Vec<(f64, f64)> = Vec::new();
+        events.clear();
         for h in self.holds.iter().chain(new_holds) {
             if h.bytes > 0.0 && h.end > h.start {
                 events.push((h.start, h.bytes));
@@ -483,13 +449,14 @@ impl SiteScheduler {
             }
         }
         // Ends sort before starts at the same instant (closed-open holds).
-        events.sort_by(|a, b| {
+        // Events that compare equal are interchangeable, so no stable sort.
+        events.sort_unstable_by(|a, b| {
             a.0.partial_cmp(&b.0)
                 .unwrap()
                 .then(a.1.partial_cmp(&b.1).unwrap())
         });
         let mut used = 0.0;
-        for (_, delta) in events {
+        for (_, delta) in events.iter() {
             used += delta;
             if used > self.resources.memory + TIME_EPS {
                 return false;
@@ -497,6 +464,98 @@ impl SiteScheduler {
         }
         true
     }
+}
+
+/// Places a gang task on the `k` lowest-numbered cores that are
+/// simultaneously idle over `[t, t + duration)` at the earliest such
+/// `t >= ready` with `t + duration <= deadline`. Returns the end time.
+fn place_gang(
+    trial: &mut Trial<'_>,
+    task: &Pending<'_>,
+    k: usize,
+    starts: &mut Vec<f64>,
+    placements: &mut Vec<Placement>,
+) -> Option<f64> {
+    let duration = task.duration();
+    if k > trial.core_count() || duration < 0.0 {
+        return None;
+    }
+    // Candidate starts: the ready time plus every reservation end after it
+    // (a gang can only become feasible when some core frees up).
+    starts.clear();
+    starts.push(task.ready);
+    for timeline in trial.timelines() {
+        starts.extend(
+            timeline
+                .reservations()
+                .map(|r| r.end)
+                .filter(|&end| end > task.ready + TIME_EPS),
+        );
+    }
+    starts.sort_unstable_by(|a, b| a.partial_cmp(b).unwrap());
+    starts.dedup_by(|a, b| (*a - *b).abs() <= TIME_EPS);
+    for &t in starts.iter() {
+        if t + duration > task.deadline + TIME_EPS {
+            return None;
+        }
+        let window = TimeInterval::new(t, t + duration);
+        if trial.timelines().filter(|c| c.is_idle(window)).count() < k {
+            continue;
+        }
+        let mut taken = 0;
+        for core in 0..trial.core_count() {
+            if taken < k && trial.timeline(core).is_idle(window) {
+                trial.place(core, task.reservation(t, t + duration), placements)?;
+                taken += 1;
+            }
+        }
+        return Some(t + duration);
+    }
+    None
+}
+
+/// The one-step lookahead core choice: minimise, over the task's children,
+/// the worst insertion-based EFT the child could still get with the task
+/// tentatively placed — ties broken by own EFT, then by core id (plain EFT
+/// for childless tasks). Returns `(core, start, finish)`.
+fn lookahead_fit(trial: &mut Trial<'_>, task: &Pending<'_>) -> Option<(CoreId, f64, f64)> {
+    let (graph, deadline, duration) = (task.graph, task.deadline, task.duration());
+    let mut best: Option<(f64, CoreId, f64, f64)> = None;
+    for core in 0..trial.core_count() {
+        let Some(start) = trial
+            .timeline(core)
+            .earliest_fit(task.ready, deadline, duration)
+        else {
+            continue;
+        };
+        let own_eft = start + duration;
+        // Tentatively occupy the slot and score each child's best EFT.
+        let slot = trial.insert(core, task.reservation(start, own_eft)).ok()?;
+        let mut score = own_eft;
+        for child in graph.successors(task.task) {
+            // The child's ready time, counting already-placed parents and
+            // this tentative finish (unplaced parents unknown).
+            let child_ready = graph
+                .predecessors(child)
+                .map(|p| task.finish[p.0])
+                .fold(own_eft, f64::max);
+            match trial.best_single_fit(child_ready, deadline, task.durations[child.0]) {
+                Some((_, _, child_eft)) => score = score.max(child_eft),
+                None => {
+                    score = f64::INFINITY;
+                    break;
+                }
+            }
+        }
+        trial.remove(core, slot);
+        let better = best.map_or(true, |(s, _, _, e)| {
+            score < s - TIME_EPS || ((score - s).abs() <= TIME_EPS && e > own_eft + TIME_EPS)
+        });
+        if better {
+            best = Some((score, core, start, own_eft));
+        }
+    }
+    best.map(|(_, core, start, own_eft)| (core, start, own_eft))
 }
 
 /// HEFT upward rank: `rank(t) = cost(t) + max over children c of
@@ -539,210 +598,27 @@ impl Scheduler for SiteScheduler {
         now: f64,
         demands: Option<&[TaskDemand]>,
     ) -> Option<DagSchedule> {
-        let graph = &job.graph;
-        // Degenerate fast path: the paper's single-plan admission, verbatim.
-        if self.kind == SchedulerKind::Protocol && self.is_single_core() && demands.is_none() {
-            let adm = admit_dag_locally(
-                &self.cores[0],
-                job,
-                now,
-                self.effective_speed(),
-                self.preemptive,
-            )?;
-            return Some(DagSchedule {
-                placements: adm
-                    .reservations
-                    .into_iter()
-                    .map(|reservation| Placement {
-                        core: 0,
-                        reservation,
-                    })
-                    .collect(),
-                holds: Vec::new(),
-                completion: adm.completion,
-            });
-        }
-        let start_floor = now.max(job.release());
-        if graph.task_count() == 0 {
-            return Some(DagSchedule {
-                placements: Vec::new(),
-                holds: Vec::new(),
-                completion: start_floor,
-            });
-        }
-        if let Some(d) = demands {
-            assert_eq!(d.len(), graph.task_count(), "one demand per task");
-        }
-        let deadline = job.deadline();
-        let default_demand = TaskDemand::default();
-        let demand_of = |t: TaskId| demands.map_or(default_demand, |d| d[t.0]);
-        let durations: Vec<f64> = graph
-            .task_ids()
-            .map(|t| demand_of(t).duration(graph.cost(t), self.base_speed, &self.resources))
-            .collect();
-        let order = priority_order(graph, &self.rank(graph));
-
-        let mut scratch = self.cores.clone();
-        let mut finish = vec![0.0f64; graph.task_count()];
-        let mut placements = Vec::new();
-        let mut holds = Vec::new();
-        for t in order {
-            let demand = demand_of(t);
-            let k = demand.granted_cores(&self.resources);
-            let duration = durations[t.0];
-            let ready = graph
-                .predecessors(t)
-                .map(|p| finish[p.0])
-                .fold(start_floor, f64::max);
-            let end = if k > 1 {
-                // Gang tasks occupy k cores for one contiguous slot (no
-                // preemptive splitting for gangs).
-                let (gang, start) =
-                    Self::earliest_gang_fit(&scratch, ready, deadline, duration, k)?;
-                for &core in &gang {
-                    let r = Reservation {
-                        job: job.id,
-                        task: t,
-                        start,
-                        end: start + duration,
-                    };
-                    scratch[core].insert(r).ok()?;
-                    placements.push(Placement {
-                        core,
-                        reservation: r,
-                    });
-                }
-                start + duration
-            } else {
-                self.place_single(
-                    &mut scratch,
-                    graph,
-                    job.id,
-                    t,
-                    ready,
-                    deadline,
-                    duration,
-                    &durations,
-                    &finish,
-                    &mut placements,
-                )?
-            };
-            if end > deadline + TIME_EPS {
-                return None;
-            }
-            finish[t.0] = end;
-            if demand.memory > 0.0 {
-                let start = placements
-                    .iter()
-                    .rev()
-                    .take_while(|p| p.reservation.task == t)
-                    .map(|p| p.reservation.start)
-                    .fold(end, f64::min);
-                holds.push(MemHold {
-                    job: job.id,
-                    start,
-                    end,
-                    bytes: demand.memory,
-                });
-            }
-        }
-        if !self.memory_fits(&holds) {
-            return None;
-        }
-        let completion = finish.iter().copied().fold(start_floor, f64::max);
-        Some(DagSchedule {
-            placements,
-            holds,
-            completion,
-        })
+        with_scratch(|scratch| self.view().admit_dag(job, now, demands, scratch))
     }
 
     fn satisfiable(&self, requests: &[TaskRequest]) -> Option<Vec<Placement>> {
-        // Degenerate fast path: the paper's §10 test, verbatim.
-        if self.is_single_core() {
-            return feasibility::satisfiable(&self.cores[0], requests, self.preemptive).map(
-                |reservations| {
-                    reservations
-                        .into_iter()
-                        .map(|reservation| Placement {
-                            core: 0,
-                            reservation,
-                        })
-                        .collect()
-                },
-            );
-        }
-        if requests.iter().any(|r| !r.is_well_formed()) {
-            return None;
-        }
-        // Multicore EDF: the same deterministic order as the single-plan
-        // test, each request placed on the core with the earliest fit.
-        let mut ordered: Vec<&TaskRequest> = requests.iter().collect();
-        ordered.sort_by(|a, b| {
-            a.deadline
-                .partial_cmp(&b.deadline)
-                .unwrap()
-                .then(a.release.partial_cmp(&b.release).unwrap())
-                .then(a.task.0.cmp(&b.task.0))
-                .then(a.job.0.cmp(&b.job.0))
-        });
-        let mut scratch = self.cores.clone();
-        let mut placed = Vec::new();
-        for req in ordered {
-            if self.preemptive {
-                let mut best: Option<(CoreId, Vec<TimeInterval>, f64)> = None;
-                for (c, plan) in scratch.iter().enumerate() {
-                    if let Some(chunks) =
-                        plan.earliest_fit_preemptive(req.release, req.deadline, req.duration)
-                    {
-                        let end = chunks.last().map_or(req.release, |ch| ch.end);
-                        if best.as_ref().map_or(true, |(_, _, e)| end < *e - TIME_EPS) {
-                            best = Some((c, chunks, end));
-                        }
-                    }
-                }
-                let (core, chunks, _) = best?;
-                for chunk in chunks {
-                    let r = Reservation {
-                        job: req.job,
-                        task: req.task,
-                        start: chunk.start,
-                        end: chunk.end,
-                    };
-                    scratch[core].insert(r).ok()?;
-                    placed.push(Placement {
-                        core,
-                        reservation: r,
-                    });
-                }
-            } else {
-                let (core, start, _) =
-                    Self::best_single_fit(&scratch, req.release, req.deadline, req.duration)?;
-                let r = Reservation {
-                    job: req.job,
-                    task: req.task,
-                    start,
-                    end: start + req.duration,
-                };
-                scratch[core].insert(r).ok()?;
-                placed.push(Placement {
-                    core,
-                    reservation: r,
-                });
-            }
-        }
-        Some(placed)
+        with_scratch(|scratch| {
+            place_requests(&self.cores, requests, self.preemptive, scratch)?;
+            Some(scratch.placed.clone())
+        })
     }
 
     fn reserve(&mut self, placements: &[Placement]) -> Result<(), PlanError> {
-        let backup = self.cores.clone();
-        for p in placements {
-            if p.core >= self.cores.len() {
-                self.cores = backup;
-                return Err(PlanError::Malformed);
-            }
-            if let Err(e) = self.cores[p.core].insert(p.reservation) {
-                self.cores = backup;
+        for (done, p) in placements.iter().enumerate() {
+            let inserted = match self.cores.get_mut(p.core) {
+                Some(plan) => plan.insert(p.reservation),
+                None => Err(PlanError::Malformed),
+            };
+            if let Err(e) = inserted {
+                // Atomic: take back what this batch has put in, newest first.
+                for undone in placements[..done].iter().rev() {
+                    self.cores[undone.core].undo_insert(&undone.reservation);
+                }
                 return Err(e);
             }
         }
@@ -762,7 +638,8 @@ impl Scheduler for SiteScheduler {
     }
 
     fn earliest_finish(&self, release: f64, deadline: f64, duration: f64) -> Option<(CoreId, f64)> {
-        Self::best_single_fit(&self.cores, release, deadline, duration).map(|(c, _, f)| (c, f))
+        let cores = self.cores.iter().map(SchedulePlan::timeline);
+        best_single_fit(cores, release, deadline, duration).map(|(c, _, f)| (c, f))
     }
 
     fn surplus(&self, now: f64, window: f64) -> f64 {
@@ -891,8 +768,8 @@ macro_rules! newtype_scheduler {
 
 newtype_scheduler!(
     /// The paper's §5/§12 critical-path list scheduler, multicore-
-    /// generalised (earliest-fit core choice). Single-core with default
-    /// demands delegates verbatim to the original single-plan primitives.
+    /// generalised (earliest-fit core choice). On a single core with default
+    /// demands this is the paper's original single-plan rule.
     ProtocolScheduler,
     SchedulerKind::Protocol
 );
@@ -909,76 +786,11 @@ newtype_scheduler!(
     SchedulerKind::Lookahead
 );
 
-/// Exact brute-force feasibility oracle for *non-preemptive, single-core*
-/// request sets on a multicore plan: tries every assignment of requests to
-/// cores and every per-core placement order, placing greedily at the
-/// earliest fit (for a fixed order, greedy earliest-fit placement is
-/// complete, by the standard left-shift exchange argument). Exponential —
-/// property tests only.
-pub fn brute_force_satisfiable(cores: &[SchedulePlan], requests: &[TaskRequest]) -> bool {
-    if requests.iter().any(|r| !r.is_well_formed()) {
-        return false;
-    }
-    fn core_feasible(plan: &SchedulePlan, subset: &[&TaskRequest]) -> bool {
-        fn place(plan: &SchedulePlan, remaining: &mut Vec<&TaskRequest>) -> bool {
-            if remaining.is_empty() {
-                return true;
-            }
-            for i in 0..remaining.len() {
-                let req = remaining[i];
-                if let Some(start) = plan.earliest_fit(req.release, req.deadline, req.duration) {
-                    let mut next = plan.clone();
-                    let inserted = next.insert(Reservation {
-                        job: req.job,
-                        task: req.task,
-                        start,
-                        end: start + req.duration,
-                    });
-                    if inserted.is_ok() {
-                        remaining.swap_remove(i);
-                        if place(&next, remaining) {
-                            return true;
-                        }
-                        remaining.push(req);
-                        let last = remaining.len() - 1;
-                        remaining.swap(i, last);
-                    }
-                }
-            }
-            false
-        }
-        let mut remaining: Vec<&TaskRequest> = subset.to_vec();
-        place(plan, &mut remaining)
-    }
-    fn assign(
-        cores: &[SchedulePlan],
-        requests: &[TaskRequest],
-        sets: &mut Vec<Vec<usize>>,
-    ) -> bool {
-        let next = sets.iter().map(Vec::len).sum::<usize>();
-        if next == requests.len() {
-            return sets.iter().enumerate().all(|(c, set)| {
-                let subset: Vec<&TaskRequest> = set.iter().map(|&i| &requests[i]).collect();
-                core_feasible(&cores[c], &subset)
-            });
-        }
-        for c in 0..cores.len() {
-            sets[c].push(next);
-            if assign(cores, requests, sets) {
-                sets[c].pop();
-                return true;
-            }
-            sets[c].pop();
-        }
-        false
-    }
-    let mut sets: Vec<Vec<usize>> = vec![Vec::new(); cores.len()];
-    assign(cores, requests, &mut sets)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::admission::admit_dag_locally;
+    use crate::feasibility;
     use rtds_graph::{JobParams, TaskGraph};
 
     fn job_from(graph: TaskGraph, release: f64, deadline: f64) -> Job {
@@ -1157,7 +969,7 @@ mod tests {
         assert_eq!(rank[1], 2.0);
         assert_eq!(rank[2], 2.0);
         assert_eq!(rank[0], 1.0 + 10.0 + 2.0);
-        let plain = critical_path_tasks(&g).upward;
+        let plain = upward_ranks(&g);
         assert_eq!(plain[0], 3.0);
     }
 
@@ -1370,37 +1182,5 @@ mod tests {
         assert_eq!(rebuilt, sched);
         assert!((sched.effective_speed() - 3.0).abs() < 1e-12);
         assert!(sched.preemptive());
-    }
-
-    #[test]
-    fn brute_force_oracle_is_exact_on_hand_checked_sets() {
-        let cores = vec![SchedulePlan::new()];
-        // Feasible only in the non-EDF order: EDF places task 1 (deadline
-        // 10) at [0, 10) — wait, EDF would do the right thing here; build a
-        // set where greedy EDF fails but some order succeeds:
-        // task 0: release 0, deadline 20, duration 10
-        // task 1: release 0, deadline 11, duration 1
-        // EDF places 1 at [0,1), 0 at [1,11)? deadline 20 — fine. Instead
-        // use the classic trap: a long early-deadline task blocking a
-        // release-constrained short one.
-        let trap = vec![req(0, 0.0, 12.0, 10.0), req(1, 10.0, 11.0, 1.0)];
-        // EDF (deadline 11 first) places task 1 at [10, 11), then task 0
-        // cannot fit 10 units by 12. The only feasible order is 0 then 1 —
-        // which also fails ([0,10) then [10,11) works!). Both orders are
-        // tried by the oracle:
-        assert!(brute_force_satisfiable(&cores, &trap));
-        // Truly infeasible: 3 × 10 units due by 20 on two cores.
-        let cores2 = vec![SchedulePlan::new(), SchedulePlan::new()];
-        let over = vec![
-            req(0, 0.0, 20.0, 10.0),
-            req(1, 0.0, 20.0, 10.0),
-            req(2, 0.0, 15.0, 10.0),
-            req(3, 0.0, 20.0, 15.0),
-        ];
-        assert!(!brute_force_satisfiable(&cores2, &over));
-        let ok = vec![req(0, 0.0, 20.0, 10.0), req(1, 0.0, 20.0, 10.0)];
-        assert!(brute_force_satisfiable(&cores2, &ok));
-        assert!(brute_force_satisfiable(&cores, &[]));
-        assert!(!brute_force_satisfiable(&cores, &[req(0, 5.0, 6.0, 3.0)]));
     }
 }

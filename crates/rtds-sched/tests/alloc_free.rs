@@ -1,0 +1,206 @@
+//! Allocation regression fence for the scheduling kernel: on a scheduler
+//! whose scratch buffers are warm, a plan query performs no heap allocation
+//! at all, a §10 test allocates only the placement list it returns, and a
+//! §5 admission allocates the same amount whatever the size of the plan it
+//! is tested against (trial placement never copies a plan).
+
+use rtds_graph::{Job, JobId, JobParams, TaskGraph, TaskId};
+use rtds_sched::{
+    Placement, Reservation, Scheduler, SchedulerKind, SiteResources, SiteScheduler, TaskRequest,
+    TimeInterval,
+};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+/// Counts this thread's heap allocations, so tests running in parallel do
+/// not see each other's.
+struct CountingAllocator;
+
+thread_local! {
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_one() {
+    // `try_with`: the allocator also runs while a thread is being torn down.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+// SAFETY: every call is forwarded unchanged to `System`; the only addition
+// is a thread-local counter bump, which neither allocates nor unwinds.
+unsafe impl GlobalAlloc for CountingAllocator {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count_one();
+        System.alloc(layout)
+    }
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count_one();
+        System.alloc_zeroed(layout)
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count_one();
+        System.realloc(ptr, layout, new_size)
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAllocator = CountingAllocator;
+
+fn allocations_of<R>(f: impl FnOnce() -> R) -> (R, u64) {
+    let before = ALLOCATIONS.with(Cell::get);
+    let result = f();
+    (result, ALLOCATIONS.with(Cell::get) - before)
+}
+
+/// A scheduler with `reservations` committed 2-unit slots per core, one
+/// every 5 units (so `[5i + 2, 5i + 5)` is idle on every core).
+fn busy_scheduler(
+    kind: SchedulerKind,
+    cores: usize,
+    preemptive: bool,
+    reservations: usize,
+) -> SiteScheduler {
+    let mut sched = SiteScheduler::new(kind, SiteResources::multicore(cores, 1.0), 1.0, preemptive);
+    let placements: Vec<Placement> = (0..cores)
+        .flat_map(|core| {
+            (0..reservations).map(move |i| Placement {
+                core,
+                reservation: Reservation {
+                    job: JobId(1_000 + i as u64),
+                    task: TaskId(core),
+                    start: 5.0 * i as f64,
+                    end: 5.0 * i as f64 + 2.0,
+                },
+            })
+        })
+        .collect();
+    sched.reserve(&placements).expect("disjoint slots");
+    sched
+}
+
+fn request(task: usize, release: f64, deadline: f64, duration: f64) -> TaskRequest {
+    TaskRequest {
+        job: JobId(7),
+        task: TaskId(task),
+        release,
+        deadline,
+        duration,
+    }
+}
+
+/// Every scheduler shape the protocol runs: the paper's single plan, the
+/// multicore path, and both with preemption.
+fn shapes() -> Vec<(SchedulerKind, usize, bool)> {
+    let mut shapes = Vec::new();
+    for kind in SchedulerKind::all() {
+        for cores in [1, 3] {
+            for preemptive in [false, true] {
+                shapes.push((kind, cores, preemptive));
+            }
+        }
+    }
+    shapes
+}
+
+#[test]
+fn plan_queries_do_not_allocate() {
+    for (kind, cores, preemptive) in shapes() {
+        let sched = busy_scheduler(kind, cores, preemptive, 200);
+        let what = format!("{kind:?}, {cores} cores, preemptive {preemptive}");
+        // A 3-unit fit must walk past the first busy slot; a 4-unit one
+        // finds no gap before the deadline and walks them all.
+        let (fit, n) = allocations_of(|| sched.earliest_finish(1.0, 2_000.0, 3.0));
+        assert_eq!(fit, Some((0, 5.0)), "{what}");
+        assert_eq!(n, 0, "earliest_finish, {what}");
+        let (fit, n) = allocations_of(|| sched.earliest_finish(1.0, 900.0, 4.0));
+        assert_eq!(fit, None, "{what}");
+        assert_eq!(n, 0, "earliest_finish without a fit, {what}");
+        let (surplus, n) = allocations_of(|| sched.surplus(101.0, 500.0));
+        assert!((surplus - 0.6).abs() < 1e-12, "{what}: {surplus}");
+        assert_eq!(n, 0, "surplus, {what}");
+        let plan = &sched.core_plans()[cores - 1];
+        let (idle, n) = allocations_of(|| {
+            (
+                plan.is_idle(TimeInterval::new(502.0, 505.0)),
+                plan.is_idle(TimeInterval::new(501.0, 503.0)),
+                plan.busy_time(0.0, 500.0),
+                plan.earliest_fit(1.0, 2_000.0, 3.0),
+            )
+        });
+        assert_eq!(idle, (true, false, 200.0, Some(2.0)), "{what}");
+        assert_eq!(n, 0, "plan queries, {what}");
+    }
+}
+
+#[test]
+fn satisfiable_allocates_only_what_it_returns() {
+    for (kind, cores, preemptive) in shapes() {
+        let sched = busy_scheduler(kind, cores, preemptive, 200);
+        let what = format!("{kind:?}, {cores} cores, preemptive {preemptive}");
+        // Three 3-unit tasks fit the idle slots; a fourth that needs 4
+        // contiguous units (or, preemptively, 7 units inside a window that
+        // holds 6 idle ones) sinks the set after the others were placed.
+        let fitting = [
+            request(0, 11.0, 60.0, 3.0),
+            request(1, 11.0, 70.0, 3.0),
+            request(2, 30.0, 90.0, 3.0),
+        ];
+        let sinking = if preemptive {
+            request(3, 100.0, 110.0, 7.0)
+        } else {
+            request(3, 100.0, 200.0, 4.0)
+        };
+        let rejected = [fitting[0], fitting[1], fitting[2], sinking];
+        // Warm the per-thread scratch once; from then on it is reused.
+        assert!(sched.satisfiable(&fitting).is_some(), "{what}");
+        assert!(sched.satisfiable(&rejected).is_none(), "{what}");
+
+        let (placed, n) = allocations_of(|| sched.satisfiable(&fitting));
+        assert_eq!(placed.map(|p| p.len()), Some(3), "{what}");
+        assert_eq!(n, 1, "accepting satisfiable, {what}");
+        let (placed, n) = allocations_of(|| sched.satisfiable(&rejected));
+        assert!(placed.is_none(), "{what}");
+        assert_eq!(n, 0, "rejecting satisfiable, {what}");
+        let (placed, n) = allocations_of(|| sched.satisfiable(&[]));
+        assert_eq!(placed, Some(Vec::new()), "{what}");
+        assert_eq!(n, 0, "empty satisfiable, {what}");
+    }
+}
+
+#[test]
+fn admission_and_commit_cost_do_not_grow_with_the_plan() {
+    // A diamond with a tail: five tasks, 2 units each.
+    let mut graph = TaskGraph::from_costs(&[2.0; 5]);
+    for (from, to) in [(0, 1), (0, 2), (1, 3), (2, 3), (3, 4)] {
+        graph.add_edge(TaskId(from), TaskId(to)).unwrap();
+    }
+    let job = Job::new(JobId(7), graph, JobParams::new(0.0, 10_000.0), 0);
+    for (kind, cores, preemptive) in shapes() {
+        let what = format!("{kind:?}, {cores} cores, preemptive {preemptive}");
+        let mut costs = Vec::new();
+        for reservations in [4, 1_500] {
+            let mut sched = busy_scheduler(kind, cores, preemptive, reservations);
+            // Leave room so that committing below does not regrow a plan.
+            let warm = sched.admit_dag(&job, 1.0, None).expect("fits");
+            sched.reserve_dag(&warm).expect("committable");
+            assert_eq!(sched.release(job.id), warm.placements.len(), "{what}");
+
+            let (admitted, admit) = allocations_of(|| sched.admit_dag(&job, 1.0, None));
+            let admitted = admitted.expect("fits");
+            assert_eq!(admitted, warm, "{what}");
+            let (committed, commit) = allocations_of(|| sched.reserve_dag(&admitted));
+            assert_eq!(committed, Ok(()), "{what}");
+            assert_eq!(
+                commit, 0,
+                "reserve_dag with {reservations} reservations, {what}"
+            );
+            costs.push(admit);
+        }
+        assert_eq!(
+            costs[0], costs[1],
+            "admit_dag allocations by plan size, {what}"
+        );
+    }
+}

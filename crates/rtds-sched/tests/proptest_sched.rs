@@ -1,15 +1,20 @@
 //! Property-based tests for the local scheduler: plans never overlap,
 //! admission/feasibility results always respect releases, deadlines and
-//! precedence, and surplus stays within [0, 1].
+//! precedence, surplus stays within [0, 1] — and every answer equals, bit
+//! for bit, the one the pre-rewrite scheduler kept in `reference/` gives.
+
+mod reference;
 
 use proptest::prelude::*;
+use reference::{brute_force_satisfiable, RefPlan, RefSite};
 use rtds_graph::generators::{CostDistribution, DagGenerator, DagShape, GeneratorConfig};
-use rtds_graph::{JobId, TaskId};
+use rtds_graph::{Job, JobId, TaskId};
 use rtds_sched::admission::admit_dag_locally;
 use rtds_sched::feasibility::{satisfiable, TaskRequest};
 use rtds_sched::plan::{Reservation, SchedulePlan};
 use rtds_sched::{
-    brute_force_satisfiable, Scheduler, SchedulerKind, SiteResources, SiteScheduler, TimeInterval,
+    MemHold, Placement, Scheduler, SchedulerKind, SiteResources, SiteScheduler, SpeedupFn,
+    TaskDemand, TimeInterval,
 };
 
 /// Builds a plan from arbitrary (start, duration) pairs, skipping the ones
@@ -306,5 +311,340 @@ proptest! {
                 }
             }
         }
+    }
+}
+
+fn req(task: usize, release: f64, deadline: f64, duration: f64) -> TaskRequest {
+    TaskRequest {
+        job: JobId(7),
+        task: TaskId(task),
+        release,
+        deadline,
+        duration,
+    }
+}
+
+#[test]
+fn brute_force_oracle_is_exact_on_hand_checked_sets() {
+    let cores = vec![SchedulePlan::new()];
+    // The classic trap: a long early-deadline task and a release-constrained
+    // short one. EDF (deadline 11 first) places task 1 at [10, 11), then
+    // task 0 cannot fit 10 units by 12; the order 0 then 1 works ([0, 10)
+    // then [10, 11)). The oracle tries both orders:
+    let trap = vec![req(0, 0.0, 12.0, 10.0), req(1, 10.0, 11.0, 1.0)];
+    assert!(brute_force_satisfiable(&cores, &trap));
+    // Truly infeasible: 3 × 10 units due by 20 on two cores.
+    let cores2 = vec![SchedulePlan::new(), SchedulePlan::new()];
+    let over = vec![
+        req(0, 0.0, 20.0, 10.0),
+        req(1, 0.0, 20.0, 10.0),
+        req(2, 0.0, 15.0, 10.0),
+        req(3, 0.0, 20.0, 15.0),
+    ];
+    assert!(!brute_force_satisfiable(&cores2, &over));
+    let ok = vec![req(0, 0.0, 20.0, 10.0), req(1, 0.0, 20.0, 10.0)];
+    assert!(brute_force_satisfiable(&cores2, &ok));
+    assert!(brute_force_satisfiable(&cores, &[]));
+    assert!(!brute_force_satisfiable(&cores, &[req(0, 5.0, 6.0, 3.0)]));
+}
+
+// ----- equivalence with the pre-rewrite scheduler (`reference/`) ------------
+
+/// Gaps and lengths that put reservations back to back, a hair apart (below,
+/// at and above `TIME_EPS`), or make them zero-length.
+fn tight_length() -> impl Strategy<Value = f64> {
+    prop_oneof![
+        Just(0.0),
+        Just(5e-10),
+        Just(1e-9),
+        Just(2e-9),
+        0.0f64..3.0,
+        0.5f64..15.0,
+    ]
+}
+
+/// A plan laid out left to right as (gap, length) runs — so `TIME_EPS`-close
+/// neighbours and zero-length reservations are common — plus a few
+/// reservations inserted at arbitrary places (refused when they overlap).
+fn tight_plan() -> impl Strategy<Value = SchedulePlan> {
+    (
+        proptest::collection::vec((tight_length(), tight_length()), 0..10),
+        arbitrary_busy(),
+    )
+        .prop_map(|(runs, extra)| {
+            let mut plan = SchedulePlan::new();
+            let mut at = 0.0;
+            for (i, (gap, length)) in runs.into_iter().enumerate() {
+                at += gap;
+                let _ = plan.insert(Reservation {
+                    job: JobId(i as u64),
+                    task: TaskId(0),
+                    start: at,
+                    end: at + length,
+                });
+                at += length;
+            }
+            for (i, (start, length)) in extra.into_iter().take(3).enumerate() {
+                let _ = plan.insert(Reservation {
+                    job: JobId(500 + i as u64),
+                    task: TaskId(0),
+                    start,
+                    end: start + length,
+                });
+            }
+            plan
+        })
+}
+
+/// A time on, next to, or away from a reservation boundary of `plan`.
+fn probe_time(plan: &SchedulePlan, pick: usize, nudge: f64, free: f64) -> f64 {
+    let edges: Vec<f64> = plan
+        .reservations()
+        .iter()
+        .flat_map(|r| [r.start, r.end])
+        .collect();
+    if edges.is_empty() || pick % 3 == 0 {
+        free
+    } else {
+        edges[pick % edges.len()] + nudge
+    }
+}
+
+fn nudge() -> impl Strategy<Value = f64> {
+    prop_oneof![
+        Just(0.0),
+        Just(1e-9),
+        Just(-1e-9),
+        Just(5e-10),
+        -2.0f64..2.0
+    ]
+}
+
+fn arbitrary_kind() -> impl Strategy<Value = SchedulerKind> {
+    (0usize..3).prop_map(|i| SchedulerKind::all()[i])
+}
+
+fn arbitrary_cores() -> impl Strategy<Value = Vec<SchedulePlan>> {
+    proptest::collection::vec(tight_plan(), 1..5)
+}
+
+fn arbitrary_requests() -> impl Strategy<Value = Vec<TaskRequest>> {
+    proptest::collection::vec(
+        (0.0f64..60.0, 0.5f64..40.0, tight_length(), 0usize..4),
+        0..7,
+    )
+    .prop_map(|reqs| {
+        reqs.into_iter()
+            .enumerate()
+            // A few repeated task ids and equal windows exercise the EDF
+            // tie-breaks.
+            .map(|(i, (release, window, duration, twin))| {
+                req(
+                    i.min(twin + 2),
+                    release.floor(),
+                    release.floor() + window,
+                    duration,
+                )
+            })
+            .collect()
+    })
+}
+
+fn arbitrary_job() -> impl Strategy<Value = Job> {
+    (1usize..12, 1.2f64..6.0, 0u64..500, 0usize..3).prop_map(|(n, laxity, seed, shape)| {
+        let cfg = GeneratorConfig {
+            task_count: n,
+            shape: [
+                DagShape::LayeredRandom {
+                    layers: 3,
+                    edge_prob: 0.3,
+                },
+                DagShape::ForkJoin,
+                DagShape::ErdosRenyi { edge_prob: 0.3 },
+            ][shape],
+            costs: CostDistribution::Uniform { min: 1.0, max: 6.0 },
+            ccr: 0.5,
+            laxity_factor: (laxity, laxity),
+        };
+        DagGenerator::new(cfg, seed).generate_job(0, 10.0)
+    })
+}
+
+fn arbitrary_demand() -> impl Strategy<Value = TaskDemand> {
+    (1usize..4, 0.0f64..2.0, 0usize..3, 0.0f64..1.0).prop_map(|(cores, memory, law, p)| {
+        TaskDemand {
+            cores,
+            memory: if memory < 0.5 { 0.0 } else { memory },
+            speedup: [
+                SpeedupFn::Flat,
+                SpeedupFn::Linear,
+                SpeedupFn::Amdahl {
+                    parallel_fraction: p,
+                },
+            ][law],
+        }
+    })
+}
+
+/// The scheduler under test and the reference site over the same state.
+fn site_pair(
+    kind: SchedulerKind,
+    cores: &[SchedulePlan],
+    memory: f64,
+    preemptive: bool,
+    holds: Vec<MemHold>,
+) -> (SiteScheduler, RefSite) {
+    let mut resources = SiteResources::multicore(cores.len(), 1.25);
+    resources.memory = memory;
+    let sched = SiteScheduler::from_parts(
+        kind,
+        resources,
+        0.8,
+        preemptive,
+        cores.to_vec(),
+        holds.clone(),
+    );
+    let reference = RefSite {
+        kind,
+        resources,
+        base_speed: 0.8,
+        preemptive,
+        cores: cores.iter().map(RefPlan::of).collect(),
+        holds,
+    };
+    (sched, reference)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The lazy gap walk gives the answers of the scan-everything,
+    /// materialise-and-sort implementation, bit for bit — on windows clipped
+    /// at both ends, empty and inverted windows, zero durations and
+    /// `TIME_EPS`-adjacent reservations.
+    #[test]
+    fn plan_queries_match_the_materialising_reference(
+        plan in tight_plan(),
+        picks in (0usize..64, 0usize..64),
+        nudges in (nudge(), nudge()),
+        free in (-5.0f64..120.0, -5.0f64..120.0),
+        duration in tight_length(),
+    ) {
+        let reference = RefPlan::of(&plan);
+        let from = probe_time(&plan, picks.0, nudges.0, free.0);
+        let to = probe_time(&plan, picks.1, nudges.1, free.1);
+        for (from, to) in [(from, to), (to, from), (from, from)] {
+            prop_assert_eq!(plan.idle_windows(from, to), reference.idle_windows(from, to));
+            prop_assert_eq!(
+                plan.earliest_fit(from, to, duration),
+                reference.earliest_fit(from, to, duration)
+            );
+            prop_assert_eq!(
+                plan.earliest_fit_preemptive(from, to, duration),
+                reference.earliest_fit_preemptive(from, to, duration)
+            );
+            let window = TimeInterval::new(from, to);
+            prop_assert_eq!(plan.is_idle(window), reference.is_idle(window));
+            prop_assert_eq!(plan.busy_time(from, to), reference.busy_time(from, to));
+            prop_assert_eq!(
+                plan.surplus(from, to - from).to_bits(),
+                {
+                    // `SchedulePlan::surplus` over the reference busy time.
+                    let w = to - from;
+                    if w <= 0.0 {
+                        1.0f64
+                    } else {
+                        ((w - reference.busy_time(from, from + w)) / w).clamp(0.0, 1.0)
+                    }
+                }
+                .to_bits()
+            );
+        }
+        prop_assert!(plan.check_invariants());
+        prop_assert_eq!(
+            SchedulePlan::from_reservations(plan.reservations().to_vec()).as_ref(),
+            Ok(&plan)
+        );
+    }
+
+    /// §10 on a trial overlay places exactly what the clone-and-insert
+    /// reference places — every kind, 1–4 cores, preemptive or not — and
+    /// committing the answer (or a batch that must be refused) leaves the
+    /// same plans behind.
+    #[test]
+    fn satisfiable_and_reserve_match_the_clone_based_reference(
+        cores in arbitrary_cores(),
+        requests in arbitrary_requests(),
+        kind in arbitrary_kind(),
+        preemptive in proptest::bool::ANY,
+    ) {
+        let (mut sched, mut reference) =
+            site_pair(kind, &cores, f64::INFINITY, preemptive, Vec::new());
+        let placed = sched.satisfiable(&requests);
+        prop_assert_eq!(&placed, &reference.satisfiable(&requests));
+        prop_assert_eq!(&placed, &reference.satisfiable_multi(&requests));
+        // The free function is the same rule on one plan.
+        prop_assert_eq!(
+            satisfiable(&cores[0], &requests, preemptive),
+            reference::satisfiable_single(&reference.cores[0], &requests, preemptive)
+        );
+        let same_plans = |sched: &SiteScheduler, reference: &RefSite| {
+            sched
+                .core_plans()
+                .iter()
+                .zip(&reference.cores)
+                .all(|(a, b)| a.reservations() == b.reservations())
+        };
+        if let Some(placed) = placed {
+            // A batch whose last entry collides (or names no core) is
+            // refused whole, with the same error (a zero-length duplicate
+            // collides with nothing and is accepted by both).
+            if let Some(last) = placed.last() {
+                let mut bad = placed.clone();
+                bad.push(Placement { core: last.core + requests.len() % 2 * 9, ..*last });
+                let (mut sched, mut reference) = (sched.clone(), reference.clone());
+                let refused = sched.reserve(&bad);
+                prop_assert_eq!(refused, reference.reserve(&bad));
+                prop_assert!(refused.is_err() || last.reservation.duration() == 0.0);
+                prop_assert!(same_plans(&sched, &reference));
+            }
+            prop_assert_eq!(sched.reserve(&placed), Ok(()));
+            prop_assert_eq!(reference.reserve(&placed), Ok(()));
+            prop_assert!(same_plans(&sched, &reference));
+            prop_assert!(sched.core_plans().iter().all(SchedulePlan::check_invariants));
+        }
+    }
+
+    /// §5 on a trial overlay admits exactly what the clone-based reference
+    /// admits: same placements, holds and completion for every kind, 1–4
+    /// cores, preemptive or not, with and without demands and a memory cap —
+    /// including the one-core protocol case the old code sent down a
+    /// separate single-plan path.
+    #[test]
+    fn admission_matches_the_clone_based_reference(
+        cores in arbitrary_cores(),
+        job in arbitrary_job(),
+        kind in arbitrary_kind(),
+        preemptive in proptest::bool::ANY,
+        demands in proptest::collection::vec(arbitrary_demand(), 12..13),
+        with_demands in proptest::bool::ANY,
+        memory in prop_oneof![Just(f64::INFINITY), 1.0f64..6.0],
+        held in 0.0f64..2.0,
+    ) {
+        let holds = vec![MemHold { job: JobId(900), start: 5.0, end: 40.0, bytes: held }];
+        let (sched, reference) = site_pair(kind, &cores, memory, preemptive, holds);
+        let demands = with_demands.then(|| &demands[..job.graph.task_count()]);
+        for now in [0.0, 12.5] {
+            let admitted = sched.admit_dag(&job, now, demands);
+            prop_assert_eq!(&admitted, &reference.admit_dag(&job, now, demands));
+            prop_assert_eq!(&admitted, &reference.admit_multi(&job, now, demands));
+        }
+        // The free function is the protocol rule on one plan.
+        let single = admit_dag_locally(&cores[0], &job, 0.0, 1.5, preemptive)
+            .map(|a| (a.reservations, a.completion));
+        prop_assert_eq!(
+            single,
+            reference::admit_single(&reference.cores[0], &job, 0.0, 1.5, preemptive)
+        );
     }
 }

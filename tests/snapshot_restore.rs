@@ -11,7 +11,7 @@
 
 use rtds::core::{RtdsSystem, StreamOptions, StreamPause, StreamReport, StreamRun};
 use rtds::scenarios::{find_scenario, mix_seed, parallel_sweep_sharded, Scenario};
-use rtds::sim::metrics_to_json;
+use rtds::sim::{metrics_to_json, Json};
 use rtds::workload::JobFactory;
 
 /// A `paper-baseline` system with its workload submitted, exactly as
@@ -171,4 +171,58 @@ fn checkpointed_cells_are_independent_of_sweep_threads() {
         let full = system.run_streaming(&mut source, &StreamOptions::default());
         assert_eq!(single[i], full, "seed {seed}");
     }
+}
+
+/// Applies `mutate` to the first scheduler plan of a checkpoint document
+/// that holds at least two reservations; `false` if there is none.
+fn tamper_with_a_plan(doc: &mut Json, mutate: fn(&mut Vec<Json>)) -> bool {
+    match doc {
+        Json::Object(fields) => fields.iter_mut().any(|(key, value)| match value {
+            Json::Array(plans) if key == "plans" => plans.iter_mut().any(|plan| match plan {
+                Json::Array(rows) if rows.len() >= 2 => {
+                    mutate(rows);
+                    true
+                }
+                _ => false,
+            }),
+            other => tamper_with_a_plan(other, mutate),
+        }),
+        Json::Array(items) => items
+            .iter_mut()
+            .any(|item| tamper_with_a_plan(item, mutate)),
+        _ => false,
+    }
+}
+
+/// The plan queries rely on reservations being sorted and disjoint, so a
+/// checkpoint whose plan breaks that — two reservations swapped, or two made
+/// to overlap — is refused with a `SnapshotError`, never a panic.
+#[test]
+fn tampered_plans_are_refused_not_trusted() {
+    let scenario = find_scenario("paper-baseline").expect("registry scenario");
+    let mut system = batch_system(&scenario, 7);
+    system.run_until(80.0);
+    let text = system.checkpoint();
+    let tampered = |mutate: fn(&mut Vec<Json>)| {
+        let mut doc = Json::parse(&text).expect("checkpoint parses");
+        assert!(
+            tamper_with_a_plan(&mut doc, mutate),
+            "the checkpoint must hold a plan with two reservations"
+        );
+        doc.render()
+    };
+    let swapped = tampered(|rows| rows.swap(0, 1));
+    let overlapping = tampered(|rows| {
+        // The second reservation now starts where the first does.
+        let start = rows[0].items().expect("reservation row")[2].clone();
+        let Json::Array(second) = &mut rows[1] else {
+            panic!("reservation row");
+        };
+        second[2] = start;
+    });
+    for (what, text) in [("swapped", swapped), ("overlapping", overlapping)] {
+        let refused = RtdsSystem::resume(&text).err().expect(what);
+        assert!(refused.to_string().contains("plan"), "{what}: {refused}");
+    }
+    assert!(RtdsSystem::resume(&text).is_ok());
 }

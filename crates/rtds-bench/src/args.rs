@@ -310,7 +310,7 @@ mod tests {
     #[test]
     fn boolean_flags_never_absorb_values() {
         // A forgotten flag name must not vanish into a boolean flag
-        // (e.g. `exp_perf --smoke BENCH_1.json` missing `--baseline`).
+        // (e.g. `exp_perf --smoke BENCH_5.json` missing `--baseline`).
         let err = try_args(&["--list", "whoops.json"]).unwrap_err();
         assert!(err.contains("unexpected argument \"whoops.json\""), "{err}");
         let err = try_args(&["--list=yes"]).unwrap_err();

@@ -14,7 +14,7 @@ use rtds_graph::paper_instance::paper_job;
 use rtds_graph::{Job, JobId, JobParams, TaskGraph, TaskId};
 use rtds_net::generators::{line, DelayDistribution};
 use rtds_scenarios::Json;
-use rtds_sim::trace::{render_jsonl, Value as TraceValue};
+use rtds_sim::trace::render_jsonl;
 use rtds_sim::Trace;
 
 fn blocking_job(id: u64, site: usize) -> Job {
@@ -92,8 +92,8 @@ fn main() {
     if tracing.is_active() {
         let document = render_jsonl(
             &[
-                ("experiment", TraceValue::Str("fig1_overview".into())),
-                ("seed", TraceValue::U64(seed)),
+                ("experiment", Json::str("fig1_overview")),
+                ("seed", Json::UInt(seed)),
             ],
             &system.trace().events(),
         );

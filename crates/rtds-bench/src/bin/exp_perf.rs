@@ -17,7 +17,7 @@
 //! CI smoke configuration). `--baseline <path>` diffs this run against a
 //! previously recorded report: any deterministic-field mismatch, or an
 //! aggregate events/sec regression of more than 20 % against the recorded
-//! throughput, exits nonzero — `exp_perf --baseline BENCH_1.json` is the
+//! throughput, exits nonzero — `exp_perf --baseline BENCH_5.json` is the
 //! one-line "did I break or slow down the engine" check.
 //!
 //! `--soak <events>` adds the streaming soak tier: an open-ended Poisson

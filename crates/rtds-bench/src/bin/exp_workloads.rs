@@ -43,7 +43,6 @@ use rtds_core::{RtdsConfig, RtdsSystem, StreamOptions, StreamReport};
 use rtds_net::generators::{grid, DelayDistribution};
 use rtds_scenarios::{mix_seed, Json};
 use rtds_sim::metrics_json::metrics_to_json;
-use rtds_sim::trace::Value as TraceValue;
 use rtds_workload::{
     JobFactory, JobSpec, JobTemplate, OpenLoopSpec, RateProcess, RecordingSource, SizeMix,
     TraceReader, WorkloadSource,
@@ -292,10 +291,10 @@ fn run_stream<S: WorkloadSource>(
     tracing.install(
         &mut system,
         &[
-            ("experiment", TraceValue::Str("workloads".into())),
-            ("seed", TraceValue::U64(seed)),
-            ("sites", TraceValue::U64((side * side) as u64)),
-            ("jobs", TraceValue::U64(jobs)),
+            ("experiment", Json::str("workloads")),
+            ("seed", Json::UInt(seed)),
+            ("sites", Json::UInt((side * side) as u64)),
+            ("jobs", Json::UInt(jobs)),
         ],
     );
     system.set_fault_seed(mix_seed(seed, 4));

@@ -34,28 +34,15 @@ use rtds_sim::MetricsRegistry;
 use rtds_workload::{JobFactory, JobTemplate, OpenLoopSource, OpenLoopSpec, RateProcess, SizeMix};
 use std::time::{Duration, Instant};
 
-/// Identifier of the report schema (bump on breaking field changes).
-/// Version 4 added the always-present `flows` section: the three registry
-/// flow scenarios (shared-bandwidth transfers through `rtds-flow`) run at
-/// their native sizes, reported with the same per-workload field set as the
-/// main suite. Version 3 added the always-present `soak` section (null
-/// unless the optional `--soak` streaming tier ran) and the `peak_rss_kb`
-/// machine-dependent field inside it. Version 2 added the deterministic
-/// per-workload `metrics` section (latency/laxity histogram summaries,
-/// protocol counters).
+/// Identifier of the report schema (bump on breaking field changes) — the
+/// only one `--baseline` accepts; recordings of earlier schemas are history
+/// (`docs/bench-history/`), not baselines. Besides the per-workload rows
+/// with their deterministic `metrics` sections, a report carries the
+/// always-present `soak` section (null unless the optional `--soak`
+/// streaming tier ran; `peak_rss_kb` inside it is machine-dependent) and
+/// the `flows` section: the three registry flow scenarios run at their
+/// native sizes with the same per-workload field set.
 pub const PERF_SCHEMA: &str = "rtds-exp-perf/4";
-
-/// The v3 schema (no `flows` section). `--baseline` still accepts v3
-/// recordings by dropping the section before comparing.
-pub const PERF_SCHEMA_V3: &str = "rtds-exp-perf/3";
-
-/// The v2 schema (no `soak` section either). `--baseline` still accepts v2
-/// recordings by dropping both sections before comparing.
-pub const PERF_SCHEMA_V2: &str = "rtds-exp-perf/2";
-
-/// The original schema (no `metrics` sections either). `--baseline` still
-/// accepts v1 recordings by comparing only the fields all schemas share.
-pub const PERF_SCHEMA_V1: &str = "rtds-exp-perf/1";
 
 /// The site-count tiers of the scaled scenarios.
 pub const PERF_TIERS: [usize; 3] = [16, 64, 256];
@@ -587,26 +574,6 @@ impl BaselineComparison {
     }
 }
 
-/// Recursively removes every `metrics` section from a parsed report,
-/// producing the field set a v1 (`rtds-exp-perf/1`) recording carries —
-/// the shared shape `--baseline` compares across schema versions.
-pub fn strip_metrics(json: &mut Json) {
-    match json {
-        Json::Object(fields) => {
-            fields.retain(|(key, _)| key != "metrics");
-            for (_, value) in fields {
-                strip_metrics(value);
-            }
-        }
-        Json::Array(items) => {
-            for item in items {
-                strip_metrics(item);
-            }
-        }
-        _ => {}
-    }
-}
-
 /// Removes the top-level `soak` section from a parsed report. The soak tier
 /// is optional and sized by a CLI flag, so it never participates in the
 /// baseline byte-comparison — only the fixed suite is pinned.
@@ -616,66 +583,11 @@ pub fn strip_soak(json: &mut Json) {
     }
 }
 
-/// Removes the top-level `flows` section from a parsed report — the field
-/// pre-v4 recordings lack.
-pub fn strip_flows(json: &mut Json) {
-    if let Json::Object(fields) = json {
-        fields.retain(|(key, _)| key != "flows");
-    }
-}
-
-fn retag_schema(json: &mut Json, schema: &str) {
-    if let Json::Object(fields) = json {
-        for (key, value) in fields.iter_mut() {
-            if key == "schema" {
-                *value = Json::str(schema);
-            }
-        }
-    }
-}
-
-/// Projects a parsed v4 report onto the v3 field set: drops the `flows`
-/// section and retags the schema, leaving every field a v3 recording
-/// pinned byte-identical.
-pub fn project_to_v3(json: &mut Json) {
-    strip_flows(json);
-    retag_schema(json, PERF_SCHEMA_V3);
-}
-
-/// Projects a parsed report onto the v2 field set: drops the `flows` and
-/// `soak` sections and retags the schema, leaving every field a v2
-/// recording pinned byte-identical.
-pub fn project_to_v2(json: &mut Json) {
-    strip_flows(json);
-    strip_soak(json);
-    retag_schema(json, PERF_SCHEMA_V2);
-}
-
-/// Projects a parsed report onto the v1 field set: drops the `flows`,
-/// `soak` and `metrics` sections and retags the schema, leaving every
-/// field a v1 recording pinned byte-identical. The single definition of
-/// the cross-schema comparison rule.
-pub fn project_to_v1(json: &mut Json) {
-    strip_flows(json);
-    strip_soak(json);
-    strip_metrics(json);
-    retag_schema(json, PERF_SCHEMA_V1);
-}
-
-/// The current-report projection for a v3 baseline: the v3 field set, minus
-/// the `soak` section the comparison always drops from both sides.
-fn project_to_v3_sans_soak(json: &mut Json) {
-    project_to_v3(json);
-    strip_soak(json);
-}
-
 /// Diffs this run against a previously recorded report (`--baseline`): the
 /// deterministic fields must match byte-for-byte after nulling timings and
 /// dropping the optional `soak` section, and the recorded aggregate
-/// events/sec is surfaced for the regression tripwire. Older baselines
-/// (v3: no flows section; v2: no soak section either; v1: no metrics
-/// sections either) are compared on the fields both schemas share. Fails
-/// if the baseline is not valid JSON of a known schema.
+/// events/sec is surfaced for the regression tripwire. Fails if the
+/// baseline is not valid JSON of schema [`PERF_SCHEMA`].
 pub fn compare_with_baseline(
     current: &PerfReport,
     baseline_text: &str,
@@ -683,17 +595,9 @@ pub fn compare_with_baseline(
     let mut baseline =
         Json::parse(baseline_text).map_err(|e| format!("baseline is not valid JSON: {e}"))?;
     let schema = baseline.get("schema").and_then(Json::as_str);
-    let project: fn(&mut Json) = match schema {
-        Some(PERF_SCHEMA) => strip_soak,
-        Some(PERF_SCHEMA_V3) => project_to_v3_sans_soak,
-        Some(PERF_SCHEMA_V2) => project_to_v2,
-        Some(PERF_SCHEMA_V1) => project_to_v1,
-        _ => {
-            return Err(format!(
-                "baseline schema {schema:?} is none of {PERF_SCHEMA:?}, {PERF_SCHEMA_V3:?}, {PERF_SCHEMA_V2:?}, {PERF_SCHEMA_V1:?}"
-            ))
-        }
-    };
+    if schema != Some(PERF_SCHEMA) {
+        return Err(format!("baseline schema {schema:?} is not {PERF_SCHEMA:?}"));
+    }
     let baseline_events_per_sec = baseline
         .get("totals")
         .and_then(|t| t.get("events_per_sec"))
@@ -702,7 +606,7 @@ pub fn compare_with_baseline(
     strip_soak(&mut baseline);
     let canonical_baseline = baseline.render();
     let mut projected = Json::parse(&current.to_json(false)).expect("our own rendering parses");
-    project(&mut projected);
+    strip_soak(&mut projected);
     let canonical_current = projected.render();
     let mut mismatches = Vec::new();
     if canonical_baseline != canonical_current {
@@ -865,43 +769,8 @@ mod tests {
         // Garbage and wrong-schema baselines are rejected.
         assert!(compare_with_baseline(&report, "not json").is_err());
         assert!(compare_with_baseline(&report, "{\"schema\": \"other/1\"}\n").is_err());
-    }
-
-    #[test]
-    fn v1_baselines_compare_on_the_shared_field_set() {
-        let report = run_perf_suite(7, true);
-        // Fabricate the v1 recording of this exact run: same fields minus
-        // the metrics sections, tagged with the old schema id.
-        let mut v1 = Json::parse(&report.to_json(true)).unwrap();
-        project_to_v1(&mut v1);
-        let cmp = compare_with_baseline(&report, &v1.render()).unwrap();
-        assert!(cmp.fields_match(), "{:?}", cmp.mismatches);
-        assert!(cmp.baseline_events_per_sec.is_some());
-        // A doctored shared field still trips the diff.
-        let tampered = v1
-            .render()
-            .replace("\"deadline_misses\": 0", "\"deadline_misses\": 1");
-        let cmp = compare_with_baseline(&report, &tampered).unwrap();
-        assert!(!cmp.fields_match());
-    }
-
-    #[test]
-    fn v3_baselines_compare_on_the_shared_field_set() {
-        let report = run_perf_suite(7, true);
-        // Fabricate the v3 recording of this exact run: same fields minus
-        // the flows section, tagged with the previous schema id.
-        let mut v3 = Json::parse(&report.to_json(true)).unwrap();
-        project_to_v3(&mut v3);
-        let rendered = v3.render();
-        assert!(rendered.contains(PERF_SCHEMA_V3));
-        assert!(!rendered.contains("\"flows\""));
-        let cmp = compare_with_baseline(&report, &rendered).unwrap();
-        assert!(cmp.fields_match(), "{:?}", cmp.mismatches);
-        assert!(cmp.baseline_events_per_sec.is_some());
-        // The v3 metrics sections still participate in the diff.
-        let tampered = rendered.replace("\"deadline_misses\": 0", "\"deadline_misses\": 1");
-        let cmp = compare_with_baseline(&report, &tampered).unwrap();
-        assert!(!cmp.fields_match());
+        let retired = report.to_json(true).replace(PERF_SCHEMA, "rtds-exp-perf/3");
+        assert!(compare_with_baseline(&report, &retired).is_err());
     }
 
     #[test]
@@ -917,25 +786,6 @@ mod tests {
         let again = run_perf_suite(7, true);
         assert_eq!(report.to_json(false), again.to_json(false));
         assert!(report.to_json(false).contains("\"flows\""));
-    }
-
-    #[test]
-    fn v2_baselines_compare_on_the_shared_field_set() {
-        let report = run_perf_suite(7, true);
-        // Fabricate the v2 recording of this exact run: same fields minus
-        // the soak section, tagged with the previous schema id.
-        let mut v2 = Json::parse(&report.to_json(true)).unwrap();
-        project_to_v2(&mut v2);
-        let rendered = v2.render();
-        assert!(rendered.contains(PERF_SCHEMA_V2));
-        assert!(!rendered.contains("\"soak\""));
-        let cmp = compare_with_baseline(&report, &rendered).unwrap();
-        assert!(cmp.fields_match(), "{:?}", cmp.mismatches);
-        assert!(cmp.baseline_events_per_sec.is_some());
-        // The v2 metrics sections still participate in the diff.
-        let tampered = rendered.replace("\"deadline_misses\": 0", "\"deadline_misses\": 1");
-        let cmp = compare_with_baseline(&report, &tampered).unwrap();
-        assert!(!cmp.fields_match());
     }
 
     #[test]

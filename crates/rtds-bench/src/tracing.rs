@@ -22,7 +22,7 @@
 use crate::ExpArgs;
 use rtds_core::RtdsSystem;
 use rtds_scenarios::Json;
-use rtds_sim::trace::{chrome_trace, read_jsonl, Value, DEFAULT_RING_CAPACITY};
+use rtds_sim::trace::{chrome_trace, read_jsonl, DEFAULT_RING_CAPACITY};
 use rtds_sim::Trace;
 use std::fs::File;
 use std::io::BufWriter;
@@ -69,7 +69,7 @@ impl TraceSetup {
     /// Installs the requested recorder on the system (no-op when inactive).
     /// `metadata` becomes the JSONL header of a `--trace-out` stream, so the
     /// file is self-describing.
-    pub fn install(&self, system: &mut RtdsSystem, metadata: &[(&str, Value)]) {
+    pub fn install(&self, system: &mut RtdsSystem, metadata: &[(&str, Json)]) {
         if !self.is_active() {
             return;
         }
@@ -232,7 +232,7 @@ mod tests {
         };
         let network = line(4, DelayDistribution::Constant(1.0), 0);
         let mut system = RtdsSystem::new(network, RtdsConfig::default(), 1);
-        s.install(&mut system, &[("seed", Value::U64(1))]);
+        s.install(&mut system, &[("seed", Json::UInt(1))]);
         assert!(system.trace().is_enabled());
         system.submit_job(paper_job(JobId(1), 1));
         system.run();

@@ -8,11 +8,9 @@
 //! answered.
 
 use crate::mapper::ProcessorSpec;
-use crate::snapshot as snap;
 use rtds_net::SiteId;
 use rtds_sim::json::Json;
-use rtds_sim::snapshot as sim_snap;
-use rtds_sim::snapshot::SnapshotError;
+use rtds_sim::snapshot::{field, non_negative, Path, Snap, SnapshotError};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
@@ -126,60 +124,6 @@ impl AcsCollection {
         (ordered, specs)
     }
 
-    /// Serializes the collection round (snapshot support; see
-    /// [`crate::snapshot`]).
-    pub(crate) fn encode_snapshot(&self) -> Json {
-        Json::object(vec![
-            (
-                "outstanding",
-                Json::Array(
-                    self.outstanding
-                        .iter()
-                        .map(|(site, delay)| {
-                            Json::Array(vec![snap::encode_site(*site), sim_snap::f64_bits(*delay)])
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "members",
-                Json::Array(self.members.iter().map(encode_member).collect()),
-            ),
-            (
-                "busy",
-                Json::Array(self.busy.iter().map(|&s| snap::encode_site(s)).collect()),
-            ),
-        ])
-    }
-
-    /// Inverse of [`AcsCollection::encode_snapshot`].
-    pub(crate) fn decode_snapshot(doc: &Json) -> Result<Self, SnapshotError> {
-        let mut outstanding = BTreeMap::new();
-        for entry in sim_snap::get_items(doc, "outstanding")? {
-            let pair = sim_snap::as_items(entry, "outstanding entry")?;
-            if pair.len() != 2 {
-                return Err(SnapshotError(
-                    "outstanding entry: expected [site, delay]".into(),
-                ));
-            }
-            outstanding.insert(
-                snap::decode_site(&pair[0], "outstanding site")?,
-                sim_snap::f64_from_bits(&pair[1], "outstanding delay")?,
-            );
-        }
-        Ok(AcsCollection {
-            outstanding,
-            members: sim_snap::get_items(doc, "members")?
-                .iter()
-                .map(decode_member)
-                .collect::<Result<Vec<AcsMember>, SnapshotError>>()?,
-            busy: sim_snap::get_items(doc, "busy")?
-                .iter()
-                .map(|s| snap::decode_site(s, "busy site"))
-                .collect::<Result<Vec<SiteId>, SnapshotError>>()?,
-        })
-    }
-
     /// Conservative ACS delay-diameter computable from the initiator's local
     /// knowledge only: `max_{a,b} (δ(k,a) + δ(k,b))` over distinct members.
     pub fn local_diameter_estimate(&self) -> f64 {
@@ -195,30 +139,46 @@ impl AcsCollection {
     }
 }
 
-/// One ACS member as `[site, surplus, speed, delay]`.
-pub(crate) fn encode_member(m: &AcsMember) -> Json {
-    Json::Array(vec![
-        snap::encode_site(m.site),
-        sim_snap::f64_bits(m.surplus),
-        sim_snap::f64_bits(m.speed),
-        sim_snap::f64_bits(m.delay),
-    ])
+/// The collection round: who was contacted and has not answered, who joined,
+/// who refused.
+impl Snap for AcsCollection {
+    fn encode(&self) -> Json {
+        Json::object(vec![
+            ("outstanding", self.outstanding.encode()),
+            ("members", self.members.encode()),
+            ("busy", self.busy.encode()),
+        ])
+    }
+
+    fn decode(doc: &Json, path: &Path<'_>) -> Result<Self, SnapshotError> {
+        let outstanding: BTreeMap<SiteId, f64> = field(doc, path, "outstanding")?;
+        for &delay in outstanding.values() {
+            non_negative(delay, path)?;
+        }
+        Ok(AcsCollection {
+            outstanding,
+            members: field(doc, path, "members")?,
+            busy: field(doc, path, "busy")?,
+        })
+    }
 }
 
-/// Inverse of [`encode_member`].
-pub(crate) fn decode_member(j: &Json) -> Result<AcsMember, SnapshotError> {
-    let fields = sim_snap::as_items(j, "acs member")?;
-    if fields.len() != 4 {
-        return Err(SnapshotError(
-            "acs member: expected [site, surplus, speed, delay]".into(),
-        ));
+/// One ACS member as `[site, surplus, speed, delay]`. The Mapper orders
+/// members by these numbers, so they must be numbers.
+impl Snap for AcsMember {
+    fn encode(&self) -> Json {
+        (self.site, self.surplus, self.speed, self.delay).encode()
     }
-    Ok(AcsMember {
-        site: snap::decode_site(&fields[0], "member site")?,
-        surplus: sim_snap::f64_from_bits(&fields[1], "member surplus")?,
-        speed: sim_snap::f64_from_bits(&fields[2], "member speed")?,
-        delay: sim_snap::f64_from_bits(&fields[3], "member delay")?,
-    })
+
+    fn decode(j: &Json, path: &Path<'_>) -> Result<Self, SnapshotError> {
+        let (site, surplus, speed, delay) = Snap::decode(j, path)?;
+        Ok(AcsMember {
+            site,
+            surplus: non_negative(surplus, path)?,
+            speed: non_negative(speed, path)?,
+            delay: non_negative(delay, path)?,
+        })
+    }
 }
 
 #[cfg(test)]

@@ -41,8 +41,7 @@ use rtds_sched::feasibility::TaskRequest;
 use rtds_sched::{SchedulePlan, Scheduler, SiteResources, SiteScheduler};
 use rtds_sim::engine::Context;
 use rtds_sim::json::Json;
-use rtds_sim::snapshot as sim_snap;
-use rtds_sim::snapshot::SnapshotError;
+use rtds_sim::snapshot::{decode_each, field, field_with, Path, Snap, SnapshotError, Word};
 use rtds_sim::stats::GuaranteeStats;
 use rtds_sim::trace::{DeferReason, Phase, RejectReason, SpanId, TracePayload};
 use rtds_sim::Protocol;
@@ -203,28 +202,6 @@ impl NodeBuilder {
 }
 
 impl RtdsNode {
-    /// Creates the node for `site` with the given adjacency, speed and
-    /// configuration.
-    #[deprecated(
-        since = "0.10.0",
-        note = "use NodeBuilder: positional arguments cannot absorb new site \
-                parameters such as SiteResources"
-    )]
-    pub fn new(
-        site: SiteId,
-        neighbors: Vec<(SiteId, f64)>,
-        speed: f64,
-        config: RtdsConfig,
-        global_distances: Option<GlobalDistances>,
-    ) -> Self {
-        NodeBuilder::new(site)
-            .neighbors(neighbors)
-            .speed(speed)
-            .config(config)
-            .global_distances(global_distances)
-            .build()
-    }
-
     /// The site this node runs on.
     pub fn site(&self) -> SiteId {
         self.site
@@ -938,183 +915,105 @@ impl RtdsNode {
         self.global_distances.as_ref()
     }
 
-    /// Serializes the full node state (snapshot support; see
-    /// [`crate::snapshot`]).
-    pub(crate) fn encode_snapshot(&self) -> Json {
+    /// Installs the shared exact-distance table after a restore (the system
+    /// layer decodes it once; see [`RtdsNode::global_distances`]).
+    pub(crate) fn set_global_distances(&mut self, global_distances: Option<GlobalDistances>) {
+        self.global_distances = global_distances;
+    }
+}
+
+/// The full node state. The exact-distance table is not part of it: the
+/// system layer stores the shared table once and re-installs it.
+impl Snap for RtdsNode {
+    fn encode(&self) -> Json {
+        let inflight = self
+            .inflight
+            .iter()
+            .map(|(id, inflight)| Json::Array(vec![id.0.encode(), inflight.encode()]))
+            .collect();
         Json::object(vec![
-            ("site", snap::encode_site(self.site)),
-            ("config", snap::encode_config(&self.config)),
-            ("speed", sim_snap::f64_bits(self.speed)),
-            ("pcs", self.pcs.encode_snapshot()),
-            (
-                "sphere",
-                match &self.sphere {
-                    Some(s) => snap::encode_sphere(s),
-                    None => Json::Null,
-                },
-            ),
+            ("site", self.site.encode()),
+            ("config", self.config.encode()),
+            ("speed", self.speed.encode()),
+            ("pcs", self.pcs.encode()),
+            ("sphere", self.sphere.encode()),
             ("sched", snap::encode_sched(&self.sched)),
             (
                 "lock",
-                match self.lock {
-                    Some((holder, job)) => {
-                        Json::Array(vec![snap::encode_site(holder), snap::encode_job_id(job)])
-                    }
-                    None => Json::Null,
-                },
+                self.lock.map(|(holder, job)| (holder, job.0)).encode(),
             ),
             (
                 "queued",
                 Json::Array(self.queued.iter().map(snap::encode_job).collect()),
             ),
-            (
-                "inflight",
-                Json::Array(
-                    self.inflight
-                        .iter()
-                        .map(|(id, inflight)| {
-                            Json::Array(vec![snap::encode_job_id(*id), inflight.encode_snapshot()])
-                        })
-                        .collect(),
-                ),
-            ),
-            ("guarantee", snap::encode_guarantee(&self.guarantee)),
-            (
-                "accepted",
-                Json::Array(self.accepted.iter().map(snap::encode_accepted).collect()),
-            ),
+            ("inflight", Json::Array(inflight)),
+            ("guarantee", self.guarantee.encode()),
+            ("accepted", self.accepted.encode()),
         ])
     }
 
-    /// Inverse of [`RtdsNode::encode_snapshot`]. The exact-distance table is
-    /// supplied by the system layer (it is shared by every node).
-    pub(crate) fn decode_snapshot(
-        doc: &Json,
-        global_distances: Option<GlobalDistances>,
-    ) -> Result<Self, SnapshotError> {
-        let mut inflight = BTreeMap::new();
-        for entry in sim_snap::get_items(doc, "inflight")? {
-            let pair = sim_snap::as_items(entry, "inflight entry")?;
-            if pair.len() != 2 {
-                return Err(SnapshotError(
-                    "inflight entry: expected [job, state]".into(),
-                ));
-            }
-            inflight.insert(
-                snap::decode_job_id(&pair[0], "inflight job")?,
-                Inflight::decode_snapshot(&pair[1])?,
-            );
-        }
-        let config = snap::decode_config(sim_snap::get(doc, "config")?)?;
-        let speed = sim_snap::get_f64(doc, "speed")?;
-        let sched = if let Ok(sched_doc) = sim_snap::get(doc, "sched") {
-            snap::decode_sched(sched_doc)?
-        } else {
-            // Legacy snapshot (pre rtds-sched-snapshot/1): a bare
-            // single-core plan; rebuild the degenerate protocol scheduler.
-            let plan = snap::decode_plan(sim_snap::get(doc, "plan")?, "node plan")?;
-            let base_speed = if config.uniform_machines { speed } else { 1.0 };
-            SiteScheduler::from_parts(
-                config.scheduler,
-                SiteResources::default(),
-                base_speed,
-                config.preemptive,
-                vec![plan],
-                Vec::new(),
-            )
-        };
+    fn decode(doc: &Json, path: &Path<'_>) -> Result<Self, SnapshotError> {
+        let lock: Option<(SiteId, Word)> = field(doc, path, "lock")?;
+        let inflight: Vec<(Word, Inflight)> = field(doc, path, "inflight")?;
         Ok(RtdsNode {
-            site: snap::decode_site(sim_snap::get(doc, "site")?, "node site")?,
-            config,
-            speed,
-            pcs: PcsState::decode_snapshot(sim_snap::get(doc, "pcs")?)?,
-            sphere: match sim_snap::get(doc, "sphere")? {
-                Json::Null => None,
-                other => Some(snap::decode_sphere(other)?),
-            },
-            sched,
-            lock: match sim_snap::get(doc, "lock")? {
-                Json::Null => None,
-                other => {
-                    let pair = sim_snap::as_items(other, "node lock")?;
-                    if pair.len() != 2 {
-                        return Err(SnapshotError("node lock: expected [holder, job]".into()));
-                    }
-                    Some((
-                        snap::decode_site(&pair[0], "lock holder")?,
-                        snap::decode_job_id(&pair[1], "lock job")?,
-                    ))
-                }
-            },
-            queued: sim_snap::get_items(doc, "queued")?
-                .iter()
-                .map(snap::decode_job)
-                .collect::<Result<VecDeque<Job>, SnapshotError>>()?,
-            inflight,
-            guarantee: snap::decode_guarantee(sim_snap::get(doc, "guarantee")?)?,
-            accepted: sim_snap::get_items(doc, "accepted")?
-                .iter()
-                .map(snap::decode_accepted)
-                .collect::<Result<Vec<AcceptedJob>, SnapshotError>>()?,
-            global_distances,
+            site: field(doc, path, "site")?,
+            config: field(doc, path, "config")?,
+            speed: field(doc, path, "speed")?,
+            pcs: field(doc, path, "pcs")?,
+            sphere: field(doc, path, "sphere")?,
+            sched: field_with(doc, path, "sched", snap::decode_sched)?,
+            lock: lock.map(|(holder, Word(job))| (holder, JobId(job))),
+            queued: field_with(doc, path, "queued", |j, path| {
+                decode_each(j, path, snap::decode_job)
+            })?,
+            inflight: inflight
+                .into_iter()
+                .map(|(Word(id), inflight)| (JobId(id), inflight))
+                .collect(),
+            guarantee: field(doc, path, "guarantee")?,
+            accepted: field(doc, path, "accepted")?,
+            global_distances: None,
             requests: Vec::new(),
         })
     }
 }
 
-impl Inflight {
-    fn encode_snapshot(&self) -> Json {
+impl Snap for Inflight {
+    fn encode(&self) -> Json {
         Json::object(vec![
             ("job", snap::encode_job(&self.job)),
-            ("acs", self.acs.encode_snapshot()),
-            (
-                "members",
-                Json::Array(self.members.iter().map(crate::acs::encode_member).collect()),
-            ),
-            (
-                "tpl",
-                snap::encode_tasks_per_logical(&self.tasks_per_logical),
-            ),
-            (
-                "validation",
-                match &self.validation {
-                    Some(v) => v.encode_snapshot(),
-                    None => Json::Null,
-                },
-            ),
-            ("started_at", sim_snap::f64_bits(self.started_at)),
-            (
-                "mapped_at",
-                match self.mapped_at {
-                    Some(t) => sim_snap::f64_bits(t),
-                    None => Json::Null,
-                },
-            ),
+            ("acs", self.acs.encode()),
+            ("members", self.members.encode()),
+            ("tpl", self.tasks_per_logical.encode()),
+            ("validation", self.validation.encode()),
+            ("started_at", self.started_at.encode()),
+            ("mapped_at", self.mapped_at.encode()),
         ])
     }
 
-    fn decode_snapshot(doc: &Json) -> Result<Self, SnapshotError> {
-        Ok(Inflight {
-            job: snap::decode_job(sim_snap::get(doc, "job")?)?,
-            acs: AcsCollection::decode_snapshot(sim_snap::get(doc, "acs")?)?,
-            members: sim_snap::get_items(doc, "members")?
-                .iter()
-                .map(crate::acs::decode_member)
-                .collect::<Result<Vec<AcsMember>, SnapshotError>>()?,
-            tasks_per_logical: snap::decode_tasks_per_logical(
-                sim_snap::get(doc, "tpl")?,
-                "inflight tpl",
-            )?,
-            validation: match sim_snap::get(doc, "validation")? {
-                Json::Null => None,
-                other => Some(ValidationRound::decode_snapshot(other)?),
-            },
-            started_at: sim_snap::get_f64(doc, "started_at")?,
-            mapped_at: match sim_snap::get(doc, "mapped_at")? {
-                Json::Null => None,
-                other => Some(sim_snap::f64_from_bits(other, "mapped_at")?),
-            },
-        })
+    fn decode(doc: &Json, path: &Path<'_>) -> Result<Self, SnapshotError> {
+        let inflight = Inflight {
+            job: field_with(doc, path, "job", snap::decode_job)?,
+            acs: field(doc, path, "acs")?,
+            members: field(doc, path, "members")?,
+            tasks_per_logical: field(doc, path, "tpl")?,
+            validation: field(doc, path, "validation")?,
+            started_at: field(doc, path, "started_at")?,
+            mapped_at: field(doc, path, "mapped_at")?,
+        };
+        // The commit indexes the graph by mapped task and the mapping by
+        // validated logical processor.
+        let tasks = inflight.job.graph.task_count();
+        let mapped = inflight.tasks_per_logical.iter().flatten();
+        let rounds = inflight.validation.as_ref().map(|v| v.logical_count());
+        if !mapped.into_iter().all(|spec| spec.task.0 < tasks)
+            || rounds.is_some_and(|n| n != inflight.tasks_per_logical.len())
+        {
+            return Err(
+                path.err("trial mapping disagrees with the job graph or the validation round")
+            );
+        }
+        Ok(inflight)
     }
 }
 
@@ -1330,26 +1229,6 @@ mod tests {
             .resources(SiteResources::single_core(2.0))
             .build();
         assert_eq!(node.effective_speed(), 5.0);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_constructor_matches_the_builder() {
-        let net = line(3, DelayDistribution::Constant(1.0), 0);
-        let old = RtdsNode::new(
-            SiteId(1),
-            net.neighbors(SiteId(1)).to_vec(),
-            2.0,
-            RtdsConfig::default(),
-            None,
-        );
-        let new = NodeBuilder::new(SiteId(1))
-            .neighbors(net.neighbors(SiteId(1)).to_vec())
-            .speed(2.0)
-            .config(RtdsConfig::default())
-            .build();
-        assert_eq!(old.site(), new.site());
-        assert_eq!(old.scheduler(), new.scheduler());
     }
 
     #[test]

@@ -12,13 +12,11 @@
 //! independently unit-testable and lets the property tests compare its result
 //! against the centralized [`rtds_net::bellman_ford::phased_apsp`] reference.
 
-use crate::snapshot as snap;
 use rtds_net::routing::{RouteEntry, RoutingTable};
 use rtds_net::sphere::Sphere;
 use rtds_net::SiteId;
 use rtds_sim::json::Json;
-use rtds_sim::snapshot as sim_snap;
-use rtds_sim::snapshot::SnapshotError;
+use rtds_sim::snapshot::{field, Path, Snap, SnapshotError};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -197,107 +195,35 @@ impl PcsState {
     pub fn radius(&self) -> usize {
         self.radius
     }
+}
 
-    /// Serializes the full construction state (snapshot support; see
-    /// [`crate::snapshot`]).
-    pub(crate) fn encode_snapshot(&self) -> Json {
-        let lines_doc = |lines: &Arc<[RouteEntry]>| snap::encode_route_lines(lines);
-        let pending: Vec<Json> = self
-            .pending
-            .iter()
-            .map(|(site, lines)| Json::Array(vec![snap::encode_site(*site), lines_doc(lines)]))
-            .collect();
-        let future: Vec<Json> = self
-            .future
-            .iter()
-            .map(|(phase, tables)| {
-                let entries: Vec<Json> = tables
-                    .iter()
-                    .map(|(site, lines)| {
-                        Json::Array(vec![snap::encode_site(*site), lines_doc(lines)])
-                    })
-                    .collect();
-                Json::Array(vec![Json::UInt(*phase as u64), Json::Array(entries)])
-            })
-            .collect();
+/// The full construction state; the routing table travels as its lines.
+impl Snap for PcsState {
+    fn encode(&self) -> Json {
         Json::object(vec![
-            ("owner", snap::encode_site(self.owner)),
-            (
-                "neighbors",
-                Json::Array(
-                    self.neighbors
-                        .iter()
-                        .map(|(n, d)| {
-                            Json::Array(vec![snap::encode_site(*n), sim_snap::f64_bits(*d)])
-                        })
-                        .collect(),
-                ),
-            ),
-            ("table", snap::encode_route_lines(&self.table.lines())),
-            ("total_phases", Json::UInt(self.total_phases as u64)),
-            ("current_phase", Json::UInt(self.current_phase as u64)),
-            ("pending", Json::Array(pending)),
-            ("future", Json::Array(future)),
-            ("radius", Json::UInt(self.radius as u64)),
+            ("owner", self.owner.encode()),
+            ("neighbors", self.neighbors.encode()),
+            ("table", self.table.lines().encode()),
+            ("total_phases", self.total_phases.encode()),
+            ("current_phase", self.current_phase.encode()),
+            ("pending", self.pending.encode()),
+            ("future", self.future.encode()),
+            ("radius", self.radius.encode()),
         ])
     }
 
-    /// Inverse of [`PcsState::encode_snapshot`].
-    pub(crate) fn decode_snapshot(doc: &Json) -> Result<Self, SnapshotError> {
-        let parse_err = |m: &str| SnapshotError(m.to_string());
-        let decode_tables =
-            |j: &Json, what: &str| -> Result<BTreeMap<SiteId, Arc<[RouteEntry]>>, SnapshotError> {
-                let mut tables = BTreeMap::new();
-                for entry in sim_snap::as_items(j, what)? {
-                    let pair = sim_snap::as_items(entry, "pending table")?;
-                    if pair.len() != 2 {
-                        return Err(parse_err("pending table: expected [site, lines]"));
-                    }
-                    tables.insert(
-                        snap::decode_site(&pair[0], "pending sender")?,
-                        snap::decode_route_lines(&pair[1], "pending lines")?.into(),
-                    );
-                }
-                Ok(tables)
-            };
-        let owner = snap::decode_site(sim_snap::get(doc, "owner")?, "pcs owner")?;
-        let neighbors = sim_snap::get_items(doc, "neighbors")?
-            .iter()
-            .map(|n| {
-                let pair = sim_snap::as_items(n, "pcs neighbor")?;
-                if pair.len() != 2 {
-                    return Err(parse_err("pcs neighbor: expected [site, delay]"));
-                }
-                Ok((
-                    snap::decode_site(&pair[0], "neighbor site")?,
-                    sim_snap::f64_from_bits(&pair[1], "neighbor delay")?,
-                ))
-            })
-            .collect::<Result<Vec<(SiteId, f64)>, SnapshotError>>()?;
-        let table = RoutingTable::from_entries(
-            owner,
-            snap::decode_route_lines(sim_snap::get(doc, "table")?, "pcs table")?,
-        );
-        let mut future = BTreeMap::new();
-        for entry in sim_snap::get_items(doc, "future")? {
-            let pair = sim_snap::as_items(entry, "future phase")?;
-            if pair.len() != 2 {
-                return Err(parse_err("future phase: expected [phase, tables]"));
-            }
-            future.insert(
-                sim_snap::as_u64(&pair[0], "future phase number")? as usize,
-                decode_tables(&pair[1], "future tables")?,
-            );
-        }
+    fn decode(doc: &Json, path: &Path<'_>) -> Result<Self, SnapshotError> {
+        let owner = field(doc, path, "owner")?;
+        let lines: Vec<RouteEntry> = field(doc, path, "table")?;
         Ok(PcsState {
             owner,
-            neighbors,
-            table,
-            total_phases: sim_snap::get_u64(doc, "total_phases")? as usize,
-            current_phase: sim_snap::get_u64(doc, "current_phase")? as usize,
-            pending: decode_tables(sim_snap::get(doc, "pending")?, "pending")?,
-            future,
-            radius: sim_snap::get_u64(doc, "radius")? as usize,
+            neighbors: field(doc, path, "neighbors")?,
+            table: RoutingTable::from_entries(owner, lines),
+            total_phases: field(doc, path, "total_phases")?,
+            current_phase: field(doc, path, "current_phase")?,
+            pending: field(doc, path, "pending")?,
+            future: field(doc, path, "future")?,
+            radius: field(doc, path, "radius")?,
         })
     }
 }

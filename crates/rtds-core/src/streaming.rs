@@ -40,8 +40,7 @@ use rtds_net::SiteId;
 use rtds_sched::{Scheduler, SiteScheduler};
 use rtds_sim::engine::ArrivalSource;
 use rtds_sim::json::Json;
-use rtds_sim::snapshot as sim_snap;
-use rtds_sim::snapshot::SnapshotError;
+use rtds_sim::snapshot::{expect_schema, field, field_with, Path, Snap, SnapshotError, Word};
 use rtds_sim::stats::{GuaranteeStats, SimStats};
 use rtds_sim::Simulator;
 use std::collections::BTreeMap;
@@ -336,111 +335,70 @@ fn harvest(sim: &mut Simulator<RtdsNode>, cutoff: f64, st: &mut HarvestState) {
     }
 }
 
-/// The harvest accumulators as a snapshot document fragment. All floats as
-/// bit patterns; the in-flight and completion tables in `BTreeMap` (job id)
-/// order, which is deterministic.
-fn encode_harvest(st: &HarvestState) -> Json {
-    Json::object(vec![
-        (
-            "inflight",
-            Json::Array(
-                st.inflight
-                    .iter()
-                    .map(|(id, p)| {
-                        Json::Array(vec![
-                            snap::encode_job_id(*id),
-                            sim_snap::f64_bits(p.arrival),
-                            sim_snap::f64_bits(p.deadline),
-                            Json::Bool(p.accepted),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        (
-            "completions",
-            Json::Array(
-                st.completions
-                    .iter()
-                    .map(|(id, c)| {
-                        Json::Array(vec![snap::encode_job_id(*id), sim_snap::f64_bits(*c)])
-                    })
-                    .collect(),
-            ),
-        ),
-        ("injected", Json::UInt(st.injected)),
-        ("completed_on_time", Json::UInt(st.completed_on_time)),
-        ("misses", Json::UInt(st.misses)),
-        ("unharvested", Json::UInt(st.unharvested)),
-        ("slack_sum", sim_snap::f64_bits(st.slack_sum)),
-        ("slack_min", sim_snap::f64_bits(st.slack_min)),
-        ("peak_inflight", Json::UInt(st.peak_inflight)),
-        ("peak_plan", Json::UInt(st.peak_plan)),
-        ("peak_queue", Json::UInt(st.peak_queue)),
-        ("harvests", Json::UInt(st.harvests)),
-        ("metrics", sim_snap::encode_registry(&st.metrics)),
-    ])
-}
+/// The harvest accumulators. The in-flight table travels as `[job, arrival,
+/// deadline, accepted]` rows and the completion table as `[job, time]`
+/// rows, both in `BTreeMap` (job id) order, which is deterministic.
+impl Snap for HarvestState {
+    fn encode(&self) -> Json {
+        let inflight = self
+            .inflight
+            .iter()
+            .map(|(id, p)| (id.0, p.arrival, p.deadline, p.accepted).encode())
+            .collect();
+        let completions = self
+            .completions
+            .iter()
+            .map(|(id, c)| (id.0, *c).encode())
+            .collect();
+        Json::object(vec![
+            ("inflight", Json::Array(inflight)),
+            ("completions", Json::Array(completions)),
+            ("injected", self.injected.encode()),
+            ("completed_on_time", self.completed_on_time.encode()),
+            ("misses", self.misses.encode()),
+            ("unharvested", self.unharvested.encode()),
+            ("slack_sum", self.slack_sum.encode()),
+            ("slack_min", self.slack_min.encode()),
+            ("peak_inflight", self.peak_inflight.encode()),
+            ("peak_plan", self.peak_plan.encode()),
+            ("peak_queue", self.peak_queue.encode()),
+            ("harvests", self.harvests.encode()),
+            ("metrics", self.metrics.encode()),
+        ])
+    }
 
-/// Inverse of [`encode_harvest`].
-fn decode_harvest(doc: &Json) -> Result<HarvestState, SnapshotError> {
-    let mut inflight = BTreeMap::new();
-    for row in sim_snap::get_items(doc, "inflight")? {
-        let cells = sim_snap::as_items(row, "inflight row")?;
-        if cells.len() != 4 {
-            return Err(SnapshotError(format!(
-                "inflight row has {} cells, want 4",
-                cells.len()
-            )));
-        }
-        let accepted = match &cells[3] {
-            Json::Bool(b) => *b,
-            other => {
-                return Err(SnapshotError(format!(
-                    "inflight accepted flag is {other:?}, want bool"
-                )))
-            }
-        };
-        inflight.insert(
-            snap::decode_job_id(&cells[0], "inflight job id")?,
-            Pending {
-                arrival: sim_snap::f64_from_bits(&cells[1], "inflight arrival")?,
-                deadline: sim_snap::f64_from_bits(&cells[2], "inflight deadline")?,
-                accepted,
-            },
-        );
+    fn decode(doc: &Json, path: &Path<'_>) -> Result<Self, SnapshotError> {
+        let inflight: Vec<(Word, f64, f64, bool)> = field(doc, path, "inflight")?;
+        let completions: Vec<(Word, f64)> = field(doc, path, "completions")?;
+        Ok(HarvestState {
+            inflight: inflight
+                .into_iter()
+                .map(|(Word(id), arrival, deadline, accepted)| {
+                    let pending = Pending {
+                        arrival,
+                        deadline,
+                        accepted,
+                    };
+                    (JobId(id), pending)
+                })
+                .collect(),
+            completions: completions
+                .into_iter()
+                .map(|(Word(id), c)| (JobId(id), c))
+                .collect(),
+            injected: field(doc, path, "injected")?,
+            completed_on_time: field(doc, path, "completed_on_time")?,
+            misses: field(doc, path, "misses")?,
+            unharvested: field(doc, path, "unharvested")?,
+            slack_sum: field(doc, path, "slack_sum")?,
+            slack_min: field(doc, path, "slack_min")?,
+            peak_inflight: field(doc, path, "peak_inflight")?,
+            peak_plan: field(doc, path, "peak_plan")?,
+            peak_queue: field(doc, path, "peak_queue")?,
+            harvests: field(doc, path, "harvests")?,
+            metrics: field(doc, path, "metrics")?,
+        })
     }
-    let mut completions = BTreeMap::new();
-    for row in sim_snap::get_items(doc, "completions")? {
-        let cells = sim_snap::as_items(row, "completion row")?;
-        if cells.len() != 2 {
-            return Err(SnapshotError(format!(
-                "completion row has {} cells, want 2",
-                cells.len()
-            )));
-        }
-        completions.insert(
-            snap::decode_job_id(&cells[0], "completion job id")?,
-            sim_snap::f64_from_bits(&cells[1], "completion time")?,
-        );
-    }
-    let mut metrics = MetricsRegistry::new();
-    sim_snap::decode_registry_into(&mut metrics, sim_snap::get(doc, "metrics")?)?;
-    Ok(HarvestState {
-        inflight,
-        completions,
-        injected: sim_snap::get_u64(doc, "injected")?,
-        completed_on_time: sim_snap::get_u64(doc, "completed_on_time")?,
-        misses: sim_snap::get_u64(doc, "misses")?,
-        unharvested: sim_snap::get_u64(doc, "unharvested")?,
-        slack_sum: sim_snap::get_f64(doc, "slack_sum")?,
-        slack_min: sim_snap::get_f64(doc, "slack_min")?,
-        peak_inflight: sim_snap::get_u64(doc, "peak_inflight")?,
-        peak_plan: sim_snap::get_u64(doc, "peak_plan")?,
-        peak_queue: sim_snap::get_u64(doc, "peak_queue")?,
-        harvests: sim_snap::get_u64(doc, "harvests")?,
-        metrics,
-    })
 }
 
 impl RtdsSystem {
@@ -506,27 +464,40 @@ impl RtdsSystem {
         source: &mut dyn JobSource,
     ) -> Result<StreamReport, SnapshotError> {
         let doc = Json::parse(text)
-            .map_err(|e| SnapshotError(format!("stream checkpoint does not parse: {e:?}")))?;
-        let schema = sim_snap::as_str(sim_snap::get(&doc, "schema")?, "schema")?;
-        if schema != STREAM_SNAPSHOT_SCHEMA {
-            return Err(SnapshotError(format!(
-                "unsupported stream snapshot schema {schema:?}, want {STREAM_SNAPSHOT_SCHEMA:?}"
-            )));
-        }
+            .map_err(|e| SnapshotError(format!("stream checkpoint does not parse: {e}")))?;
+        let path = &Path::root("stream");
+        expect_schema(&doc, path, STREAM_SNAPSHOT_SCHEMA)?;
+        let mut system: RtdsSystem = field(&doc, path, "system")?;
+        let path = &path.within(system.network().site_count());
         let options = StreamOptions {
-            harvest_interval: sim_snap::get_f64(&doc, "harvest_interval")?,
+            harvest_interval: field(&doc, path, "harvest_interval")?,
         };
-        let pulls = sim_snap::get_u64(&doc, "pulls")?;
-        let mut buffered = match sim_snap::get(&doc, "buffered")? {
-            Json::Null => None,
-            job => Some(snap::decode_job(job)?),
-        };
-        let mut st = decode_harvest(sim_snap::get(&doc, "harvest")?)?;
-        let mut system = RtdsSystem::resume_doc(sim_snap::get(&doc, "system")?)?;
+        let mut st: HarvestState = field(&doc, path, "harvest")?;
+        let pulls: u64 = field(&doc, path, "pulls")?;
+        if !(options.harvest_interval.is_finite() && options.harvest_interval > 0.0)
+            || st.injected.checked_add(1) != Some(pulls)
+        {
+            return Err(path.err(
+                "need a positive finite harvest_interval and one pull per injected job plus the look-ahead",
+            ));
+        }
+        let mut buffered = field_with(&doc, path, "buffered", |j, path| match j {
+            Json::Null => Ok(None),
+            job => snap::decode_job(job, path).map(Some),
+        })?;
+        if buffered
+            .as_ref()
+            .is_some_and(|job| job.arrival_time < system.sim().now())
+        {
+            return Err(path.err("the look-ahead job arrives before the checkpoint's clock"));
+        }
         // Fast-forward the fresh source past everything the paused run
-        // pulled (the one-ahead look-ahead plus one pull per injected job).
+        // pulled (the one-ahead look-ahead plus one pull per injected job);
+        // a source that runs dry first has nothing left to skip.
         for _ in 0..pulls {
-            source.next_job();
+            if source.next_job().is_none() {
+                break;
+            }
         }
         let paused = system.drive_streaming(source, &options, &mut st, &mut buffered, None);
         debug_assert!(!paused, "no pause requested");
@@ -607,20 +578,14 @@ impl RtdsSystem {
     ) -> Json {
         Json::object(vec![
             ("schema", Json::str(STREAM_SNAPSHOT_SCHEMA)),
-            (
-                "harvest_interval",
-                sim_snap::f64_bits(options.harvest_interval),
-            ),
-            ("pulls", Json::UInt(1 + st.injected)),
+            ("harvest_interval", options.harvest_interval.encode()),
+            ("pulls", (1 + st.injected).encode()),
             (
                 "buffered",
-                match buffered {
-                    Some(job) => snap::encode_job(job),
-                    None => Json::Null,
-                },
+                buffered.as_ref().map_or(Json::Null, snap::encode_job),
             ),
-            ("harvest", encode_harvest(st)),
-            ("system", self.checkpoint_doc()),
+            ("harvest", st.encode()),
+            ("system", self.encode()),
         ])
     }
 

@@ -9,7 +9,7 @@
 use crate::config::RtdsConfig;
 use crate::messages::RtdsMsg;
 use crate::node::{GlobalDistances, NodeBuilder, RtdsNode};
-use crate::snapshot::{self as snap, SYSTEM_SNAPSHOT_SCHEMA};
+use crate::snapshot::SYSTEM_SNAPSHOT_SCHEMA;
 use rtds_graph::{Job, JobId};
 use rtds_metrics::MetricsRegistry;
 use rtds_net::dijkstra::all_pairs_shortest_paths;
@@ -17,8 +17,7 @@ use rtds_net::{Network, SiteId};
 use rtds_sched::executor;
 use rtds_sched::{SchedulePlan, SiteResources};
 use rtds_sim::json::Json;
-use rtds_sim::snapshot as sim_snap;
-use rtds_sim::snapshot::SnapshotError;
+use rtds_sim::snapshot::{expect_schema, field, Path, Snap, SnapshotError, Word};
 use rtds_sim::stats::{GuaranteeStats, SimStats};
 use rtds_sim::{FaultEvent, Simulator, Trace};
 use serde::{Deserialize, Serialize};
@@ -273,113 +272,15 @@ impl RtdsSystem {
     /// recorders, profiling and the ordering log are observability surfaces
     /// and restart disabled (see [`rtds_sim::snapshot`]).
     pub fn checkpoint(&self) -> String {
-        self.checkpoint_doc().render()
-    }
-
-    /// The checkpoint as a JSON document (used by the streaming checkpoint,
-    /// which wraps it with the harvest-loop state).
-    pub(crate) fn checkpoint_doc(&self) -> Json {
-        let submitted: Vec<Json> = self
-            .submitted
-            .iter()
-            .map(|(job, site, arrival, deadline)| {
-                Json::Array(vec![
-                    snap::encode_job_id(*job),
-                    Json::UInt(*site as u64),
-                    sim_snap::f64_bits(*arrival),
-                    sim_snap::f64_bits(*deadline),
-                ])
-            })
-            .collect();
-        // The exact-distance table is shared by every node; serialize it
-        // once, verbatim — faults may have mutated the topology since
-        // construction, so recomputing it on restore would diverge.
-        let global = self
-            .sim
-            .nodes()
-            .next()
-            .and_then(|n| n.global_distances().cloned());
-        let global_doc = match &global {
-            Some(dist) => Json::Array(
-                dist.iter()
-                    .map(|row| Json::Array(row.iter().map(|&d| sim_snap::f64_bits(d)).collect()))
-                    .collect(),
-            ),
-            None => Json::Null,
-        };
-        Json::object(vec![
-            ("schema", Json::str(SYSTEM_SNAPSHOT_SCHEMA)),
-            ("seed", Json::UInt(self.seed)),
-            ("submitted", Json::Array(submitted)),
-            ("global_distances", global_doc),
-            (
-                "engine",
-                sim_snap::snapshot_engine(
-                    &self.sim,
-                    |_, node| node.encode_snapshot(),
-                    snap::encode_msg,
-                ),
-            ),
-        ])
+        self.encode().render()
     }
 
     /// Rebuilds a system from a document written by
     /// [`RtdsSystem::checkpoint`].
     pub fn resume(text: &str) -> Result<RtdsSystem, SnapshotError> {
         let doc = Json::parse(text)
-            .map_err(|e| SnapshotError(format!("checkpoint does not parse: {e:?}")))?;
-        Self::resume_doc(&doc)
-    }
-
-    /// [`RtdsSystem::resume`] over an already-parsed document.
-    pub(crate) fn resume_doc(doc: &Json) -> Result<RtdsSystem, SnapshotError> {
-        let schema = sim_snap::as_str(sim_snap::get(doc, "schema")?, "schema")?;
-        if schema != SYSTEM_SNAPSHOT_SCHEMA {
-            return Err(SnapshotError(format!(
-                "unsupported system snapshot schema {schema:?} (expected {SYSTEM_SNAPSHOT_SCHEMA:?})"
-            )));
-        }
-        let global: Option<GlobalDistances> = match sim_snap::get(doc, "global_distances")? {
-            Json::Null => None,
-            rows => Some(Arc::new(
-                sim_snap::as_items(rows, "global_distances")?
-                    .iter()
-                    .map(|row| {
-                        sim_snap::as_items(row, "distance row")?
-                            .iter()
-                            .map(|d| sim_snap::f64_from_bits(d, "distance"))
-                            .collect::<Result<Vec<f64>, SnapshotError>>()
-                    })
-                    .collect::<Result<Vec<Vec<f64>>, SnapshotError>>()?,
-            )),
-        };
-        let submitted = sim_snap::get_items(doc, "submitted")?
-            .iter()
-            .map(|entry| {
-                let fields = sim_snap::as_items(entry, "submission")?;
-                if fields.len() != 4 {
-                    return Err(SnapshotError(
-                        "submission: expected [job, site, arrival, deadline]".into(),
-                    ));
-                }
-                Ok((
-                    snap::decode_job_id(&fields[0], "submission job")?,
-                    sim_snap::as_u64(&fields[1], "submission site")? as usize,
-                    sim_snap::f64_from_bits(&fields[2], "submission arrival")?,
-                    sim_snap::f64_from_bits(&fields[3], "submission deadline")?,
-                ))
-            })
-            .collect::<Result<Vec<(JobId, usize, f64, f64)>, SnapshotError>>()?;
-        let sim = sim_snap::restore_engine(
-            sim_snap::get(doc, "engine")?,
-            |_, node_doc| RtdsNode::decode_snapshot(node_doc, global.clone()),
-            snap::decode_msg,
-        )?;
-        Ok(RtdsSystem {
-            sim,
-            submitted,
-            seed: sim_snap::get_u64(doc, "seed")?,
-        })
+            .map_err(|e| SnapshotError(format!("checkpoint does not parse: {e}")))?;
+        RtdsSystem::decode(&doc, &Path::root("system"))
     }
 
     /// Runs the simulation to quiescence and produces the report.
@@ -477,6 +378,62 @@ impl RtdsSystem {
             messages_per_job,
             metrics,
         }
+    }
+}
+
+/// The complete system state (`rtds-system-snapshot/1`): workload
+/// bookkeeping around the engine snapshot, which carries the nodes.
+impl Snap for RtdsSystem {
+    fn encode(&self) -> Json {
+        let submitted = self
+            .submitted
+            .iter()
+            .map(|&(job, site, arrival, deadline)| (job.0, site, arrival, deadline).encode())
+            .collect();
+        // The exact-distance table is shared by every node; serialize it
+        // once, verbatim — faults may have mutated the topology since
+        // construction, so recomputing it on restore would diverge.
+        let global = self.sim.nodes().next().and_then(|n| n.global_distances());
+        Json::object(vec![
+            ("schema", Json::str(SYSTEM_SNAPSHOT_SCHEMA)),
+            ("seed", Word(self.seed).encode()),
+            ("submitted", Json::Array(submitted)),
+            (
+                "global_distances",
+                global.map_or(Json::Null, |d| d.encode()),
+            ),
+            ("engine", self.sim.encode()),
+        ])
+    }
+
+    fn decode(doc: &Json, path: &Path<'_>) -> Result<Self, SnapshotError> {
+        expect_schema(doc, path, SYSTEM_SNAPSHOT_SCHEMA)?;
+        let mut sim: Simulator<RtdsNode> = field(doc, path, "engine")?;
+        let sites = sim.network().site_count();
+        let path = &path.within(sites);
+        let global: Option<Vec<Vec<f64>>> = field(doc, path, "global_distances")?;
+        let square =
+            |rows: &Vec<Vec<f64>>| rows.len() == sites && rows.iter().all(|r| r.len() == sites);
+        if !global.as_ref().map_or(true, square) {
+            return Err(path.err("global_distances must have one row and column per site"));
+        }
+        let global = global.map(Arc::new);
+        for site in 0..sites {
+            let node = sim.node_mut(SiteId(site));
+            if node.site() != SiteId(site) {
+                return Err(path.err(format!("node {site} claims to be {}", node.site())));
+            }
+            node.set_global_distances(global.clone());
+        }
+        let submitted: Vec<(Word, SiteId, f64, f64)> = field(doc, path, "submitted")?;
+        Ok(RtdsSystem {
+            sim,
+            submitted: submitted
+                .into_iter()
+                .map(|(Word(job), site, arrival, deadline)| (JobId(job), site.0, arrival, deadline))
+                .collect(),
+            seed: field::<Word>(doc, path, "seed")?.0,
+        })
     }
 }
 

@@ -12,14 +12,12 @@
 
 use crate::matching::{matching_size, maximum_bipartite_matching_csr, with_matching_workspace};
 use crate::messages::TaskSpec;
-use crate::snapshot as snap;
 use rtds_graph::JobId;
 use rtds_net::SiteId;
 use rtds_sched::feasibility::{satisfiable, TaskRequest};
 use rtds_sched::{SchedulePlan, Scheduler};
 use rtds_sim::json::Json;
-use rtds_sim::snapshot as sim_snap;
-use rtds_sim::snapshot::SnapshotError;
+use rtds_sim::snapshot::{field, Path, Snap, SnapshotError};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
@@ -134,6 +132,11 @@ impl ValidationRound {
         }
     }
 
+    /// Number of logical processors the round couples.
+    pub(crate) fn logical_count(&self) -> usize {
+        self.logical_count
+    }
+
     /// Returns `true` once every expected site has answered.
     pub fn is_complete(&self) -> bool {
         self.replies.len() == self.expected.len()
@@ -142,66 +145,6 @@ impl ValidationRound {
     /// Number of replies still missing.
     pub fn outstanding(&self) -> usize {
         self.expected.len() - self.replies.len()
-    }
-
-    /// Serializes the round (snapshot support; see [`crate::snapshot`]).
-    pub(crate) fn encode_snapshot(&self) -> Json {
-        Json::object(vec![
-            ("logical_count", Json::UInt(self.logical_count as u64)),
-            (
-                "expected",
-                Json::Array(
-                    self.expected
-                        .iter()
-                        .map(|&s| snap::encode_site(s))
-                        .collect(),
-                ),
-            ),
-            (
-                "replies",
-                Json::Array(
-                    self.replies
-                        .iter()
-                        .map(|(site, endorsable)| {
-                            Json::Array(vec![
-                                snap::encode_site(*site),
-                                Json::Array(
-                                    endorsable.iter().map(|&i| Json::UInt(i as u64)).collect(),
-                                ),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-        ])
-    }
-
-    /// Inverse of [`ValidationRound::encode_snapshot`].
-    pub(crate) fn decode_snapshot(doc: &Json) -> Result<Self, SnapshotError> {
-        let mut replies = BTreeMap::new();
-        for entry in sim_snap::get_items(doc, "replies")? {
-            let pair = sim_snap::as_items(entry, "validation reply")?;
-            if pair.len() != 2 {
-                return Err(SnapshotError(
-                    "validation reply: expected [site, endorsable]".into(),
-                ));
-            }
-            replies.insert(
-                snap::decode_site(&pair[0], "reply site")?,
-                sim_snap::as_items(&pair[1], "reply endorsable")?
-                    .iter()
-                    .map(|i| Ok(sim_snap::as_u64(i, "endorsable index")? as usize))
-                    .collect::<Result<Vec<usize>, SnapshotError>>()?,
-            );
-        }
-        Ok(ValidationRound {
-            logical_count: sim_snap::get_u64(doc, "logical_count")? as usize,
-            expected: sim_snap::get_items(doc, "expected")?
-                .iter()
-                .map(|s| snap::decode_site(s, "expected site"))
-                .collect::<Result<Vec<SiteId>, SnapshotError>>()?,
-            replies,
-        })
     }
 
     /// Computes the §10 maximum coupling and extracts the permutation.
@@ -238,6 +181,32 @@ impl ValidationRound {
             .map(|r| sites[r.expect("perfect matching")])
             .collect();
         ValidationOutcome::Accepted { assignment }
+    }
+}
+
+impl Snap for ValidationRound {
+    fn encode(&self) -> Json {
+        Json::object(vec![
+            ("logical_count", self.logical_count.encode()),
+            ("expected", self.expected.encode()),
+            ("replies", self.replies.encode()),
+        ])
+    }
+
+    fn decode(doc: &Json, path: &Path<'_>) -> Result<Self, SnapshotError> {
+        let round = ValidationRound {
+            logical_count: field(doc, path, "logical_count")?,
+            expected: field(doc, path, "expected")?,
+            replies: field(doc, path, "replies")?,
+        };
+        // The mapping uses a subset of the ACS and only members reply; the
+        // coupling's work arrays are sized by both counts.
+        if round.logical_count > round.expected.len()
+            || !round.replies.keys().all(|s| round.expected.contains(s))
+        {
+            return Err(path.err("more logical processors or repliers than expected sites"));
+        }
+        Ok(round)
     }
 }
 
@@ -308,7 +277,8 @@ mod tests {
             false,
             vec![plan.clone()],
             Vec::new(),
-        );
+        )
+        .unwrap();
         assert_eq!(
             endorsable_with(&sched, JobId(1), &mapping, 1.0),
             endorsable_logical_processors(&plan, JobId(1), &mapping, 1.0, false)
@@ -321,7 +291,8 @@ mod tests {
             false,
             vec![plan, SchedulePlan::new()],
             Vec::new(),
-        );
+        )
+        .unwrap();
         assert_eq!(endorsable_with(&dual, JobId(1), &mapping, 1.0), vec![0, 1]);
     }
 

@@ -298,26 +298,29 @@ impl FlowModel {
     }
 
     /// Rebuilds a model from serialised parts. Rates are restored verbatim
-    /// (not recomputed) so a restored run continues bit-identically.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a flow references an out-of-range link or an id at or
-    /// above `next_id`.
+    /// (not recomputed) so a restored run continues bit-identically. The
+    /// parts are untrusted: a flow over an out-of-range link, an id at or
+    /// above `next_id`, a capacity [`FlowModel::add_link`] would refuse or
+    /// a non-finite clock is an error.
     pub fn from_raw_parts(
         capacities: Vec<f64>,
         time: f64,
         next_id: FlowId,
         flows: Vec<(FlowId, Vec<LinkId>, f64, f64)>,
-    ) -> Self {
+    ) -> Result<Self, String> {
+        if !time.is_finite() {
+            return Err(format!("flow model time {time} is not finite"));
+        }
+        if let Some(bad) = capacities.iter().find(|c| c.is_nan() || **c < 0.0) {
+            return Err(format!("link capacity {bad} is negative or NaN"));
+        }
         let mut map = BTreeMap::new();
         for (id, links, remaining, rate) in flows {
-            assert!(id < next_id, "flow id {id} not below next_id {next_id}");
-            for &link in &links {
-                assert!(
-                    (link as usize) < capacities.len(),
-                    "unknown link {link} in restored flow {id}"
-                );
+            if id >= next_id {
+                return Err(format!("flow id {id} not below next_id {next_id}"));
+            }
+            if let Some(link) = links.iter().find(|&&l| l as usize >= capacities.len()) {
+                return Err(format!("unknown link {link} in restored flow {id}"));
             }
             map.insert(
                 id,
@@ -328,12 +331,12 @@ impl FlowModel {
                 },
             );
         }
-        Self {
+        Ok(Self {
             capacities,
             flows: map,
             next_id,
             time,
-        }
+        })
     }
 }
 
@@ -615,13 +618,15 @@ mod tests {
             .raw_flows()
             .map(|(id, links, remaining, rate)| (id, links.to_vec(), remaining, rate))
             .collect();
-        let restored = FlowModel::from_raw_parts(
-            model.capacities().to_vec(),
-            model.time(),
-            model.next_id(),
-            flows,
-        );
-        assert_eq!(restored, model);
+        let restore = |next_id, flows| {
+            FlowModel::from_raw_parts(model.capacities().to_vec(), model.time(), next_id, flows)
+        };
+        assert_eq!(restore(model.next_id(), flows.clone()), Ok(model.clone()));
+        // Hostile parts are refused, not asserted on.
+        assert!(restore(1, flows.clone()).is_err());
+        let mut unknown_link = flows;
+        unknown_link[0].1.push(9);
+        assert!(restore(model.next_id(), unknown_link).is_err());
     }
 
     #[test]

@@ -35,6 +35,11 @@ pub enum GraphError {
     DuplicateEdge(TaskId, TaskId),
     /// A self-loop `t -> t` was inserted.
     SelfLoop(TaskId),
+    /// Raw parts carry a negative or non-finite task cost or data volume.
+    InvalidWeight,
+    /// Raw successor and predecessor lists do not describe one edge set
+    /// over the given tasks.
+    InconsistentAdjacency,
 }
 
 impl std::fmt::Display for GraphError {
@@ -44,6 +49,10 @@ impl std::fmt::Display for GraphError {
             GraphError::UnknownTask(t) => write!(f, "edge references unknown task {t}"),
             GraphError::DuplicateEdge(a, b) => write!(f, "duplicate edge {a} -> {b}"),
             GraphError::SelfLoop(t) => write!(f, "self loop on task {t}"),
+            GraphError::InvalidWeight => write!(f, "negative or non-finite cost or data volume"),
+            GraphError::InconsistentAdjacency => {
+                write!(f, "successor and predecessor lists disagree")
+            }
         }
     }
 }
@@ -153,23 +162,61 @@ impl TaskGraph {
     }
 
     /// Rebuilds a graph from tasks plus the adjacency captured by
-    /// [`TaskGraph::raw_adjacency`]. The two views must describe the same
-    /// edge set; the edge count is recomputed from `succs`.
-    pub fn from_raw_parts(tasks: Vec<Task>, succs: Vec<EdgeList>, preds: Vec<EdgeList>) -> Self {
-        assert_eq!(tasks.len(), succs.len(), "one successor list per task");
-        assert_eq!(tasks.len(), preds.len(), "one predecessor list per task");
+    /// [`TaskGraph::raw_adjacency`] (the snapshot path, so the parts are
+    /// untrusted): weights must be finite and non-negative, task ids dense,
+    /// every edge must satisfy the rules of [`TaskGraph::add_edge_with`] and
+    /// appear in both views with the same data, and the result must be a
+    /// DAG. The edge count is recomputed from `succs`.
+    pub fn from_raw_parts(
+        tasks: Vec<Task>,
+        succs: Vec<EdgeList>,
+        preds: Vec<EdgeList>,
+    ) -> Result<Self, GraphError> {
+        let n = tasks.len();
+        let weight_ok = |w: f64| w.is_finite() && w >= 0.0;
+        if !tasks.iter().all(|t| weight_ok(t.cost)) {
+            return Err(GraphError::InvalidWeight);
+        }
+        let dense = tasks.iter().enumerate().all(|(i, t)| t.id.0 == i);
         let edge_count = succs.iter().map(Vec::len).sum::<usize>();
-        debug_assert_eq!(
-            edge_count,
-            preds.iter().map(Vec::len).sum::<usize>(),
-            "succs and preds must describe the same edge set"
-        );
-        TaskGraph {
+        if !dense || succs.len() != n || preds.len() != n {
+            return Err(GraphError::InconsistentAdjacency);
+        }
+        if preds.iter().map(Vec::len).sum::<usize>() != edge_count {
+            return Err(GraphError::InconsistentAdjacency);
+        }
+        for (u, list) in succs.iter().enumerate() {
+            for (k, &(v, data)) in list.iter().enumerate() {
+                if v.0 >= n {
+                    return Err(GraphError::UnknownTask(v));
+                }
+                if v.0 == u {
+                    return Err(GraphError::SelfLoop(v));
+                }
+                if !weight_ok(data.data_volume) {
+                    return Err(GraphError::InvalidWeight);
+                }
+                if list[..k].iter().any(|(s, _)| *s == v) {
+                    return Err(GraphError::DuplicateEdge(TaskId(u), v));
+                }
+                // Equal totals plus one distinct mirror per successor entry
+                // make the two views the same edge set.
+                let mirrored = preds[v.0].iter().any(|&(p, d)| {
+                    p.0 == u && d.data_volume.to_bits() == data.data_volume.to_bits()
+                });
+                if !mirrored {
+                    return Err(GraphError::InconsistentAdjacency);
+                }
+            }
+        }
+        let graph = TaskGraph {
             tasks,
             succs,
             preds,
             edge_count,
-        }
+        };
+        graph.topological_order()?;
+        Ok(graph)
     }
 
     /// Number of tasks `|T|`.

@@ -48,8 +48,11 @@ pub enum NetworkError {
     /// A negative or NaN bandwidth was supplied (`f64::INFINITY` is the
     /// legal "unconstrained" capacity; zero models a stalled link).
     InvalidBandwidth(f64),
-    /// The two sites are not linked (raised by mutation of a missing link).
+    /// The two sites are not linked (raised by mutation of a missing link,
+    /// and by raw lists whose `a → b` entry has no matching `b → a`).
     MissingLink(SiteId, SiteId),
+    /// Raw adjacency, bandwidth and speed lists disagree on their lengths.
+    RaggedLists,
 }
 
 impl fmt::Display for NetworkError {
@@ -61,6 +64,9 @@ impl fmt::Display for NetworkError {
             NetworkError::InvalidDelay(d) => write!(f, "invalid link delay {d}"),
             NetworkError::InvalidBandwidth(b) => write!(f, "invalid link bandwidth {b}"),
             NetworkError::MissingLink(a, b) => write!(f, "no link {a} -- {b}"),
+            NetworkError::RaggedLists => {
+                write!(f, "adjacency, bandwidth and speed lists differ in length")
+            }
         }
     }
 }
@@ -154,66 +160,64 @@ impl Network {
         &self.bandwidths
     }
 
-    /// Rebuilds a network from raw adjacency lists captured by
-    /// [`Network::raw_adjacency`]. The lists must be symmetric (every
-    /// `(b, d)` in `adjacency[a]` has a matching `(a, d)` in
-    /// `adjacency[b]`); the link count is recomputed from them. Every link
-    /// gets unconstrained (`f64::INFINITY`) bandwidth — snapshots that
-    /// carry capacities use [`Network::from_raw_parts`] instead.
-    ///
-    /// # Panics
-    /// Panics if `speeds` and `adjacency` disagree on the site count or if
-    /// the directed edge count is odd (asymmetric lists).
-    pub fn from_raw_adjacency(adjacency: Vec<NeighborList>, speeds: Vec<f64>) -> Self {
-        let bandwidths = adjacency
-            .iter()
-            .map(|list| vec![f64::INFINITY; list.len()])
-            .collect();
-        Self::from_raw_parts(adjacency, bandwidths, speeds)
-    }
-
     /// Rebuilds a network from raw adjacency, bandwidth and speed lists
-    /// (the snapshot path). The bandwidth lists must be entry-parallel to
-    /// the adjacency lists. The restored network starts at mutation
-    /// version 0.
-    ///
-    /// # Panics
-    /// Panics if the lists disagree on the site count or per-site entry
-    /// counts, or if the directed edge count is odd (asymmetric lists).
+    /// (the snapshot path, so the lists are untrusted). The bandwidth lists
+    /// must be entry-parallel to the adjacency lists, every entry must
+    /// satisfy the rules of [`Network::add_link_with_bandwidth`], and the
+    /// lists must be symmetric: each `a → b` entry has exactly one `b → a`
+    /// twin carrying the same delay and bandwidth bits. The restored network
+    /// starts at mutation version 0.
     pub fn from_raw_parts(
         adjacency: Vec<NeighborList>,
         bandwidths: Vec<Vec<f64>>,
         speeds: Vec<f64>,
-    ) -> Self {
-        assert_eq!(
-            adjacency.len(),
-            speeds.len(),
-            "adjacency and speeds must cover the same sites"
-        );
-        assert_eq!(
-            adjacency.len(),
-            bandwidths.len(),
-            "adjacency and bandwidths must cover the same sites"
-        );
-        for (list, bws) in adjacency.iter().zip(&bandwidths) {
-            assert_eq!(
-                list.len(),
-                bws.len(),
-                "bandwidth lists must be entry-parallel to adjacency lists"
-            );
+    ) -> Result<Self, NetworkError> {
+        let n = speeds.len();
+        let parallel = adjacency.len() == n
+            && bandwidths.len() == n
+            && adjacency
+                .iter()
+                .zip(&bandwidths)
+                .all(|(l, b)| l.len() == b.len());
+        if !parallel {
+            return Err(NetworkError::RaggedLists);
         }
-        let directed: usize = adjacency.iter().map(Vec::len).sum();
-        assert!(
-            directed % 2 == 0,
-            "adjacency lists must be symmetric (got {directed} directed edges)"
-        );
-        Network {
+        let mut directed = 0;
+        for (a, (list, bws)) in adjacency.iter().zip(&bandwidths).enumerate() {
+            for (k, (&(b, delay), &bandwidth)) in list.iter().zip(bws).enumerate() {
+                if b.0 >= n {
+                    return Err(NetworkError::UnknownSite(b));
+                }
+                if b.0 == a {
+                    return Err(NetworkError::SelfLink(b));
+                }
+                if !(delay.is_finite() && delay >= 0.0) {
+                    return Err(NetworkError::InvalidDelay(delay));
+                }
+                if bandwidth.is_nan() || bandwidth < 0.0 {
+                    return Err(NetworkError::InvalidBandwidth(bandwidth));
+                }
+                if list[..k].iter().any(|(s, _)| *s == b) {
+                    return Err(NetworkError::DuplicateLink(SiteId(a), b));
+                }
+                let twin = adjacency[b.0].iter().position(|(s, _)| s.0 == a);
+                let mirrored = twin.is_some_and(|t| {
+                    adjacency[b.0][t].1.to_bits() == delay.to_bits()
+                        && bandwidths[b.0][t].to_bits() == bandwidth.to_bits()
+                });
+                if !mirrored {
+                    return Err(NetworkError::MissingLink(b, SiteId(a)));
+                }
+                directed += 1;
+            }
+        }
+        Ok(Network {
             adjacency,
             bandwidths,
             speeds,
             link_count: directed / 2,
             version: 0,
-        }
+        })
     }
 
     /// The link-mutation version: bumped once per successful
@@ -803,19 +807,36 @@ mod tests {
         let mut n = triangle();
         n.set_link_bandwidth(SiteId(1), SiteId(2), 6.5).unwrap();
         let (adjacency, speeds) = n.raw_adjacency();
-        let rebuilt = Network::from_raw_parts(
-            adjacency.to_vec(),
-            n.raw_bandwidths().to_vec(),
-            speeds.to_vec(),
-        );
+        let rebuild = |adjacency: &[NeighborList], bandwidths: &[Vec<f64>]| {
+            Network::from_raw_parts(adjacency.to_vec(), bandwidths.to_vec(), speeds.to_vec())
+        };
+        let rebuilt = rebuild(adjacency, n.raw_bandwidths()).unwrap();
         assert_eq!(rebuilt, n);
         assert_eq!(rebuilt.version(), 0);
         assert_eq!(rebuilt.link_bandwidth(SiteId(2), SiteId(1)), Some(6.5));
-        // The legacy entry point defaults every capacity to infinity.
-        let legacy = Network::from_raw_adjacency(adjacency.to_vec(), speeds.to_vec());
+        // Raw lists are untrusted: an unknown neighbour, a one-sided link,
+        // a one-sided bandwidth and ragged lists are typed errors.
+        let mut hostile = adjacency.to_vec();
+        hostile[0][0].0 = SiteId(9);
         assert_eq!(
-            legacy.link_bandwidth(SiteId(1), SiteId(2)),
-            Some(f64::INFINITY)
+            rebuild(&hostile, n.raw_bandwidths()),
+            Err(NetworkError::UnknownSite(SiteId(9)))
+        );
+        let mut hostile = adjacency.to_vec();
+        hostile[0][0].1 += 1.0;
+        assert!(matches!(
+            rebuild(&hostile, n.raw_bandwidths()),
+            Err(NetworkError::MissingLink(..))
+        ));
+        let mut lopsided = n.raw_bandwidths().to_vec();
+        lopsided[1][0] = 0.5;
+        assert!(matches!(
+            rebuild(adjacency, &lopsided),
+            Err(NetworkError::MissingLink(..))
+        ));
+        assert_eq!(
+            rebuild(&adjacency[..2], n.raw_bandwidths()),
+            Err(NetworkError::RaggedLists)
         );
     }
 

@@ -11,7 +11,7 @@ use crate::json::Json;
 use crate::spec::{mix_seed, Scenario, StreamRecipe};
 use rtds_core::{JobOutcomeKind, RtdsSystem, RunReport, StreamOptions, StreamReport};
 use rtds_sim::metrics_json::metrics_to_json;
-use rtds_sim::trace::{render_jsonl, Value as TraceValue};
+use rtds_sim::trace::render_jsonl;
 use rtds_sim::{MetricsRegistry, Trace};
 use rtds_workload::{reader_from_string, record_to_string, JobFactory, OpenLoopSource};
 
@@ -439,8 +439,8 @@ fn run_cell_with(
     let rendered = want_trace.then(|| {
         render_jsonl(
             &[
-                ("scenario", TraceValue::Str(scenario.name.clone())),
-                ("seed", TraceValue::U64(seed)),
+                ("scenario", Json::str(&scenario.name)),
+                ("seed", Json::UInt(seed)),
             ],
             &system.trace().events(),
         )

@@ -221,8 +221,10 @@ impl SiteScheduler {
         }
     }
 
-    /// Rebuilds a scheduler from snapshot parts. Panics if the plan count
-    /// does not match the resource bundle.
+    /// Rebuilds a scheduler from snapshot parts (untrusted): an invalid
+    /// resource bundle, a non-positive or non-finite base speed, a plan
+    /// count that differs from the core count and a malformed memory hold
+    /// are errors.
     pub fn from_parts(
         kind: SchedulerKind,
         resources: SiteResources,
@@ -230,12 +232,32 @@ impl SiteScheduler {
         preemptive: bool,
         cores: Vec<SchedulePlan>,
         holds: Vec<MemHold>,
-    ) -> Self {
-        assert_eq!(cores.len(), resources.cores, "one plan per core");
-        let mut s = SiteScheduler::new(kind, resources, base_speed, preemptive);
-        s.cores = cores;
-        s.holds = holds;
-        s
+    ) -> Result<Self, String> {
+        resources.validate()?;
+        if !(base_speed.is_finite() && base_speed > 0.0) {
+            return Err(format!("site speed must be positive, got {base_speed}"));
+        }
+        if cores.len() != resources.cores {
+            return Err(format!(
+                "{} plans for {} cores",
+                cores.len(),
+                resources.cores
+            ));
+        }
+        let hold_ok = |h: &MemHold| {
+            h.start.is_finite() && h.end >= h.start && h.end.is_finite() && h.bytes >= 0.0
+        };
+        if !holds.iter().all(hold_ok) {
+            return Err("memory hold with a non-finite span or negative size".into());
+        }
+        Ok(SiteScheduler {
+            kind,
+            resources,
+            base_speed,
+            preemptive,
+            cores,
+            holds,
+        })
     }
 
     /// Snapshot accessors: `(base_speed, preemptive, holds)` — kind,
@@ -1178,7 +1200,8 @@ mod tests {
             preemptive,
             sched.core_plans().to_vec(),
             holds.to_vec(),
-        );
+        )
+        .unwrap();
         assert_eq!(rebuilt, sched);
         assert!((sched.effective_speed() - 3.0).abs() < 1e-12);
         assert!(sched.preemptive());

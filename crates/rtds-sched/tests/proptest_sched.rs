@@ -240,7 +240,7 @@ proptest! {
             false,
             cores.clone(),
             Vec::new(),
-        );
+        ).unwrap();
         if let Some(placed) = sched.satisfiable(&requests) {
             prop_assert!(
                 brute_force_satisfiable(&cores, &requests),
@@ -290,7 +290,7 @@ proptest! {
             false,
             vec![plan.clone()],
             Vec::new(),
-        );
+        ).unwrap();
         if let Some(schedule) = sched.admit_dag(&job, 0.0, None) {
             prop_assert!(schedule.completion <= job.deadline() + 1e-6);
             let mut check = plan.clone();
@@ -503,7 +503,8 @@ fn site_pair(
         preemptive,
         cores.to_vec(),
         holds.clone(),
-    );
+    )
+    .unwrap();
     let reference = RefSite {
         kind,
         resources,

@@ -108,24 +108,16 @@ fn link_key(a: SiteId, b: SiteId) -> (usize, usize) {
     }
 }
 
-/// The borrowed fault-plane state returned by [`FaultState::raw_parts`]:
-/// `(failed_links, down_sites, loss probability, RNG state words)`. Each
-/// failed link remembers the full [`LinkState`] to restore on recovery.
-pub type RawFaultParts<'a> = (
-    &'a BTreeMap<(usize, usize), LinkState>,
-    &'a [bool],
-    f64,
-    [u64; 4],
-);
-
 /// Engine-side fault bookkeeping: which links are failed (with the state to
 /// restore), which sites are down, and the message-loss plane.
 #[derive(Debug)]
 pub struct FaultState {
-    failed_links: BTreeMap<(usize, usize), LinkState>,
-    down_sites: Vec<bool>,
-    loss_probability: f64,
-    rng: StdRng,
+    // Crate-visible for the snapshot codec (`crate::snapshot`), which must
+    // capture the message-loss RNG position exactly.
+    pub(crate) failed_links: BTreeMap<(usize, usize), LinkState>,
+    pub(crate) down_sites: Vec<bool>,
+    pub(crate) loss_probability: f64,
+    pub(crate) rng: StdRng,
 }
 
 impl FaultState {
@@ -143,35 +135,6 @@ impl FaultState {
     /// Reseeds the message-loss RNG (only meaningful before any loss draw).
     pub fn reseed(&mut self, seed: u64) {
         self.rng = StdRng::seed_from_u64(seed);
-    }
-
-    /// The raw fault-plane state `(failed_links, down_sites, loss
-    /// probability, RNG state words)` for checkpointing mid-run. The RNG
-    /// words capture the message-loss stream position, so a restored run
-    /// draws the exact continuation of the loss sequence.
-    pub fn raw_parts(&self) -> RawFaultParts<'_> {
-        (
-            &self.failed_links,
-            &self.down_sites,
-            self.loss_probability,
-            self.rng.state(),
-        )
-    }
-
-    /// Rebuilds a fault plane from state captured by
-    /// [`FaultState::raw_parts`].
-    pub fn from_raw_parts(
-        failed_links: BTreeMap<(usize, usize), LinkState>,
-        down_sites: Vec<bool>,
-        loss_probability: f64,
-        rng_state: [u64; 4],
-    ) -> Self {
-        FaultState {
-            failed_links,
-            down_sites,
-            loss_probability,
-            rng: StdRng::from_state(rng_state),
-        }
     }
 
     /// Returns `true` if the link between `a` and `b` is currently failed.

@@ -21,9 +21,10 @@
 //!   [`engine::Simulator::run_streaming`] to inject arrivals on demand so
 //!   run length is bounded by time, not by how many arrivals fit in memory
 //!   (the open-loop generators live in the `rtds-workload` crate),
-//! * [`json`] is the deterministic hand-rolled JSON layer behind every
-//!   report and workload trace (the workspace `serde` is an offline no-op
-//!   stub),
+//! * [`json`] re-exports the deterministic hand-rolled JSON layer behind
+//!   every report, workload trace and snapshot; it is defined once, in the
+//!   dependency-free `rtds-trace` crate at the bottom of the crate graph
+//!   (the workspace `serde` is an offline no-op stub),
 //! * [`faults`] injects timed perturbations beyond the paper's base model
 //!   (link latency jitter, bandwidth brownouts, link failure/recovery, site
 //!   crash/recovery, probabilistic message loss) for the §13
@@ -60,7 +61,6 @@ pub mod engine;
 pub mod event;
 pub mod faults;
 pub(crate) mod flow;
-pub mod json;
 pub mod metrics_json;
 pub mod queue;
 pub mod snapshot;
@@ -71,10 +71,10 @@ pub use arrivals::{ArrivalProcess, ArrivalSchedule};
 pub use engine::{ArrivalSource, Context, EngineProfile, Protocol, Simulator, EVENT_CLASS_NAMES};
 pub use event::{Event, EventPayload};
 pub use faults::{FaultEvent, FaultState};
-pub use json::Json;
 pub use metrics_json::{metrics_to_json, summary_to_json};
 pub use queue::{CalendarQueue, EventId};
 pub use rtds_metrics::{Gauge, Histogram, HistogramSummary, MetricsRegistry, Scope};
-pub use snapshot::{restore_engine, snapshot_engine, SnapshotError, ENGINE_SNAPSHOT_SCHEMA};
+pub use rtds_trace::json::{self, Json};
+pub use snapshot::{Snap, SnapshotError, ENGINE_SNAPSHOT_SCHEMA};
 pub use stats::{GuaranteeStats, SimStats};
 pub use trace::{Phase, SpanId, Trace, TraceEvent, TracePayload, TraceSink};

@@ -1,4 +1,5 @@
-//! Deterministic engine snapshot/restore (`rtds-engine-snapshot/1`).
+//! Deterministic engine snapshot/restore (`rtds-engine-snapshot/1`) and the
+//! [`Snap`] trait every snapshot layer is written in.
 //!
 //! A snapshot captures everything the engine needs to continue a run with
 //! bit-identical behaviour: the pending-event queue (in pop order, with
@@ -6,19 +7,26 @@
 //! message-loss RNG position, the mutated topology (per-site adjacency
 //! **insertion order** is semantic — broadcast order follows it), the
 //! statistics registry and the dispatch counters. Protocol node state and
-//! wire messages are domain types the engine knows nothing about, so
-//! [`snapshot_engine`] / [`restore_engine`] take codec closures; the RTDS
-//! node codecs live in `rtds-core`.
+//! wire messages are domain types the engine knows nothing about beyond
+//! their own [`Snap`] impls; the RTDS ones live in `rtds-core`.
 //!
 //! Deliberately **not** captured: trace recorders, the engine self-profile
 //! wall clocks and the ordering log. They are observability surfaces whose
 //! content is allowed to differ between an interrupted and an
 //! uninterrupted run; a restored engine restarts them disabled.
 //!
-//! Every `f64` is serialized as its IEEE-754 bit pattern (a JSON integer),
-//! so restore is exact by construction — including the `±inf` min/max
-//! sentinels of empty histograms, which the workspace's JSON layer would
-//! otherwise flatten to `null`.
+//! # One encoding
+//!
+//! [`Snap`] is implemented once per shape — `f64` as its IEEE-754 bit
+//! pattern (a JSON integer, so restore is exact by construction, including
+//! the `±inf` min/max sentinels of empty histograms that the JSON layer
+//! would otherwise flatten to `null`), integers through `try_from`, `bool`,
+//! `String`, `Option` as `null`-or-value, sequences as arrays, `BTreeMap` as
+//! an array of `[key, value]` pairs, tuples and `[T; N]` as fixed-length
+//! arrays, [`SiteId`] range-checked against the topology being restored —
+//! and every structure's codec is an impl that composes those. A snapshot is
+//! untrusted input: decoding returns a [`SnapshotError`] naming the
+//! offending field's [`Path`], and never panics.
 
 use crate::engine::{Protocol, Simulator};
 use crate::event::EventPayload;
@@ -26,12 +34,16 @@ use crate::faults::{FaultEvent, FaultState};
 use crate::flow::{EngineFlow, FlowPlane};
 use crate::json::Json;
 use crate::queue::CalendarQueue;
-use crate::stats::SimStats;
+use crate::stats::{GuaranteeStats, SimStats};
+use rand::rngs::StdRng;
 use rtds_flow::FlowModel;
 use rtds_metrics::{Gauge, Histogram, MetricsRegistry, Scope, BUCKET_COUNT};
+use rtds_net::routing::RouteEntry;
+use rtds_net::sphere::Sphere;
 use rtds_net::{LinkState, Network, SiteId};
-use std::collections::BTreeMap;
-use std::sync::Mutex;
+use std::collections::{BTreeMap, VecDeque};
+use std::fmt;
+use std::sync::{Arc, Mutex};
 
 /// Schema tag of the engine snapshot format.
 pub const ENGINE_SNAPSHOT_SCHEMA: &str = "rtds-engine-snapshot/1";
@@ -43,81 +55,337 @@ pub const FLOW_SNAPSHOT_SCHEMA: &str = "rtds-flow-snapshot/1";
 #[derive(Debug, Clone, PartialEq)]
 pub struct SnapshotError(pub String);
 
-impl std::fmt::Display for SnapshotError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+impl fmt::Display for SnapshotError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "snapshot error: {}", self.0)
     }
 }
 
 impl std::error::Error for SnapshotError {}
 
-fn err(message: impl Into<String>) -> SnapshotError {
-    SnapshotError(message.into())
+// ----- the trait -----------------------------------------------------------
+
+/// Where in a snapshot document a value sits: a chain of object keys and
+/// array indices kept on the decoder's stack and rendered (`engine.queue.
+/// events[3][2]`) only when an error is raised. The path also carries the
+/// one piece of context decoding needs — the site count of the topology
+/// being restored, which every decoded [`SiteId`] is checked against.
+#[derive(Debug, Clone, Copy)]
+pub struct Path<'a> {
+    parent: Option<&'a Path<'a>>,
+    key: &'a str,
+    index: Option<usize>,
+    sites: usize,
 }
 
-// ----- field helpers -------------------------------------------------------
+impl<'a> Path<'a> {
+    /// The root of a document, named for error messages. Site ids are
+    /// unbounded until [`Path::within`] narrows them.
+    pub fn root(name: &'a str) -> Path<'a> {
+        Path {
+            parent: None,
+            key: name,
+            index: None,
+            sites: usize::MAX,
+        }
+    }
 
-/// Serializes an `f64` as its exact bit pattern.
-pub fn f64_bits(x: f64) -> Json {
-    Json::UInt(x.to_bits())
-}
+    /// The path of object field `key` under this one.
+    pub fn key(&'a self, key: &'a str) -> Path<'a> {
+        Path {
+            parent: Some(self),
+            key,
+            index: None,
+            sites: self.sites,
+        }
+    }
 
-/// Inverse of [`f64_bits`].
-pub fn f64_from_bits(j: &Json, what: &str) -> Result<f64, SnapshotError> {
-    j.as_u64()
-        .map(f64::from_bits)
-        .ok_or_else(|| err(format!("{what}: expected f64 bit pattern")))
-}
+    /// The path of array element `index` under this one.
+    pub fn index(&'a self, index: usize) -> Path<'a> {
+        Path {
+            parent: Some(self),
+            key: "",
+            index: Some(index),
+            sites: self.sites,
+        }
+    }
 
-/// Looks up a required object field.
-pub fn get<'a>(doc: &'a Json, key: &str) -> Result<&'a Json, SnapshotError> {
-    doc.get(key)
-        .ok_or_else(|| err(format!("missing field {key:?}")))
-}
+    /// The same path, with site ids below it bounded by `sites`.
+    pub fn within(&self, sites: usize) -> Path<'a> {
+        Path { sites, ..*self }
+    }
 
-/// Looks up a required unsigned-integer field.
-pub fn get_u64(doc: &Json, key: &str) -> Result<u64, SnapshotError> {
-    get(doc, key)?
-        .as_u64()
-        .ok_or_else(|| err(format!("{key}: expected unsigned integer")))
-}
+    /// The site count decoded [`SiteId`]s must stay below.
+    pub fn sites(&self) -> usize {
+        self.sites
+    }
 
-/// Looks up a required bit-pattern-encoded `f64` field.
-pub fn get_f64(doc: &Json, key: &str) -> Result<f64, SnapshotError> {
-    f64_from_bits(get(doc, key)?, key)
-}
-
-/// Looks up a required boolean field.
-pub fn get_bool(doc: &Json, key: &str) -> Result<bool, SnapshotError> {
-    match get(doc, key)? {
-        Json::Bool(b) => Ok(*b),
-        _ => Err(err(format!("{key}: expected bool"))),
+    /// An error at this path.
+    pub fn err(&self, message: impl fmt::Display) -> SnapshotError {
+        SnapshotError(format!("{self}: {message}"))
     }
 }
 
-/// Looks up a required array field.
-pub fn get_items<'a>(doc: &'a Json, key: &str) -> Result<&'a [Json], SnapshotError> {
-    get(doc, key)?
-        .items()
-        .ok_or_else(|| err(format!("{key}: expected array")))
+impl fmt::Display for Path<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match (self.parent, self.index) {
+            (None, _) => f.write_str(self.key),
+            (Some(parent), Some(index)) => write!(f, "{parent}[{index}]"),
+            (Some(parent), None) => write!(f, "{parent}.{}", self.key),
+        }
+    }
 }
 
-/// Interprets a value as an unsigned integer.
-pub fn as_u64(j: &Json, what: &str) -> Result<u64, SnapshotError> {
-    j.as_u64()
-        .ok_or_else(|| err(format!("{what}: expected unsigned integer")))
+/// A value with one snapshot encoding and its exact inverse.
+pub trait Snap: Sized {
+    /// The value as a snapshot document fragment.
+    fn encode(&self) -> Json;
+
+    /// Inverse of [`Snap::encode`]; `path` locates `j` for error messages.
+    fn decode(j: &Json, path: &Path<'_>) -> Result<Self, SnapshotError>;
 }
 
-/// Interprets a value as an array.
-pub fn as_items<'a>(j: &'a Json, what: &str) -> Result<&'a [Json], SnapshotError> {
+/// Decodes the required field `key` of object `doc`.
+pub fn field<T: Snap>(doc: &Json, path: &Path<'_>, key: &str) -> Result<T, SnapshotError> {
+    field_with(doc, path, key, T::decode)
+}
+
+/// [`field`] with an explicit decoder, for values whose type cannot
+/// implement [`Snap`] (the crate that owns it sits below this one).
+pub fn field_with<T>(
+    doc: &Json,
+    path: &Path<'_>,
+    key: &str,
+    decode: impl FnOnce(&Json, &Path<'_>) -> Result<T, SnapshotError>,
+) -> Result<T, SnapshotError> {
+    let path = path.key(key);
+    decode(
+        doc.get(key).ok_or_else(|| path.err("missing field"))?,
+        &path,
+    )
+}
+
+/// `x`, refused unless finite and non-negative — what a delay, a distance, a
+/// volume or a surplus must be before the protocol sorts or schedules by it.
+pub fn non_negative(x: f64, path: &Path<'_>) -> Result<f64, SnapshotError> {
+    if x.is_finite() && x >= 0.0 {
+        Ok(x)
+    } else {
+        Err(path.err(format!("{x} is not a finite non-negative number")))
+    }
+}
+
+/// Checks the `schema` field of a versioned section.
+pub fn expect_schema(doc: &Json, path: &Path<'_>, want: &str) -> Result<(), SnapshotError> {
+    let schema: String = field(doc, path, "schema")?;
+    if schema == want {
+        Ok(())
+    } else {
+        Err(path.err(format!("unsupported schema {schema:?} (expected {want:?})")))
+    }
+}
+
+/// A `{"k": kind, …fields}` object — the shape of every enum variant.
+pub fn tagged(kind: &str, mut fields: Vec<(&str, Json)>) -> Json {
+    fields.insert(0, ("k", Json::str(kind)));
+    Json::object(fields)
+}
+
+/// Encodes borrowed items as an array (the encode half of every sequence
+/// impl, public for slices and iterators that are not themselves [`Snap`]).
+pub fn encode_all<'a, T: Snap + 'a>(items: impl IntoIterator<Item = &'a T>) -> Json {
+    Json::Array(items.into_iter().map(Snap::encode).collect())
+}
+
+/// Decodes every element of array `j` with `decode`, each under its index
+/// (the decode half of every sequence impl).
+pub fn decode_each<T, C: FromIterator<T>>(
+    j: &Json,
+    path: &Path<'_>,
+    decode: impl Fn(&Json, &Path<'_>) -> Result<T, SnapshotError>,
+) -> Result<C, SnapshotError> {
     j.items()
-        .ok_or_else(|| err(format!("{what}: expected array")))
+        .ok_or_else(|| path.err("expected array"))?
+        .iter()
+        .enumerate()
+        .map(|(i, item)| decode(item, &path.index(i)))
+        .collect()
 }
 
-/// Interprets a value as a string.
-pub fn as_str<'a>(j: &'a Json, what: &str) -> Result<&'a str, SnapshotError> {
-    j.as_str()
-        .ok_or_else(|| err(format!("{what}: expected string")))
+// ----- primitives and containers -------------------------------------------
+
+/// A full-range 64-bit word: a float's bit pattern, an RNG state word, a
+/// seed, an opaque id, the "no cap" sentinel of an event budget.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Word(pub u64);
+
+impl Snap for Word {
+    fn encode(&self) -> Json {
+        Json::UInt(self.0)
+    }
+
+    fn decode(j: &Json, path: &Path<'_>) -> Result<Self, SnapshotError> {
+        let word = j.as_u64();
+        word.map(Word)
+            .ok_or_else(|| path.err("expected unsigned integer"))
+    }
+}
+
+/// Counts, ids and sizes. None legitimately comes within a factor of two of
+/// its type's range, and refusing those that do keeps every later `+ 1` on
+/// a restored counter from overflowing.
+macro_rules! snap_uint {
+    ($($int:ty),*) => {$(
+        impl Snap for $int {
+            fn encode(&self) -> Json {
+                // Widening (or identity) on every supported target.
+                Json::UInt(*self as u64)
+            }
+
+            fn decode(j: &Json, path: &Path<'_>) -> Result<Self, SnapshotError> {
+                let Word(wide) = Word::decode(j, path)?;
+                <$int>::try_from(wide)
+                    .ok()
+                    .filter(|n| *n <= <$int>::MAX / 2)
+                    .ok_or_else(|| path.err(format!("{wide} is out of range")))
+            }
+        }
+    )*};
+}
+
+snap_uint!(u64, u32, usize);
+
+impl Snap for f64 {
+    fn encode(&self) -> Json {
+        Json::UInt(self.to_bits())
+    }
+
+    fn decode(j: &Json, path: &Path<'_>) -> Result<Self, SnapshotError> {
+        Word::decode(j, path).map(|Word(bits)| f64::from_bits(bits))
+    }
+}
+
+impl Snap for bool {
+    fn encode(&self) -> Json {
+        Json::Bool(*self)
+    }
+
+    fn decode(j: &Json, path: &Path<'_>) -> Result<Self, SnapshotError> {
+        match j {
+            Json::Bool(b) => Ok(*b),
+            _ => Err(path.err("expected bool")),
+        }
+    }
+}
+
+impl Snap for String {
+    fn encode(&self) -> Json {
+        Json::str(self.as_str())
+    }
+
+    fn decode(j: &Json, path: &Path<'_>) -> Result<Self, SnapshotError> {
+        j.as_str()
+            .map(str::to_owned)
+            .ok_or_else(|| path.err("expected string"))
+    }
+}
+
+impl<T: Snap> Snap for Option<T> {
+    fn encode(&self) -> Json {
+        self.as_ref().map_or(Json::Null, Snap::encode)
+    }
+
+    fn decode(j: &Json, path: &Path<'_>) -> Result<Self, SnapshotError> {
+        match j {
+            Json::Null => Ok(None),
+            value => T::decode(value, path).map(Some),
+        }
+    }
+}
+
+macro_rules! snap_seq {
+    ($($seq:ty),*) => {$(
+        impl<T: Snap> Snap for $seq {
+            fn encode(&self) -> Json {
+                encode_all(self.iter())
+            }
+
+            fn decode(j: &Json, path: &Path<'_>) -> Result<Self, SnapshotError> {
+                decode_each(j, path, T::decode)
+            }
+        }
+    )*};
+}
+
+snap_seq!(Vec<T>, VecDeque<T>, Arc<[T]>);
+
+impl<T: Snap, const N: usize> Snap for [T; N] {
+    fn encode(&self) -> Json {
+        encode_all(self)
+    }
+
+    fn decode(j: &Json, path: &Path<'_>) -> Result<Self, SnapshotError> {
+        Vec::decode(j, path)?
+            .try_into()
+            .map_err(|_| path.err(format!("expected {N} entries")))
+    }
+}
+
+impl<K: Snap + Ord, V: Snap> Snap for BTreeMap<K, V> {
+    fn encode(&self) -> Json {
+        Json::Array(
+            self.iter()
+                .map(|(k, v)| Json::Array(vec![k.encode(), v.encode()]))
+                .collect(),
+        )
+    }
+
+    fn decode(j: &Json, path: &Path<'_>) -> Result<Self, SnapshotError> {
+        decode_each(j, path, <(K, V)>::decode)
+    }
+}
+
+macro_rules! snap_tuple {
+    ($len:literal: $($name:ident $idx:tt),+) => {
+        impl<$($name: Snap),+> Snap for ($($name,)+) {
+            fn encode(&self) -> Json {
+                Json::Array(vec![$(self.$idx.encode()),+])
+            }
+
+            fn decode(j: &Json, path: &Path<'_>) -> Result<Self, SnapshotError> {
+                match j.items() {
+                    Some(items) if items.len() == $len => {
+                        Ok(($($name::decode(&items[$idx], &path.index($idx))?,)+))
+                    }
+                    _ => Err(path.err(concat!("expected an array of ", $len, " entries"))),
+                }
+            }
+        }
+    };
+}
+
+snap_tuple!(2: A 0, B 1);
+snap_tuple!(3: A 0, B 1, C 2);
+snap_tuple!(4: A 0, B 1, C 2, D 3);
+
+/// A site id, refused unless it names a site of the topology being restored
+/// (see [`Path::within`]) — so no decoded id can index out of range later.
+impl Snap for SiteId {
+    fn encode(&self) -> Json {
+        self.0.encode()
+    }
+
+    fn decode(j: &Json, path: &Path<'_>) -> Result<Self, SnapshotError> {
+        let site = usize::decode(j, path)?;
+        if site < path.sites() {
+            Ok(SiteId(site))
+        } else {
+            Err(path.err(format!(
+                "site {site} outside the {}-site topology",
+                path.sites()
+            )))
+        }
+    }
 }
 
 // ----- name interning ------------------------------------------------------
@@ -131,7 +399,8 @@ static INTERNED: Mutex<BTreeMap<String, &'static str>> = Mutex::new(BTreeMap::ne
 /// Returns a `&'static str` with the given content (leaked once per
 /// distinct name, process-wide).
 pub fn intern(name: &str) -> &'static str {
-    let mut table = INTERNED.lock().expect("intern table poisoned");
+    // Every update leaves the table valid, so a poisoned lock is still usable.
+    let mut table = INTERNED.lock().unwrap_or_else(|e| e.into_inner());
     if let Some(&interned) = table.get(name) {
         return interned;
     }
@@ -142,754 +411,610 @@ pub fn intern(name: &str) -> &'static str {
 
 // ----- metrics -------------------------------------------------------------
 
-fn encode_scope(scope: Scope) -> Json {
-    match scope {
-        Scope::Global => Json::str("g"),
-        Scope::Phase(p) => Json::Array(vec![Json::str("p"), Json::UInt(p as u64)]),
-        Scope::Site(s) => Json::Array(vec![Json::str("s"), Json::UInt(s as u64)]),
+/// `"g"`, `["p", phase]` or `["s", site]`.
+impl Snap for Scope {
+    fn encode(&self) -> Json {
+        match *self {
+            Scope::Global => Json::str("g"),
+            Scope::Phase(p) => Json::Array(vec![Json::str("p"), p.encode()]),
+            Scope::Site(s) => Json::Array(vec![Json::str("s"), s.encode()]),
+        }
+    }
+
+    fn decode(j: &Json, path: &Path<'_>) -> Result<Self, SnapshotError> {
+        if j.as_str() == Some("g") {
+            return Ok(Scope::Global);
+        }
+        let (kind, n) = <(String, u32)>::decode(j, path)?;
+        match kind.as_str() {
+            "p" => Ok(Scope::Phase(n)),
+            "s" => Ok(Scope::Site(n)),
+            other => Err(path.err(format!("unknown scope kind {other:?}"))),
+        }
     }
 }
 
-fn decode_scope(j: &Json) -> Result<Scope, SnapshotError> {
-    if let Some("g") = j.as_str() {
-        return Ok(Scope::Global);
+/// Count, exact min/max and the non-empty buckets as `[index, count]`.
+impl Snap for Histogram {
+    fn encode(&self) -> Json {
+        let (count, min, max, buckets) = self.raw_parts();
+        let nonzero = buckets
+            .iter()
+            .enumerate()
+            .filter(|(_, &n)| n > 0)
+            .map(|(i, &n)| (i, n).encode())
+            .collect();
+        Json::object(vec![
+            ("count", count.encode()),
+            ("min", min.encode()),
+            ("max", max.encode()),
+            ("buckets", Json::Array(nonzero)),
+        ])
     }
-    let parts = as_items(j, "scope")?;
-    if parts.len() != 2 {
-        return Err(err("scope: expected [kind, index]"));
-    }
-    let n = as_u64(&parts[1], "scope index")? as u32;
-    match as_str(&parts[0], "scope kind")? {
-        "p" => Ok(Scope::Phase(n)),
-        "s" => Ok(Scope::Site(n)),
-        other => Err(err(format!("scope: unknown kind {other:?}"))),
+
+    fn decode(doc: &Json, path: &Path<'_>) -> Result<Self, SnapshotError> {
+        let mut buckets = [0u64; BUCKET_COUNT];
+        for (index, n) in field::<Vec<(usize, u64)>>(doc, path, "buckets")? {
+            *buckets
+                .get_mut(index)
+                .ok_or_else(|| path.err(format!("bucket index {index} out of range")))? = n;
+        }
+        Ok(Histogram::from_raw_parts(
+            field(doc, path, "count")?,
+            field(doc, path, "min")?,
+            field(doc, path, "max")?,
+            buckets,
+        ))
     }
 }
 
-fn encode_histogram(h: &Histogram) -> Json {
-    let (count, min, max, buckets) = h.raw_parts();
-    let nonzero: Vec<Json> = buckets
-        .iter()
-        .enumerate()
-        .filter(|(_, &n)| n > 0)
-        .map(|(i, &n)| Json::Array(vec![Json::UInt(i as u64), Json::UInt(n)]))
-        .collect();
-    Json::object(vec![
-        ("count", Json::UInt(count)),
-        ("min", f64_bits(min)),
-        ("max", f64_bits(max)),
-        ("buckets", Json::Array(nonzero)),
-    ])
-}
-
-fn decode_histogram(doc: &Json) -> Result<Histogram, SnapshotError> {
-    let mut buckets = [0u64; BUCKET_COUNT];
-    for entry in get_items(doc, "buckets")? {
-        let pair = as_items(entry, "histogram bucket")?;
-        if pair.len() != 2 {
-            return Err(err("histogram bucket: expected [index, count]"));
-        }
-        let index = as_u64(&pair[0], "bucket index")? as usize;
-        if index >= BUCKET_COUNT {
-            return Err(err(format!("bucket index {index} out of range")));
-        }
-        buckets[index] = as_u64(&pair[1], "bucket count")?;
-    }
-    Ok(Histogram::from_raw_parts(
-        get_u64(doc, "count")?,
-        get_f64(doc, "min")?,
-        get_f64(doc, "max")?,
-        buckets,
-    ))
-}
-
-/// Serializes a metrics registry (counters, scoped counters, gauges,
-/// histograms) with exact float bits.
-pub fn encode_registry(reg: &MetricsRegistry) -> Json {
-    let counters: Vec<Json> = reg
-        .global_counters()
-        .map(|(name, value)| Json::Array(vec![Json::str(name), Json::UInt(value)]))
-        .collect();
-    let scoped: Vec<Json> = reg
-        .scoped_counter_families()
-        .map(|(name, scopes)| {
-            let entries: Vec<Json> = scopes
-                .iter()
-                .map(|(s, v)| Json::Array(vec![encode_scope(*s), Json::UInt(*v)]))
-                .collect();
-            Json::Array(vec![Json::str(name), Json::Array(entries)])
-        })
-        .collect();
-    let gauges: Vec<Json> = reg
-        .gauge_families()
-        .map(|(name, scopes)| {
-            let entries: Vec<Json> = scopes
-                .iter()
-                .map(|(s, g)| {
-                    Json::Array(vec![encode_scope(*s), f64_bits(g.last), f64_bits(g.peak)])
-                })
-                .collect();
-            Json::Array(vec![Json::str(name), Json::Array(entries)])
-        })
-        .collect();
-    let histograms: Vec<Json> = reg
-        .histogram_families()
-        .map(|(name, scopes)| {
-            let entries: Vec<Json> = scopes
-                .iter()
-                .map(|(s, h)| Json::Array(vec![encode_scope(*s), encode_histogram(h)]))
-                .collect();
-            Json::Array(vec![Json::str(name), Json::Array(entries)])
-        })
-        .collect();
-    Json::object(vec![
-        ("counters", Json::Array(counters)),
-        ("scoped", Json::Array(scoped)),
-        ("gauges", Json::Array(gauges)),
-        ("histograms", Json::Array(histograms)),
-    ])
-}
-
-/// Restores a registry serialized by [`encode_registry`] into `reg`
-/// (which should be empty).
-pub fn decode_registry_into(reg: &mut MetricsRegistry, doc: &Json) -> Result<(), SnapshotError> {
-    for entry in get_items(doc, "counters")? {
-        let pair = as_items(entry, "counter")?;
-        if pair.len() != 2 {
-            return Err(err("counter: expected [name, value]"));
-        }
-        reg.add(
-            intern(as_str(&pair[0], "counter name")?),
-            as_u64(&pair[1], "counter value")?,
-        );
-    }
-    for entry in get_items(doc, "scoped")? {
-        let pair = as_items(entry, "scoped counter")?;
-        if pair.len() != 2 {
-            return Err(err("scoped counter: expected [name, entries]"));
-        }
-        let name = intern(as_str(&pair[0], "scoped counter name")?);
-        for scoped in as_items(&pair[1], "scoped counter entries")? {
-            let sv = as_items(scoped, "scoped counter entry")?;
-            if sv.len() != 2 {
-                return Err(err("scoped counter entry: expected [scope, value]"));
-            }
-            reg.add_scoped(name, decode_scope(&sv[0])?, as_u64(&sv[1], "scoped value")?);
-        }
-    }
-    for entry in get_items(doc, "gauges")? {
-        let pair = as_items(entry, "gauge")?;
-        if pair.len() != 2 {
-            return Err(err("gauge: expected [name, entries]"));
-        }
-        let name = intern(as_str(&pair[0], "gauge name")?);
-        for scoped in as_items(&pair[1], "gauge entries")? {
-            let sv = as_items(scoped, "gauge entry")?;
-            if sv.len() != 3 {
-                return Err(err("gauge entry: expected [scope, last, peak]"));
-            }
-            let gauge = Gauge {
-                last: f64_from_bits(&sv[1], "gauge last")?,
-                peak: f64_from_bits(&sv[2], "gauge peak")?,
+/// Counters, scoped counters, gauges and histograms as `[name, …]` rows in
+/// name order, with exact float bits.
+impl Snap for MetricsRegistry {
+    fn encode(&self) -> Json {
+        fn families<'a, V: 'a>(
+            families: impl Iterator<Item = (&'static str, &'a BTreeMap<Scope, V>)>,
+            entry: impl Fn(&Scope, &V) -> Json,
+        ) -> Json {
+            let row = |(name, scopes): (&str, &BTreeMap<Scope, V>)| {
+                let entries = scopes.iter().map(|(s, v)| entry(s, v)).collect();
+                Json::Array(vec![Json::str(name), Json::Array(entries)])
             };
-            reg.gauge_restore(name, decode_scope(&sv[0])?, gauge);
+            Json::Array(families.map(row).collect())
         }
+        let counters = self
+            .global_counters()
+            .map(|(name, value)| Json::Array(vec![Json::str(name), value.encode()]))
+            .collect();
+        Json::object(vec![
+            ("counters", Json::Array(counters)),
+            (
+                "scoped",
+                families(self.scoped_counter_families(), |s, v| (*s, *v).encode()),
+            ),
+            (
+                "gauges",
+                families(self.gauge_families(), |s, g| (*s, g.last, g.peak).encode()),
+            ),
+            (
+                "histograms",
+                families(self.histogram_families(), |s, h| {
+                    Json::Array(vec![s.encode(), h.encode()])
+                }),
+            ),
+        ])
     }
-    for entry in get_items(doc, "histograms")? {
-        let pair = as_items(entry, "histogram")?;
-        if pair.len() != 2 {
-            return Err(err("histogram: expected [name, entries]"));
+
+    fn decode(doc: &Json, path: &Path<'_>) -> Result<Self, SnapshotError> {
+        type Families<V> = Vec<(String, Vec<V>)>;
+        let mut reg = MetricsRegistry::new();
+        for (name, value) in field::<Vec<(String, u64)>>(doc, path, "counters")? {
+            reg.add(intern(&name), value);
         }
-        let name = intern(as_str(&pair[0], "histogram name")?);
-        for scoped in as_items(&pair[1], "histogram entries")? {
-            let sv = as_items(scoped, "histogram entry")?;
-            if sv.len() != 2 {
-                return Err(err("histogram entry: expected [scope, state]"));
+        for (name, scopes) in field::<Families<(Scope, u64)>>(doc, path, "scoped")? {
+            for (scope, value) in scopes {
+                reg.add_scoped(intern(&name), scope, value);
             }
-            reg.histogram_restore(name, decode_scope(&sv[0])?, decode_histogram(&sv[1])?);
         }
+        for (name, scopes) in field::<Families<(Scope, f64, f64)>>(doc, path, "gauges")? {
+            for (scope, last, peak) in scopes {
+                reg.gauge_restore(intern(&name), scope, Gauge { last, peak });
+            }
+        }
+        for (name, scopes) in field::<Families<(Scope, Histogram)>>(doc, path, "histograms")? {
+            for (scope, histogram) in scopes {
+                reg.histogram_restore(intern(&name), scope, histogram);
+            }
+        }
+        Ok(reg)
     }
-    Ok(())
 }
 
-// ----- stats ---------------------------------------------------------------
+/// The engine statistics: message counters plus the registry.
+impl Snap for SimStats {
+    fn encode(&self) -> Json {
+        Json::object(vec![
+            ("messages_sent", self.messages_sent.encode()),
+            ("messages_delivered", self.messages_delivered.encode()),
+            ("metrics", self.metrics().encode()),
+        ])
+    }
 
-/// Serializes the engine statistics (message counters + registry).
-pub fn encode_stats(stats: &SimStats) -> Json {
-    Json::object(vec![
-        ("messages_sent", Json::UInt(stats.messages_sent)),
-        ("messages_delivered", Json::UInt(stats.messages_delivered)),
-        ("metrics", encode_registry(stats.metrics())),
-    ])
+    fn decode(doc: &Json, path: &Path<'_>) -> Result<Self, SnapshotError> {
+        let mut stats = SimStats::default();
+        stats.messages_sent = field(doc, path, "messages_sent")?;
+        stats.messages_delivered = field(doc, path, "messages_delivered")?;
+        *stats.metrics_mut() = field(doc, path, "metrics")?;
+        Ok(stats)
+    }
 }
 
-/// Inverse of [`encode_stats`].
-pub fn decode_stats(doc: &Json) -> Result<SimStats, SnapshotError> {
-    let mut stats = SimStats::default();
-    stats.messages_sent = get_u64(doc, "messages_sent")?;
-    stats.messages_delivered = get_u64(doc, "messages_delivered")?;
-    decode_registry_into(stats.metrics_mut(), get(doc, "metrics")?)?;
-    Ok(stats)
+/// The six guarantee counters, in declaration order.
+impl Snap for GuaranteeStats {
+    fn encode(&self) -> Json {
+        [
+            self.submitted,
+            self.accepted_locally,
+            self.accepted_distributed,
+            self.rejected,
+            self.completed_on_time,
+            self.deadline_misses,
+        ]
+        .encode()
+    }
+
+    fn decode(j: &Json, path: &Path<'_>) -> Result<Self, SnapshotError> {
+        let [submitted, accepted_locally, accepted_distributed, rejected, completed_on_time, deadline_misses] =
+            Snap::decode(j, path)?;
+        Ok(GuaranteeStats {
+            submitted,
+            accepted_locally,
+            accepted_distributed,
+            rejected,
+            completed_on_time,
+            deadline_misses,
+        })
+    }
 }
 
 // ----- topology ------------------------------------------------------------
 
-/// Serializes the (possibly fault-mutated) topology with its exact
-/// adjacency insertion order. Each adjacency entry is
-/// `[neighbor, delay_bits, bandwidth_bits]`.
-pub fn encode_network(net: &Network) -> Json {
-    let (adjacency, speeds) = net.raw_adjacency();
-    let bandwidths = net.raw_bandwidths();
-    let adjacency: Vec<Json> = adjacency
-        .iter()
-        .zip(bandwidths)
-        .map(|(neighbors, bws)| {
-            Json::Array(
-                neighbors
-                    .iter()
-                    .zip(bws)
-                    .map(|((n, d), bw)| {
-                        Json::Array(vec![Json::UInt(n.0 as u64), f64_bits(*d), f64_bits(*bw)])
-                    })
-                    .collect(),
-            )
-        })
-        .collect();
-    Json::object(vec![
-        ("adjacency", Json::Array(adjacency)),
-        (
-            "speeds",
-            Json::Array(speeds.iter().map(|&s| f64_bits(s)).collect()),
-        ),
-    ])
+/// The (possibly fault-mutated) topology with its exact adjacency insertion
+/// order; each adjacency entry is `[neighbor, delay, bandwidth]`. Neighbour
+/// ids beyond the site count and asymmetric lists are refused.
+impl Snap for Network {
+    fn encode(&self) -> Json {
+        let (adjacency, speeds) = self.raw_adjacency();
+        let rows = adjacency
+            .iter()
+            .zip(self.raw_bandwidths())
+            .map(|(neighbors, bandwidths)| {
+                let links = neighbors.iter().zip(bandwidths);
+                Json::Array(links.map(|(&(n, d), &bw)| (n, d, bw).encode()).collect())
+            })
+            .collect();
+        Json::object(vec![
+            ("adjacency", Json::Array(rows)),
+            ("speeds", encode_all(speeds)),
+        ])
+    }
+
+    fn decode(doc: &Json, path: &Path<'_>) -> Result<Self, SnapshotError> {
+        let speeds: Vec<f64> = field(doc, path, "speeds")?;
+        let rows: Vec<Vec<(SiteId, f64, f64)>> =
+            field(doc, &path.within(speeds.len()), "adjacency")?;
+        let adjacency = rows
+            .iter()
+            .map(|row| row.iter().map(|&(n, d, _)| (n, d)).collect())
+            .collect();
+        let bandwidths = rows
+            .iter()
+            .map(|row| row.iter().map(|&(_, _, bw)| bw).collect())
+            .collect();
+        Network::from_raw_parts(adjacency, bandwidths, speeds).map_err(|e| path.err(e))
+    }
 }
 
-/// Inverse of [`encode_network`]. Accepts two-entry adjacency links
-/// (`[neighbor, delay]`, written before links carried bandwidths) as
-/// unlimited-bandwidth links.
-pub fn decode_network(doc: &Json) -> Result<Network, SnapshotError> {
-    let mut adjacency = Vec::new();
-    let mut bandwidths = Vec::new();
-    for site in get_items(doc, "adjacency")? {
-        let mut neighbors = Vec::new();
-        let mut bws = Vec::new();
-        for link in as_items(site, "adjacency row")? {
-            let entry = as_items(link, "adjacency link")?;
-            if entry.len() != 2 && entry.len() != 3 {
-                return Err(err(
-                    "adjacency link: expected [neighbor, delay] or [neighbor, delay, bandwidth]",
-                ));
-            }
-            neighbors.push((
-                SiteId(as_u64(&entry[0], "neighbor")? as usize),
-                f64_from_bits(&entry[1], "link delay")?,
-            ));
-            bws.push(match entry.get(2) {
-                Some(bw) => f64_from_bits(bw, "link bandwidth")?,
-                None => f64::INFINITY,
-            });
+/// One route line as `[destination, distance, next_hop | null, hops]`.
+impl Snap for RouteEntry {
+    fn encode(&self) -> Json {
+        (self.destination, self.distance, self.next_hop, self.hops).encode()
+    }
+
+    fn decode(j: &Json, path: &Path<'_>) -> Result<Self, SnapshotError> {
+        let (destination, distance, next_hop, hops) = Snap::decode(j, path)?;
+        Ok(RouteEntry {
+            destination,
+            // Distances become routed-send delays.
+            distance: non_negative(distance, path)?,
+            next_hop,
+            hops,
+        })
+    }
+}
+
+impl Snap for Sphere {
+    fn encode(&self) -> Json {
+        Json::object(vec![
+            ("center", self.center.encode()),
+            ("radius", self.radius.encode()),
+            ("members", self.members.encode()),
+            ("delays", self.delays.encode()),
+            ("delay_diameter", self.delay_diameter.encode()),
+        ])
+    }
+
+    fn decode(doc: &Json, path: &Path<'_>) -> Result<Self, SnapshotError> {
+        let members: Vec<SiteId> = field(doc, path, "members")?;
+        let delays: Vec<f64> = field(doc, path, "delays")?;
+        if members.len() != delays.len() || !members.windows(2).all(|w| w[0] < w[1]) {
+            return Err(path.err("members must be sorted, with one delay each"));
         }
-        adjacency.push(neighbors);
-        bandwidths.push(bws);
+        for &delay in &delays {
+            non_negative(delay, path)?;
+        }
+        Ok(Sphere::new(
+            field(doc, path, "center")?,
+            field(doc, path, "radius")?,
+            members,
+            delays,
+            field(doc, path, "delay_diameter")?,
+        ))
     }
-    let speeds = get_items(doc, "speeds")?
-        .iter()
-        .map(|s| f64_from_bits(s, "speed"))
-        .collect::<Result<Vec<f64>, SnapshotError>>()?;
-    if adjacency.len() != speeds.len() {
-        return Err(err("network: adjacency/speeds length mismatch"));
-    }
-    Ok(Network::from_raw_parts(adjacency, bandwidths, speeds))
 }
 
 // ----- faults --------------------------------------------------------------
 
-/// Serializes the fault plane, including the message-loss RNG position.
-pub fn encode_faults(faults: &FaultState) -> Json {
-    let (failed_links, down_sites, loss, rng) = faults.raw_parts();
-    let failed: Vec<Json> = failed_links
-        .iter()
-        .map(|(&(a, b), state)| {
-            Json::Array(vec![
-                Json::UInt(a as u64),
-                Json::UInt(b as u64),
-                f64_bits(state.delay),
-                f64_bits(state.bandwidth),
-            ])
-        })
-        .collect();
-    Json::object(vec![
-        ("failed_links", Json::Array(failed)),
-        (
-            "down_sites",
-            Json::Array(down_sites.iter().map(|&d| Json::Bool(d)).collect()),
-        ),
-        ("loss_probability", f64_bits(loss)),
-        (
-            "rng",
-            Json::Array(rng.iter().map(|&w| Json::UInt(w)).collect()),
-        ),
-    ])
-}
+/// The fault plane, including the message-loss RNG position; failed links
+/// are `[a, b, delay, bandwidth]`.
+impl Snap for FaultState {
+    fn encode(&self) -> Json {
+        let failed = self
+            .failed_links
+            .iter()
+            .map(|(&(a, b), state)| (a, b, state.delay, state.bandwidth).encode())
+            .collect();
+        Json::object(vec![
+            ("failed_links", Json::Array(failed)),
+            ("down_sites", self.down_sites.encode()),
+            ("loss_probability", self.loss_probability.encode()),
+            ("rng", self.rng.state().map(Word).encode()),
+        ])
+    }
 
-/// Inverse of [`encode_faults`].
-pub fn decode_faults(doc: &Json) -> Result<FaultState, SnapshotError> {
-    let mut failed_links = BTreeMap::new();
-    for link in get_items(doc, "failed_links")? {
-        let entry = as_items(link, "failed link")?;
-        if entry.len() != 3 && entry.len() != 4 {
-            return Err(err(
-                "failed link: expected [a, b, delay] or [a, b, delay, bandwidth]",
-            ));
+    fn decode(doc: &Json, path: &Path<'_>) -> Result<Self, SnapshotError> {
+        let failed: Vec<(SiteId, SiteId, f64, f64)> = field(doc, path, "failed_links")?;
+        let loss_probability: f64 = field(doc, path, "loss_probability")?;
+        if !(0.0..=1.0).contains(&loss_probability) {
+            return Err(path.err("loss_probability outside [0, 1]"));
         }
-        failed_links.insert(
-            (
-                as_u64(&entry[0], "failed link endpoint")? as usize,
-                as_u64(&entry[1], "failed link endpoint")? as usize,
-            ),
-            LinkState {
-                delay: f64_from_bits(&entry[2], "failed link delay")?,
-                bandwidth: match entry.get(3) {
-                    Some(bw) => f64_from_bits(bw, "failed link bandwidth")?,
-                    None => f64::INFINITY,
-                },
-            },
-        );
-    }
-    let down_sites = get_items(doc, "down_sites")?
-        .iter()
-        .map(|j| match j {
-            Json::Bool(b) => Ok(*b),
-            _ => Err(err("down_sites: expected bool")),
+        Ok(FaultState {
+            failed_links: failed
+                .into_iter()
+                .map(|(a, b, delay, bandwidth)| ((a.0, b.0), LinkState { delay, bandwidth }))
+                .collect(),
+            down_sites: field(doc, path, "down_sites")?,
+            loss_probability,
+            rng: StdRng::from_state(field::<[Word; 4]>(doc, path, "rng")?.map(|Word(w)| w)),
         })
-        .collect::<Result<Vec<bool>, SnapshotError>>()?;
-    let rng_words = get_items(doc, "rng")?;
-    if rng_words.len() != 4 {
-        return Err(err("rng: expected 4 state words"));
     }
-    let mut rng = [0u64; 4];
-    for (slot, word) in rng.iter_mut().zip(rng_words) {
-        *slot = as_u64(word, "rng word")?;
-    }
-    Ok(FaultState::from_raw_parts(
-        failed_links,
-        down_sites,
-        get_f64(doc, "loss_probability")?,
-        rng,
-    ))
 }
 
-// ----- fault events (queue payloads) ---------------------------------------
-
-/// Serializes a scheduled perturbation.
-pub fn encode_fault_event(fault: &FaultEvent) -> Json {
-    match *fault {
-        FaultEvent::SetLinkDelay { a, b, delay } => Json::object(vec![
-            ("k", Json::str("delay")),
-            ("a", Json::UInt(a.0 as u64)),
-            ("b", Json::UInt(b.0 as u64)),
-            ("d", f64_bits(delay)),
-        ]),
-        FaultEvent::LinkDown { a, b } => Json::object(vec![
-            ("k", Json::str("link_down")),
-            ("a", Json::UInt(a.0 as u64)),
-            ("b", Json::UInt(b.0 as u64)),
-        ]),
-        FaultEvent::LinkUp { a, b } => Json::object(vec![
-            ("k", Json::str("link_up")),
-            ("a", Json::UInt(a.0 as u64)),
-            ("b", Json::UInt(b.0 as u64)),
-        ]),
-        FaultEvent::SiteDown { site } => Json::object(vec![
-            ("k", Json::str("site_down")),
-            ("s", Json::UInt(site.0 as u64)),
-        ]),
-        FaultEvent::SiteUp { site } => Json::object(vec![
-            ("k", Json::str("site_up")),
-            ("s", Json::UInt(site.0 as u64)),
-        ]),
-        FaultEvent::SetMessageLoss { probability } => {
-            Json::object(vec![("k", Json::str("loss")), ("p", f64_bits(probability))])
+/// A scheduled perturbation as a `{"k": kind, …}` object.
+impl Snap for FaultEvent {
+    fn encode(&self) -> Json {
+        let link = |kind, a: SiteId, b: SiteId, extra: Option<(&'static str, f64)>| {
+            let mut fields = vec![("a", a.encode()), ("b", b.encode())];
+            fields.extend(extra.map(|(key, x)| (key, x.encode())));
+            tagged(kind, fields)
+        };
+        match *self {
+            FaultEvent::SetLinkDelay { a, b, delay } => link("delay", a, b, Some(("d", delay))),
+            FaultEvent::LinkDown { a, b } => link("link_down", a, b, None),
+            FaultEvent::LinkUp { a, b } => link("link_up", a, b, None),
+            FaultEvent::SiteDown { site } => tagged("site_down", vec![("s", site.encode())]),
+            FaultEvent::SiteUp { site } => tagged("site_up", vec![("s", site.encode())]),
+            FaultEvent::SetMessageLoss { probability } => {
+                tagged("loss", vec![("p", probability.encode())])
+            }
+            FaultEvent::SetLinkBandwidth { a, b, bandwidth } => {
+                link("bw", a, b, Some(("w", bandwidth)))
+            }
         }
-        FaultEvent::SetLinkBandwidth { a, b, bandwidth } => Json::object(vec![
-            ("k", Json::str("bw")),
-            ("a", Json::UInt(a.0 as u64)),
-            ("b", Json::UInt(b.0 as u64)),
-            ("w", f64_bits(bandwidth)),
-        ]),
     }
-}
 
-/// Inverse of [`encode_fault_event`].
-pub fn decode_fault_event(doc: &Json) -> Result<FaultEvent, SnapshotError> {
-    let site =
-        |key: &str| -> Result<SiteId, SnapshotError> { Ok(SiteId(get_u64(doc, key)? as usize)) };
-    match as_str(get(doc, "k")?, "fault kind")? {
-        "delay" => Ok(FaultEvent::SetLinkDelay {
-            a: site("a")?,
-            b: site("b")?,
-            delay: get_f64(doc, "d")?,
-        }),
-        "link_down" => Ok(FaultEvent::LinkDown {
-            a: site("a")?,
-            b: site("b")?,
-        }),
-        "link_up" => Ok(FaultEvent::LinkUp {
-            a: site("a")?,
-            b: site("b")?,
-        }),
-        "site_down" => Ok(FaultEvent::SiteDown { site: site("s")? }),
-        "site_up" => Ok(FaultEvent::SiteUp { site: site("s")? }),
-        "loss" => Ok(FaultEvent::SetMessageLoss {
-            probability: get_f64(doc, "p")?,
-        }),
-        "bw" => Ok(FaultEvent::SetLinkBandwidth {
-            a: site("a")?,
-            b: site("b")?,
-            bandwidth: get_f64(doc, "w")?,
-        }),
-        other => Err(err(format!("unknown fault kind {other:?}"))),
+    fn decode(doc: &Json, path: &Path<'_>) -> Result<Self, SnapshotError> {
+        let (a, b) = (|| field(doc, path, "a"), || field(doc, path, "b"));
+        match field::<String>(doc, path, "k")?.as_str() {
+            "delay" => Ok(FaultEvent::SetLinkDelay {
+                a: a()?,
+                b: b()?,
+                delay: field(doc, path, "d")?,
+            }),
+            "link_down" => Ok(FaultEvent::LinkDown { a: a()?, b: b()? }),
+            "link_up" => Ok(FaultEvent::LinkUp { a: a()?, b: b()? }),
+            "site_down" => Ok(FaultEvent::SiteDown {
+                site: field(doc, path, "s")?,
+            }),
+            "site_up" => Ok(FaultEvent::SiteUp {
+                site: field(doc, path, "s")?,
+            }),
+            "loss" => Ok(FaultEvent::SetMessageLoss {
+                probability: field(doc, path, "p")?,
+            }),
+            "bw" => Ok(FaultEvent::SetLinkBandwidth {
+                a: a()?,
+                b: b()?,
+                bandwidth: field(doc, path, "w")?,
+            }),
+            other => Err(path.err(format!("unknown fault kind {other:?}"))),
+        }
     }
 }
 
 // ----- event payloads ------------------------------------------------------
 
-fn encode_payload<M>(payload: &EventPayload<M>, encode_msg: &impl Fn(&M) -> Json) -> Json {
-    match payload {
-        EventPayload::Deliver { from, message } => Json::object(vec![
-            ("k", Json::str("d")),
-            ("from", Json::UInt(from.0 as u64)),
-            ("msg", encode_msg(message)),
-        ]),
-        EventPayload::External { message } => {
-            Json::object(vec![("k", Json::str("e")), ("msg", encode_msg(message))])
+/// A queued event's payload as a `{"k": kind, …}` object.
+impl<M: Snap> Snap for EventPayload<M> {
+    fn encode(&self) -> Json {
+        match self {
+            EventPayload::Deliver { from, message } => tagged(
+                "d",
+                vec![("from", from.encode()), ("msg", message.encode())],
+            ),
+            EventPayload::External { message } => tagged("e", vec![("msg", message.encode())]),
+            EventPayload::Timer { timer_id } => tagged("t", vec![("id", timer_id.encode())]),
+            EventPayload::Fault { fault } => tagged("f", vec![("fault", fault.encode())]),
+            EventPayload::FlowStart {
+                from,
+                volume,
+                message,
+            } => tagged(
+                "fs",
+                vec![
+                    ("from", from.encode()),
+                    ("vol", volume.encode()),
+                    ("msg", message.encode()),
+                ],
+            ),
+            EventPayload::FlowFinish { flow, epoch } => {
+                tagged("ff", vec![("id", flow.encode()), ("ep", epoch.encode())])
+            }
         }
-        EventPayload::Timer { timer_id } => {
-            Json::object(vec![("k", Json::str("t")), ("id", Json::UInt(*timer_id))])
-        }
-        EventPayload::Fault { fault } => Json::object(vec![
-            ("k", Json::str("f")),
-            ("fault", encode_fault_event(fault)),
-        ]),
-        EventPayload::FlowStart {
-            from,
-            volume,
-            message,
-        } => Json::object(vec![
-            ("k", Json::str("fs")),
-            ("from", Json::UInt(from.0 as u64)),
-            ("vol", f64_bits(*volume)),
-            ("msg", encode_msg(message)),
-        ]),
-        EventPayload::FlowFinish { flow, epoch } => Json::object(vec![
-            ("k", Json::str("ff")),
-            ("id", Json::UInt(*flow)),
-            ("ep", Json::UInt(*epoch)),
-        ]),
     }
-}
 
-fn decode_payload<M>(
-    doc: &Json,
-    decode_msg: &impl Fn(&Json) -> Result<M, SnapshotError>,
-) -> Result<EventPayload<M>, SnapshotError> {
-    match as_str(get(doc, "k")?, "payload kind")? {
-        "d" => Ok(EventPayload::Deliver {
-            from: SiteId(get_u64(doc, "from")? as usize),
-            message: decode_msg(get(doc, "msg")?)?,
-        }),
-        "e" => Ok(EventPayload::External {
-            message: decode_msg(get(doc, "msg")?)?,
-        }),
-        "t" => Ok(EventPayload::Timer {
-            timer_id: get_u64(doc, "id")?,
-        }),
-        "f" => Ok(EventPayload::Fault {
-            fault: decode_fault_event(get(doc, "fault")?)?,
-        }),
-        "fs" => Ok(EventPayload::FlowStart {
-            from: SiteId(get_u64(doc, "from")? as usize),
-            volume: get_f64(doc, "vol")?,
-            message: decode_msg(get(doc, "msg")?)?,
-        }),
-        "ff" => Ok(EventPayload::FlowFinish {
-            flow: get_u64(doc, "id")?,
-            epoch: get_u64(doc, "ep")?,
-        }),
-        other => Err(err(format!("unknown payload kind {other:?}"))),
+    fn decode(doc: &Json, path: &Path<'_>) -> Result<Self, SnapshotError> {
+        match field::<String>(doc, path, "k")?.as_str() {
+            "d" => Ok(EventPayload::Deliver {
+                from: field(doc, path, "from")?,
+                message: field(doc, path, "msg")?,
+            }),
+            "e" => Ok(EventPayload::External {
+                message: field(doc, path, "msg")?,
+            }),
+            // A timer id is the protocol's own opaque word.
+            "t" => Ok(EventPayload::Timer {
+                timer_id: field::<Word>(doc, path, "id")?.0,
+            }),
+            "f" => Ok(EventPayload::Fault {
+                fault: field(doc, path, "fault")?,
+            }),
+            "fs" => Ok(EventPayload::FlowStart {
+                from: field(doc, path, "from")?,
+                volume: non_negative(field(doc, path, "vol")?, path)?,
+                message: field(doc, path, "msg")?,
+            }),
+            "ff" => Ok(EventPayload::FlowFinish {
+                flow: field(doc, path, "id")?,
+                epoch: field(doc, path, "ep")?,
+            }),
+            other => Err(path.err(format!("unknown payload kind {other:?}"))),
+        }
     }
 }
 
 // ----- flow plane ----------------------------------------------------------
 
-/// Serializes the shared-bandwidth plane (`rtds-flow-snapshot/1`): the
-/// plane-allocated link table with exact capacities, and every in-flight
-/// flow with its exact remaining volume and rate — rates are restored
-/// verbatim, **not** recomputed, so a restored run replays the same
+/// The shared-bandwidth plane (`rtds-flow-snapshot/1`): the plane-allocated
+/// link table `[a, b, id, capacity]` with exact capacities, and every
+/// in-flight flow with its exact remaining volume and rate — rates are
+/// restored verbatim, **not** recomputed, so a restored run replays the same
 /// completion predictions bit-for-bit.
-fn encode_flow_plane<M>(plane: &FlowPlane<M>, encode_msg: &impl Fn(&M) -> Json) -> Json {
-    let links: Vec<Json> = plane
-        .link_ids
-        .iter()
-        .map(|(&(a, b), &id)| {
-            Json::Array(vec![
-                Json::UInt(a as u64),
-                Json::UInt(b as u64),
-                Json::UInt(id as u64),
-                f64_bits(plane.model.link_capacity(id)),
-            ])
-        })
-        .collect();
-    let flows: Vec<Json> = plane
-        .flows
-        .iter()
-        .map(|(&id, f)| {
-            Json::object(vec![
-                ("id", Json::UInt(id)),
-                ("from", Json::UInt(f.from.0 as u64)),
-                ("to", Json::UInt(f.to.0 as u64)),
-                ("vol", f64_bits(f.volume)),
-                ("start", f64_bits(f.started)),
-                ("ep", Json::UInt(f.epoch)),
-                ("fin", f64_bits(f.finish)),
-                ("rem", f64_bits(plane.model.remaining(id))),
-                ("rate", f64_bits(plane.model.rate(id))),
-                (
-                    "links",
-                    Json::Array(
-                        f.links
-                            .iter()
-                            .map(|&(a, b)| {
-                                Json::Array(vec![Json::UInt(a as u64), Json::UInt(b as u64)])
-                            })
-                            .collect(),
-                    ),
-                ),
-                ("msg", encode_msg(&f.message)),
-            ])
-        })
-        .collect();
-    Json::object(vec![
-        ("schema", Json::str(FLOW_SNAPSHOT_SCHEMA)),
-        ("time", f64_bits(plane.model.time())),
-        ("next_id", Json::UInt(plane.model.next_id())),
-        ("next_epoch", Json::UInt(plane.next_epoch)),
-        ("links", Json::Array(links)),
-        ("flows", Json::Array(flows)),
-    ])
-}
+impl<M: Snap> Snap for FlowPlane<M> {
+    fn encode(&self) -> Json {
+        let links = self
+            .link_ids
+            .iter()
+            .map(|(&(a, b), &id)| (a, b, id, self.model.link_capacity(id)).encode())
+            .collect();
+        let flows = self
+            .flows
+            .iter()
+            .map(|(&id, f)| {
+                Json::object(vec![
+                    ("id", id.encode()),
+                    ("from", f.from.encode()),
+                    ("to", f.to.encode()),
+                    ("vol", f.volume.encode()),
+                    ("start", f.started.encode()),
+                    ("ep", f.epoch.encode()),
+                    ("fin", f.finish.encode()),
+                    ("rem", self.model.remaining(id).encode()),
+                    ("rate", self.model.rate(id).encode()),
+                    ("links", f.links.encode()),
+                    ("msg", f.message.encode()),
+                ])
+            })
+            .collect();
+        Json::object(vec![
+            ("schema", Json::str(FLOW_SNAPSHOT_SCHEMA)),
+            ("time", self.model.time().encode()),
+            ("next_id", self.model.next_id().encode()),
+            ("next_epoch", self.next_epoch.encode()),
+            ("links", Json::Array(links)),
+            ("flows", Json::Array(flows)),
+        ])
+    }
 
-/// Inverse of [`encode_flow_plane`].
-fn decode_flow_plane<M>(
-    doc: &Json,
-    decode_msg: &impl Fn(&Json) -> Result<M, SnapshotError>,
-) -> Result<FlowPlane<M>, SnapshotError> {
-    let schema = as_str(get(doc, "schema")?, "flow schema")?;
-    if schema != FLOW_SNAPSHOT_SCHEMA {
-        return Err(err(format!(
-            "unsupported flow snapshot schema {schema:?} (expected {FLOW_SNAPSHOT_SCHEMA:?})"
-        )));
-    }
-    let mut link_ids = BTreeMap::new();
-    let mut by_id: Vec<(u32, f64)> = Vec::new();
-    for entry in get_items(doc, "links")? {
-        let fields = as_items(entry, "flow link")?;
-        if fields.len() != 4 {
-            return Err(err("flow link: expected [a, b, id, capacity]"));
+    fn decode(doc: &Json, path: &Path<'_>) -> Result<Self, SnapshotError> {
+        expect_schema(doc, path, FLOW_SNAPSHOT_SCHEMA)?;
+        let mut links: Vec<(SiteId, SiteId, u32, f64)> = field(doc, path, "links")?;
+        let link_ids: BTreeMap<(usize, usize), u32> = links
+            .iter()
+            .map(|&(a, b, id, _)| ((a.0, b.0), id))
+            .collect();
+        links.sort_by_key(|&(_, _, id, _)| id);
+        if links
+            .iter()
+            .zip(0u32..)
+            .any(|(&(_, _, id, _), dense)| id != dense)
+        {
+            return Err(path.key("links").err("ids must be dense from 0"));
         }
-        let a = as_u64(&fields[0], "flow link endpoint")? as usize;
-        let b = as_u64(&fields[1], "flow link endpoint")? as usize;
-        let id = as_u64(&fields[2], "flow link id")? as u32;
-        link_ids.insert((a, b), id);
-        by_id.push((id, f64_from_bits(&fields[3], "flow link capacity")?));
-    }
-    by_id.sort_by_key(|&(id, _)| id);
-    if by_id
-        .iter()
-        .enumerate()
-        .any(|(i, &(id, _))| id as usize != i)
-    {
-        return Err(err("flow links: ids must be dense from 0"));
-    }
-    let capacities: Vec<f64> = by_id.into_iter().map(|(_, cap)| cap).collect();
-    let mut model_flows = Vec::new();
-    let mut flows = BTreeMap::new();
-    for entry in get_items(doc, "flows")? {
-        let id = get_u64(entry, "id")?;
-        let mut pair_links = Vec::new();
-        let mut model_links = Vec::new();
-        for link in get_items(entry, "links")? {
-            let pair = as_items(link, "flow path link")?;
-            if pair.len() != 2 {
-                return Err(err("flow path link: expected [a, b]"));
-            }
-            let a = as_u64(&pair[0], "flow path endpoint")? as usize;
-            let b = as_u64(&pair[1], "flow path endpoint")? as usize;
-            let link_id = *link_ids
-                .get(&(a, b))
-                .ok_or_else(|| err(format!("flow {id}: unknown path link ({a}, {b})")))?;
-            pair_links.push((a, b));
-            model_links.push(link_id);
+        let capacities = links.iter().map(|&(_, _, _, capacity)| capacity).collect();
+        type FlowRow<M> = (u64, EngineFlow<M>, Vec<u32>, f64, f64);
+        let decode_row = |entry: &Json, path: &Path<'_>| -> Result<FlowRow<M>, SnapshotError> {
+            let links: Vec<(SiteId, SiteId)> = field(entry, path, "links")?;
+            let links: Vec<(usize, usize)> = links.into_iter().map(|(a, b)| (a.0, b.0)).collect();
+            let model_links = links
+                .iter()
+                .map(|pair| link_ids.get(pair).copied())
+                .collect::<Option<Vec<u32>>>()
+                .ok_or_else(|| path.err("path crosses a link missing from the link table"))?;
+            let flow = EngineFlow {
+                from: field(entry, path, "from")?,
+                to: field(entry, path, "to")?,
+                message: field(entry, path, "msg")?,
+                volume: field(entry, path, "vol")?,
+                started: field(entry, path, "start")?,
+                epoch: field(entry, path, "ep")?,
+                links,
+                finish: field(entry, path, "fin")?,
+            };
+            Ok((
+                field(entry, path, "id")?,
+                flow,
+                model_links,
+                field(entry, path, "rem")?,
+                field(entry, path, "rate")?,
+            ))
+        };
+        let rows: Vec<FlowRow<M>> = field_with(doc, path, "flows", |j, path| {
+            decode_each(j, path, decode_row)
+        })?;
+        let mut model_flows = Vec::with_capacity(rows.len());
+        let mut flows = BTreeMap::new();
+        for (id, flow, links, remaining, rate) in rows {
+            model_flows.push((id, links, remaining, rate));
+            flows.insert(id, flow);
         }
-        model_flows.push((
-            id,
-            model_links,
-            get_f64(entry, "rem")?,
-            get_f64(entry, "rate")?,
-        ));
-        flows.insert(
-            id,
-            EngineFlow {
-                from: SiteId(get_u64(entry, "from")? as usize),
-                to: SiteId(get_u64(entry, "to")? as usize),
-                message: decode_msg(get(entry, "msg")?)?,
-                volume: get_f64(entry, "vol")?,
-                started: get_f64(entry, "start")?,
-                epoch: get_u64(entry, "ep")?,
-                links: pair_links,
-                finish: get_f64(entry, "fin")?,
-            },
-        );
+        let model = FlowModel::from_raw_parts(
+            capacities,
+            field(doc, path, "time")?,
+            field(doc, path, "next_id")?,
+            model_flows,
+        )
+        .map_err(|e| path.err(e))?;
+        Ok(FlowPlane {
+            model,
+            flows,
+            link_ids,
+            next_epoch: field(doc, path, "next_epoch")?,
+            topo_version: 0,
+        })
     }
-    let model = FlowModel::from_raw_parts(
-        capacities,
-        get_f64(doc, "time")?,
-        get_u64(doc, "next_id")?,
-        model_flows,
-    );
-    Ok(FlowPlane {
-        model,
-        flows,
-        link_ids,
-        next_epoch: get_u64(doc, "next_epoch")?,
-        topo_version: 0,
-    })
 }
 
 // ----- engine --------------------------------------------------------------
 
-/// Serializes the engine-owned state of a simulator. `encode_node` and
-/// `encode_msg` are the domain codecs (protocol node state and wire
-/// messages); the engine state itself — clock, queue, faults, topology,
-/// statistics — is captured exactly.
-pub fn snapshot_engine<P: Protocol>(
-    sim: &Simulator<P>,
-    encode_node: impl Fn(usize, &P) -> Json,
-    encode_msg: impl Fn(&P::Msg) -> Json,
-) -> Json {
-    let queue = sim.queue();
-    let mut events = Vec::with_capacity(queue.len());
-    queue.for_each_sorted(|time, seq, target, payload| {
-        events.push(Json::Array(vec![
-            f64_bits(time),
-            Json::UInt(seq),
-            Json::UInt(target.0 as u64),
-            encode_payload(payload, &encode_msg),
-        ]));
-    });
-    let dispatch = sim.profile().dispatch_counts;
-    Json::object(vec![
-        ("schema", Json::str(ENGINE_SNAPSHOT_SCHEMA)),
-        ("now", f64_bits(sim.now())),
-        ("started", Json::Bool(sim.started())),
-        ("max_events", Json::UInt(sim.max_events())),
-        ("events_processed", Json::UInt(sim.events_processed())),
-        (
-            "dispatch_counts",
-            Json::Array(dispatch.iter().map(|&c| Json::UInt(c)).collect()),
-        ),
-        ("stats", encode_stats(sim.stats())),
-        ("faults", encode_faults(sim.faults())),
-        ("network", encode_network(sim.network())),
-        ("flows", encode_flow_plane(sim.flow_plane(), &encode_msg)),
-        (
-            "queue",
-            Json::object(vec![
-                ("next_seq", Json::UInt(queue.next_seq())),
-                ("events", Json::Array(events)),
-            ]),
-        ),
-        (
-            "nodes",
-            Json::Array(
-                sim.nodes()
-                    .enumerate()
-                    .map(|(i, n)| encode_node(i, n))
-                    .collect(),
+/// The engine-owned state of a simulator — clock, queue (events as `[time,
+/// seq, target, payload]` in pop order), faults, topology, statistics —
+/// around the protocol's own node and message codecs. The restored engine
+/// continues the run event-for-event identically to the uninterrupted one;
+/// trace recording, profiling and the order log restart disabled.
+impl<P: Protocol + Snap> Snap for Simulator<P>
+where
+    P::Msg: Snap,
+{
+    fn encode(&self) -> Json {
+        let queue = self.queue();
+        let mut events = Vec::with_capacity(queue.len());
+        queue.for_each_sorted(|time, seq, target, payload| {
+            events.push(Json::Array(vec![
+                time.encode(),
+                seq.encode(),
+                target.encode(),
+                payload.encode(),
+            ]));
+        });
+        Json::object(vec![
+            ("schema", Json::str(ENGINE_SNAPSHOT_SCHEMA)),
+            ("now", self.now().encode()),
+            ("started", self.started().encode()),
+            ("max_events", Word(self.max_events()).encode()),
+            ("events_processed", self.events_processed().encode()),
+            ("dispatch_counts", self.profile().dispatch_counts.encode()),
+            ("stats", self.stats().encode()),
+            ("faults", self.faults().encode()),
+            ("network", self.network().encode()),
+            ("flows", self.flow_plane().encode()),
+            (
+                "queue",
+                Json::object(vec![
+                    ("next_seq", queue.next_seq().encode()),
+                    ("events", Json::Array(events)),
+                ]),
             ),
-        ),
-    ])
-}
+            ("nodes", encode_all(self.nodes())),
+        ])
+    }
 
-/// Rebuilds a simulator from a document written by [`snapshot_engine`].
-/// The restored engine continues the run event-for-event identically to
-/// the uninterrupted one; trace recording, profiling and the order log
-/// restart disabled.
-pub fn restore_engine<P: Protocol>(
-    doc: &Json,
-    decode_node: impl Fn(usize, &Json) -> Result<P, SnapshotError>,
-    decode_msg: impl Fn(&Json) -> Result<P::Msg, SnapshotError>,
-) -> Result<Simulator<P>, SnapshotError> {
-    let schema = as_str(get(doc, "schema")?, "schema")?;
-    if schema != ENGINE_SNAPSHOT_SCHEMA {
-        return Err(err(format!(
-            "unsupported snapshot schema {schema:?} (expected {ENGINE_SNAPSHOT_SCHEMA:?})"
-        )));
-    }
-    let network = decode_network(get(doc, "network")?)?;
-    let nodes = get_items(doc, "nodes")?
-        .iter()
-        .enumerate()
-        .map(|(i, j)| decode_node(i, j))
-        .collect::<Result<Vec<P>, SnapshotError>>()?;
-    if nodes.len() != network.site_count() {
-        return Err(err("snapshot: node count does not match the topology"));
-    }
-    let queue_doc = get(doc, "queue")?;
-    let events = get_items(queue_doc, "events")?;
-    let mut queue: CalendarQueue<P::Msg> = CalendarQueue::with_capacity(events.len() + 16);
-    for event in events {
-        let fields = as_items(event, "queued event")?;
-        if fields.len() != 4 {
-            return Err(err("queued event: expected [time, seq, target, payload]"));
+    fn decode(doc: &Json, path: &Path<'_>) -> Result<Self, SnapshotError> {
+        expect_schema(doc, path, ENGINE_SNAPSHOT_SCHEMA)?;
+        let network: Network = field(doc, path, "network")?;
+        let path = &path.within(network.site_count());
+        let now: f64 = field(doc, path, "now")?;
+        let nodes: Vec<P> = field(doc, path, "nodes")?;
+        let faults: FaultState = field(doc, path, "faults")?;
+        if nodes.len() != network.site_count() || faults.down_sites.len() != nodes.len() {
+            return Err(path.err("node and down-site counts must match the topology"));
         }
-        queue.push_raw(
-            f64_from_bits(&fields[0], "event time")?,
-            as_u64(&fields[1], "event seq")?,
-            SiteId(as_u64(&fields[2], "event target")? as usize),
-            decode_payload(&fields[3], &decode_msg)?,
-        );
+        let flows: FlowPlane<P::Msg> = field(doc, path, "flows")?;
+        if !(now.is_finite() && flows.model.time() <= now) {
+            return Err(path.err("the clock must be finite and not behind the flow plane"));
+        }
+        type QueuedEvent<M> = (f64, u64, SiteId, EventPayload<M>);
+        let queue = field_with(doc, path, "queue", |doc, path| {
+            let next_seq: u64 = field(doc, path, "next_seq")?;
+            let events: Vec<QueuedEvent<P::Msg>> = field(doc, path, "events")?;
+            let mut queue = CalendarQueue::with_capacity(events.len() + 16);
+            for (time, seq, target, payload) in events {
+                // The queue packs sequence numbers into 62 bits.
+                if !(time.is_finite() && time >= now && seq < next_seq && next_seq < 1 << 62) {
+                    return Err(path.err(format!(
+                        "event (time bits {:#x}, seq {seq}) is not pending at this clock",
+                        time.to_bits()
+                    )));
+                }
+                queue.push_raw(time, seq, target, payload);
+            }
+            queue.set_next_seq(next_seq);
+            Ok(queue)
+        })?;
+        Ok(Simulator::from_restored(
+            network,
+            nodes,
+            queue,
+            now,
+            field(doc, path, "started")?,
+            field(doc, path, "stats")?,
+            faults,
+            field::<Word>(doc, path, "max_events")?.0,
+            field(doc, path, "events_processed")?,
+            field(doc, path, "dispatch_counts")?,
+            flows,
+        ))
     }
-    queue.set_next_seq(get_u64(queue_doc, "next_seq")?);
-    let dispatch_items = get_items(doc, "dispatch_counts")?;
-    // Four entries predate the flow event classes; their counters restore
-    // as zero.
-    if dispatch_items.len() != 4 && dispatch_items.len() != 6 {
-        return Err(err("dispatch_counts: expected 4 or 6 entries"));
-    }
-    let mut dispatch_counts = [0u64; 6];
-    for (slot, j) in dispatch_counts.iter_mut().zip(dispatch_items) {
-        *slot = as_u64(j, "dispatch count")?;
-    }
-    // Snapshots written before the shared-bandwidth plane have no flow
-    // section; they restore with an empty plane.
-    let flows = match doc.get("flows") {
-        Some(section) => decode_flow_plane(section, &decode_msg)?,
-        None => FlowPlane::new(),
-    };
-    Ok(Simulator::from_restored(
-        network,
-        nodes,
-        queue,
-        get_f64(doc, "now")?,
-        get_bool(doc, "started")?,
-        decode_stats(get(doc, "stats")?)?,
-        decode_faults(get(doc, "faults")?)?,
-        get_u64(doc, "max_events")?,
-        get_u64(doc, "events_processed")?,
-        dispatch_counts,
-        flows,
-    ))
 }
 
 #[cfg(test)]
@@ -898,12 +1023,8 @@ mod tests {
     use crate::engine::Context;
     use rtds_net::generators::{line, ring, DelayDistribution};
 
-    fn encode_u32(m: &u32) -> Json {
-        Json::UInt(*m as u64)
-    }
-
-    fn decode_u32(j: &Json) -> Result<u32, SnapshotError> {
-        Ok(as_u64(j, "msg")? as u32)
+    fn root() -> Path<'static> {
+        Path::root("snapshot")
     }
 
     /// A protocol with nontrivial state: floods a token, counts sightings,
@@ -940,14 +1061,16 @@ mod tests {
         }
     }
 
-    fn encode_gossip(_i: usize, node: &Gossip) -> Json {
-        Json::object(vec![("seen", Json::UInt(node.seen as u64))])
-    }
+    impl Snap for Gossip {
+        fn encode(&self) -> Json {
+            Json::object(vec![("seen", self.seen.encode())])
+        }
 
-    fn decode_gossip(_i: usize, j: &Json) -> Result<Gossip, SnapshotError> {
-        Ok(Gossip {
-            seen: get_u64(j, "seen")? as u32,
-        })
+        fn decode(j: &Json, path: &Path<'_>) -> Result<Self, SnapshotError> {
+            Ok(Gossip {
+                seen: field(j, path, "seen")?,
+            })
+        }
     }
 
     /// Runs a gossip sim to `pause`, snapshots (through a render → parse
@@ -984,13 +1107,13 @@ mod tests {
         // Interrupted run: pause, serialize, parse back, restore, finish.
         let mut paused = build();
         paused.run_until(pause);
-        let doc = snapshot_engine(&paused, encode_gossip, encode_u32);
+        let doc = paused.encode();
         let text = doc.render();
         let parsed = Json::parse(&text).expect("snapshot parses");
         // render → parse → render is a byte fixpoint (integers only).
         assert_eq!(parsed.render(), text);
         let mut restored: Simulator<Gossip> =
-            restore_engine(&parsed, decode_gossip, decode_u32).expect("snapshot restores");
+            Snap::decode(&parsed, &root()).expect("snapshot restores");
         restored.run_to_quiescence();
 
         assert_eq!(restored.now(), reference.now(), "final clock");
@@ -1064,8 +1187,7 @@ mod tests {
             sim
         };
         sim.run_until(3.0);
-        let doc = snapshot_engine(&sim, encode_gossip, encode_u32);
-        let restored: Simulator<Gossip> = restore_engine(&doc, decode_gossip, decode_u32).unwrap();
+        let restored: Simulator<Gossip> = Snap::decode(&sim.encode(), &root()).unwrap();
         assert!(restored.faults().link_is_failed(SiteId(2), SiteId(3)));
         assert_eq!(
             restored.network().link_delay(SiteId(0), SiteId(1)),
@@ -1098,35 +1220,16 @@ mod tests {
         }
     }
 
-    fn encode_mover(_i: usize, node: &Mover) -> Json {
-        Json::Array(
-            node.received
-                .iter()
-                .map(|&(from, msg, bits)| {
-                    Json::Array(vec![
-                        Json::UInt(from as u64),
-                        Json::UInt(msg as u64),
-                        Json::UInt(bits),
-                    ])
-                })
-                .collect(),
-        )
-    }
-
-    fn decode_mover(_i: usize, j: &Json) -> Result<Mover, SnapshotError> {
-        let mut received = Vec::new();
-        for entry in as_items(j, "mover state")? {
-            let triple = as_items(entry, "mover entry")?;
-            if triple.len() != 3 {
-                return Err(err("mover entry: expected [from, msg, time]"));
-            }
-            received.push((
-                as_u64(&triple[0], "from")? as usize,
-                as_u64(&triple[1], "msg")? as u32,
-                as_u64(&triple[2], "time")?,
-            ));
+    impl Snap for Mover {
+        fn encode(&self) -> Json {
+            self.received.encode()
         }
-        Ok(Mover { received })
+
+        fn decode(j: &Json, path: &Path<'_>) -> Result<Self, SnapshotError> {
+            Ok(Mover {
+                received: Snap::decode(j, path)?,
+            })
+        }
     }
 
     #[test]
@@ -1163,7 +1266,7 @@ mod tests {
             paused.flows_in_flight() > 0,
             "pause must land mid-transfer for this test to bite"
         );
-        let doc = snapshot_engine(&paused, encode_mover, encode_u32);
+        let doc = paused.encode();
         let text = doc.render();
         assert!(
             text.contains(FLOW_SNAPSHOT_SCHEMA),
@@ -1172,7 +1275,7 @@ mod tests {
         let parsed = Json::parse(&text).expect("snapshot parses");
         assert_eq!(parsed.render(), text);
         let mut restored: Simulator<Mover> =
-            restore_engine(&parsed, decode_mover, decode_u32).expect("snapshot restores");
+            Snap::decode(&parsed, &root()).expect("snapshot restores");
         assert_eq!(restored.flows_in_flight(), paused.flows_in_flight());
         restored.run_to_quiescence();
 
@@ -1187,103 +1290,13 @@ mod tests {
     }
 
     #[test]
-    fn restore_accepts_pre_flow_snapshots() {
-        // A snapshot written before links carried bandwidths (two-entry
-        // adjacency links, three-entry failed links, four dispatch counts,
-        // no flow section) must restore with an empty plane and unlimited
-        // bandwidths.
-        let mut sim = {
-            let net = line(3, DelayDistribution::Constant(2.0), 0);
-            let mut sim = Simulator::new(net, |_| Gossip::default());
-            sim.schedule_fault(
-                1.0,
-                FaultEvent::LinkDown {
-                    a: SiteId(1),
-                    b: SiteId(2),
-                },
-            );
-            sim
-        };
-        sim.run_until(3.0);
-        let text = snapshot_engine(&sim, encode_gossip, encode_u32).render();
-        // Rewrite the document into the legacy shape.
-        let doc = Json::parse(&text).unwrap();
-        let network = get(&doc, "network").unwrap();
-        let legacy_adjacency: Vec<Json> = get_items(network, "adjacency")
-            .unwrap()
-            .iter()
-            .map(|row| {
-                Json::Array(
-                    row.items()
-                        .unwrap()
-                        .iter()
-                        .map(|link| Json::Array(link.items().unwrap()[..2].to_vec()))
-                        .collect(),
-                )
-            })
-            .collect();
-        let legacy_network = Json::object(vec![
-            ("adjacency", Json::Array(legacy_adjacency)),
-            ("speeds", get(network, "speeds").unwrap().clone()),
-        ]);
-        let faults = get(&doc, "faults").unwrap();
-        let legacy_failed: Vec<Json> = get_items(faults, "failed_links")
-            .unwrap()
-            .iter()
-            .map(|entry| Json::Array(entry.items().unwrap()[..3].to_vec()))
-            .collect();
-        let legacy_faults = Json::object(vec![
-            ("failed_links", Json::Array(legacy_failed)),
-            ("down_sites", get(faults, "down_sites").unwrap().clone()),
-            (
-                "loss_probability",
-                get(faults, "loss_probability").unwrap().clone(),
-            ),
-            ("rng", get(faults, "rng").unwrap().clone()),
-        ]);
-        let legacy_dispatch =
-            Json::Array(get_items(&doc, "dispatch_counts").unwrap()[..4].to_vec());
-        let legacy = Json::object(vec![
-            ("schema", Json::str(ENGINE_SNAPSHOT_SCHEMA)),
-            ("now", get(&doc, "now").unwrap().clone()),
-            ("started", get(&doc, "started").unwrap().clone()),
-            ("max_events", get(&doc, "max_events").unwrap().clone()),
-            (
-                "events_processed",
-                get(&doc, "events_processed").unwrap().clone(),
-            ),
-            ("dispatch_counts", legacy_dispatch),
-            ("stats", get(&doc, "stats").unwrap().clone()),
-            ("faults", legacy_faults),
-            ("network", legacy_network),
-            ("queue", get(&doc, "queue").unwrap().clone()),
-            ("nodes", get(&doc, "nodes").unwrap().clone()),
-        ]);
-        let mut restored: Simulator<Gossip> =
-            restore_engine(&legacy, decode_gossip, decode_u32).expect("legacy snapshot restores");
-        assert_eq!(restored.flows_in_flight(), 0);
-        assert_eq!(
-            restored.network().link_bandwidth(SiteId(0), SiteId(1)),
-            Some(f64::INFINITY)
-        );
-        // The legacy run still finishes identically to the current one.
-        let mut current: Simulator<Gossip> =
-            restore_engine(&doc, decode_gossip, decode_u32).unwrap();
-        restored.run_to_quiescence();
-        current.run_to_quiescence();
-        assert_eq!(restored.now(), current.now());
-        assert_eq!(restored.events_processed(), current.events_processed());
-    }
-
-    #[test]
     fn restore_rejects_bad_documents() {
+        let restore = |doc: &Json| Simulator::<Gossip>::decode(doc, &root()).map(|_| ());
         let missing = Json::object(vec![("schema", Json::str("rtds-engine-snapshot/1"))]);
-        assert!(restore_engine::<Gossip>(&missing, decode_gossip, decode_u32).is_err());
+        let e = restore(&missing).unwrap_err();
+        assert_eq!(e.0, "snapshot.network: missing field");
         let wrong = Json::object(vec![("schema", Json::str("something-else/9"))]);
-        let e = match restore_engine::<Gossip>(&wrong, decode_gossip, decode_u32) {
-            Err(e) => e,
-            Ok(_) => panic!("wrong schema must be rejected"),
-        };
+        let e = restore(&wrong).unwrap_err();
         assert!(e.to_string().contains("schema"), "{e}");
     }
 
@@ -1313,9 +1326,8 @@ mod tests {
             },
         ];
         for fault in variants {
-            let doc = encode_fault_event(&fault);
-            let text = doc.render_compact();
-            let back = decode_fault_event(&Json::parse(&text).unwrap()).unwrap();
+            let text = fault.encode().render_compact();
+            let back = FaultEvent::decode(&Json::parse(&text).unwrap(), &root()).unwrap();
             assert_eq!(back, fault);
         }
     }
@@ -1332,17 +1344,15 @@ mod tests {
         reg.record("lat", 0.125);
         reg.record("lat", 1e9);
         reg.record_scoped("lat", Scope::Phase(2), f64::NAN);
-        let doc = encode_registry(&reg);
-        let text = doc.render();
+        let text = reg.encode().render();
         let parsed = Json::parse(&text).unwrap();
-        let mut back = MetricsRegistry::new();
-        decode_registry_into(&mut back, &parsed).unwrap();
+        let back = MetricsRegistry::decode(&parsed, &root()).unwrap();
         assert_eq!(back, reg);
         // Gauge last/peak restore exactly (set() could not produce this).
         let g = back.gauge_scoped("queue", Scope::Global).unwrap();
         assert_eq!((g.last, g.peak), (5.0, 12.0));
         // Re-encoding the restored registry is byte-identical.
-        assert_eq!(encode_registry(&back).render(), text);
+        assert_eq!(back.encode().render(), text);
     }
 
     #[test]

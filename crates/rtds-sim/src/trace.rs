@@ -21,7 +21,7 @@ use std::io::Write;
 
 pub use rtds_trace::{
     check_well_formed, chrome_trace, read_jsonl, render_jsonl, render_jsonl_with_header,
-    DeferReason, Phase, RejectReason, SpanId, TraceEvent, TracePayload, TraceSink, Value,
+    DeferReason, Json, Phase, RejectReason, SpanId, TraceEvent, TracePayload, TraceSink,
     TRACE_SCHEMA,
 };
 
@@ -85,7 +85,7 @@ impl Trace {
     /// A streaming `rtds-trace/1` JSONL recorder. The header (schema plus
     /// `metadata`) is written immediately; each recorded event becomes one
     /// line. Memory use is one line buffer regardless of run length.
-    pub fn jsonl(out: Box<dyn Write + Send>, metadata: &[(&str, Value)]) -> Self {
+    pub fn jsonl(out: Box<dyn Write + Send>, metadata: &[(&str, Json)]) -> Self {
         Trace {
             sink: Sink::Jsonl(JsonlSink::new(out, metadata)),
         }
@@ -269,7 +269,7 @@ mod tests {
 
     #[test]
     fn jsonl_trace_streams_instead_of_retaining() {
-        let mut t = Trace::jsonl(Box::new(Vec::new()), &[("seed", Value::U64(1))]);
+        let mut t = Trace::jsonl(Box::new(Vec::new()), &[("seed", Json::UInt(1))]);
         assert!(t.is_enabled());
         t.record(&ev(1.0, 0, TracePayload::Mark { tag: 0, value: 0.5 }));
         t.flush();

@@ -13,17 +13,10 @@
 //! writer, so two exports of the same trace are byte-identical.
 
 use crate::event::{Arg, TraceEvent};
+use crate::json::write_f64;
 use crate::span::SpanId;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-
-fn write_f64(out: &mut String, x: f64) {
-    if x.is_finite() {
-        let _ = write!(out, "{x:?}");
-    } else {
-        out.push_str("null");
-    }
-}
 
 fn write_arg(out: &mut String, arg: Arg) {
     match arg {

@@ -1,8 +1,12 @@
-//! A minimal, deterministic JSON value, writer and parser.
+//! A minimal, deterministic JSON value, writer and parser — the one
+//! definition of the dialect every RTDS document is written in.
 //!
 //! The build environment has no registry access, so the workspace's `serde`
-//! is a no-op stub (see `crates/compat/README.md`); sweep reports and
-//! workload traces therefore serialize through this hand-rolled value type.
+//! is a no-op stub (see `crates/compat/README.md`); sweep reports, workload
+//! traces, snapshots and the `rtds-trace/1` JSONL lines therefore all
+//! serialize through this hand-rolled layer. It lives in this crate because
+//! `rtds-trace` is the dependency-free bottom of the crate graph and already
+//! has to write the dialect; `rtds_sim::json` re-exports it.
 //! Everything about the output is pinned: object keys keep insertion order,
 //! numbers render via Rust's shortest-round-trip formatting, and non-finite
 //! floats become `null` — so a report is byte-identical across runs, thread
@@ -10,9 +14,12 @@
 //!
 //! Two renderings are provided: [`Json::render`] (pretty, two-space indent,
 //! used for the report files) and [`Json::render_compact`] (single line,
-//! used for JSONL workload traces). [`Json::parse`] reads either form back;
-//! because shortest-round-trip float formatting is exact, a
-//! render → parse → render cycle is byte-identical, which the trace
+//! used for JSONL workload traces). Streaming writers that never build a
+//! tree (the trace event lines, the Chrome export) call the scalar writers
+//! [`write_f64`] and [`write_escaped`] directly. [`Json::parse`] reads either
+//! form back in time linear in the input, refusing documents nested deeper
+//! than [`MAX_DEPTH`]; because shortest-round-trip float formatting is exact,
+//! a render → parse → render cycle is byte-identical, which the trace
 //! record/replay machinery in `rtds-workload` relies on.
 
 use std::fmt::Write as _;
@@ -67,8 +74,14 @@ impl Json {
     /// newline (the JSONL form used by workload traces).
     pub fn render_compact(&self) -> String {
         let mut out = String::new();
-        self.write(&mut out, None);
+        self.write_compact(&mut out);
         out
+    }
+
+    /// Appends the compact rendering to `out` (for writers that assemble a
+    /// line out of several values without an intermediate `String`).
+    pub fn write_compact(&self, out: &mut String) {
+        self.write(out, None);
     }
 
     /// The value of an object field, if this is an object with that key.
@@ -115,17 +128,19 @@ impl Json {
         }
     }
 
-    /// Parses a JSON document (either rendering form). Trailing whitespace
-    /// is allowed; trailing garbage is an error.
+    /// Parses a JSON document (either rendering form) in time linear in its
+    /// length. Trailing whitespace is allowed; trailing garbage and nesting
+    /// deeper than [`MAX_DEPTH`] are errors.
     pub fn parse(text: &str) -> Result<Json, JsonParseError> {
         let mut p = Parser {
-            bytes: text.as_bytes(),
+            text,
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let value = p.value()?;
         p.skip_ws();
-        if p.pos != p.bytes.len() {
+        if p.pos != text.len() {
             return Err(p.err("trailing characters after the JSON value"));
         }
         Ok(value)
@@ -207,12 +222,20 @@ impl std::fmt::Display for JsonParseError {
 
 impl std::error::Error for JsonParseError {}
 
+/// Deepest container nesting [`Json::parse`] accepts. The deepest document
+/// the workspace writes — a streaming checkpoint, whose queued job-arrival
+/// messages carry task-graph adjacency lists — nests 13 levels; anything
+/// beyond 64 is refused rather than recursed into, so hostile input cannot
+/// overflow the stack.
+pub const MAX_DEPTH: usize = 64;
+
 struct Parser<'a> {
-    bytes: &'a [u8],
+    text: &'a str,
     pos: usize,
+    depth: usize,
 }
 
-impl<'a> Parser<'a> {
+impl Parser<'_> {
     fn err(&self, message: &str) -> JsonParseError {
         JsonParseError {
             offset: self.pos,
@@ -221,7 +244,7 @@ impl<'a> Parser<'a> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.text.as_bytes().get(self.pos).copied()
     }
 
     fn skip_ws(&mut self) {
@@ -240,7 +263,7 @@ impl<'a> Parser<'a> {
     }
 
     fn literal(&mut self, word: &str, value: Json) -> Result<Json, JsonParseError> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+        if self.text.as_bytes()[self.pos..].starts_with(word.as_bytes()) {
             self.pos += word.len();
             Ok(value)
         } else {
@@ -254,143 +277,135 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.container(b']'),
+            Some(b'{') => self.container(b'}'),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             Some(c) => Err(self.err(&format!("unexpected character {:?}", c as char))),
             None => Err(self.err("unexpected end of input")),
         }
     }
 
-    fn array(&mut self) -> Result<Json, JsonParseError> {
-        self.expect(b'[')?;
+    /// An array (`close == b']'`) or an object (`close == b'}'`); the
+    /// opening bracket is the byte under the cursor.
+    fn container(&mut self, close: u8) -> Result<Json, JsonParseError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err("nesting deeper than MAX_DEPTH"));
+        }
+        self.depth += 1;
+        self.pos += 1;
+        let is_object = close == b'}';
         let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Array(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Array(items));
-                }
-                _ => return Err(self.err("expected ',' or ']' in array")),
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, JsonParseError> {
-        self.expect(b'{')?;
         let mut fields = Vec::new();
         self.skip_ws();
-        if self.peek() == Some(b'}') {
+        if self.peek() == Some(close) {
             self.pos += 1;
-            return Ok(Json::Object(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let value = self.value()?;
-            fields.push((key, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Object(fields));
+        } else {
+            loop {
+                self.skip_ws();
+                if is_object {
+                    let key = self.string()?;
+                    self.skip_ws();
+                    self.expect(b':')?;
+                    self.skip_ws();
+                    fields.push((key, self.value()?));
+                } else {
+                    items.push(self.value()?);
                 }
-                _ => return Err(self.err("expected ',' or '}' in object")),
+                self.skip_ws();
+                match self.peek() {
+                    Some(b',') => self.pos += 1,
+                    Some(c) if c == close => {
+                        self.pos += 1;
+                        break;
+                    }
+                    _ if is_object => return Err(self.err("expected ',' or '}' in object")),
+                    _ => return Err(self.err("expected ',' or ']' in array")),
+                }
             }
         }
+        self.depth -= 1;
+        Ok(if is_object {
+            Json::Object(fields)
+        } else {
+            Json::Array(items)
+        })
     }
 
     fn string(&mut self) -> Result<String, JsonParseError> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            // Copy the run up to the next quote or backslash in one piece.
+            // Both delimiters are ASCII and the input is a `&str`, so the
+            // run ends on a character boundary whatever it contains.
+            let run = self.pos;
+            while !matches!(self.peek(), None | Some(b'"' | b'\\')) {
+                self.pos += 1;
+            }
+            out.push_str(&self.text[run..self.pos]);
             match self.peek() {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
                     self.pos += 1;
                     return Ok(out);
                 }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            self.pos += 1;
-                            let code = self.hex4()?;
-                            let c = if (0xD800..0xDC00).contains(&code) {
-                                // High surrogate: a low surrogate must follow.
-                                if self.peek() != Some(b'\\') {
-                                    return Err(self.err("unpaired surrogate"));
-                                }
-                                self.pos += 1;
-                                if self.peek() != Some(b'u') {
-                                    return Err(self.err("unpaired surrogate"));
-                                }
-                                self.pos += 1;
-                                let low = self.hex4()?;
-                                if !(0xDC00..0xE000).contains(&low) {
-                                    return Err(self.err("invalid low surrogate"));
-                                }
-                                let combined = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
-                                char::from_u32(combined)
-                                    .ok_or_else(|| self.err("invalid surrogate pair"))?
-                            } else {
-                                char::from_u32(code)
-                                    .ok_or_else(|| self.err("invalid unicode escape"))?
-                            };
-                            out.push(c);
-                            // hex4 leaves pos on the byte after the digits;
-                            // skip the shared `pos += 1` below.
-                            continue;
-                        }
-                        _ => return Err(self.err("invalid escape sequence")),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Multi-byte UTF-8 sequences pass through verbatim; the
-                    // input is a &str, so slicing on char boundaries is safe
-                    // as long as we advance over whole characters.
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = s.chars().next().expect("peeked byte exists");
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
+                Some(_) => self.pos += 1,
             }
+            let escape = self.peek();
+            self.pos += 1;
+            out.push(match escape {
+                Some(b'"') => '"',
+                Some(b'\\') => '\\',
+                Some(b'/') => '/',
+                Some(b'n') => '\n',
+                Some(b'r') => '\r',
+                Some(b't') => '\t',
+                Some(b'b') => '\u{8}',
+                Some(b'f') => '\u{c}',
+                Some(b'u') => self.unicode_escape()?,
+                _ => {
+                    self.pos -= 1;
+                    return Err(self.err("invalid escape sequence"));
+                }
+            });
         }
     }
 
+    /// The character of a `\uXXXX` escape (a surrogate pair for the astral
+    /// planes); the cursor is on the first hex digit.
+    fn unicode_escape(&mut self) -> Result<char, JsonParseError> {
+        let code = self.hex4()?;
+        let code = if (0xD800..0xDC00).contains(&code) {
+            // High surrogate: a low surrogate must follow.
+            if !self.text.as_bytes()[self.pos..].starts_with(b"\\u") {
+                return Err(self.err("unpaired surrogate"));
+            }
+            self.pos += 2;
+            let low = self.hex4()?;
+            if !(0xDC00..0xE000).contains(&low) {
+                return Err(self.err("invalid low surrogate"));
+            }
+            0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00)
+        } else {
+            code
+        };
+        char::from_u32(code).ok_or_else(|| self.err("invalid unicode escape"))
+    }
+
     fn hex4(&mut self) -> Result<u32, JsonParseError> {
-        let end = self.pos + 4;
-        if end > self.bytes.len() {
-            return Err(self.err("truncated unicode escape"));
+        let digits = self
+            .text
+            .as_bytes()
+            .get(self.pos..self.pos + 4)
+            .ok_or_else(|| self.err("truncated unicode escape"))?;
+        let mut code = 0;
+        for &d in digits {
+            let digit = (d as char)
+                .to_digit(16)
+                .ok_or_else(|| self.err("invalid unicode escape"))?;
+            code = code * 16 + digit;
         }
-        let digits = std::str::from_utf8(&self.bytes[self.pos..end])
-            .map_err(|_| self.err("invalid unicode escape"))?;
-        let code =
-            u32::from_str_radix(digits, 16).map_err(|_| self.err("invalid unicode escape"))?;
-        self.pos = end;
+        self.pos += 4;
         Ok(code)
     }
 
@@ -411,8 +426,7 @@ impl<'a> Parser<'a> {
                 _ => break,
             }
         }
-        let text =
-            std::str::from_utf8(&self.bytes[start..self.pos]).expect("number bytes are ASCII");
+        let text = &self.text[start..self.pos];
         // Integral tokens become Int/UInt so that a parse → render cycle
         // preserves the original spelling; overflow falls through to f64.
         if !is_float {
@@ -442,7 +456,9 @@ fn newline(out: &mut String, indent: Option<usize>) {
     }
 }
 
-fn write_f64(out: &mut String, x: f64) {
+/// Appends a float in the dialect's number form: shortest round-trip digits
+/// for finite values, `null` otherwise.
+pub fn write_f64(out: &mut String, x: f64) {
     if x.is_finite() {
         // `{:?}` is Rust's shortest round-trip float formatting ("1.0",
         // "0.25", "1e-7"), stable across platforms and always JSON-legal
@@ -453,21 +469,32 @@ fn write_f64(out: &mut String, x: f64) {
     }
 }
 
-fn write_escaped(out: &mut String, s: &str) {
+/// Appends `s` as a quoted JSON string with the dialect's minimal escapes
+/// (`\"`, `\\`, `\n`, `\r`, `\t`, `\u00XX` for other control characters).
+/// Everything between two escapes is copied in one piece; the escaped
+/// bytes are ASCII, so those pieces end on character boundaries.
+pub fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
+    let mut copied = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let escape = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0..=0x1f => "",
+            _ => continue,
+        };
+        out.push_str(&s[copied..i]);
+        if escape.is_empty() {
+            let _ = write!(out, "\\u{b:04x}");
+        } else {
+            out.push_str(escape);
         }
+        copied = i + 1;
     }
+    out.push_str(&s[copied..]);
     out.push('"');
 }
 

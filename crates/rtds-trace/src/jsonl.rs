@@ -1,7 +1,7 @@
 //! The `rtds-trace/1` JSONL wire format.
 //!
-//! One JSON object per line, in the same hand-rolled deterministic dialect as
-//! `rtds_sim::json` (shortest-round-trip floats via `{:?}`, non-finite floats
+//! One JSON object per line, in the workspace's one deterministic dialect
+//! ([`crate::json`]: shortest-round-trip floats via `{:?}`, non-finite floats
 //! as `null`, minimal escapes, compact objects, insertion-ordered keys). The
 //! first line is a self-contained header:
 //!
@@ -15,11 +15,15 @@
 //! {"t":0.0,"site":0,"span":17052..,"parent":0,"kind":"arrival","job":10,"tasks":3,"deadline":70.0}
 //! ```
 //!
-//! Because the writer and [`parse_event_line`] agree field-for-field and the
-//! float formats are shortest-round-trip, record → parse → re-render is a
-//! byte fixpoint — mirroring the `rtds-workload-trace/1` design.
+//! Event lines stream into one `String` through the shared scalar writers —
+//! no tree is built on the recording path — and are read back by
+//! [`Json::parse`]. Because the writer and [`parse_event_line`] agree
+//! field-for-field and the float formats are shortest-round-trip, record →
+//! parse → re-render is a byte fixpoint — mirroring the
+//! `rtds-workload-trace/1` design.
 
 use crate::event::{Arg, DeferReason, RejectReason, TraceEvent, TracePayload};
+use crate::json::{write_escaped, write_f64, Json};
 use crate::span::SpanId;
 use std::fmt::Write as _;
 use std::io::BufRead;
@@ -27,76 +31,17 @@ use std::io::BufRead;
 /// Schema tag written into (and required in) every trace header.
 pub const TRACE_SCHEMA: &str = "rtds-trace/1";
 
-/// An owned header-metadata value.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Value {
-    /// An unsigned integer.
-    U64(u64),
-    /// A float.
-    F64(f64),
-    /// A string.
-    Str(String),
-    /// A boolean.
-    Bool(bool),
-}
-
-// ---------------------------------------------------------------------------
-// Writer — byte-for-byte the rtds_sim::json compact dialect.
-// ---------------------------------------------------------------------------
-
-fn write_f64(out: &mut String, x: f64) {
-    if x.is_finite() {
-        let _ = write!(out, "{x:?}");
-    } else {
-        out.push_str("null");
-    }
-}
-
-fn write_escaped(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-}
-
-fn write_str(out: &mut String, s: &str) {
-    out.push('"');
-    write_escaped(out, s);
-    out.push('"');
-}
-
-fn write_value(out: &mut String, value: &Value) {
-    match value {
-        Value::U64(u) => {
-            let _ = write!(out, "{u}");
-        }
-        Value::F64(x) => write_f64(out, *x),
-        Value::Str(s) => write_str(out, s),
-        Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-    }
-}
-
 /// Renders the header line (without trailing newline): the schema field
 /// first, then `metadata` in the given order.
-pub fn header_line(metadata: &[(&str, Value)]) -> String {
+pub fn header_line(metadata: &[(&str, Json)]) -> String {
     let mut out = String::with_capacity(64);
-    out.push_str("{\"schema\":\"");
-    out.push_str(TRACE_SCHEMA);
-    out.push('"');
+    out.push_str("{\"schema\":");
+    write_escaped(&mut out, TRACE_SCHEMA);
     for (key, value) in metadata {
         out.push(',');
-        write_str(&mut out, key);
+        write_escaped(&mut out, key);
         out.push(':');
-        write_value(&mut out, value);
+        value.write_compact(&mut out);
     }
     out.push('}');
     out
@@ -110,17 +55,17 @@ pub fn write_event_line(out: &mut String, event: &TraceEvent) {
     let _ = write!(out, ",\"span\":{}", event.span.0);
     let _ = write!(out, ",\"parent\":{}", event.parent.0);
     out.push_str(",\"kind\":");
-    write_str(out, event.kind());
+    write_escaped(out, event.kind());
     event.payload.for_each_arg(&mut |name, arg| {
         out.push(',');
-        write_str(out, name);
+        write_escaped(out, name);
         out.push(':');
         match arg {
             Arg::U64(u) => {
                 let _ = write!(out, "{u}");
             }
             Arg::F64(x) => write_f64(out, x),
-            Arg::Str(s) => write_str(out, s),
+            Arg::Str(s) => write_escaped(out, s),
             Arg::Bool(b) => out.push_str(if b { "true" } else { "false" }),
         }
     });
@@ -129,7 +74,7 @@ pub fn write_event_line(out: &mut String, event: &TraceEvent) {
 
 /// Renders a complete trace document: header plus one line per event, each
 /// newline-terminated.
-pub fn render_jsonl(metadata: &[(&str, Value)], events: &[TraceEvent]) -> String {
+pub fn render_jsonl(metadata: &[(&str, Json)], events: &[TraceEvent]) -> String {
     render_jsonl_with_header(&header_line(metadata), events)
 }
 
@@ -146,34 +91,24 @@ pub fn render_jsonl_with_header(header: &str, events: &[TraceEvent]) -> String {
     out
 }
 
-// ---------------------------------------------------------------------------
-// Parser — strict, flat, order-preserving.
-// ---------------------------------------------------------------------------
+/// One parsed line: the fields of a JSON object, read by name and type.
+struct Line(Vec<(String, Json)>);
 
-/// A parsed scalar field value.
-#[derive(Debug, Clone, PartialEq)]
-enum Scalar {
-    UInt(u64),
-    Num(f64),
-    Str(String),
-    Bool(bool),
-    Null,
-}
+impl Line {
+    fn parse(line: &str) -> Result<Line, String> {
+        match Json::parse(line).map_err(|e| e.to_string())? {
+            Json::Object(fields) => Ok(Line(fields)),
+            _ => Err("expected a JSON object".to_string()),
+        }
+    }
 
-/// One parsed line: field names and scalar values in file order.
-#[derive(Debug, Clone)]
-struct LineObject {
-    fields: Vec<(String, Scalar)>,
-}
-
-impl LineObject {
-    fn get(&self, name: &str) -> Option<&Scalar> {
-        self.fields.iter().find(|(k, _)| k == name).map(|(_, v)| v)
+    fn get(&self, name: &str) -> Option<&Json> {
+        self.0.iter().find(|(k, _)| k == name).map(|(_, v)| v)
     }
 
     fn u64_field(&self, name: &str) -> Result<u64, String> {
         match self.get(name) {
-            Some(Scalar::UInt(u)) => Ok(*u),
+            Some(Json::UInt(u)) => Ok(*u),
             other => Err(format!("field {name:?}: expected integer, got {other:?}")),
         }
     }
@@ -185,197 +120,41 @@ impl LineObject {
 
     fn f64_field(&self, name: &str) -> Result<f64, String> {
         match self.get(name) {
-            Some(Scalar::Num(x)) => Ok(*x),
-            // An integer-valued field position may legally hold a float that
-            // happened to print without a fraction — never the other way.
-            Some(Scalar::UInt(u)) => Ok(*u as f64),
-            Some(Scalar::Null) => Ok(f64::NAN),
-            other => Err(format!("field {name:?}: expected number, got {other:?}")),
+            // A non-finite float was written as `null`.
+            Some(Json::Null) => Some(f64::NAN),
+            // An integer token is a float that printed without a fraction.
+            Some(value) => value.as_f64(),
+            None => None,
         }
+        .ok_or_else(|| format!("field {name:?}: expected number"))
     }
 
     fn str_field(&self, name: &str) -> Result<&str, String> {
-        match self.get(name) {
-            Some(Scalar::Str(s)) => Ok(s),
-            other => Err(format!("field {name:?}: expected string, got {other:?}")),
-        }
+        self.get(name)
+            .and_then(Json::as_str)
+            .ok_or_else(|| format!("field {name:?}: expected string"))
     }
 
     fn bool_field(&self, name: &str) -> Result<bool, String> {
         match self.get(name) {
-            Some(Scalar::Bool(b)) => Ok(*b),
+            Some(Json::Bool(b)) => Ok(*b),
             other => Err(format!("field {name:?}: expected bool, got {other:?}")),
         }
     }
 }
 
-struct Cursor<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn bump(&mut self) -> Result<u8, String> {
-        let b = self
-            .peek()
-            .ok_or_else(|| "unexpected end of line".to_string())?;
-        self.pos += 1;
-        Ok(b)
-    }
-
-    fn expect(&mut self, want: u8) -> Result<(), String> {
-        let got = self.bump()?;
-        if got != want {
-            return Err(format!(
-                "expected {:?} at byte {}, got {:?}",
-                want as char,
-                self.pos - 1,
-                got as char
-            ));
-        }
-        Ok(())
-    }
-
-    fn parse_string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.bump()? {
-                b'"' => return Ok(out),
-                b'\\' => match self.bump()? {
-                    b'"' => out.push('"'),
-                    b'\\' => out.push('\\'),
-                    b'n' => out.push('\n'),
-                    b'r' => out.push('\r'),
-                    b't' => out.push('\t'),
-                    b'u' => {
-                        let mut code = 0u32;
-                        for _ in 0..4 {
-                            let d = self.bump()? as char;
-                            let v = d
-                                .to_digit(16)
-                                .ok_or_else(|| format!("bad \\u escape digit {d:?}"))?;
-                            code = code * 16 + v;
-                        }
-                        let c = char::from_u32(code)
-                            .ok_or_else(|| format!("bad \\u escape code {code:#x}"))?;
-                        out.push(c);
-                    }
-                    other => return Err(format!("unsupported escape \\{}", other as char)),
-                },
-                byte => {
-                    // Re-assemble multi-byte UTF-8 sequences.
-                    if byte < 0x80 {
-                        out.push(byte as char);
-                    } else {
-                        let start = self.pos - 1;
-                        let width = match byte {
-                            0xC0..=0xDF => 2,
-                            0xE0..=0xEF => 3,
-                            0xF0..=0xF7 => 4,
-                            _ => return Err(format!("invalid UTF-8 lead byte {byte:#x}")),
-                        };
-                        for _ in 1..width {
-                            self.bump()?;
-                        }
-                        let s = std::str::from_utf8(&self.bytes[start..self.pos])
-                            .map_err(|e| format!("invalid UTF-8 in string: {e}"))?;
-                        out.push_str(s);
-                    }
-                }
-            }
-        }
-    }
-
-    fn parse_scalar(&mut self) -> Result<Scalar, String> {
-        match self.peek() {
-            Some(b'"') => Ok(Scalar::Str(self.parse_string()?)),
-            Some(b't') => {
-                self.literal("true")?;
-                Ok(Scalar::Bool(true))
-            }
-            Some(b'f') => {
-                self.literal("false")?;
-                Ok(Scalar::Bool(false))
-            }
-            Some(b'n') => {
-                self.literal("null")?;
-                Ok(Scalar::Null)
-            }
-            Some(b'-' | b'0'..=b'9') => {
-                let start = self.pos;
-                while matches!(
-                    self.peek(),
-                    Some(b'-' | b'+' | b'.' | b'e' | b'E' | b'0'..=b'9')
-                ) {
-                    self.pos += 1;
-                }
-                let token = std::str::from_utf8(&self.bytes[start..self.pos])
-                    .map_err(|e| format!("invalid number token: {e}"))?;
-                if token.contains(['.', 'e', 'E']) {
-                    token
-                        .parse::<f64>()
-                        .map(Scalar::Num)
-                        .map_err(|e| format!("bad float {token:?}: {e}"))
-                } else {
-                    token
-                        .parse::<u64>()
-                        .map(Scalar::UInt)
-                        .map_err(|e| format!("bad integer {token:?}: {e}"))
-                }
-            }
-            other => Err(format!("unexpected value start {other:?}")),
-        }
-    }
-
-    fn literal(&mut self, word: &str) -> Result<(), String> {
-        for &b in word.as_bytes() {
-            self.expect(b)?;
-        }
-        Ok(())
+/// Parses a header line and checks its schema tag.
+fn parse_header(line: &str) -> Result<Line, String> {
+    let header = Line::parse(line)?;
+    match header.get("schema").and_then(Json::as_str) {
+        Some(TRACE_SCHEMA) => Ok(header),
+        other => Err(format!(
+            "unsupported trace schema {other:?} (expected {TRACE_SCHEMA:?})"
+        )),
     }
 }
 
-/// Parses one line as a flat JSON object of scalar fields.
-fn parse_line_object(line: &str) -> Result<LineObject, String> {
-    let mut cur = Cursor {
-        bytes: line.trim_end().as_bytes(),
-        pos: 0,
-    };
-    cur.expect(b'{')?;
-    let mut fields = Vec::new();
-    if cur.peek() == Some(b'}') {
-        cur.pos += 1;
-    } else {
-        loop {
-            let key = cur.parse_string()?;
-            cur.expect(b':')?;
-            let value = cur.parse_scalar()?;
-            fields.push((key, value));
-            match cur.bump()? {
-                b',' => continue,
-                b'}' => break,
-                other => {
-                    return Err(format!(
-                        "expected ',' or '}}' at byte {}, got {:?}",
-                        cur.pos - 1,
-                        other as char
-                    ))
-                }
-            }
-        }
-    }
-    if cur.pos != cur.bytes.len() {
-        return Err(format!("trailing bytes after object at byte {}", cur.pos));
-    }
-    Ok(LineObject { fields })
-}
-
-fn payload_from(kind: &str, obj: &LineObject) -> Result<TracePayload, String> {
+fn payload_from(kind: &str, obj: &Line) -> Result<TracePayload, String> {
     let payload = match kind {
         "arrival" => TracePayload::Arrival {
             job: obj.u64_field("job")?,
@@ -472,71 +251,49 @@ fn payload_from(kind: &str, obj: &LineObject) -> Result<TracePayload, String> {
 
 /// Parses one event line back into a [`TraceEvent`].
 pub fn parse_event_line(line: &str) -> Result<TraceEvent, String> {
-    let obj = parse_line_object(line)?;
-    let kind = obj.str_field("kind")?.to_string();
+    let obj = Line::parse(line)?;
     Ok(TraceEvent {
         time: obj.f64_field("t")?,
         site: obj.u32_field("site")?,
         span: SpanId(obj.u64_field("span")?),
         parent: SpanId(obj.u64_field("parent")?),
-        payload: payload_from(&kind, &obj)?,
+        payload: payload_from(obj.str_field("kind")?, &obj)?,
     })
 }
 
 /// Streaming reader over an `rtds-trace/1` document. Construction validates
-/// the header; malformed lines panic with their line number, matching the
-/// artifact-reader convention used by `rtds-workload`'s `TraceReader`.
+/// the header; every failure — I/O, a malformed line, a wrong schema — is an
+/// `Err` carrying the line number, never a panic.
+#[derive(Debug)]
 pub struct JsonlReader<R: BufRead> {
     input: R,
     header_line: String,
-    header: Vec<(String, Value)>,
+    header: Vec<(String, Json)>,
     line_no: usize,
     buf: String,
 }
 
 impl<R: BufRead> JsonlReader<R> {
-    /// Reads and validates the header line.
-    ///
-    /// # Panics
-    /// If the input is empty, the header is malformed, or the schema is not
-    /// [`TRACE_SCHEMA`].
-    pub fn new(mut input: R) -> JsonlReader<R> {
+    /// Reads and validates the header line: the input must start with an
+    /// object whose `schema` is [`TRACE_SCHEMA`].
+    pub fn new(mut input: R) -> Result<JsonlReader<R>, String> {
         let mut header_line = String::new();
         let n = input
             .read_line(&mut header_line)
-            .expect("rtds-trace: failed to read trace header");
-        assert!(n > 0, "rtds-trace: empty trace input (missing header)");
-        let trimmed = header_line.trim_end().to_string();
-        let obj = parse_line_object(&trimmed)
-            .unwrap_or_else(|e| panic!("rtds-trace: malformed header line: {e}"));
-        match obj.get("schema") {
-            Some(Scalar::Str(s)) if s == TRACE_SCHEMA => {}
-            other => {
-                panic!("rtds-trace: unsupported trace schema {other:?} (expected {TRACE_SCHEMA:?})")
-            }
+            .map_err(|e| format!("failed to read trace header: {e}"))?;
+        if n == 0 {
+            return Err("empty trace input (missing header)".to_string());
         }
-        let header = obj
-            .fields
-            .iter()
-            .filter(|(k, _)| k != "schema")
-            .map(|(k, v)| {
-                let value = match v {
-                    Scalar::UInt(u) => Value::U64(*u),
-                    Scalar::Num(x) => Value::F64(*x),
-                    Scalar::Str(s) => Value::Str(s.clone()),
-                    Scalar::Bool(b) => Value::Bool(*b),
-                    Scalar::Null => Value::F64(f64::NAN),
-                };
-                (k.clone(), value)
-            })
-            .collect();
-        JsonlReader {
+        header_line.truncate(header_line.trim_end().len());
+        let Line(mut header) = parse_header(&header_line).map_err(|e| format!("header: {e}"))?;
+        header.retain(|(key, _)| key != "schema");
+        Ok(JsonlReader {
             input,
-            header_line: trimmed,
+            header_line,
             header,
             line_no: 1,
             buf: String::new(),
-        }
+        })
     }
 
     /// The raw header line (no trailing newline), reusable verbatim by
@@ -546,31 +303,27 @@ impl<R: BufRead> JsonlReader<R> {
     }
 
     /// Header metadata fields (schema excluded), in file order.
-    pub fn header(&self) -> &[(String, Value)] {
+    pub fn header(&self) -> &[(String, Json)] {
         &self.header
     }
 
-    /// Reads the next event, or `None` at end of input.
-    ///
-    /// # Panics
-    /// On I/O errors or malformed event lines (with the line number).
-    pub fn next_event(&mut self) -> Option<TraceEvent> {
+    /// Reads the next event; `Ok(None)` at end of input.
+    pub fn next_event(&mut self) -> Result<Option<TraceEvent>, String> {
         loop {
             self.buf.clear();
             let n = self
                 .input
                 .read_line(&mut self.buf)
-                .expect("rtds-trace: failed to read trace line");
+                .map_err(|e| format!("line {}: {e}", self.line_no + 1))?;
             if n == 0 {
-                return None;
+                return Ok(None);
             }
             self.line_no += 1;
-            if self.buf.trim().is_empty() {
-                continue;
+            if !self.buf.trim().is_empty() {
+                return parse_event_line(&self.buf)
+                    .map(Some)
+                    .map_err(|e| format!("line {}: {e}", self.line_no));
             }
-            let event = parse_event_line(&self.buf)
-                .unwrap_or_else(|e| panic!("rtds-trace: line {}: {e}", self.line_no));
-            return Some(event);
         }
     }
 }
@@ -578,26 +331,12 @@ impl<R: BufRead> JsonlReader<R> {
 /// Parses a whole trace document, returning the raw header line and every
 /// event. Errors (rather than panics) so tools can report bad inputs.
 pub fn read_jsonl(text: &str) -> Result<(String, Vec<TraceEvent>), String> {
-    let mut lines = text.lines();
-    let header = lines.next().ok_or("empty trace document")?.to_string();
-    let obj = parse_line_object(&header).map_err(|e| format!("header: {e}"))?;
-    match obj.get("schema") {
-        Some(Scalar::Str(s)) if s == TRACE_SCHEMA => {}
-        other => {
-            return Err(format!(
-                "unsupported trace schema {other:?} (expected {TRACE_SCHEMA:?})"
-            ))
-        }
-    }
+    let mut reader = JsonlReader::new(text.as_bytes())?;
     let mut events = Vec::new();
-    for (i, line) in lines.enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let event = parse_event_line(line).map_err(|e| format!("line {}: {e}", i + 2))?;
+    while let Some(event) = reader.next_event()? {
         events.push(event);
     }
-    Ok((header, events))
+    Ok((reader.header_line, events))
 }
 
 #[cfg(test)]
@@ -661,8 +400,8 @@ mod tests {
     #[test]
     fn record_then_rerender_is_a_byte_fixpoint() {
         let metadata = [
-            ("scenario", Value::Str("paper-baseline".to_string())),
-            ("seed", Value::U64(42)),
+            ("scenario", Json::str("paper-baseline")),
+            ("seed", Json::UInt(42)),
         ];
         let doc = render_jsonl(&metadata, &sample_events());
         let (header, events) = read_jsonl(&doc).unwrap();
@@ -779,33 +518,49 @@ mod tests {
 
     #[test]
     fn reader_streams_events_and_keeps_the_header_line() {
-        let doc = render_jsonl(&[("seed", Value::U64(7))], &sample_events());
-        let mut reader = JsonlReader::new(doc.as_bytes());
+        let doc = render_jsonl(&[("seed", Json::UInt(7))], &sample_events());
+        let mut reader = JsonlReader::new(doc.as_bytes()).unwrap();
         assert!(reader.header_line().contains("\"seed\":7"));
-        assert_eq!(reader.header().len(), 1);
+        assert_eq!(reader.header(), [("seed".to_string(), Json::UInt(7))]);
         let mut n = 0;
-        while let Some(event) = reader.next_event() {
+        while let Some(event) = reader.next_event().unwrap() {
             assert_eq!(event, sample_events()[n]);
             n += 1;
         }
         assert_eq!(n, sample_events().len());
     }
 
+    /// A wrong schema, an empty input and a torn or mistyped line are `Err`s
+    /// naming the line — never panics.
     #[test]
     fn reader_rejects_a_wrong_schema() {
-        let result = std::panic::catch_unwind(|| {
-            JsonlReader::new("{\"schema\":\"rtds-workload-trace/1\"}\n".as_bytes())
-        });
-        assert!(result.is_err());
+        let wrong = JsonlReader::new("{\"schema\":\"rtds-workload-trace/1\"}\n".as_bytes());
+        assert!(wrong.unwrap_err().contains("unsupported trace schema"));
+        assert!(JsonlReader::new("".as_bytes()).is_err());
+        assert!(JsonlReader::new("[1]\n".as_bytes()).is_err());
+        let doc = render_jsonl(&[], &sample_events());
+        let torn = &doc[..doc.len() - 9];
+        let e = read_jsonl(torn).unwrap_err();
+        assert!(e.starts_with("line 5: "), "{e}");
+        let mistyped = doc.replace("\"site\":2", "\"site\":-2");
+        let e = read_jsonl(&mistyped).unwrap_err();
+        assert!(e.starts_with("line 4: field \"site\""), "{e}");
     }
 
+    /// Every escape of the shared dialect reads back, including the ones the
+    /// crate's former private parser refused (`\/`, `\b`, `\f`, surrogate
+    /// pairs); what the writer emits for them is a fixpoint.
     #[test]
     fn string_escapes_round_trip() {
-        let header = header_line(&[("label", Value::Str("a\"b\\c\nd\te\u{1}".to_string()))]);
-        let obj = parse_line_object(&header).unwrap();
-        assert_eq!(
-            obj.get("label"),
-            Some(&Scalar::Str("a\"b\\c\nd\te\u{1}".to_string()))
-        );
+        let label = "a\"b\\c\nd\te\u{1}/\u{8}\u{c}\u{1D11E}";
+        let header = header_line(&[("label", Json::str(label))]);
+        let reader = JsonlReader::new(header.as_bytes()).unwrap();
+        assert_eq!(reader.header(), [("label".to_string(), Json::str(label))]);
+        let foreign =
+            r#"{"schema":"rtds-trace/1","label":"a\"b\\c\nd\te\u0001\/\b\f\uD834\uDD1E"}"#;
+        let reader = JsonlReader::new(foreign.as_bytes()).unwrap();
+        assert_eq!(reader.header(), [("label".to_string(), Json::str(label))]);
+        let (key, value) = &reader.header()[0];
+        assert_eq!(header_line(&[(key, value.clone())]), header);
     }
 }

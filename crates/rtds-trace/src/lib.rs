@@ -13,6 +13,11 @@
 //!   [`NullSink`] (disabled, one branch per would-be event), [`RingSink`]
 //!   (bounded flight recorder with drop counters), and [`JsonlSink`]
 //!   (streaming `rtds-trace/1` writer).
+//! - [`json`] — the workspace's one JSON dialect: the [`Json`] value, its
+//!   deterministic pretty/compact writers, the scalar writers streaming
+//!   sinks call directly, and a linear-time, depth-bounded parser. Reports,
+//!   workload traces and snapshots upstream all go through it
+//!   (`rtds_sim::json` re-exports it).
 //! - [`jsonl`] — the `rtds-trace/1` wire format: deterministic JSONL with a
 //!   self-contained header; record → parse → re-render is a byte fixpoint.
 //! - [`chrome`] — a chrome://tracing / Perfetto exporter over any slice of
@@ -25,15 +30,17 @@
 
 pub mod chrome;
 pub mod event;
+pub mod json;
 pub mod jsonl;
 pub mod sink;
 pub mod span;
 
 pub use chrome::chrome_trace;
 pub use event::{Arg, DeferReason, RejectReason, TraceEvent, TracePayload};
+pub use json::Json;
 pub use jsonl::{
     header_line, parse_event_line, read_jsonl, render_jsonl, render_jsonl_with_header,
-    write_event_line, JsonlReader, Value, TRACE_SCHEMA,
+    write_event_line, JsonlReader, TRACE_SCHEMA,
 };
 pub use sink::{JsonlSink, NullSink, RingSink, TraceSink};
 pub use span::{Phase, SpanId};
@@ -178,7 +185,7 @@ mod tests {
         }
         let events = ring.snapshot();
         check_well_formed(&events).unwrap();
-        let doc = render_jsonl(&[("seed", Value::U64(9))], &events);
+        let doc = render_jsonl(&[("seed", Json::UInt(9))], &events);
         let (header, parsed) = read_jsonl(&doc).unwrap();
         assert_eq!(parsed, events);
         assert_eq!(render_jsonl_with_header(&header, &parsed), doc);

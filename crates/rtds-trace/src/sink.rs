@@ -7,7 +7,8 @@
 //! flight recorder), and [`JsonlSink`] (streaming `rtds-trace/1` writer).
 
 use crate::event::TraceEvent;
-use crate::jsonl::{self, Value};
+use crate::json::Json;
+use crate::jsonl;
 use std::io::Write;
 
 /// Destination for recorded trace events.
@@ -128,7 +129,7 @@ pub struct JsonlSink<W: Write> {
 impl<W: Write> JsonlSink<W> {
     /// Creates the sink and writes the self-contained header line. The
     /// `metadata` pairs are embedded in the header after the schema field.
-    pub fn new(mut out: W, metadata: &[(&str, Value)]) -> JsonlSink<W> {
+    pub fn new(mut out: W, metadata: &[(&str, Json)]) -> JsonlSink<W> {
         let header = jsonl::header_line(metadata);
         out.write_all(header.as_bytes())
             .expect("rtds-trace: failed to write JSONL header");
@@ -240,7 +241,7 @@ mod tests {
 
     #[test]
     fn jsonl_sink_streams_header_then_one_line_per_event() {
-        let mut sink = JsonlSink::new(Vec::new(), &[("run", Value::U64(7))]);
+        let mut sink = JsonlSink::new(Vec::new(), &[("run", Json::UInt(7))]);
         sink.record_event(&mark(0));
         sink.record_event(&mark(1));
         assert_eq!(sink.recorded(), 2);

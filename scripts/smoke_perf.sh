@@ -38,5 +38,20 @@ for r in plain ckpt resume; do
 done
 cmp "$out/perf-soak-plain.det" "$out/perf-soak-ckpt.det"
 cmp "$out/perf-soak-plain.det" "$out/perf-soak-resume.det"
+
+# A snapshot file is untrusted input: a torn one and a pathologically nested
+# one must be refused with a diagnostic and exit status 1 — not a panic
+# (101) or a stack-overflow abort (134).
+head -c "$(($(wc -c < "$out/perf-soak.snapshot.json") / 2))" \
+  "$out/perf-soak.snapshot.json" > "$out/perf-soak-torn.json"
+head -c 1000000 /dev/zero | tr '\0' '[' > "$out/perf-soak-nested.json"
+for bad in torn nested; do
+  status=0
+  cargo run --release --bin exp_perf -- --seed 7 --smoke \
+    --resume "$out/perf-soak-$bad.json" 2> "$out/perf-soak-$bad.err" || status=$?
+  test "$status" -eq 1
+  grep -q -E 'snapshot|JSON parse error' "$out/perf-soak-$bad.err"
+done
 echo "perf smoke OK: deterministic fields (incl. metrics) are byte-identical"
-echo "soak smoke OK: checkpoint -> resume reproduces the uninterrupted run"
+echo "soak smoke OK: checkpoint -> resume reproduces the uninterrupted run;"
+echo "               torn and 1,000,000-deep snapshots are refused with exit 1"

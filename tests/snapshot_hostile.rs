@@ -1,0 +1,246 @@
+//! A snapshot file is untrusted input: whatever is done to a real mid-run
+//! `rtds-stream-snapshot/1` document — cut short, a field deleted, a value
+//! swapped for one of another type, an integer pushed to `u64::MAX` (which
+//! turns ids into out-of-range indices and bit-pattern floats into NaNs) —
+//! [`RtdsSystem::resume_streaming`] either returns a `SnapshotError` or a
+//! system that runs to quiescence. It never panics and never aborts.
+
+use rtds::core::{RtdsConfig, RtdsSystem, StreamOptions, StreamPause, StreamRun};
+use rtds::net::generators::{grid, DelayDistribution};
+use rtds::net::SiteId;
+use rtds::sim::{FaultEvent, Json};
+use rtds::workload::{JobFactory, JobTemplate, OpenLoopSource, OpenLoopSpec, RateProcess, SizeMix};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+
+const SEED: u64 = 11;
+
+/// A short harvest cadence, so the pause lands between protocol rounds
+/// rather than at the next quiet moment.
+const OPTIONS: StreamOptions = StreamOptions {
+    harvest_interval: 0.25,
+};
+
+/// Two pause instants that between them populate every section: at the
+/// first a Trial-Mapping validation round is open (replies on the wire), at
+/// the second a data transfer is in flight on the bandwidth plane. Both
+/// hold locked sites, deferred arrivals, a failed link and a pending fault.
+const PAUSES: [f64; 2] = [12.5, 16.5];
+
+/// A short overloaded stream, so the pause catches deferred arrivals,
+/// distributions in flight and data transfers on the wire.
+fn source() -> JobFactory<OpenLoopSource> {
+    let spec = OpenLoopSpec {
+        process: RateProcess::Poisson { rate: 1.5 },
+        sizes: SizeMix::Uniform { min: 4, max: 7 },
+        hotspots: 2,
+        horizon: 30.0,
+        max_jobs: 0,
+    };
+    let template = JobTemplate {
+        ccr: 0.5,
+        ..JobTemplate::default()
+    };
+    JobFactory::new(spec.build(6, SEED), template)
+}
+
+/// A mid-run checkpoint of a 6-site system with every optional section
+/// populated: flow transfers, the exact-distance table, a failed link, a
+/// pending fault and message loss.
+fn checkpoint(pause_at: f64) -> String {
+    let mut network = grid(2, 3, false, DelayDistribution::Constant(1.0), SEED);
+    for (a, b, _) in network.links().collect::<Vec<_>>() {
+        network.set_link_bandwidth(a, b, 4.0).expect("grid link");
+    }
+    let config = RtdsConfig {
+        data_volume_aware: true,
+        flow_transfers: true,
+        exact_acs_diameter: true,
+        ..RtdsConfig::default()
+    };
+    let mut system = RtdsSystem::new(network, config, SEED);
+    system.set_fault_seed(SEED);
+    let (a, b) = (SiteId(4), SiteId(5));
+    system.schedule_fault(3.0, FaultEvent::LinkDown { a, b });
+    system.schedule_fault(28.0, FaultEvent::LinkUp { a, b });
+    let pause = StreamPause::AtTime(pause_at);
+    match system.run_streaming_checkpoint(&mut source(), &OPTIONS, &pause) {
+        StreamRun::Paused(text) => text,
+        StreamRun::Finished(_) => panic!("the run must pause before draining"),
+    }
+}
+
+/// What became of one document.
+#[derive(Debug, PartialEq)]
+enum Outcome {
+    /// Refused with this `SnapshotError`.
+    Refused(String),
+    /// Restored and ran to quiescence.
+    Ran,
+    /// The failure this file exists to catch.
+    Panicked,
+}
+
+/// Resumes `text` and runs it out.
+fn resume(text: &str) -> Outcome {
+    let outcome = catch_unwind(AssertUnwindSafe(|| {
+        RtdsSystem::resume_streaming(text, &mut source())
+    }));
+    match outcome {
+        Ok(Ok(_)) => Outcome::Ran,
+        Ok(Err(e)) => Outcome::Refused(e.to_string()),
+        Err(_) => Outcome::Panicked,
+    }
+}
+
+/// The index path of every value in the tree, parents before children.
+fn addresses(doc: &Json, here: &mut Vec<usize>, out: &mut Vec<Vec<usize>>) {
+    out.push(here.clone());
+    let children: Vec<&Json> = match doc {
+        Json::Array(items) => items.iter().collect(),
+        Json::Object(fields) => fields.iter().map(|(_, value)| value).collect(),
+        _ => return,
+    };
+    for (i, child) in children.into_iter().enumerate() {
+        here.push(i);
+        addresses(child, here, out);
+        here.pop();
+    }
+}
+
+/// The value at `address`, plus its rendered location for failure messages.
+fn node_mut<'a>(mut doc: &'a mut Json, address: &[usize]) -> (&'a mut Json, String) {
+    let mut location = String::from("stream");
+    for &i in address {
+        doc = match doc {
+            Json::Array(items) => {
+                location += &format!("[{i}]");
+                &mut items[i]
+            }
+            Json::Object(fields) => {
+                location += &format!(".{}", fields[i].0);
+                &mut fields[i].1
+            }
+            _ => unreachable!("addresses only descend into containers"),
+        };
+    }
+    (doc, location)
+}
+
+/// Removes child `i` of a container (with its key, for an object).
+fn take_child(parent: &mut Json, i: usize) -> (String, Json) {
+    match parent {
+        Json::Array(items) => (String::new(), items.remove(i)),
+        Json::Object(fields) => fields.remove(i),
+        _ => unreachable!("only containers have children"),
+    }
+}
+
+/// Undoes [`take_child`].
+fn put_child(parent: &mut Json, i: usize, (key, child): (String, Json)) {
+    match parent {
+        Json::Array(items) => items.insert(i, child),
+        Json::Object(fields) => fields.insert(i, (key, child)),
+        _ => unreachable!("only containers have children"),
+    }
+}
+
+#[test]
+fn the_fixtures_are_rich_and_valid_checkpoints() {
+    let texts = PAUSES.map(checkpoint);
+    for text in &texts {
+        for section in [
+            "rtds-stream-snapshot/1",
+            "rtds-system-snapshot/1",
+            "rtds-engine-snapshot/1",
+            "rtds-flow-snapshot/1",
+            "rtds-sched-snapshot/1",
+            "\"link_up\"",
+        ] {
+            assert!(text.contains(section), "fixture lacks {section}");
+        }
+        let doc = Json::parse(text).expect("checkpoint parses");
+        let has_items = |path: &[&str]| {
+            let section = path.iter().try_fold(&doc, |d, key| d.get(key));
+            section.and_then(Json::items).is_some_and(|i| !i.is_empty())
+        };
+        assert!(has_items(&["system", "engine", "faults", "failed_links"]));
+        assert!(has_items(&["system", "engine", "queue", "events"]));
+        assert!(has_items(&["system", "global_distances"]));
+        assert!(has_items(&["harvest", "inflight"]));
+        assert_eq!(resume(text), Outcome::Ran);
+    }
+    assert!(texts[0].contains("\"validation\": {") && texts[0].contains("\"k\": \"tm\""));
+    assert!(texts[1].contains("\"rate\": ") && texts[1].contains("\"k\": \"td\""));
+}
+
+#[test]
+fn truncated_checkpoints_are_errors() {
+    let text = checkpoint(PAUSES[0]);
+    for step in 0..64 {
+        let mut cut = text.len() * step / 64;
+        while !text.is_char_boundary(cut) {
+            cut -= 1;
+        }
+        let outcome = resume(&text[..cut]);
+        assert!(
+            matches!(outcome, Outcome::Refused(_)),
+            "cut at byte {cut}: {outcome:?}"
+        );
+    }
+}
+
+#[test]
+fn single_field_mutations_never_panic() {
+    for pause in PAUSES {
+        mutate_every_field(Json::parse(&checkpoint(pause)).expect("checkpoint parses"));
+    }
+}
+
+fn mutate_every_field(mut doc: Json) {
+    let mut all = Vec::new();
+    addresses(&doc, &mut Vec::new(), &mut all);
+    let (mut tried, mut refused, mut panicked) = (0u32, 0u32, Vec::new());
+    let mut attempt = |what: String, doc: &Json| {
+        tried += 1;
+        match resume(&doc.render_compact()) {
+            Outcome::Refused(_) => refused += 1,
+            Outcome::Ran => {}
+            Outcome::Panicked => panicked.push(what),
+        }
+    };
+    // Every mutation is undone before the next, so each attempt differs
+    // from the real checkpoint in exactly one place.
+    for address in &all {
+        let (node, location) = node_mut(&mut doc, address);
+        let other_type = match node {
+            Json::Str(_) => Json::UInt(0),
+            Json::Array(_) => Json::Object(Vec::new()),
+            Json::Object(_) => Json::Array(Vec::new()),
+            _ => Json::str("x"),
+        };
+        let original = std::mem::replace(node, other_type);
+        attempt(format!("{location} type-swapped"), &doc);
+        if let Json::UInt(_) = original {
+            // Out of every range, then merely out of this system's.
+            for hostile in [u64::MAX, 1 << 40, 77] {
+                *node_mut(&mut doc, address).0 = Json::UInt(hostile);
+                attempt(format!("{location} = {hostile}"), &doc);
+            }
+        }
+        *node_mut(&mut doc, address).0 = original;
+        let Some((&last, parent)) = address.split_last() else {
+            continue;
+        };
+        let removed = take_child(node_mut(&mut doc, parent).0, last);
+        attempt(format!("{location} deleted"), &doc);
+        put_child(node_mut(&mut doc, parent).0, last, removed);
+    }
+    assert_eq!(resume(&doc.render_compact()), Outcome::Ran);
+    assert!(panicked.is_empty(), "resuming panicked on: {panicked:#?}");
+    // Most single-field damage is detectable; a document that still resumes
+    // ran to quiescence without a panic, which is the other allowed outcome.
+    assert!(
+        refused * 10 > tried * 7,
+        "only {refused} of {tried} refused"
+    );
+}

@@ -53,10 +53,12 @@ fn recorded_documents_round_trip_byte_for_byte() {
     assert!(!events.is_empty());
     let rerendered = rtds::trace::render_jsonl_with_header(&header, &events);
     assert_eq!(document, rerendered, "parse → re-render must be a fixpoint");
-    // Dialect compatibility: every line is also a valid document in the
-    // simulator's own JSON dialect (tooling can use either parser).
+    // One dialect: the streaming line writer and the tree writer of the
+    // shared codec spell every line the same way, so a line also survives
+    // parse → compact re-render through the `Json` tree byte for byte.
     for line in document.lines() {
-        Json::parse(line).unwrap_or_else(|e| panic!("line {line:?} is not Json-dialect: {e}"));
+        let tree = Json::parse(line).unwrap_or_else(|e| panic!("line {line:?}: {e}"));
+        assert_eq!(tree.render_compact(), line);
     }
 }
 

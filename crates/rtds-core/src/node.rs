@@ -36,7 +36,7 @@ use crate::snapshot as snap;
 use crate::validate::{endorsable_with, task_requests, ValidationOutcome, ValidationRound};
 use rtds_graph::{Job, JobId, TaskGraph, TaskId};
 use rtds_net::sphere::Sphere;
-use rtds_net::SiteId;
+use rtds_net::{RoutingTable, SiteId};
 use rtds_sched::feasibility::TaskRequest;
 use rtds_sched::{SchedulePlan, Scheduler, SiteResources, SiteScheduler};
 use rtds_sim::engine::Context;
@@ -212,6 +212,11 @@ impl RtdsNode {
         self.sphere.as_ref()
     }
 
+    /// The routing table the §7 exchange has built so far.
+    pub fn routing_table(&self) -> &RoutingTable {
+        self.pcs.table()
+    }
+
     /// Returns `true` if the node currently holds a lock.
     pub fn is_locked(&self) -> bool {
         self.lock.is_some()
@@ -262,25 +267,21 @@ impl RtdsNode {
         self.sched.effective_speed()
     }
 
-    fn route_delay(&self, to: SiteId) -> f64 {
-        self.pcs.table().distance(to).unwrap_or_else(|| {
-            self.sphere
-                .as_ref()
-                .map(|s| s.delay_diameter)
-                .unwrap_or(0.0)
-        })
-    }
-
     fn send_protocol(&self, ctx: &mut Context<'_, RtdsMsg>, to: SiteId, msg: RtdsMsg) {
         let kind = msg.kind();
         ctx.count(kind, 1);
+        let route = self.routing_table().route(to);
         if msg.is_distribution_message() {
             ctx.count("distribution_messages", 1);
-            if let Some(hops) = self.pcs.table().hops(to) {
-                ctx.count("link_traversals", hops as u64);
+            if let Some(route) = &route {
+                ctx.count("link_traversals", route.hops as u64);
             }
         }
-        let delay = self.route_delay(to);
+        // A peer outside the table is at most a sphere diameter away.
+        let delay = route.map_or_else(
+            || self.sphere.as_ref().map_or(0.0, |s| s.delay_diameter),
+            |route| route.distance,
+        );
         ctx.send_routed(to, delay, msg);
     }
 

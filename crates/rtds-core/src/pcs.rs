@@ -16,8 +16,7 @@ use rtds_net::routing::{RouteEntry, RoutingTable};
 use rtds_net::sphere::Sphere;
 use rtds_net::SiteId;
 use rtds_sim::json::Json;
-use rtds_sim::snapshot::{field, Path, Snap, SnapshotError};
-use std::collections::BTreeMap;
+use rtds_sim::snapshot::{field, non_negative, Path, Snap, SnapshotError};
 use std::sync::Arc;
 
 /// Outgoing routing-update message produced by the PCS state machine.
@@ -32,10 +31,24 @@ pub struct PcsSend {
     pub lines: Arc<[RouteEntry]>,
 }
 
+/// What one neighbor has sent that is not merged yet.
+#[derive(Debug, Clone, PartialEq)]
+struct Inbox {
+    from: SiteId,
+    /// Delay of the link to `from`.
+    delay: f64,
+    /// Its table for the phase being collected and, received early, for the
+    /// phase after. A neighbor is never further ahead: it cannot finish that
+    /// phase without this site's table for it, which is only sent once the
+    /// current phase completes.
+    held: [Option<Arc<[RouteEntry]>>; 2],
+}
+
 /// Per-site state of the §7 PCS construction.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PcsState {
     owner: SiteId,
+    /// Adjacency in broadcast order.
     neighbors: Vec<(SiteId, f64)>,
     table: RoutingTable,
     /// Total number of phases to run (`2h`).
@@ -43,10 +56,11 @@ pub struct PcsState {
     /// Phase currently being collected (1-based). `current > total_phases`
     /// means the construction is finished.
     current_phase: usize,
-    /// Tables received for the current phase, keyed by sender.
-    pending: BTreeMap<SiteId, Arc<[RouteEntry]>>,
-    /// Tables received early for future phases.
-    future: BTreeMap<usize, BTreeMap<SiteId, Arc<[RouteEntry]>>>,
+    /// One inbox per neighbor, in ascending sender order — the order a
+    /// completed phase is merged in.
+    inboxes: Vec<Inbox>,
+    /// Inboxes holding a table for the current phase.
+    received: usize,
     /// Sphere radius `h`.
     radius: usize,
 }
@@ -55,14 +69,34 @@ impl PcsState {
     /// Creates the PCS state for a site with the given adjacency and radius.
     pub fn new(owner: SiteId, neighbors: Vec<(SiteId, f64)>, radius: usize) -> Self {
         let table = RoutingTable::initial(owner, &neighbors);
+        Self::assemble(owner, neighbors, table, 2 * radius, 1, radius)
+    }
+
+    fn assemble(
+        owner: SiteId,
+        neighbors: Vec<(SiteId, f64)>,
+        table: RoutingTable,
+        total_phases: usize,
+        current_phase: usize,
+        radius: usize,
+    ) -> Self {
+        let mut inboxes: Vec<Inbox> = neighbors
+            .iter()
+            .map(|&(from, delay)| Inbox {
+                from,
+                delay,
+                held: [None, None],
+            })
+            .collect();
+        inboxes.sort_by_key(|inbox| inbox.from);
         PcsState {
             owner,
             neighbors,
             table,
-            total_phases: 2 * radius,
-            current_phase: 1,
-            pending: BTreeMap::new(),
-            future: BTreeMap::new(),
+            total_phases,
+            current_phase,
+            inboxes,
+            received: 0,
             radius,
         }
     }
@@ -80,7 +114,7 @@ impl PcsState {
 
     /// Handles a routing update from a neighbor. Returns the messages to send
     /// in response (the next phase's broadcast, once the current phase
-    /// completes).
+    /// completes). An update from a site that is not a neighbor is ignored.
     pub fn on_update(
         &mut self,
         from: SiteId,
@@ -90,39 +124,46 @@ impl PcsState {
         if self.is_finished() {
             return Vec::new();
         }
-        if phase == self.current_phase {
-            self.pending.insert(from, lines);
-        } else if phase > self.current_phase {
-            self.future.entry(phase).or_default().insert(from, lines);
+        let Some(inbox) = self.inbox_of(from) else {
+            return Vec::new();
+        };
+        // Anything else is a stale message from an already-completed phase.
+        if let Some(ahead @ (0 | 1)) = phase.checked_sub(self.current_phase) {
+            let first = self.inboxes[inbox].held[ahead].replace(lines).is_none();
+            self.received += usize::from(first && ahead == 0);
         }
-        // else: stale message from an already-completed phase; ignore.
         self.try_advance()
+    }
+
+    fn inbox_of(&self, from: SiteId) -> Option<usize> {
+        self.inboxes
+            .binary_search_by_key(&from, |inbox| inbox.from)
+            .ok()
     }
 
     fn try_advance(&mut self) -> Vec<PcsSend> {
         let mut out = Vec::new();
         let mut improved: Vec<SiteId> = Vec::new();
-        while !self.is_finished() && self.pending.len() == self.neighbors.len() {
+        while !self.is_finished() && self.received == self.inboxes.len() {
             // Merge everything received in this phase, tracking which
-            // destinations improved.
+            // destinations improved: at most every line received.
             improved.clear();
-            let received = std::mem::take(&mut self.pending);
-            for (from, lines) in received {
-                let delay = self
-                    .neighbors
-                    .iter()
-                    .find(|(n, _)| *n == from)
-                    .map(|(_, d)| *d)
-                    .expect("update from a non-neighbor");
-                self.table.merge_tracked(from, delay, &lines, &mut improved);
+            let held = self.inboxes.iter().flat_map(|inbox| &inbox.held[0]);
+            improved.reserve(held.map(|lines| lines.len()).sum());
+            for inbox in &mut self.inboxes {
+                let lines = inbox.held[0].take().expect("every inbox was counted");
+                self.table
+                    .merge_tracked(inbox.from, inbox.delay, &lines, &mut improved);
             }
+            self.received = 0;
             self.current_phase += 1;
             if self.is_finished() {
                 break;
             }
             // Pull in any messages that arrived early for the new phase.
-            if let Some(early) = self.future.remove(&self.current_phase) {
-                self.pending = early;
+            for inbox in &mut self.inboxes {
+                inbox.held[0] = inbox.held[1].take();
+                self.received += usize::from(inbox.held[0].is_some());
             }
             // Delta broadcast: only the lines that improved this phase. A
             // line that did not improve was broadcast at its current value
@@ -135,10 +176,7 @@ impl PcsState {
             // field) are unchanged.
             improved.sort_unstable();
             improved.dedup();
-            let lines: Arc<[RouteEntry]> = improved
-                .iter()
-                .map(|d| *self.table.route(*d).expect("improved route exists"))
-                .collect();
+            let lines: Arc<[RouteEntry]> = self.table.lines_of(&improved).collect();
             out.extend(self.broadcast_lines(self.current_phase, lines));
         }
         out
@@ -173,21 +211,24 @@ impl PcsState {
     /// The Potential Computing Sphere of this site: every destination whose
     /// recorded route uses at most `h` hops. The delay diameter is the
     /// conservative over-estimate available from purely local knowledge,
-    /// `max_{a,b} (δ(k,a) + δ(k,b))`.
+    /// `max_{a≠b} (δ(k,a) + δ(k,b))` — the two largest delays added.
     pub fn sphere(&self) -> Sphere {
-        let members = self.table.destinations_within_hops(self.radius);
-        let delays: Vec<f64> = members
-            .iter()
-            .map(|m| self.table.distance(*m).unwrap_or(0.0))
-            .collect();
-        let mut diameter = 0.0f64;
-        for (i, &a) in delays.iter().enumerate() {
-            for (j, &b) in delays.iter().enumerate() {
-                if i != j {
-                    diameter = diameter.max(a + b);
-                }
+        let within = || self.table.entries().filter(|e| e.hops <= self.radius);
+        let count = within().count();
+        let (mut members, mut delays) = (Vec::with_capacity(count), Vec::with_capacity(count));
+        for entry in within() {
+            members.push(entry.destination);
+            delays.push(entry.distance);
+        }
+        let (mut largest, mut second) = (f64::NEG_INFINITY, f64::NEG_INFINITY);
+        for &delay in &delays {
+            if delay > largest {
+                (largest, second) = (delay, largest);
+            } else if delay > second {
+                second = delay;
             }
         }
+        let diameter = 0.0f64.max(largest + second);
         Sphere::new(self.owner, self.radius, members, delays, diameter)
     }
 
@@ -197,34 +238,99 @@ impl PcsState {
     }
 }
 
-/// The full construction state; the routing table travels as its lines.
+/// The full construction state; the routing table travels as its lines, the
+/// tables waiting to be merged as `[sender, lines]` pairs in ascending sender
+/// order (`pending`: the phase being collected; `future`: `[phase, pairs]`
+/// for the phase after, when any arrived early).
 impl Snap for PcsState {
     fn encode(&self) -> Json {
+        let pairs = |ahead: usize| -> Vec<Json> {
+            let filled = self.inboxes.iter().filter_map(|inbox| {
+                let lines = inbox.held[ahead].as_ref()?;
+                Some(Json::Array(vec![inbox.from.encode(), lines.encode()]))
+            });
+            filled.collect()
+        };
+        let early = pairs(1);
+        let future = if early.is_empty() {
+            Vec::new()
+        } else {
+            let phase = (self.current_phase + 1).encode();
+            vec![Json::Array(vec![phase, Json::Array(early)])]
+        };
         Json::object(vec![
             ("owner", self.owner.encode()),
             ("neighbors", self.neighbors.encode()),
             ("table", self.table.lines().encode()),
             ("total_phases", self.total_phases.encode()),
             ("current_phase", self.current_phase.encode()),
-            ("pending", self.pending.encode()),
-            ("future", self.future.encode()),
+            ("pending", Json::Array(pairs(0))),
+            ("future", Json::Array(future)),
             ("radius", self.radius.encode()),
         ])
     }
 
     fn decode(doc: &Json, path: &Path<'_>) -> Result<Self, SnapshotError> {
+        type Senders = Vec<(SiteId, Arc<[RouteEntry]>)>;
         let owner = field(doc, path, "owner")?;
+        let neighbors: Vec<(SiteId, f64)> = field(doc, path, "neighbors")?;
+        for (i, &(_, delay)) in neighbors.iter().enumerate() {
+            // Link delays add up to route distances.
+            non_negative(delay, &path.key("neighbors").index(i))?;
+        }
         let lines: Vec<RouteEntry> = field(doc, path, "table")?;
-        Ok(PcsState {
+        let current_phase: usize = field(doc, path, "current_phase")?;
+        if current_phase == 0 {
+            return Err(path.key("current_phase").err("phases count from 1"));
+        }
+        let mut state = Self::assemble(
             owner,
-            neighbors: field(doc, path, "neighbors")?,
-            table: RoutingTable::from_entries(owner, lines),
-            total_phases: field(doc, path, "total_phases")?,
-            current_phase: field(doc, path, "current_phase")?,
-            pending: field(doc, path, "pending")?,
-            future: field(doc, path, "future")?,
-            radius: field(doc, path, "radius")?,
-        })
+            neighbors,
+            RoutingTable::from_entries(owner, lines.iter().copied()),
+            field(doc, path, "total_phases")?,
+            current_phase,
+            field(doc, path, "radius")?,
+        );
+        // Messages follow the table's next hops and delays.
+        let table_path = path.key("table");
+        if state.table.route(owner).is_none() {
+            return Err(table_path.err(format!("no route line for the owner, site {owner}")));
+        }
+        for (i, line) in lines.iter().enumerate() {
+            let via_neighbor = line
+                .next_hop
+                .is_some_and(|hop| state.inbox_of(hop).is_some());
+            if line.destination != owner && !via_neighbor {
+                return Err(table_path.index(i).err("the next hop is not a neighbor"));
+            }
+        }
+        let mut fill = |senders: Senders, path: &Path<'_>, ahead: usize| {
+            for (i, (from, lines)) in senders.into_iter().enumerate() {
+                let Some(inbox) = state.inbox_of(from) else {
+                    return Err(path
+                        .index(i)
+                        .err(format!("sender {from} is not a neighbor")));
+                };
+                if state.inboxes[inbox].held[ahead].replace(lines).is_some() {
+                    return Err(path.index(i).err(format!("sender {from} listed twice")));
+                }
+            }
+            Ok(())
+        };
+        fill(field(doc, path, "pending")?, &path.key("pending"), 0)?;
+        let future: Vec<(usize, Senders)> = field(doc, path, "future")?;
+        let future_path = path.key("future");
+        for (i, (phase, senders)) in future.into_iter().enumerate() {
+            let path = future_path.index(i);
+            if phase != current_phase + 1 {
+                return Err(path.err(format!(
+                    "phase {phase} is not the one after the current phase {current_phase}"
+                )));
+            }
+            fill(senders, &path.index(1), 1)?;
+        }
+        state.received = state.inboxes.iter().filter(|i| i.held[0].is_some()).count();
+        Ok(state)
     }
 }
 
@@ -366,5 +472,76 @@ mod tests {
         assert!(a.is_finished());
         assert_eq!(a.table().distance(SiteId(1)), Some(1.0));
         assert_eq!(b.table().distance(SiteId(0)), Some(1.0));
+    }
+
+    #[test]
+    fn hostile_construction_states_are_refused() {
+        // Site 1 of a three-site line, mid-construction: site 0's phase-1
+        // table is in, site 2's is not, and site 0 has also run ahead.
+        let mut state = PcsState::new(SiteId(1), vec![(SiteId(2), 1.0), (SiteId(0), 1.0)], 2);
+        state.start();
+        let lines: Arc<[RouteEntry]> = RoutingTable::initial(SiteId(0), &[(SiteId(1), 1.0)])
+            .lines()
+            .into();
+        assert!(state.on_update(SiteId(0), 1, lines.clone()).is_empty());
+        assert!(state.on_update(SiteId(0), 2, lines.clone()).is_empty());
+        // A stranger's update is dropped, whatever it claims.
+        assert!(state.on_update(SiteId(7), 1, lines.clone()).is_empty());
+        let doc = state.encode();
+        let path = Path::root("pcs").within(3);
+        assert_eq!(PcsState::decode(&doc, &path).as_ref(), Ok(&state));
+
+        let refused = |key: &str, value: Json, expected: [&str; 2]| {
+            let Json::Object(mut fields) = doc.clone() else {
+                panic!("the state encodes as an object");
+            };
+            let field = fields.iter_mut().find(|(k, _)| k == key).expect(key);
+            field.1 = value;
+            let error = PcsState::decode(&Json::Object(fields), &path).expect_err(key);
+            for part in expected {
+                assert!(error.0.contains(part), "{key}: {error}");
+            }
+        };
+        let from = |site: usize| vec![(SiteId(site), lines.clone())];
+        refused(
+            "pending",
+            from(1).encode(),
+            ["pcs.pending[0]", "not a neighbor"],
+        );
+        let twice = [from(0), from(0)].concat();
+        refused("pending", twice.encode(), ["pcs.pending[1]", "twice"]);
+        refused(
+            "future",
+            vec![(3usize, from(0))].encode(),
+            ["pcs.future[0]", "phase 3"],
+        );
+        refused(
+            "future",
+            vec![(2usize, from(1))].encode(),
+            ["pcs.future[0][1][0]", "not a neighbor"],
+        );
+        refused(
+            "current_phase",
+            0usize.encode(),
+            ["pcs.current_phase", "from 1"],
+        );
+        refused(
+            "neighbors",
+            vec![(SiteId(2), 1.0), (SiteId(0), f64::NAN)].encode(),
+            ["pcs.neighbors[1]", "non-negative"],
+        );
+        let table = state.table().lines();
+        refused(
+            "table",
+            table[..1].to_vec().encode(),
+            ["pcs.table", "owner"],
+        );
+        let mut via_stranger = table;
+        via_stranger[2].next_hop = Some(SiteId(1));
+        refused(
+            "table",
+            via_stranger.encode(),
+            ["pcs.table[2]", "not a neighbor"],
+        );
     }
 }

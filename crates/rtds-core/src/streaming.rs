@@ -37,7 +37,7 @@ use crate::system::RtdsSystem;
 use rtds_graph::{Job, JobId};
 use rtds_metrics::{MetricsRegistry, Scope};
 use rtds_net::SiteId;
-use rtds_sched::{Scheduler, SiteScheduler};
+use rtds_sched::Scheduler;
 use rtds_sim::engine::ArrivalSource;
 use rtds_sim::json::Json;
 use rtds_sim::snapshot::{expect_schema, field, field_with, Path, Snap, SnapshotError, Word};
@@ -195,6 +195,8 @@ struct HarvestState {
     peak_plan: u64,
     peak_queue: u64,
     harvests: u64,
+    /// Reused buffer for the sites a pass visits (not state).
+    visit: Vec<SiteId>,
     /// Harvest-side telemetry (end-to-end histograms, per-site plan
     /// gauges); merged into [`StreamReport::metrics`] at the end. Kept out
     /// of the engine's [`SimStats`] so the protocol-level statistics stay
@@ -251,40 +253,51 @@ impl ArrivalSource<RtdsMsg> for StreamAdapter<'_> {
     }
 }
 
-/// The sites whose resource bundle is not the paper's single-capacity one.
-fn multicore_sites(sim: &Simulator<RtdsNode>) -> impl Iterator<Item = (u32, &SiteScheduler)> {
-    (0..sim.network().site_count())
-        .map(|s| (s as u32, sim.node(SiteId(s)).scheduler()))
-        .filter(|(_, sched)| !sched.resources().is_degenerate())
-}
-
 /// One harvest pass: absorb acceptance records, drain reservations that
 /// completed by `cutoff`, and finalize every job whose deadline has passed
 /// (all of an accepted job's reservations end by its deadline, so its
 /// completion is fully known once the clock passes it).
+///
+/// The pass visits the sites the engine reports as touched: those a protocol
+/// handler ran on since the last pass — only a handler commits reservations
+/// or accepts a job — and those the last pass touched again itself because
+/// they still had something committed when it looked. Every other site was
+/// idle at its last visit and has been since: its gauges already read their
+/// idle values and it has nothing to drain, so visiting it would change
+/// nothing. The first pass of a run (and of a resumed run) sees every site.
+/// The order of the visits does not matter: gauges are per site, and the
+/// rest folds maxima and flags.
 fn harvest(sim: &mut Simulator<RtdsNode>, cutoff: f64, st: &mut HarvestState) {
     st.harvests += 1;
     st.peak_queue = st.peak_queue.max(sim.queue_len() as u64);
-    let site_count = sim.network().site_count();
+    let mut visit = std::mem::take(&mut st.visit);
+    sim.take_touched(&mut visit);
     // Each gauge family is resolved once per pass, not once per site.
     // Multicore-only gauges: on default (degenerate) bundles these are
     // omitted entirely so the metrics JSON stays byte-identical to the
     // single-capacity engine.
-    if multicore_sites(sim).next().is_some() {
+    let multicore = || {
+        let scheds = visit.iter().map(|&s| (s.0 as u32, sim.node(s).scheduler()));
+        scheds.filter(|(_, sched)| !sched.resources().is_degenerate())
+    };
+    if multicore().next().is_some() {
         let mut core_busy = st.metrics.gauge_family("core_busy");
-        for (s, sched) in multicore_sites(sim) {
+        for (s, sched) in multicore() {
             core_busy.set(Scope::Site(s), sched.busy_cores(cutoff) as f64);
         }
         let mut mem_used = st.metrics.gauge_family("mem_used");
-        for (s, sched) in multicore_sites(sim) {
+        for (s, sched) in multicore() {
             mem_used.set(Scope::Site(s), sched.mem_used(cutoff));
         }
     }
     let mut plan_reservations = st.metrics.gauge_family("plan_reservations");
-    for s in 0..site_count {
-        let node = sim.node_mut(SiteId(s));
+    for &s in &visit {
+        let node = sim.node_mut(s);
+        // Committed before this pass drains: the gauges above just recorded
+        // it, so the next pass must look again, if only to record zero.
+        let look_again = !node.sched.is_idle();
         st.peak_plan = st.peak_plan.max(node.plan_len() as u64);
-        plan_reservations.set(Scope::Site(s as u32), node.plan_len() as f64);
+        plan_reservations.set(Scope::Site(s.0 as u32), node.plan_len() as f64);
         for accepted in std::mem::take(&mut node.accepted) {
             if let Some(pending) = st.inflight.get_mut(&accepted.job) {
                 pending.accepted = true;
@@ -299,7 +312,12 @@ fn harvest(sim: &mut Simulator<RtdsNode>, cutoff: f64, st: &mut HarvestState) {
                 *latest = placement.reservation.end;
             }
         }
+        if look_again {
+            sim.touch(s);
+        }
     }
+    visit.clear();
+    st.visit = visit;
     let due: Vec<JobId> = st
         .inflight
         .iter()
@@ -396,6 +414,7 @@ impl Snap for HarvestState {
             peak_plan: field(doc, path, "peak_plan")?,
             peak_queue: field(doc, path, "peak_queue")?,
             harvests: field(doc, path, "harvests")?,
+            visit: Vec::new(),
             metrics: field(doc, path, "metrics")?,
         })
     }

@@ -16,7 +16,7 @@
 //! * [`dijkstra`] — reference shortest paths, eccentricities and diameters
 //!   used to validate the distributed algorithm,
 //! * [`routing`] — the `<destination, distance, next hop>` routing tables of
-//!   §7.1, stored densely (a vector indexed by destination site id),
+//!   §7.1, holding only the destinations a site knows, sorted by id,
 //! * [`bellman_ford`] — the *interrupted* phase-synchronous distributed
 //!   All-Pairs Shortest Paths algorithm of §7.2 (Bertsekas–Gallager style),
 //! * [`sphere`] — hop-bounded sphere extraction: the structural core of the

@@ -22,95 +22,128 @@ pub struct RouteEntry {
     pub hops: usize,
 }
 
-/// Routing table of one site: destination → best known route.
-///
-/// Site ids are dense, so the table is a plain vector indexed by destination
-/// (`entries[d]` is the best known route to site `d`, `None` while the
-/// destination is unknown). Iteration runs in index — and therefore
-/// destination — order, so routing-update messages stay deterministic and
-/// byte-identical to the historical ordered-map representation; lookups and
-/// the §7.1 merge are O(1) per destination instead of tree walks.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct RoutingTable {
-    owner: SiteId,
-    entries: Vec<Option<RouteEntry>>,
-    /// Number of `Some` entries (known destinations).
-    known: usize,
-    /// Bumped on every entry improvement (not part of table equality; used
-    /// by [`RoutingTable::merge_from_neighbor`] to report change).
-    version: u64,
+/// A route as the table stores it: the destination lives in the key array,
+/// ids and hop counts are 32-bit (16 bytes against [`RouteEntry`]'s 40).
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct PackedRoute {
+    distance: f64,
+    /// [`NO_HOP`] for `None`.
+    next_hop: u32,
+    hops: u32,
 }
 
-impl PartialEq for RoutingTable {
-    /// Two tables are equal when they record the same routes — trailing
-    /// unknown slots (an artifact of how far each table has grown) are
-    /// ignored.
-    fn eq(&self, other: &Self) -> bool {
-        self.owner == other.owner && self.known == other.known && self.entries().eq(other.entries())
+const NO_HOP: u32 = u32::MAX;
+
+/// What a slot holds between the table growing and the slot being filled.
+const VACANT: PackedRoute = PackedRoute {
+    distance: 0.0,
+    next_hop: NO_HOP,
+    hops: 0,
+};
+
+fn narrow(n: usize) -> u32 {
+    u32::try_from(n).expect("site ids and hop counts fit in 32 bits")
+}
+
+impl PackedRoute {
+    fn pack(entry: &RouteEntry) -> Self {
+        PackedRoute {
+            distance: entry.distance,
+            next_hop: entry.next_hop.map_or(NO_HOP, |hop| narrow(hop.0)),
+            hops: narrow(entry.hops),
+        }
     }
+
+    /// The §7.1 preference: strictly shorter, or as short (to 1e-12) over
+    /// fewer links.
+    fn improves(&self, existing: &PackedRoute) -> bool {
+        self.distance < existing.distance - 1e-12
+            || ((self.distance - existing.distance).abs() <= 1e-12 && self.hops < existing.hops)
+    }
+
+    fn unpack(&self, key: u32) -> RouteEntry {
+        RouteEntry {
+            destination: SiteId(key as usize),
+            distance: self.distance,
+            next_hop: (self.next_hop != NO_HOP).then_some(SiteId(self.next_hop as usize)),
+            hops: self.hops as usize,
+        }
+    }
+}
+
+/// Routing table of one site: destination → best known route.
+///
+/// The table holds only the destinations it knows — after the interrupted
+/// §7 exchange that is the `2h`-hop neighbourhood, whatever the width of the
+/// network. Destinations sit in an ascending `u32` key array with the routes
+/// in a parallel array, so a lookup binary-searches a few contiguous cache
+/// lines and reads one 16-byte record. Iteration runs in destination order,
+/// which keeps routing-update messages deterministic.
+///
+/// Site ids and hop counts are stored in 32 bits; building or merging a line
+/// that exceeds them panics.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct RoutingTable {
+    owner: SiteId,
+    /// Known destinations, strictly ascending.
+    keys: Vec<u32>,
+    /// `routes[i]` is the best known route to `keys[i]`.
+    routes: Vec<PackedRoute>,
 }
 
 impl RoutingTable {
     /// Creates the initial routing table of a site: one self-entry of
     /// distance 0 plus one entry per adjacent link (§7.1 start conditions).
     pub fn initial(owner: SiteId, neighbors: &[(SiteId, f64)]) -> Self {
-        let capacity = neighbors
-            .iter()
-            .map(|(n, _)| n.0)
-            .chain(std::iter::once(owner.0))
-            .max()
-            .unwrap_or(0)
-            + 1;
-        let mut table = RoutingTable {
-            owner,
-            entries: vec![None; capacity],
-            known: 0,
-            version: 0,
-        };
-        table.set(RouteEntry {
+        let own = RouteEntry {
             destination: owner,
             distance: 0.0,
             next_hop: None,
             hops: 0,
+        };
+        let links = neighbors.iter().map(|&(nb, delay)| RouteEntry {
+            destination: nb,
+            distance: delay,
+            next_hop: Some(nb),
+            hops: 1,
         });
-        for &(nb, delay) in neighbors {
-            table.set(RouteEntry {
-                destination: nb,
-                distance: delay,
-                next_hop: Some(nb),
-                hops: 1,
-            });
-        }
-        table
+        Self::from_entries(owner, std::iter::once(own).chain(links))
     }
 
-    /// Inserts or replaces the route line for its destination.
-    fn set(&mut self, entry: RouteEntry) {
-        let idx = entry.destination.0;
-        if idx >= self.entries.len() {
-            self.entries.resize(idx + 1, None);
-        }
-        if self.entries[idx].is_none() {
-            self.known += 1;
-        }
-        self.entries[idx] = Some(entry);
-    }
-
-    /// Rebuilds a table from route lines captured by
-    /// [`RoutingTable::entries`]. The change-tracking version restarts at
-    /// zero — it is transient merge bookkeeping, not part of table
-    /// equality.
+    /// Builds a table from route lines, e.g. those captured by
+    /// [`RoutingTable::entries`]; a later line for the same destination
+    /// replaces an earlier one.
     pub fn from_entries(owner: SiteId, entries: impl IntoIterator<Item = RouteEntry>) -> Self {
+        let entries = entries.into_iter();
+        // Room for 16 routes up front: the first phases of an exchange would
+        // regrow anything smaller two or three times.
+        let capacity = entries.size_hint().0.max(16);
         let mut table = RoutingTable {
             owner,
-            entries: Vec::new(),
-            known: 0,
-            version: 0,
+            keys: Vec::with_capacity(capacity),
+            routes: Vec::with_capacity(capacity),
         };
         for entry in entries {
-            table.set(entry);
+            table.set(narrow(entry.destination.0), PackedRoute::pack(&entry));
         }
         table
+    }
+
+    /// Inserts or replaces the route to `key`. Appending past the last key
+    /// (ascending input) costs no search and no shift.
+    fn set(&mut self, key: u32, route: PackedRoute) {
+        if self.keys.last().map_or(true, |&last| last < key) {
+            self.keys.push(key);
+            self.routes.push(route);
+            return;
+        }
+        match self.keys.binary_search(&key) {
+            Ok(i) => self.routes[i] = route,
+            Err(i) => {
+                self.keys.insert(i, key);
+                self.routes.insert(i, route);
+            }
+        }
     }
 
     /// The site owning this table.
@@ -120,18 +153,20 @@ impl RoutingTable {
 
     /// Number of known destinations (including the owner itself).
     pub fn len(&self) -> usize {
-        self.known
+        self.keys.len()
     }
 
     /// Returns `true` if the table only knows the owner.
     pub fn is_empty(&self) -> bool {
-        self.known <= 1
+        self.keys.len() <= 1
     }
 
     /// Route to a destination, if known.
     #[inline]
-    pub fn route(&self, destination: SiteId) -> Option<&RouteEntry> {
-        self.entries.get(destination.0).and_then(|e| e.as_ref())
+    pub fn route(&self, destination: SiteId) -> Option<RouteEntry> {
+        let key = u32::try_from(destination.0).ok()?;
+        let i = self.keys.binary_search(&key).ok()?;
+        Some(self.routes[i].unpack(key))
     }
 
     /// Minimum known delay to a destination.
@@ -150,8 +185,11 @@ impl RoutingTable {
     }
 
     /// Iterator over all route lines in destination order.
-    pub fn entries(&self) -> impl Iterator<Item = &RouteEntry> {
-        self.entries.iter().filter_map(|e| e.as_ref())
+    pub fn entries(&self) -> impl ExactSizeIterator<Item = RouteEntry> + '_ {
+        self.keys
+            .iter()
+            .zip(&self.routes)
+            .map(|(&key, route)| route.unpack(key))
     }
 
     /// All destinations whose recorded route uses at most `max_hops` links —
@@ -172,9 +210,9 @@ impl RoutingTable {
         link_delay: f64,
         lines: &[RouteEntry],
     ) -> bool {
-        let before = self.version;
-        self.merge_tracked(neighbor, link_delay, lines, &mut Vec::new());
-        self.version != before
+        let mut changed = false;
+        self.merge(neighbor, link_delay, lines, |_| changed = true);
+        changed
     }
 
     /// [`RoutingTable::merge_from_neighbor`], additionally appending the
@@ -191,37 +229,118 @@ impl RoutingTable {
         lines: &[RouteEntry],
         improved: &mut Vec<SiteId>,
     ) {
-        for line in lines {
-            let dest = line.destination;
-            if dest == self.owner {
-                continue;
-            }
-            let candidate = RouteEntry {
-                destination: dest,
-                distance: line.distance + link_delay,
-                next_hop: Some(neighbor),
-                hops: line.hops + 1,
-            };
-            let better = match self.route(dest) {
-                None => true,
-                Some(existing) => {
-                    candidate.distance < existing.distance - 1e-12
-                        || ((candidate.distance - existing.distance).abs() <= 1e-12
-                            && candidate.hops < existing.hops)
+        self.merge(neighbor, link_delay, lines, |dest| improved.push(dest));
+    }
+
+    /// The §7.1 merge, reporting every improved destination in line order.
+    ///
+    /// Lines in strictly ascending destination order — what
+    /// [`RoutingTable::lines`] and the delta broadcast emit — are merged by
+    /// one forward walk that improves known destinations in place and counts
+    /// the unknown ones, then one backward walk that slots those in; the
+    /// table grows at most once. Anything else is merged line by line.
+    fn merge(
+        &mut self,
+        neighbor: SiteId,
+        link_delay: f64,
+        lines: &[RouteEntry],
+        mut improved: impl FnMut(SiteId),
+    ) {
+        let via = narrow(neighbor.0);
+        let candidate = |line: &RouteEntry| PackedRoute {
+            distance: line.distance + link_delay,
+            next_hop: via,
+            hops: narrow(line.hops + 1),
+        };
+        let owner = self.owner;
+        let foreign = |line: &&RouteEntry| line.destination != owner;
+        let ascending = lines
+            .windows(2)
+            .all(|w| w[0].destination < w[1].destination);
+        if !ascending {
+            for line in lines.iter().filter(foreign) {
+                let (key, route) = (narrow(line.destination.0), candidate(line));
+                let known = self.keys.binary_search(&key).ok();
+                if known.map_or(true, |i| route.improves(&self.routes[i])) {
+                    self.set(key, route);
+                    improved(line.destination);
                 }
-            };
-            if better {
-                self.set(candidate);
-                self.version += 1;
-                improved.push(dest);
+            }
+            return;
+        }
+        let mut unknown = 0;
+        let mut i = 0;
+        for line in lines.iter().filter(foreign) {
+            let key = narrow(line.destination.0);
+            while i < self.keys.len() && self.keys[i] < key {
+                i += 1;
+            }
+            if self.keys.get(i) != Some(&key) {
+                unknown += 1;
+            } else {
+                let route = candidate(line);
+                if !route.improves(&self.routes[i]) {
+                    continue;
+                }
+                self.routes[i] = route;
+            }
+            improved(line.destination);
+        }
+        if unknown == 0 {
+            return;
+        }
+        // Backward walk: `read` old entries remain to be placed, everything
+        // from `write` up is final, and the gap between the two is exactly
+        // the unknown lines not yet slotted in.
+        let mut read = self.keys.len();
+        let mut write = read + unknown;
+        self.keys.resize(write, 0);
+        self.routes.resize(write, VACANT);
+        for line in lines.iter().rev().filter(foreign) {
+            if read == write {
+                break;
+            }
+            let key = narrow(line.destination.0);
+            while read > 0 && self.keys[read - 1] > key {
+                read -= 1;
+                write -= 1;
+                self.keys[write] = self.keys[read];
+                self.routes[write] = self.routes[read];
+            }
+            if read == 0 || self.keys[read - 1] != key {
+                write -= 1;
+                self.keys[write] = key;
+                self.routes[write] = candidate(line);
             }
         }
+        debug_assert_eq!(read, write);
     }
 
     /// Snapshot of the route lines, suitable for inclusion in a routing-update
     /// message (the §7.1 send step).
     pub fn lines(&self) -> Vec<RouteEntry> {
-        self.entries().copied().collect()
+        self.entries().collect()
+    }
+
+    /// The route lines of the destinations in `ascending` — a delta
+    /// broadcast's payload — found by one walk over the table instead of a
+    /// search per destination.
+    ///
+    /// # Panics
+    /// Panics unless `ascending` is strictly ascending and every destination
+    /// in it is known.
+    pub fn lines_of<'a>(
+        &'a self,
+        ascending: &'a [SiteId],
+    ) -> impl ExactSizeIterator<Item = RouteEntry> + 'a {
+        let mut rest = 0;
+        ascending.iter().map(move |destination| {
+            let found = self.keys[rest..]
+                .iter()
+                .position(|&key| key as usize == destination.0);
+            rest += found.expect("destinations are ascending and known");
+            self.routes[rest].unpack(self.keys[rest])
+        })
     }
 }
 

@@ -1,11 +1,12 @@
-//! A fixed-width bitset over dense site ids.
+//! A bitset over site ids.
 //!
-//! Sphere membership used to be answered by binary-searching a sorted
-//! member vector; on the hot paths (the Mapper's peer selection, the
-//! engine's reachability checks, every `Sphere::contains`) that is a
-//! pointer-chasing O(log n) probe. Site ids are dense, so membership fits a
-//! flat `u64` block vector: O(1) insert/contains, word-at-a-time equality
-//! and an ascending iterator that matches the sorted-vector order exactly.
+//! Sphere membership is asked on the hot paths (the Mapper's peer
+//! selection, the engine's reachability checks, every `Sphere::contains`),
+//! where binary-searching the sorted member vector is an O(log n) probe.
+//! Site ids are small integers, so membership fits `u64` blocks reaching up
+//! to the largest member id — one bit per site id, against the eight bytes
+//! a member costs: O(1) insert/contains, word-at-a-time equality and an
+//! ascending iterator that matches the sorted-vector order exactly.
 
 use crate::topology::SiteId;
 use serde::{Deserialize, Serialize};

@@ -1,8 +1,7 @@
 //! Property-based tests for the network substrate: the interrupted
 //! distributed Bellman–Ford must agree with centralized references, spheres
-//! must satisfy the §6 structural properties, and the dense (vector-indexed)
-//! routing table must behave identically to the ordered-map representation
-//! it replaced.
+//! must satisfy the §6 structural properties, and the compact routing table
+//! must behave identically to an ordered-map model of the §7.1 rules.
 
 use proptest::prelude::*;
 use rtds_net::bellman_ford::phased_apsp;
@@ -16,77 +15,137 @@ use rtds_net::sphere::Sphere;
 use rtds_net::topology::{Network, SiteId};
 use std::collections::BTreeMap;
 
-/// The historical `BTreeMap`-backed routing table, kept verbatim as the
-/// behavioral reference the dense representation is pinned against.
+/// The §7.1 rules over a plain ordered map — the model the compact table is
+/// pinned against, over a full phased exchange and operation by operation.
 #[derive(Debug, Clone)]
-struct MapRoutingTable {
+struct Model {
     owner: SiteId,
-    entries: BTreeMap<SiteId, RouteEntry>,
+    routes: BTreeMap<usize, RouteEntry>,
 }
 
-impl MapRoutingTable {
-    fn initial(owner: SiteId, neighbors: &[(SiteId, f64)]) -> Self {
-        let mut entries = BTreeMap::new();
-        entries.insert(
-            owner,
-            RouteEntry {
-                destination: owner,
-                distance: 0.0,
-                next_hop: None,
-                hops: 0,
-            },
-        );
-        for &(nb, delay) in neighbors {
-            entries.insert(
-                nb,
-                RouteEntry {
-                    destination: nb,
-                    distance: delay,
-                    next_hop: Some(nb),
-                    hops: 1,
-                },
-            );
-        }
-        MapRoutingTable { owner, entries }
+impl Model {
+    fn from_entries(owner: SiteId, entries: &[RouteEntry]) -> Self {
+        let routes = entries.iter().map(|e| (e.destination.0, *e)).collect();
+        Model { owner, routes }
     }
 
-    fn merge_from_neighbor(
-        &mut self,
-        neighbor: SiteId,
-        link_delay: f64,
-        lines: &[RouteEntry],
-    ) -> bool {
-        let mut changed = false;
-        for line in lines {
-            let dest = line.destination;
-            if dest == self.owner {
-                continue;
-            }
+    /// The §7.1 start conditions: the owner at distance 0, every neighbor
+    /// over its link.
+    fn initial(owner: SiteId, neighbors: &[(SiteId, f64)]) -> Self {
+        let own = RouteEntry {
+            destination: owner,
+            distance: 0.0,
+            next_hop: None,
+            hops: 0,
+        };
+        let links = neighbors.iter().map(|&(nb, delay)| RouteEntry {
+            destination: nb,
+            distance: delay,
+            next_hop: Some(nb),
+            hops: 1,
+        });
+        let entries: Vec<RouteEntry> = std::iter::once(own).chain(links).collect();
+        Model::from_entries(owner, &entries)
+    }
+
+    fn lines(&self) -> Vec<RouteEntry> {
+        self.routes.values().copied().collect()
+    }
+
+    /// Merges `lines`; the improved destinations, one per improving line.
+    fn merge(&mut self, neighbor: SiteId, link_delay: f64, lines: &[RouteEntry]) -> Vec<SiteId> {
+        let mut improved = Vec::new();
+        for line in lines.iter().filter(|l| l.destination != self.owner) {
             let candidate = RouteEntry {
-                destination: dest,
+                destination: line.destination,
                 distance: line.distance + link_delay,
                 next_hop: Some(neighbor),
                 hops: line.hops + 1,
             };
-            let better = match self.entries.get(&dest) {
-                None => true,
-                Some(existing) => {
-                    candidate.distance < existing.distance - 1e-12
-                        || ((candidate.distance - existing.distance).abs() <= 1e-12
-                            && candidate.hops < existing.hops)
-                }
-            };
+            let better = self.routes.get(&line.destination.0).map_or(true, |known| {
+                candidate.distance < known.distance - 1e-12
+                    || ((candidate.distance - known.distance).abs() <= 1e-12
+                        && candidate.hops < known.hops)
+            });
             if better {
-                self.entries.insert(dest, candidate);
-                changed = true;
+                self.routes.insert(line.destination.0, candidate);
+                improved.push(line.destination);
             }
         }
-        changed
+        improved
     }
+}
 
-    fn lines(&self) -> Vec<RouteEntry> {
-        self.entries.values().copied().collect()
-    }
+/// One step of the differential drive.
+#[derive(Debug, Clone)]
+enum TableOp {
+    Initial(usize, Vec<(usize, f64)>),
+    FromEntries(usize, Vec<RouteEntry>),
+    /// `tracked` selects `merge_tracked` over `merge_from_neighbor`.
+    Merge {
+        tracked: bool,
+        neighbor: usize,
+        link_delay: f64,
+        lines: Vec<RouteEntry>,
+    },
+}
+
+/// Ids collide often (16 of them), distances sit on a half-unit lattice
+/// nudged by about 1e-12 so the tie rule decides, and the line list is
+/// left as drawn (unsorted, duplicated, self-addressed), sorted with its
+/// duplicates, or made strictly ascending.
+fn arbitrary_lines() -> impl Strategy<Value = Vec<RouteEntry>> {
+    let nudge = prop_oneof![
+        Just(0.0),
+        Just(1e-12),
+        Just(-1e-12),
+        Just(4e-13),
+        Just(3e-12)
+    ];
+    let line = (0usize..16, 0u32..8, nudge, 0usize..5, 0usize..16).prop_map(
+        |(destination, half_units, nudge, hops, hop)| RouteEntry {
+            destination: SiteId(destination),
+            distance: 0.5 * f64::from(half_units) + nudge + 1.0,
+            next_hop: Some(SiteId(hop)),
+            hops,
+        },
+    );
+    (proptest::collection::vec(line, 0..24), 0u8..3).prop_map(|(mut lines, order)| {
+        if order >= 1 {
+            lines.sort_by_key(|l| l.destination);
+        }
+        if order == 2 {
+            lines.dedup_by_key(|l| l.destination);
+        }
+        lines
+    })
+}
+
+fn arbitrary_op() -> impl Strategy<Value = TableOp> {
+    let merge = || {
+        (proptest::bool::ANY, 0usize..16, 0u32..4, arbitrary_lines()).prop_map(
+            |(tracked, neighbor, half_units, lines)| TableOp::Merge {
+                tracked,
+                neighbor,
+                link_delay: 0.5 * f64::from(half_units),
+                lines,
+            },
+        )
+    };
+    // Merges outnumber the two constructors, so tables get to grow.
+    prop_oneof![
+        (
+            0usize..16,
+            proptest::collection::vec((0usize..16, 0.5f64..3.0), 0..6)
+        )
+            .prop_map(|(owner, neighbors)| TableOp::Initial(owner, neighbors)),
+        (0usize..16, arbitrary_lines())
+            .prop_map(|(owner, entries)| TableOp::FromEntries(owner, entries)),
+        merge(),
+        merge(),
+        merge(),
+        merge(),
+    ]
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -239,54 +298,122 @@ proptest! {
         }
     }
 
-    /// The dense routing table is line-for-line equivalent to the historical
-    /// ordered-map representation over a full phased exchange on randomized
-    /// topologies: same change flags, same message contents (order included),
-    /// same final routes.
+    /// The routing table is line-for-line equivalent to the ordered-map
+    /// reference over a full phased exchange on randomized topologies: same
+    /// change flags, same message contents (order included), same final
+    /// routes.
     #[test]
-    fn dense_routing_table_matches_map_reference(
+    fn routing_exchange_matches_map_reference(
         topo in arbitrary_topo(),
         delays in arbitrary_delays(),
         seed in 0u64..500,
         phases in 1usize..6,
     ) {
         let net = build(topo, delays, seed);
-        let mut dense: Vec<RoutingTable> = net
+        let mut compact: Vec<RoutingTable> = net
             .sites()
             .map(|s| RoutingTable::initial(s, net.neighbors(s)))
             .collect();
-        let mut reference: Vec<MapRoutingTable> = net
+        let mut reference: Vec<Model> = net
             .sites()
-            .map(|s| MapRoutingTable::initial(s, net.neighbors(s)))
+            .map(|s| Model::initial(s, net.neighbors(s)))
             .collect();
         for _ in 0..phases {
             // The send step: every site snapshots its lines. The snapshots —
             // the wire contents of routing-update messages — must be
             // identical, ordering included.
-            let dense_lines: Vec<Vec<RouteEntry>> = dense.iter().map(|t| t.lines()).collect();
+            let compact_lines: Vec<Vec<RouteEntry>> = compact.iter().map(|t| t.lines()).collect();
             let reference_lines: Vec<Vec<RouteEntry>> =
                 reference.iter().map(|t| t.lines()).collect();
-            prop_assert_eq!(&dense_lines, &reference_lines);
+            prop_assert_eq!(&compact_lines, &reference_lines);
             // The receive step: merge every neighbor's snapshot.
             for s in net.sites() {
                 for &(nb, delay) in net.neighbors(s) {
-                    let changed_dense =
-                        dense[s.0].merge_from_neighbor(nb, delay, &dense_lines[nb.0]);
-                    let changed_reference =
-                        reference[s.0].merge_from_neighbor(nb, delay, &reference_lines[nb.0]);
-                    prop_assert_eq!(changed_dense, changed_reference, "site {} from {}", s, nb);
+                    let changed_compact =
+                        compact[s.0].merge_from_neighbor(nb, delay, &compact_lines[nb.0]);
+                    let improved = reference[s.0].merge(nb, delay, &reference_lines[nb.0]);
+                    prop_assert_eq!(changed_compact, !improved.is_empty(), "site {} from {}", s, nb);
                 }
             }
         }
         for s in net.sites() {
-            prop_assert_eq!(dense[s.0].lines(), reference[s.0].lines(), "site {}", s);
-            prop_assert_eq!(dense[s.0].len(), reference[s.0].entries.len());
+            prop_assert_eq!(compact[s.0].lines(), reference[s.0].lines(), "site {}", s);
+            prop_assert_eq!(compact[s.0].len(), reference[s.0].routes.len());
             for d in net.sites() {
                 prop_assert_eq!(
-                    dense[s.0].route(d).copied(),
-                    reference[s.0].entries.get(&d).copied(),
+                    compact[s.0].route(d),
+                    reference[s.0].routes.get(&d.0).copied(),
                     "route {} -> {}", s, d
                 );
+            }
+        }
+    }
+
+    /// Any sequence of constructions and merges — lines sorted or not,
+    /// duplicated, self-addressed, tied to within 1e-12 — leaves the compact
+    /// table and the ordered-map model with the same routes, the same
+    /// answers to every lookup and the same report of what improved.
+    #[test]
+    fn routing_table_matches_the_map_model(
+        ops in proptest::collection::vec(arbitrary_op(), 1..24),
+    ) {
+        let mut table = RoutingTable::initial(SiteId(0), &[]);
+        let mut model = Model::initial(SiteId(0), &[]);
+        for op in ops {
+            match op {
+                TableOp::Initial(owner, neighbors) => {
+                    let owner = SiteId(owner);
+                    let neighbors: Vec<(SiteId, f64)> =
+                        neighbors.into_iter().map(|(n, d)| (SiteId(n), d)).collect();
+                    table = RoutingTable::initial(owner, &neighbors);
+                    model = Model::initial(owner, &neighbors);
+                }
+                TableOp::FromEntries(owner, entries) => {
+                    table = RoutingTable::from_entries(SiteId(owner), entries.iter().copied());
+                    model = Model::from_entries(SiteId(owner), &entries);
+                }
+                TableOp::Merge { tracked, neighbor, link_delay, lines } => {
+                    let before = table.clone();
+                    let mut expected = model.merge(SiteId(neighbor), link_delay, &lines);
+                    expected.sort_unstable();
+                    if tracked {
+                        let mut improved = vec![SiteId(99)];
+                        table.merge_tracked(SiteId(neighbor), link_delay, &lines, &mut improved);
+                        prop_assert_eq!(improved[0], SiteId(99), "merge_tracked only appends");
+                        improved[1..].sort_unstable();
+                        prop_assert_eq!(&improved[1..], &expected[..]);
+                    } else {
+                        let changed = table.merge_from_neighbor(SiteId(neighbor), link_delay, &lines);
+                        prop_assert_eq!(changed, !expected.is_empty());
+                    }
+                    prop_assert_eq!(table == before, expected.is_empty());
+                }
+            }
+            let expected: Vec<RouteEntry> = model.routes.values().copied().collect();
+            prop_assert_eq!(table.entries().collect::<Vec<_>>(), expected.clone());
+            prop_assert_eq!(table.lines(), expected.clone());
+            prop_assert_eq!(table.owner(), model.owner);
+            prop_assert_eq!(table.len(), expected.len());
+            prop_assert_eq!(table.is_empty(), expected.len() <= 1);
+            prop_assert_eq!(&table, &RoutingTable::from_entries(model.owner, expected.clone()));
+            for id in (0..20).chain([u32::MAX as usize, u32::MAX as usize + 1, usize::MAX]) {
+                let want = model.routes.get(&id).copied();
+                prop_assert_eq!(table.route(SiteId(id)), want, "route to {}", id);
+                prop_assert_eq!(table.distance(SiteId(id)), want.map(|e| e.distance));
+                prop_assert_eq!(table.hops(SiteId(id)), want.map(|e| e.hops));
+                prop_assert_eq!(table.next_hop(SiteId(id)), want.and_then(|e| e.next_hop));
+            }
+            let every_other: Vec<RouteEntry> = expected.iter().step_by(2).copied().collect();
+            let picked: Vec<SiteId> = every_other.iter().map(|e| e.destination).collect();
+            prop_assert_eq!(table.lines_of(&picked).collect::<Vec<_>>(), every_other);
+            for h in 0..4 {
+                let within: Vec<SiteId> = model
+                    .routes
+                    .values()
+                    .filter(|e| e.hops <= h)
+                    .map(|e| e.destination)
+                    .collect();
+                prop_assert_eq!(table.destinations_within_hops(h), within);
             }
         }
     }

@@ -277,6 +277,12 @@ impl SiteScheduler {
         self.preemptive
     }
 
+    /// Whether the site has nothing committed: no reservation on any core
+    /// and no memory hold.
+    pub fn is_idle(&self) -> bool {
+        self.holds.is_empty() && self.cores.iter().all(SchedulePlan::is_empty)
+    }
+
     /// What placement decisions read of this site.
     fn view(&self) -> SiteView<'_> {
         SiteView {

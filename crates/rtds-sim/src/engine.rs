@@ -321,6 +321,10 @@ pub struct Simulator<P: Protocol> {
     /// triple of every dispatched event until the capacity is reached —
     /// the engine-level ordering trace behind `tests/determinism.rs`.
     order_log: Option<OrderLog>,
+    /// The sites touched since the last [`Simulator::take_touched`], each
+    /// once, with `is_touched` as the membership flags.
+    touched: Vec<SiteId>,
+    is_touched: Vec<bool>,
 }
 
 impl<P: Protocol> Simulator<P> {
@@ -334,6 +338,7 @@ impl<P: Protocol> Simulator<P> {
         let queue = CalendarQueue::with_capacity(4 * network.link_count() + 16);
         let mut flows = FlowPlane::new();
         flows.topo_version = network.version();
+        let is_touched = vec![false; nodes.len()];
         Simulator {
             network,
             nodes,
@@ -352,6 +357,8 @@ impl<P: Protocol> Simulator<P> {
             flows,
             batch_scratch: Vec::new(),
             order_log: None,
+            touched: Vec::new(),
+            is_touched,
         }
     }
 
@@ -465,6 +472,29 @@ impl<P: Protocol> Simulator<P> {
         self.queue.len()
     }
 
+    /// Appends to `out` every site touched since the last call (or since
+    /// construction), each once, in no particular order, and forgets them.
+    /// Running a protocol handler on a site touches it — handlers are the
+    /// only way node state changes during a run, so a driver that inspects
+    /// nodes between chunks of simulated time need only look at these — and
+    /// so does [`Simulator::touch`]. A restored simulator reports every site
+    /// on the first call.
+    pub fn take_touched(&mut self, out: &mut Vec<SiteId>) {
+        for site in &self.touched {
+            self.is_touched[site.0] = false;
+        }
+        out.append(&mut self.touched);
+    }
+
+    /// Makes the next [`Simulator::take_touched`] report `site` whether or
+    /// not a handler runs on it until then.
+    pub fn touch(&mut self, site: SiteId) {
+        if !self.is_touched[site.0] {
+            self.is_touched[site.0] = true;
+            self.touched.push(site);
+        }
+    }
+
     /// Injects an external stimulus (for example a job arrival) at an
     /// absolute simulated time.
     pub fn inject_at(&mut self, time: f64, site: SiteId, msg: P::Msg) {
@@ -554,6 +584,10 @@ impl<P: Protocol> Simulator<P> {
         // A restored network restarts its mutation version from zero; align
         // the plane so the first fault after resume still triggers a resync.
         flows.topo_version = network.version();
+        // Which sites the checkpointed run had touched is not part of the
+        // snapshot: all of them count as touched.
+        let touched = network.sites().collect();
+        let is_touched = vec![true; nodes.len()];
         Simulator {
             network,
             nodes,
@@ -572,6 +606,8 @@ impl<P: Protocol> Simulator<P> {
             flows,
             batch_scratch: Vec::new(),
             order_log: None,
+            touched,
+            is_touched,
         }
     }
 
@@ -844,6 +880,7 @@ impl<P: Protocol> Simulator<P> {
         site: SiteId,
         f: impl FnOnce(&mut P, &mut Context<'_, P::Msg>),
     ) {
+        self.touch(site);
         let mut ctx = Context {
             site,
             now: self.now,
@@ -989,6 +1026,31 @@ mod tests {
         assert_eq!(sim.stats().named("floods"), 1);
         assert!(sim.stats().messages_sent >= 4);
         assert_eq!(sim.trace().events().len(), 4); // sites 1..4 record once
+    }
+
+    #[test]
+    fn touched_sites_are_reported_once_and_forgotten() {
+        let net = line(5, DelayDistribution::Constant(2.0), 0);
+        let mut sim = Simulator::new(net, |_| Flood::default());
+        let mut touched = Vec::new();
+        sim.take_touched(&mut touched);
+        assert!(touched.is_empty(), "nothing has run yet");
+        // The start-up wave runs a handler on every site; the flood then
+        // reaches site 1 (and echoes back to 0) by t = 2.
+        sim.run_until(2.0);
+        sim.take_touched(&mut touched);
+        touched.sort_unstable();
+        assert_eq!(touched, (0..5).map(SiteId).collect::<Vec<_>>());
+        touched.clear();
+        sim.run_until(4.0);
+        sim.touch(SiteId(4));
+        sim.touch(SiteId(1));
+        sim.take_touched(&mut touched);
+        touched.sort_unstable();
+        assert_eq!(touched, [SiteId(0), SiteId(1), SiteId(2), SiteId(4)]);
+        touched.clear();
+        sim.take_touched(&mut touched);
+        assert!(touched.is_empty());
     }
 
     #[test]

@@ -622,13 +622,14 @@ impl Snap for RouteEntry {
     }
 
     fn decode(j: &Json, path: &Path<'_>) -> Result<Self, SnapshotError> {
-        let (destination, distance, next_hop, hops) = Snap::decode(j, path)?;
+        // Routing tables keep hop counts in 32 bits.
+        let (destination, distance, next_hop, hops): (_, _, _, u32) = Snap::decode(j, path)?;
         Ok(RouteEntry {
             destination,
             // Distances become routed-send delays.
             distance: non_negative(distance, path)?,
             next_hop,
-            hops,
+            hops: hops as usize,
         })
     }
 }

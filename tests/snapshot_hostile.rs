@@ -20,10 +20,11 @@ const OPTIONS: StreamOptions = StreamOptions {
     harvest_interval: 0.25,
 };
 
-/// Two pause instants that between them populate every section: at the
-/// first a Trial-Mapping validation round is open (replies on the wire), at
-/// the second a data transfer is in flight on the bandwidth plane. Both
-/// hold locked sites, deferred arrivals, a failed link and a pending fault.
+/// Two pause instants that between them populate every section of a
+/// running system: at the first a Trial-Mapping validation round is open
+/// (replies on the wire), at the second a data transfer is in flight on the
+/// bandwidth plane. Both hold locked sites, deferred arrivals, a failed link
+/// and a pending fault.
 const PAUSES: [f64; 2] = [12.5, 16.5];
 
 /// A short overloaded stream, so the pause catches deferred arrivals,
@@ -47,7 +48,18 @@ fn source() -> JobFactory<OpenLoopSource> {
 /// populated: flow transfers, the exact-distance table, a failed link, a
 /// pending fault and message loss.
 fn checkpoint(pause_at: f64) -> String {
-    let mut network = grid(2, 3, false, DelayDistribution::Constant(1.0), SEED);
+    checkpoint_with(DelayDistribution::Constant(1.0), pause_at)
+}
+
+/// A checkpoint from the middle of the §7 construction. Unequal link delays
+/// spread the routing updates out, so sites hold tables for the phase they
+/// are collecting and early ones for the phase after.
+fn construction_checkpoint() -> String {
+    checkpoint_with(DelayDistribution::Uniform { min: 0.2, max: 2.0 }, 1.0)
+}
+
+fn checkpoint_with(delays: DelayDistribution, pause_at: f64) -> String {
+    let mut network = grid(2, 3, false, delays, SEED);
     for (a, b, _) in network.links().collect::<Vec<_>>() {
         network.set_link_bandwidth(a, b, 4.0).expect("grid link");
     }
@@ -171,6 +183,63 @@ fn the_fixtures_are_rich_and_valid_checkpoints() {
     }
     assert!(texts[0].contains("\"validation\": {") && texts[0].contains("\"k\": \"tm\""));
     assert!(texts[1].contains("\"rate\": ") && texts[1].contains("\"k\": \"td\""));
+
+    let text = construction_checkpoint();
+    let doc = Json::parse(&text).expect("checkpoint parses");
+    let nodes = doc
+        .get("system")
+        .and_then(|d| d.get("engine")?.get("nodes")?.items());
+    let some_node_holds = |key: &str| {
+        let held = |node: &Json| node.get("pcs")?.get(key)?.items().map(|i| !i.is_empty());
+        nodes.is_some_and(|nodes| nodes.iter().any(|node| held(node) == Some(true)))
+    };
+    assert!(some_node_holds("pending") && some_node_holds("future"));
+    assert_eq!(resume(&text), Outcome::Ran);
+}
+
+/// The node whose `pcs` section holds a routing update with its sender at
+/// `location`: `pending[i][0]` or `future[i][1][j][0]`.
+fn held_sender(location: &str) -> Option<usize> {
+    let (_, rest) = location.split_once(".nodes[")?;
+    let (node, rest) = rest.split_once("].pcs.")?;
+    let depth = |indices: &str| indices.matches('[').count();
+    let is_sender = match (rest.strip_prefix("pending"), rest.strip_prefix("future")) {
+        (Some(indices), _) => depth(indices) == 2,
+        (_, Some(indices)) => depth(indices) == 4 && indices.contains("][1]["),
+        _ => false,
+    };
+    (is_sender && rest.ends_with("[0]")).then(|| node.parse().ok())?
+}
+
+#[test]
+fn a_routing_update_from_a_stranger_is_refused() {
+    // In range, so the site-id check passes it — but no site is its own
+    // neighbor, and only neighbors send routing updates.
+    let text = construction_checkpoint();
+    let mut doc = Json::parse(&text).expect("checkpoint parses");
+    let mut all = Vec::new();
+    addresses(&doc, &mut Vec::new(), &mut all);
+    let mut rewritten = 0;
+    for address in &all {
+        let (node, location) = node_mut(&mut doc, address);
+        let Some(holder) = held_sender(&location) else {
+            continue;
+        };
+        let original = std::mem::replace(node, Json::UInt(holder as u64));
+        match resume(&doc.render_compact()) {
+            Outcome::Refused(why) => assert!(
+                why.contains(&format!("nodes[{holder}].pcs.")) && why.contains("not a neighbor"),
+                "{location}: {why}"
+            ),
+            other => panic!("{location} = {holder}: {other:?}"),
+        }
+        *node_mut(&mut doc, address).0 = original;
+        rewritten += 1;
+    }
+    assert!(
+        rewritten >= 2,
+        "the fixture holds tables in pending and future"
+    );
 }
 
 #[test]
@@ -191,8 +260,12 @@ fn truncated_checkpoints_are_errors() {
 
 #[test]
 fn single_field_mutations_never_panic() {
-    for pause in PAUSES {
-        mutate_every_field(Json::parse(&checkpoint(pause)).expect("checkpoint parses"));
+    for text in PAUSES
+        .map(checkpoint)
+        .into_iter()
+        .chain([construction_checkpoint()])
+    {
+        mutate_every_field(Json::parse(&text).expect("checkpoint parses"));
     }
 }
 

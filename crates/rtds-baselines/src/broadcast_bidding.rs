@@ -22,11 +22,11 @@
 //! per-site scheduling plans and admission test as every other policy.
 
 use crate::policy::PolicyReport;
+use crate::sites::{admit_on, run_policy, Placed};
 use rtds_graph::Job;
 use rtds_net::dijkstra::shortest_paths;
 use rtds_net::{Network, SiteId};
-use rtds_sched::executor;
-use rtds_sched::{ProtocolScheduler, SchedulePlan, Scheduler, SiteResources};
+use rtds_sched::Scheduler;
 use serde::{Deserialize, Serialize};
 
 /// Parameters of the broadcast-bidding policy.
@@ -57,49 +57,24 @@ pub fn run_broadcast_bidding(
     config: BiddingConfig,
 ) -> PolicyReport {
     let n = network.site_count();
-    let mut scheds: Vec<ProtocolScheduler> = network
-        .sites()
-        .map(|s| {
-            ProtocolScheduler::new(
-                SiteResources::default(),
-                network.speed(s),
-                config.preemptive,
-            )
-        })
-        .collect();
-    let mut report = PolicyReport::default();
-    let mut ordered: Vec<&Job> = jobs.iter().collect();
-    ordered.sort_by(|a, b| {
-        a.arrival_time
-            .partial_cmp(&b.arrival_time)
-            .unwrap()
-            .then(a.id.cmp(&b.id))
-    });
-    let mut accepted = Vec::new();
-    for job in ordered {
-        report.submitted += 1;
+    run_policy(network, jobs, config.preemptive, |sites, job, messages| {
         let arrival = SiteId(job.arrival_site);
         let now = job.arrival_time;
         // Local attempt first.
-        if let Some(adm) = scheds[arrival.0].admit_dag(job, now, None) {
-            scheds[arrival.0]
-                .reserve_dag(&adm)
-                .expect("admission placements fit");
-            report.accepted_locally += 1;
-            accepted.push((job.id, job.deadline()));
-            continue;
+        if admit_on(&mut sites[arrival.0], job, now) {
+            return Some(Placed::Locally);
         }
         // Flood the request for bids over the whole network and collect one
         // bid per site.
-        report.distribution_messages += 2 * network.link_count() as u64;
-        report.distribution_messages += (n as u64).saturating_sub(1);
+        *messages += 2 * network.link_count() as u64;
+        *messages += (n as u64).saturating_sub(1);
         // Sort candidate sites by decreasing surplus (ties by distance, then
         // id) — "focused addressing" towards the most promising sites.
         let sp = shortest_paths(network, arrival);
         let mut bidders: Vec<(SiteId, f64, f64)> = (0..n)
             .filter(|&s| s != arrival.0)
             .map(|s| {
-                let surplus = scheds[s].surplus(now, config.observation_window);
+                let surplus = sites[s].surplus(now, config.observation_window);
                 (SiteId(s), surplus, sp.dist[s])
             })
             .collect();
@@ -109,34 +84,17 @@ pub fn run_broadcast_bidding(
                 .then(a.2.partial_cmp(&b.2).unwrap())
                 .then(a.0 .0.cmp(&b.0 .0))
         });
-        let mut placed = false;
         for &(site, _surplus, dist) in bidders.iter().take(config.top_bidders.max(1)) {
             // Offer + answer.
-            report.distribution_messages += 2;
+            *messages += 2;
             // The job (and later its results) must travel to the remote site:
             // its effective earliest start accounts for the transfer delay.
-            let effective_now = now + dist;
-            if let Some(adm) = scheds[site.0].admit_dag(job, effective_now, None) {
-                scheds[site.0]
-                    .reserve_dag(&adm)
-                    .expect("admission placements fit");
-                report.accepted_remotely += 1;
-                accepted.push((job.id, job.deadline()));
-                placed = true;
-                break;
+            if admit_on(&mut sites[site.0], job, now + dist) {
+                return Some(Placed::Remotely);
             }
         }
-        if !placed {
-            report.rejected += 1;
-        }
-    }
-    let plan_refs: Vec<&SchedulePlan> = scheds.iter().flat_map(|s| s.core_plans()).collect();
-    for (job, deadline) in accepted {
-        if !executor::meets_deadline(&plan_refs, job, deadline) {
-            report.deadline_misses += 1;
-        }
-    }
-    report
+        None
+    })
 }
 
 #[cfg(test)]

@@ -10,166 +10,51 @@
 //! comparison figures.
 
 use crate::policy::PolicyReport;
+use crate::sites::{place_across_sites, run_policy, Placed};
 use rtds_graph::{upward_ranks, Job};
 use rtds_net::dijkstra::all_pairs_shortest_paths;
 use rtds_net::{Network, SiteId};
-use rtds_sched::admission::priority_order;
-use rtds_sched::executor;
-use rtds_sched::{ProtocolScheduler, Reservation, SchedulePlan, Scheduler, SiteResources};
+use rtds_sched::{DagSchedule, Scheduler};
 
 /// Runs the centralized oracle over a workload.
 pub fn run_centralized_oracle(network: &Network, jobs: &[Job], preemptive: bool) -> PolicyReport {
     let aps = all_pairs_shortest_paths(network);
-    // Committed state lives in one single-core protocol scheduler per site;
-    // the multi-site split explores scratch copies of their exact plans.
-    let mut scheds: Vec<ProtocolScheduler> = network
-        .sites()
-        .map(|s| ProtocolScheduler::new(SiteResources::default(), network.speed(s), preemptive))
-        .collect();
-    let mut report = PolicyReport::default();
-    let mut ordered: Vec<&Job> = jobs.iter().collect();
-    ordered.sort_by(|a, b| {
-        a.arrival_time
-            .partial_cmp(&b.arrival_time)
-            .unwrap()
-            .then(a.id.cmp(&b.id))
-    });
-    let mut accepted = Vec::new();
-    for job in ordered {
-        report.submitted += 1;
-        let now = job.arrival_time;
+    run_policy(network, jobs, preemptive, |sites, job, _| {
         let arrival = SiteId(job.arrival_site);
         // Whole-DAG placement: pick the single site with the earliest
         // completion, accounting for the one-way transfer delay from the
         // arrival site.
-        let mut best: Option<(SiteId, rtds_sched::DagSchedule)> = None;
+        let mut best: Option<(SiteId, DagSchedule)> = None;
         for s in network.sites() {
             let transfer = aps[arrival.0].dist[s.0];
             if !transfer.is_finite() {
                 continue;
             }
-            if let Some(adm) = scheds[s.0].admit_dag(job, now + transfer, None) {
+            if let Some(adm) = sites[s.0].admit_dag(job, job.arrival_time + transfer, None) {
                 let better = best
                     .as_ref()
-                    .map(|(_, b)| adm.completion < b.completion - 1e-12)
-                    .unwrap_or(true);
+                    .map_or(true, |(_, b)| adm.completion < b.completion - 1e-12);
                 if better {
                     best = Some((s, adm));
                 }
             }
         }
         if let Some((s, admission)) = best {
-            scheds[s.0]
+            sites[s.0]
                 .reserve_dag(&admission)
                 .expect("admission placements fit");
-            if s == arrival {
-                report.accepted_locally += 1;
+            return Some(if s == arrival {
+                Placed::Locally
             } else {
-                report.accepted_remotely += 1;
-            }
-            accepted.push((job.id, job.deadline()));
-            continue;
+                Placed::Remotely
+            });
         }
-        // Multi-site split with exact knowledge.
-        let exact_plans: Vec<SchedulePlan> =
-            scheds.iter().map(|s| s.core_plans()[0].clone()).collect();
-        if let Some(placements) =
-            split_across_sites(network, &aps, &exact_plans, job, now, preemptive)
-        {
-            let remote = placements.iter().any(|(site, _)| *site != arrival);
-            for (site, reservation) in &placements {
-                scheds[site.0]
-                    .reserve(&[rtds_sched::Placement {
-                        core: 0,
-                        reservation: *reservation,
-                    }])
-                    .expect("oracle placements fit");
-            }
-            if remote {
-                report.accepted_remotely += 1;
-            } else {
-                report.accepted_locally += 1;
-            }
-            accepted.push((job.id, job.deadline()));
-            continue;
-        }
-        report.rejected += 1;
-    }
-    let plan_refs: Vec<&SchedulePlan> = scheds.iter().flat_map(|s| s.core_plans()).collect();
-    for (job, deadline) in accepted {
-        if !executor::meets_deadline(&plan_refs, job, deadline) {
-            report.deadline_misses += 1;
-        }
-    }
-    report
-}
-
-/// Greedy global list scheduling of one DAG across all sites, using exact
-/// plans and exact pairwise delays. Returns the per-site reservations if the
-/// whole DAG fits before its deadline.
-fn split_across_sites(
-    network: &Network,
-    aps: &[rtds_net::dijkstra::ShortestPaths],
-    plans: &[SchedulePlan],
-    job: &Job,
-    now: f64,
-    preemptive: bool,
-) -> Option<Vec<(SiteId, Reservation)>> {
-    let graph = &job.graph;
-    let n_tasks = graph.task_count();
-    if n_tasks == 0 {
-        return Some(Vec::new());
-    }
-    let arrival = SiteId(job.arrival_site);
-    let deadline = job.deadline();
-    let order = priority_order(graph, &upward_ranks(graph));
-    let mut scratch: Vec<SchedulePlan> = plans.to_vec();
-    let mut placed_site = vec![SiteId(0); n_tasks];
-    let mut finish = vec![0.0f64; n_tasks];
-    let mut out = Vec::new();
-    // The preemptive variant is conservative here: the oracle still places
-    // each task contiguously (its purpose is an acceptance upper bound for
-    // the common non-preemptive configuration).
-    let _ = preemptive;
-    for t in order {
-        let cost = graph.cost(t);
-        let mut best: Option<(SiteId, f64, f64)> = None;
-        for s in network.sites() {
-            let transfer = aps[arrival.0].dist[s.0];
-            if !transfer.is_finite() {
-                continue;
-            }
-            let mut ready = now.max(job.release()) + transfer;
-            for p in graph.predecessors(t) {
-                let delay = if placed_site[p.0] == s {
-                    0.0
-                } else {
-                    aps[placed_site[p.0].0].dist[s.0]
-                };
-                ready = ready.max(finish[p.0] + delay);
-            }
-            let duration = cost / network.speed(s);
-            if let Some(start) = scratch[s.0].earliest_fit(ready, deadline, duration) {
-                let end = start + duration;
-                let better = best.map(|(_, _, e)| end < e - 1e-12).unwrap_or(true);
-                if better {
-                    best = Some((s, start, end));
-                }
-            }
-        }
-        let (s, start, end) = best?;
-        let reservation = Reservation {
-            job: job.id,
-            task: t,
-            start,
-            end,
-        };
-        scratch[s.0].insert(reservation).ok()?;
-        placed_site[t.0] = s;
-        finish[t.0] = end;
-        out.push((s, reservation));
-    }
-    Some(out)
+        // Multi-site split with exact knowledge. It is conservative under
+        // the preemptive flag: each task is still placed contiguously (the
+        // oracle's purpose is an acceptance upper bound for the common
+        // non-preemptive configuration).
+        place_across_sites(network, &aps, sites, job, &upward_ranks(&job.graph))
+    })
 }
 
 #[cfg(test)]

@@ -12,123 +12,24 @@
 //! fits before the deadline, so accepted jobs never miss.
 //!
 //! Inter-site data movement is charged at the exact pairwise propagation
-//! delay, the same model the oracle's split phase uses; volumes shape the
-//! task order, not the link occupancy.
+//! delay: this is the list scheduler of the oracle's split phase under
+//! another rank. Volumes shape the task order, not the link occupancy.
 
 use crate::policy::PolicyReport;
+use crate::sites::{place_across_sites, run_policy};
 use rtds_graph::Job;
 use rtds_net::dijkstra::all_pairs_shortest_paths;
-use rtds_net::{Network, SiteId};
-use rtds_sched::admission::priority_order;
-use rtds_sched::executor;
-use rtds_sched::{heft_upward_rank, Reservation, SchedulePlan};
+use rtds_net::Network;
+use rtds_sched::heft_upward_rank;
 
-/// Runs global HEFT over a workload.
+/// Runs global HEFT over a workload. HEFT places each task contiguously;
+/// the preemptive flag is accepted for signature parity with the other
+/// centralized baseline and changes nothing.
 pub fn run_global_heft(network: &Network, jobs: &[Job], preemptive: bool) -> PolicyReport {
-    let n = network.site_count();
     let aps = all_pairs_shortest_paths(network);
-    let mut plans: Vec<SchedulePlan> = (0..n).map(|_| SchedulePlan::new()).collect();
-    let mut report = PolicyReport::default();
-    let mut ordered: Vec<&Job> = jobs.iter().collect();
-    ordered.sort_by(|a, b| {
-        a.arrival_time
-            .partial_cmp(&b.arrival_time)
-            .unwrap()
-            .then(a.id.cmp(&b.id))
-    });
-    // HEFT places each task contiguously; the preemptive flag is accepted
-    // for signature parity with the other centralized baseline.
-    let _ = preemptive;
-    let mut accepted = Vec::new();
-    for job in ordered {
-        report.submitted += 1;
-        match schedule_job(network, &aps, &plans, job) {
-            Some(placements) => {
-                let arrival = SiteId(job.arrival_site);
-                let remote = placements.iter().any(|(site, _)| *site != arrival);
-                for (site, reservation) in &placements {
-                    plans[site.0]
-                        .insert(*reservation)
-                        .expect("HEFT placements fit");
-                }
-                if remote {
-                    report.accepted_remotely += 1;
-                } else {
-                    report.accepted_locally += 1;
-                }
-                accepted.push((job.id, job.deadline()));
-            }
-            None => report.rejected += 1,
-        }
-    }
-    let plan_refs: Vec<&SchedulePlan> = plans.iter().collect();
-    for (job, deadline) in accepted {
-        if !executor::meets_deadline(&plan_refs, job, deadline) {
-            report.deadline_misses += 1;
-        }
-    }
-    report
-}
-
-/// Schedules one DAG with insertion-based HEFT over the exact plans.
-fn schedule_job(
-    network: &Network,
-    aps: &[rtds_net::dijkstra::ShortestPaths],
-    plans: &[SchedulePlan],
-    job: &Job,
-) -> Option<Vec<(SiteId, Reservation)>> {
-    let graph = &job.graph;
-    let n_tasks = graph.task_count();
-    if n_tasks == 0 {
-        return Some(Vec::new());
-    }
-    let arrival = SiteId(job.arrival_site);
-    let deadline = job.deadline();
-    let rank = heft_upward_rank(graph);
-    let order = priority_order(graph, &rank);
-    let mut scratch: Vec<SchedulePlan> = plans.to_vec();
-    let mut placed_site = vec![SiteId(0); n_tasks];
-    let mut finish = vec![0.0f64; n_tasks];
-    let mut out = Vec::new();
-    for t in order {
-        let cost = graph.cost(t);
-        let mut best: Option<(SiteId, f64, f64)> = None;
-        for s in network.sites() {
-            let transfer = aps[arrival.0].dist[s.0];
-            if !transfer.is_finite() {
-                continue;
-            }
-            let mut ready = job.arrival_time.max(job.release()) + transfer;
-            for p in graph.predecessors(t) {
-                let delay = if placed_site[p.0] == s {
-                    0.0
-                } else {
-                    aps[placed_site[p.0].0].dist[s.0]
-                };
-                ready = ready.max(finish[p.0] + delay);
-            }
-            let duration = cost / network.speed(s);
-            if let Some(start) = scratch[s.0].earliest_fit(ready, deadline, duration) {
-                let end = start + duration;
-                let better = best.map(|(_, _, e)| end < e - 1e-12).unwrap_or(true);
-                if better {
-                    best = Some((s, start, end));
-                }
-            }
-        }
-        let (s, start, end) = best?;
-        let reservation = Reservation {
-            job: job.id,
-            task: t,
-            start,
-            end,
-        };
-        scratch[s.0].insert(reservation).ok()?;
-        placed_site[t.0] = s;
-        finish[t.0] = end;
-        out.push((s, reservation));
-    }
-    Some(out)
+    run_policy(network, jobs, preemptive, |sites, job, _| {
+        place_across_sites(network, &aps, sites, job, &heft_upward_rank(&job.graph))
+    })
 }
 
 #[cfg(test)]

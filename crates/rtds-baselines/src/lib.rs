@@ -27,9 +27,19 @@
 //!   `Box<dyn DistributionPolicy>` instead of hand-wiring each signature.
 //!
 //! Every policy consumes the same ingredients as RTDS itself — networks from
-//! [`rtds_net`], jobs from [`rtds_graph`], plans from [`rtds_sched`] — and is
-//! driven side-by-side with [`rtds_core`](../rtds_core/index.html) by the
-//! comparison harness in [`rtds_bench`](../rtds_bench/index.html).
+//! [`rtds_net`], jobs from [`rtds_graph`], one [`rtds_sched::SiteScheduler`]
+//! per site — and is driven side-by-side with
+//! [`rtds_core`](../rtds_core/index.html) by the comparison harness in
+//! [`rtds_bench`](../rtds_bench/index.html).
+//!
+//! A policy is only its placement decision. The rest is written once, in the
+//! private `sites` module: the loop that builds the sites, offers the jobs in
+//! arrival order, accounts for each verdict and sweeps the plans for
+//! deadline misses; the "admit on this site at this time and commit if it
+//! fits" step; and the cross-site list scheduler shared by [`centralized`]
+//! and [`global_heft`] (they differ in the rank they hand it), which places
+//! straight into the live per-site state and takes the job back on refusal —
+//! no policy copies a plan.
 
 pub mod broadcast_bidding;
 pub mod centralized;
@@ -37,6 +47,7 @@ pub mod global_heft;
 pub mod local_only;
 pub mod policy;
 pub mod random_offload;
+mod sites;
 
 pub use broadcast_bidding::{run_broadcast_bidding, BiddingConfig};
 pub use centralized::run_centralized_oracle;

@@ -6,54 +6,16 @@
 //! the paper's "increase of the number of accepted (executed) jobs".
 
 use crate::policy::PolicyReport;
+use crate::sites::{admit_on, run_policy, Placed};
 use rtds_graph::Job;
-use rtds_net::{Network, SiteId};
-use rtds_sched::executor;
-use rtds_sched::{ProtocolScheduler, SchedulePlan, Scheduler, SiteResources};
+use rtds_net::Network;
 
-/// Runs the local-only policy over a workload.
-///
-/// Jobs are processed in arrival-time order (ties by job id); each one is
-/// offered only to its arrival site. Every site runs a single-core protocol
-/// [`Scheduler`], which delegates verbatim to the paper's admission test.
+/// Runs the local-only policy over a workload: each job is offered only to
+/// its arrival site.
 pub fn run_local_only(network: &Network, jobs: &[Job], preemptive: bool) -> PolicyReport {
-    let mut scheds: Vec<ProtocolScheduler> = network
-        .sites()
-        .map(|s| ProtocolScheduler::new(SiteResources::default(), network.speed(s), preemptive))
-        .collect();
-    let mut report = PolicyReport::default();
-    let mut ordered: Vec<&Job> = jobs.iter().collect();
-    ordered.sort_by(|a, b| {
-        a.arrival_time
-            .partial_cmp(&b.arrival_time)
-            .unwrap()
-            .then(a.id.cmp(&b.id))
-    });
-    let mut accepted = Vec::new();
-    for job in ordered {
-        report.submitted += 1;
-        let site = SiteId(job.arrival_site);
-        match scheds[site.0].admit_dag(job, job.arrival_time, None) {
-            Some(adm) => {
-                scheds[site.0]
-                    .reserve_dag(&adm)
-                    .expect("admission placements fit");
-                report.accepted_locally += 1;
-                accepted.push((job.id, job.deadline()));
-            }
-            None => {
-                report.rejected += 1;
-            }
-        }
-    }
-    // Run-time safety check.
-    let plan_refs: Vec<&SchedulePlan> = scheds.iter().flat_map(|s| s.core_plans()).collect();
-    for (job, deadline) in accepted {
-        if !executor::meets_deadline(&plan_refs, job, deadline) {
-            report.deadline_misses += 1;
-        }
-    }
-    report
+    run_policy(network, jobs, preemptive, |sites, job, _| {
+        admit_on(&mut sites[job.arrival_site], job, job.arrival_time).then_some(Placed::Locally)
+    })
 }
 
 #[cfg(test)]

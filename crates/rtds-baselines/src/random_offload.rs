@@ -8,12 +8,11 @@
 //! Computing Sphere, at a comparable message cost.
 
 use crate::policy::PolicyReport;
+use crate::sites::{admit_on, run_policy, Placed};
 use rand::prelude::*;
 use rand::rngs::StdRng;
 use rtds_graph::Job;
 use rtds_net::{Network, SiteId};
-use rtds_sched::executor;
-use rtds_sched::{ProtocolScheduler, SchedulePlan, Scheduler, SiteResources};
 use serde::{Deserialize, Serialize};
 
 /// Parameters of the random-offload policy.
@@ -44,46 +43,19 @@ pub fn run_random_offload(
     config: RandomOffloadConfig,
 ) -> PolicyReport {
     let mut rng = StdRng::seed_from_u64(config.seed);
-    let mut scheds: Vec<ProtocolScheduler> = network
-        .sites()
-        .map(|s| {
-            ProtocolScheduler::new(
-                SiteResources::default(),
-                network.speed(s),
-                config.preemptive,
-            )
-        })
-        .collect();
-    let mut report = PolicyReport::default();
-    let mut ordered: Vec<&Job> = jobs.iter().collect();
-    ordered.sort_by(|a, b| {
-        a.arrival_time
-            .partial_cmp(&b.arrival_time)
-            .unwrap()
-            .then(a.id.cmp(&b.id))
-    });
-    let mut accepted = Vec::new();
-    for job in ordered {
-        report.submitted += 1;
+    run_policy(network, jobs, config.preemptive, |sites, job, messages| {
         let mut current = SiteId(job.arrival_site);
         let mut previous: Option<SiteId> = None;
         // The job experiences the forwarding latency: its effective earliest
         // start moves forward by each traversed link's delay.
         let mut now = job.arrival_time;
-        let mut placed = false;
         for hop in 0..=config.max_hops {
-            if let Some(adm) = scheds[current.0].admit_dag(job, now, None) {
-                scheds[current.0]
-                    .reserve_dag(&adm)
-                    .expect("admission placements fit");
-                if hop == 0 {
-                    report.accepted_locally += 1;
+            if admit_on(&mut sites[current.0], job, now) {
+                return Some(if hop == 0 {
+                    Placed::Locally
                 } else {
-                    report.accepted_remotely += 1;
-                }
-                accepted.push((job.id, job.deadline()));
-                placed = true;
-                break;
+                    Placed::Remotely
+                });
             }
             if hop == config.max_hops {
                 break;
@@ -96,25 +68,14 @@ pub fn run_random_offload(
                 .copied()
                 .filter(|(n, _)| Some(*n) != previous || network.degree(current) == 1)
                 .collect();
-            let Some(&(next, delay)) = neighbors.choose(&mut rng) else {
-                break;
-            };
-            report.distribution_messages += 1;
+            let &(next, delay) = neighbors.choose(&mut rng)?;
+            *messages += 1;
             previous = Some(current);
             current = next;
             now += delay;
         }
-        if !placed {
-            report.rejected += 1;
-        }
-    }
-    let plan_refs: Vec<&SchedulePlan> = scheds.iter().flat_map(|s| s.core_plans()).collect();
-    for (job, deadline) in accepted {
-        if !executor::meets_deadline(&plan_refs, job, deadline) {
-            report.deadline_misses += 1;
-        }
-    }
-    report
+        None
+    })
 }
 
 #[cfg(test)]

@@ -4,12 +4,14 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use rtds_graph::generators::{CostDistribution, DagGenerator, DagShape, GeneratorConfig};
 use rtds_graph::{JobId, TaskId};
-use rtds_sched::admission::admit_dag_locally;
-use rtds_sched::feasibility::{satisfiable, TaskRequest};
-use rtds_sched::{Reservation, SchedulePlan};
+use rtds_sched::{
+    Reservation, SchedulePlan, Scheduler, SchedulerKind, SiteResources, SiteScheduler, TaskRequest,
+};
 use std::hint::black_box;
 
-fn loaded_plan(reservations: usize) -> SchedulePlan {
+/// The paper's site — one protocol-scheduled unit-speed core — holding
+/// `reservations` committed slots.
+fn loaded_site(reservations: usize) -> SiteScheduler {
     let mut plan = SchedulePlan::new();
     for i in 0..reservations {
         let start = i as f64 * 20.0;
@@ -21,13 +23,21 @@ fn loaded_plan(reservations: usize) -> SchedulePlan {
         })
         .unwrap();
     }
-    plan
+    SiteScheduler::from_parts(
+        SchedulerKind::Protocol,
+        SiteResources::default(),
+        1.0,
+        false,
+        vec![plan],
+        vec![],
+    )
+    .expect("a valid one-core site")
 }
 
 fn bench_local_sched(c: &mut Criterion) {
     let mut group = c.benchmark_group("local_sched");
     for &existing in &[0usize, 20, 100, 500] {
-        let plan = loaded_plan(existing);
+        let site = loaded_site(existing);
         let cfg = GeneratorConfig {
             task_count: 12,
             shape: DagShape::LayeredRandom {
@@ -43,8 +53,8 @@ fn bench_local_sched(c: &mut Criterion) {
         group.throughput(Throughput::Elements(cfg.task_count as u64));
         group.bench_with_input(
             BenchmarkId::new("admit_dag", existing),
-            &(plan.clone(), job.clone()),
-            |b, (plan, job)| b.iter(|| black_box(admit_dag_locally(plan, job, 0.0, 1.0, false))),
+            &(site.clone(), job.clone()),
+            |b, (site, job)| b.iter(|| black_box(site.admit_dag(job, 0.0, None))),
         );
         let requests: Vec<TaskRequest> = (0..10)
             .map(|i| TaskRequest {
@@ -58,8 +68,8 @@ fn bench_local_sched(c: &mut Criterion) {
         group.throughput(Throughput::Elements(10));
         group.bench_with_input(
             BenchmarkId::new("satisfiable", existing),
-            &(plan, requests),
-            |b, (plan, requests)| b.iter(|| black_box(satisfiable(plan, requests, false))),
+            &(site, requests),
+            |b, (site, requests)| b.iter(|| black_box(site.satisfiable(requests))),
         );
     }
     group.finish();

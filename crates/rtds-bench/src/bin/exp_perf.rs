@@ -15,10 +15,11 @@
 //!
 //! `--smoke` runs only the native paper baseline and the 16-site tier (the
 //! CI smoke configuration). `--baseline <path>` diffs this run against a
-//! previously recorded report: any deterministic-field mismatch, or an
-//! aggregate events/sec regression of more than 20 % against the recorded
-//! throughput, exits nonzero — `exp_perf --baseline BENCH_5.json` is the
-//! one-line "did I break or slow down the engine" check.
+//! previously recorded report: any deterministic-field mismatch exits
+//! nonzero — `exp_perf --baseline BENCH_5.json` is the one-line "did I
+//! change what the engine computes" check. Timings are not compared (the
+//! recorded ones come from another machine); speed is judged by
+//! `benchmark/`.
 //!
 //! `--soak <events>` adds the streaming soak tier: an open-ended Poisson
 //! stream on a 256-site grid, capped only by the event budget, reported in
@@ -33,9 +34,6 @@
 
 use rtds_bench::perf::{compare_with_baseline, run_perf_suite, PERF_TIERS};
 use rtds_bench::{resume_soak, run_soak, write_json_report, ExpArgs, SoakResult};
-
-/// Tolerated aggregate events/sec drop before `--baseline` fails the run.
-const REGRESSION_TOLERANCE: f64 = 0.2;
 
 /// Runs (or resumes) the optional soak tier according to the CLI flags.
 fn soak_tier(args: &ExpArgs, seed: u64) -> Option<SoakResult> {
@@ -152,37 +150,13 @@ fn main() {
             std::process::exit(1);
         });
         println!();
-        let mut failed = false;
         if comparison.fields_match() {
             println!("baseline {path}: deterministic fields match byte-for-byte");
         } else {
-            failed = true;
             eprintln!("baseline {path}: deterministic fields DIVERGED:");
             for line in &comparison.mismatches {
                 eprintln!("  {line}");
             }
-        }
-        match comparison.baseline_events_per_sec {
-            Some(base) => {
-                println!(
-                    "throughput: {:.0} events/s vs recorded {:.0} ({:+.1} %)",
-                    comparison.current_events_per_sec,
-                    base,
-                    100.0 * (comparison.current_events_per_sec / base - 1.0)
-                );
-                if comparison.regressed(REGRESSION_TOLERANCE) {
-                    failed = true;
-                    eprintln!(
-                        "throughput regressed more than {:.0} % against the baseline",
-                        REGRESSION_TOLERANCE * 100.0
-                    );
-                }
-            }
-            None => println!(
-                "baseline records no events/sec (timings nulled); skipping the regression check"
-            ),
-        }
-        if failed {
             std::process::exit(1);
         }
     }

@@ -25,8 +25,7 @@
 //!   * `exp_perf` — the fixed performance suite behind the recorded
 //!     `BENCH_<n>.json` trajectory (see [`perf`] and `docs/PERFORMANCE.md`);
 //!     its `--baseline <BENCH_N.json>` mode diffs a run against a recorded
-//!     report and exits nonzero on deterministic-field mismatches or a
-//!     >20 % events/sec regression,
+//!     report and exits nonzero on deterministic-field mismatches,
 //!   * `exp_workloads` — streaming open-loop workload runs (the million-job
 //!     driver) with JSONL trace `--record`/`--replay` round-trips (see
 //!     [`rtds_workload`] and `docs/WORKLOADS.md`),

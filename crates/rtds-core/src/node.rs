@@ -37,8 +37,7 @@ use crate::validate::{endorsable_with, task_requests, ValidationOutcome, Validat
 use rtds_graph::{Job, JobId, TaskGraph, TaskId};
 use rtds_net::sphere::Sphere;
 use rtds_net::{RoutingTable, SiteId};
-use rtds_sched::feasibility::TaskRequest;
-use rtds_sched::{SchedulePlan, Scheduler, SiteResources, SiteScheduler};
+use rtds_sched::{SchedulePlan, Scheduler, SiteResources, SiteScheduler, TaskRequest};
 use rtds_sim::engine::Context;
 use rtds_sim::json::Json;
 use rtds_sim::snapshot::{decode_each, field, field_with, Path, Snap, SnapshotError, Word};

@@ -15,7 +15,7 @@ use rtds_metrics::MetricsRegistry;
 use rtds_net::dijkstra::all_pairs_shortest_paths;
 use rtds_net::{Network, SiteId};
 use rtds_sched::executor;
-use rtds_sched::{SchedulePlan, SiteResources};
+use rtds_sched::SiteResources;
 use rtds_sim::json::Json;
 use rtds_sim::snapshot::{expect_schema, field, Path, Snap, SnapshotError, Word};
 use rtds_sim::stats::{GuaranteeStats, SimStats};
@@ -304,14 +304,14 @@ impl RtdsSystem {
                 accepted.insert(a.job, (a.distributed, a.deadline));
             }
         }
-        let plans: Vec<&SchedulePlan> = self.sim.nodes().flat_map(|n| n.plans().iter()).collect();
+        let completions = executor::job_completions(self.sim.nodes().flat_map(|n| n.plans()));
 
         let mut jobs = Vec::new();
         for (job, site, arrival, deadline) in &self.submitted {
             let (outcome, completion, met) = match accepted.get(job) {
                 Some((distributed, _)) => {
-                    let completion = executor::job_completion(&plans, *job);
-                    let met = completion.map(|c| c <= *deadline + 1e-9).unwrap_or(false);
+                    let completion = completions.get(job).copied();
+                    let met = executor::meets_deadline(completion, *deadline);
                     let kind = if *distributed {
                         JobOutcomeKind::AcceptedDistributed
                     } else {

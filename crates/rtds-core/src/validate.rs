@@ -3,8 +3,8 @@
 //! Two halves:
 //!
 //! * the *member side* — given the trial mapping and the site's own
-//!   scheduling plan, compute the list of logical processors whose task set
-//!   `T_i` is locally satisfiable ([`endorsable_logical_processors`]),
+//!   scheduler, compute the list of logical processors whose task set
+//!   `T_i` is locally satisfiable ([`endorsable_with`]),
 //! * the *initiator side* — collect those lists, compute the maximum
 //!   coupling between logical processors and sites, and either extract the
 //!   execution permutation (coupling of size `|U|`) or reject the job
@@ -14,37 +14,11 @@ use crate::matching::{matching_size, maximum_bipartite_matching_csr, with_matchi
 use crate::messages::TaskSpec;
 use rtds_graph::JobId;
 use rtds_net::SiteId;
-use rtds_sched::feasibility::{satisfiable, TaskRequest};
-use rtds_sched::{SchedulePlan, Scheduler};
+use rtds_sched::{Scheduler, SiteScheduler, TaskRequest};
 use rtds_sim::json::Json;
 use rtds_sim::snapshot::{field, Path, Snap, SnapshotError};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
-
-/// Member side: which logical processors of the trial mapping can this site
-/// endorse, given its committed plan?
-///
-/// * `speed` — the site's relative computing power (durations are
-///   `cost / speed`),
-/// * `preemptive` — whether tasks may be split across idle windows.
-pub fn endorsable_logical_processors(
-    plan: &SchedulePlan,
-    job: JobId,
-    tasks_per_logical: &[Vec<TaskSpec>],
-    speed: f64,
-    preemptive: bool,
-) -> Vec<usize> {
-    assert!(speed > 0.0, "site speed must be positive");
-    let mut requests = Vec::new();
-    let mut endorsable = Vec::new();
-    for (i, specs) in tasks_per_logical.iter().enumerate() {
-        task_requests(&mut requests, job, specs, speed);
-        if satisfiable(plan, &requests, preemptive).is_some() {
-            endorsable.push(i);
-        }
-    }
-    endorsable
-}
 
 /// Refills `requests` with the §10 question for one logical processor's
 /// task set on a site of the given speed (durations are `cost / speed`).
@@ -64,13 +38,11 @@ pub(crate) fn task_requests(
     }));
 }
 
-/// Member side over a pluggable [`Scheduler`]: which logical processors can
-/// this site endorse, given its committed per-core plans? Durations are
-/// `cost / speed` with the given effective site speed. On a single-core
-/// scheduler this is exactly [`endorsable_logical_processors`] (both run
-/// the same §10 test on the one plan).
+/// Member side: which logical processors of the trial mapping can this site
+/// endorse, given its scheduler's committed per-core plans? Durations are
+/// `cost / speed` with the given effective site speed.
 pub fn endorsable_with(
-    scheduler: &dyn Scheduler,
+    scheduler: &SiteScheduler,
     job: JobId,
     tasks_per_logical: &[Vec<TaskSpec>],
     speed: f64,
@@ -214,7 +186,7 @@ impl Snap for ValidationRound {
 mod tests {
     use super::*;
     use rtds_graph::TaskId;
-    use rtds_sched::Reservation;
+    use rtds_sched::{Reservation, SchedulePlan, SchedulerKind, SiteResources};
 
     fn spec(task: usize, release: f64, deadline: f64, cost: f64) -> TaskSpec {
         TaskSpec {
@@ -223,6 +195,19 @@ mod tests {
             deadline,
             cost,
         }
+    }
+
+    /// A protocol site holding `plans`, one per core.
+    fn site(plans: Vec<SchedulePlan>) -> SiteScheduler {
+        SiteScheduler::from_parts(
+            SchedulerKind::Protocol,
+            SiteResources::multicore(plans.len(), 1.0),
+            1.0,
+            false,
+            plans,
+            Vec::new(),
+        )
+        .unwrap()
     }
 
     #[test]
@@ -241,58 +226,18 @@ mod tests {
             vec![spec(0, 0.0, 20.0, 10.0)],
             vec![spec(1, 0.0, 60.0, 10.0), spec(2, 0.0, 60.0, 5.0)],
         ];
-        let endorsable = endorsable_logical_processors(&plan, JobId(1), &mapping, 1.0, false);
-        assert_eq!(endorsable, vec![1]);
+        let busy = site(vec![plan.clone()]);
+        assert_eq!(endorsable_with(&busy, JobId(1), &mapping, 1.0), vec![1]);
         // A fast site (speed 4) can also endorse processor 0: 10/4 = 2.5
         // units... still needs idle time before t = 20, which does not exist.
-        let endorsable_fast = endorsable_logical_processors(&plan, JobId(1), &mapping, 4.0, false);
-        assert_eq!(endorsable_fast, vec![1]);
+        assert_eq!(endorsable_with(&busy, JobId(1), &mapping, 4.0), vec![1]);
         // An empty plan endorses everything.
-        let idle = SchedulePlan::new();
-        let endorsable_idle = endorsable_logical_processors(&idle, JobId(1), &mapping, 1.0, false);
-        assert_eq!(endorsable_idle, vec![0, 1]);
+        let idle = site(vec![SchedulePlan::new()]);
+        assert_eq!(endorsable_with(&idle, JobId(1), &mapping, 1.0), vec![0, 1]);
         // An empty mapping is trivially endorsed (no logical processors).
-        assert!(endorsable_logical_processors(&idle, JobId(1), &[], 1.0, false).is_empty());
-    }
-
-    #[test]
-    fn scheduler_endorsement_matches_the_plan_based_test_on_one_core() {
-        use rtds_sched::{SchedulerKind, SiteResources, SiteScheduler};
-        let mut plan = SchedulePlan::new();
-        plan.insert(Reservation {
-            job: JobId(9),
-            task: TaskId(0),
-            start: 0.0,
-            end: 30.0,
-        })
-        .unwrap();
-        let mapping = vec![
-            vec![spec(0, 0.0, 20.0, 10.0)],
-            vec![spec(1, 0.0, 60.0, 10.0), spec(2, 0.0, 60.0, 5.0)],
-        ];
-        let sched = SiteScheduler::from_parts(
-            SchedulerKind::Protocol,
-            SiteResources::default(),
-            1.0,
-            false,
-            vec![plan.clone()],
-            Vec::new(),
-        )
-        .unwrap();
-        assert_eq!(
-            endorsable_with(&sched, JobId(1), &mapping, 1.0),
-            endorsable_logical_processors(&plan, JobId(1), &mapping, 1.0, false)
-        );
+        assert!(endorsable_with(&idle, JobId(1), &[], 1.0).is_empty());
         // A second core lets the blocked logical processor through.
-        let dual = SiteScheduler::from_parts(
-            SchedulerKind::Protocol,
-            SiteResources::multicore(2, 1.0),
-            1.0,
-            false,
-            vec![plan, SchedulePlan::new()],
-            Vec::new(),
-        )
-        .unwrap();
+        let dual = site(vec![plan, SchedulePlan::new()]);
         assert_eq!(endorsable_with(&dual, JobId(1), &mapping, 1.0), vec![0, 1]);
     }
 

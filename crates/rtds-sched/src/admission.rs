@@ -5,64 +5,14 @@
 //! verifying if all tasks of the job may be scheduled in-between tasks
 //! already accepted to be scheduled on site k before deadline d."
 //!
-//! The test is constructive: on success it returns the reservations that
-//! realise the local schedule, so the site can commit them immediately and
-//! atomically. Tasks are considered in list-scheduling order driven by the
-//! §12 critical-path priority (longest node-weight path to a sink), which
-//! keeps the local test and the Mapper consistent with each other.
+//! The test ([`crate::Scheduler::admit_dag`]) is constructive: on success it
+//! returns the placements that realise the local schedule, so the site can
+//! commit them immediately and atomically. Tasks are considered in
+//! list-scheduling order ([`priority_order`]) driven by the §12
+//! critical-path priority (longest node-weight path to a sink), which keeps
+//! the local test and the Mapper consistent with each other.
 
-use crate::plan::{Reservation, SchedulePlan};
-use crate::resources::SiteResources;
-use crate::scheduler::{SchedulerKind, SiteView};
-use crate::trial::with_scratch;
-use rtds_graph::{Job, TaskId};
-use serde::{Deserialize, Serialize};
-
-/// Result of a successful local admission: the reservations to commit and the
-/// completion time of the job on this site.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct DagAdmission {
-    /// Reservations realising the DAG on this site (one per task in
-    /// non-preemptive mode, possibly several chunks per task in preemptive
-    /// mode).
-    pub reservations: Vec<Reservation>,
-    /// Completion time of the last task.
-    pub completion: f64,
-}
-
-/// Attempts to admit the whole DAG of `job` on a single site.
-///
-/// * `plan` — the site's committed schedule (not modified).
-/// * `now` — current time; no task may start before `max(now, job release)`.
-/// * `speed` — relative computing power of the site (1.0 for identical
-///   machines; §13 uniform machines divide task costs by this factor).
-/// * `preemptive` — whether tasks may be split across idle windows (§13).
-///
-/// Returns `None` if at least one task cannot be placed before the job
-/// deadline. This is the protocol policy of [`crate::scheduler`] on the
-/// paper's one-core site holding `plan`.
-pub fn admit_dag_locally(
-    plan: &SchedulePlan,
-    job: &Job,
-    now: f64,
-    speed: f64,
-    preemptive: bool,
-) -> Option<DagAdmission> {
-    assert!(speed > 0.0, "site speed must be positive");
-    let site = SiteView {
-        kind: SchedulerKind::Protocol,
-        resources: SiteResources::default(),
-        base_speed: speed,
-        preemptive,
-        cores: std::slice::from_ref(plan),
-        holds: &[],
-    };
-    let schedule = with_scratch(|scratch| site.admit_dag(job, now, None, scratch))?;
-    Some(DagAdmission {
-        reservations: schedule.placements.iter().map(|p| p.reservation).collect(),
-        completion: schedule.completion,
-    })
-}
+use rtds_graph::TaskId;
 
 /// List-scheduling order: repeatedly emit the ready task (all predecessors
 /// already emitted) with the highest priority; ties broken by task id.
@@ -102,8 +52,11 @@ pub fn priority_order(graph: &rtds_graph::TaskGraph, priority: &[f64]) -> Vec<Ta
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plan::{Reservation, SchedulePlan};
+    use crate::resources::SiteResources;
+    use crate::scheduler::{DagSchedule, Scheduler, SchedulerKind, SiteScheduler};
     use rtds_graph::paper_instance::paper_job;
-    use rtds_graph::{JobId, JobParams, TaskGraph};
+    use rtds_graph::{Job, JobId, JobParams, TaskGraph};
 
     fn chain_job(id: u64, costs: &[f64], release: f64, deadline: f64) -> Job {
         let mut g = TaskGraph::from_costs(costs);
@@ -113,15 +66,47 @@ mod tests {
         Job::new(JobId(id), g, JobParams::new(release, deadline), 0)
     }
 
+    /// The §5 test on the paper's one-core site holding `plan`.
+    fn admit(
+        plan: &SchedulePlan,
+        job: &Job,
+        now: f64,
+        speed: f64,
+        preemptive: bool,
+    ) -> Option<DagSchedule> {
+        SiteScheduler::from_parts(
+            SchedulerKind::Protocol,
+            SiteResources::default(),
+            speed,
+            preemptive,
+            vec![plan.clone()],
+            vec![],
+        )
+        .unwrap()
+        .admit_dag(job, now, None)
+    }
+
+    fn busy(start: f64, end: f64) -> SchedulePlan {
+        let mut plan = SchedulePlan::new();
+        plan.insert(Reservation {
+            job: JobId(99),
+            task: TaskId(0),
+            start,
+            end,
+        })
+        .unwrap();
+        plan
+    }
+
     #[test]
     fn empty_plan_accepts_a_feasible_chain() {
         let plan = SchedulePlan::new();
         let job = chain_job(1, &[2.0, 3.0, 5.0], 0.0, 20.0);
-        let adm = admit_dag_locally(&plan, &job, 0.0, 1.0, false).unwrap();
-        assert_eq!(adm.reservations.len(), 3);
+        let adm = admit(&plan, &job, 0.0, 1.0, false).unwrap();
+        assert_eq!(adm.placements.len(), 3);
         assert_eq!(adm.completion, 10.0);
         // Precedence respected: each task starts after its predecessor ends.
-        let by_task: Vec<&Reservation> = adm.reservations.iter().collect();
+        let by_task: Vec<Reservation> = adm.placements.iter().map(|p| p.reservation).collect();
         assert!(by_task
             .windows(2)
             .all(|w| w[1].start + 1e-9 >= w[0].end || w[1].task.0 < w[0].task.0));
@@ -131,53 +116,39 @@ mod tests {
     fn rejects_when_deadline_is_too_tight() {
         let plan = SchedulePlan::new();
         let job = chain_job(1, &[5.0, 5.0, 5.0], 0.0, 12.0);
-        assert!(admit_dag_locally(&plan, &job, 0.0, 1.0, false).is_none());
+        assert!(admit(&plan, &job, 0.0, 1.0, false).is_none());
         // The same chain with speed 2 halves the durations and fits.
-        assert!(admit_dag_locally(&plan, &job, 0.0, 2.0, false).is_some());
+        assert!(admit(&plan, &job, 0.0, 2.0, false).is_some());
     }
 
     #[test]
     fn respects_existing_reservations() {
-        let mut plan = SchedulePlan::new();
-        plan.insert(Reservation {
-            job: JobId(99),
-            task: TaskId(0),
-            start: 0.0,
-            end: 8.0,
-        })
-        .unwrap();
+        let plan = busy(0.0, 8.0);
         let job = chain_job(2, &[4.0, 4.0], 0.0, 20.0);
-        let adm = admit_dag_locally(&plan, &job, 0.0, 1.0, false).unwrap();
+        let adm = admit(&plan, &job, 0.0, 1.0, false).unwrap();
         // Both tasks must be placed after the existing reservation.
-        assert!(adm.reservations.iter().all(|r| r.start >= 8.0));
+        assert!(adm.placements.iter().all(|p| p.reservation.start >= 8.0));
         assert_eq!(adm.completion, 16.0);
         // With a deadline of 15 it no longer fits.
         let tight = chain_job(3, &[4.0, 4.0], 0.0, 15.0);
-        assert!(admit_dag_locally(&plan, &tight, 0.0, 1.0, false).is_none());
+        assert!(admit(&plan, &tight, 0.0, 1.0, false).is_none());
         // ...unless preemption is allowed? (still contiguous chain on one
         // site, so preemption does not help here: total demand 8 in [8, 15)
         // is only 7 units of idle time).
-        assert!(admit_dag_locally(&plan, &tight, 0.0, 1.0, true).is_none());
+        assert!(admit(&plan, &tight, 0.0, 1.0, true).is_none());
     }
 
     #[test]
     fn preemptive_admission_uses_split_windows() {
-        let mut plan = SchedulePlan::new();
-        plan.insert(Reservation {
-            job: JobId(99),
-            task: TaskId(0),
-            start: 5.0,
-            end: 10.0,
-        })
-        .unwrap();
+        let plan = busy(5.0, 10.0);
         // One 8-unit task, deadline 20: non-preemptively it must wait for
         // [10, 18); preemptively it can use [0,5) + [10,13).
         let job = chain_job(4, &[8.0], 0.0, 20.0);
-        let np = admit_dag_locally(&plan, &job, 0.0, 1.0, false).unwrap();
+        let np = admit(&plan, &job, 0.0, 1.0, false).unwrap();
         assert_eq!(np.completion, 18.0);
-        let p = admit_dag_locally(&plan, &job, 0.0, 1.0, true).unwrap();
+        let p = admit(&plan, &job, 0.0, 1.0, true).unwrap();
         assert_eq!(p.completion, 13.0);
-        assert_eq!(p.reservations.len(), 2);
+        assert_eq!(p.placements.len(), 2);
     }
 
     #[test]
@@ -187,33 +158,16 @@ mod tests {
         // paper's distribution scenario presumes the arrival site is loaded.
         let plan = SchedulePlan::new();
         let job = paper_job(JobId(1), 0);
-        let adm = admit_dag_locally(&plan, &job, 0.0, 1.0, false).unwrap();
-        assert_eq!(adm.reservations.len(), 5);
+        let adm = admit(&plan, &job, 0.0, 1.0, false).unwrap();
+        assert_eq!(adm.placements.len(), 5);
         assert!(adm.completion <= 21.0 + 1e-9);
         // A loaded site (busy until t = 40) can still fit the 21 units of
         // serial work before the deadline of 66...
-        let mut busy = SchedulePlan::new();
-        busy.insert(Reservation {
-            job: JobId(50),
-            task: TaskId(0),
-            start: 0.0,
-            end: 40.0,
-        })
-        .unwrap();
-        let adm2 = admit_dag_locally(&busy, &job, 0.0, 1.0, false).unwrap();
+        let adm2 = admit(&busy(0.0, 40.0), &job, 0.0, 1.0, false).unwrap();
         assert!(adm2.completion <= 66.0 + 1e-9);
         assert!(adm2.completion >= 61.0 - 1e-9);
         // ...but a site busy until t = 50 cannot (only 16 idle units remain).
-        let mut very_busy = SchedulePlan::new();
-        very_busy
-            .insert(Reservation {
-                job: JobId(50),
-                task: TaskId(0),
-                start: 0.0,
-                end: 50.0,
-            })
-            .unwrap();
-        assert!(admit_dag_locally(&very_busy, &job, 0.0, 1.0, false).is_none());
+        assert!(admit(&busy(0.0, 50.0), &job, 0.0, 1.0, false).is_none());
     }
 
     #[test]
@@ -221,19 +175,19 @@ mod tests {
         let plan = SchedulePlan::new();
         let job = chain_job(1, &[2.0], 10.0, 30.0);
         // now < release: start at the release.
-        let a = admit_dag_locally(&plan, &job, 0.0, 1.0, false).unwrap();
-        assert_eq!(a.reservations[0].start, 10.0);
+        let a = admit(&plan, &job, 0.0, 1.0, false).unwrap();
+        assert_eq!(a.placements[0].reservation.start, 10.0);
         // now > release: start at now.
-        let b = admit_dag_locally(&plan, &job, 15.0, 1.0, false).unwrap();
-        assert_eq!(b.reservations[0].start, 15.0);
+        let b = admit(&plan, &job, 15.0, 1.0, false).unwrap();
+        assert_eq!(b.placements[0].reservation.start, 15.0);
     }
 
     #[test]
     fn empty_graph_job_is_trivially_admitted() {
         let plan = SchedulePlan::new();
         let job = Job::new(JobId(1), TaskGraph::new(), JobParams::new(0.0, 5.0), 0);
-        let adm = admit_dag_locally(&plan, &job, 2.0, 1.0, false).unwrap();
-        assert!(adm.reservations.is_empty());
+        let adm = admit(&plan, &job, 2.0, 1.0, false).unwrap();
+        assert!(adm.placements.is_empty());
         assert_eq!(adm.completion, 2.0);
     }
 

@@ -2,62 +2,34 @@
 //!
 //! Once a job's tasks are inserted into the scheduling plans of the selected
 //! sites (§11), execution is deterministic: the computation processor simply
-//! honours its reservations. The executor extracts per-job completion times
-//! from a set of plans and checks the paper's run-time safety property —
+//! honours its reservations. The executor folds a set of plans into per-job
+//! completion times and checks the paper's run-time safety property —
 //! an accepted job never misses its deadline under faithful execution —
 //! which the integration tests and the simulation report rely on.
 
 use crate::plan::SchedulePlan;
 use rtds_graph::JobId;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
-/// Execution outcome of one job across every site that hosts part of it.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct JobOutcome {
-    /// The job.
-    pub job: JobId,
-    /// Number of task reservations committed for this job (chunks count
-    /// individually in the preemptive model).
-    pub reservations: usize,
-    /// Completion time: the latest reservation end across all sites.
-    pub completion: f64,
-}
-
-/// Collects the outcome of every job appearing in any of the given plans.
-pub fn collect_outcomes(plans: &[&SchedulePlan]) -> Vec<JobOutcome> {
-    let mut agg: BTreeMap<JobId, (usize, f64)> = BTreeMap::new();
-    for plan in plans {
-        for r in plan.reservations() {
-            let entry = agg.entry(r.job).or_insert((0, f64::NEG_INFINITY));
-            entry.0 += 1;
-            entry.1 = entry.1.max(r.end);
-        }
+/// Completion time of every job appearing in any of the given plans: the
+/// latest reservation end across all of them. One pass over the
+/// reservations, so a report looks each accepted job up instead of scanning
+/// every plan once per job.
+pub fn job_completions<'a>(
+    plans: impl IntoIterator<Item = &'a SchedulePlan>,
+) -> BTreeMap<JobId, f64> {
+    let mut completions = BTreeMap::new();
+    for r in plans.into_iter().flat_map(SchedulePlan::reservations) {
+        let end = completions.entry(r.job).or_insert(f64::NEG_INFINITY);
+        *end = r.end.max(*end);
     }
-    agg.into_iter()
-        .map(|(job, (reservations, completion))| JobOutcome {
-            job,
-            reservations,
-            completion,
-        })
-        .collect()
+    completions
 }
 
-/// Completion time of a single job across the given plans, if any of its
-/// tasks are committed anywhere.
-pub fn job_completion(plans: &[&SchedulePlan], job: JobId) -> Option<f64> {
-    plans
-        .iter()
-        .filter_map(|p| p.job_completion(job))
-        .fold(None, |acc, e| Some(acc.map_or(e, |a: f64| a.max(e))))
-}
-
-/// Checks that a job committed across the given plans meets its deadline.
-pub fn meets_deadline(plans: &[&SchedulePlan], job: JobId, deadline: f64) -> bool {
-    match job_completion(plans, job) {
-        Some(c) => c <= deadline + 1e-9,
-        None => false,
-    }
+/// Whether a completion time looked up in [`job_completions`] meets the
+/// deadline (a job with nothing committed anywhere does not).
+pub fn meets_deadline(completion: Option<f64>, deadline: f64) -> bool {
+    completion.is_some_and(|c| c <= deadline + 1e-9)
 }
 
 /// Utilization of one site over `[from, to)`: busy time divided by window
@@ -93,22 +65,17 @@ mod tests {
         p1.insert(res(2, 0, 20.0, 30.0)).unwrap();
         let mut p2 = SchedulePlan::new();
         p2.insert(res(1, 1, 0.0, 12.0)).unwrap();
-        let plans = [&p1, &p2];
+        let completions = job_completions([&p1, &p2]);
+        assert_eq!(completions.len(), 2);
+        assert_eq!(completions.get(&JobId(1)), Some(&20.0));
+        assert_eq!(completions.get(&JobId(2)), Some(&30.0));
+        assert_eq!(completions.get(&JobId(9)), None);
 
-        let outcomes = collect_outcomes(&plans);
-        assert_eq!(outcomes.len(), 2);
-        assert_eq!(outcomes[0].job, JobId(1));
-        assert_eq!(outcomes[0].reservations, 3);
-        assert_eq!(outcomes[0].completion, 20.0);
-        assert_eq!(outcomes[1].job, JobId(2));
-        assert_eq!(outcomes[1].completion, 30.0);
-
-        assert_eq!(job_completion(&plans, JobId(1)), Some(20.0));
-        assert_eq!(job_completion(&plans, JobId(9)), None);
-        assert!(meets_deadline(&plans, JobId(1), 20.0));
-        assert!(meets_deadline(&plans, JobId(1), 25.0));
-        assert!(!meets_deadline(&plans, JobId(1), 19.0));
-        assert!(!meets_deadline(&plans, JobId(9), 100.0));
+        let of = |job: u64| completions.get(&JobId(job)).copied();
+        assert!(meets_deadline(of(1), 20.0));
+        assert!(meets_deadline(of(1), 25.0));
+        assert!(!meets_deadline(of(1), 19.0));
+        assert!(!meets_deadline(of(9), 100.0));
     }
 
     #[test]
@@ -124,7 +91,7 @@ mod tests {
     #[test]
     fn empty_plans_have_no_outcomes() {
         let p = SchedulePlan::new();
-        assert!(collect_outcomes(&[&p]).is_empty());
-        assert!(collect_outcomes(&[]).is_empty());
+        assert!(job_completions([&p]).is_empty());
+        assert!(job_completions([]).is_empty());
     }
 }

@@ -15,7 +15,7 @@
 //! subproblem it solves.
 
 use crate::plan::{Reservation, SchedulePlan, TIME_EPS};
-use crate::trial::{with_scratch, Scratch, Trial};
+use crate::trial::{Scratch, Trial};
 use rtds_graph::{JobId, TaskId};
 use serde::{Deserialize, Serialize};
 
@@ -46,33 +46,19 @@ impl TaskRequest {
     }
 }
 
-/// Attempts to schedule all `requests` in-between the committed reservations
-/// of `plan`. Returns the reservations that would be added (not committed) if
-/// every task fits, `None` otherwise.
+/// The §10 test over per-core plans: places every request on the core with
+/// the earliest fit, leaving the placements in `scratch.placed` (not
+/// committed; partially placed sets live only in the scratch trial, never in
+/// `cores`). `None` if some request does not fit.
 ///
 /// * Non-preemptive (`preemptive = false`): each task gets one contiguous
 ///   slot starting at the earliest idle instant after its release.
 /// * Preemptive (`preemptive = true`): a task may be split across idle
-///   windows; the returned reservations contain one entry per chunk.
+///   windows; there is one placement per chunk.
 ///
 /// Requests are processed in earliest-deadline-first order (ties broken by
 /// release then task id), which is deterministic and matches the §5
 /// "schedule in-between already accepted tasks" idea.
-pub fn satisfiable(
-    plan: &SchedulePlan,
-    requests: &[TaskRequest],
-    preemptive: bool,
-) -> Option<Vec<Reservation>> {
-    with_scratch(|scratch| {
-        place_requests(std::slice::from_ref(plan), requests, preemptive, scratch)?;
-        Some(scratch.placed.iter().map(|p| p.reservation).collect())
-    })
-}
-
-/// The §10 test over per-core plans: places every request, in EDF order, on
-/// the core with the earliest fit, leaving the placements in
-/// `scratch.placed`. Partially placed sets live only in the scratch trial,
-/// never in `cores`.
 pub(crate) fn place_requests(
     cores: &[SchedulePlan],
     requests: &[TaskRequest],
@@ -133,6 +119,28 @@ pub(crate) fn place_requests(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::resources::SiteResources;
+    use crate::scheduler::{Scheduler, SchedulerKind, SiteScheduler};
+
+    /// The §10 test on the paper's one-core site holding `plan`: the
+    /// reservations it would add.
+    fn satisfiable_on(
+        plan: &SchedulePlan,
+        requests: &[TaskRequest],
+        preemptive: bool,
+    ) -> Option<Vec<Reservation>> {
+        let site = SiteScheduler::from_parts(
+            SchedulerKind::Protocol,
+            SiteResources::default(),
+            1.0,
+            preemptive,
+            vec![plan.clone()],
+            vec![],
+        )
+        .unwrap();
+        let placed = site.satisfiable(requests)?;
+        Some(placed.iter().map(|p| p.reservation).collect())
+    }
 
     fn req(task: usize, release: f64, deadline: f64, duration: f64) -> TaskRequest {
         TaskRequest {
@@ -166,15 +174,15 @@ mod tests {
     #[test]
     fn empty_request_set_is_satisfiable() {
         let plan = SchedulePlan::new();
-        assert_eq!(satisfiable(&plan, &[], false), Some(vec![]));
-        assert_eq!(satisfiable(&plan, &[], true), Some(vec![]));
+        assert_eq!(satisfiable_on(&plan, &[], false), Some(vec![]));
+        assert_eq!(satisfiable_on(&plan, &[], true), Some(vec![]));
     }
 
     #[test]
     fn fits_around_existing_reservations() {
         let plan = busy_plan();
         let reqs = vec![req(0, 0.0, 10.0, 10.0), req(1, 0.0, 40.0, 20.0)];
-        let placed = satisfiable(&plan, &reqs, false).unwrap();
+        let placed = satisfiable_on(&plan, &reqs, false).unwrap();
         assert_eq!(placed.len(), 2);
         // Task 0 (earlier deadline) takes [0, 10), task 1 takes [20, 40).
         assert_eq!(placed[0].start, 0.0);
@@ -190,9 +198,9 @@ mod tests {
         let plan = busy_plan();
         // Needs 15 contiguous units before t = 30 but only [0,10) and [20,30)
         // are idle.
-        assert!(satisfiable(&plan, &[req(0, 0.0, 30.0, 15.0)], false).is_none());
+        assert!(satisfiable_on(&plan, &[req(0, 0.0, 30.0, 15.0)], false).is_none());
         // Preemption makes it feasible: 10 + 5 across the two windows.
-        let chunks = satisfiable(&plan, &[req(0, 0.0, 30.0, 15.0)], true).unwrap();
+        let chunks = satisfiable_on(&plan, &[req(0, 0.0, 30.0, 15.0)], true).unwrap();
         assert_eq!(chunks.len(), 2);
         assert_eq!(chunks[0].start, 0.0);
         assert_eq!(chunks[0].end, 10.0);
@@ -207,7 +215,7 @@ mod tests {
         // one must be placed first or the set is (wrongly) declared
         // infeasible.
         let reqs = vec![req(0, 0.0, 100.0, 10.0), req(1, 0.0, 10.0, 10.0)];
-        let placed = satisfiable(&plan, &reqs, false).unwrap();
+        let placed = satisfiable_on(&plan, &reqs, false).unwrap();
         // Task 1 (deadline 10) gets [0, 10), task 0 gets [10, 20).
         let t1 = placed.iter().find(|r| r.task == TaskId(1)).unwrap();
         let t0 = placed.iter().find(|r| r.task == TaskId(0)).unwrap();
@@ -224,17 +232,17 @@ mod tests {
             req(1, 0.0, 20.0, 10.0),
             req(2, 0.0, 20.0, 10.0),
         ];
-        assert!(satisfiable(&plan, &reqs, false).is_none());
-        assert!(satisfiable(&plan, &reqs, true).is_none());
+        assert!(satisfiable_on(&plan, &reqs, false).is_none());
+        assert!(satisfiable_on(&plan, &reqs, true).is_none());
     }
 
     #[test]
     fn malformed_requests_are_rejected() {
         let plan = SchedulePlan::new();
         // Duration longer than the task's own window.
-        assert!(satisfiable(&plan, &[req(0, 10.0, 15.0, 6.0)], false).is_none());
+        assert!(satisfiable_on(&plan, &[req(0, 10.0, 15.0, 6.0)], false).is_none());
         // Negative duration.
-        assert!(satisfiable(&plan, &[req(0, 0.0, 10.0, -1.0)], true).is_none());
+        assert!(satisfiable_on(&plan, &[req(0, 0.0, 10.0, -1.0)], true).is_none());
         assert!(!req(0, 10.0, 15.0, 6.0).is_well_formed());
         assert!(req(0, 10.0, 16.0, 6.0).is_well_formed());
     }
@@ -242,9 +250,9 @@ mod tests {
     #[test]
     fn releases_are_respected() {
         let plan = SchedulePlan::new();
-        let placed = satisfiable(&plan, &[req(0, 25.0, 60.0, 10.0)], false).unwrap();
+        let placed = satisfiable_on(&plan, &[req(0, 25.0, 60.0, 10.0)], false).unwrap();
         assert_eq!(placed[0].start, 25.0);
-        let chunks = satisfiable(&plan, &[req(0, 25.0, 60.0, 10.0)], true).unwrap();
+        let chunks = satisfiable_on(&plan, &[req(0, 25.0, 60.0, 10.0)], true).unwrap();
         assert_eq!(chunks[0].start, 25.0);
     }
 }

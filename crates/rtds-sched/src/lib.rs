@@ -17,19 +17,22 @@
 //!   and disjoint, answered by one lazy idle-gap walk (`O(log R + gaps
 //!   walked)`, no allocation): non-preemptive and preemptive insertion,
 //!   idle windows, surplus,
-//! * [`admission`] — the §5 whole-DAG local guarantee test,
-//! * [`feasibility`] — the §10 per-logical-processor satisfiability test,
-//! * [`mod@surplus`] — observation-window surplus and busyness helpers,
-//! * [`executor`] — turns committed reservations into completion records and
-//!   deadline-miss checks (the run-time side of the computation processor),
+//! * [`admission`] — the list-scheduling order of the §5 whole-DAG local
+//!   guarantee test,
+//! * [`feasibility`] — the §10 per-logical-processor satisfiability test:
+//!   its [`feasibility::TaskRequest`] and the EDF placement rule,
+//! * [`executor`] — folds committed reservations into per-job completion
+//!   times and deadline-miss checks (the run-time side of the computation
+//!   processor),
 //! * [`resources`] — the multicore site resource model
 //!   ([`resources::SiteResources`], per-task [`resources::TaskDemand`] with
 //!   amdahl/linear/flat [`resources::SpeedupFn`] laws),
-//! * [`scheduler`] — the pluggable [`scheduler::Scheduler`] trait over
-//!   per-core plans, with the paper's protocol policy plus HEFT-style and
-//!   one-step-lookahead baselines. There is one placement path: the
-//!   `cores = 1, memory = ∞` case of it *is* the paper's single-plan rule,
-//!   and [`admission`] / [`feasibility`] are that path on one plan.
+//! * [`scheduler`] — the [`scheduler::Scheduler`] trait over per-core plans
+//!   and its one implementation, [`scheduler::SiteScheduler`], in three
+//!   kinds: the paper's protocol policy plus HEFT-style and
+//!   one-step-lookahead baselines. It is the only way to ask a site the §5
+//!   or the §10 question, and there is one placement path behind it: the
+//!   `cores = 1, memory = ∞` case *is* the paper's single-plan rule.
 //!
 //! Trial placements (admission, validation) never copy a plan: they layer a
 //! short per-core list of tentative reservations over the committed ones
@@ -48,16 +51,13 @@ pub mod interval;
 pub mod plan;
 pub mod resources;
 pub mod scheduler;
-pub mod surplus;
 mod trial;
 
-pub use admission::{admit_dag_locally, DagAdmission};
-pub use feasibility::{satisfiable, TaskRequest};
+pub use feasibility::TaskRequest;
 pub use interval::TimeInterval;
 pub use plan::{PlanError, Reservation, SchedulePlan};
 pub use resources::{SiteResources, SpeedupFn, TaskDemand};
 pub use scheduler::{
-    heft_upward_rank, CoreId, DagSchedule, HeftScheduler, LookaheadScheduler, MemHold, Placement,
-    ProtocolScheduler, Scheduler, SchedulerKind, SiteScheduler,
+    heft_upward_rank, CoreId, DagSchedule, MemHold, Placement, Scheduler, SchedulerKind,
+    SiteScheduler,
 };
-pub use surplus::{busyness, surplus};

@@ -2,34 +2,33 @@
 //!
 //! The paper leaves the local scheduler unspecified beyond the §5 insertion
 //! idea. This module puts that decision behind the [`Scheduler`] trait over
-//! a multicore [`SiteResources`] bundle, with three implementations:
+//! a multicore [`SiteResources`] bundle. One type implements it,
+//! [`SiteScheduler`], in three [`SchedulerKind`]s:
 //!
-//! * [`ProtocolScheduler`] — the paper's §5/§12 critical-path list
-//!   scheduler, generalised to place each task on the core with the
-//!   earliest fit. On the degenerate single-core bundle that *is* the
-//!   paper's single-plan rule ([`crate::admission::admit_dag_locally`] and
-//!   [`crate::feasibility::satisfiable`] are this code on one plan), so
-//!   every pre-multicore report stays byte-identical.
-//! * [`HeftScheduler`] — HEFT-style list scheduling (Topcuoglu et al.):
-//!   tasks ordered by communication-inclusive upward rank, each placed on
-//!   the core minimising its earliest finish time (insertion-based EFT).
-//! * [`LookaheadScheduler`] — the one-step lookahead variant: a task's core
-//!   is chosen to minimise the worst earliest finish time of its *children*
-//!   given the tentative placement (ties broken by own EFT, then core id).
+//! * `Protocol` — the paper's §5/§12 critical-path list scheduler,
+//!   generalised to place each task on the core with the earliest fit. On
+//!   the degenerate single-core bundle that *is* the paper's single-plan
+//!   rule, so every pre-multicore report stays byte-identical.
+//! * `Heft` — HEFT-style list scheduling (Topcuoglu et al.): tasks ordered
+//!   by communication-inclusive upward rank, each placed on the core
+//!   minimising its earliest finish time (insertion-based EFT).
+//! * `Lookahead` — the one-step lookahead variant: a task's core is chosen
+//!   to minimise the worst earliest finish time of its *children* given the
+//!   tentative placement (ties broken by own EFT, then core id).
 //!
-//! All three share the same mechanics (per-core [`SchedulePlan`]s, trial
-//! placement over them without copies (the `trial` module), gang fits for
-//! multi-core task demands, a memory ledger) via the concrete
-//! [`SiteScheduler`], which is also what the protocol node stores — being a
-//! plain enum-dispatched struct it stays `Clone + PartialEq` and snapshots
-//! cleanly (`rtds-sched-snapshot/1`, encoded by `rtds-core`).
+//! The kinds differ only in rank and core choice; everything else (per-core
+//! [`SchedulePlan`]s, trial placement over them without copies (the `trial`
+//! module), gang fits for multi-core task demands, a memory ledger) is
+//! shared. [`SiteScheduler`] is what the protocol node and every baseline
+//! store — a plain enum-dispatched struct, it stays `Clone + PartialEq` and
+//! snapshots cleanly (`rtds-sched-snapshot/1`, encoded by `rtds-core`).
 
 use crate::admission::priority_order;
 use crate::feasibility::{place_requests, TaskRequest};
 use crate::interval::TimeInterval;
 use crate::plan::{PlanError, Reservation, SchedulePlan};
 use crate::resources::{SiteResources, TaskDemand};
-use crate::trial::{best_single_fit, with_scratch, Scratch, Trial};
+use crate::trial::{with_scratch, Scratch, Trial};
 use rtds_graph::{upward_ranks, Job, JobId, TaskGraph, TaskId};
 use serde::{Deserialize, Serialize};
 
@@ -120,8 +119,8 @@ impl SchedulerKind {
 ///
 /// Contract every implementation upholds:
 ///
-/// * Queries ([`Scheduler::admit_dag`], [`Scheduler::satisfiable`],
-///   [`Scheduler::earliest_finish`]) never mutate the committed plans.
+/// * Queries ([`Scheduler::admit_dag`], [`Scheduler::satisfiable`]) never
+///   mutate the committed plans.
 /// * An admission/satisfiability answer is *constructive and committable*:
 ///   passing it to [`Scheduler::reserve_dag`] / [`Scheduler::reserve`]
 ///   immediately afterwards always succeeds.
@@ -161,10 +160,6 @@ pub trait Scheduler {
     /// number of reservations removed.
     fn release(&mut self, job: JobId) -> usize;
 
-    /// Earliest-finish estimate for one single-core unit of work: the core
-    /// and finish time of the earliest non-preemptive fit, if any.
-    fn earliest_finish(&self, release: f64, deadline: f64, duration: f64) -> Option<(CoreId, f64)>;
-
     /// The §2 surplus over `[now, now + window)`: idle core-time as a
     /// fraction of total core-time.
     fn surplus(&self, now: f64, window: f64) -> f64;
@@ -172,10 +167,6 @@ pub trait Scheduler {
     /// Removes and returns every placement fully completed by `cutoff`
     /// (core-major order), pruning expired memory holds as well.
     fn drain_completed(&mut self, cutoff: f64) -> Vec<Placement>;
-
-    /// Completion time of a job on this site (latest reservation end over
-    /// all cores), if any of its tasks run here.
-    fn job_completion(&self, job: JobId) -> Option<f64>;
 
     /// Total committed reservations over all cores.
     fn reservation_count(&self) -> usize;
@@ -272,43 +263,14 @@ impl SiteScheduler {
         self.base_speed * self.resources.speed
     }
 
-    /// Whether preemptive placement (§13) is enabled.
-    pub fn preemptive(&self) -> bool {
-        self.preemptive
-    }
-
     /// Whether the site has nothing committed: no reservation on any core
     /// and no memory hold.
     pub fn is_idle(&self) -> bool {
         self.holds.is_empty() && self.cores.iter().all(SchedulePlan::is_empty)
     }
-
-    /// What placement decisions read of this site.
-    fn view(&self) -> SiteView<'_> {
-        SiteView {
-            kind: self.kind,
-            resources: self.resources,
-            base_speed: self.base_speed,
-            preemptive: self.preemptive,
-            cores: &self.cores,
-            holds: &self.holds,
-        }
-    }
 }
 
-/// What a placement decision reads of a site: its policy, its resources and
-/// its committed state (borrowed — trial placements go into a [`Trial`]).
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct SiteView<'a> {
-    pub(crate) kind: SchedulerKind,
-    pub(crate) resources: SiteResources,
-    pub(crate) base_speed: f64,
-    pub(crate) preemptive: bool,
-    pub(crate) cores: &'a [SchedulePlan],
-    pub(crate) holds: &'a [MemHold],
-}
-
-/// One task being placed by [`SiteView::admit_dag`].
+/// One task being placed by [`SiteScheduler::place_dag`].
 struct Pending<'a> {
     graph: &'a TaskGraph,
     job: JobId,
@@ -335,9 +297,9 @@ impl Pending<'_> {
     }
 }
 
-impl SiteView<'_> {
+impl SiteScheduler {
     /// The §5 local guarantee test (see [`Scheduler::admit_dag`]).
-    pub(crate) fn admit_dag(
+    fn place_dag(
         &self,
         job: &Job,
         now: f64,
@@ -376,7 +338,7 @@ impl SiteView<'_> {
             events,
             ..
         } = scratch;
-        let mut trial = Trial::new(self.cores, added);
+        let mut trial = Trial::new(&self.cores, added);
         let mut finish = vec![0.0f64; graph.task_count()];
         let mut placements = Vec::with_capacity(graph.task_count());
         let mut holds = Vec::new();
@@ -626,7 +588,7 @@ impl Scheduler for SiteScheduler {
         now: f64,
         demands: Option<&[TaskDemand]>,
     ) -> Option<DagSchedule> {
-        with_scratch(|scratch| self.view().admit_dag(job, now, demands, scratch))
+        with_scratch(|scratch| self.place_dag(job, now, demands, scratch))
     }
 
     fn satisfiable(&self, requests: &[TaskRequest]) -> Option<Vec<Placement>> {
@@ -665,11 +627,6 @@ impl Scheduler for SiteScheduler {
         removed
     }
 
-    fn earliest_finish(&self, release: f64, deadline: f64, duration: f64) -> Option<(CoreId, f64)> {
-        let cores = self.cores.iter().map(SchedulePlan::timeline);
-        best_single_fit(cores, release, deadline, duration).map(|(c, _, f)| (c, f))
-    }
-
     fn surplus(&self, now: f64, window: f64) -> f64 {
         let n = self.cores.len().max(1) as f64;
         self.cores
@@ -688,13 +645,6 @@ impl Scheduler for SiteScheduler {
         }
         self.holds.retain(|h| h.end > cutoff + TIME_EPS);
         drained
-    }
-
-    fn job_completion(&self, job: JobId) -> Option<f64> {
-        self.cores
-            .iter()
-            .filter_map(|p| p.job_completion(job))
-            .fold(None, |acc, e| Some(acc.map_or(e, |a: f64| a.max(e))))
     }
 
     fn reservation_count(&self) -> usize {
@@ -721,108 +671,17 @@ impl Scheduler for SiteScheduler {
     }
 }
 
-macro_rules! newtype_scheduler {
-    ($(#[$doc:meta])* $name:ident, $kind:expr) => {
-        $(#[$doc])*
-        #[derive(Debug, Clone, PartialEq)]
-        pub struct $name(SiteScheduler);
-
-        impl $name {
-            /// Creates an empty scheduler over the given resources.
-            pub fn new(resources: SiteResources, base_speed: f64, preemptive: bool) -> Self {
-                $name(SiteScheduler::new($kind, resources, base_speed, preemptive))
-            }
-        }
-
-        impl Scheduler for $name {
-            fn kind(&self) -> SchedulerKind {
-                self.0.kind()
-            }
-            fn resources(&self) -> &SiteResources {
-                self.0.resources()
-            }
-            fn core_plans(&self) -> &[SchedulePlan] {
-                self.0.core_plans()
-            }
-            fn admit_dag(
-                &self,
-                job: &Job,
-                now: f64,
-                demands: Option<&[TaskDemand]>,
-            ) -> Option<DagSchedule> {
-                self.0.admit_dag(job, now, demands)
-            }
-            fn satisfiable(&self, requests: &[TaskRequest]) -> Option<Vec<Placement>> {
-                self.0.satisfiable(requests)
-            }
-            fn reserve(&mut self, placements: &[Placement]) -> Result<(), PlanError> {
-                self.0.reserve(placements)
-            }
-            fn reserve_dag(&mut self, schedule: &DagSchedule) -> Result<(), PlanError> {
-                self.0.reserve_dag(schedule)
-            }
-            fn release(&mut self, job: JobId) -> usize {
-                self.0.release(job)
-            }
-            fn earliest_finish(
-                &self,
-                release: f64,
-                deadline: f64,
-                duration: f64,
-            ) -> Option<(CoreId, f64)> {
-                self.0.earliest_finish(release, deadline, duration)
-            }
-            fn surplus(&self, now: f64, window: f64) -> f64 {
-                self.0.surplus(now, window)
-            }
-            fn drain_completed(&mut self, cutoff: f64) -> Vec<Placement> {
-                self.0.drain_completed(cutoff)
-            }
-            fn job_completion(&self, job: JobId) -> Option<f64> {
-                self.0.job_completion(job)
-            }
-            fn reservation_count(&self) -> usize {
-                self.0.reservation_count()
-            }
-            fn busy_cores(&self, t: f64) -> usize {
-                self.0.busy_cores(t)
-            }
-            fn mem_used(&self, t: f64) -> f64 {
-                self.0.mem_used(t)
-            }
-        }
-    };
-}
-
-newtype_scheduler!(
-    /// The paper's §5/§12 critical-path list scheduler, multicore-
-    /// generalised (earliest-fit core choice). On a single core with default
-    /// demands this is the paper's original single-plan rule.
-    ProtocolScheduler,
-    SchedulerKind::Protocol
-);
-newtype_scheduler!(
-    /// HEFT-style list scheduling: communication-inclusive upward-rank
-    /// order, insertion-based earliest-finish-time core choice.
-    HeftScheduler,
-    SchedulerKind::Heft
-);
-newtype_scheduler!(
-    /// One-step lookahead: a task's core minimises the worst child EFT
-    /// under the tentative placement.
-    LookaheadScheduler,
-    SchedulerKind::Lookahead
-);
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::admission::admit_dag_locally;
-    use crate::feasibility;
     use rtds_graph::{JobParams, TaskGraph};
 
     fn job_from(graph: TaskGraph, release: f64, deadline: f64) -> Job {
         Job::new(JobId(1), graph, JobParams::new(release, deadline), 0)
+    }
+
+    fn protocol(resources: SiteResources) -> SiteScheduler {
+        SiteScheduler::new(SchedulerKind::Protocol, resources, 1.0, false)
     }
 
     fn chain(costs: &[f64]) -> TaskGraph {
@@ -853,25 +712,6 @@ mod tests {
     }
 
     #[test]
-    fn single_core_protocol_delegates_verbatim() {
-        let sched = ProtocolScheduler::new(SiteResources::single_core(1.5), 2.0, false);
-        let job = job_from(chain(&[6.0, 9.0]), 0.0, 20.0);
-        let via_trait = sched.admit_dag(&job, 0.0, None).unwrap();
-        let direct = admit_dag_locally(&SchedulePlan::new(), &job, 0.0, 3.0, false).unwrap();
-        assert_eq!(via_trait.completion, direct.completion);
-        let got: Vec<Reservation> = via_trait.placements.iter().map(|p| p.reservation).collect();
-        assert_eq!(got, direct.reservations);
-        assert!(via_trait.placements.iter().all(|p| p.core == 0));
-
-        // §10 delegation.
-        let requests = vec![req(0, 0.0, 10.0, 4.0), req(1, 0.0, 8.0, 3.0)];
-        let via_trait = sched.satisfiable(&requests).unwrap();
-        let direct = feasibility::satisfiable(&SchedulePlan::new(), &requests, false).unwrap();
-        let got: Vec<Reservation> = via_trait.iter().map(|p| p.reservation).collect();
-        assert_eq!(got, direct);
-    }
-
-    #[test]
     fn reserve_release_and_queries() {
         let mut sched = SiteScheduler::new(
             SchedulerKind::Protocol,
@@ -890,14 +730,22 @@ mod tests {
         assert_eq!(sched.reservation_count(), 2);
         assert_eq!(sched.busy_cores(3.0), 2);
         assert_eq!(sched.busy_cores(7.0), 0);
-        assert_eq!(sched.job_completion(JobId(7)), Some(6.0));
+        let completions = |s: &SiteScheduler| -> Vec<Option<f64>> {
+            let plans = s.core_plans().iter();
+            plans.map(|p| p.job_completion(JobId(7))).collect()
+        };
+        assert_eq!(completions(&sched), vec![Some(6.0); 2]);
         // Surplus over [0, 12): each core busy 6 of 12.
         assert!((sched.surplus(0.0, 12.0) - 0.5).abs() < 1e-12);
-        assert_eq!(sched.earliest_finish(0.0, 20.0, 2.0), Some((0, 8.0)));
+        // The earliest finish of 2 more units is 8, on core 0.
+        let two_units = job_from(TaskGraph::from_costs(&[2.0]), 0.0, 20.0);
+        let next = sched.admit_dag(&two_units, 0.0, None).unwrap();
+        assert_eq!((next.placements[0].core, next.completion), (0, 8.0));
         assert_eq!(sched.release(JobId(7)), 2);
         assert_eq!(sched.reservation_count(), 0);
-        assert_eq!(sched.job_completion(JobId(7)), None);
-        assert_eq!(sched.earliest_finish(0.0, 20.0, 2.0), Some((0, 2.0)));
+        assert_eq!(completions(&sched), vec![None; 2]);
+        let next = sched.admit_dag(&two_units, 0.0, None).unwrap();
+        assert_eq!((next.placements[0].core, next.completion), (0, 2.0));
     }
 
     #[test]
@@ -906,9 +754,9 @@ mod tests {
         // core, trivial on two.
         let graph = TaskGraph::from_costs(&[8.0, 8.0]);
         let job = job_from(graph, 0.0, 10.0);
-        let single = ProtocolScheduler::new(SiteResources::default(), 1.0, false);
+        let single = protocol(SiteResources::default());
         assert!(single.admit_dag(&job, 0.0, None).is_none());
-        let dual = ProtocolScheduler::new(SiteResources::multicore(2, 1.0), 1.0, false);
+        let dual = protocol(SiteResources::multicore(2, 1.0));
         let schedule = dual.admit_dag(&job, 0.0, None).unwrap();
         assert_eq!(schedule.completion, 8.0);
         let cores: std::collections::BTreeSet<CoreId> =
@@ -925,7 +773,7 @@ mod tests {
             memory: 0.0,
             speedup: crate::resources::SpeedupFn::Linear,
         }];
-        let sched = ProtocolScheduler::new(SiteResources::multicore(2, 1.0), 1.0, false);
+        let sched = protocol(SiteResources::multicore(2, 1.0));
         let schedule = sched.admit_dag(&job, 0.0, Some(&demands)).unwrap();
         // Linear speedup on 2 cores: 8 / 2 = 4 units, on both cores.
         assert_eq!(schedule.placements.len(), 2);
@@ -949,7 +797,7 @@ mod tests {
     fn memory_capacity_rejects_oversubscription() {
         let mut resources = SiteResources::multicore(2, 1.0);
         resources.memory = 3.0;
-        let sched = ProtocolScheduler::new(resources, 1.0, false);
+        let sched = protocol(resources);
         let graph = TaskGraph::from_costs(&[5.0, 5.0]);
         let job = job_from(graph, 0.0, 30.0);
         let fits = vec![
@@ -1039,7 +887,6 @@ mod tests {
         assert_eq!(schedule.placements[0].core, 1);
         assert_eq!(schedule.placements[0].reservation.start, 2.0);
         assert_eq!(schedule.completion, 5.0);
-        assert_eq!(sched.earliest_finish(0.0, 30.0, 3.0), Some((1, 5.0)));
     }
 
     #[test]
@@ -1210,6 +1057,6 @@ mod tests {
         .unwrap();
         assert_eq!(rebuilt, sched);
         assert!((sched.effective_speed() - 3.0).abs() < 1e-12);
-        assert!(sched.preemptive());
+        assert!(preemptive);
     }
 }

@@ -111,7 +111,18 @@ impl<'a> Trial<'a> {
         deadline: f64,
         duration: f64,
     ) -> Option<(CoreId, f64, f64)> {
-        best_single_fit(self.timelines(), ready, deadline, duration)
+        let mut best: Option<(CoreId, f64, f64)> = None;
+        for (core, timeline) in self.timelines().enumerate() {
+            if let Some(start) = timeline.earliest_fit(ready, deadline, duration) {
+                // Homogeneous cores: earliest start == earliest finish, so
+                // the protocol and HEFT selection rules coincide per task;
+                // ties go to the lowest core id for determinism.
+                if best.map_or(true, |(_, s, _)| start < s - TIME_EPS) {
+                    best = Some((core, start, start + duration));
+                }
+            }
+        }
+        best
     }
 
     /// Preemptive fit on the core whose chunks complete earliest (ties to
@@ -137,25 +148,4 @@ impl<'a> Trial<'a> {
         }
         found
     }
-}
-
-/// Earliest single-core fit across `cores`: `(core, start, finish)`.
-pub(crate) fn best_single_fit<'t>(
-    cores: impl Iterator<Item = Timeline<'t>>,
-    ready: f64,
-    deadline: f64,
-    duration: f64,
-) -> Option<(CoreId, f64, f64)> {
-    let mut best: Option<(CoreId, f64, f64)> = None;
-    for (core, timeline) in cores.enumerate() {
-        if let Some(start) = timeline.earliest_fit(ready, deadline, duration) {
-            // Homogeneous cores: earliest start == earliest finish, so the
-            // protocol and HEFT selection rules coincide per task; ties go
-            // to the lowest core id for determinism.
-            if best.map_or(true, |(_, s, _)| start < s - TIME_EPS) {
-                best = Some((core, start, start + duration));
-            }
-        }
-    }
-    best
 }

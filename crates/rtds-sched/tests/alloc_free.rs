@@ -111,12 +111,16 @@ fn plan_queries_do_not_allocate() {
         let what = format!("{kind:?}, {cores} cores, preemptive {preemptive}");
         // A 3-unit fit must walk past the first busy slot; a 4-unit one
         // finds no gap before the deadline and walks them all.
-        let (fit, n) = allocations_of(|| sched.earliest_finish(1.0, 2_000.0, 3.0));
-        assert_eq!(fit, Some((0, 5.0)), "{what}");
-        assert_eq!(n, 0, "earliest_finish, {what}");
-        let (fit, n) = allocations_of(|| sched.earliest_finish(1.0, 900.0, 4.0));
-        assert_eq!(fit, None, "{what}");
-        assert_eq!(n, 0, "earliest_finish without a fit, {what}");
+        let plans = sched.core_plans();
+        let (fit, n) = allocations_of(|| plans[0].earliest_fit(1.0, 2_000.0, 3.0));
+        assert_eq!(fit, Some(2.0), "{what}");
+        assert_eq!(n, 0, "earliest_fit, {what}");
+        let (fits, n) = allocations_of(|| {
+            let fits = plans.iter().filter_map(|p| p.earliest_fit(1.0, 900.0, 4.0));
+            fits.count()
+        });
+        assert_eq!(fits, 0, "{what}");
+        assert_eq!(n, 0, "earliest_fit without a fit, {what}");
         let (surplus, n) = allocations_of(|| sched.surplus(101.0, 500.0));
         assert!((surplus - 0.6).abs() < 1e-12, "{what}: {surplus}");
         assert_eq!(n, 0, "surplus, {what}");

@@ -9,13 +9,28 @@ use proptest::prelude::*;
 use reference::{brute_force_satisfiable, RefPlan, RefSite};
 use rtds_graph::generators::{CostDistribution, DagGenerator, DagShape, GeneratorConfig};
 use rtds_graph::{Job, JobId, TaskId};
-use rtds_sched::admission::admit_dag_locally;
-use rtds_sched::feasibility::{satisfiable, TaskRequest};
 use rtds_sched::plan::{Reservation, SchedulePlan};
 use rtds_sched::{
     MemHold, Placement, Scheduler, SchedulerKind, SiteResources, SiteScheduler, SpeedupFn,
-    TaskDemand, TimeInterval,
+    TaskDemand, TaskRequest, TimeInterval,
 };
+
+/// The paper's site: one protocol-scheduled core holding `plan`.
+fn paper_site(plan: &SchedulePlan, speed: f64, preemptive: bool) -> SiteScheduler {
+    SiteScheduler::from_parts(
+        SchedulerKind::Protocol,
+        SiteResources::default(),
+        speed,
+        preemptive,
+        vec![plan.clone()],
+        vec![],
+    )
+    .unwrap()
+}
+
+fn reservations(placements: &[Placement]) -> Vec<Reservation> {
+    placements.iter().map(|p| p.reservation).collect()
+}
 
 /// Builds a plan from arbitrary (start, duration) pairs, skipping the ones
 /// that would overlap — mirrors how a site accumulates commitments over time.
@@ -142,7 +157,8 @@ proptest! {
                 duration,
             })
             .collect();
-        if let Some(placed) = satisfiable(&plan, &requests, preemptive) {
+        if let Some(placed) = paper_site(&plan, 1.0, preemptive).satisfiable(&requests) {
+            let placed = reservations(&placed);
             // Every placement is inside its own request window and on idle time.
             let mut check = plan.clone();
             for r in &placed {
@@ -183,13 +199,14 @@ proptest! {
         let mut generator = DagGenerator::new(cfg, seed);
         let job = generator.generate_job(0, 10.0);
         let plan = plan_from_pairs(&pairs);
-        if let Some(adm) = admit_dag_locally(&plan, &job, 0.0, 1.0, preemptive) {
+        if let Some(adm) = paper_site(&plan, 1.0, preemptive).admit_dag(&job, 0.0, None) {
             prop_assert!(adm.completion <= job.deadline() + 1e-6);
+            let placed = reservations(&adm.placements);
             // Build per-task finish times and verify precedence.
             let mut finish = vec![0.0f64; job.graph.task_count()];
             let mut start = vec![f64::INFINITY; job.graph.task_count()];
             let mut check = plan.clone();
-            for r in &adm.reservations {
+            for r in &placed {
                 prop_assert!(r.start + 1e-9 >= job.release());
                 prop_assert!(r.end <= job.deadline() + 1e-6);
                 finish[r.task.0] = finish[r.task.0].max(r.end);
@@ -203,7 +220,7 @@ proptest! {
                 }
             }
             // Total reserved time equals the total cost (unit speed).
-            let reserved: f64 = adm.reservations.iter().map(|r| r.duration()).sum();
+            let reserved: f64 = placed.iter().map(|r| r.duration()).sum();
             prop_assert!((reserved - job.total_cost()).abs() < 1e-6);
         }
     }
@@ -584,9 +601,10 @@ proptest! {
         let placed = sched.satisfiable(&requests);
         prop_assert_eq!(&placed, &reference.satisfiable(&requests));
         prop_assert_eq!(&placed, &reference.satisfiable_multi(&requests));
-        // The free function is the same rule on one plan.
+        // The paper's site is the same rule on one plan.
+        let single = paper_site(&cores[0], 1.0, preemptive).satisfiable(&requests);
         prop_assert_eq!(
-            satisfiable(&cores[0], &requests, preemptive),
+            single.as_deref().map(reservations),
             reference::satisfiable_single(&reference.cores[0], &requests, preemptive)
         );
         let same_plans = |sched: &SiteScheduler, reference: &RefSite| {
@@ -640,9 +658,10 @@ proptest! {
             prop_assert_eq!(&admitted, &reference.admit_dag(&job, now, demands));
             prop_assert_eq!(&admitted, &reference.admit_multi(&job, now, demands));
         }
-        // The free function is the protocol rule on one plan.
-        let single = admit_dag_locally(&cores[0], &job, 0.0, 1.5, preemptive)
-            .map(|a| (a.reservations, a.completion));
+        // The paper's site is the protocol rule on one plan.
+        let single = paper_site(&cores[0], 1.5, preemptive)
+            .admit_dag(&job, 0.0, None)
+            .map(|a| (reservations(&a.placements), a.completion));
         prop_assert_eq!(
             single,
             reference::admit_single(&reference.cores[0], &job, 0.0, 1.5, preemptive)

@@ -140,7 +140,7 @@ fn edf_order(requests: &[TaskRequest]) -> Vec<&TaskRequest> {
     ordered
 }
 
-/// The old `feasibility::satisfiable`.
+/// The old single-plan §10 test.
 pub fn satisfiable_single(
     plan: &RefPlan,
     requests: &[TaskRequest],
@@ -180,7 +180,7 @@ pub fn satisfiable_single(
     Some(added)
 }
 
-/// The old `admission::admit_dag_locally`: `(reservations, completion)`.
+/// The old single-plan §5 admission: `(reservations, completion)`.
 pub fn admit_single(
     plan: &RefPlan,
     job: &Job,

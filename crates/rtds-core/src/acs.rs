@@ -31,8 +31,9 @@ pub struct AcsMember {
 /// Initiator-side state of one ACS construction round.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AcsCollection {
-    /// Sites contacted and not yet heard from.
-    outstanding: BTreeMap<SiteId, f64>,
+    /// Sites contacted and not yet heard from, with the initiator-to-site
+    /// delay, sorted by site.
+    outstanding: Vec<(SiteId, f64)>,
     /// Positive answers, including the initiator's own entry.
     members: Vec<AcsMember>,
     /// Sites that answered busy.
@@ -42,30 +43,51 @@ pub struct AcsCollection {
 impl AcsCollection {
     /// Starts a collection round. `own` is the initiator's own entry
     /// (surplus, speed); `contacted` lists the enrolled candidates with the
-    /// initiator-to-candidate delay.
+    /// initiator-to-candidate delay (a site listed twice is contacted once,
+    /// at the delay listed last).
     pub fn new(
         initiator: SiteId,
         own_surplus: f64,
         own_speed: f64,
         contacted: &[(SiteId, f64)],
     ) -> Self {
-        let outstanding: BTreeMap<SiteId, f64> = contacted.iter().copied().collect();
+        let mut outstanding = contacted.to_vec();
+        outstanding.sort_by_key(|&(site, _)| site);
+        outstanding.dedup_by(|later, kept| {
+            let same = later.0 == kept.0;
+            if same {
+                kept.1 = later.1;
+            }
+            same
+        });
+        // Sized for the round in which everybody joins.
+        let mut members = Vec::with_capacity(outstanding.len() + 1);
+        members.push(AcsMember {
+            site: initiator,
+            surplus: own_surplus,
+            speed: own_speed,
+            delay: 0.0,
+        });
         AcsCollection {
             outstanding,
-            members: vec![AcsMember {
-                site: initiator,
-                surplus: own_surplus,
-                speed: own_speed,
-                delay: 0.0,
-            }],
+            members,
             busy: Vec::new(),
         }
+    }
+
+    /// Takes `site` off the outstanding list; its delay if it was there.
+    fn answered(&mut self, site: SiteId) -> Option<f64> {
+        let at = self
+            .outstanding
+            .binary_search_by_key(&site, |&(s, _)| s)
+            .ok()?;
+        Some(self.outstanding.remove(at).1)
     }
 
     /// Records a positive answer. Unknown senders are ignored (stale
     /// replies).
     pub fn record_ack(&mut self, from: SiteId, surplus: f64, speed: f64) {
-        if let Some(delay) = self.outstanding.remove(&from) {
+        if let Some(delay) = self.answered(from) {
             self.members.push(AcsMember {
                 site: from,
                 surplus,
@@ -77,7 +99,7 @@ impl AcsCollection {
 
     /// Records a negative (busy) answer.
     pub fn record_busy(&mut self, from: SiteId) {
-        if self.outstanding.remove(&from).is_some() {
+        if self.answered(from).is_some() {
             self.busy.push(from);
         }
     }
@@ -102,40 +124,40 @@ impl AcsCollection {
         &self.busy
     }
 
-    /// Produces the Mapper input: members sorted by decreasing surplus (§9),
-    /// with ties broken by increasing delay then site id for determinism.
-    /// Returns the ordered members and the matching [`ProcessorSpec`] list.
-    pub fn sorted_for_mapper(&self) -> (Vec<AcsMember>, Vec<ProcessorSpec>) {
-        let mut ordered = self.members.clone();
-        ordered.sort_by(|a, b| {
+    /// Produces the Mapper input in caller-owned buffers: the members sorted
+    /// by decreasing surplus (§9), with ties broken by increasing delay then
+    /// site id for determinism, and the matching [`ProcessorSpec`] list.
+    pub fn sorted_for_mapper(&self, ordered: &mut Vec<AcsMember>, specs: &mut Vec<ProcessorSpec>) {
+        ordered.clear();
+        ordered.extend_from_slice(&self.members);
+        ordered.sort_unstable_by(|a, b| {
             b.surplus
                 .partial_cmp(&a.surplus)
                 .unwrap()
                 .then(a.delay.partial_cmp(&b.delay).unwrap())
                 .then(a.site.0.cmp(&b.site.0))
         });
-        let specs = ordered
-            .iter()
-            .map(|m| ProcessorSpec {
-                surplus: m.surplus,
-                speed: m.speed,
-            })
-            .collect();
-        (ordered, specs)
+        specs.clear();
+        specs.extend(ordered.iter().map(|m| ProcessorSpec {
+            surplus: m.surplus,
+            speed: m.speed,
+        }));
     }
 
     /// Conservative ACS delay-diameter computable from the initiator's local
-    /// knowledge only: `max_{a,b} (δ(k,a) + δ(k,b))` over distinct members.
+    /// knowledge only: `max_{a,b} (δ(k,a) + δ(k,b))` over distinct members —
+    /// the sum of the two largest member delays.
     pub fn local_diameter_estimate(&self) -> f64 {
-        let mut best = 0.0f64;
-        for (i, a) in self.members.iter().enumerate() {
-            for (j, b) in self.members.iter().enumerate() {
-                if i != j {
-                    best = best.max(a.delay + b.delay);
-                }
+        let (mut largest, mut second) = (f64::NEG_INFINITY, f64::NEG_INFINITY);
+        for member in &self.members {
+            if member.delay > largest {
+                (largest, second) = (member.delay, largest);
+            } else if member.delay > second {
+                second = member.delay;
             }
         }
-        best
+        // Fewer than two members: no pair, no diameter.
+        (largest + second).max(0.0)
     }
 }
 
@@ -151,12 +173,13 @@ impl Snap for AcsCollection {
     }
 
     fn decode(doc: &Json, path: &Path<'_>) -> Result<Self, SnapshotError> {
+        // Through a map: sorted by site, one entry per site.
         let outstanding: BTreeMap<SiteId, f64> = field(doc, path, "outstanding")?;
         for &delay in outstanding.values() {
             non_negative(delay, path)?;
         }
         Ok(AcsCollection {
-            outstanding,
+            outstanding: outstanding.into_iter().collect(),
             members: field(doc, path, "members")?,
             busy: field(doc, path, "busy")?,
         })
@@ -185,6 +208,12 @@ impl Snap for AcsMember {
 mod tests {
     use super::*;
 
+    fn sorted(acs: &AcsCollection) -> (Vec<AcsMember>, Vec<ProcessorSpec>) {
+        let (mut ordered, mut specs) = (Vec::new(), Vec::new());
+        acs.sorted_for_mapper(&mut ordered, &mut specs);
+        (ordered, specs)
+    }
+
     #[test]
     fn collection_round_tracks_answers() {
         let contacted = vec![(SiteId(1), 2.0), (SiteId(2), 5.0), (SiteId(3), 1.0)];
@@ -211,7 +240,7 @@ mod tests {
         let mut acs = AcsCollection::new(SiteId(0), 0.5, 1.0, &contacted);
         acs.record_ack(SiteId(1), 0.9, 1.0);
         acs.record_ack(SiteId(2), 0.7, 1.5);
-        let (ordered, specs) = acs.sorted_for_mapper();
+        let (ordered, specs) = sorted(&acs);
         assert_eq!(
             ordered.iter().map(|m| m.site).collect::<Vec<_>>(),
             vec![SiteId(1), SiteId(2), SiteId(0)]
@@ -227,7 +256,7 @@ mod tests {
         let mut acs = AcsCollection::new(SiteId(0), 0.5, 1.0, &contacted);
         acs.record_ack(SiteId(5), 0.5, 1.0);
         acs.record_ack(SiteId(2), 0.5, 1.0);
-        let (ordered, _) = acs.sorted_for_mapper();
+        let (ordered, _) = sorted(&acs);
         // All surpluses equal: initiator (delay 0) first, then site 2
         // (delay 1), then site 5 (delay 3).
         assert_eq!(
@@ -252,7 +281,7 @@ mod tests {
         let acs = AcsCollection::new(SiteId(0), 1.0, 1.0, &[]);
         assert!(acs.is_complete());
         assert_eq!(acs.members().len(), 1);
-        let (ordered, specs) = acs.sorted_for_mapper();
+        let (ordered, specs) = sorted(&acs);
         assert_eq!(ordered.len(), 1);
         assert_eq!(specs.len(), 1);
     }

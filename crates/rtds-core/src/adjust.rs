@@ -20,7 +20,8 @@
 //! processors receive a proportionally larger share of the extra laxity.
 
 use crate::config::LaxityDispatch;
-use crate::mapper::{MapperResult, ProcessorSpec};
+use crate::mapper::{MapperResult, MappingView, ProcessorSpec, NO_TASK};
+use crate::workspace::{with_workspace, Workspace};
 use rtds_graph::{TaskGraph, TaskId};
 use serde::{Deserialize, Serialize};
 
@@ -78,88 +79,10 @@ impl AdjustOutcome {
 /// every pair of consecutive tasks on the same processor (weight 0); a task
 /// is critical when it has zero slack with respect to the makespan `M*`.
 pub fn eta_of_star_schedule(graph: &TaskGraph, result: &MapperResult) -> usize {
-    let n = graph.task_count();
-    if n == 0 {
-        return 0;
-    }
-    const EPS: f64 = 1e-9;
-    let makespan_end = result.release + result.makespan_star;
-
-    // Constraint edges: DAG precedences plus same-processor succession.
-    let mut succ_edges: Vec<Vec<(usize, f64)>> = vec![Vec::new(); n];
-    for t in graph.task_ids() {
-        for s in graph.successors(t) {
-            let w = if result.assignment[t.0] == result.assignment[s.0] {
-                0.0
-            } else {
-                result.comm_delay
-            };
-            succ_edges[t.0].push((s.0, w));
-        }
-    }
-    for order in &result.processor_order {
-        for w in order.windows(2) {
-            succ_edges[w[0].0].push((w[1].0, 0.0));
-        }
-    }
-
-    // A task is on a critical path of S* when its start equals the earliest
-    // possible start (it already does, S* is an as-soon-as-possible replay)
-    // and its latest start — propagated backwards from the makespan — equals
-    // its start.
-    let duration = |t: usize| -> f64 { result.star_finish[t] - result.star_start[t] };
-    let mut latest_finish = vec![makespan_end; n];
-    // Process in reverse topological order of the *constraint* graph; the
-    // global list order used by the mapper is a valid topological order of
-    // both precedence and processor-succession edges, so reuse it via the
-    // star start times (stable sort by start, descending).
-    let mut order: Vec<usize> = (0..n).collect();
-    order.sort_by(|a, b| {
-        result.star_start[*b]
-            .partial_cmp(&result.star_start[*a])
-            .unwrap()
-            .then(b.cmp(a))
-    });
-    for &t in &order {
-        for &(s, w) in &succ_edges[t] {
-            let lf = latest_finish[s] - duration(s) - w;
-            latest_finish[t] = latest_finish[t].min(lf);
-        }
-    }
-    let critical: Vec<bool> = (0..n)
-        .map(|t| (latest_finish[t] - result.star_finish[t]).abs() <= EPS)
-        .collect();
-
-    // Longest chain (in number of tasks) through critical tasks along
-    // zero-slack constraint edges.
-    let mut chain = vec![0usize; n];
-    let mut best = 0usize;
-    let mut forward: Vec<usize> = (0..n).collect();
-    forward.sort_by(|a, b| {
-        result.star_start[*a]
-            .partial_cmp(&result.star_start[*b])
-            .unwrap()
-            .then(a.cmp(b))
-    });
-    for &t in &forward {
-        if !critical[t] {
-            continue;
-        }
-        chain[t] = chain[t].max(1);
-        best = best.max(chain[t]);
-        for &(s, w) in &succ_edges[t] {
-            if !critical[s] {
-                continue;
-            }
-            // The edge is tight when s starts exactly when t's finish plus
-            // the edge weight says it must.
-            if (result.star_start[s] - (result.star_finish[t] + w)).abs() <= EPS {
-                chain[s] = chain[s].max(chain[t] + 1);
-                best = best.max(chain[s]);
-            }
-        }
-    }
-    best.max(1)
+    with_workspace(|ws| {
+        let mapping = ws.mapping.view_of(graph, result);
+        ws.adjustment.eta(graph, &mapping)
+    })
 }
 
 /// Runs the §12.2 adjustment.
@@ -170,6 +93,9 @@ pub fn eta_of_star_schedule(graph: &TaskGraph, result: &MapperResult) -> usize {
 /// * `processors` — the logical processors offered to the Mapper (needed for
 ///   the busyness-weighted laxity variant).
 /// * `laxity` — how the case-(iii) laxity is dispatched.
+///
+/// This is the adjustment run in this thread's workspace (`Adjustment::adjust`),
+/// copied out.
 pub fn adjust_mapping(
     graph: &TaskGraph,
     result: &MapperResult,
@@ -178,125 +104,232 @@ pub fn adjust_mapping(
     processors: &[ProcessorSpec],
     laxity: LaxityDispatch,
 ) -> AdjustOutcome {
-    let window = deadline - release;
-    let n = graph.task_count();
-    const EPS: f64 = 1e-9;
+    with_workspace(|ws| {
+        let Workspace {
+            mapping,
+            adjustment,
+            ..
+        } = ws;
+        let view = mapping.view_of(graph, result);
+        match adjustment.adjust(graph, &view, release, deadline, processors, laxity) {
+            Ok(case) => AdjustOutcome::Adjusted {
+                case,
+                release: adjustment.release.clone(),
+                deadline: adjustment.deadline.clone(),
+            },
+            Err(rejected) => rejected,
+        }
+    })
+}
 
-    // Case (i): even the ideal schedule overruns the window.
-    if result.makespan_star > window + EPS {
-        return AdjustOutcome::Rejected {
-            makespan_star: result.makespan_star,
-            window,
+/// The adjusted windows and the adjustment's working vectors, reused from
+/// run to run (one per thread, in [`crate::workspace`]): an adjustment on
+/// warm buffers allocates nothing.
+#[derive(Debug, Default)]
+pub(crate) struct Adjustment {
+    /// Adjusted release `r(t_i)` and deadline `d(t_i)` per task, valid after
+    /// an [`Adjustment::adjust`] that returned `Ok`.
+    pub(crate) release: Vec<f64>,
+    pub(crate) deadline: Vec<f64>,
+    /// Per-task laxity share of case (iii).
+    laxity_of: Vec<f64>,
+    /// Working space of `η`: latest finish times, critical flags, chain
+    /// lengths and the tasks by increasing `S*` start.
+    latest_finish: Vec<f64>,
+    critical: Vec<bool>,
+    chain: Vec<usize>,
+    by_start: Vec<usize>,
+}
+
+const EPS: f64 = 1e-9;
+
+impl Adjustment {
+    /// `η` of the mapping's `S*` (see [`eta_of_star_schedule`]).
+    fn eta(&mut self, graph: &TaskGraph, mapping: &MappingView<'_>) -> usize {
+        let n = graph.task_count();
+        if n == 0 {
+            return 0;
+        }
+        let makespan_end = mapping.release + mapping.makespan_star;
+        let (star_start, star_finish) = (mapping.star_start, mapping.star_finish);
+
+        // Constraint edges out of `t`: DAG precedences (weighted by the
+        // communication delay between processors) plus the succession on
+        // `t`'s own processor (weight 0).
+        let constraints = |t: usize| {
+            let precedences = graph.successors(TaskId(t)).map(move |s| {
+                let same = mapping.assignment[t] == mapping.assignment[s.0];
+                (s.0, if same { 0.0 } else { mapping.comm_delay })
+            });
+            let succession = Some(mapping.next_on_processor[t]).filter(|&s| s != NO_TASK);
+            precedences.chain(succession.map(|s| (s, 0.0)))
         };
+
+        // The global list order used by the mapper is a valid topological
+        // order of both precedence and processor-succession edges; recover
+        // it from the star start times (ties by task id).
+        let by_start = &mut self.by_start;
+        by_start.clear();
+        by_start.extend(0..n);
+        by_start.sort_by(|a, b| {
+            star_start[*a]
+                .partial_cmp(&star_start[*b])
+                .unwrap()
+                .then(a.cmp(b))
+        });
+
+        // A task is on a critical path of S* when its start equals the
+        // earliest possible start (it already does, S* is an
+        // as-soon-as-possible replay) and its latest start — propagated
+        // backwards from the makespan — equals its start.
+        let duration = |t: usize| -> f64 { star_finish[t] - star_start[t] };
+        let latest_finish = &mut self.latest_finish;
+        latest_finish.clear();
+        latest_finish.resize(n, makespan_end);
+        for &t in by_start.iter().rev() {
+            for (s, w) in constraints(t) {
+                let lf = latest_finish[s] - duration(s) - w;
+                latest_finish[t] = latest_finish[t].min(lf);
+            }
+        }
+        let critical = &mut self.critical;
+        critical.clear();
+        critical.extend((0..n).map(|t| (latest_finish[t] - star_finish[t]).abs() <= EPS));
+
+        // Longest chain (in number of tasks) through critical tasks along
+        // zero-slack constraint edges.
+        let chain = &mut self.chain;
+        chain.clear();
+        chain.resize(n, 0);
+        let mut best = 0usize;
+        for &t in by_start.iter() {
+            if !critical[t] {
+                continue;
+            }
+            chain[t] = chain[t].max(1);
+            best = best.max(chain[t]);
+            for (s, w) in constraints(t) {
+                if !critical[s] {
+                    continue;
+                }
+                // The edge is tight when s starts exactly when t's finish
+                // plus the edge weight says it must.
+                if (star_start[s] - (star_finish[t] + w)).abs() <= EPS {
+                    chain[s] = chain[s].max(chain[t] + 1);
+                    best = best.max(chain[s]);
+                }
+            }
+        }
+        best.max(1)
     }
 
-    let topo = graph
-        .topological_order()
-        .expect("the job graph is acyclic by construction");
+    /// The §12.2 adjustment (see [`adjust_mapping`]) of a mapping of
+    /// `graph`. `Ok` leaves the adjusted windows in [`Adjustment::release`]
+    /// and [`Adjustment::deadline`]; `Err` is the case-(i) rejection.
+    pub(crate) fn adjust(
+        &mut self,
+        graph: &TaskGraph,
+        mapping: &MappingView<'_>,
+        release: f64,
+        deadline: f64,
+        processors: &[ProcessorSpec],
+        laxity: LaxityDispatch,
+    ) -> Result<AdjustCase, AdjustOutcome> {
+        let window = deadline - release;
+        let n = graph.task_count();
 
-    let mut adj_release = vec![release; n];
-    let mut adj_deadline = vec![deadline; n];
-
-    let comm = |a: TaskId, b: TaskId| -> f64 {
-        if result.assignment[a.0] == result.assignment[b.0] {
-            0.0
-        } else {
-            result.comm_delay
+        // Case (i): even the ideal schedule overruns the window.
+        if mapping.makespan_star > window + EPS {
+            return Err(AdjustOutcome::Rejected {
+                makespan_star: mapping.makespan_star,
+                window,
+            });
         }
-    };
 
-    if result.makespan <= window + EPS {
-        // Case (ii): scale the S deadlines by (d - r) / M, then recompute
-        // releases from predecessors in topological order (eqs. 3 and 5).
-        let scale = if result.makespan > 0.0 {
-            window / result.makespan
-        } else {
-            1.0
-        };
-        for t in &topo {
-            adj_deadline[t.0] = release + (result.finish[t.0] - release) * scale;
-        }
-        for t in &topo {
-            adj_release[t.0] = if graph.in_degree(*t) == 0 {
-                release
+        let comm = |a: TaskId, b: TaskId| -> f64 {
+            if mapping.assignment[a.0] == mapping.assignment[b.0] {
+                0.0
             } else {
-                graph
-                    .predecessors(*t)
-                    .map(|p| adj_deadline[p.0] + comm(p, *t))
-                    .fold(f64::NEG_INFINITY, f64::max)
+                mapping.comm_delay
+            }
+        };
+
+        let case = if mapping.makespan <= window + EPS {
+            // Case (ii): scale the S deadlines by (d - r) / M (eq. 3).
+            let scale = if mapping.makespan > 0.0 {
+                window / mapping.makespan
+            } else {
+                1.0
             };
-        }
-        AdjustOutcome::Adjusted {
-            case: AdjustCase::ScaledByWindow,
-            release: adj_release,
-            deadline: adj_deadline,
-        }
-    } else {
-        // Case (iii): M* <= d - r < M. Scatter the extra laxity.
-        let eta = eta_of_star_schedule(graph, result).max(1);
-        let slack = (window - result.makespan_star).max(0.0);
-        let uniform_laxity = slack / eta as f64;
-        // Per-task laxity share.
-        let laxity_of: Vec<f64> = match laxity {
-            LaxityDispatch::Uniform => vec![uniform_laxity; n],
-            LaxityDispatch::BusynessWeighted => {
+            self.deadline.clear();
+            self.deadline.extend(
+                mapping
+                    .finish
+                    .iter()
+                    .map(|finish| release + (finish - release) * scale),
+            );
+            AdjustCase::ScaledByWindow
+        } else {
+            // Case (iii): M* <= d - r < M. Scatter the extra laxity.
+            let eta = self.eta(graph, mapping).max(1);
+            let slack = (window - mapping.makespan_star).max(0.0);
+            let uniform_laxity = slack / eta as f64;
+            // Per-task laxity share.
+            let laxity_of = &mut self.laxity_of;
+            laxity_of.clear();
+            laxity_of.resize(n, uniform_laxity);
+            if laxity == LaxityDispatch::BusynessWeighted {
                 // Weight by the busyness of the processor each task runs on,
                 // normalised so the *average* share still equals the uniform
                 // one (tasks on fully idle processors get no extra laxity,
                 // tasks on busy processors get more).
-                let busyness: Vec<f64> = (0..n)
-                    .map(|t| {
-                        let p = result.assignment[t];
-                        1.0 - processors
+                for (t, share) in laxity_of.iter_mut().enumerate() {
+                    let p = mapping.assignment[t];
+                    *share = 1.0
+                        - processors
                             .get(p)
                             .map(|s| s.surplus.clamp(0.0, 1.0))
-                            .unwrap_or(1.0)
-                    })
-                    .collect();
-                let mean: f64 = if n > 0 {
-                    busyness.iter().sum::<f64>() / n as f64
-                } else {
-                    0.0
-                };
-                if mean <= EPS {
-                    vec![uniform_laxity; n]
-                } else {
-                    busyness
-                        .iter()
-                        .map(|b| uniform_laxity * (b / mean))
-                        .collect()
+                            .unwrap_or(1.0);
+                }
+                let mean: f64 = laxity_of.iter().sum::<f64>() / n as f64;
+                for share in laxity_of.iter_mut() {
+                    *share = if mean <= EPS {
+                        uniform_laxity
+                    } else {
+                        uniform_laxity * (*share / mean)
+                    };
                 }
             }
-        };
-        // Eq. (4): deadlines in reverse topological order, anchored on the
-        // job deadline for sink tasks; durations use the raw computational
-        // complexity (the S* model).
-        for t in topo.iter().rev() {
-            if graph.out_degree(*t) == 0 {
-                adj_deadline[t.0] = deadline;
-            } else {
-                adj_deadline[t.0] = graph
-                    .successors(*t)
-                    .map(|s| adj_deadline[s.0] - laxity_of[s.0] - graph.cost(s) - comm(*t, s))
-                    .fold(f64::INFINITY, f64::min);
+            // Eq. (4): deadlines in reverse topological order, anchored on
+            // the job deadline for sink tasks; durations use the raw
+            // computational complexity (the S* model).
+            let adj_deadline = &mut self.deadline;
+            adj_deadline.clear();
+            adj_deadline.resize(n, deadline);
+            for &t in mapping.topo.iter().rev() {
+                if graph.out_degree(t) != 0 {
+                    adj_deadline[t.0] = graph
+                        .successors(t)
+                        .map(|s| adj_deadline[s.0] - laxity_of[s.0] - graph.cost(s) - comm(t, s))
+                        .fold(f64::INFINITY, f64::min);
+                }
             }
-        }
-        // Eq. (5): releases in topological order.
-        for t in &topo {
-            adj_release[t.0] = if graph.in_degree(*t) == 0 {
+            AdjustCase::LaxityScattered
+        };
+        // Eq. (5): releases from the predecessors' deadlines.
+        let adj_deadline = &self.deadline;
+        self.release.clear();
+        self.release.extend(graph.task_ids().map(|t| {
+            if graph.in_degree(t) == 0 {
                 release
             } else {
                 graph
-                    .predecessors(*t)
-                    .map(|p| adj_deadline[p.0] + comm(p, *t))
+                    .predecessors(t)
+                    .map(|p| adj_deadline[p.0] + comm(p, t))
                     .fold(f64::NEG_INFINITY, f64::max)
-            };
-        }
-        AdjustOutcome::Adjusted {
-            case: AdjustCase::LaxityScattered,
-            release: adj_release,
-            deadline: adj_deadline,
-        }
+            }
+        }));
+        Ok(case)
     }
 }
 

@@ -44,6 +44,7 @@ pub mod snapshot;
 pub mod streaming;
 pub mod system;
 pub mod validate;
+mod workspace;
 
 pub use adjust::{adjust_mapping, AdjustCase, AdjustOutcome};
 pub use analysis::{gantt_rows, table1_rows, GanttRow, Table1Row};

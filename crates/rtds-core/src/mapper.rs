@@ -24,9 +24,19 @@
 //! The Mapper also computes the reference schedule `S*` — same assignment and
 //! per-processor task order, but with every surplus set to 100 % — whose
 //! makespan `M*` lower-bounds `M` and drives the §12.2 adjustment cases.
+//!
+//! There is one Mapper body, `Mapping::map`. It works in flat vectors that
+//! belong to the thread (the crate's `workspace` module), sorts and ranks the
+//! graph once for itself and for the adjustment that follows, and leaves its
+//! result where it computed it: the protocol node reads the task sets `T_i`
+//! straight out of the `Mapping`, so a Mapper run on warm buffers allocates
+//! nothing. [`map_dag`] is the same body with the result copied out into an
+//! owned [`MapperResult`].
 
-use rtds_graph::{upward_ranks, TaskGraph, TaskId};
-use rtds_sched::admission::priority_order;
+use crate::workspace::with_workspace;
+use rtds_graph::critical_path::upward_ranks_into;
+use rtds_graph::{TaskGraph, TaskId};
+use rtds_sched::admission::priority_order_into;
 use serde::{Deserialize, Serialize};
 
 /// One logical processor offered to the Mapper: a site of the ACS described
@@ -133,139 +143,303 @@ impl MapperResult {
 /// Runs the §12 Mapper. Returns `None` only for degenerate inputs (no
 /// processors offered, or an empty processor list after filtering); an empty
 /// graph maps to an empty schedule.
+///
+/// This is `Mapping::map` in this thread's workspace, copied out: the
+/// protocol node reads the workspace directly and never builds a
+/// [`MapperResult`].
 pub fn map_dag(input: &MapperInput<'_>) -> Option<MapperResult> {
-    let graph = input.graph;
-    let n = graph.task_count();
-    let m = input.processors.len();
-    if m == 0 {
-        return None;
+    with_workspace(|ws| ws.mapping.map(input).then(|| ws.mapping.to_result()))
+}
+
+/// What the §12.2 adjustment reads of a mapping, borrowed from either a
+/// [`Mapping`] or a [`MapperResult`].
+pub(crate) struct MappingView<'a> {
+    /// A topological order of the mapped graph.
+    pub(crate) topo: &'a [TaskId],
+    pub(crate) assignment: &'a [usize],
+    pub(crate) finish: &'a [f64],
+    pub(crate) star_start: &'a [f64],
+    pub(crate) star_finish: &'a [f64],
+    pub(crate) makespan: f64,
+    pub(crate) makespan_star: f64,
+    pub(crate) release: f64,
+    pub(crate) comm_delay: f64,
+    /// The task that follows each task on its processor ([`NO_TASK`] after
+    /// the last one).
+    pub(crate) next_on_processor: &'a [usize],
+}
+
+/// "No task" in [`MappingView::next_on_processor`].
+pub(crate) const NO_TASK: usize = usize::MAX;
+
+/// The Mapper's working vectors and its result, flat and reused from run to
+/// run (one per thread, in [`crate::workspace`]): a Mapper run on warm
+/// buffers allocates nothing. The graph analysis it starts with — the
+/// topological order and the list order — stays available to the adjustment
+/// that follows, so a Mapper → Adjust run sorts and ranks the graph once.
+#[derive(Debug, Default)]
+pub(crate) struct Mapping {
+    /// A topological order of the graph.
+    topo: Vec<TaskId>,
+    /// Per-task counters of the two sorts, then the write cursors of the
+    /// grouping.
+    counts: Vec<usize>,
+    ranks: Vec<f64>,
+    /// The list-scheduling order.
+    order: Vec<TaskId>,
+    rate_s: Vec<f64>,
+    rate_star: Vec<f64>,
+    avail: Vec<f64>,
+    /// The fields of [`MapperResult`], same meaning.
+    pub(crate) assignment: Vec<usize>,
+    pub(crate) start: Vec<f64>,
+    pub(crate) finish: Vec<f64>,
+    pub(crate) star_start: Vec<f64>,
+    pub(crate) star_finish: Vec<f64>,
+    pub(crate) makespan: f64,
+    pub(crate) makespan_star: f64,
+    pub(crate) release: f64,
+    pub(crate) comm_delay: f64,
+    pub(crate) used_processors: Vec<usize>,
+    /// Tasks grouped by processor, each group in execution order:
+    /// processor `p` runs `grouped[offsets[p]..offsets[p + 1]]`.
+    grouped: Vec<TaskId>,
+    offsets: Vec<usize>,
+    /// See [`MappingView::next_on_processor`].
+    pub(crate) next_on_processor: Vec<usize>,
+}
+
+impl Mapping {
+    /// Tasks assigned to the given logical processor, in execution order.
+    pub(crate) fn tasks_on(&self, processor: usize) -> &[TaskId] {
+        &self.grouped[self.offsets[processor]..self.offsets[processor + 1]]
     }
-    let order = priority_order(graph, &upward_ranks(graph));
 
-    // Effective execution rates per processor for S (surplus-scaled) and for
-    // S* (full surplus). Both honour the uniform-machine speed.
-    let rate_s: Vec<f64> = input
-        .processors
-        .iter()
-        .map(|p| (p.surplus.max(input.surplus_floor) * p.speed).max(input.surplus_floor))
-        .collect();
-    let rate_star: Vec<f64> = input
-        .processors
-        .iter()
-        .map(|p| p.speed.max(1e-12))
-        .collect();
-
-    let comm = |from: TaskId, to: TaskId, same_processor: bool| -> f64 {
-        if same_processor {
-            0.0
-        } else {
-            let extra = input.data_volume_delay.map(|f| f(from, to)).unwrap_or(0.0);
-            input.comm_delay + extra
+    /// The mapping as the adjustment reads it.
+    pub(crate) fn view(&self) -> MappingView<'_> {
+        MappingView {
+            topo: &self.topo,
+            assignment: &self.assignment,
+            finish: &self.finish,
+            star_start: &self.star_start,
+            star_finish: &self.star_finish,
+            makespan: self.makespan,
+            makespan_star: self.makespan_star,
+            release: self.release,
+            comm_delay: self.comm_delay,
+            next_on_processor: &self.next_on_processor,
         }
-    };
+    }
 
-    let mut assignment = vec![usize::MAX; n];
-    let mut start = vec![0.0f64; n];
-    let mut finish = vec![0.0f64; n];
-    let mut avail = vec![input.release; m];
-    let mut processor_order: Vec<Vec<TaskId>> = vec![Vec::new(); m];
+    /// The view of a mapping that was not made in this workspace: what an
+    /// adjustment needs besides the result itself — a topological order of
+    /// the graph and the processor successions — is computed here.
+    pub(crate) fn view_of<'a>(
+        &'a mut self,
+        graph: &TaskGraph,
+        result: &'a MapperResult,
+    ) -> MappingView<'a> {
+        graph
+            .topological_order_into(&mut self.topo, &mut self.counts)
+            .expect("the job graph is acyclic by construction");
+        let orders = result.processor_order.iter().map(Vec::as_slice);
+        link_successions(&mut self.next_on_processor, graph.task_count(), orders);
+        MappingView {
+            topo: &self.topo,
+            assignment: &result.assignment,
+            finish: &result.finish,
+            star_start: &result.star_start,
+            star_finish: &result.star_finish,
+            makespan: result.makespan,
+            makespan_star: result.makespan_star,
+            release: result.release,
+            comm_delay: result.comm_delay,
+            next_on_processor: &self.next_on_processor,
+        }
+    }
 
-    // Greedy EFT list scheduling for S. When per-edge data volumes are in
-    // play, ties on the finishing time (within the float tolerance) break
-    // towards the processor pulling the *least* cross-processor data — a
-    // data-locality refinement that changes nothing on volume-free graphs
-    // (every candidate's cross-traffic is 0 there).
-    for &t in &order {
-        let mut best: Option<(usize, f64, f64, f64)> = None; // (proc, start, finish, cross)
-        for p in 0..m {
-            let mut est = avail[p].max(input.release);
-            let mut cross = 0.0f64;
-            for pred in graph.predecessors(t) {
-                let same = assignment[pred.0] == p;
-                est = est.max(finish[pred.0] + comm(pred, t, same));
-                if !same {
-                    if let Some(f) = input.data_volume_delay {
-                        cross += f(pred, t);
+    /// The mapping as an owned [`MapperResult`].
+    fn to_result(&self) -> MapperResult {
+        MapperResult {
+            assignment: self.assignment.clone(),
+            start: self.start.clone(),
+            finish: self.finish.clone(),
+            star_start: self.star_start.clone(),
+            star_finish: self.star_finish.clone(),
+            makespan: self.makespan,
+            makespan_star: self.makespan_star,
+            release: self.release,
+            comm_delay: self.comm_delay,
+            used_processors: self.used_processors.clone(),
+            processor_order: (0..self.offsets.len() - 1)
+                .map(|p| self.tasks_on(p).to_vec())
+                .collect(),
+        }
+    }
+
+    /// The §12 Mapper (see [`map_dag`]); `false` when no processor was
+    /// offered.
+    pub(crate) fn map(&mut self, input: &MapperInput<'_>) -> bool {
+        let graph = input.graph;
+        let n = graph.task_count();
+        let m = input.processors.len();
+        if m == 0 {
+            return false;
+        }
+        graph
+            .topological_order_into(&mut self.topo, &mut self.counts)
+            .expect("the Mapper requires an acyclic graph");
+        upward_ranks_into(graph, &self.topo, &mut self.ranks);
+        priority_order_into(graph, &self.ranks, &mut self.order, &mut self.counts);
+        let order = &self.order;
+
+        // Effective execution rates per processor for S (surplus-scaled) and
+        // for S* (full surplus). Both honour the uniform-machine speed.
+        let floor = input.surplus_floor;
+        let rate_s = input
+            .processors
+            .iter()
+            .map(|p| (p.surplus.max(floor) * p.speed).max(floor));
+        refill(&mut self.rate_s, rate_s);
+        let rate_star = input.processors.iter().map(|p| p.speed.max(1e-12));
+        refill(&mut self.rate_star, rate_star);
+
+        let comm = |from: TaskId, to: TaskId, same_processor: bool| -> f64 {
+            if same_processor {
+                0.0
+            } else {
+                let extra = input.data_volume_delay.map(|f| f(from, to)).unwrap_or(0.0);
+                input.comm_delay + extra
+            }
+        };
+
+        let (assignment, start, finish) = (&mut self.assignment, &mut self.start, &mut self.finish);
+        let (avail, offsets) = (&mut self.avail, &mut self.offsets);
+        refill(assignment, (0..n).map(|_| usize::MAX));
+        refill(start, (0..n).map(|_| 0.0));
+        refill(finish, (0..n).map(|_| 0.0));
+        refill(avail, (0..m).map(|_| input.release));
+        // Tasks per processor for now, shifted one up; the group offsets
+        // once summed.
+        refill(offsets, (0..m + 1).map(|_| 0));
+
+        // Greedy EFT list scheduling for S. When per-edge data volumes are in
+        // play, ties on the finishing time (within the float tolerance) break
+        // towards the processor pulling the *least* cross-processor data — a
+        // data-locality refinement that changes nothing on volume-free graphs
+        // (every candidate's cross-traffic is 0 there).
+        for &t in order {
+            let mut best: Option<(usize, f64, f64, f64)> = None; // (proc, start, finish, cross)
+            for (p, (free, rate)) in avail.iter().zip(&self.rate_s).enumerate() {
+                let mut est = free.max(input.release);
+                let mut cross = 0.0f64;
+                for pred in graph.predecessors(t) {
+                    let same = assignment[pred.0] == p;
+                    est = est.max(finish[pred.0] + comm(pred, t, same));
+                    if !same {
+                        if let Some(f) = input.data_volume_delay {
+                            cross += f(pred, t);
+                        }
                     }
                 }
-            }
-            let dur = graph.cost(t) / rate_s[p];
-            let eft = est + dur;
-            let better = match best {
-                None => true,
-                Some((_, _, best_eft, best_cross)) => {
-                    eft < best_eft - 1e-12
-                        || (input.data_volume_delay.is_some()
-                            && (eft - best_eft).abs() <= 1e-12
-                            && cross < best_cross - 1e-12)
+                let dur = graph.cost(t) / rate;
+                let eft = est + dur;
+                let better = match best {
+                    None => true,
+                    Some((_, _, best_eft, best_cross)) => {
+                        eft < best_eft - 1e-12
+                            || (input.data_volume_delay.is_some()
+                                && (eft - best_eft).abs() <= 1e-12
+                                && cross < best_cross - 1e-12)
+                    }
+                };
+                if better {
+                    best = Some((p, est, eft, cross));
                 }
-            };
-            if better {
-                best = Some((p, est, eft, cross));
             }
+            let (p, s, f, _) = best.expect("at least one processor");
+            assignment[t.0] = p;
+            start[t.0] = s;
+            finish[t.0] = f;
+            avail[p] = f;
+            offsets[p + 1] += 1;
         }
-        let (p, s, f, _) = best.expect("at least one processor");
-        assignment[t.0] = p;
-        start[t.0] = s;
-        finish[t.0] = f;
-        avail[p] = f;
-        processor_order[p].push(t);
-    }
 
-    // S*: same assignment, same per-processor order, surpluses at 100 %.
-    let mut star_start = vec![0.0f64; n];
-    let mut star_finish = vec![0.0f64; n];
-    {
-        let mut avail = vec![input.release; m];
+        // S*: same assignment, same per-processor order, surpluses at 100 %.
+        let (star_start, star_finish) = (&mut self.star_start, &mut self.star_finish);
+        refill(star_start, (0..n).map(|_| 0.0));
+        refill(star_finish, (0..n).map(|_| 0.0));
+        refill(avail, (0..m).map(|_| input.release));
         // Replay tasks in the same global list order (which is consistent with
         // both the precedence constraints and the per-processor orders of S).
-        for &t in &order {
+        for &t in order {
             let p = assignment[t.0];
             let mut est = avail[p].max(input.release);
             for pred in graph.predecessors(t) {
                 let same = assignment[pred.0] == p;
                 est = est.max(star_finish[pred.0] + comm(pred, t, same));
             }
-            let dur = graph.cost(t) / rate_star[p];
+            let dur = graph.cost(t) / self.rate_star[p];
             star_start[t.0] = est;
             star_finish[t.0] = est + dur;
             avail[p] = est + dur;
         }
+
+        let span = |finish: &[f64]| {
+            finish
+                .iter()
+                .copied()
+                .fold(0.0f64, f64::max)
+                .max(input.release)
+                - input.release
+        };
+        self.makespan = span(finish);
+        self.makespan_star = span(star_finish);
+        self.release = input.release;
+        self.comm_delay = input.comm_delay;
+        refill(
+            &mut self.used_processors,
+            (0..m).filter(|&p| offsets[p + 1] > 0),
+        );
+
+        // Group the tasks by processor, keeping the list order inside each
+        // group.
+        for p in 0..m {
+            offsets[p + 1] += offsets[p];
+        }
+        refill(&mut self.grouped, (0..n).map(|_| TaskId(0)));
+        let cursor = &mut self.counts;
+        refill(cursor, offsets[..m].iter().copied());
+        for &t in order {
+            let p = assignment[t.0];
+            self.grouped[cursor[p]] = t;
+            cursor[p] += 1;
+        }
+        let groups = offsets.windows(2).map(|w| &self.grouped[w[0]..w[1]]);
+        link_successions(&mut self.next_on_processor, n, groups);
+        true
     }
+}
 
-    let makespan = finish
-        .iter()
-        .copied()
-        .fold(0.0f64, f64::max)
-        .max(input.release)
-        - input.release;
-    let makespan_star = star_finish
-        .iter()
-        .copied()
-        .fold(0.0f64, f64::max)
-        .max(input.release)
-        - input.release;
-    let mut used_processors: Vec<usize> = assignment
-        .iter()
-        .copied()
-        .filter(|p| *p != usize::MAX)
-        .collect();
-    used_processors.sort_unstable();
-    used_processors.dedup();
+/// Replaces the contents of `buffer`, keeping its storage.
+fn refill<T>(buffer: &mut Vec<T>, items: impl Iterator<Item = T>) {
+    buffer.clear();
+    buffer.extend(items);
+}
 
-    Some(MapperResult {
-        assignment,
-        start,
-        finish,
-        star_start,
-        star_finish,
-        makespan,
-        makespan_star,
-        release: input.release,
-        comm_delay: input.comm_delay,
-        used_processors,
-        processor_order,
-    })
+/// Fills `next[t]` with the task that follows `t` in its processor's
+/// execution order ([`NO_TASK`] after the last one), for `n` tasks.
+fn link_successions<'a>(
+    next: &mut Vec<usize>,
+    n: usize,
+    orders: impl Iterator<Item = &'a [TaskId]>,
+) {
+    refill(next, (0..n).map(|_| NO_TASK));
+    for order in orders {
+        for pair in order.windows(2) {
+            next[pair[0].0] = pair[1].0;
+        }
+    }
 }
 
 #[cfg(test)]

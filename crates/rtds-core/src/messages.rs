@@ -85,9 +85,10 @@ pub enum RtdsMsg {
         /// The job being distributed.
         job: JobId,
         /// `tasks_per_logical[i]` is `T_i`, the task set of logical
-        /// processor `i`. Shared (`Arc`): the §10 broadcast ships one
-        /// mapping to every ACS member.
-        tasks_per_logical: Arc<[Vec<TaskSpec>]>,
+        /// processor `i`. Shared (`Arc`) at both levels: the §10 broadcast
+        /// ships one mapping to every ACS member, and the §11 permutation
+        /// then ships each selected member the same `T_i` again.
+        tasks_per_logical: Arc<[Arc<[TaskSpec]>]>,
     },
     /// A member's answer: the logical processors whose task set it could
     /// satisfy locally.
@@ -102,13 +103,11 @@ pub enum RtdsMsg {
     Permutation {
         /// The job.
         job: JobId,
-        /// Logical processor assigned to the receiver, or `None` if the
-        /// receiver is not part of the selected permutation (it must simply
-        /// unlock).
-        logical: Option<usize>,
-        /// Task specs of the assigned logical processor (empty when
-        /// `logical` is `None`).
-        tasks: Vec<TaskSpec>,
+        /// The logical processor assigned to the receiver with its task
+        /// specs `T_i` (shared with the `TrialMapping` broadcast), or `None`
+        /// if the receiver is not part of the selected permutation (it must
+        /// simply unlock).
+        endorse: Option<(usize, Arc<[TaskSpec]>)>,
     },
     /// Release of the §8 lock without selection (job rejected or member not
     /// needed).
@@ -183,8 +182,7 @@ mod tests {
         assert!(u.is_distribution_message());
         let p = RtdsMsg::Permutation {
             job: JobId(3),
-            logical: None,
-            tasks: vec![],
+            endorse: None,
         };
         assert_eq!(p.kind(), "permutation");
         let v = RtdsMsg::ValidationReply {
@@ -194,7 +192,7 @@ mod tests {
         assert_eq!(v.kind(), "validation_reply");
         let t = RtdsMsg::TrialMapping {
             job: JobId(3),
-            tasks_per_logical: vec![vec![]].into(),
+            tasks_per_logical: vec![Vec::new().into()].into(),
         };
         assert_eq!(t.kind(), "trial_mapping");
         let a = RtdsMsg::EnrollAck {

@@ -27,13 +27,13 @@
 //!   the past.
 
 use crate::acs::{AcsCollection, AcsMember};
-use crate::adjust::{adjust_mapping, AdjustOutcome};
 use crate::config::RtdsConfig;
-use crate::mapper::{map_dag, MapperInput};
+use crate::mapper::MapperInput;
 use crate::messages::{RtdsMsg, TaskSpec};
 use crate::pcs::PcsState;
 use crate::snapshot as snap;
 use crate::validate::{endorsable_with, task_requests, ValidationOutcome, ValidationRound};
+use crate::workspace::{with_workspace, Workspace};
 use rtds_graph::{Job, JobId, TaskGraph, TaskId};
 use rtds_net::sphere::Sphere;
 use rtds_net::{RoutingTable, SiteId};
@@ -70,8 +70,9 @@ struct Inflight {
     acs: AcsCollection,
     members: Vec<AcsMember>,
     /// Shared with the §10 `TrialMapping` broadcast (one `Arc` for the
-    /// initiator's own copy and every member's message).
-    tasks_per_logical: Arc<[Vec<TaskSpec>]>,
+    /// initiator's own copy and every member's message), and each `T_i`
+    /// with the §11 `Permutation` of the member that runs it.
+    tasks_per_logical: Arc<[Arc<[TaskSpec]>]>,
     validation: Option<ValidationRound>,
     /// Simulated time the distribution started (enrollment fan-out), for
     /// the `distribution_latency` histogram.
@@ -107,7 +108,8 @@ pub struct RtdsNode {
     /// Optional exact global distances (ablation of the ACS-diameter
     /// estimate).
     global_distances: Option<GlobalDistances>,
-    /// Reused buffer for the §10 request set of a commit (not state).
+    /// Reused buffer for the §10 request set of an endorsement or a commit
+    /// (not state).
     requests: Vec<TaskRequest>,
 }
 
@@ -246,10 +248,11 @@ impl RtdsNode {
         self.sched.reservation_count() == 0
     }
 
-    /// Removes and returns every placement whose reservation ends at or
-    /// before `cutoff`, pruning the matching memory holds.
-    pub fn drain_completed(&mut self, cutoff: f64) -> Vec<rtds_sched::Placement> {
-        self.sched.drain_completed(cutoff)
+    /// Removes every placement whose reservation ends at or before
+    /// `cutoff`, handing each to `visit`, and prunes the matching memory
+    /// holds.
+    pub fn drain_completed_with(&mut self, cutoff: f64, visit: impl FnMut(rtds_sched::Placement)) {
+        self.sched.drain_completed_with(cutoff, visit);
     }
 
     /// Plan invariants hold on every core.
@@ -362,60 +365,68 @@ impl RtdsNode {
     fn start_distribution(&mut self, job: Job, ctx: &mut Context<'_, RtdsMsg>) {
         self.ensure_sphere();
         let now = ctx.now();
-        let peers: Vec<(SiteId, f64)> = match &self.sphere {
-            Some(sphere) => {
-                let mut peers: Vec<(SiteId, f64)> = sphere
-                    .peers()
-                    .map(|p| (p, sphere.delay_to(p).unwrap_or(0.0)))
-                    .collect();
-                peers.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap().then(a.0 .0.cmp(&b.0 .0)));
+        let id = job.id;
+        let enrolled = with_workspace(|ws| {
+            // The enrolment candidates, nearest first.
+            let peers = &mut ws.peers;
+            peers.clear();
+            if let Some(sphere) = &self.sphere {
+                peers.extend(
+                    sphere
+                        .peers()
+                        .map(|p| (p, sphere.delay_to(p).unwrap_or(0.0))),
+                );
+                peers.sort_unstable_by(|a, b| {
+                    a.1.partial_cmp(&b.1).unwrap().then(a.0 .0.cmp(&b.0 .0))
+                });
                 if self.config.max_acs_size > 0 {
                     peers.truncate(self.config.max_acs_size);
                 }
-                peers
             }
-            None => Vec::new(),
-        };
-        if peers.is_empty() {
+            if peers.is_empty() {
+                return None;
+            }
+            // Lock ourselves: our own arrivals queue until this job is
+            // resolved.
+            self.lock = Some((self.site, id));
+            let own_surplus = self
+                .sched
+                .surplus(now, self.config.observation_window)
+                .max(self.config.surplus_floor);
+            let acs = AcsCollection::new(self.site, own_surplus, self.effective_speed(), peers);
+            let peer_count = peers.len() as u32;
+            ctx.trace(
+                phase_span(id, Phase::Enrollment, self.site),
+                phase_span(id, Phase::Acceptance, self.site),
+                || TracePayload::AcsEnroll {
+                    job: id.0,
+                    peers: peer_count,
+                },
+            );
+            for (peer, _) in peers.iter() {
+                self.send_protocol(
+                    ctx,
+                    *peer,
+                    RtdsMsg::Enroll {
+                        initiator: self.site,
+                        job: id,
+                    },
+                );
+            }
+            Some(acs)
+        });
+        let Some(acs) = enrolled else {
             // No neighborhood to distribute over: the job is rejected.
             self.guarantee.rejected += 1;
             ctx.count("rejected_no_acs", 1);
-            let id = job.id;
             ctx.trace(root_span(id), SpanId::NONE, || TracePayload::Reject {
                 job: id.0,
                 reason: RejectReason::EmptySphere,
             });
             return;
-        }
-        // Lock ourselves: our own arrivals queue until this job is resolved.
-        self.lock = Some((self.site, job.id));
-        let own_surplus = self
-            .sched
-            .surplus(now, self.config.observation_window)
-            .max(self.config.surplus_floor);
-        let acs = AcsCollection::new(self.site, own_surplus, self.effective_speed(), &peers);
-        let id = job.id;
-        let peer_count = peers.len() as u32;
-        ctx.trace(
-            phase_span(id, Phase::Enrollment, self.site),
-            phase_span(id, Phase::Acceptance, self.site),
-            || TracePayload::AcsEnroll {
-                job: id.0,
-                peers: peer_count,
-            },
-        );
-        for (peer, _) in &peers {
-            self.send_protocol(
-                ctx,
-                *peer,
-                RtdsMsg::Enroll {
-                    initiator: self.site,
-                    job: job.id,
-                },
-            );
-        }
+        };
         self.inflight.insert(
-            job.id,
+            id,
             Inflight {
                 job,
                 acs,
@@ -442,13 +453,42 @@ impl RtdsNode {
         let Some(mut inflight) = self.inflight.remove(&job_id) else {
             return;
         };
+        // The workspace is handed back before anything that may start the
+        // next distribution (a verdict releases the lock) runs.
+        match with_workspace(|ws| self.map_and_broadcast(&mut inflight, ws, ctx)) {
+            Ok(()) => {
+                self.inflight.insert(job_id, inflight);
+                self.try_finish_validation(job_id, ctx);
+            }
+            Err(reason) => self.finish_rejected(&inflight, ctx, reason),
+        }
+    }
+
+    /// §9/§12 Mapper, §12.2 adjustment and the §10 broadcast of the trial
+    /// mapping (with the initiator's own endorsement), computed in the
+    /// thread's workspace: what is allocated is what the round keeps — the
+    /// shared `T_i`, the ordered member list and the validation round.
+    fn map_and_broadcast(
+        &mut self,
+        inflight: &mut Inflight,
+        ws: &mut Workspace,
+        ctx: &mut Context<'_, RtdsMsg>,
+    ) -> Result<(), RejectReason> {
+        let Workspace {
+            mapping,
+            adjustment,
+            members,
+            processors,
+            ..
+        } = ws;
+        let job_id = inflight.job.id;
         let now = ctx.now();
-        let (members, specs) = inflight.acs.sorted_for_mapper();
+        inflight.acs.sorted_for_mapper(members, processors);
         ctx.count("acs_members", members.len() as u64);
 
         // Communication-delay over-estimate ω: the ACS delay-diameter.
         let comm_delay = if self.config.exact_acs_diameter {
-            self.exact_diameter(&members)
+            self.exact_diameter(members)
                 .unwrap_or_else(|| inflight.acs.local_diameter_estimate())
         } else {
             inflight.acs.local_diameter_estimate()
@@ -467,7 +507,7 @@ impl RtdsNode {
             let g = &inflight.job.graph;
             let max_edge_volume = g
                 .task_ids()
-                .flat_map(|t| g.successor_edges(t).iter())
+                .flat_map(|t| g.successor_edges(t))
                 .map(|(_, e)| e.data_volume)
                 .fold(0.0f64, f64::max);
             max_edge_volume / self.config.throughput
@@ -487,7 +527,7 @@ impl RtdsNode {
         let input = MapperInput {
             graph,
             release: release_floor,
-            processors: &specs,
+            processors,
             comm_delay,
             data_volume_delay: if self.config.data_volume_aware {
                 Some(&volume_fn)
@@ -496,13 +536,11 @@ impl RtdsNode {
             },
             surplus_floor: self.config.surplus_floor,
         };
-        let Some(result) = map_dag(&input) else {
-            self.finish_rejected(&inflight, ctx, RejectReason::MapperFailed);
-            return;
-        };
-        let used = result.used_count() as u32;
-        let makespan = result.makespan;
-        let makespan_star = result.makespan_star;
+        if !mapping.map(&input) {
+            return Err(RejectReason::MapperFailed);
+        }
+        let used = mapping.used_processors.len() as u32;
+        let (makespan, makespan_star) = (mapping.makespan, mapping.makespan_star);
         ctx.trace(
             phase_span(job_id, Phase::Mapping, self.site),
             phase_span(job_id, Phase::Enrollment, self.site),
@@ -514,37 +552,32 @@ impl RtdsNode {
                 omega: comm_delay,
             },
         );
-        let adjusted = adjust_mapping(
-            graph,
-            &result,
-            release_floor,
-            inflight.job.deadline(),
-            &specs,
-            self.config.laxity_dispatch,
-        );
-        let AdjustOutcome::Adjusted {
-            release, deadline, ..
-        } = adjusted
-        else {
-            self.finish_rejected(&inflight, ctx, RejectReason::AdjustmentWindow);
-            return;
-        };
+        adjustment
+            .adjust(
+                graph,
+                &mapping.view(),
+                release_floor,
+                inflight.job.deadline(),
+                processors,
+                self.config.laxity_dispatch,
+            )
+            .map_err(|_| RejectReason::AdjustmentWindow)?;
 
         // Build T_i per logical processor (compact numbering over the used
-        // processors of the mapping). One shared allocation serves the local
-        // endorsement, every member's TrialMapping message and the in-flight
-        // record.
-        let tasks_per_logical: Arc<[Vec<TaskSpec>]> = result
+        // processors of the mapping). One shared allocation per T_i serves
+        // the local endorsement, every member's TrialMapping message, the
+        // Permutation of the member that runs it and the in-flight record.
+        let tasks_per_logical: Arc<[Arc<[TaskSpec]>]> = mapping
             .used_processors
             .iter()
             .map(|&p| {
-                result
+                mapping
                     .tasks_on(p)
                     .iter()
                     .map(|&t| TaskSpec {
                         task: t,
-                        release: release[t.0],
-                        deadline: deadline[t.0],
+                        release: adjustment.release[t.0],
+                        deadline: adjustment.deadline[t.0],
                         cost: graph.cost(t),
                     })
                     .collect()
@@ -552,15 +585,16 @@ impl RtdsNode {
             .collect();
 
         // §10: broadcast the mapping in the ACS and collect validation lists.
-        let expected: Vec<SiteId> = members.iter().map(|m| m.site).collect();
+        let expected = members.iter().map(|m| m.site);
         let mut validation = ValidationRound::new(tasks_per_logical.len(), expected);
-        for member in &members {
+        for member in members.iter() {
             if member.site == self.site {
                 let endorsable = endorsable_with(
                     &self.sched,
                     job_id,
                     &tasks_per_logical,
                     self.effective_speed(),
+                    &mut self.requests,
                 );
                 validation.record_reply(self.site, endorsable);
             } else {
@@ -574,12 +608,11 @@ impl RtdsNode {
                 );
             }
         }
-        inflight.members = members;
+        inflight.members = members.clone();
         inflight.tasks_per_logical = tasks_per_logical;
         inflight.validation = Some(validation);
         inflight.mapped_at = Some(now);
-        self.inflight.insert(job_id, inflight);
-        self.try_finish_validation(job_id, ctx);
+        Ok(())
     }
 
     fn exact_diameter(&self, members: &[AcsMember]) -> Option<f64> {
@@ -653,64 +686,56 @@ impl RtdsNode {
         ctx: &mut Context<'_, RtdsMsg>,
     ) {
         let job_id = inflight.job.id;
-        // Which logical processor (if any) each member must endorse.
-        let mut per_site: BTreeMap<SiteId, Option<usize>> =
-            inflight.members.iter().map(|m| (m.site, None)).collect();
-        for (logical, site) in assignment.iter().enumerate() {
-            per_site.insert(*site, Some(logical));
-        }
         // The initiator's dispatch span was opened by the mapping-validated
         // event; committed tasks and placement failures record under it.
         let dispatch = phase_span(job_id, Phase::Dispatch, self.site);
         let mapping = phase_span(job_id, Phase::Mapping, self.site);
-        for member in &inflight.members {
-            let logical = per_site.get(&member.site).copied().flatten();
-            if member.site == self.site {
-                if let Some(l) = logical {
-                    self.commit_logical(
-                        job_id,
-                        &inflight.tasks_per_logical[l],
-                        dispatch,
-                        mapping,
-                        ctx,
-                    );
+        let flow_transfers = self.config.flow_transfers;
+        with_workspace(|ws| {
+            let logical_of_task = &mut ws.logical_of_task;
+            if flow_transfers {
+                let tasks = inflight.job.graph.task_count();
+                index_logical(&inflight.tasks_per_logical, tasks, logical_of_task);
+            }
+            for member in &inflight.members {
+                // Which logical processor (if any) the member must endorse.
+                let logical = assignment.iter().position(|site| *site == member.site);
+                let endorse = logical.map(|l| (l, &inflight.tasks_per_logical[l]));
+                if member.site == self.site {
+                    if let Some((_, tasks)) = endorse {
+                        self.commit_logical(job_id, tasks, dispatch, mapping, ctx);
+                    }
+                    continue;
                 }
-            } else {
-                let tasks = logical
-                    .map(|l| inflight.tasks_per_logical[l].clone())
-                    .unwrap_or_default();
                 self.send_protocol(
                     ctx,
                     member.site,
                     RtdsMsg::Permutation {
                         job: job_id,
-                        logical,
-                        tasks,
+                        endorse: endorse.map(|(l, tasks)| (l, Arc::clone(tasks))),
                     },
                 );
                 // Ship the member's input data through the flow plane: the
                 // volume of every edge crossing into its logical processor
                 // contends for link bandwidth with all concurrent transfers.
-                if self.config.flow_transfers {
-                    if let Some(l) = logical {
-                        let volume =
-                            cross_input_volume(&inflight.job.graph, &inflight.tasks_per_logical, l);
-                        if volume > 0.0 {
-                            ctx.count("task_data_sent", 1);
-                            ctx.record("task_data_volume", volume);
-                            ctx.transfer(
-                                member.site,
-                                volume,
-                                RtdsMsg::TaskData {
-                                    job: job_id,
-                                    volume,
-                                },
-                            );
-                        }
-                    }
+                let Some((l, tasks)) = endorse.filter(|_| flow_transfers) else {
+                    continue;
+                };
+                let volume = cross_input_volume(&inflight.job.graph, tasks, l, logical_of_task);
+                if volume > 0.0 {
+                    ctx.count("task_data_sent", 1);
+                    ctx.record("task_data_volume", volume);
+                    ctx.transfer(
+                        member.site,
+                        volume,
+                        RtdsMsg::TaskData {
+                            job: job_id,
+                            volume,
+                        },
+                    );
                 }
             }
-        }
+        });
         self.guarantee.accepted_distributed += 1;
         self.accepted.push(AcceptedJob {
             job: job_id,
@@ -739,15 +764,10 @@ impl RtdsNode {
     ) {
         let job_id = inflight.job.id;
         // Unlock every remote member that positively enrolled.
-        let remote_members: Vec<SiteId> = inflight
-            .acs
-            .members()
-            .iter()
-            .map(|m| m.site)
-            .filter(|s| *s != self.site)
-            .collect();
-        for site in remote_members {
-            self.send_protocol(ctx, site, RtdsMsg::Unlock { job: job_id });
+        for member in inflight.acs.members() {
+            if member.site != self.site {
+                self.send_protocol(ctx, member.site, RtdsMsg::Unlock { job: job_id });
+            }
         }
         self.guarantee.rejected += 1;
         ctx.count("rejected_distributed", 1);
@@ -818,11 +838,16 @@ impl RtdsNode {
         &mut self,
         from: SiteId,
         job: JobId,
-        tasks_per_logical: Arc<[Vec<TaskSpec>]>,
+        tasks_per_logical: Arc<[Arc<[TaskSpec]>]>,
         ctx: &mut Context<'_, RtdsMsg>,
     ) {
-        let endorsable =
-            endorsable_with(&self.sched, job, &tasks_per_logical, self.effective_speed());
+        let endorsable = endorsable_with(
+            &self.sched,
+            job,
+            &tasks_per_logical,
+            self.effective_speed(),
+            &mut self.requests,
+        );
         let endorsable_count = endorsable.len() as u32;
         let total = tasks_per_logical.len() as u32;
         ctx.trace(
@@ -840,8 +865,7 @@ impl RtdsNode {
     fn handle_permutation(
         &mut self,
         job: JobId,
-        logical: Option<usize>,
-        tasks: Vec<TaskSpec>,
+        endorse: Option<(usize, Arc<[TaskSpec]>)>,
         ctx: &mut Context<'_, RtdsMsg>,
     ) {
         let dispatch = phase_span(job, Phase::Dispatch, self.site);
@@ -854,7 +878,7 @@ impl RtdsNode {
             }
             _ => SpanId::NONE,
         };
-        if let Some(l) = logical {
+        if let Some((l, tasks)) = endorse {
             let logical_index = l as u32;
             ctx.trace(dispatch, parent, || TracePayload::Execute {
                 job: job.0,
@@ -879,13 +903,8 @@ impl RtdsNode {
     ) {
         let speed = self.effective_speed();
         task_requests(&mut self.requests, job, tasks, speed);
-        match self.sched.satisfiable(&self.requests) {
-            Some(placements) => {
-                self.sched
-                    .reserve(&placements)
-                    .expect("satisfiable placements are non-overlapping");
-                ctx.count("tasks_committed", placements.len() as u64);
-            }
+        match self.sched.reserve_satisfiable(&self.requests) {
+            Some(committed) => ctx.count("tasks_committed", committed as u64),
             None => {
                 // Cannot happen while the locking discipline is respected
                 // (the plan is frozen between validation and commit); counted
@@ -1004,9 +1023,9 @@ impl Snap for Inflight {
         // The commit indexes the graph by mapped task and the mapping by
         // validated logical processor.
         let tasks = inflight.job.graph.task_count();
-        let mapped = inflight.tasks_per_logical.iter().flatten();
+        let mut mapped = inflight.tasks_per_logical.iter().flat_map(|t_i| t_i.iter());
         let rounds = inflight.validation.as_ref().map(|v| v.logical_count());
-        if !mapped.into_iter().all(|spec| spec.task.0 < tasks)
+        if !mapped.all(|spec| spec.task.0 < tasks)
             || rounds.is_some_and(|n| n != inflight.tasks_per_logical.len())
         {
             return Err(
@@ -1017,20 +1036,35 @@ impl Snap for Inflight {
     }
 }
 
-/// Total data volume the tasks of logical processor `l` consume from
-/// predecessors mapped on *other* logical processors — the input data an
-/// executing member must receive before running its share of the job.
-fn cross_input_volume(graph: &TaskGraph, tasks_per_logical: &[Vec<TaskSpec>], l: usize) -> f64 {
-    let mut logical_of: BTreeMap<usize, usize> = BTreeMap::new();
-    for (i, specs) in tasks_per_logical.iter().enumerate() {
-        for spec in specs {
-            logical_of.insert(spec.task.0, i);
+/// Fills `logical_of_task[t]` with the logical processor task `t` of a
+/// `tasks`-task job is mapped on (`usize::MAX` for a task no `T_i` lists).
+fn index_logical(
+    tasks_per_logical: &[Arc<[TaskSpec]>],
+    tasks: usize,
+    logical_of_task: &mut Vec<usize>,
+) {
+    logical_of_task.clear();
+    logical_of_task.resize(tasks, usize::MAX);
+    for (l, specs) in tasks_per_logical.iter().enumerate() {
+        for spec in specs.iter() {
+            logical_of_task[spec.task.0] = l;
         }
     }
+}
+
+/// Total data volume the tasks `T_l` of logical processor `l` consume from
+/// predecessors mapped on *other* logical processors — the input data an
+/// executing member must receive before running its share of the job.
+fn cross_input_volume(
+    graph: &TaskGraph,
+    tasks: &[TaskSpec],
+    l: usize,
+    logical_of_task: &[usize],
+) -> f64 {
     let mut volume = 0.0;
-    for spec in &tasks_per_logical[l] {
+    for spec in tasks {
         for (pred, edge) in graph.predecessor_edges(spec.task) {
-            if logical_of.get(&pred.0) != Some(&l) {
+            if logical_of_task[pred.0] != l {
                 volume += edge.data_volume;
             }
         }
@@ -1150,12 +1184,8 @@ impl Protocol for RtdsNode {
                 }
                 self.try_finish_validation(job, ctx);
             }
-            RtdsMsg::Permutation {
-                job,
-                logical,
-                tasks,
-            } => {
-                self.handle_permutation(job, logical, tasks, ctx);
+            RtdsMsg::Permutation { job, endorse } => {
+                self.handle_permutation(job, endorse, ctx);
             }
             RtdsMsg::TaskData { job: _, volume } => {
                 // Input data landed after contending for bandwidth on the

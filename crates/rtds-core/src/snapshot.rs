@@ -25,7 +25,7 @@
 use crate::config::{DemandRule, LaxityDispatch, RtdsConfig};
 use crate::messages::{RtdsMsg, TaskSpec};
 use crate::node::AcceptedJob;
-use rtds_graph::dag::EdgeList;
+use rtds_graph::dag::{EdgeIter, EdgeList};
 use rtds_graph::{EdgeData, Job, JobId, JobParams, Task, TaskGraph, TaskId};
 use rtds_net::SiteId;
 use rtds_sched::{
@@ -33,8 +33,10 @@ use rtds_sched::{
 };
 use rtds_sim::json::Json;
 use rtds_sim::snapshot::{
-    decode_each, expect_schema, field, field_with, non_negative, tagged, Path, Snap, Word,
+    decode_each, encode_all, expect_schema, field, field_with, non_negative, tagged, Path, Snap,
+    Word,
 };
+use std::sync::Arc;
 
 pub use rtds_sim::snapshot::SnapshotError;
 
@@ -52,15 +54,14 @@ pub const SCHED_SNAPSHOT_SCHEMA: &str = "rtds-sched-snapshot/1";
 // ----- task graphs and jobs ------------------------------------------------
 
 /// Adjacency lists as `[[task, volume], …]` per task, in insertion order.
-fn encode_adjacency(lists: &[EdgeList]) -> Json {
-    let list = |list: &EdgeList| {
+fn encode_adjacency<'g>(lists: impl Iterator<Item = EdgeIter<'g>>) -> Json {
+    let list = |list: EdgeIter<'g>| {
         Json::Array(
-            list.iter()
-                .map(|(t, data)| (t.0, data.data_volume).encode())
+            list.map(|(t, data)| (t.0, data.data_volume).encode())
                 .collect(),
         )
     };
-    Json::Array(lists.iter().map(list).collect())
+    Json::Array(lists.map(list).collect())
 }
 
 fn decode_adjacency(j: &Json, path: &Path<'_>) -> Result<Vec<EdgeList>, SnapshotError> {
@@ -82,7 +83,8 @@ pub(crate) fn encode_graph(g: &TaskGraph) -> Json {
         .tasks()
         .map(|t| Json::Array(vec![t.cost.encode(), t.label.encode()]))
         .collect();
-    let (succs, preds) = g.raw_adjacency();
+    let succs = g.task_ids().map(|t| g.successor_edges(t));
+    let preds = g.task_ids().map(|t| g.predecessor_edges(t));
     Json::object(vec![
         ("tasks", Json::Array(tasks)),
         ("succs", encode_adjacency(succs)),
@@ -191,18 +193,22 @@ impl Snap for RtdsMsg {
                 job: id,
                 endorsable,
             } => tagged("vr", vec![job(id), ("endorsable", endorsable.encode())]),
-            RtdsMsg::Permutation {
-                job: id,
-                logical,
-                tasks,
-            } => tagged(
-                "pm",
-                vec![
-                    job(id),
-                    ("logical", logical.encode()),
-                    ("tasks", tasks.encode()),
-                ],
-            ),
+            // `logical` and `tasks` travel side by side; an unselected
+            // receiver gets `null` and an empty list.
+            RtdsMsg::Permutation { job: id, endorse } => {
+                let (logical, tasks) = match endorse {
+                    Some((logical, tasks)) => (Some(*logical), &tasks[..]),
+                    None => (None, &[][..]),
+                };
+                tagged(
+                    "pm",
+                    vec![
+                        job(id),
+                        ("logical", logical.encode()),
+                        ("tasks", encode_all(tasks)),
+                    ],
+                )
+            }
             RtdsMsg::Unlock { job: id } => tagged("ul", vec![job(id)]),
             RtdsMsg::TaskData { job: id, volume } => {
                 tagged("td", vec![job(id), ("vol", volume.encode())])
@@ -239,11 +245,14 @@ impl Snap for RtdsMsg {
                 job: job()?,
                 endorsable: field(doc, path, "endorsable")?,
             }),
-            "pm" => Ok(RtdsMsg::Permutation {
-                job: job()?,
-                logical: field(doc, path, "logical")?,
-                tasks: field(doc, path, "tasks")?,
-            }),
+            "pm" => {
+                let logical: Option<usize> = field(doc, path, "logical")?;
+                let tasks: Arc<[TaskSpec]> = field(doc, path, "tasks")?;
+                Ok(RtdsMsg::Permutation {
+                    job: job()?,
+                    endorse: logical.map(|logical| (logical, tasks)),
+                })
+            }
             "ul" => Ok(RtdsMsg::Unlock { job: job()? }),
             "td" => Ok(RtdsMsg::TaskData {
                 job: job()?,
@@ -486,7 +495,7 @@ mod tests {
         round_trip_msg(RtdsMsg::EnrollBusy { job: JobId(9) });
         round_trip_msg(RtdsMsg::TrialMapping {
             job: JobId(9),
-            tasks_per_logical: vec![vec![spec], vec![]].into(),
+            tasks_per_logical: vec![vec![spec].into(), Vec::new().into()].into(),
         });
         round_trip_msg(RtdsMsg::ValidationReply {
             job: JobId(9),
@@ -494,13 +503,11 @@ mod tests {
         });
         round_trip_msg(RtdsMsg::Permutation {
             job: JobId(9),
-            logical: Some(1),
-            tasks: vec![spec],
+            endorse: Some((1, vec![spec].into())),
         });
         round_trip_msg(RtdsMsg::Permutation {
             job: JobId(9),
-            logical: None,
-            tasks: vec![],
+            endorse: None,
         });
         round_trip_msg(RtdsMsg::Unlock { job: JobId(9) });
         round_trip_msg(RtdsMsg::TaskData {

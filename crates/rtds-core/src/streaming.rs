@@ -195,8 +195,10 @@ struct HarvestState {
     peak_plan: u64,
     peak_queue: u64,
     harvests: u64,
-    /// Reused buffer for the sites a pass visits (not state).
+    /// Reused buffers for the sites a pass visits and the jobs it finalizes
+    /// (not state).
     visit: Vec<SiteId>,
+    due: Vec<JobId>,
     /// Harvest-side telemetry (end-to-end histograms, per-site plan
     /// gauges); merged into [`StreamReport::metrics`] at the end. Kept out
     /// of the engine's [`SimStats`] so the protocol-level statistics stay
@@ -298,33 +300,34 @@ fn harvest(sim: &mut Simulator<RtdsNode>, cutoff: f64, st: &mut HarvestState) {
         let look_again = !node.sched.is_idle();
         st.peak_plan = st.peak_plan.max(node.plan_len() as u64);
         plan_reservations.set(Scope::Site(s.0 as u32), node.plan_len() as f64);
-        for accepted in std::mem::take(&mut node.accepted) {
+        for accepted in node.accepted.drain(..) {
             if let Some(pending) = st.inflight.get_mut(&accepted.job) {
                 pending.accepted = true;
             }
         }
-        for placement in node.drain_completed(cutoff) {
-            let latest = st
-                .completions
+        let completions = &mut st.completions;
+        node.drain_completed_with(cutoff, |placement| {
+            let latest = completions
                 .entry(placement.reservation.job)
                 .or_insert(f64::NEG_INFINITY);
             if placement.reservation.end > *latest {
                 *latest = placement.reservation.end;
             }
-        }
+        });
         if look_again {
             sim.touch(s);
         }
     }
     visit.clear();
     st.visit = visit;
-    let due: Vec<JobId> = st
-        .inflight
-        .iter()
-        .filter(|(_, p)| p.deadline <= cutoff + 1e-9)
-        .map(|(id, _)| *id)
-        .collect();
-    for id in due {
+    let mut due = std::mem::take(&mut st.due);
+    due.extend(
+        st.inflight
+            .iter()
+            .filter(|(_, p)| p.deadline <= cutoff + 1e-9)
+            .map(|(id, _)| *id),
+    );
+    for id in due.drain(..) {
         let pending = st.inflight.remove(&id).expect("listed above");
         let completion = st.completions.remove(&id);
         if !pending.accepted {
@@ -351,6 +354,7 @@ fn harvest(sim: &mut Simulator<RtdsNode>, cutoff: f64, st: &mut HarvestState) {
             None => st.unharvested += 1,
         }
     }
+    st.due = due;
 }
 
 /// The harvest accumulators. The in-flight table travels as `[job, arrival,
@@ -415,6 +419,7 @@ impl Snap for HarvestState {
             peak_queue: field(doc, path, "peak_queue")?,
             harvests: field(doc, path, "harvests")?,
             visit: Vec::new(),
+            due: Vec::new(),
             metrics: field(doc, path, "metrics")?,
         })
     }

@@ -14,11 +14,12 @@ use crate::matching::{matching_size, maximum_bipartite_matching_csr, with_matchi
 use crate::messages::TaskSpec;
 use rtds_graph::JobId;
 use rtds_net::SiteId;
-use rtds_sched::{Scheduler, SiteScheduler, TaskRequest};
+use rtds_sched::{SiteScheduler, TaskRequest};
 use rtds_sim::json::Json;
-use rtds_sim::snapshot::{field, Path, Snap, SnapshotError};
+use rtds_sim::snapshot::{encode_all, field, Path, Snap, SnapshotError};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// Refills `requests` with the §10 question for one logical processor's
 /// task set on a site of the given speed (durations are `cost / speed`).
@@ -40,19 +41,24 @@ pub(crate) fn task_requests(
 
 /// Member side: which logical processors of the trial mapping can this site
 /// endorse, given its scheduler's committed per-core plans? Durations are
-/// `cost / speed` with the given effective site speed.
+/// `cost / speed` with the given effective site speed. Only the verdict of
+/// each §10 test is asked for, through `requests` (a buffer the caller
+/// keeps): the answer is the only allocation.
 pub fn endorsable_with(
     scheduler: &SiteScheduler,
     job: JobId,
-    tasks_per_logical: &[Vec<TaskSpec>],
+    tasks_per_logical: &[Arc<[TaskSpec]>],
     speed: f64,
+    requests: &mut Vec<TaskRequest>,
 ) -> Vec<usize> {
     assert!(speed > 0.0, "site speed must be positive");
-    let mut requests = Vec::new();
     let mut endorsable = Vec::new();
     for (i, specs) in tasks_per_logical.iter().enumerate() {
-        task_requests(&mut requests, job, specs, speed);
-        if scheduler.satisfiable(&requests).is_some() {
+        task_requests(requests, job, specs, speed);
+        if scheduler.can_satisfy(requests) {
+            if endorsable.is_empty() {
+                endorsable.reserve_exact(tasks_per_logical.len() - i);
+            }
             endorsable.push(i);
         }
     }
@@ -82,25 +88,40 @@ pub enum ValidationOutcome {
 #[derive(Debug, Clone, PartialEq)]
 pub struct ValidationRound {
     logical_count: usize,
-    expected: Vec<SiteId>,
-    replies: BTreeMap<SiteId, Vec<usize>>,
+    /// The sites a reply is expected from, in the order given, each with
+    /// its reply once it has arrived.
+    expected: Vec<(SiteId, Option<Vec<usize>>)>,
+    /// The positions of `expected` by increasing site: the index replies are
+    /// looked up in, and the site order of the coupling.
+    by_site: Vec<usize>,
+    received: usize,
 }
 
 impl ValidationRound {
     /// Starts a round for `logical_count` logical processors, expecting a
     /// reply from every listed site.
-    pub fn new(logical_count: usize, expected: Vec<SiteId>) -> Self {
+    pub fn new(logical_count: usize, expected: impl IntoIterator<Item = SiteId>) -> Self {
+        let expected: Vec<_> = expected.into_iter().map(|site| (site, None)).collect();
+        let mut by_site: Vec<usize> = (0..expected.len()).collect();
+        by_site.sort_by_key(|&at| expected[at].0);
         ValidationRound {
             logical_count,
             expected,
-            replies: BTreeMap::new(),
+            by_site,
+            received: 0,
         }
     }
 
     /// Records a member's reply (unknown or duplicate senders are ignored).
     pub fn record_reply(&mut self, from: SiteId, endorsable: Vec<usize>) {
-        if self.expected.contains(&from) {
-            self.replies.entry(from).or_insert(endorsable);
+        let site_at = |&at: &usize| self.expected[at].0;
+        let Ok(rank) = self.by_site.binary_search_by_key(&from, site_at) else {
+            return;
+        };
+        let reply = &mut self.expected[self.by_site[rank]].1;
+        if reply.is_none() {
+            *reply = Some(endorsable);
+            self.received += 1;
         }
     }
 
@@ -111,12 +132,20 @@ impl ValidationRound {
 
     /// Returns `true` once every expected site has answered.
     pub fn is_complete(&self) -> bool {
-        self.replies.len() == self.expected.len()
+        self.received == self.expected.len()
     }
 
     /// Number of replies still missing.
     pub fn outstanding(&self) -> usize {
-        self.expected.len() - self.replies.len()
+        self.expected.len() - self.received
+    }
+
+    /// The replies received so far, by increasing site.
+    fn replies(&self) -> impl Iterator<Item = (SiteId, &Vec<usize>)> + Clone {
+        self.by_site.iter().filter_map(|&at| {
+            let (site, reply) = &self.expected[at];
+            reply.as_ref().map(|reply| (*site, reply))
+        })
     }
 
     /// Computes the §10 maximum coupling and extracts the permutation.
@@ -125,20 +154,18 @@ impl ValidationRound {
     /// Panics if called before the round is complete.
     pub fn conclude(&self) -> ValidationOutcome {
         assert!(self.is_complete(), "validation round is not complete");
-        // Sites in deterministic order.
-        let sites: Vec<SiteId> = self.replies.keys().copied().collect();
-        // Bipartite CSR: left = logical processors, right = sites. Pairs are
-        // fed right-major, reproducing the historical per-left edge order
-        // (and thereby the exact permutation the solver extracts);
-        // out-of-range logical indices are dropped by the builder. The CSR
-        // and solver scratch are thread-locals reused across every
-        // Trial-Mapping validation of the run.
-        let pairs = sites
-            .iter()
+        // Bipartite CSR: left = logical processors, right = sites by
+        // increasing id. Pairs are fed right-major, reproducing the
+        // historical per-left edge order (and thereby the exact permutation
+        // the solver extracts); out-of-range logical indices are dropped by
+        // the builder. The CSR and solver scratch are thread-locals reused
+        // across every Trial-Mapping validation of the run.
+        let pairs = self
+            .replies()
             .enumerate()
-            .flat_map(|(right_idx, site)| self.replies[site].iter().map(move |&l| (l, right_idx)));
+            .flat_map(|(right_idx, (_, reply))| reply.iter().map(move |&l| (l, right_idx)));
         let matching = with_matching_workspace(|csr, scratch| {
-            csr.rebuild_from_pairs(self.logical_count, sites.len(), pairs);
+            csr.rebuild_from_pairs(self.logical_count, self.expected.len(), pairs);
             maximum_bipartite_matching_csr(csr, scratch)
         });
         let size = matching_size(&matching);
@@ -148,9 +175,10 @@ impl ValidationRound {
                 required: self.logical_count,
             };
         }
+        let site = |right_idx: usize| self.expected[self.by_site[right_idx]].0;
         let assignment = matching
             .into_iter()
-            .map(|r| sites[r.expect("perfect matching")])
+            .map(|r| site(r.expect("perfect matching")))
             .collect();
         ValidationOutcome::Accepted { assignment }
     }
@@ -158,24 +186,28 @@ impl ValidationRound {
 
 impl Snap for ValidationRound {
     fn encode(&self) -> Json {
+        let expected = self.expected.iter().map(|(site, _)| site);
+        let replies = self
+            .replies()
+            .map(|(site, reply)| Json::Array(vec![site.encode(), reply.encode()]));
         Json::object(vec![
             ("logical_count", self.logical_count.encode()),
-            ("expected", self.expected.encode()),
-            ("replies", self.replies.encode()),
+            ("expected", encode_all(expected)),
+            ("replies", Json::Array(replies.collect())),
         ])
     }
 
     fn decode(doc: &Json, path: &Path<'_>) -> Result<Self, SnapshotError> {
-        let round = ValidationRound {
-            logical_count: field(doc, path, "logical_count")?,
-            expected: field(doc, path, "expected")?,
-            replies: field(doc, path, "replies")?,
-        };
+        let expected: Vec<SiteId> = field(doc, path, "expected")?;
+        let mut round = ValidationRound::new(field(doc, path, "logical_count")?, expected);
+        let replies: BTreeMap<SiteId, Vec<usize>> = field(doc, path, "replies")?;
+        let repliers = replies.len();
+        for (site, reply) in replies {
+            round.record_reply(site, reply);
+        }
         // The mapping uses a subset of the ACS and only members reply; the
         // coupling's work arrays are sized by both counts.
-        if round.logical_count > round.expected.len()
-            || !round.replies.keys().all(|s| round.expected.contains(s))
-        {
+        if round.logical_count > round.expected.len() || round.received != repliers {
             return Err(path.err("more logical processors or repliers than expected sites"));
         }
         Ok(round)
@@ -222,23 +254,27 @@ mod tests {
             end: 30.0,
         })
         .unwrap();
-        let mapping = vec![
-            vec![spec(0, 0.0, 20.0, 10.0)],
-            vec![spec(1, 0.0, 60.0, 10.0), spec(2, 0.0, 60.0, 5.0)],
+        let mapping: Vec<Arc<[TaskSpec]>> = vec![
+            vec![spec(0, 0.0, 20.0, 10.0)].into(),
+            vec![spec(1, 0.0, 60.0, 10.0), spec(2, 0.0, 60.0, 5.0)].into(),
         ];
+        let mut requests = Vec::new();
+        let mut endorsable = |site: &SiteScheduler, mapping: &[Arc<[TaskSpec]>], speed: f64| {
+            endorsable_with(site, JobId(1), mapping, speed, &mut requests)
+        };
         let busy = site(vec![plan.clone()]);
-        assert_eq!(endorsable_with(&busy, JobId(1), &mapping, 1.0), vec![1]);
+        assert_eq!(endorsable(&busy, &mapping, 1.0), vec![1]);
         // A fast site (speed 4) can also endorse processor 0: 10/4 = 2.5
         // units... still needs idle time before t = 20, which does not exist.
-        assert_eq!(endorsable_with(&busy, JobId(1), &mapping, 4.0), vec![1]);
+        assert_eq!(endorsable(&busy, &mapping, 4.0), vec![1]);
         // An empty plan endorses everything.
         let idle = site(vec![SchedulePlan::new()]);
-        assert_eq!(endorsable_with(&idle, JobId(1), &mapping, 1.0), vec![0, 1]);
+        assert_eq!(endorsable(&idle, &mapping, 1.0), vec![0, 1]);
         // An empty mapping is trivially endorsed (no logical processors).
-        assert!(endorsable_with(&idle, JobId(1), &[], 1.0).is_empty());
+        assert!(endorsable(&idle, &[], 1.0).is_empty());
         // A second core lets the blocked logical processor through.
         let dual = site(vec![plan, SchedulePlan::new()]);
-        assert_eq!(endorsable_with(&dual, JobId(1), &mapping, 1.0), vec![0, 1]);
+        assert_eq!(endorsable(&dual, &mapping, 1.0), vec![0, 1]);
     }
 
     #[test]

@@ -5,6 +5,13 @@
 //! ratio data volume / throughput when links have identical throughput).
 //! The structure enforces acyclicity lazily: edges can be added freely, and
 //! [`TaskGraph::validate`] / [`TaskGraph::topological_order`] detect cycles.
+//!
+//! Storage is flat — a vector of tasks and an arena of edges, each edge
+//! linked into its source's successor list and its target's predecessor
+//! list — so a graph costs a constant number of allocations however many
+//! tasks it has, and both per-task insertion orders (which are semantic:
+//! list scheduling, the Mapper's tie-breaks and snapshots follow them) are
+//! kept exactly.
 
 use crate::task::{Task, TaskId};
 use serde::{Deserialize, Serialize};
@@ -59,24 +66,109 @@ impl std::fmt::Display for GraphError {
 
 impl std::error::Error for GraphError {}
 
-/// One task's adjacency: the `(neighbor, edge data)` pairs in insertion
-/// order (which is semantic — see [`TaskGraph::raw_adjacency`]).
+/// One task's adjacency as exchanged with the snapshot layer: the
+/// `(neighbor, edge data)` pairs in insertion order (which is semantic — see
+/// [`TaskGraph::from_raw_parts`]).
 pub type EdgeList = Vec<(TaskId, EdgeData)>;
+
+/// End-of-list marker of the intrusive adjacency lists.
+const NIL: u32 = u32::MAX;
+
+/// One task plus the heads, tails and lengths of its two adjacency lists.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+struct Node {
+    task: Task,
+    first_out: u32,
+    last_out: u32,
+    first_in: u32,
+    last_in: u32,
+    out_degree: u32,
+    in_degree: u32,
+}
+
+impl Node {
+    fn new(task: Task) -> Self {
+        Node {
+            task,
+            first_out: NIL,
+            last_out: NIL,
+            first_in: NIL,
+            last_in: NIL,
+            out_degree: 0,
+            in_degree: 0,
+        }
+    }
+}
+
+/// One precedence edge, a member of two lists at once: the successors of
+/// `pred` (through `next_out`) and the predecessors of `succ` (through
+/// `next_in`).
+#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+struct Edge {
+    pred: u32,
+    succ: u32,
+    next_out: u32,
+    next_in: u32,
+    data: EdgeData,
+}
 
 /// A directed acyclic graph of tasks with precedence constraints.
 ///
-/// Tasks are stored densely and addressed by [`TaskId`]. Predecessor and
-/// successor adjacency lists are kept in insertion order, which makes
+/// Tasks are stored densely and addressed by [`TaskId`]. Each task's
+/// successor and predecessor lists are kept in insertion order, which makes
 /// traversals deterministic — an important property for reproducible
 /// simulations and golden tests.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+///
+/// The layout is flat: one vector of tasks and one arena of edges, whatever
+/// the shape of the graph. An edge is stored once and threaded onto both of
+/// its endpoints' lists, so building a graph costs `O(1)` allocations (two
+/// with [`TaskGraph::with_capacity`]) instead of two per task, and a graph
+/// is read without chasing a pointer per task.
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct TaskGraph {
-    tasks: Vec<Task>,
-    /// `succs[i]` lists `(j, edge)` for every edge `i -> j`.
-    succs: Vec<Vec<(TaskId, EdgeData)>>,
-    /// `preds[i]` lists `(j, edge)` for every edge `j -> i`.
-    preds: Vec<Vec<(TaskId, EdgeData)>>,
-    edge_count: usize,
+    nodes: Vec<Node>,
+    /// Edges in global insertion order; list membership is in the links.
+    edges: Vec<Edge>,
+}
+
+/// The `(neighbor, edge data)` pairs of one adjacency list, in insertion
+/// order.
+#[derive(Debug, Clone)]
+pub struct EdgeIter<'a> {
+    edges: &'a [Edge],
+    next: u32,
+    outgoing: bool,
+}
+
+impl Iterator for EdgeIter<'_> {
+    type Item = (TaskId, EdgeData);
+
+    #[inline]
+    fn next(&mut self) -> Option<Self::Item> {
+        let edge = self.edges.get(self.next as usize)?;
+        let (neighbor, next) = if self.outgoing {
+            (edge.succ, edge.next_out)
+        } else {
+            (edge.pred, edge.next_in)
+        };
+        self.next = next;
+        Some((TaskId(neighbor as usize), edge.data))
+    }
+}
+
+/// Two graphs are equal when they hold the same tasks and every task has the
+/// same successor and predecessor lists, entry for entry — the order in
+/// which edges of *different* lists were inserted is not observable.
+impl PartialEq for TaskGraph {
+    fn eq(&self, other: &Self) -> bool {
+        self.nodes.len() == other.nodes.len()
+            && self.edges.len() == other.edges.len()
+            && self.tasks().eq(other.tasks())
+            && self.task_ids().all(|t| {
+                self.successor_edges(t).eq(other.successor_edges(t))
+                    && self.predecessor_edges(t).eq(other.predecessor_edges(t))
+            })
+    }
 }
 
 impl TaskGraph {
@@ -85,9 +177,17 @@ impl TaskGraph {
         TaskGraph::default()
     }
 
+    /// Creates an empty graph with room for `tasks` tasks and `edges` edges.
+    pub fn with_capacity(tasks: usize, edges: usize) -> Self {
+        TaskGraph {
+            nodes: Vec::with_capacity(tasks),
+            edges: Vec::with_capacity(edges),
+        }
+    }
+
     /// Creates a graph with `n` tasks whose costs are given by `costs`.
     pub fn from_costs(costs: &[f64]) -> Self {
-        let mut g = TaskGraph::new();
+        let mut g = TaskGraph::with_capacity(costs.len(), 0);
         for &c in costs {
             g.add_task(c);
         }
@@ -96,17 +196,20 @@ impl TaskGraph {
 
     /// Adds a task with the given computational complexity and returns its id.
     pub fn add_task(&mut self, cost: f64) -> TaskId {
-        let id = TaskId(self.tasks.len());
-        self.tasks.push(Task::new(id, cost));
-        self.succs.push(Vec::new());
-        self.preds.push(Vec::new());
-        id
+        self.push_task(cost, None)
     }
 
     /// Adds a labelled task.
     pub fn add_labelled_task(&mut self, cost: f64, label: impl Into<String>) -> TaskId {
-        let id = self.add_task(cost);
-        self.tasks[id.0].label = Some(label.into());
+        self.push_task(cost, Some(label.into()))
+    }
+
+    fn push_task(&mut self, cost: f64, label: Option<String>) -> TaskId {
+        assert!(self.nodes.len() < NIL as usize, "task id space exhausted");
+        let id = TaskId(self.nodes.len());
+        let mut task = Task::new(id, cost);
+        task.label = label;
+        self.nodes.push(Node::new(task));
         id
     }
 
@@ -132,7 +235,7 @@ impl TaskGraph {
         succ: TaskId,
         data: EdgeData,
     ) -> Result<(), GraphError> {
-        let n = self.tasks.len();
+        let n = self.nodes.len();
         if pred.0 >= n {
             return Err(GraphError::UnknownTask(pred));
         }
@@ -142,31 +245,90 @@ impl TaskGraph {
         if pred == succ {
             return Err(GraphError::SelfLoop(pred));
         }
-        if self.succs[pred.0].iter().any(|(s, _)| *s == succ) {
+        if self.successors(pred).any(|s| s == succ) {
             return Err(GraphError::DuplicateEdge(pred, succ));
         }
-        self.succs[pred.0].push((succ, data));
-        self.preds[succ.0].push((pred, data));
-        self.edge_count += 1;
+        assert!(self.edges.len() < NIL as usize, "edge id space exhausted");
+        let e = self.edges.len() as u32;
+        self.edges.push(Edge {
+            pred: pred.0 as u32,
+            succ: succ.0 as u32,
+            next_out: NIL,
+            next_in: NIL,
+            data,
+        });
+        let from = &mut self.nodes[pred.0];
+        match std::mem::replace(&mut from.last_out, e) {
+            NIL => from.first_out = e,
+            tail => self.edges[tail as usize].next_out = e,
+        }
+        from.out_degree += 1;
+        self.append_incoming(succ.0, e);
         Ok(())
     }
 
-    /// The raw `(succs, preds)` adjacency, exposed for snapshot
-    /// serialization. Per-list **insertion order** is semantic (scheduling
-    /// and message fan-out iterate these lists in order), and the two views
-    /// interleave edges differently when edges were not added in
-    /// source-major order — so a faithful snapshot must capture both lists
-    /// verbatim rather than re-derive one from the other.
-    pub fn raw_adjacency(&self) -> (&[EdgeList], &[EdgeList]) {
-        (&self.succs, &self.preds)
+    /// Appends edge `e` to the predecessor list of task `succ`.
+    fn append_incoming(&mut self, succ: usize, e: u32) {
+        let to = &mut self.nodes[succ];
+        match std::mem::replace(&mut to.last_in, e) {
+            NIL => to.first_in = e,
+            tail => self.edges[tail as usize].next_in = e,
+        }
+        to.in_degree += 1;
     }
 
-    /// Rebuilds a graph from tasks plus the adjacency captured by
-    /// [`TaskGraph::raw_adjacency`] (the snapshot path, so the parts are
-    /// untrusted): weights must be finite and non-negative, task ids dense,
-    /// every edge must satisfy the rules of [`TaskGraph::add_edge_with`] and
-    /// appear in both views with the same data, and the result must be a
-    /// DAG. The edge count is recomputed from `succs`.
+    /// Gives every edge the data volume `volume()` draws for it, visiting
+    /// edges source-major (tasks in id order, each task's successors in list
+    /// order), and re-threads every predecessor list in that same order —
+    /// exactly the graph obtained by re-inserting the decorated edges one by
+    /// one, without building a second graph.
+    pub(crate) fn assign_volumes_source_major(&mut self, mut volume: impl FnMut() -> f64) {
+        for node in &mut self.nodes {
+            (node.first_in, node.last_in, node.in_degree) = (NIL, NIL, 0);
+        }
+        for t in 0..self.nodes.len() {
+            let mut e = self.nodes[t].first_out;
+            while e != NIL {
+                let edge = &mut self.edges[e as usize];
+                edge.data = EdgeData {
+                    data_volume: volume(),
+                };
+                edge.next_in = NIL;
+                let (succ, next) = (edge.succ as usize, edge.next_out);
+                self.append_incoming(succ, e);
+                e = next;
+            }
+        }
+    }
+
+    /// Empties the graph, keeping its storage.
+    pub(crate) fn clear(&mut self) {
+        self.nodes.clear();
+        self.edges.clear();
+    }
+
+    /// Moves the contents into a new graph sized exactly for them; `self`
+    /// is left empty with its storage intact.
+    pub(crate) fn take_exact(&mut self) -> TaskGraph {
+        let edges = self.edges.to_vec();
+        self.edges.clear();
+        TaskGraph {
+            nodes: self.nodes.drain(..).collect(),
+            edges,
+        }
+    }
+
+    /// Rebuilds a graph from tasks plus each task's successor and
+    /// predecessor lists (the snapshot path, so the parts are untrusted).
+    /// Per-list **insertion order** is semantic (scheduling and message
+    /// fan-out iterate these lists in order), and the two views interleave
+    /// edges differently when edges were not added in source-major order —
+    /// so a faithful snapshot captures both views verbatim rather than
+    /// re-deriving one from the other, and both orders are reproduced here.
+    ///
+    /// Weights must be finite and non-negative, task ids dense, every edge
+    /// must satisfy the rules of [`TaskGraph::add_edge_with`] and appear in
+    /// both views with the same data, and the result must be a DAG.
     pub fn from_raw_parts(
         tasks: Vec<Task>,
         succs: Vec<EdgeList>,
@@ -183,6 +345,9 @@ impl TaskGraph {
             return Err(GraphError::InconsistentAdjacency);
         }
         if preds.iter().map(Vec::len).sum::<usize>() != edge_count {
+            return Err(GraphError::InconsistentAdjacency);
+        }
+        if n >= NIL as usize || edge_count >= NIL as usize {
             return Err(GraphError::InconsistentAdjacency);
         }
         for (u, list) in succs.iter().enumerate() {
@@ -209,29 +374,55 @@ impl TaskGraph {
                 }
             }
         }
-        let graph = TaskGraph {
-            tasks,
-            succs,
-            preds,
-            edge_count,
+        // Successor lists come out in the given order by inserting
+        // source-major; the predecessor lists are then re-threaded in theirs.
+        let mut graph = TaskGraph {
+            nodes: tasks.into_iter().map(Node::new).collect(),
+            edges: Vec::with_capacity(edge_count),
         };
+        for (u, list) in succs.iter().enumerate() {
+            for &(v, data) in list {
+                graph
+                    .add_edge_with(TaskId(u), v, data)
+                    .expect("validated above");
+            }
+        }
+        for node in &mut graph.nodes {
+            (node.first_in, node.last_in, node.in_degree) = (NIL, NIL, 0);
+        }
+        for (v, list) in preds.iter().enumerate() {
+            for &(p, _) in list {
+                let mut e = graph.nodes[p.0].first_out;
+                while let Some(edge) = graph.edges.get(e as usize) {
+                    if edge.succ as usize == v {
+                        break;
+                    }
+                    e = edge.next_out;
+                }
+                let Some(edge) = graph.edges.get_mut(e as usize) else {
+                    return Err(GraphError::InconsistentAdjacency);
+                };
+                edge.next_in = NIL;
+                graph.append_incoming(v, e);
+            }
+        }
         graph.topological_order()?;
         Ok(graph)
     }
 
     /// Number of tasks `|T|`.
     pub fn task_count(&self) -> usize {
-        self.tasks.len()
+        self.nodes.len()
     }
 
     /// Number of precedence edges `|E|`.
     pub fn edge_count(&self) -> usize {
-        self.edge_count
+        self.edges.len()
     }
 
     /// Returns `true` if the graph has no tasks.
     pub fn is_empty(&self) -> bool {
-        self.tasks.is_empty()
+        self.nodes.is_empty()
     }
 
     /// The task with the given id.
@@ -239,65 +430,79 @@ impl TaskGraph {
     /// # Panics
     /// Panics if the id is out of range.
     pub fn task(&self, id: TaskId) -> &Task {
-        &self.tasks[id.0]
+        &self.nodes[id.0].task
     }
 
     /// Computational complexity of a task (`c(t)`).
+    #[inline]
     pub fn cost(&self, id: TaskId) -> f64 {
-        self.tasks[id.0].cost
+        self.nodes[id.0].task.cost
     }
 
     /// Total computational complexity of all tasks.
     pub fn total_cost(&self) -> f64 {
-        self.tasks.iter().map(|t| t.cost).sum()
+        self.tasks().map(|t| t.cost).sum()
     }
 
     /// Iterator over all tasks in id order.
     pub fn tasks(&self) -> impl Iterator<Item = &Task> {
-        self.tasks.iter()
+        self.nodes.iter().map(|node| &node.task)
     }
 
     /// Iterator over all task ids.
     pub fn task_ids(&self) -> impl Iterator<Item = TaskId> {
-        (0..self.tasks.len()).map(TaskId)
+        (0..self.nodes.len()).map(TaskId)
     }
 
     /// Immediate successors `Γ⁺(t)` of a task.
+    #[inline]
     pub fn successors(&self, id: TaskId) -> impl Iterator<Item = TaskId> + '_ {
-        self.succs[id.0].iter().map(|(s, _)| *s)
+        self.successor_edges(id).map(|(s, _)| s)
     }
 
     /// Immediate predecessors `Γ⁻(t)` of a task.
+    #[inline]
     pub fn predecessors(&self, id: TaskId) -> impl Iterator<Item = TaskId> + '_ {
-        self.preds[id.0].iter().map(|(p, _)| *p)
+        self.predecessor_edges(id).map(|(p, _)| p)
     }
 
-    /// Immediate successors with their edge data.
-    pub fn successor_edges(&self, id: TaskId) -> &[(TaskId, EdgeData)] {
-        &self.succs[id.0]
+    /// Immediate successors with their edge data, in insertion order.
+    #[inline]
+    pub fn successor_edges(&self, id: TaskId) -> EdgeIter<'_> {
+        EdgeIter {
+            edges: &self.edges,
+            next: self.nodes[id.0].first_out,
+            outgoing: true,
+        }
     }
 
-    /// Immediate predecessors with their edge data.
-    pub fn predecessor_edges(&self, id: TaskId) -> &[(TaskId, EdgeData)] {
-        &self.preds[id.0]
+    /// Immediate predecessors with their edge data, in insertion order.
+    #[inline]
+    pub fn predecessor_edges(&self, id: TaskId) -> EdgeIter<'_> {
+        EdgeIter {
+            edges: &self.edges,
+            next: self.nodes[id.0].first_in,
+            outgoing: false,
+        }
     }
 
     /// Data volume on an edge, if the edge exists.
     pub fn data_volume(&self, pred: TaskId, succ: TaskId) -> Option<f64> {
-        self.succs[pred.0]
-            .iter()
+        self.successor_edges(pred)
             .find(|(s, _)| *s == succ)
             .map(|(_, d)| d.data_volume)
     }
 
     /// Number of immediate predecessors of a task.
+    #[inline]
     pub fn in_degree(&self, id: TaskId) -> usize {
-        self.preds[id.0].len()
+        self.nodes[id.0].in_degree as usize
     }
 
     /// Number of immediate successors of a task.
+    #[inline]
     pub fn out_degree(&self, id: TaskId) -> usize {
-        self.succs[id.0].len()
+        self.nodes[id.0].out_degree as usize
     }
 
     /// Tasks with no predecessors (the job's entry tasks).
@@ -318,27 +523,43 @@ impl TaskGraph {
     /// not acyclic. The order is deterministic: among ready tasks, the lowest
     /// id is emitted first.
     pub fn topological_order(&self) -> Result<Vec<TaskId>, GraphError> {
-        let n = self.tasks.len();
-        let mut indeg: Vec<usize> = (0..n).map(|i| self.preds[i].len()).collect();
+        let mut order = Vec::new();
+        self.topological_order_into(&mut order, &mut Vec::new())?;
+        Ok(order)
+    }
+
+    /// [`TaskGraph::topological_order`] into caller-owned buffers: `order`
+    /// receives the result and `in_degrees` is working space; neither
+    /// allocates once it has held a graph of this size. On a cycle `order`
+    /// holds the acyclic prefix.
+    pub fn topological_order_into(
+        &self,
+        order: &mut Vec<TaskId>,
+        in_degrees: &mut Vec<usize>,
+    ) -> Result<(), GraphError> {
+        let n = self.nodes.len();
+        in_degrees.clear();
+        in_degrees.extend(self.nodes.iter().map(|node| node.in_degree as usize));
         // `order[..emitted]` is the result so far and `order[emitted..]` the
         // frontier of ready tasks, kept sorted by id so that its front is
         // always the smallest one (the initial ascending scan is sorted).
-        let mut order: Vec<TaskId> = Vec::with_capacity(n);
-        order.extend((0..n).filter(|&i| indeg[i] == 0).map(TaskId));
+        order.clear();
+        order.reserve(n);
+        order.extend((0..n).filter(|&i| in_degrees[i] == 0).map(TaskId));
         let mut emitted = 0;
         while emitted < order.len() {
             let u = order[emitted];
             emitted += 1;
-            for (v, _) in &self.succs[u.0] {
-                indeg[v.0] -= 1;
-                if indeg[v.0] == 0 {
+            for v in self.successors(u) {
+                in_degrees[v.0] -= 1;
+                if in_degrees[v.0] == 0 {
                     let pos = emitted + order[emitted..].partition_point(|t| t.0 < v.0);
-                    order.insert(pos, *v);
+                    order.insert(pos, v);
                 }
             }
         }
         if order.len() == n {
-            Ok(order)
+            Ok(())
         } else {
             Err(GraphError::Cycle)
         }
@@ -368,17 +589,17 @@ impl TaskGraph {
         if ancestor == descendant {
             return true;
         }
-        let mut seen = vec![false; self.tasks.len()];
+        let mut seen = vec![false; self.nodes.len()];
         let mut stack = vec![ancestor];
         seen[ancestor.0] = true;
         while let Some(u) = stack.pop() {
-            for (v, _) in &self.succs[u.0] {
-                if *v == descendant {
+            for v in self.successors(u) {
+                if v == descendant {
                     return true;
                 }
                 if !seen[v.0] {
                     seen[v.0] = true;
-                    stack.push(*v);
+                    stack.push(v);
                 }
             }
         }
@@ -390,9 +611,9 @@ impl TaskGraph {
         let Ok(order) = self.topological_order() else {
             return 0;
         };
-        let mut depth = vec![1usize; self.tasks.len()];
+        let mut depth = vec![1usize; self.nodes.len()];
         for &u in &order {
-            for (v, _) in &self.succs[u.0] {
+            for v in self.successors(u) {
                 depth[v.0] = depth[v.0].max(depth[u.0] + 1);
             }
         }
@@ -493,8 +714,9 @@ mod tests {
         g.add_edge_with_volume(TaskId(0), TaskId(1), 42.0).unwrap();
         assert_eq!(g.data_volume(TaskId(0), TaskId(1)), Some(42.0));
         assert_eq!(g.data_volume(TaskId(1), TaskId(0)), None);
-        assert_eq!(g.successor_edges(TaskId(0))[0].1.data_volume, 42.0);
-        assert_eq!(g.predecessor_edges(TaskId(1))[0].1.data_volume, 42.0);
+        let volumes = |mut edges: EdgeIter<'_>| edges.next().map(|(_, d)| d.data_volume);
+        assert_eq!(volumes(g.successor_edges(TaskId(0))), Some(42.0));
+        assert_eq!(volumes(g.predecessor_edges(TaskId(1))), Some(42.0));
     }
 
     #[test]

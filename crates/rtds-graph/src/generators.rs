@@ -17,6 +17,7 @@
 //! All generation is driven by an explicit, seedable RNG so every experiment
 //! in the harness is reproducible.
 
+use crate::critical_path::upward_ranks_into;
 use crate::dag::TaskGraph;
 use crate::job::{Job, JobId, JobParams};
 use crate::task::TaskId;
@@ -140,11 +141,24 @@ impl Default for GeneratorConfig {
 }
 
 /// Seedable generator of task graphs and jobs.
+///
+/// A graph is assembled in a buffer the generator keeps between calls and
+/// handed out as an exactly-sized copy, and the deadline's critical-path
+/// pass runs in kept buffers too: generating a job allocates the job's own
+/// graph (tasks, edges, labels) and nothing else.
 #[derive(Debug)]
 pub struct DagGenerator {
     config: GeneratorConfig,
     rng: StdRng,
     next_job: u64,
+    /// The graph under construction (empty between calls).
+    building: TaskGraph,
+    /// The Erdős–Rényi topological permutation.
+    permutation: Vec<usize>,
+    /// Working space of the deadline's critical-path pass.
+    order: Vec<TaskId>,
+    in_degrees: Vec<usize>,
+    ranks: Vec<f64>,
 }
 
 impl DagGenerator {
@@ -154,6 +168,11 @@ impl DagGenerator {
             config,
             rng: StdRng::seed_from_u64(seed),
             next_job: 0,
+            building: TaskGraph::new(),
+            permutation: Vec::new(),
+            order: Vec::new(),
+            in_degrees: Vec::new(),
+            ranks: Vec::new(),
         }
     }
 
@@ -180,21 +199,29 @@ impl DagGenerator {
     /// Generates one task graph according to the configured shape.
     pub fn generate_graph(&mut self) -> TaskGraph {
         let n = self.config.task_count.max(1);
-        let mut graph = match self.config.shape {
-            DagShape::Chain => self.chain(n),
-            DagShape::ForkJoin => self.fork_join(n),
-            DagShape::Independent => self.independent(n),
+        let mut g = std::mem::take(&mut self.building);
+        g.clear();
+        match self.config.shape {
+            DagShape::Chain => self.chain(&mut g, n),
+            DagShape::ForkJoin => self.fork_join(&mut g, n),
+            DagShape::Independent => self.add_tasks(&mut g, n),
             DagShape::LayeredRandom { layers, edge_prob } => {
-                self.layered(n, layers.max(1), edge_prob)
+                self.layered(&mut g, n, layers.max(1), edge_prob)
             }
-            DagShape::ErdosRenyi { edge_prob } => self.erdos_renyi(n, edge_prob),
-            DagShape::OutTree { branching } => self.out_tree(n, branching.max(2)),
-            DagShape::InTree { branching } => self.in_tree(n, branching.max(2)),
-            DagShape::GaussianElimination => self.gaussian_elimination(n),
-            DagShape::FftButterfly => self.fft(n),
+            DagShape::ErdosRenyi { edge_prob } => self.erdos_renyi(&mut g, n, edge_prob),
+            DagShape::OutTree { branching } => self.out_tree(&mut g, n, branching.max(2)),
+            DagShape::InTree { branching } => self.in_tree(&mut g, n, branching.max(2)),
+            DagShape::GaussianElimination => self.gaussian_elimination(&mut g, n),
+            DagShape::FftButterfly => self.fft(&mut g, n),
         };
-        self.decorate_volumes(&mut graph);
-        debug_assert!(graph.is_acyclic(), "generator produced a cyclic graph");
+        self.decorate_volumes(&mut g);
+        debug_assert!(
+            g.topological_order_into(&mut self.order, &mut self.in_degrees)
+                .is_ok(),
+            "generator produced a cyclic graph"
+        );
+        let graph = g.take_exact();
+        self.building = g;
         graph
     }
 
@@ -203,7 +230,11 @@ impl DagGenerator {
     /// laxity-factor range.
     pub fn generate_job(&mut self, arrival_site: usize, release: f64) -> Job {
         let graph = self.generate_graph();
-        let cp = crate::critical_path::critical_path_length(&graph);
+        graph
+            .topological_order_into(&mut self.order, &mut self.in_degrees)
+            .expect("generated graphs are acyclic");
+        upward_ranks_into(&graph, &self.order, &mut self.ranks);
+        let cp = self.ranks.iter().copied().fold(0.0f64, f64::max);
         let (lo, hi) = self.config.laxity_factor;
         let factor = if hi > lo {
             self.rng.random_range(lo..=hi)
@@ -226,104 +257,70 @@ impl DagGenerator {
         self.config.costs.sample(&mut self.rng)
     }
 
-    fn add_tasks(&mut self, graph: &mut TaskGraph, n: usize) -> Vec<TaskId> {
-        (0..n)
-            .map(|_| {
-                let c = self.sample_cost();
-                graph.add_task(c)
-            })
-            .collect()
-    }
-
-    fn chain(&mut self, n: usize) -> TaskGraph {
-        let mut g = TaskGraph::new();
-        let ids = self.add_tasks(&mut g, n);
-        for w in ids.windows(2) {
-            g.add_edge(w[0], w[1]).unwrap();
+    /// Adds `n` tasks to an empty graph: their ids are `0..n`.
+    fn add_tasks(&mut self, graph: &mut TaskGraph, n: usize) {
+        for _ in 0..n {
+            let c = self.sample_cost();
+            graph.add_task(c);
         }
-        g
     }
 
-    fn independent(&mut self, n: usize) -> TaskGraph {
-        let mut g = TaskGraph::new();
-        let _ = self.add_tasks(&mut g, n);
-        g
-    }
-
-    fn fork_join(&mut self, n: usize) -> TaskGraph {
-        let mut g = TaskGraph::new();
-        if n == 1 {
-            let _ = self.add_tasks(&mut g, 1);
-            return g;
+    fn chain(&mut self, g: &mut TaskGraph, n: usize) {
+        self.add_tasks(g, n);
+        for i in 1..n {
+            g.add_edge(TaskId(i - 1), TaskId(i)).unwrap();
         }
+    }
+
+    fn fork_join(&mut self, g: &mut TaskGraph, n: usize) {
+        self.add_tasks(g, n);
         if n == 2 {
-            let ids = self.add_tasks(&mut g, 2);
-            g.add_edge(ids[0], ids[1]).unwrap();
-            return g;
+            g.add_edge(TaskId(0), TaskId(1)).unwrap();
+            return;
         }
-        let ids = self.add_tasks(&mut g, n);
-        let source = ids[0];
-        let sink = ids[n - 1];
-        for &mid in &ids[1..n - 1] {
+        let (source, sink) = (TaskId(0), TaskId(n - 1));
+        for mid in (1..n.saturating_sub(1)).map(TaskId) {
             g.add_edge(source, mid).unwrap();
             g.add_edge(mid, sink).unwrap();
         }
-        g
     }
 
-    fn layered(&mut self, n: usize, layers: usize, edge_prob: f64) -> TaskGraph {
+    fn layered(&mut self, g: &mut TaskGraph, n: usize, layers: usize, edge_prob: f64) {
         let layers = layers.min(n);
-        let mut g = TaskGraph::new();
-        let ids = self.add_tasks(&mut g, n);
-        // Partition ids into `layers` contiguous layers of near-equal size.
-        let mut layer_of = vec![0usize; n];
-        let base = n / layers;
-        let extra = n % layers;
-        let mut idx = 0;
-        for l in 0..layers {
-            let size = base + usize::from(l < extra);
-            for _ in 0..size {
-                if idx < n {
-                    layer_of[idx] = l;
-                    idx += 1;
-                }
-            }
-        }
-        let layer_members: Vec<Vec<TaskId>> = (0..layers)
-            .map(|l| ids.iter().copied().filter(|t| layer_of[t.0] == l).collect())
-            .collect();
+        self.add_tasks(g, n);
+        // `layers` contiguous id ranges of near-equal size (the first
+        // `n % layers` hold one task more), so none is empty.
+        let (base, extra) = (n / layers, n % layers);
+        let p = edge_prob.clamp(0.0, 1.0);
+        let mut prev = 0..base + usize::from(0 < extra);
         for l in 1..layers {
-            let prev = &layer_members[l - 1];
-            if prev.is_empty() {
-                continue;
-            }
-            for &t in &layer_members[l] {
+            let layer = prev.end..prev.end + base + usize::from(l < extra);
+            for t in layer.clone().map(TaskId) {
                 // Guarantee at least one incoming edge from the previous layer.
-                let forced = prev[self.rng.random_range(0..prev.len())];
+                let forced = TaskId(prev.start + self.rng.random_range(0..prev.len()));
                 let _ = g.add_edge(forced, t);
                 // Extra edges from any earlier layer with probability edge_prob.
-                for members in layer_members.iter().take(l) {
-                    for &p in members {
-                        if p != forced && self.rng.random_bool(edge_prob.clamp(0.0, 1.0)) {
-                            let _ = g.add_edge(p, t);
-                        }
+                for earlier in (0..layer.start).map(TaskId) {
+                    if earlier != forced && self.rng.random_bool(p) {
+                        let _ = g.add_edge(earlier, t);
                     }
                 }
             }
+            prev = layer;
         }
-        g
     }
 
-    fn erdos_renyi(&mut self, n: usize, edge_prob: f64) -> TaskGraph {
-        let mut g = TaskGraph::new();
-        let ids = self.add_tasks(&mut g, n);
-        let mut order: Vec<usize> = (0..n).collect();
+    fn erdos_renyi(&mut self, g: &mut TaskGraph, n: usize, edge_prob: f64) {
+        self.add_tasks(g, n);
+        let mut order = std::mem::take(&mut self.permutation);
+        order.clear();
+        order.extend(0..n);
         order.shuffle(&mut self.rng);
         let p = edge_prob.clamp(0.0, 1.0);
         for i in 0..n {
             for j in (i + 1)..n {
                 if self.rng.random_bool(p) {
-                    let _ = g.add_edge(ids[order[i]], ids[order[j]]);
+                    let _ = g.add_edge(TaskId(order[i]), TaskId(order[j]));
                 }
             }
         }
@@ -331,132 +328,103 @@ impl DagGenerator {
         // later task so the job is weakly connected, which keeps critical-path
         // based deadline assignment meaningful.
         for i in 1..n {
-            let t = ids[order[i]];
+            let t = TaskId(order[i]);
             if g.in_degree(t) == 0 && g.out_degree(t) == 0 {
                 let j = self.rng.random_range(0..i);
-                let _ = g.add_edge(ids[order[j]], t);
+                let _ = g.add_edge(TaskId(order[j]), t);
             }
         }
-        g
+        self.permutation = order;
     }
 
-    fn out_tree(&mut self, n: usize, branching: usize) -> TaskGraph {
-        let mut g = TaskGraph::new();
-        let ids = self.add_tasks(&mut g, n);
+    fn out_tree(&mut self, g: &mut TaskGraph, n: usize, branching: usize) {
+        self.add_tasks(g, n);
         for i in 1..n {
             let parent = (i - 1) / branching;
-            g.add_edge(ids[parent], ids[i]).unwrap();
+            g.add_edge(TaskId(parent), TaskId(i)).unwrap();
         }
-        g
     }
 
-    fn in_tree(&mut self, n: usize, branching: usize) -> TaskGraph {
-        let mut g = TaskGraph::new();
-        let ids = self.add_tasks(&mut g, n);
+    fn in_tree(&mut self, g: &mut TaskGraph, n: usize, branching: usize) {
+        self.add_tasks(g, n);
         // Mirror of the out-tree: child -> parent, sink is task 0.
         for i in 1..n {
             let parent = (i - 1) / branching;
-            g.add_edge(ids[i], ids[parent]).unwrap();
+            g.add_edge(TaskId(i), TaskId(parent)).unwrap();
         }
-        g
     }
 
     /// Gaussian elimination DAG for a `k × k` matrix, the classical
     /// pivot-column/update structure. `n` selects the smallest `k` whose task
     /// count `k(k+1)/2 - 1` is at least `n` (minimum `k = 2`).
-    fn gaussian_elimination(&mut self, n: usize) -> TaskGraph {
+    fn gaussian_elimination(&mut self, g: &mut TaskGraph, n: usize) {
         let mut k = 2usize;
         while k * (k + 1) / 2 - 1 < n {
             k += 1;
         }
-        let mut g = TaskGraph::new();
         // For each elimination step i (0..k-1): one pivot task, then k-1-i
-        // update tasks. Pivot of step i depends on all updates of step i-1;
-        // update j of step i depends on the pivot of step i and on update j of
-        // step i-1.
-        let mut prev_updates: Vec<TaskId> = Vec::new();
+        // update tasks (the ids right after the pivot's). Pivot of step i
+        // depends on all updates of step i-1; update j of step i depends on
+        // the pivot of step i and on update j+1 of step i-1 (skipping the
+        // column eliminated by the previous pivot).
+        let mut prev_updates = 0..0;
         for i in 0..(k - 1) {
             let cost = self.sample_cost();
             let pivot = g.add_labelled_task(cost, format!("pivot{i}"));
-            for &u in &prev_updates {
+            for u in prev_updates.clone().map(TaskId) {
                 let _ = g.add_edge(u, pivot);
             }
-            let mut updates = Vec::new();
-            for j in 0..(k - 1 - i) {
+            let updates = pivot.0 + 1..pivot.0 + k - i;
+            for j in 0..updates.len() {
                 let cost = self.sample_cost();
                 let upd = g.add_labelled_task(cost, format!("update{i}_{j}"));
                 let _ = g.add_edge(pivot, upd);
-                if j < prev_updates.len() {
-                    // Skip the column eliminated by the previous pivot.
-                    let idx = j + 1;
-                    if idx < prev_updates.len() {
-                        let _ = g.add_edge(prev_updates[idx], upd);
-                    }
+                if j + 1 < prev_updates.len() {
+                    let _ = g.add_edge(TaskId(prev_updates.start + j + 1), upd);
                 }
-                updates.push(upd);
             }
             prev_updates = updates;
         }
-        g
     }
 
     /// FFT butterfly DAG on `2^m` points: `m` butterfly stages of `2^m` tasks
     /// each plus an input stage. `n` selects the smallest `m >= 1` such that
     /// the task count `(m + 1) * 2^m` is at least `n`.
-    fn fft(&mut self, n: usize) -> TaskGraph {
+    fn fft(&mut self, g: &mut TaskGraph, n: usize) {
         let mut m = 1usize;
         while (m + 1) * (1usize << m) < n && m < 16 {
             m += 1;
         }
         let points = 1usize << m;
-        let mut g = TaskGraph::new();
-        let mut prev: Vec<TaskId> = (0..points)
-            .map(|i| {
-                let c = self.sample_cost();
-                g.add_labelled_task(c, format!("in{i}"))
-            })
-            .collect();
+        for i in 0..points {
+            let c = self.sample_cost();
+            g.add_labelled_task(c, format!("in{i}"));
+        }
+        // Stage `s` holds ids `points * (s + 1)..`, the input stage `0..points`.
         for stage in 0..m {
             let stride = 1usize << stage;
-            let cur: Vec<TaskId> = (0..points)
-                .map(|i| {
-                    let c = self.sample_cost();
-                    g.add_labelled_task(c, format!("s{stage}_{i}"))
-                })
-                .collect();
+            let (prev, cur) = (points * stage, points * (stage + 1));
+            for i in 0..points {
+                let c = self.sample_cost();
+                g.add_labelled_task(c, format!("s{stage}_{i}"));
+            }
             for i in 0..points {
                 let partner = i ^ stride;
-                g.add_edge(prev[i], cur[i]).unwrap();
-                g.add_edge(prev[partner], cur[i]).unwrap();
+                g.add_edge(TaskId(prev + i), TaskId(cur + i)).unwrap();
+                g.add_edge(TaskId(prev + partner), TaskId(cur + i)).unwrap();
             }
-            prev = cur;
         }
-        g
     }
 
+    /// Decorates every edge with a data volume (see
+    /// [`GeneratorConfig::ccr`]), drawing the factors source-major.
     fn decorate_volumes(&mut self, graph: &mut TaskGraph) {
         if self.config.ccr <= 0.0 {
             return;
         }
-        let mean_cost = self.config.costs.mean().max(1e-9);
-        // Rebuild the graph with decorated edges (edge data is immutable once
-        // inserted, and graphs are small, so a rebuild is the simplest safe
-        // approach).
-        let mut decorated = TaskGraph::new();
-        for t in graph.tasks() {
-            match &t.label {
-                Some(l) => decorated.add_labelled_task(t.cost, l.clone()),
-                None => decorated.add_task(t.cost),
-            };
-        }
-        for t in graph.task_ids() {
-            for (s, _) in graph.successor_edges(t).to_vec() {
-                let factor = self.rng.random_range(0.5..=1.5);
-                let volume = self.config.ccr * mean_cost * factor;
-                decorated.add_edge_with_volume(t, s, volume).unwrap();
-            }
-        }
-        *graph = decorated;
+        let scale = self.config.ccr * self.config.costs.mean().max(1e-9);
+        let rng = &mut self.rng;
+        graph.assign_volumes_source_major(|| scale * rng.random_range(0.5..=1.5));
     }
 }
 

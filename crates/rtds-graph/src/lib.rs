@@ -9,10 +9,16 @@
 //! This crate provides:
 //!
 //! * [`TaskGraph`] — the precedence structure with cycle detection,
-//!   topological orders and structural queries,
+//!   topological orders and structural queries. A graph is built once and
+//!   then only read, so its layout is flat: one vector of tasks, one arena
+//!   of edges threaded onto both endpoints' lists — a constant number of
+//!   allocations whatever the task count, per-task insertion orders kept,
 //! * [`critical_path`] — upward/downward ranks and critical-path extraction
 //!   (node weights only, exactly as §12 of the paper prescribes for the
-//!   Mapper's list-scheduling priority),
+//!   Mapper's list-scheduling priority). The orders and ranks a whole
+//!   admission or Mapper → Adjust run shares come in `*_into` forms that
+//!   fill caller-owned buffers ([`TaskGraph::topological_order_into`],
+//!   [`critical_path::upward_ranks_into`]),
 //! * [`Job`] — a DAG plus real-time parameters and arrival metadata,
 //! * [`generators`] — synthetic workload generators (layered random DAGs,
 //!   Erdős–Rényi DAGs, chains, fork-joins, diamonds, trees, Gaussian

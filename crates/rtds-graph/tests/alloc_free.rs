@@ -1,8 +1,14 @@
-//! Allocation regression fence for the §12 priority: [`upward_ranks`] runs
-//! once per job in the generator, the local test and the Mapper, so its
-//! heap traffic must not grow with the graph — three buffers (in-degrees,
-//! the order with its ready frontier, ranks), however many tasks.
+//! Allocation regression fences for the job model.
+//!
+//! * The §12 priority: [`upward_ranks`] runs once per job in the generator,
+//!   the local test and the Mapper, so its heap traffic must not grow with
+//!   the graph — three buffers (in-degrees, the order with its ready
+//!   frontier, ranks), however many tasks — and its `*_into` form on warm
+//!   buffers allocates nothing.
+//! * A generated job allocates what it keeps — the flat graph's task
+//!   vector and edge arena — whatever its size.
 
+use rtds_graph::critical_path::upward_ranks_into;
 use rtds_graph::generators::{CostDistribution, DagGenerator, DagShape, GeneratorConfig};
 use rtds_graph::{upward_ranks, TaskGraph};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -80,6 +86,51 @@ fn upward_ranks_allocate_three_buffers_whatever_the_task_count() {
             assert!(
                 allocations <= 3,
                 "{shape:?} with {tasks} tasks: {allocations} allocations"
+            );
+        }
+    }
+}
+
+#[test]
+fn rank_and_order_into_warm_buffers_allocate_nothing() {
+    let g = graph(
+        DagShape::LayeredRandom {
+            layers: 5,
+            edge_prob: 0.4,
+        },
+        64,
+    );
+    let (mut order, mut in_degrees, mut ranks) = (Vec::new(), Vec::new(), Vec::new());
+    let mut pass = || {
+        g.topological_order_into(&mut order, &mut in_degrees)
+            .unwrap();
+        upward_ranks_into(&g, &order, &mut ranks);
+    };
+    pass();
+    let ((), allocations) = allocations_of(pass);
+    assert_eq!(allocations, 0);
+    assert_eq!(ranks, upward_ranks(&g));
+}
+
+#[test]
+fn a_generated_job_allocates_its_graph_whatever_its_size() {
+    for ccr in [0.0, 0.5] {
+        let cfg = GeneratorConfig {
+            task_count: 40,
+            ccr,
+            ..GeneratorConfig::default()
+        };
+        let mut generator = DagGenerator::new(cfg, 9);
+        // Warm the generator's buffers on the larger size.
+        let _ = generator.generate_job(0, 0.0);
+        for tasks in [5, 40] {
+            generator.set_task_count(tasks);
+            let (job, allocations) = allocations_of(|| generator.generate_job(0, 1.0));
+            assert_eq!(job.graph.task_count(), tasks);
+            assert!(job.graph.edge_count() >= tasks / 2);
+            assert!(
+                allocations <= 2,
+                "{tasks} tasks, ccr {ccr}: {allocations} allocations"
             );
         }
     }

@@ -17,16 +17,32 @@ use rtds_graph::TaskId;
 /// List-scheduling order: repeatedly emit the ready task (all predecessors
 /// already emitted) with the highest priority; ties broken by task id.
 pub fn priority_order(graph: &rtds_graph::TaskGraph, priority: &[f64]) -> Vec<TaskId> {
+    let mut order = Vec::new();
+    priority_order_into(graph, priority, &mut order, &mut Vec::new());
+    order
+}
+
+/// [`priority_order`] into caller-owned buffers: `order` receives the
+/// result and `remaining_preds` is working space; neither allocates once it
+/// has held a graph of this size.
+pub fn priority_order_into(
+    graph: &rtds_graph::TaskGraph,
+    priority: &[f64],
+    order: &mut Vec<TaskId>,
+    remaining_preds: &mut Vec<usize>,
+) {
     let n = graph.task_count();
-    let mut remaining_preds: Vec<usize> = (0..n).map(|i| graph.in_degree(TaskId(i))).collect();
-    let mut ready: Vec<TaskId> = graph
-        .task_ids()
-        .filter(|t| remaining_preds[t.0] == 0)
-        .collect();
-    let mut order = Vec::with_capacity(n);
-    while !ready.is_empty() {
+    remaining_preds.clear();
+    remaining_preds.extend(graph.task_ids().map(|t| graph.in_degree(t)));
+    // `order[..emitted]` is the result so far and `order[emitted..]` the
+    // ready set, in no particular order: the pick below is a strict maximum.
+    order.clear();
+    order.reserve(n);
+    order.extend(graph.task_ids().filter(|t| remaining_preds[t.0] == 0));
+    let mut emitted = 0;
+    while emitted < order.len() {
         // Highest priority first; ties by smallest id for determinism.
-        let (idx, _) = ready
+        let (idx, _) = order[emitted..]
             .iter()
             .enumerate()
             .max_by(|(_, a), (_, b)| {
@@ -35,18 +51,18 @@ pub fn priority_order(graph: &rtds_graph::TaskGraph, priority: &[f64]) -> Vec<Ta
                     .unwrap()
                     .then(b.0.cmp(&a.0))
             })
-            .expect("ready list is non-empty");
-        let t = ready.swap_remove(idx);
-        order.push(t);
+            .expect("ready set is non-empty");
+        order.swap(emitted, emitted + idx);
+        let t = order[emitted];
+        emitted += 1;
         for s in graph.successors(t) {
             remaining_preds[s.0] -= 1;
             if remaining_preds[s.0] == 0 {
-                ready.push(s);
+                order.push(s);
             }
         }
     }
     debug_assert_eq!(order.len(), n, "graph must be acyclic");
-    order
 }
 
 #[cfg(test)]

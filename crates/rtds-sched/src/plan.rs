@@ -421,15 +421,20 @@ impl SchedulePlan {
     /// completion times the streaming report aggregates.
     pub fn drain_completed(&mut self, cutoff: f64) -> Vec<Reservation> {
         let mut done = Vec::new();
-        self.reservations.retain(|r| {
-            if r.end <= cutoff + TIME_EPS {
-                done.push(*r);
-                false
-            } else {
-                true
-            }
-        });
+        self.drain_completed_with(cutoff, |r| done.push(r));
         done
+    }
+
+    /// [`SchedulePlan::drain_completed`] handing each drained reservation
+    /// to `visit` (in plan order) instead of collecting them.
+    pub fn drain_completed_with(&mut self, cutoff: f64, mut visit: impl FnMut(Reservation)) {
+        self.reservations.retain(|r| {
+            let done = r.end <= cutoff + TIME_EPS;
+            if done {
+                visit(*r);
+            }
+            !done
+        });
     }
 
     /// The first instant at or after `t` at which the processor is idle.

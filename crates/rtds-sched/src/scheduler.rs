@@ -23,13 +23,14 @@
 //! store — a plain enum-dispatched struct, it stays `Clone + PartialEq` and
 //! snapshots cleanly (`rtds-sched-snapshot/1`, encoded by `rtds-core`).
 
-use crate::admission::priority_order;
+use crate::admission::priority_order_into;
 use crate::feasibility::{place_requests, TaskRequest};
 use crate::interval::TimeInterval;
 use crate::plan::{PlanError, Reservation, SchedulePlan};
 use crate::resources::{SiteResources, TaskDemand};
 use crate::trial::{with_scratch, Scratch, Trial};
-use rtds_graph::{upward_ranks, Job, JobId, TaskGraph, TaskId};
+use rtds_graph::critical_path::upward_ranks_into;
+use rtds_graph::{Job, JobId, TaskGraph, TaskId};
 use serde::{Deserialize, Serialize};
 
 /// Tolerance mirrored from the plan layer.
@@ -321,28 +322,47 @@ impl SiteScheduler {
         let deadline = job.deadline();
         let default_demand = TaskDemand::default();
         let demand_of = |t: TaskId| demands.map_or(default_demand, |d| d[t.0]);
-        let durations: Vec<f64> = graph
-            .task_ids()
-            .map(|t| demand_of(t).duration(graph.cost(t), self.base_speed, &self.resources))
-            .collect();
-        // List scheduling: repeatedly pick the ready task with the largest
-        // rank (ties by task id), exactly like the Mapper of §12 but on a
-        // single site, so no communication delays apply.
-        let order = priority_order(graph, &self.rank(graph));
-
         let Scratch {
             added,
+            placed: placements,
             chunks,
             best_chunks,
             starts,
             events,
+            topo,
+            in_degrees,
+            ranks,
+            task_order,
+            durations,
+            finish,
             ..
         } = scratch;
+        durations.clear();
+        durations.extend(
+            graph
+                .task_ids()
+                .map(|t| demand_of(t).duration(graph.cost(t), self.base_speed, &self.resources)),
+        );
+        // List scheduling: repeatedly pick the ready task with the largest
+        // rank (ties by task id), exactly like the Mapper of §12 but on a
+        // single site, so no communication delays apply.
+        graph
+            .topological_order_into(topo, in_degrees)
+            .expect("task graphs are acyclic");
+        match self.kind {
+            SchedulerKind::Protocol | SchedulerKind::Lookahead => {
+                upward_ranks_into(graph, topo, ranks)
+            }
+            SchedulerKind::Heft => heft_upward_rank_into(graph, topo, ranks),
+        }
+        priority_order_into(graph, ranks, task_order, in_degrees);
+
         let mut trial = Trial::new(&self.cores, added);
-        let mut finish = vec![0.0f64; graph.task_count()];
-        let mut placements = Vec::with_capacity(graph.task_count());
+        finish.clear();
+        finish.resize(graph.task_count(), 0.0);
+        placements.clear();
         let mut holds = Vec::new();
-        for t in order {
+        for &t in task_order.iter() {
             let demand = demand_of(t);
             let k = demand.granted_cores(&self.resources);
             let ready = graph
@@ -355,14 +375,14 @@ impl SiteScheduler {
                 task: t,
                 ready,
                 deadline,
-                durations: &durations,
-                finish: &finish,
+                durations,
+                finish,
             };
             let first_placement = placements.len();
             let end = if k > 1 {
                 // Gang tasks occupy k cores for one contiguous slot (no
                 // preemptive splitting for gangs).
-                place_gang(&mut trial, &task, k, starts, &mut placements)?
+                place_gang(&mut trial, &task, k, starts, placements)?
             } else if self.preemptive {
                 // Fill idle windows on the core whose chunks complete
                 // earliest.
@@ -374,11 +394,7 @@ impl SiteScheduler {
                     best_chunks,
                 )?;
                 for chunk in best_chunks.iter() {
-                    trial.place(
-                        core,
-                        task.reservation(chunk.start, chunk.end),
-                        &mut placements,
-                    )?;
+                    trial.place(core, task.reservation(chunk.start, chunk.end), placements)?;
                 }
                 end.max(ready)
             } else {
@@ -386,7 +402,7 @@ impl SiteScheduler {
                     SchedulerKind::Lookahead => lookahead_fit(&mut trial, &task)?,
                     _ => trial.best_single_fit(ready, deadline, task.duration())?,
                 };
-                trial.place(core, task.reservation(start, end), &mut placements)?;
+                trial.place(core, task.reservation(start, end), placements)?;
                 end
             };
             if end > deadline + TIME_EPS {
@@ -411,18 +427,10 @@ impl SiteScheduler {
         }
         let completion = finish.iter().copied().fold(start_floor, f64::max);
         Some(DagSchedule {
-            placements,
+            placements: placements.clone(),
             holds,
             completion,
         })
-    }
-
-    /// Task priorities for the list-scheduling order of this kind.
-    fn rank(&self, graph: &TaskGraph) -> Vec<f64> {
-        match self.kind {
-            SchedulerKind::Protocol | SchedulerKind::Lookahead => upward_ranks(graph),
-            SchedulerKind::Heft => heft_upward_rank(graph),
-        }
     }
 
     /// Peak-memory check: with the new holds added to the committed ledger,
@@ -554,19 +562,58 @@ fn lookahead_fit(trial: &mut Trial<'_>, task: &Pending<'_>) -> Option<(CoreId, f
 /// al. (with a single site class, the mean execution cost is the cost
 /// itself).
 pub fn heft_upward_rank(graph: &TaskGraph) -> Vec<f64> {
-    let mut rank = vec![0.0f64; graph.task_count()];
-    let order = graph
-        .reverse_topological_order()
-        .expect("task graphs are acyclic");
-    for t in order {
-        let mut best = 0.0f64;
-        for c in graph.successors(t) {
-            let comm = graph.data_volume(t, c).unwrap_or(0.0);
-            best = best.max(comm + rank[c.0]);
-        }
+    let order = graph.topological_order().expect("task graphs are acyclic");
+    let mut rank = Vec::new();
+    heft_upward_rank_into(graph, &order, &mut rank);
+    rank
+}
+
+/// [`heft_upward_rank`] into a caller-owned buffer, given a topological
+/// order of the graph.
+fn heft_upward_rank_into(graph: &TaskGraph, order: &[TaskId], rank: &mut Vec<f64>) {
+    rank.clear();
+    rank.resize(graph.task_count(), 0.0);
+    for &t in order.iter().rev() {
+        let best = graph
+            .successor_edges(t)
+            .map(|(c, edge)| edge.data_volume + rank[c.0])
+            .fold(0.0f64, f64::max);
         rank[t.0] = graph.cost(t) + best;
     }
-    rank
+}
+
+impl SiteScheduler {
+    /// The verdict of the §10 test alone: whether
+    /// [`Scheduler::satisfiable`] would find placements, without
+    /// materialising them (no allocation once this thread's buffers are
+    /// warm).
+    pub fn can_satisfy(&self, requests: &[TaskRequest]) -> bool {
+        with_scratch(|scratch| {
+            place_requests(&self.cores, requests, self.preemptive, scratch).is_some()
+        })
+    }
+
+    /// [`Scheduler::satisfiable`] and [`Scheduler::reserve`] in one step:
+    /// commits the placements of the §10 test straight from this thread's
+    /// buffers, without materialising them. Returns how many were committed,
+    /// or `None` — with nothing committed — if the set is not satisfiable.
+    pub fn reserve_satisfiable(&mut self, requests: &[TaskRequest]) -> Option<usize> {
+        with_scratch(|scratch| {
+            place_requests(&self.cores, requests, self.preemptive, scratch)?;
+            self.reserve(&scratch.placed)
+                .expect("satisfiable placements are non-overlapping");
+            Some(scratch.placed.len())
+        })
+    }
+
+    /// [`Scheduler::drain_completed`] handing each drained placement to
+    /// `visit` (core-major order) instead of collecting them.
+    pub fn drain_completed_with(&mut self, cutoff: f64, mut visit: impl FnMut(Placement)) {
+        for (core, plan) in self.cores.iter_mut().enumerate() {
+            plan.drain_completed_with(cutoff, |reservation| visit(Placement { core, reservation }));
+        }
+        self.holds.retain(|h| h.end > cutoff + TIME_EPS);
+    }
 }
 
 impl Scheduler for SiteScheduler {
@@ -638,12 +685,7 @@ impl Scheduler for SiteScheduler {
 
     fn drain_completed(&mut self, cutoff: f64) -> Vec<Placement> {
         let mut drained = Vec::new();
-        for (core, plan) in self.cores.iter_mut().enumerate() {
-            for reservation in plan.drain_completed(cutoff) {
-                drained.push(Placement { core, reservation });
-            }
-        }
-        self.holds.retain(|h| h.end > cutoff + TIME_EPS);
+        self.drain_completed_with(cutoff, |placement| drained.push(placement));
         drained
     }
 
@@ -845,7 +887,7 @@ mod tests {
         assert_eq!(rank[1], 2.0);
         assert_eq!(rank[2], 2.0);
         assert_eq!(rank[0], 1.0 + 10.0 + 2.0);
-        let plain = upward_ranks(&g);
+        let plain = rtds_graph::upward_ranks(&g);
         assert_eq!(plain[0], 3.0);
     }
 

@@ -11,6 +11,7 @@
 use crate::interval::TimeInterval;
 use crate::plan::{PlanError, Reservation, SchedulePlan, Timeline, TIME_EPS};
 use crate::scheduler::{CoreId, Placement};
+use rtds_graph::TaskId;
 use std::cell::RefCell;
 
 /// Reusable buffers of the admission, validation and commit paths. Every
@@ -30,6 +31,15 @@ pub(crate) struct Scratch {
     pub(crate) starts: Vec<f64>,
     /// `(time, memory delta)` events of the peak-memory check.
     pub(crate) events: Vec<(f64, f64)>,
+    /// Per-task working vectors of a whole-DAG admission: a topological
+    /// order, the list-scheduling priorities and order built from it, the
+    /// durations on this site and the finish times of the placed tasks.
+    pub(crate) topo: Vec<TaskId>,
+    pub(crate) in_degrees: Vec<usize>,
+    pub(crate) ranks: Vec<f64>,
+    pub(crate) task_order: Vec<TaskId>,
+    pub(crate) durations: Vec<f64>,
+    pub(crate) finish: Vec<f64>,
 }
 
 thread_local! {

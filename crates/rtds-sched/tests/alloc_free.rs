@@ -1,8 +1,11 @@
 //! Allocation regression fence for the scheduling kernel: on a scheduler
 //! whose scratch buffers are warm, a plan query performs no heap allocation
-//! at all, a §10 test allocates only the placement list it returns, and a
-//! §5 admission allocates the same amount whatever the size of the plan it
-//! is tested against (trial placement never copies a plan).
+//! at all, a §10 test allocates only the placement list it returns — and
+//! nothing when only the verdict is asked or when it commits what it placed
+//! in the same step — a §5 admission allocates only
+//! the schedule it returns, whatever the size of the plan it is tested
+//! against (trial placement never copies a plan), and draining completed
+//! reservations into a visitor allocates nothing.
 
 use rtds_graph::{Job, JobId, JobParams, TaskGraph, TaskId};
 use rtds_sched::{
@@ -170,6 +173,50 @@ fn satisfiable_allocates_only_what_it_returns() {
         let (placed, n) = allocations_of(|| sched.satisfiable(&[]));
         assert_eq!(placed, Some(Vec::new()), "{what}");
         assert_eq!(n, 0, "empty satisfiable, {what}");
+
+        // The verdict alone costs nothing, whichever way it goes.
+        let (verdicts, n) =
+            allocations_of(|| (sched.can_satisfy(&fitting), sched.can_satisfy(&rejected)));
+        assert_eq!(verdicts, (true, false), "{what}");
+        assert_eq!(n, 0, "verdict-only §10 test, {what}");
+
+        // Committing in the same step writes into the plans and nowhere
+        // else: once they have held the reservations, nothing is allocated.
+        let mut sched = sched;
+        let job = fitting[0].job;
+        assert_eq!(sched.reserve_satisfiable(&fitting), Some(3), "{what}");
+        assert_eq!(sched.release(job), 3, "{what}");
+        let before = sched.clone();
+        let (committed, n) = allocations_of(|| {
+            let rejected = sched.reserve_satisfiable(&rejected);
+            (rejected, sched.reserve_satisfiable(&fitting))
+        });
+        assert_eq!(committed, (None, Some(3)), "{what}");
+        assert_eq!(n, 0, "committing §10 test, {what}");
+        assert_eq!(sched.release(job), 3, "{what}");
+        assert_eq!(sched, before, "{what}");
+    }
+}
+
+#[test]
+fn visiting_drain_allocates_nothing() {
+    for (kind, cores, preemptive) in shapes() {
+        let mut sched = busy_scheduler(kind, cores, preemptive, 200);
+        let what = format!("{kind:?}, {cores} cores, preemptive {preemptive}");
+        let mut expected = sched.clone();
+        let collected = expected.drain_completed(500.0);
+        let ((drained, latest), n) = allocations_of(|| {
+            let (mut drained, mut latest) = (0, f64::NEG_INFINITY);
+            sched.drain_completed_with(500.0, |p| {
+                drained += 1;
+                latest = p.reservation.end.max(latest);
+            });
+            (drained, latest)
+        });
+        assert_eq!((drained, latest), (collected.len(), 497.0), "{what}");
+        assert_eq!(drained, 100 * cores, "{what}");
+        assert_eq!(n, 0, "visiting drain, {what}");
+        assert_eq!(sched, expected, "{what}");
     }
 }
 
@@ -202,9 +249,14 @@ fn admission_and_commit_cost_do_not_grow_with_the_plan() {
             );
             costs.push(admit);
         }
-        assert_eq!(
-            costs[0], costs[1],
-            "admit_dag allocations by plan size, {what}"
-        );
+        // Only the returned schedule: its placement list (no memory holds
+        // without demands).
+        assert_eq!(costs, [1, 1], "admit_dag allocations by plan size, {what}");
+        // A rejected admission returns nothing and allocates nothing.
+        let sched = busy_scheduler(kind, cores, preemptive, 4);
+        let tight = Job::new(JobId(8), job.graph.clone(), JobParams::new(0.0, 6.0), 0);
+        let (rejected, n) = allocations_of(|| sched.admit_dag(&tight, 1.0, None));
+        assert!(rejected.is_none(), "{what}");
+        assert_eq!(n, 0, "rejecting admit_dag, {what}");
     }
 }

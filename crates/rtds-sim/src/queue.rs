@@ -27,9 +27,15 @@
 //!   (`NUM_BUCKETS`); the earliest bucket is kept as a small binary
 //!   min-heap (the *serving* set), and keys beyond the window wait in an
 //!   overflow list. When the window is exhausted the calendar re-anchors
-//!   on the overflow and re-tunes the bucket width from the observed time
-//!   span — all of it a pure function of the push/pop history, so runs
-//!   stay deterministic.
+//!   on the overflow and re-tunes the bucket width from what it observed
+//!   since the last re-anchor: the width that would have put
+//!   `BUCKET_TARGET` of the events it popped into each bucket it stepped
+//!   over — a pure function of the push/pop history, so runs stay
+//!   deterministic. The pace is taken from the events popped, never from
+//!   the span of the overflow list: that is a handful of keys whatever the
+//!   event rate, and a width tuned to it overflows most pushes (each filed
+//!   twice) and steps over dozens of empty buckets per event.
+//!   [`CalendarQueue::stats`] counts both.
 //!
 //! Why the pop order cannot depend on the calendar layout: `bucket_of` is
 //! a monotone function of time, so every key in a future bucket has a
@@ -50,9 +56,30 @@ use std::collections::BinaryHeap;
 /// list until the calendar re-anchors.
 const NUM_BUCKETS: i64 = 512;
 
-/// Lower bound for the re-tuned bucket width (guards against a degenerate
-/// zero-span overflow collapsing the calendar).
+/// Lower bound for the re-tuned bucket width (guards against a burst of
+/// near-simultaneous events collapsing the calendar).
 const MIN_WIDTH: f64 = 1e-9;
+
+/// Events per bucket the width is tuned for: few enough that the serving
+/// heap stays four levels deep, enough that stepping from bucket to bucket
+/// costs a fraction of a pop and that the window of `NUM_BUCKETS` buckets
+/// reaches past the scheduling horizon of all but the fullest queues.
+const BUCKET_TARGET: f64 = 16.0;
+
+/// What the calendar layout has cost so far (the pop order never depends on
+/// it): counters a regression test or a profile divides by its own event
+/// count.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct QueueStats {
+    /// Pushes that landed beyond the bucket window and were filed a second
+    /// time at a later re-anchor.
+    pub overflow_pushes: u64,
+    /// Steps from one calendar bucket to the next.
+    pub bucket_steps: u64,
+    /// Times the window was exhausted and the calendar re-anchored on the
+    /// overflow list.
+    pub reanchors: u64,
+}
 
 /// Handle to a pending event in the slab (index + generation). A handle
 /// goes stale as soon as the event is delivered or cancelled; stale
@@ -120,6 +147,9 @@ pub struct CalendarQueue<M> {
     spare: Vec<Vec<(u128, u32)>>,
     /// Keys beyond the bucket window.
     overflow: Vec<(u128, u32)>,
+    /// The emptied overflow list of the last re-anchor, kept for its
+    /// capacity: the next re-anchor swaps it back in.
+    refiling: Vec<(u128, u32)>,
     cur_bucket: i64,
     /// Last bucket index of the current window (fixed at anchor time).
     /// Every overflow key has a bucket index past `window_end`, so it is
@@ -127,6 +157,12 @@ pub struct CalendarQueue<M> {
     /// advances within the window.
     window_end: i64,
     width: f64,
+    /// What the next re-tune goes by: the time the window was anchored at,
+    /// and the number and latest time of the events popped since.
+    anchor_time: f64,
+    pops_since_anchor: u64,
+    last_pop_time: f64,
+    stats: QueueStats,
 }
 
 const NO_SLOT: u32 = u32::MAX;
@@ -148,10 +184,20 @@ impl<M> CalendarQueue<M> {
             buckets: std::collections::VecDeque::new(),
             spare: Vec::new(),
             overflow: Vec::new(),
+            refiling: Vec::new(),
             cur_bucket: 0,
             window_end: NUM_BUCKETS,
             width: 0.25,
+            anchor_time: 0.0,
+            pops_since_anchor: 0,
+            last_pop_time: 0.0,
+            stats: QueueStats::default(),
         }
+    }
+
+    /// The layout counters accumulated since construction.
+    pub fn stats(&self) -> QueueStats {
+        self.stats
     }
 
     /// Number of pending events.
@@ -232,8 +278,8 @@ impl<M> CalendarQueue<M> {
     }
 
     /// Files a packed key into the serving heap, a calendar bucket or the
-    /// overflow list.
-    fn file(&mut self, key: u128, slot: u32, time: f64) {
+    /// overflow list; `true` if it went to the overflow list.
+    fn file(&mut self, key: u128, slot: u32, time: f64) -> bool {
         let b = self.bucket_of(time);
         if b <= self.cur_bucket {
             self.serving.push(Reverse((key, slot)));
@@ -246,7 +292,9 @@ impl<M> CalendarQueue<M> {
             self.buckets[idx].push((key, slot));
         } else {
             self.overflow.push((key, slot));
+            return true;
         }
+        false
     }
 
     /// Schedules an event; the next sequence number is assigned
@@ -283,7 +331,9 @@ impl<M> CalendarQueue<M> {
         let class = payload.class_rank();
         let id = self.alloc_slot(seq, time, target, payload);
         let key = pack_key(time, class, seq);
-        self.file(key, id.index, time);
+        if self.file(key, id.index, time) {
+            self.stats.overflow_pushes += 1;
+        }
         self.live += 1;
         id
     }
@@ -334,6 +384,7 @@ impl<M> CalendarQueue<M> {
             }
             if let Some(mut front) = self.buckets.pop_front() {
                 self.cur_bucket += 1;
+                self.stats.bucket_steps += 1;
                 self.serving.extend(front.drain(..).map(Reverse));
                 self.spare.push(front);
             } else {
@@ -343,21 +394,30 @@ impl<M> CalendarQueue<M> {
     }
 
     /// Re-anchors the calendar on the overflow list, re-tuning the bucket
-    /// width from the observed span (a pure function of the pending keys,
-    /// so deterministic).
+    /// width from the events popped since the last re-anchor (a pure
+    /// function of the push/pop history, so deterministic): had they come
+    /// at an even pace, the new width would have put `BUCKET_TARGET` of them
+    /// in every bucket. A window in which nothing was popped, or everything
+    /// at one instant, says nothing about the pace and keeps the width.
     fn reanchor(&mut self) {
         debug_assert!(!self.overflow.is_empty());
-        let min_bits = (self.overflow.iter().map(|&(k, _)| k).min().unwrap() >> 64) as u64;
-        let max_bits = (self.overflow.iter().map(|&(k, _)| k).max().unwrap() >> 64) as u64;
-        let tmin = bits_time(min_bits);
-        let tmax = bits_time(max_bits);
-        if tmax > tmin {
-            self.width = ((tmax - tmin) / (NUM_BUCKETS as f64 / 2.0)).max(MIN_WIDTH);
+        self.stats.reanchors += 1;
+        let elapsed = self.last_pop_time - self.anchor_time;
+        if self.pops_since_anchor > 0 && elapsed > 0.0 {
+            let per_event = elapsed / self.pops_since_anchor as f64;
+            self.width = (BUCKET_TARGET * per_event).max(MIN_WIDTH);
         }
+        let min_bits = (self.overflow.iter().map(|&(k, _)| k).min().unwrap() >> 64) as u64;
+        let tmin = bits_time(min_bits);
+        self.anchor_time = tmin;
+        self.pops_since_anchor = 0;
         self.cur_bucket = self.bucket_of(tmin);
         self.window_end = self.cur_bucket.saturating_add(NUM_BUCKETS);
-        let pending = std::mem::take(&mut self.overflow);
-        for (key, slot) in pending {
+        // The list being re-filed is owned here while `file` fills the other
+        // one; the two swap roles, so neither gives its capacity back.
+        let spare = std::mem::take(&mut self.refiling);
+        let mut pending = std::mem::replace(&mut self.overflow, spare);
+        for &(key, slot) in &pending {
             let time = match self.slab.get(slot as usize) {
                 Some(Slot::Occupied { seq, time, .. })
                     if *seq == (key & ((1 << 62) - 1)) as u64 =>
@@ -369,6 +429,14 @@ impl<M> CalendarQueue<M> {
             };
             self.file(key, slot, time);
         }
+        pending.clear();
+        self.refiling = pending;
+    }
+
+    /// Notes `count` events popped at `time` for the next re-tune.
+    fn note_popped(&mut self, count: usize, time: f64) {
+        self.pops_since_anchor += count as u64;
+        self.last_pop_time = time;
     }
 
     /// Time of the earliest pending event.
@@ -385,6 +453,7 @@ impl<M> CalendarQueue<M> {
         let seq = (key & ((1 << 62) - 1)) as u64;
         let (time, target, payload) = self.take_slot(slot);
         self.live -= 1;
+        self.note_popped(1, time);
         Some(Event {
             time,
             seq,
@@ -432,6 +501,7 @@ impl<M> CalendarQueue<M> {
                 payload,
             });
         }
+        self.note_popped(batch.len(), bits_time(batch_bits));
     }
 
     fn take_slot(&mut self, slot: u32) -> (f64, SiteId, EventPayload<M>) {
@@ -599,6 +669,46 @@ mod tests {
         }
         assert!(cal.is_empty());
         assert_eq!(cal.peek_time(), None);
+    }
+
+    /// The §7 start-up burst followed by a sparse stream: the burst must
+    /// not pin the bucket width. Every event of the sparse phase schedules
+    /// its successor, as a simulation does.
+    #[test]
+    fn a_dense_burst_does_not_pin_the_width() {
+        let mut cal = CalendarQueue::new();
+        let mut heap = EventQueue::new();
+        for i in 0..2_000u32 {
+            let t = i as f64 / 2_000.0;
+            cal.push(t, SiteId(0), payload(i));
+            heap.push(t, SiteId(0), payload(i));
+        }
+        for _ in 0..1_999 {
+            assert_eq!(cal.pop().map(|e| e.seq), heap.pop().map(|e| e.seq));
+        }
+        let burst = cal.stats();
+        let (pops, pushes) = (2_000, 2_000);
+        for i in 0..pops {
+            let (a, b) = (cal.pop().unwrap(), heap.pop().unwrap());
+            assert_eq!((a.time, a.seq), (b.time, b.seq));
+            if i + 1 < pushes {
+                cal.push(a.time + 4.0, SiteId(0), payload(i));
+                heap.push(a.time + 4.0, SiteId(0), payload(i));
+            }
+        }
+        assert!(cal.is_empty() && heap.is_empty());
+        let sparse = cal.stats();
+        let steps = sparse.bucket_steps - burst.bucket_steps;
+        let overflowed = sparse.overflow_pushes - burst.overflow_pushes;
+        assert!(
+            steps <= 2 * pops as u64,
+            "{steps} bucket steps for {pops} sparse pops"
+        );
+        assert!(
+            overflowed * 20 < pushes as u64,
+            "{overflowed} of {pushes} sparse pushes overflowed"
+        );
+        assert!(sparse.reanchors - burst.reanchors <= 8, "{sparse:?}");
     }
 
     #[test]

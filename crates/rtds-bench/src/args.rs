@@ -1,15 +1,15 @@
-//! A tiny shared argument parser for the experiment binaries (no external
+//! The shared argument parser of the `rtds-exp` subcommands (no external
 //! dependencies — the build environment has no registry access).
 //!
-//! Every `exp_*` binary accepts at least:
+//! Every subcommand accepts at least:
 //!
-//! * `--seed <u64>` — the workload/system seed that used to be a hard-coded
-//!   constant (each binary documents its default);
+//! * `--seed <u64>` — the workload/system seed (each experiment documents
+//!   its default);
 //! * `--json <path>` — write the experiment's machine-readable report to
 //!   `path` in addition to the human-readable stdout tables.
 //!
-//! Binaries may layer extra value-taking flags (`exp_scenarios` adds
-//! `--scenario`, `--seeds`, `--threads`; `exp_workloads` adds
+//! Subcommands layer extra value-taking flags (`scenarios` adds
+//! `--scenario`, `--seeds`, `--threads`; `workloads` adds
 //! `--jobs`/`--rate`/`--record`/`--replay`) and boolean flags (`--list`,
 //! `--smoke`) through [`ExpArgs::value_of`] / [`ExpArgs::has`]. Both
 //! `--flag value` and `--flag=value` spellings are accepted for value
@@ -19,10 +19,10 @@
 //! core ([`ExpArgs::try_from_vec`]) is exposed so that rejection behaviour
 //! is unit-testable instead of living behind `process::exit`.
 
-use rtds_scenarios::Json;
+use rtds_scenarios::{Json, Scenario};
 
-/// Parsed command-line arguments of one experiment binary: an ordered list
-/// of `(flag, optional value)` pairs.
+/// Parsed command-line arguments of one experiment: an ordered list of
+/// `(flag, optional value)` pairs.
 #[derive(Debug, Clone)]
 pub struct ExpArgs {
     binary: String,
@@ -32,18 +32,11 @@ pub struct ExpArgs {
 }
 
 impl ExpArgs {
-    /// Parses the process arguments, accepting `--seed` and `--json` plus
-    /// the given extra value-taking flags and boolean flags (names without
-    /// `--`). Aborts with a usage message on unknown flags, stray
-    /// positionals, or a value handed to a boolean flag.
-    pub fn parse(value_flags: &[&'static str], bool_flags: &[&'static str]) -> ExpArgs {
-        let mut argv = std::env::args();
-        let binary = argv.next().unwrap_or_else(|| "exp".into());
-        Self::from_vec(&binary, argv.collect(), value_flags, bool_flags)
-    }
-
-    /// Infallible constructor from an explicit argument vector (exits the
-    /// process with the usage message on malformed input, like `parse`).
+    /// Parses an explicit argument vector, accepting `--seed` and `--json`
+    /// plus the given extra value-taking flags and boolean flags (names
+    /// without `--`). Exits the process with status 2 and a usage message on
+    /// unknown flags, stray positionals, or a value handed to a boolean
+    /// flag. `binary` is the name the usage message prints.
     pub fn from_vec(
         binary: &str,
         args: Vec<String>,
@@ -126,7 +119,9 @@ impl ExpArgs {
         })
     }
 
-    fn usage_error(&self, message: &str) -> ! {
+    /// Aborts with `message` and the usage line (exit status 2) — how an
+    /// experiment rejects a flag value the parser itself cannot judge.
+    pub fn usage_error(&self, message: &str) -> ! {
         eprintln!(
             "{}",
             usage(&self.binary, &self.known, &self.booleans, message)
@@ -159,45 +154,42 @@ impl ExpArgs {
         }
     }
 
-    /// The `--seed` value, or `default` (the binary's historical constant).
-    pub fn seed(&self, default: u64) -> u64 {
-        match self.value_of("seed") {
+    /// A flag parsed with `FromStr`, or `default` when absent; a value that
+    /// does not parse (or fails `valid`) is a usage error naming `kind`.
+    fn parsed_of<T: std::str::FromStr>(
+        &self,
+        flag: &str,
+        default: T,
+        kind: &str,
+        valid: fn(&T) -> bool,
+    ) -> T {
+        match self.value_of(flag) {
             None => default,
-            Some(raw) => raw
-                .parse()
-                .unwrap_or_else(|_| self.usage_error(&format!("--seed: not a u64: {raw:?}"))),
+            Some(raw) => match raw.parse::<T>() {
+                Ok(value) if valid(&value) => value,
+                _ => self.usage_error(&format!("--{flag}: not a {kind}: {raw:?}")),
+            },
         }
+    }
+
+    /// The `--seed` value, or `default` (the experiment's historical constant).
+    pub fn seed(&self, default: u64) -> u64 {
+        self.u64_of("seed", default)
     }
 
     /// A generic `usize` flag with a default.
     pub fn usize_of(&self, flag: &str, default: usize) -> usize {
-        match self.value_of(flag) {
-            None => default,
-            Some(raw) => raw
-                .parse()
-                .unwrap_or_else(|_| self.usage_error(&format!("--{flag}: not a usize: {raw:?}"))),
-        }
+        self.parsed_of(flag, default, "usize", |_| true)
     }
 
     /// A generic `u64` flag with a default.
     pub fn u64_of(&self, flag: &str, default: u64) -> u64 {
-        match self.value_of(flag) {
-            None => default,
-            Some(raw) => raw
-                .parse()
-                .unwrap_or_else(|_| self.usage_error(&format!("--{flag}: not a u64: {raw:?}"))),
-        }
+        self.parsed_of(flag, default, "u64", |_| true)
     }
 
     /// A generic finite `f64` flag with a default.
     pub fn f64_of(&self, flag: &str, default: f64) -> f64 {
-        match self.value_of(flag) {
-            None => default,
-            Some(raw) => match raw.parse::<f64>() {
-                Ok(x) if x.is_finite() => x,
-                _ => self.usage_error(&format!("--{flag}: not a finite number: {raw:?}")),
-            },
-        }
+        self.parsed_of(flag, default, "finite number", |x| x.is_finite())
     }
 
     /// The `--json` output path, if requested.
@@ -210,6 +202,45 @@ impl ExpArgs {
         if let Some(path) = self.json_path() {
             write_json_report(path, &report.render());
         }
+    }
+
+    /// Writes the `{experiment, seed, rows}` document of a table experiment
+    /// to the `--json` path when one was given.
+    pub fn write_rows(&self, experiment: &str, seed: u64, rows: Vec<Json>) {
+        self.write_json(&Json::object(vec![
+            ("experiment", Json::str(experiment)),
+            ("seed", Json::UInt(seed)),
+            ("rows", Json::Array(rows)),
+        ]));
+    }
+
+    /// The `--scenario <name|all>` × `--seed`/`--seeds` selection of the
+    /// registry-driven experiments: the chosen scenarios out of `pool` (all
+    /// of them by default, in registry order), the `--seed` value (1 by
+    /// default) and the `--seeds` consecutive seeds starting there (at
+    /// least one). A name outside the pool is a usage error.
+    pub fn selection(
+        &self,
+        pool: Vec<Scenario>,
+        default_seeds: usize,
+    ) -> (Vec<Scenario>, u64, Vec<u64>) {
+        let scenarios = match self.value_of("scenario") {
+            None | Some("all") => pool,
+            Some(name) => match pool.iter().find(|s| s.name == name) {
+                Some(s) => vec![s.clone()],
+                None => {
+                    let names: Vec<&str> = pool.iter().map(|s| s.name.as_str()).collect();
+                    self.usage_error(&format!(
+                        "--scenario: unknown scenario {name:?} (one of: all, {})",
+                        names.join(", ")
+                    ))
+                }
+            },
+        };
+        let base_seed = self.seed(1);
+        let count = self.usize_of("seeds", default_seeds).max(1) as u64;
+        let seeds = (0..count).map(|i| base_seed + i).collect();
+        (scenarios, base_seed, seeds)
     }
 }
 
@@ -310,7 +341,7 @@ mod tests {
     #[test]
     fn boolean_flags_never_absorb_values() {
         // A forgotten flag name must not vanish into a boolean flag
-        // (e.g. `exp_perf --smoke BENCH_5.json` missing `--baseline`).
+        // (e.g. `perf --smoke BENCH_5.json` missing `--baseline`).
         let err = try_args(&["--list", "whoops.json"]).unwrap_err();
         assert!(err.contains("unexpected argument \"whoops.json\""), "{err}");
         let err = try_args(&["--list=yes"]).unwrap_err();
@@ -318,6 +349,21 @@ mod tests {
         // Usage renders booleans without a value placeholder.
         assert!(err.contains("[--list]"), "{err}");
         assert!(err.contains("[--rate <value>]"), "{err}");
+    }
+
+    #[test]
+    fn selection_filters_the_pool_and_lists_consecutive_seeds() {
+        let parse = |v: &[&str]| {
+            let v = v.iter().map(|s| s.to_string()).collect();
+            ExpArgs::try_from_vec("exp_test", v, &["scenario", "seeds"], &[]).unwrap()
+        };
+        let pool = rtds_scenarios::builtin_scenarios();
+        let (all, base, seeds) = parse(&["--scenario", "all"]).selection(pool.clone(), 3);
+        assert_eq!((all.len(), base, seeds), (pool.len(), 1, vec![1, 2, 3]));
+        let picked = parse(&["--scenario", &pool[1].name, "--seed=7", "--seeds=0"]);
+        let (one, base, seeds) = picked.selection(pool.clone(), 3);
+        assert_eq!((one.len(), base, seeds), (1, 7, vec![7]));
+        assert_eq!(one[0].name, pool[1].name);
     }
 
     #[test]

@@ -3,17 +3,16 @@
 //! the exact-ACS-diameter variant, each compared against the base
 //! configuration on the same workload.
 //!
-//! Run with: `cargo run --release -p rtds-bench --bin exp_extensions_ablation`
-//! (`--seed <u64>` defaults to 8, `--json <path>` dumps the table).
+//! `--seed <u64>` defaults to 8, `--json <path>` dumps the table.
 
+use rtds_bench::harness::opt_num;
 use rtds_bench::{comparison_row, workload, ExpArgs, WorkloadSpec};
 use rtds_core::{LaxityDispatch, RtdsConfig};
 use rtds_net::generators::{ring, DelayDistribution};
 use rtds_net::SiteId;
 use rtds_scenarios::Json;
 
-fn main() {
-    let args = ExpArgs::parse(&[], &[]);
+pub fn run(args: ExpArgs) {
     let seed = args.seed(8);
     // Heterogeneous ring: even sites are twice as fast.
     let mut network = ring(16, DelayDistribution::Constant(1.0), 2);
@@ -97,18 +96,11 @@ fn main() {
             ("configuration", Json::str(label)),
             ("accepted", Json::UInt(row.accepted)),
             ("submitted", Json::UInt(row.submitted)),
-            ("ratio", row.ratio.map(Json::Num).unwrap_or(Json::Null)),
-            (
-                "messages_per_job",
-                row.messages_per_job.map(Json::Num).unwrap_or(Json::Null),
-            ),
+            ("ratio", opt_num(row.ratio)),
+            ("messages_per_job", opt_num(row.messages_per_job)),
         ]));
     }
-    args.write_json(&Json::object(vec![
-        ("experiment", Json::str("extensions_ablation")),
-        ("seed", Json::UInt(seed)),
-        ("rows", Json::Array(json_rows)),
-    ]));
+    args.write_rows("extensions_ablation", seed, json_rows);
     println!();
     println!("Expected shape: preemption and uniform-machine awareness add a few accepted");
     println!("jobs (more insertion freedom, faster sites charged correctly); the exact ACS");

@@ -2,16 +2,15 @@
 //! random-offload, broadcast-bidding and the centralized oracle on a grid
 //! with hotspot arrivals.
 //!
-//! Run with: `cargo run --release -p rtds-bench --bin exp_acceptance_vs_load`
-//! (`--seed <u64>` defaults to 42, `--json <path>` dumps the table).
+//! `--seed <u64>` defaults to 42, `--json <path>` dumps the table.
 
-use rtds_bench::{parallel_sweep, policy_comparison, workload, ExpArgs, WorkloadSpec};
+use rtds_bench::harness::{default_threads, policy_ratio};
+use rtds_bench::{policy_comparison, workload, ExpArgs, WorkloadSpec};
 use rtds_core::RtdsConfig;
 use rtds_net::generators::{grid, DelayDistribution};
-use rtds_scenarios::Json;
+use rtds_scenarios::{parallel_sweep_sharded, Json};
 
-fn main() {
-    let args = ExpArgs::parse(&[], &[]);
+pub fn run(args: ExpArgs) {
     let seed = args.seed(42);
     let network = grid(5, 5, false, DelayDistribution::Constant(1.0), 3);
     let rates = vec![0.01, 0.02, 0.04, 0.08, 0.16];
@@ -21,10 +20,9 @@ fn main() {
         "{:>8} {:>6} | {:>8} {:>8} {:>8} {:>8} {:>8} {:>8}",
         "rate", "jobs", "rtds", "local", "random", "bcast", "heft", "oracle"
     );
-    let net = network.clone();
-    let rows = parallel_sweep(rates.clone(), move |rate| {
+    let rows = parallel_sweep_sharded(rates, default_threads(), |rate| {
         let jobs = workload(
-            &net,
+            &network,
             WorkloadSpec {
                 rate,
                 horizon: 300.0,
@@ -33,17 +31,12 @@ fn main() {
                 ..WorkloadSpec::default()
             },
         );
-        let rows = policy_comparison(&net, &jobs, RtdsConfig::default(), 7);
+        let rows = policy_comparison(&network, &jobs, RtdsConfig::default(), 7);
         (rate, jobs.len(), rows)
     });
     let mut json_rows = Vec::new();
     for (rate, njobs, rows) in rows {
-        let ratio = |name: &str| {
-            rows.iter()
-                .find(|r| r.policy == name)
-                .and_then(|r| r.ratio)
-                .unwrap_or(f64::NAN)
-        };
+        let ratio = |name: &str| policy_ratio(&rows, name);
         println!(
             "{:>8.3} {:>6} | {:>8.3} {:>8.3} {:>8.3} {:>8.3} {:>8.3} {:>8.3}",
             rate,
@@ -67,11 +60,7 @@ fn main() {
             ("centralized_oracle", Json::Num(ratio("centralized-oracle"))),
         ]));
     }
-    args.write_json(&Json::object(vec![
-        ("experiment", Json::str("acceptance_vs_load")),
-        ("seed", Json::UInt(seed)),
-        ("rows", Json::Array(json_rows)),
-    ]));
+    args.write_rows("acceptance_vs_load", seed, json_rows);
     println!();
     println!("Expected shape (paper §14): RTDS accepts more jobs than no cooperation");
     println!("(local-only) and blind forwarding, approaches the broadcast/oracle curve");

@@ -2,13 +2,12 @@
 //! (local test, ACS enrollment, trial mapping, validation, permutation,
 //! execution) on a small network.
 //!
-//! Run with: `cargo run -p rtds-bench --bin exp_fig1_overview`
-//! (`--seed <u64>` defaults to 1 and seeds the system; `--json <path>`
+//! `--seed <u64>` defaults to 1 and seeds the system; `--json <path>`
 //! dumps the stage counts; `--trace-out <p>` / `--chrome-trace <p>` export
 //! the captured span trace as `rtds-trace/1` JSONL / Chrome `about:tracing`
-//! JSON — see `docs/TRACING.md`).
+//! JSON — see `docs/TRACING.md`.
 
-use rtds_bench::{ExpArgs, TraceSetup, TRACE_FLAGS};
+use rtds_bench::{ExpArgs, TraceSetup};
 use rtds_core::{RtdsConfig, RtdsSystem};
 use rtds_graph::paper_instance::paper_job;
 use rtds_graph::{Job, JobId, JobParams, TaskGraph, TaskId};
@@ -25,8 +24,7 @@ fn blocking_job(id: u64, site: usize) -> Job {
     Job::new(JobId(id), g, JobParams::new(0.0, 70.0), site)
 }
 
-fn main() {
-    let args = ExpArgs::parse(&TRACE_FLAGS, &[]);
+pub fn run(args: ExpArgs) {
     let tracing = TraceSetup::from_args(&args);
     let seed = args.seed(1);
     let network = line(4, DelayDistribution::Constant(1.0), 0);

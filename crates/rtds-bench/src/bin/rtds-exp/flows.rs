@@ -1,4 +1,4 @@
-//! `exp_flows` — E7: the shared-bandwidth flow plane under contention.
+//! E7 — the shared-bandwidth flow plane under contention.
 //!
 //! Runs the registry's flow scenarios (`incast-storm`,
 //! `bandwidth-starved-sphere`, `transfer-vs-compute`), where every §11
@@ -9,8 +9,8 @@
 //! `--seed` — so two runs with the same flags are byte-identical.
 //!
 //! ```text
-//! exp_flows [--scenario <name|all>] [--seed <u64>] [--seeds <n>]
-//!           [--json <path>] [--assert-contention]
+//! rtds-exp flows [--scenario <name|all>] [--seed <u64>] [--seeds <n>]
+//!                [--json <path>] [--assert-contention]
 //! ```
 //!
 //! `--assert-contention` is the CI tripwire for the model itself: under
@@ -19,12 +19,15 @@
 //! uncontended analytic bound `max(shipped volume) / min(link bandwidth)`.
 //! Any single flow alone in the network finishes within that bound, so
 //! exceeding it proves transfers actually share bandwidth — if the flow
-//! plane ever degraded to per-flow full capacity, this exits nonzero.
+//! plane ever degraded to per-flow full capacity, this exits nonzero. So
+//! does a deadline miss or a shipped input that never arrived — after the
+//! whole table is printed and the report written.
 
+use rtds_bench::harness::{cell_outcome_fields, cells_accepted, require_no_deadline_misses};
 use rtds_bench::{write_json_report, ExpArgs};
-use rtds_scenarios::{builtin_scenarios, find_scenario, run_cell, CellReport, Json, Scenario};
+use rtds_scenarios::{builtin_scenarios, run_cell, CellReport, Json, Scenario};
 use rtds_sim::metrics_json::summary_to_json;
-use rtds_sim::Histogram;
+use rtds_sim::MetricsRegistry;
 
 /// Identifier of the report schema (bump on breaking field changes).
 const FLOWS_SCHEMA: &str = "rtds-exp-flows/1";
@@ -33,10 +36,9 @@ const FLOWS_SCHEMA: &str = "rtds-exp-flows/1";
 struct ScenarioFlows {
     scenario: Scenario,
     cells: Vec<CellReport>,
-    transfer_time: Histogram,
-    flow_rate: Histogram,
-    link_utilization: Histogram,
-    task_data_volume: Histogram,
+    /// The cells' telemetry folded together: counters add, histograms merge
+    /// bucket-wise.
+    metrics: MetricsRegistry,
     /// Smallest link capacity over every seed's built network.
     min_bandwidth: f64,
 }
@@ -45,10 +47,7 @@ impl ScenarioFlows {
     fn run(scenario: Scenario, seeds: &[u64]) -> Self {
         let mut out = ScenarioFlows {
             cells: Vec::new(),
-            transfer_time: Histogram::new(),
-            flow_rate: Histogram::new(),
-            link_utilization: Histogram::new(),
-            task_data_volume: Histogram::new(),
+            metrics: MetricsRegistry::new(),
             min_bandwidth: f64::INFINITY,
             scenario,
         };
@@ -59,13 +58,7 @@ impl ScenarioFlows {
                 out.min_bandwidth = out.min_bandwidth.min(capacity);
             }
             let cell = run_cell(&out.scenario, seed);
-            out.transfer_time
-                .merge(&cell.metrics.histogram("transfer_time"));
-            out.flow_rate.merge(&cell.metrics.histogram("flow_rate"));
-            out.link_utilization
-                .merge(&cell.metrics.histogram("link_utilization"));
-            out.task_data_volume
-                .merge(&cell.metrics.histogram("task_data_volume"));
+            out.metrics.merge(&cell.metrics);
             out.cells.push(cell);
         }
         out
@@ -77,19 +70,16 @@ impl ScenarioFlows {
     /// its bottleneck link). A p99 transfer time above it proves flows
     /// were sharing bandwidth.
     fn uncontended_bound(&self) -> f64 {
-        self.task_data_volume.max() / self.min_bandwidth
+        self.metrics.histogram("task_data_volume").max() / self.min_bandwidth
     }
 
     fn p99_transfer_time(&self) -> f64 {
-        self.transfer_time.quantile(0.99)
+        self.metrics.histogram("transfer_time").quantile(0.99)
     }
 
     fn contended(&self) -> bool {
-        !self.transfer_time.is_empty() && self.p99_transfer_time() > self.uncontended_bound()
-    }
-
-    fn counter(&self, name: &str) -> u64 {
-        self.cells.iter().map(|c| c.metrics.counter(name)).sum()
+        !self.metrics.histogram("transfer_time").is_empty()
+            && self.p99_transfer_time() > self.uncontended_bound()
     }
 
     fn to_json(&self) -> Json {
@@ -97,13 +87,9 @@ impl ScenarioFlows {
             .cells
             .iter()
             .map(|c| {
-                Json::object(vec![
-                    ("seed", Json::UInt(c.seed)),
-                    ("submitted", Json::UInt(c.submitted)),
-                    ("accepted_locally", Json::UInt(c.accepted_locally)),
-                    ("accepted_distributed", Json::UInt(c.accepted_distributed)),
-                    ("rejected", Json::UInt(c.rejected)),
-                    ("deadline_misses", Json::UInt(c.deadline_misses)),
+                let mut fields = vec![("seed", Json::UInt(c.seed))];
+                fields.extend(cell_outcome_fields(c));
+                fields.extend([
                     ("guarantee_ratio", Json::Num(c.guarantee_ratio)),
                     (
                         "flows_started",
@@ -127,30 +113,26 @@ impl ScenarioFlows {
                     ),
                     ("finished_at", Json::Num(c.finished_at)),
                     ("events_processed", Json::UInt(c.events_processed)),
-                ])
+                ]);
+                Json::object(fields)
             })
             .collect();
+        let summary = |name: &str| summary_to_json(&self.metrics.histogram(name).summary());
         Json::object(vec![
             ("name", Json::str(&self.scenario.name)),
             ("description", Json::str(&self.scenario.description)),
             ("cells", Json::Array(cells)),
-            (
-                "transfer_time",
-                summary_to_json(&self.transfer_time.summary()),
-            ),
-            ("flow_rate", summary_to_json(&self.flow_rate.summary())),
-            (
-                "link_utilization",
-                summary_to_json(&self.link_utilization.summary()),
-            ),
-            (
-                "task_data_volume",
-                summary_to_json(&self.task_data_volume.summary()),
-            ),
+            ("transfer_time", summary("transfer_time")),
+            ("flow_rate", summary("flow_rate")),
+            ("link_utilization", summary("link_utilization")),
+            ("task_data_volume", summary("task_data_volume")),
             (
                 "contention",
                 Json::object(vec![
-                    ("max_volume", Json::Num(self.task_data_volume.max())),
+                    (
+                        "max_volume",
+                        Json::Num(self.metrics.histogram("task_data_volume").max()),
+                    ),
                     ("min_bandwidth", Json::Num(self.min_bandwidth)),
                     ("uncontended_bound", Json::Num(self.uncontended_bound())),
                     ("p99_transfer_time", Json::Num(self.p99_transfer_time())),
@@ -161,26 +143,12 @@ impl ScenarioFlows {
     }
 }
 
-fn main() {
-    let args = ExpArgs::parse(&["scenario", "seeds"], &["assert-contention"]);
+pub fn run(args: ExpArgs) {
     let flow_scenarios: Vec<Scenario> = builtin_scenarios()
         .into_iter()
         .filter(|s| s.config.flow_transfers)
         .collect();
-    let selected: Vec<Scenario> = match args.value_of("scenario") {
-        None | Some("all") => flow_scenarios,
-        Some(name) => match find_scenario(name).filter(|s| s.config.flow_transfers) {
-            Some(s) => vec![s],
-            None => {
-                eprintln!("unknown flow scenario {name:?}");
-                std::process::exit(2);
-            }
-        },
-    };
-
-    let base_seed = args.seed(1);
-    let seed_count = args.usize_of("seeds", 3).max(1);
-    let seeds: Vec<u64> = (0..seed_count as u64).map(|i| base_seed + i).collect();
+    let (selected, base_seed, seeds) = args.selection(flow_scenarios, 3);
 
     println!(
         "== E7: flow plane under contention ({} scenario(s) x {} seed(s) from {}) ==",
@@ -195,35 +163,26 @@ fn main() {
     );
 
     let mut results = Vec::new();
+    let (mut misses, mut undelivered) = (0u64, 0u64);
     for scenario in selected {
         let result = ScenarioFlows::run(scenario, &seeds);
         let submitted: u64 = result.cells.iter().map(|c| c.submitted).sum();
-        let accepted: u64 = result
-            .cells
-            .iter()
-            .map(|c| c.accepted_locally + c.accepted_distributed)
-            .sum();
+        let accepted = cells_accepted(&result.cells);
         println!(
             "{:<26} {:>6.3} {:>7} {:>7} {:>10.2} {:>10.2} {:>10}",
             result.scenario.name,
             accepted as f64 / submitted.max(1) as f64,
-            result.counter("sim_flow_finished"),
-            result.counter("task_data_sent"),
+            result.metrics.counter("sim_flow_finished"),
+            result.metrics.counter("task_data_sent"),
             result.p99_transfer_time(),
             result.uncontended_bound(),
             result.contended(),
         );
-        for cell in &result.cells {
-            assert_eq!(
-                cell.deadline_misses, 0,
-                "accepted jobs must never miss deadlines, even under contention"
-            );
-        }
-        assert_eq!(
-            result.counter("task_data_sent"),
-            result.counter("task_data_received"),
-            "every shipped input must arrive (flow scenarios lose no messages)"
-        );
+        misses += result.cells.iter().map(|c| c.deadline_misses).sum::<u64>();
+        undelivered += result
+            .metrics
+            .counter("task_data_sent")
+            .abs_diff(result.metrics.counter("task_data_received"));
         results.push(result);
     }
     println!();
@@ -244,6 +203,15 @@ fn main() {
             ),
         ]);
         write_json_report(path, &report.render());
+    }
+
+    require_no_deadline_misses(misses);
+    if undelivered > 0 {
+        eprintln!(
+            "delivery check FAILED: {undelivered} shipped input(s) never arrived \
+             (flow scenarios lose no messages)"
+        );
+        std::process::exit(1);
     }
 
     if args.has("assert-contention") {

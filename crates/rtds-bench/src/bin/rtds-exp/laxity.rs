@@ -3,16 +3,15 @@
 //! scattering, (ii) window scaling) and shows how the guarantee ratio decays
 //! as windows shrink.
 //!
-//! Run with: `cargo run --release -p rtds-bench --bin exp_laxity_tightness`
-//! (`--seed <u64>` defaults to 33, `--json <path>` dumps the table).
+//! `--seed <u64>` defaults to 33, `--json <path>` dumps the table.
 
-use rtds_bench::{parallel_sweep, policy_comparison, workload, ExpArgs, WorkloadSpec};
+use rtds_bench::harness::{default_threads, policy_ratio};
+use rtds_bench::{policy_comparison, workload, ExpArgs, WorkloadSpec};
 use rtds_core::RtdsConfig;
 use rtds_net::generators::{grid, DelayDistribution};
-use rtds_scenarios::Json;
+use rtds_scenarios::{parallel_sweep_sharded, Json};
 
-fn main() {
-    let args = ExpArgs::parse(&[], &[]);
+pub fn run(args: ExpArgs) {
     let seed = args.seed(33);
     let network = grid(5, 5, false, DelayDistribution::Constant(1.0), 4);
     let laxities = vec![1.1, 1.3, 1.6, 2.0, 3.0, 4.0];
@@ -22,10 +21,9 @@ fn main() {
         "{:>8} {:>6} | {:>8} {:>8} {:>8} {:>8}",
         "laxity", "jobs", "rtds", "local", "bcast", "oracle"
     );
-    let net = network.clone();
-    let rows = parallel_sweep(laxities, move |laxity| {
+    let rows = parallel_sweep_sharded(laxities, default_threads(), |laxity| {
         let jobs = workload(
-            &net,
+            &network,
             WorkloadSpec {
                 rate: 0.04,
                 horizon: 250.0,
@@ -35,17 +33,12 @@ fn main() {
                 ..WorkloadSpec::default()
             },
         );
-        let rows = policy_comparison(&net, &jobs, RtdsConfig::default(), 9);
+        let rows = policy_comparison(&network, &jobs, RtdsConfig::default(), 9);
         (laxity, jobs.len(), rows)
     });
     let mut json_rows = Vec::new();
     for (laxity, njobs, rows) in rows {
-        let ratio = |name: &str| {
-            rows.iter()
-                .find(|r| r.policy == name)
-                .and_then(|r| r.ratio)
-                .unwrap_or(f64::NAN)
-        };
+        let ratio = |name: &str| policy_ratio(&rows, name);
         println!(
             "{:>8.1} {:>6} | {:>8.3} {:>8.3} {:>8.3} {:>8.3}",
             laxity,
@@ -65,11 +58,7 @@ fn main() {
             ("centralized_oracle", Json::Num(ratio("centralized-oracle"))),
         ]));
     }
-    args.write_json(&Json::object(vec![
-        ("experiment", Json::str("laxity_tightness")),
-        ("seed", Json::UInt(seed)),
-        ("rows", Json::Array(json_rows)),
-    ]));
+    args.write_rows("laxity_tightness", seed, json_rows);
     println!();
     println!("Expected shape: with laxity close to 1 the remote option barely helps");
     println!("(communication eats the slack, adjustment case (i) rejects most mappings);");

@@ -3,21 +3,16 @@
 //! network ("our network may be unbounded since we never broadcast over all
 //! the network", §3).
 //!
-//! Run with: `cargo run --release -p rtds-bench --bin exp_overhead_vs_size`
-//! (`--seed <u64>` defaults to 5, `--json <path>` dumps the table).
+//! `--seed <u64>` defaults to 5, `--json <path>` dumps the table.
 
 use rtds_baselines::{run_broadcast_bidding, BiddingConfig};
-use rtds_bench::{comparison_row, parallel_sweep, workload, ExpArgs, WorkloadSpec};
+use rtds_bench::harness::{default_threads, opt_num};
+use rtds_bench::{comparison_row, workload, ExpArgs, WorkloadSpec};
 use rtds_core::RtdsConfig;
 use rtds_net::generators::{barabasi_albert, DelayDistribution};
-use rtds_scenarios::Json;
+use rtds_scenarios::{parallel_sweep_sharded, Json};
 
-fn opt_num(value: Option<f64>) -> Json {
-    value.map(Json::Num).unwrap_or(Json::Null)
-}
-
-fn main() {
-    let args = ExpArgs::parse(&[], &[]);
+pub fn run(args: ExpArgs) {
     let seed = args.seed(5);
     let sizes = vec![16usize, 32, 64, 128, 256, 512];
     println!("== E2: messages per job vs. network size (Barabasi-Albert, m = 2, 4 hotspots) ==");
@@ -26,7 +21,7 @@ fn main() {
         "{:>7} {:>6} | {:>14} {:>14} | {:>10} {:>10}",
         "sites", "jobs", "rtds msg/job", "bcast msg/job", "rtds", "bcast"
     );
-    let results = parallel_sweep(sizes, |n| {
+    let results = parallel_sweep_sharded(sizes, default_threads(), |n| {
         let network = barabasi_albert(n, 2, DelayDistribution::Constant(1.0), 11);
         let jobs = workload(
             &network,
@@ -76,11 +71,7 @@ fn main() {
         ]));
         rtds_costs.push(rtds.messages_per_job.unwrap_or(0.0));
     }
-    args.write_json(&Json::object(vec![
-        ("experiment", Json::str("overhead_vs_size")),
-        ("seed", Json::UInt(seed)),
-        ("rows", Json::Array(json_rows)),
-    ]));
+    args.write_rows("overhead_vs_size", seed, json_rows);
     println!();
     let first = rtds_costs.first().copied().unwrap_or(0.0);
     let last = rtds_costs.last().copied().unwrap_or(0.0);

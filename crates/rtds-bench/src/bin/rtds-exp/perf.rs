@@ -1,25 +1,23 @@
-//! `exp_perf` — the fixed performance suite behind the `BENCH_<n>.json`
-//! trajectory.
+//! The fixed determinism suite behind `BENCH_5.json`.
 //!
 //! Runs the paper-baseline scenario plus three registry scenarios scaled to
 //! 16/64/256 sites, plus the three native-sized flow scenarios of the
-//! report's `flows` section (see [`rtds_bench::perf`]), printing a
-//! throughput table and writing the deterministic-schema JSON report.
-//! Timings (`wall_ms`, `events_per_sec`) are the only nondeterministic
-//! fields; everything else is a pure function of `--seed`.
+//! report's `flows` section (see [`rtds_bench::perf`]), printing one row per
+//! workload and writing the `rtds-exp-perf/4` JSON report. Every field is a
+//! pure function of `--seed`; the schema's timing fields render as `null`
+//! (speed is measured by `benchmark/`).
 //!
 //! ```text
-//! exp_perf [--seed <u64>] [--json <path>] [--smoke] [--baseline <BENCH_N.json>]
-//!          [--soak <events> [--checkpoint <path>]] [--resume <path>]
+//! rtds-exp perf [--seed <u64>] [--json <path>] [--smoke] [--baseline <BENCH_5.json>]
+//!               [--soak <events> [--checkpoint <path>]] [--resume <path>]
 //! ```
 //!
 //! `--smoke` runs only the native paper baseline and the 16-site tier (the
 //! CI smoke configuration). `--baseline <path>` diffs this run against a
-//! previously recorded report: any deterministic-field mismatch exits
-//! nonzero — `exp_perf --baseline BENCH_5.json` is the one-line "did I
-//! change what the engine computes" check. Timings are not compared (the
-//! recorded ones come from another machine); speed is judged by
-//! `benchmark/`.
+//! recorded report: any deterministic-field mismatch exits nonzero —
+//! `rtds-exp perf --baseline BENCH_5.json` is the one-line "did I change
+//! what the engine computes" check (the same gate runs in-process inside
+//! `cargo test`). Timings recorded in the baseline are not compared.
 //!
 //! `--soak <events>` adds the streaming soak tier: an open-ended Poisson
 //! stream on a 256-site grid, capped only by the event budget, reported in
@@ -32,7 +30,7 @@
 //! a previously written soak snapshot (same `--seed`!) and drives it to
 //! its original cap.
 
-use rtds_bench::perf::{compare_with_baseline, run_perf_suite, PERF_TIERS};
+use rtds_bench::perf::{compare_with_baseline, run_perf_suite};
 use rtds_bench::{resume_soak, run_soak, write_json_report, ExpArgs, SoakResult};
 
 /// Runs (or resumes) the optional soak tier according to the CLI flags.
@@ -71,51 +69,39 @@ fn soak_tier(args: &ExpArgs, seed: u64) -> Option<SoakResult> {
     )
 }
 
-fn main() {
-    let args = ExpArgs::parse(&["baseline", "soak", "checkpoint", "resume"], &["smoke"]);
+pub fn run(args: ExpArgs) {
     let seed = args.seed(7);
     let smoke = args.has("smoke");
     println!(
-        "exp_perf: fixed suite, seed {seed}{}",
+        "rtds-exp perf: fixed suite, seed {seed}{}",
         if smoke { ", smoke tier only" } else { "" }
     );
     println!();
     println!(
-        "{:<26} {:>5} {:>5} {:>6} {:>9} {:>9} {:>10} {:>9} {:>12}",
-        "workload", "sites", "jobs", "ratio", "msgs", "msgs/job", "events", "wall ms", "events/s"
+        "{:<26} {:>5} {:>5} {:>6} {:>9} {:>9} {:>10}",
+        "workload", "sites", "jobs", "ratio", "msgs", "msgs/job", "events"
     );
     let mut report = run_perf_suite(seed, smoke);
     for w in report.workloads.iter().chain(&report.flows) {
+        let cell = &w.cell;
         println!(
-            "{:<26} {:>5} {:>5} {:>6.3} {:>9} {:>9.1} {:>10} {:>9.1} {:>12.0}",
-            w.name,
+            "{:<26} {:>5} {:>5} {:>6.3} {:>9} {:>9.1} {:>10}",
+            cell.scenario,
             w.sites,
-            w.submitted,
-            w.guarantee_ratio,
-            w.messages_sent,
-            w.messages_per_job,
-            w.events_processed,
-            w.wall.as_secs_f64() * 1e3,
-            w.events_per_sec()
+            cell.submitted,
+            cell.guarantee_ratio,
+            cell.messages_sent,
+            cell.messages_per_job,
+            cell.events_processed,
         );
-    }
-    println!();
-    for &tier in &PERF_TIERS {
-        if report.workloads.iter().any(|w| w.tier == tier) {
-            println!(
-                "tier {tier:>3} sites: {:>12.0} events/s",
-                report.tier_events_per_sec(tier)
-            );
-        }
     }
     report.soak = soak_tier(&args, seed);
     if let Some(soak) = &report.soak {
+        let r = &soak.report;
         println!();
         println!(
-            "soak: {} events in {:.1} ms ({:.0} events/s){}",
-            soak.events_processed,
-            soak.wall.as_secs_f64() * 1e3,
-            soak.events_per_sec(),
+            "soak: {} events{}",
+            r.events_processed,
             if soak.checkpointed {
                 ", through a checkpoint"
             } else {
@@ -124,21 +110,18 @@ fn main() {
         );
         println!(
             "      {} jobs submitted, {} accepted locally, {} distributed, {} deadline misses",
-            soak.submitted, soak.accepted_locally, soak.accepted_distributed, soak.deadline_misses
+            r.guarantee.submitted,
+            r.guarantee.accepted_locally,
+            r.guarantee.accepted_distributed,
+            r.deadline_misses()
         );
         println!(
-            "      peaks: {} in-flight jobs, {} reservations, {} pending events{}",
-            soak.peak_inflight_jobs,
-            soak.peak_plan_reservations,
-            soak.peak_queue_len,
-            match soak.peak_rss_kb {
-                Some(kb) => format!(", {kb} kB RSS"),
-                None => String::new(),
-            }
+            "      peaks: {} in-flight jobs, {} reservations, {} pending events",
+            r.peak_inflight_jobs, r.peak_plan_reservations, r.peak_queue_len,
         );
     }
     if let Some(path) = args.json_path() {
-        write_json_report(path, &report.to_json(true));
+        write_json_report(path, &report.to_json());
     }
     if let Some(path) = args.value_of("baseline") {
         let text = std::fs::read_to_string(path).unwrap_or_else(|e| {

@@ -1,16 +1,15 @@
 //! E3 — the sphere-radius trade-off: a larger `h` enrols more sites (better
 //! acceptance) but costs more messages per job and a longer PCS construction.
 //!
-//! Run with: `cargo run --release -p rtds-bench --bin exp_sphere_radius`
-//! (`--seed <u64>` defaults to 19, `--json <path>` dumps the table).
+//! `--seed <u64>` defaults to 19, `--json <path>` dumps the table.
 
-use rtds_bench::{parallel_sweep, workload, ExpArgs, WorkloadSpec};
+use rtds_bench::harness::default_threads;
+use rtds_bench::{workload, ExpArgs, WorkloadSpec};
 use rtds_core::{RtdsConfig, RtdsSystem};
 use rtds_net::generators::{grid, DelayDistribution};
-use rtds_scenarios::Json;
+use rtds_scenarios::{parallel_sweep_sharded, Json};
 
-fn main() {
-    let args = ExpArgs::parse(&[], &[]);
+pub fn run(args: ExpArgs) {
     let seed = args.seed(19);
     let network = grid(6, 6, false, DelayDistribution::Constant(1.0), 1);
     let jobs = workload(
@@ -34,15 +33,13 @@ fn main() {
         "h", "accepted", "rejected", "ratio", "msgs/job", "routing msgs", "mean ACS size"
     );
     let radii = vec![1usize, 2, 3, 4, 5];
-    let net = network.clone();
-    let jobs_ref = jobs.clone();
-    let rows = parallel_sweep(radii, move |h| {
+    let rows = parallel_sweep_sharded(radii, default_threads(), |h| {
         let config = RtdsConfig {
             sphere_radius: h,
             ..RtdsConfig::default()
         };
-        let mut system = RtdsSystem::new(net.clone(), config, 2);
-        system.submit_workload(jobs_ref.clone());
+        let mut system = RtdsSystem::new(network.clone(), config, 2);
+        system.submit_workload(jobs.clone());
         let report = system.run();
         (h, report)
     });
@@ -77,11 +74,7 @@ fn main() {
             ("mean_acs_size", Json::Num(mean_acs)),
         ]));
     }
-    args.write_json(&Json::object(vec![
-        ("experiment", Json::str("sphere_radius")),
-        ("seed", Json::UInt(seed)),
-        ("rows", Json::Array(json_rows)),
-    ]));
+    args.write_rows("sphere_radius", seed, json_rows);
     println!();
     println!("Expected shape: acceptance rises quickly from h = 1 and saturates once the");
     println!("sphere covers enough idle capacity; message cost per job and the one-time");

@@ -1,5 +1,4 @@
-//! `exp_sched` — E8: local scheduler comparison (protocol vs HEFT vs
-//! lookahead).
+//! E8 — local scheduler comparison (protocol vs HEFT vs lookahead).
 //!
 //! Re-runs registry scenarios with each site's local scheduler swapped
 //! between the paper's §5/§12 critical-path list scheduler (`protocol`),
@@ -9,17 +8,20 @@
 //! function of `--seed`, so two runs with the same flags are byte-identical.
 //!
 //! ```text
-//! exp_sched [--scenario <name|all>] [--seed <u64>] [--seeds <n>]
-//!           [--json <path>]
+//! rtds-exp sched [--scenario <name|all>] [--seed <u64>] [--seeds <n>]
+//!                [--json <path>]
 //! ```
 //!
 //! Whatever the scheduler, an accepted job must never miss its deadline —
-//! the binary exits nonzero if any cell reports a miss. Undefined ratios
+//! the experiment exits nonzero if any cell reports a miss. Undefined ratios
 //! (a cell that submitted zero jobs) are printed as `-` and serialized as
 //! `null`, never as a fake `1.0` or `0.0`.
 
+use rtds_bench::harness::{
+    cell_outcome_fields, cells_accepted, opt_num, require_no_deadline_misses,
+};
 use rtds_bench::{write_json_report, ExpArgs};
-use rtds_scenarios::{builtin_scenarios, find_scenario, run_cell, CellReport, Json, Scenario};
+use rtds_scenarios::{builtin_scenarios, run_cell, CellReport, Json, Scenario};
 use rtds_sched::SchedulerKind;
 
 /// Identifier of the report schema (bump on breaking field changes).
@@ -53,10 +55,7 @@ impl VariantResult {
     }
 
     fn accepted(&self) -> u64 {
-        self.cells
-            .iter()
-            .map(|c| c.accepted_locally + c.accepted_distributed)
-            .sum()
+        cells_accepted(&self.cells)
     }
 
     fn deadline_misses(&self) -> u64 {
@@ -83,29 +82,25 @@ impl VariantResult {
     }
 
     fn to_json(&self) -> Json {
-        let opt = |v: Option<f64>| v.map(Json::Num).unwrap_or(Json::Null);
         let cells = self
             .cells
             .iter()
             .map(|c| {
-                Json::object(vec![
-                    ("seed", Json::UInt(c.seed)),
-                    ("submitted", Json::UInt(c.submitted)),
-                    ("accepted_locally", Json::UInt(c.accepted_locally)),
-                    ("accepted_distributed", Json::UInt(c.accepted_distributed)),
-                    ("rejected", Json::UInt(c.rejected)),
-                    ("deadline_misses", Json::UInt(c.deadline_misses)),
+                let mut fields = vec![("seed", Json::UInt(c.seed))];
+                fields.extend(cell_outcome_fields(c));
+                fields.extend([
                     (
                         "guarantee_ratio",
-                        opt((c.submitted > 0).then_some(c.guarantee_ratio)),
+                        opt_num((c.submitted > 0).then_some(c.guarantee_ratio)),
                     ),
                     (
                         "messages_per_job",
-                        opt((c.submitted > 0).then_some(c.messages_per_job)),
+                        opt_num((c.submitted > 0).then_some(c.messages_per_job)),
                     ),
                     ("events_processed", Json::UInt(c.events_processed)),
                     ("finished_at", Json::Num(c.finished_at)),
-                ])
+                ]);
+                Json::object(fields)
             })
             .collect();
         Json::object(vec![
@@ -113,8 +108,8 @@ impl VariantResult {
             ("submitted", Json::UInt(self.submitted())),
             ("accepted", Json::UInt(self.accepted())),
             ("deadline_misses", Json::UInt(self.deadline_misses())),
-            ("guarantee_ratio", opt(self.guarantee_ratio())),
-            ("messages_per_job", opt(self.messages_per_job())),
+            ("guarantee_ratio", opt_num(self.guarantee_ratio())),
+            ("messages_per_job", opt_num(self.messages_per_job())),
             ("cells", Json::Array(cells)),
         ])
     }
@@ -154,22 +149,8 @@ fn fmt_opt(v: Option<f64>) -> String {
     }
 }
 
-fn main() {
-    let args = ExpArgs::parse(&["scenario", "seeds"], &[]);
-    let selected: Vec<Scenario> = match args.value_of("scenario") {
-        None | Some("all") => builtin_scenarios(),
-        Some(name) => match find_scenario(name) {
-            Some(s) => vec![s],
-            None => {
-                eprintln!("unknown scenario {name:?}");
-                std::process::exit(2);
-            }
-        },
-    };
-
-    let base_seed = args.seed(1);
-    let seed_count = args.usize_of("seeds", 2).max(1);
-    let seeds: Vec<u64> = (0..seed_count as u64).map(|i| base_seed + i).collect();
+pub fn run(args: ExpArgs) {
+    let (selected, base_seed, seeds) = args.selection(builtin_scenarios(), 2);
 
     println!(
         "== E8: local scheduler comparison ({} scenario(s) x {} scheduler(s) x {} seed(s) from {}) ==",
@@ -225,9 +206,6 @@ fn main() {
         write_json_report(path, &report.render());
     }
 
-    if misses > 0 {
-        eprintln!("deadline-miss check FAILED: {misses} accepted job(s) missed their deadline");
-        std::process::exit(1);
-    }
+    require_no_deadline_misses(misses);
     println!("deadline-miss check: zero misses across every scheduler and scenario");
 }

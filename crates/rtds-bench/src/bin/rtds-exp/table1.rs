@@ -2,9 +2,8 @@
 //! and Table 1 (adjusted releases/deadlines) of the paper, and checks every
 //! value against the published numbers.
 //!
-//! Run with: `cargo run -p rtds-bench --bin exp_table1_example`
-//! (`--seed` is accepted for interface uniformity but unused — the paper
-//! instance is fixed; `--json <path>` dumps the makespans and Table 1).
+//! `--seed` is accepted for interface uniformity but unused — the paper
+//! instance is fixed; `--json <path>` dumps the makespans and Table 1.
 
 use rtds_bench::ExpArgs;
 use rtds_core::analysis::{render_gantt, render_table1};
@@ -14,8 +13,7 @@ use rtds_core::{
 use rtds_graph::paper_instance::*;
 use rtds_scenarios::Json;
 
-fn main() {
-    let args = ExpArgs::parse(&[], &[]);
+pub fn run(args: ExpArgs) {
     let _ = args.seed(0); // fixed paper instance: the seed changes nothing
     let graph = paper_task_graph();
     println!("== Fig. 2: example task graph (reconstructed) ==");

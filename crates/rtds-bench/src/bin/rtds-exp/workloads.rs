@@ -1,5 +1,5 @@
-//! `exp_workloads` — streaming open-loop workload runs with trace
-//! record/replay (the million-job driver).
+//! Streaming open-loop workload runs with trace record/replay (the
+//! million-job driver).
 //!
 //! Builds a square grid, streams jobs from a seeded open-loop arrival
 //! process through the bounded-memory execution path of `rtds-core`, and
@@ -8,12 +8,12 @@
 //! of any length keeps only the in-flight work resident.
 //!
 //! ```text
-//! exp_workloads [--seed <u64>] [--jobs <n>] [--rate <f64>]
-//!               [--process poisson|onoff|diurnal|pareto]
-//!               [--sites <n>] [--hotspots <n>]
-//!               [--record <trace.jsonl>] [--json <path>]
-//!               [--trace-out <p> | --trace-ring <n>] [--chrome-trace <p>]
-//! exp_workloads --replay <trace.jsonl> [--json <path>]
+//! rtds-exp workloads [--seed <u64>] [--jobs <n>] [--rate <f64>]
+//!                    [--process poisson|onoff|diurnal|pareto]
+//!                    [--sites <n>] [--hotspots <n>]
+//!                    [--record <trace.jsonl>] [--json <path>]
+//!                    [--trace-out <p> | --trace-ring <n>] [--chrome-trace <p>]
+//! rtds-exp workloads --replay <trace.jsonl> [--json <path>]
 //! ```
 //!
 //! The `--trace-*` flags record the *protocol* span trace (`rtds-trace/1`,
@@ -22,15 +22,16 @@
 //! also compose with `--replay`.
 //!
 //! `--rate` is the aggregate arrival rate (jobs per simulated time unit
-//! over the whole system); `--jobs` caps the stream length. `--record`
+//! over the whole system) and must be positive; `--jobs` caps the stream
+//! length and must be at least 1 (the stream has no other end). `--record`
 //! tees every arrival into a JSONL trace whose header carries the full
 //! experiment configuration, so `--replay <trace>` reconstructs the run
 //! from the file alone — and writes a byte-identical `--json` report, which
 //! is the CI round-trip check:
 //!
 //! ```text
-//! exp_workloads --seed 3 --jobs 500 --record t.jsonl --json live.json
-//! exp_workloads --replay t.jsonl --json replay.json
+//! rtds-exp workloads --seed 3 --jobs 500 --record t.jsonl --json live.json
+//! rtds-exp workloads --replay t.jsonl --json replay.json
 //! cmp live.json replay.json
 //! ```
 //!
@@ -38,7 +39,7 @@
 //! resident job count thousands of times smaller than the total (see
 //! `docs/WORKLOADS.md` for recorded numbers).
 
-use rtds_bench::{write_json_report, ExpArgs, TraceSetup, TRACE_FLAGS};
+use rtds_bench::{write_json_report, ExpArgs, TraceSetup};
 use rtds_core::{RtdsConfig, RtdsSystem, StreamOptions, StreamReport};
 use rtds_net::generators::{grid, DelayDistribution};
 use rtds_scenarios::{mix_seed, Json};
@@ -55,12 +56,7 @@ use std::time::Instant;
 /// Version 2 added the deterministic `metrics` section.
 const WORKLOADS_SCHEMA: &str = "rtds-exp-workloads/2";
 
-fn main() {
-    let mut flags = vec![
-        "jobs", "rate", "process", "sites", "hotspots", "record", "replay",
-    ];
-    flags.extend(TRACE_FLAGS);
-    let args = ExpArgs::parse(&flags, &[]);
+pub fn run(args: ExpArgs) {
     if args.has("replay") {
         // Replay reconstructs the whole run from the trace header; every
         // live-mode flag would be silently overridden, so reject them all.
@@ -88,7 +84,14 @@ fn live(args: &ExpArgs) {
     let tracing = TraceSetup::from_args(args);
     let seed = args.seed(7);
     let jobs = args.u64_of("jobs", 10_000);
+    if jobs == 0 {
+        // 0 means "no cap" to the source, and nothing else ends the stream.
+        args.usage_error("--jobs: must be at least 1");
+    }
     let rate = args.f64_of("rate", 0.5);
+    if rate <= 0.0 {
+        args.usage_error(&format!("--rate: must be positive, got {rate}"));
+    }
     let hotspots = args.usize_of("hotspots", 0);
     let requested_sites = args.usize_of("sites", 64).max(1);
     let side = (requested_sites as f64).sqrt().ceil() as usize;
@@ -105,7 +108,7 @@ fn live(args: &ExpArgs) {
     };
     let source = spec.build(sites, mix_seed(seed, 2));
     println!(
-        "exp_workloads: {jobs} jobs, {process_name} rate {rate}, {side}x{side} grid ({sites} sites), seed {seed}"
+        "rtds-exp workloads: {jobs} jobs, {process_name} rate {rate}, {side}x{side} grid ({sites} sites), seed {seed}"
     );
 
     // The trace header makes the file self-contained: replay rebuilds the
@@ -156,7 +159,9 @@ fn replay(path: &str, args: &ExpArgs) {
     let reader = TraceReader::new(BufReader::new(file));
     let need = |key: &str| {
         reader.header_u64(key).unwrap_or_else(|| {
-            eprintln!("trace {path} header is missing {key:?}; was it recorded by exp_workloads?");
+            eprintln!(
+                "trace {path} header is missing {key:?}; was it recorded by rtds-exp workloads?"
+            );
             std::process::exit(1);
         })
     };
@@ -179,7 +184,7 @@ fn replay(path: &str, args: &ExpArgs) {
         }
         None => {
             eprintln!(
-                "trace {path} header is missing \"template\"; was it recorded by exp_workloads?"
+                "trace {path} header is missing \"template\"; was it recorded by rtds-exp workloads?"
             );
             std::process::exit(1);
         }
@@ -187,13 +192,13 @@ fn replay(path: &str, args: &ExpArgs) {
     let side = (sites as f64).sqrt().round() as usize;
     if side * side != sites {
         eprintln!(
-            "trace {path} header claims {sites} sites, but exp_workloads builds square grids \
+            "trace {path} header claims {sites} sites, but rtds-exp workloads builds square grids \
              only — {side}x{side} would give {} sites; the header cannot be honoured",
             side * side
         );
         std::process::exit(1);
     }
-    println!("exp_workloads: replaying {path} ({jobs} jobs, {side}x{side} grid, seed {seed})");
+    println!("rtds-exp workloads: replaying {path} ({jobs} jobs, {side}x{side} grid, seed {seed})");
     // The header's site count is a claim about the topology, not a fact:
     // guard every replayed arrival against the grid actually built so a
     // hand-edited or corrupted trace fails with a clear message instead of

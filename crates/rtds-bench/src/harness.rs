@@ -1,5 +1,5 @@
 //! Shared experiment utilities: workload construction, policy comparison and
-//! a small parallel sweep driver.
+//! the report-field renderers several experiments share.
 
 use rtds_baselines::{
     BiddingConfig, BroadcastBidding, CentralizedOracle, DistributionPolicy, GlobalHeft, LocalOnly,
@@ -9,6 +9,7 @@ use rtds_core::{RtdsConfig, RtdsSystem, RunReport};
 use rtds_graph::generators::{CostDistribution, DagGenerator, DagShape, GeneratorConfig};
 use rtds_graph::Job;
 use rtds_net::{Network, SiteId};
+use rtds_scenarios::{CellReport, Json};
 use rtds_sim::arrivals::{ArrivalProcess, ArrivalSchedule};
 
 /// Description of a synthetic workload.
@@ -117,30 +118,6 @@ impl ComparisonRow {
             messages_per_job: (report.jobs_submitted > 0).then_some(report.messages_per_job),
         }
     }
-
-    /// Renders the row for a fixed-width table (`-` for undefined ratios).
-    pub fn render(&self) -> String {
-        let ratio = match self.ratio {
-            Some(r) => format!("{r:>7.3}"),
-            None => format!("{:>7}", "-"),
-        };
-        let mpj = match self.messages_per_job {
-            Some(m) => format!("{m:>12.1}"),
-            None => format!("{:>12}", "-"),
-        };
-        format!(
-            "{:<22} {:>8}/{:<8} {ratio} {:>7} {mpj}",
-            self.policy, self.accepted, self.submitted, self.misses,
-        )
-    }
-}
-
-/// Header matching [`ComparisonRow::render`].
-pub fn comparison_header() -> String {
-    format!(
-        "{:<22} {:>8}/{:<8} {:>7} {:>7} {:>12}",
-        "policy", "accepted", "submitted", "ratio", "misses", "msgs/job"
-    )
 }
 
 /// Runs RTDS (full protocol) and returns its comparison row.
@@ -202,27 +179,60 @@ pub fn policy_comparison(
     rows
 }
 
-/// Runs `work` for every element of `inputs` in parallel (one scoped thread
-/// per input — sweeps are small) and returns the results in input order.
-/// Each unit of work is itself a deterministic single-threaded simulation, so
-/// the sweep as a whole is reproducible.
-pub fn parallel_sweep<I, O, F>(inputs: Vec<I>, work: F) -> Vec<O>
-where
-    I: Send,
-    O: Send,
-    F: Fn(I) -> O + Sync,
-{
-    std::thread::scope(|scope| {
-        let work = &work;
-        let handles: Vec<_> = inputs
-            .into_iter()
-            .map(|input| scope.spawn(move || work(input)))
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("sweep worker panicked"))
-            .collect()
-    })
+/// Guarantee ratio of the named policy in a [`policy_comparison`] result
+/// (NaN when the policy is absent or its ratio undefined).
+pub fn policy_ratio(rows: &[ComparisonRow], policy: &str) -> f64 {
+    rows.iter()
+        .find(|r| r.policy == policy)
+        .and_then(|r| r.ratio)
+        .unwrap_or(f64::NAN)
+}
+
+/// An optional number as JSON: undefined ratios serialize as `null`, never
+/// as a fake `1.0` or `0.0`.
+pub fn opt_num(value: Option<f64>) -> Json {
+    value.map(Json::Num).unwrap_or(Json::Null)
+}
+
+/// The outcome counts every per-cell JSON object carries, in report order.
+pub fn cell_outcome_fields(cell: &CellReport) -> Vec<(&'static str, Json)> {
+    vec![
+        ("submitted", Json::UInt(cell.submitted)),
+        ("accepted_locally", Json::UInt(cell.accepted_locally)),
+        (
+            "accepted_distributed",
+            Json::UInt(cell.accepted_distributed),
+        ),
+        ("rejected", Json::UInt(cell.rejected)),
+        ("deadline_misses", Json::UInt(cell.deadline_misses)),
+    ]
+}
+
+/// Jobs accepted (locally or after distribution) over a set of cells.
+pub fn cells_accepted(cells: &[CellReport]) -> u64 {
+    cells
+        .iter()
+        .map(|c| c.accepted_locally + c.accepted_distributed)
+        .sum()
+}
+
+/// The check closing every registry-driven experiment, after its table is
+/// printed and its report written: an accepted job must never miss its
+/// deadline. Any miss is reported on stderr and exits with status 1.
+pub fn require_no_deadline_misses(misses: u64) {
+    if misses > 0 {
+        eprintln!("deadline-miss check FAILED: {misses} accepted job(s) missed their deadline");
+        std::process::exit(1);
+    }
+}
+
+/// Worker threads for the experiment sweeps: the available parallelism.
+/// Every sweep reassembles its results in input order, so no report depends
+/// on this.
+pub fn default_threads() -> usize {
+    std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(4)
 }
 
 #[cfg(test)]
@@ -265,18 +275,5 @@ mod tests {
         assert!(rows.iter().any(|r| r.policy == "global-heft"));
         assert!(rows.iter().all(|r| r.misses == 0));
         assert!(rows.iter().all(|r| r.submitted == jobs.len() as u64));
-        // Header and rows render with consistent widths.
-        assert!(!comparison_header().is_empty());
-        for r in &rows {
-            assert!(r.render().contains(&r.policy));
-        }
-    }
-
-    #[test]
-    fn parallel_sweep_preserves_order() {
-        let out = parallel_sweep(vec![3u64, 1, 2], |x| x * 10);
-        assert_eq!(out, vec![30, 10, 20]);
-        let empty: Vec<u64> = parallel_sweep(Vec::<u64>::new(), |x| x);
-        assert!(empty.is_empty());
     }
 }

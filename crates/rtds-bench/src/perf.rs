@@ -1,8 +1,8 @@
-//! The `exp_perf` fixed performance suite — the recorded perf trajectory.
+//! The `rtds-exp perf` fixed suite — the determinism fixture.
 //!
-//! Every PR extends `BENCH_<n>.json`: a deterministic-schema report over a
-//! fixed set of seeded workloads. The suite is the paper-baseline registry
-//! scenario (its native 25-site grid) plus three registry scenarios
+//! A deterministic-schema report over a fixed set of seeded workloads,
+//! pinned by the recorded `BENCH_5.json`. The suite is the paper-baseline
+//! registry scenario (its native 25-site grid) plus three registry scenarios
 //! re-scaled to 16, 64 and 256 sites:
 //!
 //! * `paper-baseline` — the 5×5 evaluation grid with Poisson hotspots,
@@ -15,33 +15,31 @@
 //! Since v4 the report also carries a `flows` section: the three registry
 //! flow scenarios (`incast-storm`, `bandwidth-starved-sphere`,
 //! `transfer-vs-compute`) at their native sizes, pinning the shared-bandwidth
-//! flow plane's trajectory alongside the scaling tiers.
+//! flow plane alongside the scaling tiers.
 //!
-//! Each workload is one fully deterministic single-threaded simulation; the
-//! only nondeterministic fields of the report are the timings (`wall_ms`,
-//! `events_per_sec`). Everything else — event counts, message counts,
-//! acceptance outcomes — is a pure function of the seed, which is what the
-//! determinism suite pins (two `exp_perf --seed 7` runs must agree on every
-//! non-timing field).
+//! Each workload is one fully deterministic single-threaded simulation and
+//! nothing here reads a clock: every field of the report — event counts,
+//! message counts, acceptance outcomes — is a pure function of the seed, so
+//! two runs are byte-identical. The schema's timing fields (`wall_ms`,
+//! `events_per_sec`, `peak_rss_kb`) always render as `null`; speed is
+//! measured by `benchmark/`.
 
-use rtds_core::{
-    JobOutcomeKind, RtdsConfig, RtdsSystem, StreamOptions, StreamPause, StreamReport, StreamRun,
-};
+use crate::harness::cell_outcome_fields;
+use rtds_core::{RtdsConfig, RtdsSystem, StreamOptions, StreamPause, StreamReport, StreamRun};
 use rtds_net::generators::{grid, DelayDistribution};
-use rtds_scenarios::{find_scenario, mix_seed, Json, Scenario, TopologyRecipe};
+use rtds_scenarios::{
+    find_scenario, mix_seed, run_cell, CellReport, Json, Scenario, TopologyRecipe,
+};
 use rtds_sim::metrics_json::metrics_to_json;
-use rtds_sim::MetricsRegistry;
 use rtds_workload::{JobFactory, JobTemplate, OpenLoopSource, OpenLoopSpec, RateProcess, SizeMix};
-use std::time::{Duration, Instant};
 
 /// Identifier of the report schema (bump on breaking field changes) — the
 /// only one `--baseline` accepts; recordings of earlier schemas are history
 /// (`docs/bench-history/`), not baselines. Besides the per-workload rows
 /// with their deterministic `metrics` sections, a report carries the
 /// always-present `soak` section (null unless the optional `--soak`
-/// streaming tier ran; `peak_rss_kb` inside it is machine-dependent) and
-/// the `flows` section: the three registry flow scenarios run at their
-/// native sizes with the same per-workload field set.
+/// streaming tier ran) and the `flows` section: the three registry flow
+/// scenarios run at their native sizes with the same per-workload field set.
 pub const PERF_SCHEMA: &str = "rtds-exp-perf/4";
 
 /// The site-count tiers of the scaled scenarios.
@@ -50,9 +48,8 @@ pub const PERF_TIERS: [usize; 3] = [16, 64, 256];
 /// One workload of the fixed suite: a scenario pinned to a size tier.
 #[derive(Debug, Clone)]
 pub struct PerfWorkload {
-    /// Report name (`scenario` or `scenario/sites`).
-    pub name: String,
-    /// Scenario to run.
+    /// Scenario to run; its name (`scenario` or `scenario/sites`) is the
+    /// workload's report name.
     pub scenario: Scenario,
     /// Size tier the workload belongs to (0 for the native paper baseline).
     pub tier: usize,
@@ -102,7 +99,6 @@ pub const FLOW_SUITE: [&str; 3] = [
 /// baseline and the smallest tier (the CI smoke configuration).
 pub fn perf_suite(smoke: bool) -> Vec<PerfWorkload> {
     let mut suite = vec![PerfWorkload {
-        name: "paper-baseline".into(),
         scenario: find_scenario("paper-baseline").expect("registry scenario"),
         tier: 0,
     }];
@@ -113,10 +109,8 @@ pub fn perf_suite(smoke: bool) -> Vec<PerfWorkload> {
     };
     for scenario in ["paper-baseline", "wide-low-degree", "hetero-speed-sites"] {
         for &sites in tiers {
-            let scaled = scaled_scenario(scenario, sites);
             suite.push(PerfWorkload {
-                name: scaled.name.clone(),
-                scenario: scaled,
+                scenario: scaled_scenario(scenario, sites),
                 tier: sites,
             });
         }
@@ -124,80 +118,45 @@ pub fn perf_suite(smoke: bool) -> Vec<PerfWorkload> {
     suite
 }
 
-/// Result of one workload: deterministic metrics plus the wall-clock timing.
+/// Result of one workload: the scenario cell it ran plus the size of the
+/// network the cell was run on.
 #[derive(Debug, Clone)]
 pub struct WorkloadResult {
-    /// Workload name.
-    pub name: String,
     /// Size tier (0 for the native paper baseline).
     pub tier: usize,
     /// Sites of the instantiated network.
     pub sites: usize,
     /// Links of the instantiated network.
     pub links: usize,
-    /// Jobs submitted.
-    pub submitted: u64,
-    /// Jobs accepted by their arrival site.
-    pub accepted_locally: u64,
-    /// Jobs accepted after distribution.
-    pub accepted_distributed: u64,
-    /// Jobs rejected.
-    pub rejected: u64,
-    /// Accepted jobs that missed their deadline (must stay zero).
-    pub deadline_misses: u64,
-    /// Guarantee ratio.
-    pub guarantee_ratio: f64,
-    /// Engine-level messages handed in for delivery.
-    pub messages_sent: u64,
-    /// Engine-level messages delivered.
-    pub messages_delivered: u64,
-    /// Distribution messages per submitted job.
-    pub messages_per_job: f64,
-    /// Events processed by the engine.
-    pub events_processed: u64,
-    /// Final simulated time.
-    pub finished_at: f64,
-    /// Full telemetry of the run (histograms, counters); every summary in
-    /// the report's `metrics` section is deterministic.
-    pub metrics: MetricsRegistry,
-    /// Wall-clock time of the simulation run (nondeterministic).
-    pub wall: Duration,
+    /// Outcome counts and full telemetry of the run, every field a pure
+    /// function of the seed; `cell.scenario` is the workload's report name.
+    pub cell: CellReport,
 }
 
 impl WorkloadResult {
-    /// Events per wall-clock second (nondeterministic).
-    pub fn events_per_sec(&self) -> f64 {
-        self.events_processed as f64 / self.wall.as_secs_f64().max(1e-9)
-    }
-
-    fn to_json(&self, timings: bool) -> Json {
-        let timing = |v: f64| if timings { Json::Num(v) } else { Json::Null };
-        Json::object(vec![
-            ("name", Json::str(&self.name)),
+    fn to_json(&self) -> Json {
+        let cell = &self.cell;
+        let mut fields = vec![
+            ("name", Json::str(&cell.scenario)),
             ("tier", Json::UInt(self.tier as u64)),
             ("sites", Json::UInt(self.sites as u64)),
             ("links", Json::UInt(self.links as u64)),
-            ("submitted", Json::UInt(self.submitted)),
-            ("accepted_locally", Json::UInt(self.accepted_locally)),
-            (
-                "accepted_distributed",
-                Json::UInt(self.accepted_distributed),
-            ),
-            ("rejected", Json::UInt(self.rejected)),
-            ("deadline_misses", Json::UInt(self.deadline_misses)),
-            ("guarantee_ratio", Json::Num(self.guarantee_ratio)),
-            ("messages_sent", Json::UInt(self.messages_sent)),
-            ("messages_delivered", Json::UInt(self.messages_delivered)),
-            ("messages_per_job", Json::Num(self.messages_per_job)),
-            ("events_processed", Json::UInt(self.events_processed)),
-            ("finished_at", Json::Num(self.finished_at)),
+        ];
+        fields.extend(cell_outcome_fields(cell));
+        fields.extend([
+            ("guarantee_ratio", Json::Num(cell.guarantee_ratio)),
+            ("messages_sent", Json::UInt(cell.messages_sent)),
+            ("messages_delivered", Json::UInt(cell.messages_delivered)),
+            ("messages_per_job", Json::Num(cell.messages_per_job)),
+            ("events_processed", Json::UInt(cell.events_processed)),
+            ("finished_at", Json::Num(cell.finished_at)),
             // Full scope detail: phase-labelled routing fan-out summaries
-            // render individually. Deterministic, unlike the two timing
-            // fields below.
-            ("metrics", metrics_to_json(&self.metrics, true)),
-            ("wall_ms", timing(self.wall.as_secs_f64() * 1e3)),
-            ("events_per_sec", timing(self.events_per_sec())),
-        ])
+            // render individually.
+            ("metrics", metrics_to_json(&cell.metrics, true)),
+            ("wall_ms", Json::Null),
+            ("events_per_sec", Json::Null),
+        ]);
+        Json::object(fields)
     }
 }
 
@@ -209,8 +168,7 @@ pub const SOAK_SIDE: usize = 16;
 /// stream driven through a 16×16 grid until the engine's event cap stops
 /// it. The workload is unbounded — only the event budget ends the run — so
 /// the peak-residency fields prove the streaming path's bounded-memory
-/// claim at whatever scale the budget buys, and `peak_rss_kb` records the
-/// process high-water mark to back it with an OS-level number.
+/// claim at whatever scale the budget buys.
 #[derive(Debug, Clone)]
 pub struct SoakResult {
     /// The `--soak` event budget (0 when resuming from a snapshot file,
@@ -219,95 +177,46 @@ pub struct SoakResult {
     /// Whether the run went through a checkpoint → resume cycle
     /// (`--checkpoint` / `--resume`) instead of running uninterrupted.
     pub checkpointed: bool,
-    /// Events actually processed (= the budget, up to quiescence slack).
-    pub events_processed: u64,
-    /// Final simulated time.
-    pub finished_at: f64,
-    /// Jobs injected before the cap hit.
-    pub submitted: u64,
-    /// Jobs accepted by their arrival site.
-    pub accepted_locally: u64,
-    /// Jobs accepted after distribution.
-    pub accepted_distributed: u64,
-    /// Accepted jobs that missed their deadline (must stay zero).
-    pub deadline_misses: u64,
-    /// Accepted jobs still in flight when the event cap cut the run. Unlike
-    /// the horizon-drained scenarios this is not required to be zero — the
-    /// cap truncates mid-schedule — but it stays within the in-flight
-    /// high-water mark.
-    pub unharvested_completions: u64,
-    /// High-water mark of in-flight jobs — bounded and tiny relative to
-    /// `submitted` is the whole point of the tier.
-    pub peak_inflight_jobs: u64,
-    /// High-water mark of committed reservations at any single site.
-    pub peak_plan_reservations: u64,
-    /// High-water mark of pending engine events.
-    pub peak_queue_len: u64,
-    /// Harvest passes performed.
-    pub harvests: u64,
-    /// Wall-clock time of the run (nondeterministic).
-    pub wall: Duration,
-    /// Peak resident set size of the whole process in kB, read from
-    /// `/proc/self/status` `VmHWM` (None off Linux). Machine-dependent,
-    /// nulled in the canonical report form like the timings.
-    pub peak_rss_kb: Option<u64>,
+    /// The stream's report. `events_processed` is the budget up to
+    /// quiescence slack; `peak_inflight_jobs` staying bounded and tiny
+    /// relative to `guarantee.submitted` is the whole point of the tier.
+    /// Unlike the horizon-drained scenarios `unharvested_completions` is not
+    /// required to be zero — the cap truncates mid-schedule — but it stays
+    /// within the in-flight high-water mark.
+    pub report: StreamReport,
 }
 
 impl SoakResult {
-    /// Events per wall-clock second (nondeterministic).
-    pub fn events_per_sec(&self) -> f64 {
-        self.events_processed as f64 / self.wall.as_secs_f64().max(1e-9)
-    }
-
-    fn to_json(&self, timings: bool) -> Json {
-        let timing = |v: f64| if timings { Json::Num(v) } else { Json::Null };
+    fn to_json(&self) -> Json {
+        let r = &self.report;
         Json::object(vec![
             ("requested_events", Json::UInt(self.requested_events)),
             ("checkpointed", Json::Bool(self.checkpointed)),
-            ("events_processed", Json::UInt(self.events_processed)),
-            ("finished_at", Json::Num(self.finished_at)),
-            ("submitted", Json::UInt(self.submitted)),
-            ("accepted_locally", Json::UInt(self.accepted_locally)),
+            ("events_processed", Json::UInt(r.events_processed)),
+            ("finished_at", Json::Num(r.finished_at)),
+            ("submitted", Json::UInt(r.guarantee.submitted)),
+            ("accepted_locally", Json::UInt(r.guarantee.accepted_locally)),
             (
                 "accepted_distributed",
-                Json::UInt(self.accepted_distributed),
+                Json::UInt(r.guarantee.accepted_distributed),
             ),
-            ("deadline_misses", Json::UInt(self.deadline_misses)),
+            ("deadline_misses", Json::UInt(r.deadline_misses())),
             (
                 "unharvested_completions",
-                Json::UInt(self.unharvested_completions),
+                Json::UInt(r.unharvested_completions),
             ),
-            ("peak_inflight_jobs", Json::UInt(self.peak_inflight_jobs)),
+            ("peak_inflight_jobs", Json::UInt(r.peak_inflight_jobs)),
             (
                 "peak_plan_reservations",
-                Json::UInt(self.peak_plan_reservations),
+                Json::UInt(r.peak_plan_reservations),
             ),
-            ("peak_queue_len", Json::UInt(self.peak_queue_len)),
-            ("harvests", Json::UInt(self.harvests)),
-            ("wall_ms", timing(self.wall.as_secs_f64() * 1e3)),
-            ("events_per_sec", timing(self.events_per_sec())),
-            (
-                "peak_rss_kb",
-                match self.peak_rss_kb {
-                    Some(kb) if timings => Json::UInt(kb),
-                    _ => Json::Null,
-                },
-            ),
+            ("peak_queue_len", Json::UInt(r.peak_queue_len)),
+            ("harvests", Json::UInt(r.harvests)),
+            ("wall_ms", Json::Null),
+            ("events_per_sec", Json::Null),
+            ("peak_rss_kb", Json::Null),
         ])
     }
-}
-
-/// Peak resident set size of this process in kB (`VmHWM` from
-/// `/proc/self/status`); None where the procfs field is unavailable.
-pub fn peak_rss_kb() -> Option<u64> {
-    let status = std::fs::read_to_string("/proc/self/status").ok()?;
-    status
-        .lines()
-        .find(|line| line.starts_with("VmHWM:"))?
-        .split_whitespace()
-        .nth(1)?
-        .parse()
-        .ok()
 }
 
 /// The soak tier's system: a 16×16 constant-delay grid with the event cap
@@ -343,31 +252,6 @@ fn soak_source(seed: u64) -> JobFactory<OpenLoopSource> {
     )
 }
 
-fn soak_result(
-    requested_events: u64,
-    checkpointed: bool,
-    report: &StreamReport,
-    wall: Duration,
-) -> SoakResult {
-    SoakResult {
-        requested_events,
-        checkpointed,
-        events_processed: report.events_processed,
-        finished_at: report.finished_at,
-        submitted: report.guarantee.submitted,
-        accepted_locally: report.guarantee.accepted_locally,
-        accepted_distributed: report.guarantee.accepted_distributed,
-        deadline_misses: report.deadline_misses(),
-        unharvested_completions: report.unharvested_completions,
-        peak_inflight_jobs: report.peak_inflight_jobs,
-        peak_plan_reservations: report.peak_plan_reservations,
-        peak_queue_len: report.peak_queue_len,
-        harvests: report.harvests,
-        wall,
-        peak_rss_kb: peak_rss_kb(),
-    }
-}
-
 /// Runs the soak tier for `events` engine events. With `checkpoint_path`
 /// set, the run pauses at half the budget, writes the
 /// `rtds-stream-snapshot/1` document to the path, then resumes **from the
@@ -380,7 +264,6 @@ pub fn run_soak(
     checkpoint_path: Option<&str>,
 ) -> Result<SoakResult, String> {
     assert!(events > 0, "soak needs a positive event budget");
-    let start = Instant::now();
     let report = match checkpoint_path {
         None => {
             let mut system = soak_system(seed, events);
@@ -408,13 +291,11 @@ pub fn run_soak(
             }
         }
     };
-    let wall = start.elapsed();
-    Ok(soak_result(
-        events,
-        checkpoint_path.is_some(),
-        &report,
-        wall,
-    ))
+    Ok(SoakResult {
+        requested_events: events,
+        checkpointed: checkpoint_path.is_some(),
+        report,
+    })
 }
 
 /// Resumes a soak from a snapshot file written by `--checkpoint` and drives
@@ -422,15 +303,17 @@ pub fn run_soak(
 /// seed must match the checkpointed run's so the rebuilt source replays the
 /// same stream.
 pub fn resume_soak(seed: u64, snapshot: &str) -> Result<SoakResult, String> {
-    let start = Instant::now();
     let mut fresh = soak_source(seed);
     let report = RtdsSystem::resume_streaming(snapshot, &mut fresh)
         .map_err(|e| format!("snapshot does not resume: {e}"))?;
-    let wall = start.elapsed();
-    Ok(soak_result(0, true, &report, wall))
+    Ok(SoakResult {
+        requested_events: 0,
+        checkpointed: true,
+        report,
+    })
 }
 
-/// The aggregate report of one `exp_perf` run.
+/// The aggregate report of one `rtds-exp perf` run.
 #[derive(Debug, Clone)]
 pub struct PerfReport {
     /// Suite seed.
@@ -449,25 +332,10 @@ pub struct PerfReport {
 }
 
 impl PerfReport {
-    /// Aggregate events/sec of one size tier (nondeterministic).
-    pub fn tier_events_per_sec(&self, tier: usize) -> f64 {
-        let (events, wall) = self
-            .workloads
-            .iter()
-            .filter(|w| w.tier == tier)
-            .fold((0u64, 0.0f64), |(e, s), w| {
-                (e + w.events_processed, s + w.wall.as_secs_f64())
-            });
-        events as f64 / wall.max(1e-9)
-    }
-
-    /// Renders the report. With `timings: false` every nondeterministic
-    /// field renders as `null` — the canonical form the determinism suite
-    /// compares.
-    pub fn to_json(&self, timings: bool) -> String {
-        let timing = |v: f64| if timings { Json::Num(v) } else { Json::Null };
-        let total_events: u64 = self.workloads.iter().map(|w| w.events_processed).sum();
-        let total_wall: f64 = self.workloads.iter().map(|w| w.wall.as_secs_f64()).sum();
+    /// Renders the report — the canonical `rtds-exp-perf/4` document, whose
+    /// timing fields are always `null`.
+    pub fn to_json(&self) -> String {
+        let total_events: u64 = self.workloads.iter().map(|w| w.cell.events_processed).sum();
         let mut tiers = Vec::new();
         for &tier in PERF_TIERS.iter() {
             if self.workloads.iter().any(|w| w.tier == tier) {
@@ -475,12 +343,12 @@ impl PerfReport {
                     .workloads
                     .iter()
                     .filter(|w| w.tier == tier)
-                    .map(|w| w.events_processed)
+                    .map(|w| w.cell.events_processed)
                     .sum();
                 tiers.push(Json::object(vec![
                     ("sites", Json::UInt(tier as u64)),
                     ("events_processed", Json::UInt(events)),
-                    ("events_per_sec", timing(self.tier_events_per_sec(tier))),
+                    ("events_per_sec", Json::Null),
                 ]));
             }
         }
@@ -490,28 +358,25 @@ impl PerfReport {
             ("smoke", Json::Bool(self.smoke)),
             (
                 "workloads",
-                Json::Array(self.workloads.iter().map(|w| w.to_json(timings)).collect()),
+                Json::Array(self.workloads.iter().map(WorkloadResult::to_json).collect()),
             ),
             (
                 "flows",
-                Json::Array(self.flows.iter().map(|w| w.to_json(timings)).collect()),
+                Json::Array(self.flows.iter().map(WorkloadResult::to_json).collect()),
             ),
             ("tiers", Json::Array(tiers)),
             (
                 "totals",
                 Json::object(vec![
                     ("events_processed", Json::UInt(total_events)),
-                    ("wall_ms", timing(total_wall * 1e3)),
-                    (
-                        "events_per_sec",
-                        timing(total_events as f64 / total_wall.max(1e-9)),
-                    ),
+                    ("wall_ms", Json::Null),
+                    ("events_per_sec", Json::Null),
                 ]),
             ),
             (
                 "soak",
                 match &self.soak {
-                    Some(soak) => soak.to_json(timings),
+                    Some(soak) => soak.to_json(),
                     None => Json::Null,
                 },
             ),
@@ -520,9 +385,10 @@ impl PerfReport {
     }
 }
 
-/// Recursively nulls every nondeterministic field (`wall_ms`,
-/// `events_per_sec`, `peak_rss_kb`) of a parsed report, producing the
-/// canonical form that [`PerfReport::to_json`] emits with `timings: false`.
+/// Recursively nulls the timing fields (`wall_ms`, `events_per_sec`,
+/// `peak_rss_kb`) of a parsed report: recordings made while the suite still
+/// measured them (`BENCH_5.json`) carry numbers there, [`PerfReport::to_json`]
+/// renders `null`.
 pub fn null_timings(json: &mut Json) {
     match json {
         Json::Object(fields) => {
@@ -543,12 +409,12 @@ pub fn null_timings(json: &mut Json) {
     }
 }
 
-/// Result of diffing a run against a recorded `BENCH_<n>.json` baseline.
+/// Result of diffing a run against a recorded baseline (`BENCH_5.json`).
 #[derive(Debug, Clone)]
 pub struct BaselineComparison {
-    /// Line-level differences between the canonical (timings-nulled)
-    /// renderings, capped at a handful for readability. Empty = the
-    /// deterministic fields match byte-for-byte.
+    /// Line-level differences between the timings-nulled renderings, capped
+    /// at a handful for readability. Empty = the deterministic fields match
+    /// byte-for-byte.
     pub mismatches: Vec<String>,
 }
 
@@ -587,7 +453,7 @@ pub fn compare_with_baseline(
     null_timings(&mut baseline);
     strip_soak(&mut baseline);
     let canonical_baseline = baseline.render();
-    let mut projected = Json::parse(&current.to_json(false)).expect("our own rendering parses");
+    let mut projected = Json::parse(&current.to_json()).expect("our own rendering parses");
     strip_soak(&mut projected);
     let canonical_current = projected.render();
     let mut mismatches = Vec::new();
@@ -605,60 +471,19 @@ pub fn compare_with_baseline(
                 }
             }
         }
-        if mismatches.is_empty() {
-            // Same lines, different layout (should not happen with the
-            // deterministic renderer) — still a mismatch.
-            mismatches.push("renderings differ".to_string());
-        }
     }
     Ok(BaselineComparison { mismatches })
 }
 
-/// Runs one workload: instantiates the scenario for the seed, times the
-/// simulation run (network/workload construction is excluded from the
-/// timing) and extracts the deterministic metrics.
+/// Runs one workload: the scenario's cell for the seed, exactly as a sweep
+/// runs it, plus the size of the network it instantiates.
 pub fn run_workload(workload: &PerfWorkload, seed: u64) -> WorkloadResult {
-    let scenario = &workload.scenario;
-    let network = scenario.build_network(seed);
-    let sites = network.site_count();
-    let links = network.link_count();
-    let jobs = scenario.build_workload(&network, seed);
-    let faults = scenario.perturbations.expand(&network, mix_seed(seed, 3));
-    let mut system = RtdsSystem::new(network, scenario.config, mix_seed(seed, 5));
-    system.set_fault_seed(mix_seed(seed, 4));
-    system.set_max_events(scenario.max_events);
-    for (time, fault) in faults {
-        system.schedule_fault(time.max(0.0), fault);
-    }
-    system.submit_workload(jobs);
-    let start = Instant::now();
-    let report = system.run();
-    let wall = start.elapsed();
-    let rejected = report.jobs_submitted
-        - report.guarantee.accepted_locally
-        - report.guarantee.accepted_distributed;
-    debug_assert!(report
-        .jobs
-        .iter()
-        .all(|j| j.outcome != JobOutcomeKind::Rejected || j.completion.is_none()));
+    let network = workload.scenario.build_network(seed);
     WorkloadResult {
-        name: workload.name.clone(),
         tier: workload.tier,
-        sites,
-        links,
-        submitted: report.jobs_submitted,
-        accepted_locally: report.guarantee.accepted_locally,
-        accepted_distributed: report.guarantee.accepted_distributed,
-        rejected,
-        deadline_misses: report.deadline_misses(),
-        guarantee_ratio: report.guarantee_ratio(),
-        messages_sent: report.stats.messages_sent,
-        messages_delivered: report.stats.messages_delivered,
-        messages_per_job: report.messages_per_job,
-        events_processed: system.events_processed(),
-        finished_at: report.finished_at,
-        metrics: report.metrics,
-        wall,
+        sites: network.site_count(),
+        links: network.link_count(),
+        cell: run_cell(&workload.scenario, seed),
     }
 }
 
@@ -673,7 +498,6 @@ pub fn run_perf_suite(seed: u64, smoke: bool) -> PerfReport {
         .iter()
         .map(|name| {
             let workload = PerfWorkload {
-                name: (*name).to_string(),
                 scenario: find_scenario(name).expect("registry flow scenario"),
                 tier: 0,
             };
@@ -701,7 +525,7 @@ mod tests {
         assert_eq!(smoke.len(), 4);
         assert!(smoke.iter().all(|w| w.tier <= 16));
         // Names are unique.
-        let mut names: Vec<&str> = full.iter().map(|w| w.name.as_str()).collect();
+        let mut names: Vec<&str> = full.iter().map(|w| w.scenario.name.as_str()).collect();
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), full.len());
@@ -728,18 +552,25 @@ mod tests {
     #[test]
     fn baseline_comparison_accepts_self_and_flags_differences() {
         let report = run_perf_suite(7, true);
-        // A report always matches its own recording (timings and all).
-        let cmp = compare_with_baseline(&report, &report.to_json(true)).unwrap();
+        // A report always matches its own recording — also one made while
+        // the suite still filled the timing fields in (BENCH_5.json).
+        let cmp = compare_with_baseline(&report, &report.to_json()).unwrap();
+        assert!(cmp.fields_match(), "{:?}", cmp.mismatches);
+        let timed = report
+            .to_json()
+            .replace("\"wall_ms\": null", "\"wall_ms\": 1.25");
+        assert_ne!(timed, report.to_json());
+        let cmp = compare_with_baseline(&report, &timed).unwrap();
         assert!(cmp.fields_match(), "{:?}", cmp.mismatches);
         // A doctored deterministic field is caught with a line diff.
-        let tampered = report.to_json(true).replace("\"seed\": 7", "\"seed\": 8");
+        let tampered = report.to_json().replace("\"seed\": 7", "\"seed\": 8");
         let cmp = compare_with_baseline(&report, &tampered).unwrap();
         assert!(!cmp.fields_match());
         assert!(cmp.mismatches[0].contains("seed"), "{:?}", cmp.mismatches);
         // Garbage and wrong-schema baselines are rejected.
         assert!(compare_with_baseline(&report, "not json").is_err());
         assert!(compare_with_baseline(&report, "{\"schema\": \"other/1\"}\n").is_err());
-        let retired = report.to_json(true).replace(PERF_SCHEMA, "rtds-exp-perf/3");
+        let retired = report.to_json().replace(PERF_SCHEMA, "rtds-exp-perf/3");
         assert!(compare_with_baseline(&report, &retired).is_err());
     }
 
@@ -748,14 +579,14 @@ mod tests {
         let report = run_perf_suite(7, true);
         assert_eq!(report.flows.len(), FLOW_SUITE.len());
         for (flow, name) in report.flows.iter().zip(FLOW_SUITE) {
-            assert_eq!(flow.name, name);
-            assert_eq!(flow.deadline_misses, 0, "{name}");
-            assert!(flow.metrics.counter("sim_flow_started") > 0, "{name}");
-            assert!(flow.metrics.counter("task_data_sent") > 0, "{name}");
+            assert_eq!(flow.cell.scenario, name);
+            assert_eq!(flow.cell.deadline_misses, 0, "{name}");
+            assert!(flow.cell.metrics.counter("sim_flow_started") > 0, "{name}");
+            assert!(flow.cell.metrics.counter("task_data_sent") > 0, "{name}");
         }
         let again = run_perf_suite(7, true);
-        assert_eq!(report.to_json(false), again.to_json(false));
-        assert!(report.to_json(false).contains("\"flows\""));
+        assert_eq!(report.to_json(), again.to_json());
+        assert!(report.to_json().contains("\"flows\""));
     }
 
     #[test]
@@ -764,15 +595,13 @@ mod tests {
         // trajectory: a current report that carries one still matches a
         // baseline recorded without it, and vice versa.
         let baseline = run_perf_suite(7, true);
-        let recorded = baseline.to_json(true);
+        let recorded = baseline.to_json();
         let mut with_soak = baseline.clone();
         with_soak.soak = Some(run_soak(7, 5_000, None).unwrap());
-        assert!(with_soak
-            .to_json(false)
-            .contains("\"requested_events\": 5000"));
+        assert!(with_soak.to_json().contains("\"requested_events\": 5000"));
         let cmp = compare_with_baseline(&with_soak, &recorded).unwrap();
         assert!(cmp.fields_match(), "{:?}", cmp.mismatches);
-        let cmp = compare_with_baseline(&baseline, &with_soak.to_json(true)).unwrap();
+        let cmp = compare_with_baseline(&baseline, &with_soak.to_json()).unwrap();
         assert!(cmp.fields_match(), "{:?}", cmp.mismatches);
     }
 
@@ -780,20 +609,21 @@ mod tests {
     fn soak_runs_deterministically_and_survives_its_checkpoint_cycle() {
         let plain = run_soak(7, 20_000, None).unwrap();
         let again = run_soak(7, 20_000, None).unwrap();
-        assert_eq!(plain.to_json(false).render(), again.to_json(false).render());
+        assert_eq!(plain.to_json().render(), again.to_json().render());
         assert_eq!(plain.requested_events, 20_000);
         assert!(!plain.checkpointed);
-        assert!(plain.events_processed >= 20_000);
-        assert_eq!(plain.deadline_misses, 0);
+        let report = &plain.report;
+        assert!(report.events_processed >= 20_000);
+        assert_eq!(report.deadline_misses(), 0);
         // The cap truncates mid-schedule, so a handful of accepted jobs may
         // still be in flight — but never more than the in-flight peak.
-        assert!(plain.unharvested_completions <= plain.peak_inflight_jobs);
-        assert!(plain.submitted > 0);
+        assert!(report.unharvested_completions <= report.peak_inflight_jobs);
+        assert!(report.guarantee.submitted > 0);
         assert!(
-            plain.peak_inflight_jobs < plain.submitted,
+            report.peak_inflight_jobs < report.guarantee.submitted,
             "in-flight state must stay bounded: {} peak vs {} submitted",
-            plain.peak_inflight_jobs,
-            plain.submitted
+            report.peak_inflight_jobs,
+            report.guarantee.submitted
         );
 
         // The checkpointed variant (pause → write → re-read → resume) and a
@@ -808,29 +638,28 @@ mod tests {
         assert!(snapshot.contains("rtds-stream-snapshot/1"));
         let resumed = resume_soak(7, &snapshot).unwrap();
         let canonical = |r: &SoakResult| {
-            r.to_json(false)
+            r.to_json()
                 .render()
                 .replace("\"checkpointed\": true", "\"checkpointed\": false")
                 .replace("\"requested_events\": 0", "\"requested_events\": 20000")
         };
-        assert_eq!(canonical(&through), plain.to_json(false).render());
-        assert_eq!(canonical(&resumed), plain.to_json(false).render());
+        assert_eq!(canonical(&through), plain.to_json().render());
+        assert_eq!(canonical(&resumed), plain.to_json().render());
     }
 
     #[test]
     fn smoke_suite_runs_and_non_timing_fields_are_deterministic() {
         let a = run_perf_suite(7, true);
         let b = run_perf_suite(7, true);
-        assert_eq!(a.to_json(false), b.to_json(false));
-        assert_ne!(a.to_json(false), a.to_json(true));
+        assert_eq!(a.to_json(), b.to_json());
         for w in &a.workloads {
-            assert_eq!(w.deadline_misses, 0, "{}", w.name);
-            assert!(w.events_processed > 0, "{}", w.name);
-            assert!(w.events_per_sec() > 0.0, "{}", w.name);
+            assert_eq!(w.cell.deadline_misses, 0, "{}", w.cell.scenario);
+            assert!(w.cell.events_processed > 0, "{}", w.cell.scenario);
         }
-        // The canonical form nulls every timing field.
-        let canonical = a.to_json(false);
-        assert!(!canonical.contains("\"wall_ms\": 0."));
-        assert!(canonical.contains("\"wall_ms\": null"));
+        // Every timing field of the schema renders as null.
+        let mut nulled = Json::parse(&a.to_json()).unwrap();
+        null_timings(&mut nulled);
+        assert_eq!(nulled.render(), a.to_json());
+        assert!(a.to_json().contains("\"wall_ms\": null"));
     }
 }

@@ -1,9 +1,9 @@
 //! Shared `--trace-out` / `--trace-ring` / `--chrome-trace` wiring for the
-//! experiment binaries.
+//! experiments.
 //!
-//! Every binary that exposes protocol tracing parses the same three flags
-//! through [`TraceSetup::from_args`] (extend the binary's value-flag list
-//! with [`TRACE_FLAGS`]):
+//! Every experiment that exposes protocol tracing (`fig1`, `scenarios`,
+//! `workloads`) lists the same three value flags in its dispatch-table row
+//! and reads them through [`TraceSetup::from_args`]:
 //!
 //! * `--trace-out <path>` — stream every protocol event as one
 //!   `rtds-trace/1` JSONL line (constant memory, unbounded file),
@@ -22,14 +22,10 @@
 use crate::ExpArgs;
 use rtds_core::RtdsSystem;
 use rtds_scenarios::Json;
-use rtds_sim::trace::{chrome_trace, read_jsonl, DEFAULT_RING_CAPACITY};
+use rtds_sim::trace::{chrome_trace, read_jsonl, TraceEvent, DEFAULT_RING_CAPACITY};
 use rtds_sim::Trace;
 use std::fs::File;
 use std::io::BufWriter;
-
-/// The value-taking flags parsed by [`TraceSetup::from_args`]; splice into
-/// the binary's `ExpArgs::parse` value-flag list.
-pub const TRACE_FLAGS: [&str; 3] = ["trace-out", "trace-ring", "chrome-trace"];
 
 /// Parsed tracing configuration of one experiment run.
 #[derive(Debug, Clone, Default)]
@@ -40,16 +36,13 @@ pub struct TraceSetup {
 }
 
 impl TraceSetup {
-    /// Reads the [`TRACE_FLAGS`] from parsed arguments, rejecting the
+    /// Reads the three tracing flags from parsed arguments, rejecting the
     /// contradictory `--trace-out` + `--trace-ring` combination.
     pub fn from_args(args: &ExpArgs) -> TraceSetup {
         let out = args.value_of("trace-out").map(str::to_string);
-        let ring = args.value_of("trace-ring").map(|raw| {
-            raw.parse().unwrap_or_else(|_| {
-                eprintln!("--trace-ring: not a usize: {raw:?}");
-                std::process::exit(2);
-            })
-        });
+        let ring = args
+            .has("trace-ring")
+            .then(|| args.usize_of("trace-ring", 0));
         let chrome = args.value_of("chrome-trace").map(str::to_string);
         if out.is_some() && ring.is_some() {
             eprintln!(
@@ -94,7 +87,7 @@ impl TraceSetup {
 
     /// Writes an already-rendered `rtds-trace/1` JSONL document to
     /// `--trace-out` and/or its Chrome rendering to `--chrome-trace`. Used
-    /// by binaries that capture a bounded trace in memory (the Fig. 1
+    /// by experiments that capture a bounded trace in memory (the Fig. 1
     /// walkthrough, a traced scenario cell) rather than streaming — for
     /// those, `--trace-out` means "render the retained events", and the
     /// Chrome export parses the exact document written to disk.
@@ -116,19 +109,7 @@ impl TraceSetup {
             eprintln!("internal error: trace document does not parse: {e}");
             std::process::exit(1);
         });
-        let rendered = chrome_trace(&events);
-        if let Err(e) = Json::parse(&rendered) {
-            eprintln!("internal error: Chrome export is not valid JSON: {e}");
-            std::process::exit(1);
-        }
-        if let Err(e) = std::fs::write(chrome_path, &rendered) {
-            eprintln!("cannot write Chrome trace to {chrome_path}: {e}");
-            std::process::exit(1);
-        }
-        println!(
-            "trace: wrote Chrome trace ({} events) to {chrome_path}",
-            events.len()
-        );
+        write_chrome_trace(chrome_path, &events);
     }
 
     /// Flushes the recorder, prints the retention summary and renders the
@@ -166,20 +147,26 @@ impl TraceSetup {
             }
             None => system.trace().events(),
         };
-        let rendered = chrome_trace(&events);
-        if let Err(e) = Json::parse(&rendered) {
-            eprintln!("internal error: Chrome export is not valid JSON: {e}");
-            std::process::exit(1);
-        }
-        if let Err(e) = std::fs::write(chrome_path, &rendered) {
-            eprintln!("cannot write Chrome trace to {chrome_path}: {e}");
-            std::process::exit(1);
-        }
-        println!(
-            "trace: wrote Chrome trace ({} events) to {chrome_path}",
-            events.len()
-        );
+        write_chrome_trace(chrome_path, &events);
     }
+}
+
+/// Renders `events` in Chrome's trace format, checks the rendering is valid
+/// JSON and writes it to `path`.
+fn write_chrome_trace(path: &str, events: &[TraceEvent]) {
+    let rendered = chrome_trace(events);
+    if let Err(e) = Json::parse(&rendered) {
+        eprintln!("internal error: Chrome export is not valid JSON: {e}");
+        std::process::exit(1);
+    }
+    if let Err(e) = std::fs::write(path, &rendered) {
+        eprintln!("cannot write Chrome trace to {path}: {e}");
+        std::process::exit(1);
+    }
+    println!(
+        "trace: wrote Chrome trace ({} events) to {path}",
+        events.len()
+    );
 }
 
 #[cfg(test)]
@@ -190,7 +177,7 @@ mod tests {
         let args = ExpArgs::from_vec(
             "exp_test",
             argv.iter().map(|s| s.to_string()).collect(),
-            &TRACE_FLAGS,
+            &["trace-out", "trace-ring", "chrome-trace"],
             &[],
         );
         TraceSetup::from_args(&args)

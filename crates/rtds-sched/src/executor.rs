@@ -32,16 +32,6 @@ pub fn meets_deadline(completion: Option<f64>, deadline: f64) -> bool {
     completion.is_some_and(|c| c <= deadline + 1e-9)
 }
 
-/// Utilization of one site over `[from, to)`: busy time divided by window
-/// length.
-pub fn utilization(plan: &SchedulePlan, from: f64, to: f64) -> f64 {
-    let window = to - from;
-    if window <= 0.0 {
-        return 0.0;
-    }
-    (plan.busy_time(from, to) / window).clamp(0.0, 1.0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -76,16 +66,6 @@ mod tests {
         assert!(meets_deadline(of(1), 25.0));
         assert!(!meets_deadline(of(1), 19.0));
         assert!(!meets_deadline(of(9), 100.0));
-    }
-
-    #[test]
-    fn utilization_is_clamped() {
-        let mut p = SchedulePlan::new();
-        p.insert(res(1, 0, 0.0, 50.0)).unwrap();
-        assert_eq!(utilization(&p, 0.0, 100.0), 0.5);
-        assert_eq!(utilization(&p, 0.0, 50.0), 1.0);
-        assert_eq!(utilization(&p, 50.0, 100.0), 0.0);
-        assert_eq!(utilization(&p, 10.0, 10.0), 0.0);
     }
 
     #[test]

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Experiment smoke checks: each drives one experiment binary end to end and
+# Experiment smoke checks: each drives `rtds-exp <experiment>` end to end and
 # pins what its report promises (byte-identical re-runs, schema markers,
 # rejection of bad input). Used by CI, one step per check, and runnable
 # locally from anywhere:
@@ -14,17 +14,15 @@ out="${SMOKE_OUT_DIR:-.}"
 # check name | what a pass proves
 table='
 scenarios|sweep report is thread-count invariant
-perf|deterministic fields (incl. metrics) are byte-identical; checkpoint -> resume reproduces the uninterrupted soak; torn and 1,000,000-deep snapshots are refused with exit 1
+perf|reports (incl. metrics) are byte-identical; checkpoint -> resume reproduces the uninterrupted soak; torn and 1,000,000-deep snapshots are refused with exit 1
 workloads|record/replay round-trip is byte-identical
 trace|same-seed traces are byte-identical and exports are well-formed
 flow|report is byte-identical and incast transfers really contend
 sched|report is byte-identical and no scheduler missed a deadline
 '
 
-run() { # <bin> <args...>
-    local bin=$1
-    shift
-    cargo run --release --bin "$bin" -- "$@"
+run() { # <experiment> <args...>
+    cargo run --release --bin rtds-exp -- "$@"
 }
 
 has() { # <file> <fixed string>... — every string occurs in the file
@@ -38,22 +36,22 @@ has() { # <file> <fixed string>... — every string occurs in the file
 # Registry listing plus one seeded fault-injection sweep, re-run on two
 # worker threads.
 smoke_scenarios() {
-    run exp_scenarios --list
-    run exp_scenarios --scenario lossy-messages --seed 1 --seeds 2 \
+    run scenarios --list
+    run scenarios --scenario lossy-messages --seed 1 --seeds 2 \
         --json "$out/scenario-smoke.json"
-    run exp_scenarios --scenario lossy-messages --seed 1 --seeds 2 --threads 2 \
+    run scenarios --scenario lossy-messages --seed 1 --seeds 2 --threads 2 \
         --json "$out/scenario-smoke-t2.json"
     cmp "$out/scenario-smoke.json" "$out/scenario-smoke-t2.json"
 }
 
 smoke_perf() {
-    # Two runs of the smallest tier agree on everything except timings.
+    # Two runs of the smallest tier are byte-identical: the report has no
+    # clock-dependent field (its timing keys always render null).
     local r
     for r in perf-smoke perf-smoke-b; do
-        run exp_perf --seed 7 --smoke --json "$out/$r.json"
-        grep -v -E 'wall_ms|events_per_sec' "$out/$r.json" > "$out/$r.det"
+        run perf --seed 7 --smoke --json "$out/$r.json"
     done
-    cmp "$out/perf-smoke.det" "$out/perf-smoke-b.det"
+    cmp "$out/perf-smoke.json" "$out/perf-smoke-b.json"
     # The v4 schema must actually carry the histogram summaries and the
     # flows section, and without --soak the soak section renders as null.
     has "$out/perf-smoke.json" '"schema": "rtds-exp-perf/4"' '"accept_latency": {' \
@@ -62,14 +60,12 @@ smoke_perf() {
     # Streaming soak at a reduced budget: an uninterrupted run, a run
     # through a checkpoint -> write -> resume cycle, and a standalone
     # --resume from the written snapshot must all agree on every
-    # deterministic soak field. (checkpointed / requested_events record the
-    # path taken and peak_rss_kb is machine state, so those are stripped
-    # along with timings.)
-    local soak_det='wall_ms|events_per_sec|peak_rss_kb|checkpointed|requested_events'
-    run exp_perf --seed 7 --smoke --soak 20000 --json "$out/perf-soak-plain.json"
-    run exp_perf --seed 7 --smoke --soak 20000 \
+    # soak field but the two that record the path taken.
+    local soak_det='checkpointed|requested_events'
+    run perf --seed 7 --smoke --soak 20000 --json "$out/perf-soak-plain.json"
+    run perf --seed 7 --smoke --soak 20000 \
         --checkpoint "$out/perf-soak.snapshot.json" --json "$out/perf-soak-ckpt.json"
-    run exp_perf --seed 7 --smoke \
+    run perf --seed 7 --smoke \
         --resume "$out/perf-soak.snapshot.json" --json "$out/perf-soak-resume.json"
     has "$out/perf-soak.snapshot.json" '"schema": "rtds-stream-snapshot/1"'
     for r in plain ckpt resume; do
@@ -87,7 +83,7 @@ smoke_perf() {
     local bad status
     for bad in torn nested; do
         status=0
-        run exp_perf --seed 7 --smoke --resume "$out/perf-soak-$bad.json" \
+        run perf --seed 7 --smoke --resume "$out/perf-soak-$bad.json" \
             2> "$out/perf-soak-$bad.err" || status=$?
         test "$status" -eq 1
         grep -q -E 'snapshot|JSON parse error' "$out/perf-soak-$bad.err"
@@ -97,16 +93,16 @@ smoke_perf() {
 smoke_workloads() {
     # A streaming run recorded to a JSONL trace replays to the same report
     # (including the metrics section); the diurnal process runs clean.
-    run exp_workloads --seed 3 --jobs 500 --rate 0.4 --sites 16 \
+    run workloads --seed 3 --jobs 500 --rate 0.4 --sites 16 \
         --record "$out/workload-smoke.jsonl" --json "$out/workload-live.json"
-    run exp_workloads --replay "$out/workload-smoke.jsonl" --json "$out/workload-replay.json"
+    run workloads --replay "$out/workload-smoke.jsonl" --json "$out/workload-replay.json"
     cmp "$out/workload-live.json" "$out/workload-replay.json"
-    run exp_workloads --seed 3 --jobs 300 --rate 0.4 --sites 16 --process diurnal \
+    run workloads --seed 3 --jobs 300 --rate 0.4 --sites 16 --process diurnal \
         --json "$out/workload-diurnal.json"
     # A trace whose header disagrees with the topology it claims must be
     # rejected with a clear message, not an engine assertion.
     sed 's/"sites":16/"sites":17/' "$out/workload-smoke.jsonl" > "$out/workload-bad-sites.jsonl"
-    if run exp_workloads --replay "$out/workload-bad-sites.jsonl" \
+    if run workloads --replay "$out/workload-bad-sites.jsonl" \
         2> "$out/workload-bad-sites.err"; then
         echo "expected the tampered trace to be rejected" >&2
         exit 1
@@ -118,18 +114,18 @@ smoke_trace() {
     # Recording the same scenario cell twice gives the same rtds-trace/1
     # JSONL (span ids are derived, not allocated); the Chrome export is
     # well-formed.
-    run exp_scenarios --scenario paper-baseline --seeds 1 \
+    run scenarios --scenario paper-baseline --seeds 1 \
         --trace-out "$out/trace-smoke-a.jsonl" --chrome-trace "$out/trace-smoke.chrome.json"
-    run exp_scenarios --scenario paper-baseline --seeds 1 --trace-out "$out/trace-smoke-b.jsonl"
+    run scenarios --scenario paper-baseline --seeds 1 --trace-out "$out/trace-smoke-b.jsonl"
     cmp "$out/trace-smoke-a.jsonl" "$out/trace-smoke-b.jsonl"
     head -1 "$out/trace-smoke-a.jsonl" | grep -q '"schema":"rtds-trace/1"'
     has "$out/trace-smoke.chrome.json" '"traceEvents"'
     # The bounded flight recorder must overflow on a real run and say so.
-    run exp_workloads --seed 3 --jobs 500 --rate 0.4 --sites 16 --trace-ring 128 \
+    run workloads --seed 3 --jobs 500 --rate 0.4 --sites 16 --trace-ring 128 \
         > "$out/trace-smoke-ring.txt"
     has "$out/trace-smoke-ring.txt" 'dropped'
     # Streaming and Chrome export compose with the Fig. 1 walkthrough too.
-    run exp_fig1_overview --trace-out "$out/trace-smoke-fig1.jsonl" \
+    run fig1 --trace-out "$out/trace-smoke-fig1.jsonl" \
         --chrome-trace "$out/trace-smoke-fig1.chrome.json" > /dev/null
     has "$out/trace-smoke-fig1.jsonl" '"kind":"acs-enroll"'
 }
@@ -139,28 +135,28 @@ smoke_flow() {
     # contention tripwire must hold: p99 transfer time strictly above the
     # uncontended bound max(volume)/min(bandwidth), proving transfers share
     # link bandwidth instead of each enjoying full capacity.
-    run exp_flows --seed 1 --seeds 2 --json "$out/flow-smoke.json" --assert-contention
-    run exp_flows --seed 1 --seeds 2 --json "$out/flow-smoke-b.json"
+    run flows --seed 1 --seeds 2 --json "$out/flow-smoke.json" --assert-contention
+    run flows --seed 1 --seeds 2 --json "$out/flow-smoke-b.json"
     cmp "$out/flow-smoke.json" "$out/flow-smoke-b.json"
     has "$out/flow-smoke.json" '"schema": "rtds-exp-flows/1"' '"name": "incast-storm"' \
         '"contended": true'
     # A single-scenario run exercises the --scenario filter.
-    run exp_flows --scenario incast-storm --seed 1 --seeds 2 \
+    run flows --scenario incast-storm --seed 1 --seeds 2 \
         --json "$out/flow-smoke-incast.json" --assert-contention
 }
 
 smoke_sched() {
-    # rtds-exp-sched/1 carries no timing fields; exp_sched exits nonzero if
+    # rtds-exp-sched/1 carries no timing fields; the experiment exits nonzero if
     # any scheduler variant misses a deadline, and hetero-multicore must be
     # present so the comparison covers the non-degenerate resource model.
-    run exp_sched --seed 1 --seeds 2 --json "$out/sched-smoke.json"
-    run exp_sched --seed 1 --seeds 2 --json "$out/sched-smoke-b.json"
+    run sched --seed 1 --seeds 2 --json "$out/sched-smoke.json"
+    run sched --seed 1 --seeds 2 --json "$out/sched-smoke-b.json"
     cmp "$out/sched-smoke.json" "$out/sched-smoke-b.json"
     has "$out/sched-smoke.json" '"schema": "rtds-exp-sched/1"' '"scheduler": "protocol"' \
         '"scheduler": "heft"' '"scheduler": "lookahead"' '"name": "hetero-multicore"'
     # A single-scenario run exercises the --scenario filter on the one
     # scenario with a non-degenerate resource recipe.
-    run exp_sched --scenario hetero-multicore --seed 1 --seeds 2 \
+    run sched --scenario hetero-multicore --seed 1 --seeds 2 \
         --json "$out/sched-smoke-hetero.json"
 }
 

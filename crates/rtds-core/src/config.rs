@@ -44,26 +44,33 @@ impl DemandRule {
     /// Demands for each task of `graph`, or `None` for the single-core rule
     /// (every task a default single-core demand).
     pub fn demands_for(&self, graph: &TaskGraph) -> Option<Vec<TaskDemand>> {
-        match *self {
-            DemandRule::SingleCore => None,
-            DemandRule::WideTasks {
-                cores,
-                parallel_fraction,
-                memory,
-            } => {
-                let span = cores.max(1);
-                Some(
-                    graph
-                        .task_ids()
-                        .map(|t| TaskDemand {
-                            cores: 1 + t.0 % span,
-                            memory,
-                            speedup: SpeedupFn::Amdahl { parallel_fraction },
-                        })
-                        .collect(),
-                )
-            }
-        }
+        let mut demands = Vec::new();
+        self.demands_into(graph, &mut demands)?;
+        Some(demands)
+    }
+
+    /// [`DemandRule::demands_for`] written over a caller-owned buffer: the
+    /// demands, or `None` (and `out` untouched) for the single-core rule.
+    pub fn demands_into<'a>(
+        &self,
+        graph: &TaskGraph,
+        out: &'a mut Vec<TaskDemand>,
+    ) -> Option<&'a [TaskDemand]> {
+        let DemandRule::WideTasks {
+            cores,
+            parallel_fraction,
+            memory,
+        } = *self
+        else {
+            return None;
+        };
+        out.clear();
+        out.extend(graph.task_ids().map(|t| TaskDemand {
+            cores: 1 + t.0 % cores.max(1),
+            memory,
+            speedup: SpeedupFn::Amdahl { parallel_fraction },
+        }));
+        Some(out)
     }
 
     /// Validates the rule.

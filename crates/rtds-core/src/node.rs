@@ -335,11 +335,11 @@ impl RtdsNode {
         // §5 local guarantee test, generalised to the site's scheduler (on
         // the default single-core bundle this is the original test
         // verbatim).
-        let demands = self.config.demand.demands_for(&job.graph);
-        if let Some(admission) = self.sched.admit_dag(&job, now, demands.as_deref()) {
-            self.sched
-                .reserve_dag(&admission)
-                .expect("admission placements are compatible by construction");
+        let admitted = with_workspace(|ws| {
+            let demands = self.config.demand.demands_into(&job.graph, &mut ws.demands);
+            self.sched.admit_and_reserve(&job, now, demands)
+        });
+        if let Some(completion) = admitted {
             self.guarantee.accepted_locally += 1;
             self.accepted.push(AcceptedJob {
                 job: job.id,
@@ -349,7 +349,6 @@ impl RtdsNode {
             ctx.count("accepted_local", 1);
             ctx.record("accept_latency", now - job.arrival_time.max(0.0));
             ctx.record("accept_laxity", job.deadline() - now);
-            let completion = admission.completion;
             ctx.trace(acceptance, root_span(id), || TracePayload::LocalAccept {
                 job: id.0,
                 completion,

@@ -1,4 +1,4 @@
-//! The per-thread workspace behind the §9–§12 chain.
+//! The per-thread workspace behind the §5 local test and the §9–§12 chain.
 //!
 //! Enrolment, the Mapper, the adjustment and the dispatch all compute over
 //! vectors sized by the job or by the sphere. Those vectors live here, once
@@ -19,6 +19,7 @@ use crate::acs::AcsMember;
 use crate::adjust::Adjustment;
 use crate::mapper::{Mapping, ProcessorSpec};
 use rtds_net::SiteId;
+use rtds_sched::TaskDemand;
 use std::cell::RefCell;
 
 /// The buffers of one thread.
@@ -35,6 +36,8 @@ pub(crate) struct Workspace {
     pub(crate) processors: Vec<ProcessorSpec>,
     /// The logical processor each task of a mapping runs on.
     pub(crate) logical_of_task: Vec<usize>,
+    /// The per-task demands of the §5 local test.
+    pub(crate) demands: Vec<TaskDemand>,
 }
 
 thread_local! {

@@ -3,13 +3,15 @@
 //! distribution *keeps* — the in-flight record, the shared `T_i`, the
 //! replies — so the count is linear in the ACS
 //! members and does not depend on the job's task count; a member answering a
-//! Trial-Mapping allocates its reply and nothing else; a harvest visit that
-//! finds nothing to drain allocates nothing.
+//! Trial-Mapping allocates its reply and nothing else; a local acceptance on
+//! multicore sites with wide, memory-holding tasks allocates nothing; a
+//! harvest visit that finds nothing to drain allocates nothing.
 
-use rtds_core::{NodeBuilder, RtdsMsg, RtdsNode, TaskSpec};
+use rtds_core::{DemandRule, NodeBuilder, RtdsConfig, RtdsMsg, RtdsNode, TaskSpec};
 use rtds_graph::{Job, JobId, JobParams, TaskGraph, TaskId};
 use rtds_net::generators::{grid, DelayDistribution};
 use rtds_net::SiteId;
+use rtds_sched::{SchedulerKind, SiteResources};
 use rtds_sim::Simulator;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -205,6 +207,69 @@ fn a_member_answers_a_trial_mapping_with_one_allocation() {
         sim.run_until(90.0);
     });
     assert_eq!(sim.stats().named("validation_reply"), replies + 2);
+    assert_eq!(allocations, 0);
+}
+
+#[test]
+fn a_local_acceptance_with_wide_task_demands_allocates_nothing() {
+    // Four-core sites with a memory budget, HEFT, tasks up to three cores
+    // wide each holding memory: the multicore §5 path with every demand.
+    let config = RtdsConfig {
+        scheduler: SchedulerKind::Heft,
+        demand: DemandRule::WideTasks {
+            cores: 3,
+            parallel_fraction: 0.8,
+            memory: 2.0,
+        },
+        ..RtdsConfig::default()
+    };
+    let network = grid(3, 3, false, DelayDistribution::Constant(1.0), 1);
+    let topology = network.clone();
+    let mut sim = Simulator::new(network, |site| {
+        NodeBuilder::new(site)
+            .neighbors(topology.neighbors(site).to_vec())
+            .config(config)
+            .resources(SiteResources {
+                memory: 16.0,
+                ..SiteResources::multicore(4, 1.0)
+            })
+            .build()
+    });
+    sim.run_until(50.0);
+    // Eight 5-unit tasks due 60 after arrival: easy for one such site.
+    let job = |id: u64, arrival: f64| {
+        let graph = TaskGraph::from_costs(&[5.0; 8]);
+        Job::new(
+            JobId(id),
+            graph,
+            JobParams::new(arrival, arrival + 60.0),
+            CENTRE.0,
+        )
+    };
+    let mut visit = Vec::new();
+    let accepted = |sim: &Simulator<RtdsNode>| sim.stats().named("accepted_local");
+    // Warm the thread's buffers, the plans and the acceptance list.
+    for (id, arrival) in [(1, 100.0), (2, 200.0)] {
+        sim.inject_at(
+            arrival,
+            CENTRE,
+            RtdsMsg::JobArrival {
+                job: job(id, arrival),
+            },
+        );
+        sim.run_until(arrival);
+        harvest(&mut sim, arrival + 90.0, &mut visit);
+    }
+    let before = accepted(&sim);
+    sim.inject_at(300.0, CENTRE, RtdsMsg::JobArrival { job: job(3, 300.0) });
+    let ((), allocations) = allocations_of(|| {
+        sim.run_until(300.0);
+    });
+    assert_eq!(
+        accepted(&sim),
+        before + 1,
+        "the job must be accepted locally"
+    );
     assert_eq!(allocations, 0);
 }
 

@@ -58,6 +58,7 @@
 //! ```
 
 use std::collections::BTreeMap;
+use std::ops::Range;
 
 /// Identifier of a link inside a [`FlowModel`]; allocated densely by
 /// [`FlowModel::add_link`].
@@ -79,13 +80,26 @@ struct FlowState {
 /// Max-min fair-share flow model over a set of capacitated links.
 ///
 /// See the [crate docs](crate) for the drive protocol and the determinism
-/// argument.
-#[derive(Debug, Clone, PartialEq, Default)]
+/// argument. Equality compares state (links, flows, ids, clock), not the
+/// solver's buffers or the per-link totals derived from the last solve.
+#[derive(Debug, Clone, Default)]
 pub struct FlowModel {
     capacities: Vec<f64>,
     flows: BTreeMap<FlowId, FlowState>,
     next_id: FlowId,
     time: f64,
+    solver: Solver,
+    /// Per link, the total finite rate the last recompute assigned.
+    link_rates: Vec<f64>,
+}
+
+impl PartialEq for FlowModel {
+    fn eq(&self, other: &Self) -> bool {
+        self.capacities == other.capacities
+            && self.flows == other.flows
+            && self.next_id == other.next_id
+            && self.time == other.time
+    }
 }
 
 impl FlowModel {
@@ -110,11 +124,6 @@ impl FlowModel {
         id
     }
 
-    /// Number of links registered so far.
-    pub fn link_count(&self) -> usize {
-        self.capacities.len()
-    }
-
     /// Capacity of a link.
     pub fn link_capacity(&self, link: LinkId) -> f64 {
         self.capacities[link as usize]
@@ -132,16 +141,11 @@ impl FlowModel {
         self.capacities[link as usize] = capacity;
     }
 
-    /// Total rate currently assigned across a link (sum over flows that
-    /// cross it). Meaningful for utilisation telemetry.
-    pub fn link_rate(&self, link: LinkId) -> f64 {
-        let mut total = 0.0;
-        for flow in self.flows.values() {
-            if flow.links.contains(&link) && flow.rate.is_finite() {
-                total += flow.rate;
-            }
-        }
-        total
+    /// Per [`LinkId`], the finite rates the last [`recompute`](Self::recompute)
+    /// assigned to the flows crossing it, summed in ascending flow id order
+    /// (utilisation telemetry).
+    pub fn link_rates(&self) -> &[f64] {
+        &self.link_rates
     }
 
     /// The model's current time (the argument of the last
@@ -220,12 +224,20 @@ impl FlowModel {
     }
 
     /// Re-solves the max-min fair-share assignment for the current flow
-    /// set, overwriting every flow's rate.
+    /// set, overwriting every flow's rate and the per-link totals. A solver
+    /// that has held a flow set this large allocates nothing.
     pub fn recompute(&mut self) {
-        let link_sets: Vec<&[LinkId]> = self.flows.values().map(|f| f.links.as_slice()).collect();
-        let rates = max_min_rates(&self.capacities, &link_sets);
-        for (flow, rate) in self.flows.values_mut().zip(rates) {
+        let flows = self.flows.values().map(|f| f.links.as_slice());
+        self.solver.solve(&self.capacities, flows);
+        self.link_rates.clear();
+        self.link_rates.resize(self.capacities.len(), 0.0);
+        for (flow, &rate) in self.flows.values_mut().zip(&self.solver.rates) {
             flow.rate = rate;
+            if rate.is_finite() {
+                for &link in &flow.links {
+                    self.link_rates[link as usize] += rate;
+                }
+            }
         }
     }
 
@@ -254,24 +266,9 @@ impl FlowModel {
         self.flows[&flow].remaining
     }
 
-    /// The links a flow crosses.
-    pub fn links(&self, flow: FlowId) -> &[LinkId] {
-        &self.flows[&flow].links
-    }
-
     /// Whether the flow id is live (started and not yet finished).
     pub fn contains(&self, flow: FlowId) -> bool {
         self.flows.contains_key(&flow)
-    }
-
-    /// Number of in-flight flows.
-    pub fn flow_count(&self) -> usize {
-        self.flows.len()
-    }
-
-    /// True when no flows are in flight.
-    pub fn is_empty(&self) -> bool {
-        self.flows.is_empty()
     }
 
     /// Live flow ids in ascending order.
@@ -336,6 +333,7 @@ impl FlowModel {
             flows: map,
             next_id,
             time,
+            ..Self::default()
         })
     }
 }
@@ -352,83 +350,129 @@ impl FlowModel {
 /// rate is maximal, so no flow's rate can be increased without decreasing
 /// that of some flow with an equal-or-smaller rate.
 pub fn max_min_rates(capacities: &[f64], flows: &[&[LinkId]]) -> Vec<f64> {
-    let n = flows.len();
-    let l = capacities.len();
-    let mut rates = vec![0.0f64; n];
-    let mut frozen = vec![false; n];
-    // Capacity already committed to frozen flows, per link.
-    let mut used = vec![0.0f64; l];
-    let mut unfrozen = 0usize;
-    for (i, links) in flows.iter().enumerate() {
-        if links.is_empty() {
-            rates[i] = f64::INFINITY;
-            frozen[i] = true;
-        } else {
-            unfrozen += 1;
+    let mut solver = Solver::default();
+    solver.solve(capacities, flows.iter().copied());
+    solver.rates
+}
+
+/// The buffers of the progressive-filling solve, reused from one
+/// [`FlowModel::recompute`] to the next. Every solve overwrites all of them.
+#[derive(Debug, Clone, Default)]
+struct Solver {
+    /// Every flow's links back to back; flow `i`'s are `links[spans[i]]`.
+    links: Vec<LinkId>,
+    spans: Vec<Range<usize>>,
+    /// Per flow: the rate, and whether it is fixed yet.
+    rates: Vec<f64>,
+    frozen: Vec<bool>,
+    /// Per link: capacity already committed to frozen flows, unfrozen flows
+    /// crossing it, and whether it is a bottleneck this round.
+    used: Vec<f64>,
+    count: Vec<u32>,
+    bottleneck: Vec<bool>,
+}
+
+impl Solver {
+    /// Progressive filling over `flows`' link lists, in order: the body of
+    /// [`max_min_rates`], leaving one rate per flow in `rates`.
+    fn solve<'a>(&mut self, capacities: &[f64], flows: impl Iterator<Item = &'a [LinkId]>) {
+        let Solver {
+            links,
+            spans,
+            rates,
+            frozen,
+            used,
+            count,
+            bottleneck,
+        } = self;
+        links.clear();
+        spans.clear();
+        for flow in flows {
+            spans.push(links.len()..links.len() + flow.len());
+            links.extend_from_slice(flow);
         }
-    }
-    let mut count = vec![0u32; l];
-    let mut bottleneck = vec![false; l];
-    while unfrozen > 0 {
-        count.iter_mut().for_each(|c| *c = 0);
-        for (i, links) in flows.iter().enumerate() {
-            if frozen[i] {
-                continue;
-            }
-            for &link in *links {
-                count[link as usize] += 1;
-            }
-        }
-        // The tightest fair share over all contended links.
-        let mut share = f64::INFINITY;
-        for link in 0..l {
-            if count[link] == 0 {
-                continue;
-            }
-            let residual = (capacities[link] - used[link]).max(0.0);
-            let s = residual / count[link] as f64;
-            if s < share {
-                share = s;
+        let (links, spans) = (&*links, &*spans);
+        let flows = || spans.iter().map(move |span| &links[span.clone()]);
+        let (n, l) = (spans.len(), capacities.len());
+        rates.clear();
+        rates.resize(n, 0.0);
+        frozen.clear();
+        frozen.resize(n, false);
+        used.clear();
+        used.resize(l, 0.0);
+        count.clear();
+        count.resize(l, 0);
+        bottleneck.clear();
+        bottleneck.resize(l, false);
+        let mut unfrozen = 0usize;
+        for (i, links) in flows().enumerate() {
+            if links.is_empty() {
+                rates[i] = f64::INFINITY;
+                frozen[i] = true;
+            } else {
+                unfrozen += 1;
             }
         }
-        if share.is_infinite() {
-            // Every remaining flow crosses only unconstrained links.
-            for (i, rate) in rates.iter_mut().enumerate() {
-                if !frozen[i] {
-                    *rate = f64::INFINITY;
-                    frozen[i] = true;
+        while unfrozen > 0 {
+            count.iter_mut().for_each(|c| *c = 0);
+            for (i, links) in flows().enumerate() {
+                if frozen[i] {
+                    continue;
+                }
+                for &link in links {
+                    count[link as usize] += 1;
                 }
             }
-            break;
-        }
-        // Freeze every flow crossing a bottleneck link at the fair share.
-        for link in 0..l {
-            bottleneck[link] = if count[link] == 0 {
-                false
-            } else {
+            // The tightest fair share over all contended links.
+            let mut share = f64::INFINITY;
+            for link in 0..l {
+                if count[link] == 0 {
+                    continue;
+                }
                 let residual = (capacities[link] - used[link]).max(0.0);
-                residual / count[link] as f64 <= share
-            };
-        }
-        let mut froze_any = false;
-        for (i, links) in flows.iter().enumerate() {
-            if frozen[i] || !links.iter().any(|&lk| bottleneck[lk as usize]) {
-                continue;
+                let s = residual / count[link] as f64;
+                if s < share {
+                    share = s;
+                }
             }
-            rates[i] = share;
-            frozen[i] = true;
-            unfrozen -= 1;
-            froze_any = true;
-            for &link in *links {
-                used[link as usize] += share;
+            if share.is_infinite() {
+                // Every remaining flow crosses only unconstrained links.
+                for (i, rate) in rates.iter_mut().enumerate() {
+                    if !frozen[i] {
+                        *rate = f64::INFINITY;
+                        frozen[i] = true;
+                    }
+                }
+                break;
             }
-        }
-        debug_assert!(froze_any, "progressive filling froze no flow");
-        if !froze_any {
-            break; // defensive: avoid an infinite loop on fp pathology
+            // Freeze every flow crossing a bottleneck link at the fair share.
+            for link in 0..l {
+                bottleneck[link] = if count[link] == 0 {
+                    false
+                } else {
+                    let residual = (capacities[link] - used[link]).max(0.0);
+                    residual / count[link] as f64 <= share
+                };
+            }
+            let mut froze_any = false;
+            for (i, links) in flows().enumerate() {
+                if frozen[i] || !links.iter().any(|&lk| bottleneck[lk as usize]) {
+                    continue;
+                }
+                rates[i] = share;
+                frozen[i] = true;
+                unfrozen -= 1;
+                froze_any = true;
+                for &link in links {
+                    used[link as usize] += share;
+                }
+            }
+            debug_assert!(froze_any, "progressive filling froze no flow");
+            if !froze_any {
+                break; // defensive: avoid an infinite loop on fp pathology
+            }
         }
     }
-    rates
 }
 
 #[cfg(test)]

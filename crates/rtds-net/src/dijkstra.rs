@@ -8,10 +8,10 @@
 
 use crate::topology::{Network, SiteId};
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::{BTreeMap, BinaryHeap};
 
 /// Result of a single-source shortest-path computation.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct ShortestPaths {
     /// Source site.
     pub source: SiteId,
@@ -29,23 +29,25 @@ impl ShortestPaths {
     /// Reconstructs the shortest path from the source to `target`
     /// (inclusive of both endpoints); `None` if unreachable.
     pub fn path_to(&self, target: SiteId) -> Option<Vec<SiteId>> {
-        if self.dist[target.0].is_infinite() {
-            return None;
-        }
-        let mut path = vec![target];
-        let mut cur = target;
-        while let Some(p) = self.parent[cur.0] {
-            path.push(p);
-            cur = p;
-        }
-        path.reverse();
-        Some(path)
+        let mut path = Vec::new();
+        self.path_into(target, &mut path).then_some(path)
     }
 
-    /// The first hop taken from the source towards `target`, if any.
-    pub fn next_hop_to(&self, target: SiteId) -> Option<SiteId> {
-        let path = self.path_to(target)?;
-        path.get(1).copied()
+    /// [`ShortestPaths::path_to`] appended to `out`; returns `false`, and
+    /// appends nothing, if `target` is unreachable.
+    pub fn path_into(&self, target: SiteId, out: &mut Vec<SiteId>) -> bool {
+        if self.dist[target.0].is_infinite() {
+            return false;
+        }
+        let start = out.len();
+        out.push(target);
+        let mut cur = target;
+        while let Some(p) = self.parent[cur.0] {
+            out.push(p);
+            cur = p;
+        }
+        out[start..].reverse();
+        true
     }
 
     /// Maximum finite distance (the source's delay eccentricity).
@@ -58,7 +60,7 @@ impl ShortestPaths {
     }
 }
 
-#[derive(PartialEq)]
+#[derive(Debug, PartialEq)]
 struct HeapEntry {
     dist: f64,
     hops: usize,
@@ -89,12 +91,34 @@ impl PartialOrd for HeapEntry {
 /// (this matches the paper's Computing-Sphere preference for "close" sites in
 /// terms of both hops and delay).
 pub fn shortest_paths(net: &Network, source: SiteId) -> ShortestPaths {
+    let (mut tree, mut done, mut heap) = Default::default();
+    search(net, source, &mut tree, &mut done, &mut heap);
+    tree
+}
+
+/// The body of [`shortest_paths`], writing into `tree` and reusing the
+/// settled flags and the heap, so a warm caller allocates nothing.
+fn search(
+    net: &Network,
+    source: SiteId,
+    tree: &mut ShortestPaths,
+    done: &mut Vec<bool>,
+    heap: &mut BinaryHeap<HeapEntry>,
+) {
     let n = net.site_count();
-    let mut dist = vec![f64::INFINITY; n];
-    let mut hops = vec![usize::MAX; n];
-    let mut parent = vec![None; n];
-    let mut done = vec![false; n];
-    let mut heap = BinaryHeap::new();
+    tree.source = source;
+    let ShortestPaths {
+        dist, parent, hops, ..
+    } = tree;
+    dist.clear();
+    dist.resize(n, f64::INFINITY);
+    hops.clear();
+    hops.resize(n, usize::MAX);
+    parent.clear();
+    parent.resize(n, None);
+    done.clear();
+    done.resize(n, false);
+    heap.clear();
     dist[source.0] = 0.0;
     hops[source.0] = 0;
     heap.push(HeapEntry {
@@ -129,17 +153,50 @@ pub fn shortest_paths(net: &Network, source: SiteId) -> ShortestPaths {
             }
         }
     }
-    // Normalise unreachable hop counts.
-    for i in 0..n {
-        if dist[i].is_infinite() {
-            hops[i] = usize::MAX;
+}
+
+/// Minimum-delay routes of one [`Network`], memoised per `(from, to)` pair:
+/// a miss runs the [`shortest_paths`] search over reusable buffers and keeps
+/// only that route, so memory grows with the pairs asked about, not with
+/// per-source trees. Any change of [`Network::version`] drops every route.
+/// Versions are per instance (a restored network restarts at 0): one memo
+/// serves one network.
+#[derive(Debug, Default)]
+pub struct RouteMemo {
+    /// The version the routes were computed at; `None` matches no version.
+    version: Option<u64>,
+    /// `(from, to)` → the minimum delay and the `[start, end)` range of the
+    /// route's sites in `sites` (empty when unreachable).
+    routes: BTreeMap<(SiteId, SiteId), (f64, usize, usize)>,
+    sites: Vec<SiteId>,
+    tree: ShortestPaths,
+    done: Vec<bool>,
+    heap: BinaryHeap<HeapEntry>,
+}
+
+impl RouteMemo {
+    /// The minimum delay from `from` to `to` on `net` and the path realising
+    /// it, both endpoints included: `shortest_paths(net, from).dist[to.0]`
+    /// and `.path_to(to)`, with an infinite delay and an empty path when
+    /// `to` is unreachable.
+    pub fn route(&mut self, net: &Network, from: SiteId, to: SiteId) -> (f64, &[SiteId]) {
+        if self.version != Some(net.version()) {
+            self.version = Some(net.version());
+            self.routes.clear();
+            self.sites.clear();
         }
-    }
-    ShortestPaths {
-        source,
-        dist,
-        parent,
-        hops,
+        let (dist, start, end) = match self.routes.get(&(from, to)) {
+            Some(&route) => route,
+            None => {
+                search(net, from, &mut self.tree, &mut self.done, &mut self.heap);
+                let start = self.sites.len();
+                self.tree.path_into(to, &mut self.sites);
+                let route = (self.tree.dist[to.0], start, self.sites.len());
+                self.routes.insert((from, to), route);
+                route
+            }
+        };
+        (dist, &self.sites[start..end])
     }
 }
 
@@ -217,8 +274,6 @@ mod tests {
             sp.path_to(SiteId(2)),
             Some(vec![SiteId(0), SiteId(1), SiteId(2)])
         );
-        assert_eq!(sp.next_hop_to(SiteId(2)), Some(SiteId(1)));
-        assert_eq!(sp.next_hop_to(SiteId(0)), None);
         assert_eq!(sp.eccentricity(), 3.0);
     }
 

@@ -14,7 +14,7 @@
 //!   random trees, stars, complete graphs) with configurable delay
 //!   distributions,
 //! * [`dijkstra`] — reference shortest paths, eccentricities and diameters
-//!   used to validate the distributed algorithm,
+//!   used to validate the distributed algorithm, and the [`RouteMemo`],
 //! * [`routing`] — the `<destination, distance, next hop>` routing tables of
 //!   §7.1, holding only the destinations a site knows, sorted by id,
 //! * [`bellman_ford`] — the *interrupted* phase-synchronous distributed
@@ -37,7 +37,7 @@ pub mod sphere;
 pub mod topology;
 
 pub use bellman_ford::{phased_apsp, PhasedApspResult};
-pub use dijkstra::{all_pairs_shortest_paths, shortest_paths, ShortestPaths};
+pub use dijkstra::{all_pairs_shortest_paths, shortest_paths, RouteMemo, ShortestPaths};
 pub use generators::DelayDistribution;
 pub use routing::{RouteEntry, RoutingTable};
 pub use siteset::SiteSet;

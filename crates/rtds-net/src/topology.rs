@@ -11,7 +11,9 @@ use std::collections::VecDeque;
 use std::fmt;
 
 /// Identifier of a site (a node of the communication network).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(
+    Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
+)]
 pub struct SiteId(pub usize);
 
 impl SiteId {

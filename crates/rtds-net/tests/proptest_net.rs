@@ -1,11 +1,12 @@
 //! Property-based tests for the network substrate: the interrupted
 //! distributed Bellman–Ford must agree with centralized references, spheres
-//! must satisfy the §6 structural properties, and the compact routing table
-//! must behave identically to an ordered-map model of the §7.1 rules.
+//! must satisfy the §6 structural properties, the compact routing table
+//! must behave identically to an ordered-map model of the §7.1 rules, and
+//! the route memo must answer what a fresh Dijkstra answers.
 
 use proptest::prelude::*;
 use rtds_net::bellman_ford::phased_apsp;
-use rtds_net::dijkstra::{hop_limited_distance, shortest_paths};
+use rtds_net::dijkstra::{hop_limited_distance, shortest_paths, RouteMemo};
 use rtds_net::generators::{
     barabasi_albert, erdos_renyi_connected, grid, random_geometric, ring, DelayDistribution,
 };
@@ -444,6 +445,47 @@ proptest! {
             }
             // Out-of-range probes are simply absent.
             prop_assert!(!sphere.contains(SiteId(net.site_count() + 1000)));
+        }
+    }
+
+    /// The route memo answers exactly what a fresh `shortest_paths` run
+    /// answers — distance bits and path — across random link delay,
+    /// bandwidth, removal and restore mutations. Every pair is asked twice
+    /// per network state, so hits are checked as well as misses.
+    #[test]
+    fn route_memo_matches_fresh_shortest_paths(
+        topo in arbitrary_topo(),
+        delays in arbitrary_delays(),
+        seed in 0u64..500,
+        ops in proptest::collection::vec((0u8..4, 0usize..64, 0.5f64..6.0), 0..12),
+        pairs in proptest::collection::vec((0usize..64, 0usize..64), 1..8),
+    ) {
+        let mut net = build(topo, delays, seed);
+        let n = net.site_count();
+        let mut memo = RouteMemo::default();
+        let mut removed = Vec::new();
+        for step in 0..=ops.len() {
+            for &(a, b) in pairs.iter().chain(&pairs) {
+                let (from, to) = (SiteId(a % n), SiteId(b % n));
+                let fresh = shortest_paths(&net, from);
+                let (dist, path) = memo.route(&net, from, to);
+                prop_assert_eq!(dist.to_bits(), fresh.dist[to.0].to_bits(), "{} -> {}", from, to);
+                prop_assert_eq!(path.to_vec(), fresh.path_to(to).unwrap_or_default());
+            }
+            let Some(&(kind, pick, value)) = ops.get(step) else {
+                break;
+            };
+            let links: Vec<(SiteId, SiteId, f64)> = net.links().collect();
+            match (kind, links.get(pick % links.len().max(1))) {
+                (0, Some(&(a, b, _))) => net.set_link_delay(a, b, value).unwrap(),
+                (1, Some(&(a, b, _))) => net.set_link_bandwidth(a, b, value).unwrap(),
+                (2, Some(&(a, b, _))) => removed.push((a, b, net.remove_link(a, b).unwrap())),
+                _ if !removed.is_empty() => {
+                    let (a, b, state) = removed.swap_remove(pick % removed.len());
+                    net.restore_link(a, b, state).unwrap();
+                }
+                _ => {}
+            }
         }
     }
 

@@ -4,8 +4,7 @@
 //! fully deterministic single-threaded simulation; the runner shards cells
 //! round-robin over a fixed number of worker threads and reassembles results
 //! in input order, so the aggregate report — including its JSON rendering —
-//! is byte-identical for any thread count (generalising
-//! `rtds_bench::parallel_sweep`, which spawned one thread per input).
+//! is byte-identical for any thread count.
 
 use crate::json::Json;
 use crate::spec::{mix_seed, Scenario, StreamRecipe};

@@ -360,7 +360,7 @@ pub struct StreamRecipe {
 pub struct Scenario {
     /// Registry name (kebab-case).
     pub name: String,
-    /// One-line description shown by `exp_scenarios --list`.
+    /// One-line description shown by `rtds-exp scenarios --list`.
     pub description: String,
     /// Network recipe.
     pub topology: TopologySpec,

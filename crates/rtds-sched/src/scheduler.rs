@@ -299,22 +299,21 @@ impl Pending<'_> {
 }
 
 impl SiteScheduler {
-    /// The §5 local guarantee test (see [`Scheduler::admit_dag`]).
+    /// The §5 local guarantee test (see [`Scheduler::admit_dag`]): the
+    /// completion time, with the placements and holds in `scratch`.
     fn place_dag(
         &self,
         job: &Job,
         now: f64,
         demands: Option<&[TaskDemand]>,
         scratch: &mut Scratch,
-    ) -> Option<DagSchedule> {
+    ) -> Option<f64> {
         let graph = &job.graph;
         let start_floor = now.max(job.release());
+        scratch.placed.clear();
+        scratch.holds.clear();
         if graph.task_count() == 0 {
-            return Some(DagSchedule {
-                placements: Vec::new(),
-                holds: Vec::new(),
-                completion: start_floor,
-            });
+            return Some(start_floor);
         }
         if let Some(d) = demands {
             assert_eq!(d.len(), graph.task_count(), "one demand per task");
@@ -325,6 +324,7 @@ impl SiteScheduler {
         let Scratch {
             added,
             placed: placements,
+            holds,
             chunks,
             best_chunks,
             starts,
@@ -360,8 +360,6 @@ impl SiteScheduler {
         let mut trial = Trial::new(&self.cores, added);
         finish.clear();
         finish.resize(graph.task_count(), 0.0);
-        placements.clear();
-        let mut holds = Vec::new();
         for &t in task_order.iter() {
             let demand = demand_of(t);
             let k = demand.granted_cores(&self.resources);
@@ -422,15 +420,10 @@ impl SiteScheduler {
                 });
             }
         }
-        if !self.memory_fits(&holds, events) {
+        if !self.memory_fits(holds, events) {
             return None;
         }
-        let completion = finish.iter().copied().fold(start_floor, f64::max);
-        Some(DagSchedule {
-            placements: placements.clone(),
-            holds,
-            completion,
-        })
+        Some(finish.iter().copied().fold(start_floor, f64::max))
     }
 
     /// Peak-memory check: with the new holds added to the committed ledger,
@@ -606,6 +599,24 @@ impl SiteScheduler {
         })
     }
 
+    /// [`Scheduler::admit_dag`] and [`Scheduler::reserve_dag`] in one step,
+    /// committing straight from this thread's buffers: the job's completion
+    /// time, or `None` — with nothing committed — if it is not admissible.
+    pub fn admit_and_reserve(
+        &mut self,
+        job: &Job,
+        now: f64,
+        demands: Option<&[TaskDemand]>,
+    ) -> Option<f64> {
+        with_scratch(|scratch| {
+            let completion = self.place_dag(job, now, demands, scratch)?;
+            self.reserve(&scratch.placed)
+                .expect("admission placements are compatible by construction");
+            self.holds.extend_from_slice(&scratch.holds);
+            Some(completion)
+        })
+    }
+
     /// [`Scheduler::drain_completed`] handing each drained placement to
     /// `visit` (core-major order) instead of collecting them.
     pub fn drain_completed_with(&mut self, cutoff: f64, mut visit: impl FnMut(Placement)) {
@@ -635,7 +646,14 @@ impl Scheduler for SiteScheduler {
         now: f64,
         demands: Option<&[TaskDemand]>,
     ) -> Option<DagSchedule> {
-        with_scratch(|scratch| self.place_dag(job, now, demands, scratch))
+        with_scratch(|scratch| {
+            let completion = self.place_dag(job, now, demands, scratch)?;
+            Some(DagSchedule {
+                placements: scratch.placed.clone(),
+                holds: scratch.holds.clone(),
+                completion,
+            })
+        })
     }
 
     fn satisfiable(&self, requests: &[TaskRequest]) -> Option<Vec<Placement>> {

@@ -10,7 +10,7 @@
 
 use crate::interval::TimeInterval;
 use crate::plan::{PlanError, Reservation, SchedulePlan, Timeline, TIME_EPS};
-use crate::scheduler::{CoreId, Placement};
+use crate::scheduler::{CoreId, MemHold, Placement};
 use rtds_graph::TaskId;
 use std::cell::RefCell;
 
@@ -20,8 +20,10 @@ use std::cell::RefCell;
 pub(crate) struct Scratch {
     /// The per-core trial lists behind a [`Trial`].
     pub(crate) added: Vec<Vec<Reservation>>,
-    /// Placements of a request set, in the order they were made.
+    /// Placements of a request set, in the order they were made, and the
+    /// memory residencies of a whole-DAG admission.
     pub(crate) placed: Vec<Placement>,
+    pub(crate) holds: Vec<MemHold>,
     /// Indices of a request set in placement order.
     pub(crate) order: Vec<usize>,
     /// Preemptive chunks on the core being tried / on the best core so far.

@@ -4,13 +4,14 @@
 //! nothing when only the verdict is asked or when it commits what it placed
 //! in the same step — a §5 admission allocates only
 //! the schedule it returns, whatever the size of the plan it is tested
-//! against (trial placement never copies a plan), and draining completed
-//! reservations into a visitor allocates nothing.
+//! against (trial placement never copies a plan) — and nothing beyond plan
+//! growth when it commits in the same step, memory holds included — and
+//! draining completed reservations into a visitor allocates nothing.
 
 use rtds_graph::{Job, JobId, JobParams, TaskGraph, TaskId};
 use rtds_sched::{
-    Placement, Reservation, Scheduler, SchedulerKind, SiteResources, SiteScheduler, TaskRequest,
-    TimeInterval,
+    Placement, Reservation, Scheduler, SchedulerKind, SiteResources, SiteScheduler, SpeedupFn,
+    TaskDemand, TaskRequest, TimeInterval,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -258,5 +259,74 @@ fn admission_and_commit_cost_do_not_grow_with_the_plan() {
         let (rejected, n) = allocations_of(|| sched.admit_dag(&tight, 1.0, None));
         assert!(rejected.is_none(), "{what}");
         assert_eq!(n, 0, "rejecting admit_dag, {what}");
+    }
+}
+
+#[test]
+fn admit_and_reserve_commits_a_multicore_job_in_place() {
+    // The diamond with a tail again, its tasks one and two cores wide
+    // (Amdahl), each holding memory while it runs: a four-unit budget that
+    // fits two residencies at a time, never three.
+    let mut graph = TaskGraph::from_costs(&[2.0; 5]);
+    for (from, to) in [(0, 1), (0, 2), (1, 3), (2, 3), (3, 4)] {
+        graph.add_edge(TaskId(from), TaskId(to)).unwrap();
+    }
+    let job = Job::new(JobId(7), graph, JobParams::new(0.0, 10_000.0), 0);
+    let demands: Vec<TaskDemand> = (0..5)
+        .map(|t| TaskDemand {
+            cores: 1 + t % 2,
+            memory: 1.5,
+            speedup: SpeedupFn::Amdahl {
+                parallel_fraction: 0.8,
+            },
+        })
+        .collect();
+    let tight = Job::new(JobId(8), job.graph.clone(), JobParams::new(0.0, 6.0), 0);
+    for kind in SchedulerKind::all() {
+        for preemptive in [false, true] {
+            let what = format!("{kind:?}, preemptive {preemptive}");
+            let mut sched = busy_scheduler(kind, 3, preemptive, 200);
+            let resources = SiteResources {
+                memory: 4.0,
+                ..*sched.resources()
+            };
+            let (base_speed, _, _) = sched.snapshot_parts();
+            let plans = sched.core_plans().to_vec();
+            sched = SiteScheduler::from_parts(
+                kind,
+                resources,
+                base_speed,
+                preemptive,
+                plans,
+                Vec::new(),
+            )
+            .expect("valid parts");
+            let schedule = sched.admit_dag(&job, 1.0, Some(&demands)).expect("fits");
+            assert_eq!(schedule.holds.len(), 5, "{what}");
+            // Warm the thread's buffers and the plans' capacity once.
+            let completion = sched.admit_and_reserve(&job, 1.0, Some(&demands));
+            assert_eq!(completion, Some(schedule.completion), "{what}");
+            sched.release(job.id);
+            let before = sched.clone();
+
+            let (completion, n) =
+                allocations_of(|| sched.admit_and_reserve(&job, 1.0, Some(&demands)));
+            assert_eq!(completion, Some(schedule.completion), "{what}");
+            assert_eq!(n, 0, "admit_and_reserve with memory demands, {what}");
+            // What it committed is exactly what `reserve_dag` would have.
+            let mut expected = before.clone();
+            expected.reserve_dag(&schedule).expect("committable");
+            assert_eq!(sched, expected, "{what}");
+            // A job that does not fit commits nothing and allocates nothing.
+            sched.release(job.id);
+            let (rejected, n) =
+                allocations_of(|| sched.admit_and_reserve(&tight, 1.0, Some(&demands)));
+            assert_eq!(
+                (rejected, n),
+                (None, 0),
+                "rejecting admit_and_reserve, {what}"
+            );
+            assert_eq!(sched, before, "{what}");
+        }
     }
 }

@@ -9,12 +9,12 @@
 
 use crate::event::{Event, EventPayload};
 use crate::faults::{FaultEvent, FaultState};
-use crate::flow::FlowPlane;
+use crate::flow::{FinishSchedule, FlowPlane};
 use crate::queue::CalendarQueue;
 use crate::stats::SimStats;
 use crate::trace::{SpanId, Trace, TraceEvent, TracePayload};
 use rtds_metrics::Scope;
-use rtds_net::{shortest_paths, Network, SiteId};
+use rtds_net::{Network, RouteMemo, SiteId};
 use std::fmt::Debug;
 use std::time::{Duration, Instant};
 
@@ -282,7 +282,7 @@ pub struct EngineProfile {
     pub dispatch_counts: [u64; 6],
     /// Wall-clock time spent dispatching each class. **NONDETERMINISTIC**:
     /// never fold into reports that are byte-compared across runs (the same
-    /// discipline `exp_perf` applies to its timing fields).
+    /// discipline that keeps `rtds-exp perf`'s timing fields `null`).
     pub wall: [Duration; 6],
 }
 
@@ -315,6 +315,10 @@ pub struct Simulator<P: Protocol> {
     wall_by_class: [Duration; 6],
     /// Shared-bandwidth plane tracking in-flight [`Context::transfer`]s.
     flows: FlowPlane<P::Msg>,
+    /// The transfers' routes (not state: a restore starts it empty).
+    routes: RouteMemo,
+    /// Reused buffer for the completion events of a flow re-solve.
+    finish_scratch: Vec<FinishSchedule>,
     /// Reused buffer for batched same-timestamp dispatch.
     batch_scratch: Vec<Event<P::Msg>>,
     /// When set, the engine appends the `(time, class_rank, seq)` ordering
@@ -336,8 +340,10 @@ impl<P: Protocol> Simulator<P> {
         let nodes: Vec<P> = network.sites().map(&mut factory).collect();
         let faults = FaultState::new(nodes.len(), 0);
         let queue = CalendarQueue::with_capacity(4 * network.link_count() + 16);
-        let mut flows = FlowPlane::new();
-        flows.topo_version = network.version();
+        let flows = FlowPlane {
+            topo_version: network.version(),
+            ..FlowPlane::default()
+        };
         let is_touched = vec![false; nodes.len()];
         Simulator {
             network,
@@ -355,6 +361,8 @@ impl<P: Protocol> Simulator<P> {
             dispatch_counts: [0; 6],
             wall_by_class: [Duration::ZERO; 6],
             flows,
+            routes: RouteMemo::default(),
+            finish_scratch: Vec::new(),
             batch_scratch: Vec::new(),
             order_log: None,
             touched: Vec::new(),
@@ -604,6 +612,8 @@ impl<P: Protocol> Simulator<P> {
             dispatch_counts,
             wall_by_class: [Duration::ZERO; 6],
             flows,
+            routes: RouteMemo::default(),
+            finish_scratch: Vec::new(),
             batch_scratch: Vec::new(),
             order_log: None,
             touched,
@@ -785,26 +795,24 @@ impl<P: Protocol> Simulator<P> {
                         volume,
                         message,
                     } => {
-                        match shortest_paths(&self.network, from).path_to(target) {
-                            Some(path) => {
-                                self.stats.add("sim_flow_started", 1);
-                                self.flows.start(
-                                    self.now,
-                                    from,
-                                    target,
-                                    volume,
-                                    message,
-                                    &path,
-                                    &self.network,
-                                );
-                                self.reschedule_flows();
-                            }
-                            None => {
-                                // The topology changed between initiation
-                                // and start: no path remains, the data is
-                                // lost in the partition.
-                                self.stats.add("sim_flow_no_path", 1);
-                            }
+                        let (_, path) = self.routes.route(&self.network, from, target);
+                        if path.is_empty() {
+                            // The topology changed between initiation and
+                            // start: no path remains, the data is lost in
+                            // the partition.
+                            self.stats.add("sim_flow_no_path", 1);
+                        } else {
+                            self.stats.add("sim_flow_started", 1);
+                            self.flows.start(
+                                self.now,
+                                from,
+                                target,
+                                volume,
+                                message,
+                                path,
+                                &self.network,
+                            );
+                            self.reschedule_flows();
                         }
                     }
                     EventPayload::FlowFinish { flow, epoch } => {
@@ -858,7 +866,8 @@ impl<P: Protocol> Simulator<P> {
     /// fresh completion event for every flow whose prediction changed, then
     /// samples per-link utilization into the metrics registry.
     fn reschedule_flows(&mut self) {
-        for sched in self.flows.reschedule(self.now) {
+        self.flows.reschedule(self.now, &mut self.finish_scratch);
+        for sched in self.finish_scratch.drain(..) {
             self.queue.push(
                 sched.time,
                 sched.to,
@@ -868,11 +877,9 @@ impl<P: Protocol> Simulator<P> {
                 },
             );
         }
-        for (_, _, utilization) in self.flows.link_utilization() {
-            self.stats
-                .metrics_mut()
-                .record("link_utilization", utilization);
-        }
+        let metrics = self.stats.metrics_mut();
+        self.flows
+            .link_utilization_with(|_, _, u| metrics.record("link_utilization", u));
     }
 
     fn dispatch_with_ctx(
@@ -944,11 +951,7 @@ impl<P: Protocol> Simulator<P> {
                     // failures cut the sender off — lost like a routed
                     // send, before the loss roll (which must consume RNG
                     // draws identically either way).
-                    let head_delay = if site == to {
-                        0.0
-                    } else {
-                        shortest_paths(&self.network, site).dist[to.0]
-                    };
+                    let (head_delay, _) = self.routes.route(&self.network, site, to);
                     if !head_delay.is_finite() {
                         self.stats.add("sim_lost_unreachable", 1);
                         continue;

@@ -8,6 +8,15 @@
 //! crosses), and every start/finish/fault re-solves the rate assignment and
 //! reschedules in-flight completions.
 //!
+//! # Routes and buffers
+//!
+//! A transfer's head delay and pinned path come from the engine's
+//! [`rtds_net::RouteMemo`]: one Dijkstra per `(from, to)` pair, keeping that
+//! pair's route only, dropped on any change of [`Network::version`], never
+//! snapshotted (a restored network restarts at version 0). A re-solve runs
+//! over the rate model's own buffers, fills an engine-owned buffer and
+//! visits link utilizations, so once warm it allocates nothing.
+//!
 //! # Rescheduling and epochs
 //!
 //! The event queue cannot remove an already scheduled completion, so each
@@ -93,11 +102,6 @@ impl<M> Default for FlowPlane<M> {
 }
 
 impl<M> FlowPlane<M> {
-    /// Creates an empty plane.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Returns `true` when no transfer is in flight.
     pub fn is_empty(&self) -> bool {
         self.flows.is_empty()
@@ -197,15 +201,15 @@ impl<M> FlowPlane<M> {
     }
 
     /// Advances the model to `now`, re-solves the fair-share assignment and
-    /// returns the completion events to (re)schedule: one entry per flow
-    /// whose predicted completion changed bit-for-bit and is finite. Flows
-    /// whose prediction is unchanged keep their pending event; flows that
-    /// stalled (infinite prediction) get their epoch bumped with no event,
-    /// orphaning any pending one.
-    pub fn reschedule(&mut self, now: f64) -> Vec<FinishSchedule> {
+    /// fills `out` with the completion events to (re)schedule: one entry per
+    /// flow whose predicted completion changed bit-for-bit and is finite.
+    /// Flows whose prediction is unchanged keep their pending event; flows
+    /// that stalled (infinite prediction) get their epoch bumped with no
+    /// event, orphaning any pending one.
+    pub fn reschedule(&mut self, now: f64, out: &mut Vec<FinishSchedule>) {
         self.model.advance_to(now);
         self.model.recompute();
-        let mut out = Vec::new();
+        out.clear();
         for (&id, flow) in &mut self.flows {
             let predicted = self.model.finish_time(id);
             if predicted.to_bits() == flow.finish.to_bits() {
@@ -223,26 +227,24 @@ impl<M> FlowPlane<M> {
                 });
             }
         }
-        out
     }
 
-    /// Utilization samples for the links currently crossed by at least one
-    /// flow: `(a, b, rate / capacity)` for links with finite positive
-    /// capacity, in ascending site-pair order. Used for telemetry after a
-    /// recomputation.
-    pub fn link_utilization(&self) -> Vec<(usize, usize, f64)> {
-        let mut out = Vec::new();
+    /// Hands `visit` a utilization sample `(a, b, rate / capacity)` for every
+    /// link with finite positive capacity that the last
+    /// [`FlowPlane::reschedule`] loaded, in ascending site-pair order. Used
+    /// for telemetry after a recomputation.
+    pub fn link_utilization_with(&self, mut visit: impl FnMut(usize, usize, f64)) {
+        let rates = self.model.link_rates();
         for (&(a, b), &id) in &self.link_ids {
             let capacity = self.model.link_capacity(id);
             if !capacity.is_finite() || capacity <= 0.0 {
                 continue;
             }
-            let rate = self.model.link_rate(id);
+            let rate = rates[id as usize];
             if rate > 0.0 {
-                out.push((a, b, rate / capacity));
+                visit(a, b, rate / capacity);
             }
         }
-        out
     }
 }
 
@@ -264,10 +266,11 @@ mod tests {
     #[test]
     fn start_reschedule_finish_lifecycle() {
         let net = line3();
-        let mut plane: FlowPlane<u32> = FlowPlane::new();
+        let mut plane: FlowPlane<u32> = FlowPlane::default();
         let path = [SiteId(0), SiteId(1), SiteId(2)];
         let id = plane.start(0.0, SiteId(0), SiteId(2), 4.0, 7, &path, &net);
-        let scheds = plane.reschedule(0.0);
+        let mut scheds = Vec::new();
+        plane.reschedule(0.0, &mut scheds);
         assert_eq!(scheds.len(), 1);
         assert_eq!(scheds[0].flow, id);
         // 4.0 volume at bandwidth 2.0 → completion at t = 2.0.
@@ -282,19 +285,21 @@ mod tests {
     #[test]
     fn unchanged_predictions_do_not_churn_the_queue() {
         let net = line3();
-        let mut plane: FlowPlane<u32> = FlowPlane::new();
+        let mut plane: FlowPlane<u32> = FlowPlane::default();
         let path = [SiteId(0), SiteId(1)];
         plane.start(0.0, SiteId(0), SiteId(1), 4.0, 1, &path, &net);
-        let first = plane.reschedule(0.0);
-        assert_eq!(first.len(), 1);
+        let mut scheds = Vec::new();
+        plane.reschedule(0.0, &mut scheds);
+        assert_eq!(scheds.len(), 1);
         // Re-solving with nothing changed must not emit new events.
-        assert!(plane.reschedule(0.5).is_empty());
+        plane.reschedule(0.5, &mut scheds);
+        assert!(scheds.is_empty());
     }
 
     #[test]
     fn contention_splits_and_second_start_reschedules_the_first() {
         let net = line3();
-        let mut plane: FlowPlane<u32> = FlowPlane::new();
+        let mut plane: FlowPlane<u32> = FlowPlane::default();
         let a = plane.start(
             0.0,
             SiteId(0),
@@ -304,8 +309,9 @@ mod tests {
             &[SiteId(0), SiteId(1)],
             &net,
         );
-        let only = plane.reschedule(0.0);
-        assert_eq!(only[0].time, 2.0);
+        let mut scheds = Vec::new();
+        plane.reschedule(0.0, &mut scheds);
+        assert_eq!(scheds[0].time, 2.0);
         // Second flow on the same link at t = 1.0: the first has 2.0 volume
         // left, now moving at rate 1.0 → finishes at 3.0.
         let b = plane.start(
@@ -317,8 +323,8 @@ mod tests {
             &[SiteId(0), SiteId(1)],
             &net,
         );
-        let both = plane.reschedule(1.0);
-        let times: BTreeMap<u64, f64> = both.iter().map(|s| (s.flow, s.time)).collect();
+        plane.reschedule(1.0, &mut scheds);
+        let times: BTreeMap<u64, f64> = scheds.iter().map(|s| (s.flow, s.time)).collect();
         assert_eq!(times[&a], 3.0);
         assert_eq!(times[&b], 5.0);
     }
@@ -326,8 +332,10 @@ mod tests {
     #[test]
     fn network_mutation_resyncs_capacities_and_stalls_removed_links() {
         let mut net = line3();
-        let mut plane: FlowPlane<u32> = FlowPlane::new();
-        plane.topo_version = net.version();
+        let mut plane: FlowPlane<u32> = FlowPlane {
+            topo_version: net.version(),
+            ..FlowPlane::default()
+        };
         plane.start(
             0.0,
             SiteId(0),
@@ -337,12 +345,13 @@ mod tests {
             &[SiteId(0), SiteId(1)],
             &net,
         );
-        plane.reschedule(0.0);
+        let mut scheds = Vec::new();
+        plane.reschedule(0.0, &mut scheds);
         assert!(!plane.sync_with_network(&net), "no mutation yet");
         net.remove_link(SiteId(0), SiteId(1)).unwrap();
         assert!(plane.sync_with_network(&net));
-        let after = plane.reschedule(1.0);
-        assert!(after.is_empty(), "stalled flow must not schedule an event");
+        plane.reschedule(1.0, &mut scheds);
+        assert!(scheds.is_empty(), "stalled flow must not schedule an event");
         let flow = plane.flows.values().next().unwrap();
         assert!(flow.finish.is_infinite());
     }
@@ -350,7 +359,7 @@ mod tests {
     #[test]
     fn utilization_reports_only_loaded_finite_links() {
         let net = line3();
-        let mut plane: FlowPlane<u32> = FlowPlane::new();
+        let mut plane: FlowPlane<u32> = FlowPlane::default();
         plane.start(
             0.0,
             SiteId(0),
@@ -360,8 +369,9 @@ mod tests {
             &[SiteId(0), SiteId(1)],
             &net,
         );
-        plane.reschedule(0.0);
-        let util = plane.link_utilization();
+        plane.reschedule(0.0, &mut Vec::new());
+        let mut util = Vec::new();
+        plane.link_utilization_with(|a, b, u| util.push((a, b, u)));
         assert_eq!(util, vec![(0, 1, 1.0)]);
     }
 }

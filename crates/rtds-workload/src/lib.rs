@@ -24,12 +24,12 @@
 //!
 //! Scenario wiring (the `stream` field on `rtds_scenarios::Scenario` and
 //! the diurnal-wave / pareto-burst / replayed-trace registry entries) lives
-//! in `rtds-scenarios`; the `exp_workloads` binary in `rtds-bench` drives
+//! in `rtds-scenarios`; `rtds-exp workloads` (the `rtds-bench` binary) drives
 //! million-job runs with `--record`/`--replay`. See `docs/WORKLOADS.md`.
 //!
 //! The workload trace records *arrivals* (what enters the system); the
 //! protocol *span* trace (`rtds-trace`, `docs/TRACING.md`) records what the
-//! protocol then did with them. The two compose: `exp_workloads --replay
+//! protocol then did with them. The two compose: `rtds-exp workloads --replay
 //! t.jsonl --trace-out spans.jsonl` replays a recorded workload while
 //! streaming the causal span trace of its execution.
 //!

@@ -16,8 +16,8 @@
 //! simulation the *exact* workload of the live run, and re-recording a
 //! replay reproduces the original trace byte-for-byte (the property tests
 //! pin both). The header carries caller metadata (seed, topology size, job
-//! count, template description) so a trace is self-contained: `exp_workloads
-//! --replay` reconstructs the whole experiment from the file alone.
+//! count, template description) so a trace is self-contained: `rtds-exp
+//! workloads --replay` reconstructs the whole experiment from the file alone.
 
 use crate::source::WorkloadSource;
 use crate::spec::JobSpec;

@@ -40,7 +40,7 @@ pub fn run(args: ExpArgs) {
     // Load site 1, then submit the paper's worked-example job there.
     system.submit_job(blocking_job(1, 1));
     system.submit_job(paper_job(JobId(2), 1));
-    let report = system.run();
+    let (report, _) = system.run();
 
     println!("== Fig. 1: protocol walkthrough for one distributed job ==");
     println!();
@@ -48,7 +48,7 @@ pub fn run(args: ExpArgs) {
     println!();
     println!(
         "submitted {}, accepted locally {}, accepted distributed {}, rejected {}",
-        report.jobs_submitted,
+        report.guarantee.submitted,
         report.guarantee.accepted_locally,
         report.guarantee.accepted_distributed,
         report.guarantee.rejected,
@@ -79,7 +79,7 @@ pub fn run(args: ExpArgs) {
     args.write_json(&Json::object(vec![
         ("experiment", Json::str("fig1_overview")),
         ("seed", Json::UInt(seed)),
-        ("jobs_submitted", Json::UInt(report.jobs_submitted)),
+        ("jobs_submitted", Json::UInt(report.guarantee.submitted)),
         (
             "accepted_distributed",
             Json::UInt(report.guarantee.accepted_distributed),

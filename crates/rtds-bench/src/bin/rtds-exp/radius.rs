@@ -40,7 +40,7 @@ pub fn run(args: ExpArgs) {
         };
         let mut system = RtdsSystem::new(network.clone(), config, 2);
         system.submit_workload(jobs.clone());
-        let report = system.run();
+        let (report, _) = system.run();
         (h, report)
     });
     let mut json_rows = Vec::new();

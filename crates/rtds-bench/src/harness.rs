@@ -5,7 +5,7 @@ use rtds_baselines::{
     BiddingConfig, BroadcastBidding, CentralizedOracle, DistributionPolicy, GlobalHeft, LocalOnly,
     PolicyReport, RandomOffload, RandomOffloadConfig,
 };
-use rtds_core::{RtdsConfig, RtdsSystem, RunReport};
+use rtds_core::{RtdsConfig, RtdsSystem, StreamReport};
 use rtds_graph::generators::{CostDistribution, DagGenerator, DagShape, GeneratorConfig};
 use rtds_graph::Job;
 use rtds_net::{Network, SiteId};
@@ -108,14 +108,15 @@ impl ComparisonRow {
         }
     }
 
-    fn from_rtds(label: &str, report: &RunReport) -> Self {
+    fn from_rtds(label: &str, report: &StreamReport) -> Self {
+        let submitted = report.guarantee.submitted;
         ComparisonRow {
             policy: label.to_string(),
             accepted: report.guarantee.accepted(),
-            submitted: report.jobs_submitted,
-            ratio: (report.jobs_submitted > 0).then(|| report.guarantee_ratio()),
-            misses: report.deadline_misses(),
-            messages_per_job: (report.jobs_submitted > 0).then_some(report.messages_per_job),
+            submitted,
+            ratio: (submitted > 0).then(|| report.guarantee_ratio()),
+            misses: report.accepted_misses(),
+            messages_per_job: (submitted > 0).then_some(report.messages_per_job),
         }
     }
 }
@@ -130,7 +131,7 @@ pub fn comparison_row(
 ) -> ComparisonRow {
     let mut system = RtdsSystem::new(network.clone(), config, seed);
     system.submit_workload(jobs.to_vec());
-    let report = system.run();
+    let (report, _) = system.run();
     ComparisonRow::from_rtds(label, &report)
 }
 

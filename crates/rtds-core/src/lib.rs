@@ -23,11 +23,12 @@
 //!   over the discrete-event simulator,
 //! * [`system`] — [`RtdsSystem`]: a one-call deployment used by the examples,
 //!   integration tests and the experiment harness,
-//! * [`streaming`] — the open-loop execution path: jobs pulled on demand
-//!   from a [`streaming::JobSource`], committed reservations pruned behind
-//!   the clock, aggregate [`streaming::StreamReport`] instead of a per-job
-//!   vector — memory bounded by in-flight work (the workload generators and
-//!   trace record/replay live in the `rtds-workload` crate),
+//! * [`streaming`] — the one run loop: jobs pulled on demand from a
+//!   [`streaming::JobSource`], committed reservations pruned behind the
+//!   clock, an aggregate [`streaming::StreamReport`] — memory bounded by
+//!   in-flight work (the workload generators and trace record/replay live
+//!   in the `rtds-workload` crate); a batch run is a stream of the
+//!   submitted jobs plus a per-job sink,
 //! * [`analysis`] — Gantt/Table extraction used to regenerate the paper's
 //!   Figs. 3–4 and Table 1.
 
@@ -59,4 +60,4 @@ pub use snapshot::{
     SnapshotError, SCHED_SNAPSHOT_SCHEMA, STREAM_SNAPSHOT_SCHEMA, SYSTEM_SNAPSHOT_SCHEMA,
 };
 pub use streaming::{JobSource, StreamOptions, StreamPause, StreamReport, StreamRun};
-pub use system::{JobOutcomeKind, JobReport, RtdsSystem, RunReport};
+pub use system::{JobOutcomeKind, JobReport, RtdsSystem};

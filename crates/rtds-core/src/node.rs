@@ -51,8 +51,8 @@ use std::sync::Arc;
 /// `exact_acs_diameter` configuration is enabled.
 pub type GlobalDistances = Arc<Vec<Vec<f64>>>;
 
-/// A job accepted by this site acting as initiator (used by the post-run
-/// verification in the system layer).
+/// A job accepted by this site acting as initiator (drained by the run
+/// loop's harvest, which marks the job accepted).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AcceptedJob {
     /// The job id.
@@ -231,11 +231,6 @@ impl RtdsNode {
     /// The site's local scheduler (policy + per-core committed plans).
     pub fn scheduler(&self) -> &SiteScheduler {
         &self.sched
-    }
-
-    /// Committed per-core plans of the computation processor.
-    pub fn plans(&self) -> &[SchedulePlan] {
-        self.sched.core_plans()
     }
 
     /// Total committed reservations across all cores.
@@ -1229,7 +1224,7 @@ mod tests {
         assert!(node.plan_is_empty());
         assert_eq!(node.plan_len(), 0);
         assert!(node.check_plan_invariants());
-        assert_eq!(node.plans().len(), 1);
+        assert_eq!(node.scheduler().core_plans().len(), 1);
         assert!(node.scheduler().resources().is_degenerate());
         assert_eq!(node.guarantee.submitted, 0);
     }
@@ -1265,7 +1260,7 @@ mod tests {
         let node = NodeBuilder::new(SiteId(0))
             .resources(SiteResources::multicore(4, 1.0))
             .build();
-        assert_eq!(node.plans().len(), 4);
+        assert_eq!(node.scheduler().core_plans().len(), 4);
         assert_eq!(node.scheduler().kind(), rtds_sched::SchedulerKind::Protocol);
     }
 }

@@ -1,27 +1,26 @@
 //! One-call deployment of an RTDS system over the simulator.
 //!
 //! [`RtdsSystem`] assembles a network, one [`RtdsNode`] per site and the
-//! discrete-event engine, accepts a workload of jobs, runs the simulation to
-//! quiescence and produces a [`RunReport`] with the paper's metrics:
-//! guarantee ratio, distribution ratio, message overhead, per-job outcomes
-//! and the run-time safety check (accepted jobs never miss their deadline).
+//! discrete-event engine, and runs workloads through the one run loop of
+//! [`crate::streaming`]: [`RtdsSystem::run`] streams the jobs handed to
+//! [`RtdsSystem::submit_job`] and returns the paper's metrics (guarantee
+//! ratio, message overhead, the run-time safety check that accepted jobs
+//! never miss their deadline) plus one [`JobReport`] per job;
+//! [`RtdsSystem::run_streaming`] pulls jobs from an open-loop source.
 
 use crate::config::RtdsConfig;
-use crate::messages::RtdsMsg;
 use crate::node::{GlobalDistances, NodeBuilder, RtdsNode};
-use crate::snapshot::SYSTEM_SNAPSHOT_SCHEMA;
+use crate::snapshot::{decode_job, encode_job, SYSTEM_SNAPSHOT_SCHEMA};
 use rtds_graph::{Job, JobId};
-use rtds_metrics::MetricsRegistry;
 use rtds_net::dijkstra::all_pairs_shortest_paths;
 use rtds_net::{Network, SiteId};
-use rtds_sched::executor;
 use rtds_sched::SiteResources;
 use rtds_sim::json::Json;
-use rtds_sim::snapshot::{expect_schema, field, Path, Snap, SnapshotError, Word};
-use rtds_sim::stats::{GuaranteeStats, SimStats};
+use rtds_sim::snapshot::{
+    decode_each, expect_schema, field, field_with, Path, Snap, SnapshotError, Word,
+};
 use rtds_sim::{FaultEvent, Simulator, Trace};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// How a submitted job ended up.
@@ -46,7 +45,8 @@ pub struct JobReport {
     pub arrival: f64,
     /// Outcome.
     pub outcome: JobOutcomeKind,
-    /// Completion time across all sites (None for rejected jobs).
+    /// Completion time across all sites (None for rejected jobs and for
+    /// accepted jobs with nothing committed).
     pub completion: Option<f64>,
     /// Absolute deadline of the job.
     pub deadline: f64,
@@ -55,45 +55,12 @@ pub struct JobReport {
     pub met_deadline: bool,
 }
 
-/// Aggregate report of one run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct RunReport {
-    /// Number of jobs submitted.
-    pub jobs_submitted: u64,
-    /// Aggregated real-time outcome counters.
-    pub guarantee: GuaranteeStats,
-    /// Engine and protocol counters.
-    pub stats: SimStats,
-    /// Per-job outcomes, ordered by job id.
-    pub jobs: Vec<JobReport>,
-    /// Final simulated time.
-    pub finished_at: f64,
-    /// Average number of distribution messages per submitted job.
-    pub messages_per_job: f64,
-    /// The full telemetry registry: every protocol instrument from
-    /// [`SimStats`] plus the report-level end-to-end histograms
-    /// (`response_time`, `completion_slack`) folded over the per-job
-    /// outcomes. Deterministic — a pure function of the run's inputs.
-    pub metrics: MetricsRegistry,
-}
-
-impl RunReport {
-    /// Guarantee ratio of the run.
-    pub fn guarantee_ratio(&self) -> f64 {
-        self.guarantee.guarantee_ratio()
-    }
-
-    /// Number of accepted jobs that missed their deadline (must be zero).
-    pub fn deadline_misses(&self) -> u64 {
-        self.guarantee.deadline_misses
-    }
-}
-
 /// A deployed RTDS system: network + nodes + simulator + workload.
 pub struct RtdsSystem {
     sim: Simulator<RtdsNode>,
-    /// `(job, arrival site, arrival time, deadline)` of every submission.
-    submitted: Vec<(JobId, usize, f64, f64)>,
+    /// Jobs submitted since the last [`RtdsSystem::run`], in submission
+    /// order.
+    pub(crate) submitted: Vec<Job>,
     seed: u64,
 }
 
@@ -192,18 +159,16 @@ impl RtdsSystem {
         self.sim.node(site)
     }
 
-    /// Submits one job: it will arrive at `job.arrival_site` at its release
-    /// time.
+    /// Submits one job: the next [`RtdsSystem::run`] has it arrive at
+    /// `job.arrival_site` at its arrival time (clamped to the start of the
+    /// run).
     pub fn submit_job(&mut self, job: Job) {
         let site = SiteId(job.arrival_site);
         assert!(
             site.0 < self.sim.network().site_count(),
             "arrival site {site} does not exist"
         );
-        let time = job.arrival_time.max(0.0);
-        self.submitted
-            .push((job.id, job.arrival_site, time, job.deadline()));
-        self.sim.inject_at(time, site, RtdsMsg::JobArrival { job });
+        self.submitted.push(job);
     }
 
     /// Submits a whole workload.
@@ -237,17 +202,18 @@ impl RtdsSystem {
     }
 
     /// Caps the number of processed events (safety net for perturbed runs).
+    /// A capped run stops pulling jobs too: jobs it never reached are not
+    /// counted as submitted.
     pub fn set_max_events(&mut self, max: u64) {
         self.sim.set_max_events(max);
     }
 
-    /// Engine access for the streaming execution path (see
-    /// [`crate::streaming`]).
+    /// Engine access for the run loop (see [`crate::streaming`]).
     pub(crate) fn sim(&self) -> &Simulator<RtdsNode> {
         &self.sim
     }
 
-    /// Mutable engine access for the streaming execution path.
+    /// Mutable engine access for the run loop.
     pub(crate) fn sim_mut(&mut self) -> &mut Simulator<RtdsNode> {
         &mut self.sim
     }
@@ -264,13 +230,17 @@ impl RtdsSystem {
         self.sim.order_log()
     }
 
-    /// Serializes the complete system state — engine, nodes, workload
-    /// bookkeeping — as a deterministic JSON document
-    /// (`rtds-system-snapshot/1`). [`RtdsSystem::resume`] rebuilds a system
-    /// that continues the run event-for-event identically, so a checkpointed
-    /// run's final report is byte-identical to an uninterrupted one. Trace
-    /// recorders, profiling and the ordering log are observability surfaces
-    /// and restart disabled (see [`rtds_sim::snapshot`]).
+    /// Serializes the complete system state — engine, nodes, jobs submitted
+    /// but not yet run — as a deterministic JSON document
+    /// (`rtds-system-snapshot/1`); [`RtdsSystem::resume`] rebuilds the
+    /// identical system. A checkpoint taken before the run resumes to the
+    /// same run. A run in progress carries state of its own loop as well:
+    /// it is checkpointed by [`RtdsSystem::run_streaming_checkpoint`] (whose
+    /// document embeds this one) and continued by
+    /// [`RtdsSystem::resume_streaming`]; a system that has already run
+    /// refuses to run again. Trace recorders, profiling and the ordering
+    /// log are observability surfaces and restart disabled (see
+    /// [`rtds_sim::snapshot`]).
     pub fn checkpoint(&self) -> String {
         self.encode().render()
     }
@@ -282,114 +252,13 @@ impl RtdsSystem {
             .map_err(|e| SnapshotError(format!("checkpoint does not parse: {e}")))?;
         RtdsSystem::decode(&doc, &Path::root("system"))
     }
-
-    /// Runs the simulation to quiescence and produces the report.
-    pub fn run(&mut self) -> RunReport {
-        self.sim.run_to_quiescence();
-        self.build_report()
-    }
-
-    /// Runs the simulation up to the given horizon and produces the report.
-    pub fn run_until(&mut self, horizon: f64) -> RunReport {
-        self.sim.run_until(horizon);
-        self.build_report()
-    }
-
-    fn build_report(&self) -> RunReport {
-        let mut guarantee = GuaranteeStats::default();
-        let mut accepted: BTreeMap<JobId, (bool, f64)> = BTreeMap::new();
-        for node in self.sim.nodes() {
-            guarantee.merge(&node.guarantee);
-            for a in &node.accepted {
-                accepted.insert(a.job, (a.distributed, a.deadline));
-            }
-        }
-        let completions = executor::job_completions(self.sim.nodes().flat_map(|n| n.plans()));
-
-        let mut jobs = Vec::new();
-        for (job, site, arrival, deadline) in &self.submitted {
-            let (outcome, completion, met) = match accepted.get(job) {
-                Some((distributed, _)) => {
-                    let completion = completions.get(job).copied();
-                    let met = executor::meets_deadline(completion, *deadline);
-                    let kind = if *distributed {
-                        JobOutcomeKind::AcceptedDistributed
-                    } else {
-                        JobOutcomeKind::AcceptedLocally
-                    };
-                    (kind, completion, met)
-                }
-                None => (JobOutcomeKind::Rejected, None, false),
-            };
-            jobs.push(JobReport {
-                job: *job,
-                arrival_site: *site,
-                arrival: *arrival,
-                outcome,
-                completion,
-                deadline: *deadline,
-                met_deadline: met,
-            });
-        }
-        jobs.sort_by_key(|j| j.job);
-
-        // Run-time verification: every accepted job must meet its deadline.
-        for j in &jobs {
-            match j.outcome {
-                JobOutcomeKind::AcceptedLocally | JobOutcomeKind::AcceptedDistributed => {
-                    if j.met_deadline {
-                        guarantee.completed_on_time += 1;
-                    } else {
-                        guarantee.deadline_misses += 1;
-                    }
-                }
-                JobOutcomeKind::Rejected => {}
-            }
-        }
-
-        let stats = self.sim.stats().clone();
-        // Report-level telemetry: the protocol registry plus the end-to-end
-        // per-job histograms. Folding here (instead of inside the engine)
-        // keeps `stats` a pure protocol observable, and histogram merging is
-        // commutative, so this matches the streaming path's incremental
-        // recording sample-for-sample.
-        let mut metrics = stats.metrics().clone();
-        for j in &jobs {
-            if j.outcome == JobOutcomeKind::Rejected {
-                continue;
-            }
-            if let Some(completion) = j.completion {
-                metrics.record("response_time", completion - j.arrival);
-                metrics.record("completion_slack", j.deadline - completion);
-            }
-        }
-        let submitted_count = self.submitted.len() as u64;
-        let messages_per_job = if submitted_count > 0 {
-            stats.named("distribution_messages") as f64 / submitted_count as f64
-        } else {
-            0.0
-        };
-        RunReport {
-            jobs_submitted: submitted_count,
-            guarantee,
-            stats,
-            jobs,
-            finished_at: self.sim.now(),
-            messages_per_job,
-            metrics,
-        }
-    }
 }
 
-/// The complete system state (`rtds-system-snapshot/1`): workload
-/// bookkeeping around the engine snapshot, which carries the nodes.
+/// The complete system state (`rtds-system-snapshot/1`): the submitted
+/// jobs not yet run around the engine snapshot, which carries the nodes.
 impl Snap for RtdsSystem {
     fn encode(&self) -> Json {
-        let submitted = self
-            .submitted
-            .iter()
-            .map(|&(job, site, arrival, deadline)| (job.0, site, arrival, deadline).encode())
-            .collect();
+        let submitted = self.submitted.iter().map(encode_job).collect();
         // The exact-distance table is shared by every node; serialize it
         // once, verbatim — faults may have mutated the topology since
         // construction, so recomputing it on restore would diverge.
@@ -425,13 +294,12 @@ impl Snap for RtdsSystem {
             }
             node.set_global_distances(global.clone());
         }
-        let submitted: Vec<(Word, SiteId, f64, f64)> = field(doc, path, "submitted")?;
+        let submitted: Vec<Job> = field_with(doc, path, "submitted", |j, path| {
+            decode_each(j, path, decode_job)
+        })?;
         Ok(RtdsSystem {
             sim,
-            submitted: submitted
-                .into_iter()
-                .map(|(Word(job), site, arrival, deadline)| (JobId(job), site.0, arrival, deadline))
-                .collect(),
+            submitted,
             seed: field::<Word>(doc, path, "seed")?.0,
         })
     }
@@ -457,13 +325,13 @@ mod tests {
         let net = ring(6, DelayDistribution::Constant(1.0), 0);
         let mut system = RtdsSystem::new(net, RtdsConfig::default(), 1);
         system.submit_job(chain_job(1, &[5.0, 5.0], 0.0, 50.0, 2));
-        let report = system.run();
-        assert_eq!(report.jobs_submitted, 1);
+        let (report, jobs) = system.run();
+        assert_eq!(report.guarantee.submitted, 1);
         assert_eq!(report.guarantee.accepted_locally, 1);
         assert_eq!(report.guarantee.rejected, 0);
         assert_eq!(report.deadline_misses(), 0);
-        assert_eq!(report.jobs[0].outcome, JobOutcomeKind::AcceptedLocally);
-        assert!(report.jobs[0].met_deadline);
+        assert_eq!(jobs[0].outcome, JobOutcomeKind::AcceptedLocally);
+        assert!(jobs[0].met_deadline);
         assert!(report.guarantee_ratio() > 0.99);
         // Only routing messages were needed.
         assert_eq!(report.stats.named("enroll"), 0);
@@ -477,8 +345,8 @@ mod tests {
         let mut system = RtdsSystem::new(net, RtdsConfig::default(), 1);
         system.submit_job(chain_job(1, &[30.0], 0.0, 40.0, 2));
         system.submit_job(chain_job(2, &[30.0], 0.0, 40.0, 2));
-        let report = system.run();
-        assert_eq!(report.jobs_submitted, 2);
+        let (report, _) = system.run();
+        assert_eq!(report.guarantee.submitted, 2);
         assert_eq!(report.guarantee.accepted_locally, 1);
         assert_eq!(
             report.guarantee.accepted_distributed + report.guarantee.rejected,
@@ -504,14 +372,14 @@ mod tests {
         // Pre-load site 1 so the paper job cannot be guaranteed locally.
         system.submit_job(chain_job(10, &[60.0], 0.0, 70.0, 1));
         system.submit_job(paper_job(JobId(11), 1));
-        let report = system.run();
-        assert_eq!(report.jobs_submitted, 2);
+        let (report, jobs) = system.run();
+        assert_eq!(report.guarantee.submitted, 2);
         assert_eq!(report.deadline_misses(), 0);
         // The first job is local; the paper job must have been distributed
         // (or rejected — but with three idle neighbors it is accepted).
         assert_eq!(report.guarantee.accepted_locally, 1);
         assert_eq!(report.guarantee.accepted_distributed, 1);
-        let paper_report = report.jobs.iter().find(|j| j.job == JobId(11)).unwrap();
+        let paper_report = jobs.iter().find(|j| j.job == JobId(11)).unwrap();
         assert_eq!(paper_report.outcome, JobOutcomeKind::AcceptedDistributed);
         assert!(paper_report.met_deadline);
         // The trace shows the full Fig. 1 pipeline.
@@ -551,7 +419,7 @@ mod tests {
         // Pre-load site 2 so the fork-join job cannot be guaranteed locally.
         system.submit_job(chain_job(10, &[60.0], 0.0, 70.0, 2));
         system.submit_job(fork_join(11, 0.0, 55.0, 2));
-        let report = system.run();
+        let (report, _) = system.run();
         assert_eq!(report.guarantee.accepted_locally, 1);
         assert_eq!(report.guarantee.accepted_distributed, 1);
         assert_eq!(report.deadline_misses(), 0);
@@ -561,53 +429,6 @@ mod tests {
         assert_eq!(report.stats.named("task_data_received"), sent);
         assert_eq!(report.stats.named("sim_flow_started"), sent);
         assert_eq!(report.stats.named("sim_flow_finished"), sent);
-    }
-
-    #[test]
-    fn checkpoint_mid_transfer_resumes_to_the_identical_report() {
-        // Pause the flow-transfer run at an instant with a transfer still in
-        // flight, round-trip the whole system through its checkpoint text,
-        // and finish: the final report must equal the uninterrupted run's.
-        let fork_join = |id: u64| {
-            let mut g = TaskGraph::from_costs(&[1.0, 10.0, 10.0, 10.0, 1.0]);
-            for mid in 1..=3 {
-                g.add_edge_with_volume(TaskId(0), TaskId(mid), 2.0).unwrap();
-                g.add_edge_with_volume(TaskId(mid), TaskId(4), 2.0).unwrap();
-            }
-            Job::new(JobId(id), g, JobParams::new(0.0, 55.0), 2)
-        };
-        let build = || {
-            let mut net = ring(6, DelayDistribution::Constant(1.0), 0);
-            let links: Vec<(SiteId, SiteId)> = net.links().map(|(a, b, _)| (a, b)).collect();
-            for (a, b) in links {
-                net.set_link_bandwidth(a, b, 0.5).unwrap();
-            }
-            let config = RtdsConfig {
-                data_volume_aware: true,
-                flow_transfers: true,
-                ..RtdsConfig::default()
-            };
-            let mut system = RtdsSystem::new(net, config, 1);
-            system.submit_job(chain_job(10, &[60.0], 0.0, 70.0, 2));
-            system.submit_job(fork_join(11));
-            system
-        };
-        let reference = build().run();
-        assert!(reference.stats.named("sim_flow_finished") > 0);
-
-        let mut paused = build();
-        let mut snapshot = None;
-        for t in 1..=60 {
-            let partial = paused.run_until(t as f64);
-            if partial.stats.named("sim_flow_started") > partial.stats.named("sim_flow_finished") {
-                snapshot = Some(paused.checkpoint());
-                break;
-            }
-        }
-        let text = snapshot.expect("no pause instant caught a transfer in flight");
-        assert!(text.contains(r#""rtds-flow-snapshot/1""#));
-        let mut resumed = RtdsSystem::resume(&text).expect("mid-transfer checkpoint resumes");
-        assert_eq!(resumed.run(), reference);
     }
 
     #[test]
@@ -625,7 +446,7 @@ mod tests {
             let mut system = RtdsSystem::new(net, config, 1);
             system.submit_job(chain_job(1, &[30.0], 0.0, 40.0, 2));
             system.submit_job(chain_job(2, &[30.0], 0.0, 40.0, 2));
-            let report = system.run();
+            let (report, _) = system.run();
             let mut stats: Vec<(String, u64)> = report
                 .stats
                 .named_counters()
@@ -647,12 +468,12 @@ mod tests {
         let mut system = RtdsSystem::new(net, RtdsConfig::default(), 3);
         // 100 units of serial work in a 20-unit window: nobody can run it.
         system.submit_job(chain_job(1, &[50.0, 50.0], 0.0, 20.0, 0));
-        let report = system.run();
+        let (report, jobs) = system.run();
         assert_eq!(report.guarantee.rejected, 1);
         assert_eq!(report.guarantee.accepted(), 0);
         assert_eq!(report.deadline_misses(), 0);
-        assert_eq!(report.jobs[0].outcome, JobOutcomeKind::Rejected);
-        assert_eq!(report.jobs[0].completion, None);
+        assert_eq!(jobs[0].outcome, JobOutcomeKind::Rejected);
+        assert_eq!(jobs[0].completion, None);
     }
 
     #[test]
@@ -665,15 +486,16 @@ mod tests {
         let mut system = RtdsSystem::new(net, config, 1);
         system.submit_job(chain_job(1, &[30.0], 0.0, 40.0, 2));
         system.submit_job(chain_job(2, &[30.0], 0.0, 40.0, 2));
-        let report = system.run();
-        assert_eq!(report.jobs_submitted, 2);
+        let (report, _) = system.run();
+        assert_eq!(report.guarantee.submitted, 2);
         assert_eq!(report.deadline_misses(), 0);
     }
 
     #[test]
     fn crashed_arrival_site_loses_its_jobs() {
         // Identical workloads; in the perturbed run the arrival site is down
-        // over the arrival window, so its jobs are lost and end up rejected.
+        // over the arrival window, so its jobs are lost and end up rejected:
+        // a lost arrival still counts as submitted.
         let run = |crash: bool| {
             let net = ring(6, DelayDistribution::Constant(1.0), 0);
             let mut system = RtdsSystem::new(net, RtdsConfig::default(), 1);
@@ -685,12 +507,15 @@ mod tests {
             system.submit_job(chain_job(2, &[5.0, 5.0], 50.0, 140.0, 2));
             system.run()
         };
-        let healthy = run(false);
-        let crashed = run(true);
+        let (healthy, _) = run(false);
+        let (crashed, jobs) = run(true);
         assert_eq!(healthy.guarantee.accepted(), 2);
         assert_eq!(crashed.guarantee.accepted(), 1);
-        assert_eq!(crashed.jobs[0].outcome, JobOutcomeKind::Rejected);
-        assert_eq!(crashed.jobs[1].outcome, JobOutcomeKind::AcceptedLocally);
+        assert_eq!(crashed.guarantee.submitted, 2);
+        assert_eq!(crashed.guarantee.rejected, 1);
+        assert_eq!(crashed.guarantee_ratio(), 0.5);
+        assert_eq!(jobs[0].outcome, JobOutcomeKind::Rejected);
+        assert_eq!(jobs[1].outcome, JobOutcomeKind::AcceptedLocally);
         assert_eq!(crashed.deadline_misses(), 0);
         assert_eq!(crashed.stats.named("sim_dropped_arrival_site_down"), 1);
     }
@@ -709,7 +534,7 @@ mod tests {
             system.schedule_fault(10.0, FaultEvent::SetMessageLoss { probability: loss });
             system.submit_job(chain_job(1, &[30.0], 20.0, 60.0, 2));
             system.submit_job(chain_job(2, &[30.0], 20.0, 60.0, 2));
-            system.run()
+            system.run().0
         };
         let clean = run(0.0);
         let lossy = run(1.0);

@@ -8,7 +8,7 @@
 
 use crate::json::Json;
 use crate::spec::{mix_seed, Scenario, StreamRecipe};
-use rtds_core::{JobOutcomeKind, RtdsSystem, RunReport, StreamOptions, StreamReport};
+use rtds_core::{RtdsSystem, StreamOptions, StreamReport};
 use rtds_sim::metrics_json::metrics_to_json;
 use rtds_sim::trace::render_jsonl;
 use rtds_sim::{MetricsRegistry, Trace};
@@ -99,7 +99,8 @@ pub struct CellReport {
     pub accepted_distributed: u64,
     /// Jobs rejected (or lost to faults).
     pub rejected: u64,
-    /// Accepted jobs that missed their deadline (must stay zero).
+    /// Accepted jobs that missed their deadline (must stay zero): late
+    /// completions plus accepted jobs that never completed at all.
     pub deadline_misses: u64,
     /// Guarantee ratio.
     pub guarantee_ratio: f64,
@@ -109,9 +110,9 @@ pub struct CellReport {
     pub messages_sent: u64,
     /// Engine-level messages delivered.
     pub messages_delivered: u64,
-    /// Mean slack (deadline minus completion) over accepted jobs.
+    /// Mean slack (deadline minus completion) over on-time jobs.
     pub mean_slack: f64,
-    /// Minimum slack over accepted jobs.
+    /// Minimum slack over on-time jobs.
     pub min_slack: f64,
     /// Fault events applied by the engine.
     pub faults_injected: u64,
@@ -127,60 +128,7 @@ pub struct CellReport {
 }
 
 impl CellReport {
-    fn from_run(scenario: &str, seed: u64, report: &RunReport, events_processed: u64) -> Self {
-        let mut slack_sum = 0.0;
-        let mut slack_min = f64::INFINITY;
-        let mut accepted = 0u64;
-        for job in &report.jobs {
-            if matches!(
-                job.outcome,
-                JobOutcomeKind::AcceptedLocally | JobOutcomeKind::AcceptedDistributed
-            ) {
-                if let Some(completion) = job.completion {
-                    let slack = job.deadline - completion;
-                    slack_sum += slack;
-                    slack_min = slack_min.min(slack);
-                    accepted += 1;
-                }
-            }
-        }
-        let (mean_slack, min_slack) = if accepted > 0 {
-            (slack_sum / accepted as f64, slack_min)
-        } else {
-            (0.0, 0.0)
-        };
-        let stats = &report.stats;
-        let messages_lost = stats.named("sim_lost_random")
-            + stats.named("sim_lost_link_down")
-            + stats.named("sim_lost_unreachable")
-            + stats.named("sim_dropped_site_down")
-            + stats.named("sim_dropped_arrival_site_down")
-            + stats.named("sim_dropped_timer_site_down");
-        CellReport {
-            scenario: scenario.to_string(),
-            seed,
-            submitted: report.jobs_submitted,
-            accepted_locally: report.guarantee.accepted_locally,
-            accepted_distributed: report.guarantee.accepted_distributed,
-            rejected: report.jobs_submitted
-                - report.guarantee.accepted_locally
-                - report.guarantee.accepted_distributed,
-            deadline_misses: report.deadline_misses(),
-            guarantee_ratio: report.guarantee_ratio(),
-            messages_per_job: report.messages_per_job,
-            messages_sent: stats.messages_sent,
-            messages_delivered: stats.messages_delivered,
-            mean_slack,
-            min_slack,
-            faults_injected: stats.named("sim_fault_events"),
-            messages_lost,
-            finished_at: report.finished_at,
-            events_processed,
-            metrics: report.metrics.clone(),
-        }
-    }
-
-    fn from_stream(scenario: &str, seed: u64, report: &StreamReport) -> Self {
+    fn from_report(scenario: &str, seed: u64, report: &StreamReport) -> Self {
         let stats = &report.stats;
         let messages_lost = stats.named("sim_lost_random")
             + stats.named("sim_lost_link_down")
@@ -195,7 +143,7 @@ impl CellReport {
             accepted_locally: report.guarantee.accepted_locally,
             accepted_distributed: report.guarantee.accepted_distributed,
             rejected: report.guarantee.rejected,
-            deadline_misses: report.deadline_misses(),
+            deadline_misses: report.accepted_misses(),
             guarantee_ratio: report.guarantee_ratio(),
             messages_per_job: report.messages_per_job,
             messages_sent: stats.messages_sent,
@@ -379,9 +327,9 @@ impl SweepReport {
 
 /// Runs one `(scenario, seed)` cell: builds the network and workload,
 /// expands and schedules the perturbation plan, runs to quiescence and
-/// extracts the cell metrics. Scenarios with a [`StreamRecipe`] run through
-/// the bounded-memory streaming path (pulling arrivals on demand), the rest
-/// through the classic batch path; both are bit-deterministic per seed.
+/// extracts the cell metrics. Scenarios with a [`StreamRecipe`] pull their
+/// arrivals from an open-loop source, the rest stream their pre-built
+/// workload; both are bit-deterministic per seed.
 pub fn run_cell(scenario: &Scenario, seed: u64) -> CellReport {
     run_cell_with(scenario, seed, None).0
 }
@@ -424,17 +372,14 @@ fn run_cell_with(
     for (time, fault) in faults {
         system.schedule_fault(time.max(0.0), fault);
     }
-    let cell = match scenario.stream {
+    let report = match scenario.stream {
         None => {
-            system.submit_workload(batch_jobs.expect("built above"));
-            let report = system.run();
-            CellReport::from_run(&scenario.name, seed, &report, system.events_processed())
+            let mut jobs = batch_jobs.expect("built above").into_iter();
+            system.run_streaming(&mut jobs, &StreamOptions::default())
         }
-        Some(stream) => {
-            let report = run_stream_cell(scenario, &stream, &mut system, site_count, seed);
-            CellReport::from_stream(&scenario.name, seed, &report)
-        }
+        Some(stream) => run_stream_cell(scenario, &stream, &mut system, site_count, seed),
     };
+    let cell = CellReport::from_report(&scenario.name, seed, &report);
     let rendered = want_trace.then(|| {
         render_jsonl(
             &[
@@ -660,6 +605,17 @@ mod tests {
         // shipped volumes restored do move data through the flow plane.
         let probe = find_scenario("incast-storm").unwrap();
         assert!(run_cell(&probe, 1).metrics.counter("sim_flow_started") > 0);
+    }
+
+    #[test]
+    fn accepted_jobs_that_never_complete_count_as_misses() {
+        // Each cell has one accepted job with no committed reservation to
+        // harvest: no completion, so the run files it as unharvested — and
+        // the cell counts it as a miss.
+        for (name, seed) in [("flaky-links", 19), ("partition-and-heal", 50)] {
+            let cell = run_cell(&find_scenario(name).unwrap(), seed);
+            assert_eq!(cell.deadline_misses, 1, "{name} seed {seed}");
+        }
     }
 
     #[test]

@@ -376,7 +376,8 @@ pub struct Scenario {
     pub config: RtdsConfig,
     /// Per-site resource bundles (cores, memory).
     pub resources: ResourceRecipe,
-    /// Safety cap on processed simulation events per run.
+    /// Safety cap on processed simulation events per run. A capped cell
+    /// counts only the jobs it reached as submitted.
     pub max_events: u64,
 }
 

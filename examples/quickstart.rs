@@ -41,10 +41,10 @@ fn main() {
         system.submit_job(job);
     }
 
-    let report = system.run();
+    let (report, jobs) = system.run();
 
     println!();
-    println!("jobs submitted        : {}", report.jobs_submitted);
+    println!("jobs submitted        : {}", report.guarantee.submitted);
     println!(
         "accepted locally      : {}",
         report.guarantee.accepted_locally
@@ -58,7 +58,7 @@ fn main() {
     println!("deadline misses       : {}", report.deadline_misses());
     println!("messages per job      : {:.1}", report.messages_per_job);
     println!();
-    for job in &report.jobs {
+    for job in &jobs {
         println!(
             "  {:?} at site {} -> {:?} (completion {:?})",
             job.job, job.arrival_site, job.outcome, job.completion

@@ -53,12 +53,12 @@ fn workload(site_count: usize, seed: u64, ccr: f64) -> Vec<Job> {
 fn run(label: &str, network: Network, jobs: Vec<Job>, config: RtdsConfig) {
     let mut system = RtdsSystem::new(network, config, 3);
     system.submit_workload(jobs);
-    let report = system.run();
+    let (report, _) = system.run();
     println!(
         "{:<34} accepted {:>4}/{:<4}  ratio {:>6.3}  misses {}  msgs/job {:>6.1}",
         label,
         report.guarantee.accepted(),
-        report.jobs_submitted,
+        report.guarantee.submitted,
         report.guarantee_ratio(),
         report.deadline_misses(),
         report.messages_per_job

@@ -53,7 +53,7 @@ fn main() {
         };
         let mut system = RtdsSystem::new(network.clone(), config, 13);
         system.submit_workload(jobs.clone());
-        let rtds = system.run();
+        let (rtds, _) = system.run();
 
         let bidding = run_broadcast_bidding(&network, &jobs, BiddingConfig::default());
 

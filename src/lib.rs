@@ -67,8 +67,9 @@
 //!
 //! // Submit the paper's worked-example job at site 0 and run to quiescence.
 //! system.submit_job(paper_job(JobId(1), 0));
-//! let report = system.run();
-//! assert_eq!(report.jobs_submitted, 1);
+//! let (report, jobs) = system.run();
+//! assert_eq!(report.guarantee.submitted, 1);
+//! assert!(jobs[0].met_deadline);
 //! ```
 
 pub use rtds_baselines as baselines;

@@ -66,18 +66,23 @@ fn accepted_jobs_never_miss_deadlines() {
         let jobs = poisson_workload(&network, 0.01, 300.0, 40 + i as u64);
         let mut system = RtdsSystem::new(network.clone(), RtdsConfig::default(), i as u64);
         system.submit_workload(jobs.clone());
-        let report = system.run();
-        assert_eq!(report.jobs_submitted as usize, jobs.len());
+        let (report, records) = system.run();
+        assert_eq!(report.guarantee.submitted as usize, jobs.len());
         assert_eq!(report.deadline_misses(), 0, "topology {i}");
+        assert_eq!(report.unharvested_completions, 0, "topology {i}");
+        // Every accepted job completed by its deadline.
+        assert!(records
+            .iter()
+            .all(|j| j.outcome == JobOutcomeKind::Rejected || j.met_deadline));
         assert_eq!(report.stats.named("placement_failures"), 0, "topology {i}");
-        // Plans are internally consistent.
+        // Plans are internally consistent (and drained).
         for site in network.sites() {
             assert!(system.node(site).check_plan_invariants(), "site {site}");
         }
         // Accounting is consistent.
         assert_eq!(
             report.guarantee.accepted() + report.guarantee.rejected,
-            report.jobs_submitted
+            report.guarantee.submitted
         );
     }
 }
@@ -112,7 +117,7 @@ fn rtds_accepts_more_than_local_only_under_hotspots() {
 
     let mut system = RtdsSystem::new(network.clone(), RtdsConfig::default(), 3);
     system.submit_workload(jobs.clone());
-    let rtds = system.run();
+    let (rtds, _) = system.run();
     let local = run_local_only(&network, &jobs, false);
 
     assert_eq!(rtds.deadline_misses(), 0);
@@ -158,7 +163,7 @@ fn sphere_overhead_is_independent_of_network_size() {
 
         let mut system = RtdsSystem::new(network.clone(), RtdsConfig::default(), 1);
         system.submit_workload(jobs.clone());
-        let report = system.run();
+        let (report, _) = system.run();
         rtds_cost.push(report.messages_per_job);
 
         let bidding = run_broadcast_bidding(&network, &jobs, BiddingConfig::default());
@@ -191,8 +196,8 @@ fn concurrent_distributions_respect_locks() {
             id += 1;
         }
     }
-    let report = system.run();
-    assert_eq!(report.jobs_submitted, 16);
+    let (report, _) = system.run();
+    assert_eq!(report.guarantee.submitted, 16);
     assert_eq!(report.guarantee.accepted() + report.guarantee.rejected, 16);
     assert_eq!(report.deadline_misses(), 0);
     assert_eq!(report.stats.named("placement_failures"), 0);
@@ -258,31 +263,100 @@ fn extension_configurations_are_safe() {
     for (i, config) in configs.into_iter().enumerate() {
         let mut system = RtdsSystem::new(network.clone(), config, i as u64);
         system.submit_workload(jobs.clone());
-        let report = system.run();
+        let (report, _) = system.run();
         assert_eq!(report.deadline_misses(), 0, "config {i}");
+        assert_eq!(report.unharvested_completions, 0, "config {i}");
         assert_eq!(report.stats.named("placement_failures"), 0, "config {i}");
         assert_eq!(
             report.guarantee.accepted() + report.guarantee.rejected,
-            report.jobs_submitted,
+            report.guarantee.submitted,
             "config {i}"
         );
     }
+}
+
+/// `run` streams the submitted jobs by arrival time clamped to the start of
+/// the run, whatever order they were submitted in.
+#[test]
+fn run_sorts_submissions_by_clamped_arrival() {
+    // The same jobs, two of them arriving before the run starts, submitted
+    // sorted and shuffled (the two early jobs keep their relative order:
+    // both arrive at 0, in submission order).
+    let network = grid(3, 3, false, DelayDistribution::Constant(1.0), 1);
+    let mut jobs = poisson_workload(&network, 0.02, 100.0, 3);
+    assert!(jobs.len() >= 10, "{} jobs", jobs.len());
+    jobs[4].arrival_time = -2.0;
+    jobs[9].arrival_time = -7.5;
+    let mut sorted = jobs.clone();
+    sorted.sort_by(|a, b| a.arrival_time.total_cmp(&b.arrival_time));
+    let mut shuffled = jobs.clone();
+    shuffled.reverse();
+    shuffled.swap(0, 5);
+    let run = |order: &[Job]| {
+        let mut system = RtdsSystem::new(network.clone(), RtdsConfig::default(), 2);
+        system.submit_workload(order.to_vec());
+        system.run()
+    };
+    let reference = run(&sorted);
+    assert_eq!(run(&shuffled), reference);
+    assert_eq!(reference.0.guarantee.submitted, jobs.len() as u64);
+    let early = reference.1.iter().filter(|j| j.arrival == 0.0).count();
+    assert_eq!(early, 2, "jobs released before the run arrive at 0");
+}
+
+/// A run stopped by the event cap counts only the jobs it injected, in the
+/// aggregate and in the per-job vector alike.
+#[test]
+fn a_capped_run_counts_only_the_jobs_it_reached() {
+    let network = grid(3, 3, false, DelayDistribution::Constant(1.0), 1);
+    let jobs = poisson_workload(&network, 0.05, 200.0, 5);
+    let run = |cap: u64| {
+        let mut system = RtdsSystem::new(network.clone(), RtdsConfig::default(), 1);
+        system.set_max_events(cap);
+        system.submit_workload(jobs.clone());
+        system.run()
+    };
+    let (full, _) = run(u64::MAX);
+    assert_eq!(full.guarantee.submitted, jobs.len() as u64);
+    let (capped, records) = run(full.events_processed / 2);
+    let g = &capped.guarantee;
+    assert!(g.submitted > 0 && g.submitted < jobs.len() as u64);
+    assert_eq!(g.accepted() + g.rejected, g.submitted);
+    assert_eq!(records.len() as u64, g.submitted);
+}
+
+/// A run's harvest state is not part of the system, so a system runs once.
+#[test]
+#[should_panic(expected = "already run")]
+fn a_system_runs_once() {
+    let network = ring(6, DelayDistribution::Constant(1.0), 0);
+    let mut system = RtdsSystem::new(network, RtdsConfig::default(), 0);
+    system.submit_job(chain_job(1, &[5.0], 0.0, 50.0, 0));
+    let _ = system.run();
+    let _ = system.run();
 }
 
 /// A job that cannot run anywhere is rejected everywhere, never half-placed.
 #[test]
 fn infeasible_jobs_leave_no_residue() {
     let network = ring(6, DelayDistribution::Constant(1.0), 0);
-    let mut system = RtdsSystem::new(network.clone(), RtdsConfig::default(), 0);
-    system.submit_job(chain_job(1, &[100.0, 100.0], 0.0, 50.0, 0));
-    let report = system.run();
+    let run = |job: Job| {
+        let mut system = RtdsSystem::new(network.clone(), RtdsConfig::default(), 0);
+        system.submit_job(job);
+        let (report, jobs) = system.run();
+        (system, report, jobs)
+    };
+    let (system, report, jobs) = run(chain_job(1, &[100.0, 100.0], 0.0, 50.0, 0));
     assert_eq!(report.guarantee.rejected, 1);
-    assert_eq!(report.jobs[0].outcome, JobOutcomeKind::Rejected);
+    assert_eq!(jobs[0].outcome, JobOutcomeKind::Rejected);
+    // The final harvest drains every plan, so look at what the harvests saw
+    // before draining: every site's committed reservations, every pass.
+    assert_eq!(report.peak_plan_reservations, 0, "a site kept reservations");
     for site in network.sites() {
-        assert!(
-            system.node(site).plan_is_empty(),
-            "site {site} kept reservations"
-        );
         assert!(!system.node(site).is_locked());
     }
+    // The high-water mark does see committed work: a feasible job shows up.
+    let (_, feasible, _) = run(chain_job(1, &[10.0, 10.0], 0.0, 50.0, 0));
+    assert_eq!(feasible.guarantee.accepted(), 1);
+    assert!(feasible.peak_plan_reservations > 0);
 }

@@ -151,11 +151,11 @@ fn fig2_job_meets_its_deadline_end_to_end_on_the_papers_topology() {
     };
     let mut system = RtdsSystem::new(network, config, 7);
     system.submit_job(paper_job(JobId(1), 0));
-    let report = system.run();
+    let (report, jobs) = system.run();
 
-    assert_eq!(report.jobs_submitted, 1);
+    assert_eq!(report.guarantee.submitted, 1);
     assert_eq!(report.deadline_misses(), 0);
-    let job = &report.jobs[0];
+    let job = &jobs[0];
     assert_ne!(
         job.outcome,
         JobOutcomeKind::Rejected,

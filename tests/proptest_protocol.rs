@@ -102,14 +102,17 @@ proptest! {
         let submitted = jobs.len() as u64;
         let mut system = RtdsSystem::new(network.clone(), config, net_seed ^ load_seed);
         system.submit_workload(jobs);
-        let report = system.run();
+        let (report, records) = system.run();
 
         // Termination bookkeeping.
-        prop_assert_eq!(report.jobs_submitted, submitted);
+        prop_assert_eq!(report.guarantee.submitted, submitted);
+        prop_assert_eq!(records.len() as u64, submitted);
         prop_assert_eq!(report.guarantee.accepted() + report.guarantee.rejected, submitted);
         // Safety: accepted implies on-time; no placement ever failed; plans
-        // stay consistent; no locks or queued jobs survive quiescence.
+        // stay consistent (drained plans are valid, empty plans); no locks or
+        // queued jobs survive quiescence.
         prop_assert_eq!(report.deadline_misses(), 0);
+        prop_assert_eq!(report.unharvested_completions, 0);
         prop_assert_eq!(report.stats.named("placement_failures"), 0);
         for site in network.sites() {
             let node = system.node(site);

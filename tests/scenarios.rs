@@ -5,7 +5,7 @@
 //! demonstrably changes the outcome.
 
 use proptest::prelude::*;
-use rtds::core::{RtdsSystem, RunReport};
+use rtds::core::{JobReport, RtdsSystem, StreamReport};
 use rtds::scenarios::{
     builtin_scenarios, find_scenario, mix_seed, run_cell, Perturbation, PerturbationPlan, Scenario,
 };
@@ -13,7 +13,7 @@ use rtds::sim::TraceEvent;
 
 /// Runs one scenario cell by hand (mirroring `runner::run_cell`) with
 /// tracing enabled, so tests can compare protocol-visible event streams.
-fn traced_run(scenario: &Scenario, seed: u64) -> (RunReport, Vec<TraceEvent>) {
+fn traced_run(scenario: &Scenario, seed: u64) -> (StreamReport, Vec<JobReport>, Vec<TraceEvent>) {
     let network = scenario.build_network(seed);
     let jobs = scenario.build_workload(&network, seed);
     let faults = scenario.perturbations.expand(&network, mix_seed(seed, 3));
@@ -24,9 +24,9 @@ fn traced_run(scenario: &Scenario, seed: u64) -> (RunReport, Vec<TraceEvent>) {
         system.schedule_fault(time.max(0.0), fault);
     }
     system.submit_workload(jobs);
-    let report = system.run();
+    let (report, jobs) = system.run();
     let trace = system.trace().events();
-    (report, trace)
+    (report, jobs, trace)
 }
 
 fn zero_probability_plan() -> PerturbationPlan {
@@ -74,13 +74,13 @@ proptest! {
         quiet.workload.horizon = 120.0;
         zeroed.workload.horizon = 120.0;
 
-        let (unperturbed, trace_a) = traced_run(&quiet, seed);
-        let (zero_faults, trace_b) = traced_run(&zeroed, seed);
+        let (unperturbed, jobs_a, trace_a) = traced_run(&quiet, seed);
+        let (zero_faults, jobs_b, trace_b) = traced_run(&zeroed, seed);
 
         // The zeroed run did process fault events...
         prop_assert_eq!(zero_faults.stats.named("sim_fault_events"), 2);
         // ...but no protocol-visible observable moved.
-        prop_assert_eq!(&unperturbed.jobs, &zero_faults.jobs);
+        prop_assert_eq!(jobs_a, jobs_b);
         prop_assert_eq!(&unperturbed.guarantee, &zero_faults.guarantee);
         prop_assert_eq!(unperturbed.stats.messages_sent, zero_faults.stats.messages_sent);
         prop_assert_eq!(
@@ -132,6 +132,21 @@ fn message_loss_scenario_changes_the_acceptance_ratio() {
     assert!(lossy.messages_lost > 0);
     assert_eq!(baseline.deadline_misses, 0);
     assert_eq!(lossy.deadline_misses, 0);
+}
+
+#[test]
+fn a_capped_cell_counts_only_the_jobs_it_reached() {
+    let mut scenario = find_scenario("paper-baseline").unwrap();
+    let full = run_cell(&scenario, 3);
+    scenario.max_events = full.events_processed / 2;
+    let capped = run_cell(&scenario, 3);
+    assert!(capped.submitted > 0 && capped.submitted < full.submitted);
+    let accepted = capped.accepted_locally + capped.accepted_distributed;
+    assert_eq!(accepted + capped.rejected, capped.submitted);
+    assert_eq!(
+        capped.guarantee_ratio,
+        accepted as f64 / capped.submitted as f64
+    );
 }
 
 #[test]

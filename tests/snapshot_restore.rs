@@ -2,26 +2,42 @@
 //! resumed from its serialized snapshot must end in exactly the state of an
 //! uninterrupted run — same report, bit-equal floats, byte-identical JSON.
 //!
-//! Covers both execution paths on real registry scenarios: the batch path
-//! (`paper-baseline`, snapshotted via [`RtdsSystem::checkpoint`] /
-//! [`RtdsSystem::resume`]) and the open-loop streaming path (`diurnal-wave`,
-//! paused via [`RtdsSystem::run_streaming_checkpoint`] and resumed with a
-//! fresh deterministic job source), plus a 1/2/4-thread sweep showing the
+//! Covers real registry scenarios with both kinds of workload: a
+//! pre-built one (`paper-baseline`, whose system checkpoint at the pause —
+//! [`RtdsSystem::checkpoint`] / [`RtdsSystem::resume`] — must be a byte
+//! fixpoint) and an open-loop one (`diurnal-wave`), both paused via
+//! [`RtdsSystem::run_streaming_checkpoint`] and resumed with a fresh
+//! deterministic job source, plus a 1/2/4-thread sweep showing the
 //! checkpointed cells are independent of sweep parallelism.
 
 use rtds::core::{RtdsSystem, StreamOptions, StreamPause, StreamReport, StreamRun};
+use rtds::graph::Job;
 use rtds::scenarios::{find_scenario, mix_seed, parallel_sweep_sharded, Scenario};
 use rtds::sim::{metrics_to_json, Json};
 use rtds::workload::JobFactory;
 
-/// A `paper-baseline` system with its workload submitted, exactly as
-/// `run_cell` builds it.
+/// The `paper-baseline` workload exactly as `run_cell` builds it, fresh on
+/// every call — which resuming relies on.
+fn batch_jobs(scenario: &Scenario, seed: u64) -> std::vec::IntoIter<Job> {
+    let network = scenario.build_network(seed);
+    scenario.build_workload(&network, seed).into_iter()
+}
+
 fn batch_system(scenario: &Scenario, seed: u64) -> RtdsSystem {
     let network = scenario.build_network(seed);
-    let jobs = scenario.build_workload(&network, seed);
-    let mut system = RtdsSystem::new(network, scenario.config, mix_seed(seed, 5));
-    system.submit_workload(jobs);
-    system
+    RtdsSystem::new(network, scenario.config, mix_seed(seed, 5))
+}
+
+/// A `paper-baseline` system paused at the first harvest boundary at or
+/// past `at`, plus its stream checkpoint.
+fn paused_batch(scenario: &Scenario, seed: u64, at: f64) -> (RtdsSystem, String) {
+    let mut system = batch_system(scenario, seed);
+    let mut jobs = batch_jobs(scenario, seed);
+    let pause = StreamPause::AtTime(at);
+    match system.run_streaming_checkpoint(&mut jobs, &StreamOptions::default(), &pause) {
+        StreamRun::Paused(text) => (system, text),
+        StreamRun::Finished(_) => panic!("the run must pause before draining"),
+    }
 }
 
 #[test]
@@ -30,21 +46,21 @@ fn batch_checkpoint_resumes_byte_identically() {
     let seed = 7;
 
     let mut uninterrupted = batch_system(&scenario, seed);
-    let full = uninterrupted.run();
-    assert!(full.jobs_submitted > 0, "the cell must be non-trivial");
+    uninterrupted.submit_workload(batch_jobs(&scenario, seed).collect());
+    let (full, _) = uninterrupted.run();
+    assert!(full.guarantee.submitted > 0, "the cell must be non-trivial");
 
     // Same cell, stopped a third of the way into the horizon, serialized,
     // restored and driven to quiescence.
-    let mut interrupted = batch_system(&scenario, seed);
-    interrupted.run_until(80.0);
+    let (paused, text) = paused_batch(&scenario, seed, 80.0);
     assert!(
-        interrupted.events_processed() < uninterrupted.events_processed(),
+        paused.events_processed() < full.events_processed,
         "the checkpoint must land mid-run"
     );
-    let text = interrupted.checkpoint();
     assert!(text.contains("rtds-system-snapshot/1"));
-    let mut resumed = RtdsSystem::resume(&text).expect("checkpoint decodes");
-    let report = resumed.run();
+    let (resumed, report) =
+        RtdsSystem::resume_streaming_system(&text, &mut batch_jobs(&scenario, seed))
+            .expect("checkpoint decodes");
 
     // The reports agree structurally (PartialEq on f64 is bit-level here:
     // every value is reproduced exactly, not approximately)...
@@ -61,12 +77,46 @@ fn batch_checkpoint_resumes_byte_identically() {
 #[test]
 fn batch_checkpoint_text_round_trips() {
     let scenario = find_scenario("paper-baseline").expect("registry scenario");
-    let mut system = batch_system(&scenario, 11);
-    system.run_until(60.0);
+    let (system, _) = paused_batch(&scenario, 11, 60.0);
     let text = system.checkpoint();
     // checkpoint → resume → checkpoint is the identity on the document.
     let restored = RtdsSystem::resume(&text).expect("checkpoint decodes");
     assert_eq!(restored.checkpoint(), text);
+}
+
+/// Jobs submitted but not yet run are part of the system state: a checkpoint
+/// taken before the run resumes to the same run.
+#[test]
+fn submitted_jobs_travel_in_the_checkpoint() {
+    let scenario = find_scenario("paper-baseline").expect("registry scenario");
+    let submitted = || {
+        let mut system = batch_system(&scenario, 7);
+        system.submit_workload(batch_jobs(&scenario, 7).collect());
+        system
+    };
+    let text = submitted().checkpoint();
+    let mut resumed = RtdsSystem::resume(&text).expect("checkpoint decodes");
+    assert_eq!(resumed.checkpoint(), text);
+    assert_eq!(resumed.run(), submitted().run());
+    // A submitted job at a site the network lacks is refused.
+    let sites = scenario.build_network(7).site_count();
+    let mut doc = Json::parse(&text).expect("checkpoint parses");
+    let Json::Object(fields) = &mut doc else {
+        panic!("a checkpoint is an object");
+    };
+    let submitted = fields.iter_mut().find(|(k, _)| k == "submitted");
+    let Some((_, Json::Array(jobs))) = submitted else {
+        panic!("submitted is an array");
+    };
+    let Json::Object(job) = &mut jobs[0] else {
+        panic!("a job is an object");
+    };
+    let site = job.iter_mut().find(|(k, _)| k == "site");
+    site.expect("a job names its site").1 = Json::UInt(sites as u64);
+    let refused = RtdsSystem::resume(&doc.render())
+        .err()
+        .expect("the site does not exist");
+    assert!(refused.to_string().contains("outside"), "{refused}");
 }
 
 /// The `diurnal-wave` streaming cell's job source, rebuilt fresh each time
@@ -200,8 +250,7 @@ fn tamper_with_a_plan(doc: &mut Json, mutate: fn(&mut Vec<Json>)) -> bool {
 #[test]
 fn tampered_plans_are_refused_not_trusted() {
     let scenario = find_scenario("paper-baseline").expect("registry scenario");
-    let mut system = batch_system(&scenario, 7);
-    system.run_until(80.0);
+    let (system, _) = paused_batch(&scenario, 7, 80.0);
     let text = system.checkpoint();
     let tampered = |mutate: fn(&mut Vec<Json>)| {
         let mut doc = Json::parse(&text).expect("checkpoint parses");

@@ -395,11 +395,6 @@ impl Network {
         &self.adjacency[s.0]
     }
 
-    /// Neighbor ids of a site.
-    pub fn neighbor_ids(&self, s: SiteId) -> impl Iterator<Item = SiteId> + '_ {
-        self.adjacency[s.0].iter().map(|(n, _)| *n)
-    }
-
     /// Degree of a site.
     pub fn degree(&self, s: SiteId) -> usize {
         self.adjacency[s.0].len()

@@ -168,13 +168,6 @@ impl<'a, M> Context<'a, M> {
         self.stats.add(name, amount);
     }
 
-    /// Increments a named counter scoped to this site.
-    pub fn count_site(&mut self, name: &'static str, amount: u64) {
-        self.stats
-            .metrics_mut()
-            .add_scoped(name, Scope::Site(self.site.0 as u32), amount);
-    }
-
     /// Records a sample into a named streaming histogram (log-bucketed;
     /// summaries are deterministic — see `rtds_metrics`).
     pub fn record(&mut self, name: &'static str, value: f64) {
@@ -186,13 +179,6 @@ impl<'a, M> Context<'a, M> {
         self.stats
             .metrics_mut()
             .record_scoped(name, Scope::Phase(phase), value);
-    }
-
-    /// Records a sample into a histogram scoped to this site.
-    pub fn record_site(&mut self, name: &'static str, value: f64) {
-        self.stats
-            .metrics_mut()
-            .record_scoped(name, Scope::Site(self.site.0 as u32), value);
     }
 
     /// Sets a named gauge (tracks both the last and the peak value).
@@ -234,12 +220,6 @@ impl<'a, M> Context<'a, M> {
             };
             self.trace.record(&event);
         }
-    }
-
-    /// Returns `true` if trace events are being recorded — for call sites
-    /// that need several correlated records and want to gate once.
-    pub fn trace_enabled(&self) -> bool {
-        self.trace.is_enabled()
     }
 }
 

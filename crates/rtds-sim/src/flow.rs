@@ -19,8 +19,11 @@
 //!
 //! # Rescheduling and epochs
 //!
-//! The event queue cannot remove an already scheduled completion, so each
-//! flow carries a monotonically increasing *epoch*. A recomputation that
+//! Each flow carries a monotonically increasing *epoch*, and every scheduled
+//! completion carries the epoch it was predicted under. The queue forgets an
+//! event only by popping it, and the epoch travels inside the event, so the
+//! check stays valid across snapshot/restore (which re-pushes every pending
+//! event into a fresh queue). A recomputation that
 //! changes a flow's predicted completion (bit-compared, so byte-identical
 //! re-solves never churn the queue) bumps the epoch and pushes a fresh
 //! [`crate::event::EventPayload::FlowFinish`]; an event whose epoch no

@@ -72,9 +72,9 @@ pub use engine::{ArrivalSource, Context, EngineProfile, Protocol, Simulator, EVE
 pub use event::{Event, EventPayload};
 pub use faults::{FaultEvent, FaultState};
 pub use metrics_json::{metrics_to_json, summary_to_json};
-pub use queue::{CalendarQueue, EventId, QueueStats};
+pub use queue::{CalendarQueue, QueueStats};
 pub use rtds_metrics::{Gauge, Histogram, HistogramSummary, MetricsRegistry, Scope};
 pub use rtds_trace::json::{self, Json};
 pub use snapshot::{Snap, SnapshotError, ENGINE_SNAPSHOT_SCHEMA};
 pub use stats::{GuaranteeStats, SimStats};
-pub use trace::{Phase, SpanId, Trace, TraceEvent, TracePayload, TraceSink};
+pub use trace::{Phase, SpanId, Trace, TraceEvent, TracePayload};

@@ -18,10 +18,12 @@
 //!   `(time, class, seq)` order of the heap — the differential suite in
 //!   `tests/event_core.rs` pins this against the retained heap oracle.
 //! * **Slab payloads.** Payloads live in a slab of reusable slots; the
-//!   priority structure only ever moves `(u128, u32)` pairs. Slots are
-//!   recycled through a free list, and every slot carries a generation
-//!   counter so a stale [`EventId`] (cancelled, or already delivered) can
-//!   never reach a recycled payload.
+//!   priority structure only ever moves `(u128, u32)` pairs. A slot is
+//!   either a pending event or a link in an intrusive free list, and the
+//!   queue forgets an event only by popping it, so every key the calendar
+//!   holds names a pending event. (A superseded flow completion is not
+//!   removed here: the flow plane recognises it by its epoch stamp when it
+//!   pops.)
 //! * **Calendar buckets.** Future keys are binned by
 //!   `floor(time / width)` into a bounded window of buckets
 //!   (`NUM_BUCKETS`); the earliest bucket is kept as a small binary
@@ -81,28 +83,16 @@ pub struct QueueStats {
     pub reanchors: u64,
 }
 
-/// Handle to a pending event in the slab (index + generation). A handle
-/// goes stale as soon as the event is delivered or cancelled; stale
-/// handles are rejected by [`CalendarQueue::cancel`] and can never observe
-/// a recycled slot's new payload.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct EventId {
-    index: u32,
-    gen: u32,
-}
-
-/// One slab slot: either a pending event or a link in the free list.
+/// One slab slot: either a pending event (its sequence number lives in
+/// the packed key) or a link in the free list.
 #[derive(Debug, Clone)]
 enum Slot<M> {
     Occupied {
-        gen: u32,
-        seq: u64,
         time: f64,
         target: SiteId,
         payload: EventPayload<M>,
     },
     Free {
-        gen: u32,
         next_free: u32,
     },
 }
@@ -135,7 +125,7 @@ fn pack_key(time: f64, class: u8, seq: u64) -> u128 {
 pub struct CalendarQueue<M> {
     slab: Vec<Slot<M>>,
     free_head: u32,
-    /// Pending (not cancelled, not delivered) events.
+    /// Pending (not yet popped) events.
     live: usize,
     next_seq: u64,
     /// Keys due in the current serving bucket (or earlier), as a min-heap.
@@ -230,51 +220,24 @@ impl<M> CalendarQueue<M> {
         (time / self.width).floor() as i64
     }
 
-    fn alloc_slot(
-        &mut self,
-        seq: u64,
-        time: f64,
-        target: SiteId,
-        payload: EventPayload<M>,
-    ) -> EventId {
+    fn alloc_slot(&mut self, time: f64, target: SiteId, payload: EventPayload<M>) -> u32 {
+        let occupied = Slot::Occupied {
+            time,
+            target,
+            payload,
+        };
         if self.free_head != NO_SLOT {
             let index = self.free_head;
-            let (gen, next_free) = match self.slab[index as usize] {
-                Slot::Free { gen, next_free } => (gen, next_free),
+            self.free_head = match self.slab[index as usize] {
+                Slot::Free { next_free } => next_free,
                 Slot::Occupied { .. } => unreachable!("free list points at occupied slot"),
             };
-            self.free_head = next_free;
-            self.slab[index as usize] = Slot::Occupied {
-                gen,
-                seq,
-                time,
-                target,
-                payload,
-            };
-            EventId { index, gen }
+            self.slab[index as usize] = occupied;
+            index
         } else {
-            let index = self.slab.len() as u32;
-            self.slab.push(Slot::Occupied {
-                gen: 0,
-                seq,
-                time,
-                target,
-                payload,
-            });
-            EventId { index, gen: 0 }
+            self.slab.push(occupied);
+            (self.slab.len() - 1) as u32
         }
-    }
-
-    fn free_slot(&mut self, index: u32) {
-        let gen = match self.slab[index as usize] {
-            Slot::Occupied { gen, .. } => gen,
-            Slot::Free { .. } => unreachable!("double free of slab slot"),
-        };
-        self.slab[index as usize] = Slot::Free {
-            gen: gen.wrapping_add(1),
-            next_free: self.free_head,
-        };
-        self.free_head = index;
     }
 
     /// Files a packed key into the serving heap, a calendar bucket or the
@@ -298,9 +261,8 @@ impl<M> CalendarQueue<M> {
     }
 
     /// Schedules an event; the next sequence number is assigned
-    /// automatically (same contract as `EventQueue::push`). Returns a
-    /// handle usable with [`CalendarQueue::cancel`].
-    pub fn push(&mut self, time: f64, target: SiteId, payload: EventPayload<M>) -> EventId {
+    /// automatically (same contract as `EventQueue::push`).
+    pub fn push(&mut self, time: f64, target: SiteId, payload: EventPayload<M>) {
         assert!(time.is_finite(), "event time must be finite, got {time}");
         let seq = self.next_seq;
         self.next_seq += 1;
@@ -310,78 +272,24 @@ impl<M> CalendarQueue<M> {
     /// Schedules an event under an explicit sequence number (snapshot
     /// restore). Does not advance the automatic counter; callers must
     /// finish with [`CalendarQueue::set_next_seq`].
-    pub fn push_raw(
-        &mut self,
-        time: f64,
-        seq: u64,
-        target: SiteId,
-        payload: EventPayload<M>,
-    ) -> EventId {
+    pub fn push_raw(&mut self, time: f64, seq: u64, target: SiteId, payload: EventPayload<M>) {
         assert!(time.is_finite(), "event time must be finite, got {time}");
         self.push_with_seq(time, seq, target, payload)
     }
 
-    fn push_with_seq(
-        &mut self,
-        time: f64,
-        seq: u64,
-        target: SiteId,
-        payload: EventPayload<M>,
-    ) -> EventId {
-        let class = payload.class_rank();
-        let id = self.alloc_slot(seq, time, target, payload);
-        let key = pack_key(time, class, seq);
-        if self.file(key, id.index, time) {
+    fn push_with_seq(&mut self, time: f64, seq: u64, target: SiteId, payload: EventPayload<M>) {
+        let key = pack_key(time, payload.class_rank(), seq);
+        let slot = self.alloc_slot(time, target, payload);
+        if self.file(key, slot, time) {
             self.stats.overflow_pushes += 1;
         }
         self.live += 1;
-        id
     }
 
-    /// Cancels a pending event. Returns `true` if the handle was live (the
-    /// payload is dropped and the slot recycled); `false` if it was
-    /// already delivered, cancelled, or never valid.
-    pub fn cancel(&mut self, id: EventId) -> bool {
-        match self.slab.get(id.index as usize) {
-            Some(Slot::Occupied { gen, .. }) if *gen == id.gen => {
-                self.free_slot(id.index);
-                self.live -= 1;
-                true
-            }
-            _ => false,
-        }
-    }
-
-    /// Discards stale serving keys and advances the calendar until the
-    /// serving heap holds the globally minimal live key (or the queue is
-    /// empty).
+    /// Advances the calendar until the serving heap holds the globally
+    /// minimal key (or the queue is empty).
     fn settle(&mut self) {
-        loop {
-            // Drop keys whose slab slot was cancelled (and possibly
-            // recycled under a different sequence number) since filing.
-            while let Some(&Reverse((key, slot))) = self.serving.peek() {
-                let seq = (key & ((1 << 62) - 1)) as u64;
-                let stale = !matches!(
-                    self.slab.get(slot as usize),
-                    Some(Slot::Occupied { seq: s, .. }) if *s == seq
-                );
-                if stale {
-                    self.serving.pop();
-                } else {
-                    return;
-                }
-            }
-            if self.live == 0 {
-                // Nothing pending anywhere; recycle bucket storage. The
-                // buckets and overflow may still hold stale keys from
-                // cancelled events — discard them.
-                while let Some(mut v) = self.buckets.pop_front() {
-                    v.clear();
-                    self.spare.push(v);
-                }
-                self.overflow.clear();
-                return;
-            }
+        while self.serving.is_empty() && self.live > 0 {
             if let Some(mut front) = self.buckets.pop_front() {
                 self.cur_bucket += 1;
                 self.stats.bucket_steps += 1;
@@ -418,16 +326,7 @@ impl<M> CalendarQueue<M> {
         let spare = std::mem::take(&mut self.refiling);
         let mut pending = std::mem::replace(&mut self.overflow, spare);
         for &(key, slot) in &pending {
-            let time = match self.slab.get(slot as usize) {
-                Some(Slot::Occupied { seq, time, .. })
-                    if *seq == (key & ((1 << 62) - 1)) as u64 =>
-                {
-                    *time
-                }
-                // Cancelled while waiting in the overflow: drop the key.
-                _ => continue,
-            };
-            self.file(key, slot, time);
+            self.file(key, slot, bits_time((key >> 64) as u64));
         }
         pending.clear();
         self.refiling = pending;
@@ -483,15 +382,6 @@ impl<M> CalendarQueue<M> {
             }
             let Reverse((key, slot)) = self.serving.pop().expect("peeked key exists");
             let seq = (key & ((1 << 62) - 1)) as u64;
-            // The serving heap only holds settled (non-stale) tops, but
-            // keys below the top may have gone stale since settling.
-            let fresh = matches!(
-                self.slab.get(slot as usize),
-                Some(Slot::Occupied { seq: s, .. }) if *s == seq
-            );
-            if !fresh {
-                continue;
-            }
             let (time, target, payload) = self.take_slot(slot);
             self.live -= 1;
             batch.push(Event {
@@ -505,26 +395,17 @@ impl<M> CalendarQueue<M> {
     }
 
     fn take_slot(&mut self, slot: u32) -> (f64, SiteId, EventPayload<M>) {
-        let gen = match &self.slab[slot as usize] {
-            Slot::Occupied { gen, .. } => *gen,
-            Slot::Free { .. } => unreachable!("popped key points at free slot"),
+        let free = Slot::Free {
+            next_free: self.free_head,
         };
-        let taken = std::mem::replace(
-            &mut self.slab[slot as usize],
-            Slot::Free {
-                gen: gen.wrapping_add(1),
-                next_free: self.free_head,
-            },
-        );
         self.free_head = slot;
-        match taken {
+        match std::mem::replace(&mut self.slab[slot as usize], free) {
             Slot::Occupied {
                 time,
                 target,
                 payload,
-                ..
             } => (time, target, payload),
-            Slot::Free { .. } => unreachable!(),
+            Slot::Free { .. } => unreachable!("popped key points at free slot"),
         }
     }
 
@@ -540,18 +421,13 @@ impl<M> CalendarQueue<M> {
         keys.extend(self.overflow.iter().copied());
         keys.sort_unstable();
         for (key, slot) in keys {
-            let seq = (key & ((1 << 62) - 1)) as u64;
-            if let Some(Slot::Occupied {
-                seq: s,
-                time,
-                target,
-                payload,
-                ..
-            }) = self.slab.get(slot as usize)
-            {
-                if *s == seq {
-                    f(*time, seq, *target, payload);
-                }
+            match &self.slab[slot as usize] {
+                Slot::Occupied {
+                    time,
+                    target,
+                    payload,
+                } => f(*time, (key & ((1 << 62) - 1)) as u64, *target, payload),
+                Slot::Free { .. } => unreachable!("calendar key points at free slot"),
             }
         }
     }
@@ -712,40 +588,6 @@ mod tests {
     }
 
     #[test]
-    fn cancel_prevents_delivery_and_recycles_slot() {
-        let mut cal = CalendarQueue::new();
-        let keep = cal.push(1.0, SiteId(0), payload(1));
-        let victim = cal.push(2.0, SiteId(0), payload(2));
-        assert_eq!(cal.len(), 2);
-        assert!(cal.cancel(victim));
-        assert!(!cal.cancel(victim), "second cancel is a no-op");
-        assert_eq!(cal.len(), 1);
-        // The slot is recycled; the stale handle must not cancel the new
-        // occupant.
-        let recycled = cal.push(3.0, SiteId(1), payload(3));
-        assert!(!cal.cancel(victim));
-        assert_eq!(cal.len(), 2);
-        let first = cal.pop().unwrap();
-        assert_eq!(first.payload, payload(1));
-        assert!(!cal.cancel(keep), "delivered events cannot be cancelled");
-        let second = cal.pop().unwrap();
-        assert_eq!(second.payload, payload(3));
-        assert!(cal.pop().is_none());
-        let _ = recycled;
-    }
-
-    #[test]
-    fn cancelled_overflow_keys_are_dropped_at_reanchor() {
-        let mut cal = CalendarQueue::new();
-        let far = cal.push(1_000_000.0, SiteId(0), payload(9));
-        cal.push(0.5, SiteId(0), payload(1));
-        assert!(cal.cancel(far));
-        assert_eq!(cal.pop().unwrap().payload, payload(1));
-        assert!(cal.pop().is_none());
-        assert!(cal.is_empty());
-    }
-
-    #[test]
     fn pop_batch_groups_equal_timestamps() {
         let mut cal = CalendarQueue::new();
         for i in 0..4u32 {
@@ -786,8 +628,6 @@ mod tests {
         let mut cal: CalendarQueue<u32> = CalendarQueue::new();
         cal.push(2.0, SiteId(0), payload(0));
         cal.push(1.0, SiteId(1), payload(1));
-        let cancelled = cal.push(1.5, SiteId(2), payload(2));
-        cal.cancel(cancelled);
         let mut listed = Vec::new();
         cal.for_each_sorted(|time, seq, target, p| listed.push((time, seq, target, p.clone())));
         assert_eq!(listed.len(), 2);
@@ -799,13 +639,13 @@ mod tests {
             restored.push_raw(*time, *seq, *target, p.clone());
         }
         restored.set_next_seq(cal.next_seq());
-        assert_eq!(restored.next_seq(), 3);
+        assert_eq!(restored.next_seq(), 2);
         let a = restored.pop().unwrap();
         assert_eq!((a.time, a.seq), (1.0, 1));
         let b = restored.pop().unwrap();
         assert_eq!((b.time, b.seq), (2.0, 0));
         // New pushes continue the original sequence space.
         restored.push(5.0, SiteId(0), payload(9));
-        assert_eq!(restored.pop().unwrap().seq, 3);
+        assert_eq!(restored.pop().unwrap().seq, 2);
     }
 }

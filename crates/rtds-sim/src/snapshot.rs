@@ -1260,6 +1260,9 @@ mod tests {
         let mut reference = build();
         reference.run_to_quiescence();
         assert_eq!(reference.stats().named("sim_flow_finished"), 2);
+        // The second transfer and the brownout each supersede a scheduled
+        // completion; the flow plane retires those by epoch when they pop.
+        assert!(reference.stats().named("sim_flow_stale_finish") > 0);
 
         let mut paused = build();
         paused.run_until(5.0);
@@ -1272,6 +1275,13 @@ mod tests {
         assert!(
             text.contains(FLOW_SNAPSHOT_SCHEMA),
             "snapshot must carry the versioned flow section"
+        );
+        // A superseded completion is still queued at the pause, so it
+        // crosses the snapshot and must be recognised as stale after restore
+        // (the metrics comparison below counts it).
+        assert!(
+            text.matches("\"ff\"").count() > paused.flows_in_flight(),
+            "the snapshot must carry a stale flow completion"
         );
         let parsed = Json::parse(&text).expect("snapshot parses");
         assert_eq!(parsed.render(), text);

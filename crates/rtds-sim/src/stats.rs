@@ -54,14 +54,6 @@ impl SimStats {
             .map(|(name, scopes)| (name, scopes.iter().map(|(_, v)| *v).sum()))
     }
 
-    /// Sum of all named counters whose name starts with the given prefix.
-    pub fn named_with_prefix(&self, prefix: &str) -> u64 {
-        self.named_counters()
-            .filter(|(name, _)| name.starts_with(prefix))
-            .map(|(_, total)| total)
-            .sum()
-    }
-
     /// Read access to the full instrument registry (histograms, gauges,
     /// scoped counters).
     pub fn metrics(&self) -> &MetricsRegistry {
@@ -155,8 +147,6 @@ mod tests {
         assert_eq!(s.named("bid"), 1);
         let all: Vec<(&str, u64)> = s.named_counters().collect();
         assert_eq!(all, vec![("bid", 1), ("enroll", 5)]);
-        s.add("enroll_ack", 4);
-        assert_eq!(s.named_with_prefix("enroll"), 9);
     }
 
     #[test]

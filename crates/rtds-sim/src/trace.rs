@@ -5,8 +5,8 @@
 //! is eventually matched by an Unlock"), and rendering the Fig. 1 algorithm
 //! overview as an actual message/stage timeline in the experiment harness.
 //!
-//! This module is a thin façade over [`rtds_trace`]: [`Trace`] owns one of
-//! the three sink kinds (null / bounded ring / streaming JSONL) and the
+//! This module is a thin façade over [`rtds_trace`]: [`Trace`] is disabled
+//! or owns one of the two sinks (bounded ring / streaming JSONL), and the
 //! engine's [`crate::engine::Context::trace`] records typed
 //! [`TracePayload`]s into it lazily — when the sink is disabled the payload
 //! closure is never even evaluated, so tracing costs one branch on hot
@@ -14,22 +14,20 @@
 //! [`DEFAULT_RING_CAPACITY`] events with drop counters), so million-job
 //! streaming runs can keep tracing on without unbounded memory growth.
 
-use rtds_net::SiteId;
-use rtds_trace::{JsonlSink, NullSink, RingSink};
+use rtds_trace::{JsonlSink, RingSink};
 use std::fmt::Write as _;
 use std::io::Write;
 
 pub use rtds_trace::{
     check_well_formed, chrome_trace, read_jsonl, render_jsonl, render_jsonl_with_header,
-    DeferReason, Json, Phase, RejectReason, SpanId, TraceEvent, TracePayload, TraceSink,
-    TRACE_SCHEMA,
+    DeferReason, Json, Phase, RejectReason, SpanId, TraceEvent, TracePayload, TRACE_SCHEMA,
 };
 
 /// Ring capacity used by [`Trace::flight_recorder`] (64 Ki events ≈ 4 MiB).
 pub const DEFAULT_RING_CAPACITY: usize = 65_536;
 
 enum Sink {
-    Null(NullSink),
+    Disabled,
     Ring(RingSink),
     Jsonl(JsonlSink<Box<dyn Write + Send>>),
 }
@@ -45,7 +43,7 @@ pub struct Trace {
 impl std::fmt::Debug for Trace {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match &self.sink {
-            Sink::Null(_) => f.debug_struct("Trace").field("sink", &"null").finish(),
+            Sink::Disabled => f.debug_struct("Trace").field("sink", &"null").finish(),
             Sink::Ring(ring) => f
                 .debug_struct("Trace")
                 .field("sink", &"ring")
@@ -65,7 +63,7 @@ impl Trace {
     /// A recorder that drops events (the default).
     pub fn disabled() -> Self {
         Trace {
-            sink: Sink::Null(NullSink),
+            sink: Sink::Disabled,
         }
     }
 
@@ -94,7 +92,7 @@ impl Trace {
     /// Returns `true` if events are being recorded.
     pub fn is_enabled(&self) -> bool {
         match &self.sink {
-            Sink::Null(_) => false,
+            Sink::Disabled => false,
             Sink::Ring(_) | Sink::Jsonl(_) => true,
         }
     }
@@ -104,7 +102,7 @@ impl Trace {
     /// engine's `Context::trace` does.
     pub fn record(&mut self, event: &TraceEvent) {
         match &mut self.sink {
-            Sink::Null(_) => {}
+            Sink::Disabled => {}
             Sink::Ring(ring) => ring.record_event(event),
             Sink::Jsonl(sink) => sink.record_event(event),
         }
@@ -113,7 +111,7 @@ impl Trace {
     /// Total events ever recorded (retained + dropped).
     pub fn recorded(&self) -> u64 {
         match &self.sink {
-            Sink::Null(_) => 0,
+            Sink::Disabled => 0,
             Sink::Ring(ring) => ring.recorded(),
             Sink::Jsonl(sink) => sink.recorded(),
         }
@@ -161,13 +159,6 @@ impl Trace {
     /// Retained events of a given kind.
     pub fn of_kind<'k>(&self, kind: &'k str) -> impl Iterator<Item = TraceEvent> + 'k {
         self.events().into_iter().filter(move |e| e.kind() == kind)
-    }
-
-    /// Retained events recorded by a given site.
-    pub fn of_site(&self, site: SiteId) -> impl Iterator<Item = TraceEvent> {
-        self.events()
-            .into_iter()
-            .filter(move |e| e.site == site.0 as u32)
     }
 
     /// Renders the retained events as aligned text lines (used by the Fig. 1
@@ -234,7 +225,6 @@ mod tests {
         t.record(&ev(3.0, 0, TracePayload::AcsEnroll { job: 2, peers: 3 }));
         assert_eq!(t.len(), 3);
         assert_eq!(t.of_kind("acs-enroll").count(), 2);
-        assert_eq!(t.of_site(SiteId(0)).count(), 2);
         assert_eq!(t.dropped(), 0);
         let text = t.render();
         assert!(text.contains("local-test"));

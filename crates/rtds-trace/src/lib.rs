@@ -9,10 +9,8 @@
 //! - [`event`] — typed, `Copy`, allocation-free payloads ([`TracePayload`])
 //!   with parent/child causality links: arrival → acceptance →
 //!   enrollment → trial mapping → validation → dispatch → verdict.
-//! - [`sink`] — the [`TraceSink`] trait and its three implementations:
-//!   [`NullSink`] (disabled, one branch per would-be event), [`RingSink`]
-//!   (bounded flight recorder with drop counters), and [`JsonlSink`]
-//!   (streaming `rtds-trace/1` writer).
+//! - [`sink`] — the two sinks: [`RingSink`] (bounded flight recorder with
+//!   drop counters) and [`JsonlSink`] (streaming `rtds-trace/1` writer).
 //! - [`json`] — the workspace's one JSON dialect: the [`Json`] value, its
 //!   deterministic pretty/compact writers, the scalar writers streaming
 //!   sinks call directly, and a linear-time, depth-bounded parser. Reports,
@@ -42,7 +40,7 @@ pub use jsonl::{
     header_line, parse_event_line, read_jsonl, render_jsonl, render_jsonl_with_header,
     write_event_line, JsonlReader, TRACE_SCHEMA,
 };
-pub use sink::{JsonlSink, NullSink, RingSink, TraceSink};
+pub use sink::{JsonlSink, RingSink};
 pub use span::{Phase, SpanId};
 
 use std::collections::BTreeMap;

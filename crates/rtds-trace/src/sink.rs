@@ -1,42 +1,15 @@
 //! Trace sinks: where recorded events go.
 //!
-//! [`TraceSink`] is deliberately minimal — one `record_event` call per event,
-//! a cheap `is_enabled` gate so producers can skip payload construction
-//! entirely, and `flush` for streaming sinks. Three implementations cover the
-//! whole space: [`NullSink`] (disabled, zero cost), [`RingSink`] (bounded
-//! flight recorder), and [`JsonlSink`] (streaming `rtds-trace/1` writer).
+//! Two sinks cover the whole space: [`RingSink`] (bounded flight recorder)
+//! and [`JsonlSink`] (streaming `rtds-trace/1` writer). Each takes one
+//! `record_event` call per event; `rtds_sim::Trace` picks between them and
+//! adds the disabled state, in which producers skip payload construction
+//! entirely.
 
 use crate::event::TraceEvent;
 use crate::json::Json;
 use crate::jsonl;
 use std::io::Write;
-
-/// Destination for recorded trace events.
-pub trait TraceSink {
-    /// `false` means producers may skip building payloads altogether.
-    fn is_enabled(&self) -> bool {
-        true
-    }
-
-    /// Records one event.
-    fn record_event(&mut self, event: &TraceEvent);
-
-    /// Flushes any buffered output (no-op for in-memory sinks).
-    fn flush(&mut self) {}
-}
-
-/// Discards everything. `is_enabled` reports `false`, so a gated producer
-/// pays one branch per would-be event and nothing else.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NullSink;
-
-impl TraceSink for NullSink {
-    fn is_enabled(&self) -> bool {
-        false
-    }
-
-    fn record_event(&mut self, _event: &TraceEvent) {}
-}
 
 /// Fixed-capacity ring buffer: keeps the most recent `capacity` events and
 /// counts what it had to drop. Memory use is bounded by construction, which
@@ -102,10 +75,9 @@ impl RingSink {
     pub fn snapshot(&self) -> Vec<TraceEvent> {
         self.iter().copied().collect()
     }
-}
 
-impl TraceSink for RingSink {
-    fn record_event(&mut self, event: &TraceEvent) {
+    /// Records one event, overwriting the oldest once the ring is full.
+    pub fn record_event(&mut self, event: &TraceEvent) {
         self.recorded += 1;
         if self.events.len() < self.capacity {
             self.events.push(*event);
@@ -147,25 +119,8 @@ impl<W: Write> JsonlSink<W> {
         self.recorded
     }
 
-    /// Flushes and returns the underlying writer.
-    pub fn into_inner(mut self) -> W {
-        self.out
-            .flush()
-            .expect("rtds-trace: failed to flush JSONL sink");
-        self.out
-    }
-}
-
-impl<W: Write> std::fmt::Debug for JsonlSink<W> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("JsonlSink")
-            .field("recorded", &self.recorded)
-            .finish()
-    }
-}
-
-impl<W: Write> TraceSink for JsonlSink<W> {
-    fn record_event(&mut self, event: &TraceEvent) {
+    /// Writes one event as one line.
+    pub fn record_event(&mut self, event: &TraceEvent) {
         self.buf.clear();
         jsonl::write_event_line(&mut self.buf, event);
         self.buf.push('\n');
@@ -175,10 +130,25 @@ impl<W: Write> TraceSink for JsonlSink<W> {
         self.recorded += 1;
     }
 
-    fn flush(&mut self) {
+    /// Flushes the underlying writer.
+    pub fn flush(&mut self) {
         self.out
             .flush()
             .expect("rtds-trace: failed to flush JSONL sink");
+    }
+
+    /// Flushes and returns the underlying writer.
+    pub fn into_inner(mut self) -> W {
+        self.flush();
+        self.out
+    }
+}
+
+impl<W: Write> std::fmt::Debug for JsonlSink<W> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("JsonlSink")
+            .field("recorded", &self.recorded)
+            .finish()
     }
 }
 
@@ -230,13 +200,6 @@ mod tests {
         assert_eq!(ring.dropped(), 0);
         assert_eq!(ring.snapshot().len(), 3);
         assert_eq!(ring.snapshot()[0], mark(0));
-    }
-
-    #[test]
-    fn null_sink_reports_disabled() {
-        let mut null = NullSink;
-        assert!(!null.is_enabled());
-        null.record_event(&mark(0));
     }
 
     #[test]

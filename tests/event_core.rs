@@ -1,7 +1,8 @@
 //! Differential tests of the event core: the slab-backed
 //! [`CalendarQueue`] that now powers the engine against the retained
 //! binary-heap [`EventQueue`] oracle, over arbitrary interleavings of
-//! pushes, pops, batched pops and cancellations.
+//! pushes, pops and batched pops, plus the sorted snapshot view
+//! ([`CalendarQueue::for_each_sorted`]) the checkpoint layer reads.
 //!
 //! The two structures promise the same total order — `(time, class, seq)`
 //! with faults before external arrivals before deliveries/timers — but get
@@ -93,10 +94,23 @@ proptest! {
             }
             prop_assert_eq!(calendar.len(), oracle.len());
         }
+        // The snapshot view lists the tail in exactly the order the oracle
+        // pops it, whatever the bucket layout and re-anchors left behind.
+        let mut listed = Vec::new();
+        calendar.for_each_sorted(|time, seq, target, payload| {
+            listed.push((time, seq, target, payload.clone()));
+        });
+        prop_assert_eq!(listed.len(), oracle.len());
         // Drain whatever is left: the tails must agree too.
-        while let Some(expected) = oracle.pop() {
+        for (time, seq, target, payload) in listed {
+            let expected = oracle.pop().expect("oracle holds as many events");
+            prop_assert_eq!(
+                (time, seq, target, &payload),
+                (expected.time, expected.seq, expected.target, &expected.payload)
+            );
             prop_assert_eq!(calendar.pop(), Some(expected));
         }
+        prop_assert!(oracle.is_empty());
         prop_assert!(calendar.is_empty());
         prop_assert_eq!(calendar.pop(), None);
     }
@@ -131,92 +145,6 @@ proptest! {
         prop_assert!(oracle.is_empty());
         prop_assert!(calendar.is_empty());
     }
-
-    /// Cancelling an arbitrary subset removes exactly those events: the
-    /// survivors still pop in heap order with their original sequence
-    /// numbers, each live handle cancels exactly once, and a cancelled
-    /// handle never resurfaces.
-    #[test]
-    fn cancellation_removes_exactly_the_cancelled(
-        pushes in vec(((0u16..48), (0u8..6), proptest::bool::ANY), 1..250),
-    ) {
-        let mut calendar: CalendarQueue<Msg> = CalendarQueue::new();
-        let mut oracle: EventQueue<Msg> = EventQueue::new();
-        let mut cancelled_tags = Vec::new();
-        let mut handles = Vec::new();
-        for (tag, &(ticks, class, cancel)) in pushes.iter().enumerate() {
-            let time = grid_time(ticks);
-            let target = SiteId(tag % 4);
-            let id = calendar.push(time, target, payload(class, tag as u64));
-            oracle.push(time, target, payload(class, tag as u64));
-            handles.push((id, cancel));
-            if cancel {
-                cancelled_tags.push(tag as u64);
-            }
-        }
-        for &(id, cancel) in &handles {
-            if cancel {
-                prop_assert!(calendar.cancel(id), "live handle must cancel");
-                prop_assert!(!calendar.cancel(id), "double cancel must be a no-op");
-            }
-        }
-        // The oracle has no cancel: skip the cancelled tags while popping.
-        let survivor = |e: &rtds::sim::Event<Msg>| {
-            let tag = match &e.payload {
-                EventPayload::External { message } => *message,
-                EventPayload::Deliver { message, .. } => *message,
-                EventPayload::Timer { timer_id } => *timer_id,
-                EventPayload::FlowStart { message, .. } => *message,
-                EventPayload::FlowFinish { flow, .. } => *flow,
-                EventPayload::Fault { .. } => e.seq,
-            };
-            !cancelled_tags.contains(&tag)
-        };
-        while let Some(expected) = oracle.pop() {
-            if !survivor(&expected) {
-                continue;
-            }
-            prop_assert_eq!(calendar.pop(), Some(expected));
-        }
-        prop_assert!(calendar.is_empty());
-        // Cancelled handles stay dead even once their slots are free.
-        for &(id, cancel) in &handles {
-            if cancel {
-                prop_assert!(!calendar.cancel(id));
-            }
-        }
-    }
-}
-
-/// Slab free-list soundness: a popped or cancelled slot is recycled for the
-/// next push under a bumped generation, so the stale handle can neither
-/// cancel nor otherwise disturb the slot's new occupant.
-#[test]
-fn stale_handles_cannot_touch_recycled_slots() {
-    let mut q: CalendarQueue<Msg> = CalendarQueue::new();
-    let site = SiteId(0);
-
-    // Cancel frees the slot; the stale handle is then inert.
-    let first = q.push(1.0, site, EventPayload::External { message: 1 });
-    assert!(q.cancel(first));
-    let second = q.push(2.0, site, EventPayload::External { message: 2 });
-    assert!(
-        !q.cancel(first),
-        "stale handle must not cancel the new event"
-    );
-    assert_eq!(q.len(), 1);
-    let event = q.pop().expect("second event is live");
-    assert_eq!(event.payload, EventPayload::External { message: 2 });
-    assert!(!q.cancel(second), "delivery invalidates the handle");
-
-    // Pop frees the slot the same way.
-    let third = q.push(3.0, site, EventPayload::Timer { timer_id: 3 });
-    assert!(q.pop().is_some());
-    let fourth = q.push(4.0, site, EventPayload::Timer { timer_id: 4 });
-    assert!(!q.cancel(third), "handle of a delivered event is stale");
-    assert!(q.cancel(fourth), "the recycled slot's new handle is live");
-    assert!(q.is_empty());
-    assert_eq!(q.pop(), None);
 }
 
 /// The snapshot view ([`CalendarQueue::for_each_sorted`]) lists pending

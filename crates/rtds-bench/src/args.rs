@@ -11,13 +11,14 @@
 //! Subcommands layer extra value-taking flags (`scenarios` adds
 //! `--scenario`, `--seeds`, `--threads`; `workloads` adds
 //! `--jobs`/`--rate`/`--record`/`--replay`) and boolean flags (`--list`,
-//! `--smoke`) through [`ExpArgs::value_of`] / [`ExpArgs::has`]. Both
-//! `--flag value` and `--flag=value` spellings are accepted for value
-//! flags; boolean flags take no value, so a bare token after one is a
-//! stray positional. Unknown flags and stray positional arguments abort
-//! with a usage message rather than being silently ignored; the fallible
-//! core ([`ExpArgs::try_from_vec`]) is exposed so that rejection behaviour
-//! is unit-testable instead of living behind `process::exit`.
+//! `--assert-contention`) through [`ExpArgs::value_of`] /
+//! [`ExpArgs::has`]. Both `--flag value` and `--flag=value` spellings are
+//! accepted for value flags; boolean flags take no value, so a bare token
+//! after one is a stray positional. Unknown flags and stray positional
+//! arguments abort with a usage message rather than being silently
+//! ignored; the fallible core ([`ExpArgs::try_from_vec`]) is exposed so
+//! that rejection behaviour is unit-testable instead of living behind
+//! `process::exit`.
 
 use rtds_scenarios::{Json, Scenario};
 
@@ -217,12 +218,13 @@ impl ExpArgs {
     /// The `--scenario <name|all>` × `--seed`/`--seeds` selection of the
     /// registry-driven experiments: the chosen scenarios out of `pool` (all
     /// of them by default, in registry order), the `--seed` value (1 by
-    /// default) and the `--seeds` consecutive seeds starting there (at
-    /// least one). A name outside the pool is a usage error.
+    /// default) and the `--seeds` consecutive seeds starting there. A name
+    /// outside the pool, a zero `--seeds` and a seed range that runs past
+    /// `u64::MAX` are usage errors.
     pub fn selection(
         &self,
         pool: Vec<Scenario>,
-        default_seeds: usize,
+        default_seeds: u64,
     ) -> (Vec<Scenario>, u64, Vec<u64>) {
         let scenarios = match self.value_of("scenario") {
             None | Some("all") => pool,
@@ -238,7 +240,15 @@ impl ExpArgs {
             },
         };
         let base_seed = self.seed(1);
-        let count = self.usize_of("seeds", default_seeds).max(1) as u64;
+        let count = self.u64_of("seeds", default_seeds);
+        if count == 0 {
+            self.usage_error("--seeds: must be at least 1");
+        }
+        if base_seed.checked_add(count - 1).is_none() {
+            self.usage_error(&format!(
+                "--seeds: {count} seeds from --seed {base_seed} run past u64::MAX"
+            ));
+        }
         let seeds = (0..count).map(|i| base_seed + i).collect();
         (scenarios, base_seed, seeds)
     }
@@ -341,7 +351,7 @@ mod tests {
     #[test]
     fn boolean_flags_never_absorb_values() {
         // A forgotten flag name must not vanish into a boolean flag
-        // (e.g. `perf --smoke BENCH_5.json` missing `--baseline`).
+        // (e.g. `scenarios --list sweep.json` missing `--json`).
         let err = try_args(&["--list", "whoops.json"]).unwrap_err();
         assert!(err.contains("unexpected argument \"whoops.json\""), "{err}");
         let err = try_args(&["--list=yes"]).unwrap_err();
@@ -360,7 +370,7 @@ mod tests {
         let pool = rtds_scenarios::builtin_scenarios();
         let (all, base, seeds) = parse(&["--scenario", "all"]).selection(pool.clone(), 3);
         assert_eq!((all.len(), base, seeds), (pool.len(), 1, vec![1, 2, 3]));
-        let picked = parse(&["--scenario", &pool[1].name, "--seed=7", "--seeds=0"]);
+        let picked = parse(&["--scenario", &pool[1].name, "--seed=7", "--seeds=1"]);
         let (one, base, seeds) = picked.selection(pool.clone(), 3);
         assert_eq!((one.len(), base, seeds), (1, 7, vec![7]));
         assert_eq!(one[0].name, pool[1].name);

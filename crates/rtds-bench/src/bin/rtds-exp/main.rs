@@ -18,7 +18,6 @@ mod fig1;
 mod flows;
 mod laxity;
 mod overhead;
-mod perf;
 mod radius;
 mod scenarios;
 mod sched;
@@ -36,7 +35,7 @@ type Experiment = (
 );
 
 #[rustfmt::skip]
-const EXPERIMENTS: [Experiment; 12] = [
+const EXPERIMENTS: [Experiment; 11] = [
     ("table1", "Figs. 2-4 and Table 1 of the paper, checked against the published values",
         &[], &[], table1::run),
     ("fig1", "Fig. 1: one distributed job traced through every protocol stage",
@@ -62,8 +61,6 @@ const EXPERIMENTS: [Experiment; 12] = [
         &["jobs", "rate", "process", "sites", "hotspots", "record", "replay",
           "trace-out", "trace-ring", "chrome-trace"],
         &[], workloads::run),
-    ("perf", "the fixed determinism suite behind BENCH_5.json, plus the soak tier",
-        &["baseline", "soak", "checkpoint", "resume"], &["smoke"], perf::run),
 ];
 
 fn usage(message: &str) -> ! {

@@ -27,24 +27,18 @@
 //!   `docs/SCHEDULING.md`),
 //! * `workloads` — streaming open-loop workload runs (the million-job
 //!   driver) with JSONL trace `--record`/`--replay` round-trips (see
-//!   [`rtds_workload`] and `docs/WORKLOADS.md`),
-//! * `perf` — the fixed determinism suite pinned by `BENCH_5.json` (see
-//!   [`perf`] and `docs/PERFORMANCE.md`); its `--baseline` mode diffs a run
-//!   against the recording and exits nonzero on any mismatch, and
-//!   `tests/determinism_gate.rs` holds every `cargo test` to the same gate.
+//!   [`rtds_workload`] and `docs/WORKLOADS.md`).
 //!
 //! The library holds what the experiments share: the argument parser
 //! ([`args`]), reproducible workloads, policy comparisons and report-field
-//! renderers ([`harness`]), the tracing flags ([`tracing`]) and the fixed
-//! suite ([`perf`]). Nothing here measures time: speed is `benchmark/`'s
-//! job.
+//! renderers ([`harness`]) and the tracing flags ([`tracing`]). Nothing here
+//! measures time: speed is `benchmark/`'s job. What a fixed suite of runs
+//! computes and allocates is pinned by the root cost ledger
+//! (`tests/cost_ledger.rs`, see `docs/PERFORMANCE.md`).
 
 pub mod args;
 pub mod harness;
-pub mod perf;
 pub mod tracing;
-
-pub use perf::{resume_soak, run_perf_suite, run_soak, PerfReport, SoakResult};
 
 pub use args::{write_json_report, ExpArgs};
 pub use harness::{

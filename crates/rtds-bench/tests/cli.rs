@@ -1,6 +1,6 @@
-//! The `rtds-exp` command line, driven as a user would: determinism of the
-//! `perf` report, refusal of bad snapshots, and the exit-status contract
-//! (0 success, 1 a failed experiment check, 2 a usage error).
+//! The `rtds-exp` command line, driven as a user would: the exit-status
+//! contract (0 success, 1 a failed experiment check, 2 a usage error) and
+//! the refusal of hostile flag values.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -19,82 +19,6 @@ fn stderr(output: &Output) -> String {
 /// A scratch path unique to this test process.
 fn scratch(name: &str) -> PathBuf {
     std::env::temp_dir().join(format!("rtds_cli_{}_{name}", std::process::id()))
-}
-
-/// Runs `rtds-exp <args> --json <scratch>` to success and returns the report.
-fn report_of(args: &[&str], name: &str) -> String {
-    let path = scratch(name);
-    let mut full = args.to_vec();
-    full.extend(["--json", path.to_str().unwrap()]);
-    let output = rtds_exp(&full);
-    assert!(output.status.success(), "{args:?}: {}", stderr(&output));
-    let report = std::fs::read_to_string(&path).expect("report written");
-    let _ = std::fs::remove_file(&path);
-    report
-}
-
-#[test]
-fn two_perf_smoke_reports_are_byte_identical() {
-    let first = report_of(&["perf", "--seed", "7", "--smoke"], "perf_a.json");
-    let second = report_of(&["perf", "--seed", "7", "--smoke"], "perf_b.json");
-    // No timing filter: nothing in the report depends on the clock.
-    assert_eq!(first, second);
-    assert!(first.contains("\"wall_ms\": null"));
-    assert!(first.contains("\"events_per_sec\": null"));
-}
-
-#[test]
-fn smoke_report_has_the_fixed_schema() {
-    let report = report_of(&["perf", "--seed", "7", "--smoke"], "perf_schema.json");
-    assert!(report.contains("\"schema\": \"rtds-exp-perf/4\""));
-    assert!(report.contains("\"seed\": 7"));
-    assert!(report.contains("\"smoke\": true"));
-    // The soak tier is opt-in; without --soak the key is present but null.
-    assert!(report.contains("\"soak\": null"));
-    // The v4 flows section runs the registry flow scenarios at native size.
-    assert!(report.contains("\"flows\": ["));
-    assert!(report.contains("\"name\": \"incast-storm\""));
-    assert!(report.contains("\"name\": \"paper-baseline\""));
-    assert!(report.contains("\"name\": \"wide-low-degree/16\""));
-    assert!(report.contains("\"deadline_misses\": 0"));
-    // The v2 metrics section: deterministic histogram summaries, including
-    // the per-phase routing fan-out and the latency/laxity distributions.
-    assert!(report.contains("\"metrics\": {"));
-    assert!(report.contains("\"accept_latency\": {"));
-    assert!(report.contains("\"accept_laxity\": {"));
-    assert!(report.contains("\"trial_mapping_latency\": {"));
-    assert!(report.contains("\"routing_fanout/phase1\": {"));
-    assert!(report.contains("\"response_time\": {"));
-    assert!(report.contains("\"p99\": "));
-}
-
-#[test]
-fn perf_resume_refuses_a_torn_snapshot_with_exit_1() {
-    let snapshot = scratch("soak.snapshot.json");
-    let output = rtds_exp(&[
-        "perf",
-        "--smoke",
-        "--soak",
-        "20000",
-        "--checkpoint",
-        snapshot.to_str().unwrap(),
-    ]);
-    assert!(output.status.success(), "{}", stderr(&output));
-    let text = std::fs::read_to_string(&snapshot).expect("snapshot written");
-    assert!(text.contains("\"schema\": \"rtds-stream-snapshot/1\""));
-
-    let torn = scratch("soak.torn.json");
-    std::fs::write(&torn, &text[..text.len() / 2]).unwrap();
-    let output = rtds_exp(&["perf", "--smoke", "--resume", torn.to_str().unwrap()]);
-    let _ = std::fs::remove_file(&snapshot);
-    let _ = std::fs::remove_file(&torn);
-    // A diagnostic and exit 1 — not a panic (101).
-    assert_eq!(output.status.code(), Some(1), "{}", stderr(&output));
-    let diagnostic = stderr(&output);
-    assert!(
-        diagnostic.contains("snapshot") || diagnostic.contains("JSON parse error"),
-        "{diagnostic}"
-    );
 }
 
 #[test]
@@ -136,12 +60,30 @@ fn workloads_rejects_hostile_numeric_flags_as_usage_errors() {
 }
 
 #[test]
+fn a_zero_or_overflowing_seed_count_is_a_usage_error() {
+    let zero = ["--seeds", "0"];
+    let past_max = ["--seed", "18446744073709551615", "--seeds", "2"];
+    for experiment in ["scenarios", "flows", "sched"] {
+        for flags in [&zero[..], &past_max[..]] {
+            let output = rtds_exp(&[&[experiment][..], flags].concat());
+            assert_eq!(output.status.code(), Some(2), "{experiment} {flags:?}");
+            let message = stderr(&output);
+            assert!(message.contains("--seeds: "), "{message}");
+            assert!(
+                message.contains(&format!("usage: rtds-exp {experiment}")),
+                "{message}"
+            );
+        }
+    }
+}
+
+#[test]
 fn a_missing_or_unknown_experiment_lists_the_table() {
     for args in [&[][..], &["exp_perf"][..]] {
         let output = rtds_exp(args);
         assert_eq!(output.status.code(), Some(2), "{args:?}");
         let message = stderr(&output);
-        for name in ["table1", "scenarios", "workloads", "perf"] {
+        for name in ["table1", "scenarios", "workloads", "sched"] {
             assert!(message.contains(&format!("\n  {name} ")), "{message}");
         }
     }

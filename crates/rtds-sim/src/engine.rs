@@ -262,7 +262,7 @@ pub struct EngineProfile {
     pub dispatch_counts: [u64; 6],
     /// Wall-clock time spent dispatching each class. **NONDETERMINISTIC**:
     /// never fold into reports that are byte-compared across runs (the same
-    /// discipline that keeps `rtds-exp perf`'s timing fields `null`).
+    /// discipline that keeps the cost ledger free of timings).
     pub wall: [Duration; 6],
 }
 

@@ -4,7 +4,7 @@
 # rejection of bad input). Used by CI, one step per check, and runnable
 # locally from anywhere:
 #
-#   scripts/smoke.sh <scenarios|perf|workloads|trace|flow|sched|all>
+#   scripts/smoke.sh <scenarios|workloads|trace|flow|sched|all>
 #
 # Reports land in $SMOKE_OUT_DIR (default: the repo root).
 set -euo pipefail
@@ -14,7 +14,6 @@ out="${SMOKE_OUT_DIR:-.}"
 # check name | what a pass proves
 table='
 scenarios|sweep report is thread-count invariant
-perf|reports (incl. metrics) are byte-identical; checkpoint -> resume reproduces the uninterrupted soak; torn and 1,000,000-deep snapshots are refused with exit 1
 workloads|record/replay round-trip is byte-identical
 trace|same-seed traces are byte-identical and exports are well-formed
 flow|report is byte-identical and incast transfers really contend
@@ -42,52 +41,6 @@ smoke_scenarios() {
     run scenarios --scenario lossy-messages --seed 1 --seeds 2 --threads 2 \
         --json "$out/scenario-smoke-t2.json"
     cmp "$out/scenario-smoke.json" "$out/scenario-smoke-t2.json"
-}
-
-smoke_perf() {
-    # Two runs of the smallest tier are byte-identical: the report has no
-    # clock-dependent field (its timing keys always render null).
-    local r
-    for r in perf-smoke perf-smoke-b; do
-        run perf --seed 7 --smoke --json "$out/$r.json"
-    done
-    cmp "$out/perf-smoke.json" "$out/perf-smoke-b.json"
-    # The v4 schema must actually carry the histogram summaries and the
-    # flows section, and without --soak the soak section renders as null.
-    has "$out/perf-smoke.json" '"schema": "rtds-exp-perf/4"' '"accept_latency": {' \
-        '"accept_laxity": {' '"flows": [' '"soak": null'
-
-    # Streaming soak at a reduced budget: an uninterrupted run, a run
-    # through a checkpoint -> write -> resume cycle, and a standalone
-    # --resume from the written snapshot must all agree on every
-    # soak field but the two that record the path taken.
-    local soak_det='checkpointed|requested_events'
-    run perf --seed 7 --smoke --soak 20000 --json "$out/perf-soak-plain.json"
-    run perf --seed 7 --smoke --soak 20000 \
-        --checkpoint "$out/perf-soak.snapshot.json" --json "$out/perf-soak-ckpt.json"
-    run perf --seed 7 --smoke \
-        --resume "$out/perf-soak.snapshot.json" --json "$out/perf-soak-resume.json"
-    has "$out/perf-soak.snapshot.json" '"schema": "rtds-stream-snapshot/1"'
-    for r in plain ckpt resume; do
-        grep -v -E "$soak_det" "$out/perf-soak-$r.json" > "$out/perf-soak-$r.det"
-    done
-    cmp "$out/perf-soak-plain.det" "$out/perf-soak-ckpt.det"
-    cmp "$out/perf-soak-plain.det" "$out/perf-soak-resume.det"
-
-    # A snapshot file is untrusted input: a torn one and a pathologically
-    # nested one must be refused with a diagnostic and exit status 1 — not a
-    # panic (101) or a stack-overflow abort (134).
-    head -c "$(($(wc -c < "$out/perf-soak.snapshot.json") / 2))" \
-        "$out/perf-soak.snapshot.json" > "$out/perf-soak-torn.json"
-    head -c 1000000 /dev/zero | tr '\0' '[' > "$out/perf-soak-nested.json"
-    local bad status
-    for bad in torn nested; do
-        status=0
-        run perf --seed 7 --smoke --resume "$out/perf-soak-$bad.json" \
-            2> "$out/perf-soak-$bad.err" || status=$?
-        test "$status" -eq 1
-        grep -q -E 'snapshot|JSON parse error' "$out/perf-soak-$bad.err"
-    done
 }
 
 smoke_workloads() {

@@ -47,10 +47,10 @@
 //!   a million-job run keeps only the in-flight jobs resident.
 //!
 //! Architecture notes with protocol state-machine diagrams live in
-//! `docs/ARCHITECTURE.md`; the measurement methodology behind the recorded
-//! `BENCH_<n>.json` performance trajectory lives in `docs/PERFORMANCE.md`;
-//! the workload trace format and replay semantics live in
-//! `docs/WORKLOADS.md`.
+//! `docs/ARCHITECTURE.md`; the cost ledger that pins what a fixed suite of
+//! runs computes and allocates, and the measurement history, live in
+//! `docs/PERFORMANCE.md`; the workload trace format and replay semantics
+//! live in `docs/WORKLOADS.md`.
 //!
 //! ## Quickstart
 //!

@@ -8,13 +8,15 @@
 //! fixpoint) and an open-loop one (`diurnal-wave`), both paused via
 //! [`RtdsSystem::run_streaming_checkpoint`] and resumed with a fresh
 //! deterministic job source, plus a 1/2/4-thread sweep showing the
-//! checkpointed cells are independent of sweep parallelism.
+//! checkpointed cells are independent of sweep parallelism, and an
+//! open-ended stream on a 256-site grid that only the event cap stops.
 
-use rtds::core::{RtdsSystem, StreamOptions, StreamPause, StreamReport, StreamRun};
+use rtds::core::{RtdsConfig, RtdsSystem, StreamOptions, StreamPause, StreamReport, StreamRun};
 use rtds::graph::Job;
+use rtds::net::generators::{grid, DelayDistribution};
 use rtds::scenarios::{find_scenario, mix_seed, parallel_sweep_sharded, Scenario};
 use rtds::sim::{metrics_to_json, Json};
-use rtds::workload::JobFactory;
+use rtds::workload::{JobFactory, JobTemplate, OpenLoopSpec, RateProcess, SizeMix};
 
 /// The `paper-baseline` workload exactly as `run_cell` builds it, fresh on
 /// every call — which resuming relies on.
@@ -221,6 +223,66 @@ fn checkpointed_cells_are_independent_of_sweep_threads() {
         let full = system.run_streaming(&mut source, &StreamOptions::default());
         assert_eq!(single[i], full, "seed {seed}");
     }
+}
+
+/// An open-ended Poisson stream that only the event cap stops, on a 16×16
+/// constant-delay grid (256 sites): the cap rides in the checkpoint, so the
+/// resumed run stops exactly where the uninterrupted one did, and the
+/// truncated run keeps its in-flight state bounded.
+#[test]
+fn a_capped_open_ended_stream_resumes_to_its_cap() {
+    const CAP: u64 = 20_000;
+    const SIDE: usize = 16;
+    let seed = 7;
+    let system = || {
+        let network = grid(
+            SIDE,
+            SIDE,
+            false,
+            DelayDistribution::Constant(1.0),
+            mix_seed(seed, 1),
+        );
+        let mut system = RtdsSystem::new(network, RtdsConfig::default(), mix_seed(seed, 5));
+        system.set_fault_seed(mix_seed(seed, 4));
+        system.set_max_events(CAP);
+        system
+    };
+    let source = || {
+        let spec = OpenLoopSpec {
+            process: RateProcess::Poisson { rate: 1.0 },
+            sizes: SizeMix::Uniform { min: 5, max: 9 },
+            hotspots: 0,
+            horizon: f64::INFINITY,
+            max_jobs: 0,
+        };
+        JobFactory::new(
+            spec.build(SIDE * SIDE, mix_seed(seed, 2)),
+            JobTemplate::default(),
+        )
+    };
+    let options = StreamOptions::default();
+    let full = system().run_streaming(&mut source(), &options);
+    assert!(full.events_processed >= CAP);
+    assert_eq!(full.deadline_misses(), 0);
+    // The cap truncates mid-schedule, so a few accepted jobs may still be
+    // in flight — never more than the in-flight peak, which stays below the
+    // jobs submitted.
+    assert!(full.unharvested_completions <= full.peak_inflight_jobs);
+    assert!(
+        full.peak_inflight_jobs < full.guarantee.submitted,
+        "{} in flight at peak of {} submitted",
+        full.peak_inflight_jobs,
+        full.guarantee.submitted
+    );
+
+    let pause = StreamPause::AfterEvents(CAP / 2);
+    let StreamRun::Paused(text) =
+        system().run_streaming_checkpoint(&mut source(), &options, &pause)
+    else {
+        panic!("the run must pause before its cap");
+    };
+    let resumed = RtdsSystem::resume_streaming(&text, &mut source()).expect("checkpoint decodes");
+    assert_eq!(resumed, full);
 }
 
 /// Applies `mutate` to the first scheduler plan of a checkpoint document

@@ -17,7 +17,11 @@ use rtds_net::{Network, SiteId};
 use rtds_sched::{DagSchedule, Scheduler};
 
 /// Runs the centralized oracle over a workload.
-pub fn run_centralized_oracle(network: &Network, jobs: &[Job], preemptive: bool) -> PolicyReport {
+pub(crate) fn run_centralized_oracle(
+    network: &Network,
+    jobs: &[Job],
+    preemptive: bool,
+) -> PolicyReport {
     let aps = all_pairs_shortest_paths(network);
     run_policy(network, jobs, preemptive, |sites, job, _| {
         let arrival = SiteId(job.arrival_site);

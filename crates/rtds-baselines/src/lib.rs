@@ -50,11 +50,10 @@ pub mod random_offload;
 mod sites;
 
 pub use broadcast_bidding::{run_broadcast_bidding, BiddingConfig};
-pub use centralized::run_centralized_oracle;
 pub use global_heft::run_global_heft;
 pub use local_only::run_local_only;
 pub use policy::{
     all_policies, BroadcastBidding, CentralizedOracle, DistributionPolicy, GlobalHeft, LocalOnly,
     PolicyReport, RandomOffload,
 };
-pub use random_offload::{run_random_offload, RandomOffloadConfig};
+pub use random_offload::RandomOffloadConfig;

@@ -37,7 +37,7 @@ impl Default for RandomOffloadConfig {
 }
 
 /// Runs the random-offload policy over a workload.
-pub fn run_random_offload(
+pub(crate) fn run_random_offload(
     network: &Network,
     jobs: &[Job],
     config: RandomOffloadConfig,

@@ -16,7 +16,7 @@
 //! accepted for value flags; boolean flags take no value, so a bare token
 //! after one is a stray positional. Unknown flags and stray positional
 //! arguments abort with a usage message rather than being silently
-//! ignored; the fallible core ([`ExpArgs::try_from_vec`]) is exposed so
+//! ignored; the fallible core (`ExpArgs::try_from_vec`) is separate so
 //! that rejection behaviour is unit-testable instead of living behind
 //! `process::exit`.
 
@@ -57,7 +57,7 @@ impl ExpArgs {
     /// stray positional arguments (`foo` with no preceding flag — including
     /// a bare token after a boolean flag, which takes no value) and
     /// malformed `--=x` tokens, returning the full usage message.
-    pub fn try_from_vec(
+    pub(crate) fn try_from_vec(
         binary: &str,
         args: Vec<String>,
         value_flags: &[&'static str],

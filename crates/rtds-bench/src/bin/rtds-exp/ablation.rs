@@ -12,7 +12,7 @@ use rtds_net::generators::{ring, DelayDistribution};
 use rtds_net::SiteId;
 use rtds_scenarios::Json;
 
-pub fn run(args: ExpArgs) {
+pub(crate) fn run(args: ExpArgs) {
     let seed = args.seed(8);
     // Heterogeneous ring: even sites are twice as fast.
     let mut network = ring(16, DelayDistribution::Constant(1.0), 2);

@@ -10,7 +10,7 @@ use rtds_core::RtdsConfig;
 use rtds_net::generators::{grid, DelayDistribution};
 use rtds_scenarios::{parallel_sweep_sharded, Json};
 
-pub fn run(args: ExpArgs) {
+pub(crate) fn run(args: ExpArgs) {
     let seed = args.seed(42);
     let network = grid(5, 5, false, DelayDistribution::Constant(1.0), 3);
     let rates = vec![0.01, 0.02, 0.04, 0.08, 0.16];

@@ -24,7 +24,7 @@ fn blocking_job(id: u64, site: usize) -> Job {
     Job::new(JobId(id), g, JobParams::new(0.0, 70.0), site)
 }
 
-pub fn run(args: ExpArgs) {
+pub(crate) fn run(args: ExpArgs) {
     let tracing = TraceSetup::from_args(&args);
     let seed = args.seed(1);
     let network = line(4, DelayDistribution::Constant(1.0), 0);

@@ -143,7 +143,7 @@ impl ScenarioFlows {
     }
 }
 
-pub fn run(args: ExpArgs) {
+pub(crate) fn run(args: ExpArgs) {
     let flow_scenarios: Vec<Scenario> = builtin_scenarios()
         .into_iter()
         .filter(|s| s.config.flow_transfers)

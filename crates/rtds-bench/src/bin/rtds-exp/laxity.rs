@@ -11,7 +11,7 @@ use rtds_core::RtdsConfig;
 use rtds_net::generators::{grid, DelayDistribution};
 use rtds_scenarios::{parallel_sweep_sharded, Json};
 
-pub fn run(args: ExpArgs) {
+pub(crate) fn run(args: ExpArgs) {
     let seed = args.seed(33);
     let network = grid(5, 5, false, DelayDistribution::Constant(1.0), 4);
     let laxities = vec![1.1, 1.3, 1.6, 2.0, 3.0, 4.0];

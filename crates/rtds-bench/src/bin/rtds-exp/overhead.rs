@@ -12,7 +12,7 @@ use rtds_core::RtdsConfig;
 use rtds_net::generators::{barabasi_albert, DelayDistribution};
 use rtds_scenarios::{parallel_sweep_sharded, Json};
 
-pub fn run(args: ExpArgs) {
+pub(crate) fn run(args: ExpArgs) {
     let seed = args.seed(5);
     let sizes = vec![16usize, 32, 64, 128, 256, 512];
     println!("== E2: messages per job vs. network size (Barabasi-Albert, m = 2, 4 hotspots) ==");

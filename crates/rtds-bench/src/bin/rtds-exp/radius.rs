@@ -9,7 +9,7 @@ use rtds_core::{RtdsConfig, RtdsSystem};
 use rtds_net::generators::{grid, DelayDistribution};
 use rtds_scenarios::{parallel_sweep_sharded, Json};
 
-pub fn run(args: ExpArgs) {
+pub(crate) fn run(args: ExpArgs) {
     let seed = args.seed(19);
     let network = grid(6, 6, false, DelayDistribution::Constant(1.0), 1);
     let jobs = workload(

@@ -24,7 +24,7 @@ use rtds_bench::harness::{default_threads, require_no_deadline_misses};
 use rtds_bench::{ExpArgs, TraceSetup};
 use rtds_scenarios::{builtin_scenarios, run_cell_traced, run_sweep, SweepConfig};
 
-pub fn run(args: ExpArgs) {
+pub(crate) fn run(args: ExpArgs) {
     let tracing = TraceSetup::from_args(&args);
     let scenarios = builtin_scenarios();
 

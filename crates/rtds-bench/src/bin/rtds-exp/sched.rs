@@ -149,7 +149,7 @@ fn fmt_opt(v: Option<f64>) -> String {
     }
 }
 
-pub fn run(args: ExpArgs) {
+pub(crate) fn run(args: ExpArgs) {
     let (selected, base_seed, seeds) = args.selection(builtin_scenarios(), 2);
 
     println!(

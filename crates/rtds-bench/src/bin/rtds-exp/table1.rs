@@ -13,7 +13,7 @@ use rtds_core::{
 use rtds_graph::paper_instance::*;
 use rtds_scenarios::Json;
 
-pub fn run(args: ExpArgs) {
+pub(crate) fn run(args: ExpArgs) {
     let _ = args.seed(0); // fixed paper instance: the seed changes nothing
     let graph = paper_task_graph();
     println!("== Fig. 2: example task graph (reconstructed) ==");

@@ -56,7 +56,7 @@ use std::time::Instant;
 /// Version 2 added the deterministic `metrics` section.
 const WORKLOADS_SCHEMA: &str = "rtds-exp-workloads/2";
 
-pub fn run(args: ExpArgs) {
+pub(crate) fn run(args: ExpArgs) {
     if args.has("replay") {
         // Replay reconstructs the whole run from the trace header; every
         // live-mode flag would be silently overridden, so reject them all.

@@ -136,7 +136,10 @@ pub fn comparison_row(
 }
 
 /// The five baselines parameterised for a comparison against `config`.
-pub fn baseline_policies(config: &RtdsConfig, seed: u64) -> Vec<Box<dyn DistributionPolicy>> {
+pub(crate) fn baseline_policies(
+    config: &RtdsConfig,
+    seed: u64,
+) -> Vec<Box<dyn DistributionPolicy>> {
     vec![
         Box::new(LocalOnly {
             preemptive: config.preemptive,

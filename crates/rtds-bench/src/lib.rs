@@ -41,7 +41,5 @@ pub mod harness;
 pub mod tracing;
 
 pub use args::{write_json_report, ExpArgs};
-pub use harness::{
-    baseline_policies, comparison_row, policy_comparison, workload, ComparisonRow, WorkloadSpec,
-};
+pub use harness::{comparison_row, policy_comparison, workload, ComparisonRow, WorkloadSpec};
 pub use tracing::TraceSetup;

@@ -2,7 +2,7 @@
 //!
 //! When a job cannot be guaranteed locally, the initiator `k` enrols a subset
 //! of its PCS. Each enrolled site locks itself for `k` and replies with its
-//! surplus. [`AcsCollection`] tracks the outstanding answers and produces the
+//! surplus. `AcsCollection` tracks the outstanding answers and produces the
 //! final ACS — the logical-processor list handed to the Mapper, sorted by
 //! decreasing surplus as §9 requires — once every contacted site has
 //! answered.
@@ -16,7 +16,7 @@ use std::collections::BTreeMap;
 
 /// One member of a constructed ACS.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct AcsMember {
+pub(crate) struct AcsMember {
     /// The member site.
     pub site: SiteId,
     /// Its reported surplus.
@@ -30,7 +30,7 @@ pub struct AcsMember {
 
 /// Initiator-side state of one ACS construction round.
 #[derive(Debug, Clone, PartialEq)]
-pub struct AcsCollection {
+pub(crate) struct AcsCollection {
     /// Sites contacted and not yet heard from, with the initiator-to-site
     /// delay, sorted by site.
     outstanding: Vec<(SiteId, f64)>,
@@ -45,7 +45,7 @@ impl AcsCollection {
     /// (surplus, speed); `contacted` lists the enrolled candidates with the
     /// initiator-to-candidate delay (a site listed twice is contacted once,
     /// at the delay listed last).
-    pub fn new(
+    pub(crate) fn new(
         initiator: SiteId,
         own_surplus: f64,
         own_speed: f64,
@@ -86,7 +86,7 @@ impl AcsCollection {
 
     /// Records a positive answer. Unknown senders are ignored (stale
     /// replies).
-    pub fn record_ack(&mut self, from: SiteId, surplus: f64, speed: f64) {
+    pub(crate) fn record_ack(&mut self, from: SiteId, surplus: f64, speed: f64) {
         if let Some(delay) = self.answered(from) {
             self.members.push(AcsMember {
                 site: from,
@@ -98,36 +98,30 @@ impl AcsCollection {
     }
 
     /// Records a negative (busy) answer.
-    pub fn record_busy(&mut self, from: SiteId) {
+    pub(crate) fn record_busy(&mut self, from: SiteId) {
         if self.answered(from).is_some() {
             self.busy.push(from);
         }
     }
 
     /// Returns `true` once every contacted site has answered.
-    pub fn is_complete(&self) -> bool {
+    pub(crate) fn is_complete(&self) -> bool {
         self.outstanding.is_empty()
     }
 
-    /// Number of answers still outstanding.
-    pub fn outstanding_count(&self) -> usize {
-        self.outstanding.len()
-    }
-
     /// The members collected so far (initiator first, then in answer order).
-    pub fn members(&self) -> &[AcsMember] {
+    pub(crate) fn members(&self) -> &[AcsMember] {
         &self.members
-    }
-
-    /// Sites that refused (were locked).
-    pub fn busy_sites(&self) -> &[SiteId] {
-        &self.busy
     }
 
     /// Produces the Mapper input in caller-owned buffers: the members sorted
     /// by decreasing surplus (§9), with ties broken by increasing delay then
     /// site id for determinism, and the matching [`ProcessorSpec`] list.
-    pub fn sorted_for_mapper(&self, ordered: &mut Vec<AcsMember>, specs: &mut Vec<ProcessorSpec>) {
+    pub(crate) fn sorted_for_mapper(
+        &self,
+        ordered: &mut Vec<AcsMember>,
+        specs: &mut Vec<ProcessorSpec>,
+    ) {
         ordered.clear();
         ordered.extend_from_slice(&self.members);
         ordered.sort_unstable_by(|a, b| {
@@ -147,7 +141,7 @@ impl AcsCollection {
     /// Conservative ACS delay-diameter computable from the initiator's local
     /// knowledge only: `max_{a,b} (δ(k,a) + δ(k,b))` over distinct members —
     /// the sum of the two largest member delays.
-    pub fn local_diameter_estimate(&self) -> f64 {
+    pub(crate) fn local_diameter_estimate(&self) -> f64 {
         let (mut largest, mut second) = (f64::NEG_INFINITY, f64::NEG_INFINITY);
         for member in &self.members {
             if member.delay > largest {
@@ -219,19 +213,19 @@ mod tests {
         let contacted = vec![(SiteId(1), 2.0), (SiteId(2), 5.0), (SiteId(3), 1.0)];
         let mut acs = AcsCollection::new(SiteId(0), 0.8, 1.0, &contacted);
         assert!(!acs.is_complete());
-        assert_eq!(acs.outstanding_count(), 3);
+        assert_eq!(acs.outstanding.len(), 3);
         acs.record_ack(SiteId(2), 0.4, 1.0);
         acs.record_busy(SiteId(3));
         assert!(!acs.is_complete());
         acs.record_ack(SiteId(1), 0.5, 2.0);
         assert!(acs.is_complete());
         assert_eq!(acs.members().len(), 3); // initiator + 2 acks
-        assert_eq!(acs.busy_sites(), &[SiteId(3)]);
+        assert_eq!(acs.busy, vec![SiteId(3)]);
         // Stale/duplicate answers are ignored.
         acs.record_ack(SiteId(2), 0.9, 1.0);
         acs.record_busy(SiteId(9));
         assert_eq!(acs.members().len(), 3);
-        assert_eq!(acs.busy_sites().len(), 1);
+        assert_eq!(acs.busy.len(), 1);
     }
 
     #[test]

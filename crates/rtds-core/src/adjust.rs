@@ -58,7 +58,7 @@ pub enum AdjustOutcome {
 
 impl AdjustOutcome {
     /// Returns the adjusted windows, if the job was not rejected.
-    pub fn windows(&self) -> Option<(&[f64], &[f64])> {
+    pub(crate) fn windows(&self) -> Option<(&[f64], &[f64])> {
         match self {
             AdjustOutcome::Adjusted {
                 release, deadline, ..
@@ -71,18 +71,6 @@ impl AdjustOutcome {
     pub fn is_rejected(&self) -> bool {
         matches!(self, AdjustOutcome::Rejected { .. })
     }
-}
-
-/// Computes `η`: the maximum number of tasks on any critical path of the
-/// schedule `S*`. The schedule's constraint graph has an edge for every DAG
-/// precedence (weighted by the communication delay used in `S*`) and for
-/// every pair of consecutive tasks on the same processor (weight 0); a task
-/// is critical when it has zero slack with respect to the makespan `M*`.
-pub fn eta_of_star_schedule(graph: &TaskGraph, result: &MapperResult) -> usize {
-    with_workspace(|ws| {
-        let mapping = ws.mapping.view_of(graph, result);
-        ws.adjustment.eta(graph, &mapping)
-    })
 }
 
 /// Runs the §12.2 adjustment.
@@ -341,6 +329,14 @@ mod tests {
         paper_task_graph, EXPECTED_TABLE1, PAPER_ACS_DIAMETER, PAPER_DEADLINE, PAPER_RELEASE,
         PAPER_SURPLUS_P1, PAPER_SURPLUS_P2,
     };
+
+    /// `η` of the schedule `S*`, as the adjustment computes it.
+    fn eta_of_star_schedule(graph: &TaskGraph, result: &MapperResult) -> usize {
+        with_workspace(|ws| {
+            let mapping = ws.mapping.view_of(graph, result);
+            ws.adjustment.eta(graph, &mapping)
+        })
+    }
 
     fn paper_result() -> (rtds_graph::TaskGraph, MapperResult, Vec<ProcessorSpec>) {
         let graph = paper_task_graph();

@@ -51,7 +51,7 @@ impl DemandRule {
 
     /// [`DemandRule::demands_for`] written over a caller-owned buffer: the
     /// demands, or `None` (and `out` untouched) for the single-core rule.
-    pub fn demands_into<'a>(
+    pub(crate) fn demands_into<'a>(
         &self,
         graph: &TaskGraph,
         out: &'a mut Vec<TaskDemand>,
@@ -74,7 +74,7 @@ impl DemandRule {
     }
 
     /// Validates the rule.
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         match *self {
             DemandRule::SingleCore => Ok(()),
             DemandRule::WideTasks {
@@ -169,20 +169,15 @@ impl Default for RtdsConfig {
 }
 
 impl RtdsConfig {
-    /// Number of routing-exchange phases run at initialisation (§7.2: `2h`).
-    pub fn pcs_phases(&self) -> usize {
-        2 * self.sphere_radius
-    }
-
     /// Checks the configuration for nonsensical values.
     pub fn validate(&self) -> Result<(), String> {
-        if self.observation_window <= 0.0 {
-            return Err("observation_window must be positive".into());
+        if !(self.observation_window.is_finite() && self.observation_window > 0.0) {
+            return Err("observation_window must be finite and positive".into());
         }
         if !(self.surplus_floor > 0.0 && self.surplus_floor <= 1.0) {
             return Err("surplus_floor must lie in (0, 1]".into());
         }
-        if self.data_volume_aware && self.throughput <= 0.0 {
+        if self.data_volume_aware && (self.throughput.is_nan() || self.throughput <= 0.0) {
             return Err("throughput must be positive when data_volume_aware".into());
         }
         if self.flow_transfers && !self.data_volume_aware {
@@ -201,7 +196,6 @@ mod tests {
     fn defaults_are_valid() {
         let c = RtdsConfig::default();
         assert!(c.validate().is_ok());
-        assert_eq!(c.pcs_phases(), 4);
         assert_eq!(c.laxity_dispatch, LaxityDispatch::Uniform);
     }
 
@@ -237,6 +231,31 @@ mod tests {
         let c = RtdsConfig {
             flow_transfers: true,
             data_volume_aware: true,
+            ..RtdsConfig::default()
+        };
+        assert!(c.validate().is_ok());
+    }
+
+    #[test]
+    fn nan_and_infinite_values_are_reported() {
+        for window in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let c = RtdsConfig {
+                observation_window: window,
+                ..RtdsConfig::default()
+            };
+            let e = c.validate().unwrap_err();
+            assert!(e.contains("observation_window"), "{window}: {e}");
+        }
+        let c = RtdsConfig {
+            data_volume_aware: true,
+            throughput: f64::NAN,
+            ..RtdsConfig::default()
+        };
+        assert!(c.validate().unwrap_err().contains("throughput"));
+        // An infinite throughput is a link that moves any volume at once.
+        let c = RtdsConfig {
+            data_volume_aware: true,
+            throughput: f64::INFINITY,
             ..RtdsConfig::default()
         };
         assert!(c.validate().is_ok());
@@ -297,14 +316,5 @@ mod tests {
             ..RtdsConfig::default()
         };
         assert!(c.validate().is_err());
-    }
-
-    #[test]
-    fn pcs_phase_count_follows_radius() {
-        let c = RtdsConfig {
-            sphere_radius: 5,
-            ..RtdsConfig::default()
-        };
-        assert_eq!(c.pcs_phases(), 10);
     }
 }

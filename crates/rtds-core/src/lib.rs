@@ -51,13 +51,8 @@ pub use adjust::{adjust_mapping, AdjustCase, AdjustOutcome};
 pub use analysis::{gantt_rows, table1_rows, GanttRow, Table1Row};
 pub use config::{DemandRule, LaxityDispatch, RtdsConfig};
 pub use mapper::{map_dag, MapperInput, MapperResult, ProcessorSpec};
-pub use matching::{
-    maximum_bipartite_matching, maximum_bipartite_matching_csr, BipartiteCsr, MatchScratch,
-};
+pub use matching::{BipartiteCsr, MatchScratch};
 pub use messages::{RtdsMsg, TaskSpec};
 pub use node::{NodeBuilder, RtdsNode};
-pub use snapshot::{
-    SnapshotError, SCHED_SNAPSHOT_SCHEMA, STREAM_SNAPSHOT_SCHEMA, SYSTEM_SNAPSHOT_SCHEMA,
-};
 pub use streaming::{JobSource, StreamOptions, StreamPause, StreamReport, StreamRun};
 pub use system::{JobOutcomeKind, JobReport, RtdsSystem};

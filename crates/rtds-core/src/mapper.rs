@@ -133,11 +133,6 @@ impl MapperResult {
     pub fn used_count(&self) -> usize {
         self.used_processors.len()
     }
-
-    /// Tasks assigned to the given logical processor, in execution order.
-    pub fn tasks_on(&self, processor: usize) -> &[TaskId] {
-        &self.processor_order[processor]
-    }
 }
 
 /// Runs the §12 Mapper. Returns `None` only for degenerate inputs (no
@@ -480,11 +475,11 @@ mod tests {
         assert_eq!(result.used_processors, vec![0, 1]);
         assert_eq!(result.used_count(), 2);
         assert_eq!(
-            result.tasks_on(0),
+            result.processor_order[0],
             &[TaskId(0), TaskId(2), TaskId(4)],
             "p1 runs t1, t3, t5"
         );
-        assert_eq!(result.tasks_on(1), &[TaskId(1), TaskId(3)]);
+        assert_eq!(result.processor_order[1], [TaskId(1), TaskId(3)]);
     }
 
     #[test]

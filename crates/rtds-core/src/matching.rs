@@ -9,10 +9,8 @@
 //! site; otherwise the job is rejected.
 //!
 //! We implement Hopcroft–Karp (`O(E √V)`) over a flat CSR (offsets + edges)
-//! adjacency with reusable scratch buffers, plus a brute-force reference
-//! used by the property tests. The historical nested-vector entry point
-//! ([`maximum_bipartite_matching`]) is kept as a thin wrapper; property
-//! tests pin that the CSR engine matches it edge-for-edge.
+//! adjacency with reusable scratch buffers; the property tests compare it
+//! with a brute-force reference.
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
@@ -33,17 +31,6 @@ pub struct BipartiteCsr {
 }
 
 impl BipartiteCsr {
-    /// Builds the CSR from nested adjacency lists (`lists[l]` = right
-    /// neighbors of left vertex `l`).
-    ///
-    /// # Panics
-    /// Panics if a right vertex is out of range.
-    pub fn from_lists(lists: &[Vec<usize>], right_count: usize) -> Self {
-        let mut csr = BipartiteCsr::default();
-        csr.rebuild_from_lists(lists, right_count);
-        csr
-    }
-
     /// Rebuilds the CSR in place (the Trial-Mapping scratch-reuse path: the
     /// allocation survives across jobs).
     pub fn rebuild_from_lists(&mut self, lists: &[Vec<usize>], right_count: usize) {
@@ -66,7 +53,7 @@ impl BipartiteCsr {
     /// order (counting sort, two passes; within one left vertex the pair
     /// order is preserved). Pairs with out-of-range endpoints are ignored —
     /// the §10 round treats unknown logical processors as noise.
-    pub fn rebuild_from_pairs(
+    pub(crate) fn rebuild_from_pairs(
         &mut self,
         left_count: usize,
         right_count: usize,
@@ -100,24 +87,9 @@ impl BipartiteCsr {
         }
     }
 
-    /// Number of left vertices.
-    pub fn left_count(&self) -> usize {
-        self.left_count
-    }
-
-    /// Number of right vertices.
-    pub fn right_count(&self) -> usize {
-        self.right_count
-    }
-
-    /// Number of edges.
-    pub fn edge_count(&self) -> usize {
-        self.edges.len()
-    }
-
     /// The right neighbors of left vertex `l`, in insertion order.
     #[inline]
-    pub fn neighbors(&self, l: usize) -> &[u32] {
+    pub(crate) fn neighbors(&self, l: usize) -> &[u32] {
         &self.edges[self.offsets[l] as usize..self.offsets[l + 1] as usize]
     }
 }
@@ -245,70 +217,72 @@ pub fn maximum_bipartite_matching_csr(
         .collect()
 }
 
-/// Computes a maximum matching in a bipartite graph (nested-vector entry
-/// point, kept for callers that already hold adjacency lists).
-///
-/// * `left_count` — number of left vertices (logical processors).
-/// * `right_count` — number of right vertices (candidate sites).
-/// * `edges[l]` — the right vertices adjacent to left vertex `l`.
-///
-/// Returns `assignment[l] = Some(r)` for matched left vertices. The matching
-/// is deterministic for a given input ordering.
-pub fn maximum_bipartite_matching(
-    left_count: usize,
-    right_count: usize,
-    edges: &[Vec<usize>],
-) -> Vec<Option<usize>> {
-    assert_eq!(
-        edges.len(),
-        left_count,
-        "one adjacency list per left vertex"
-    );
-    // Deliberately self-contained (fresh CSR + scratch) rather than routed
-    // through the thread-local workspace: this entry point must stay callable
-    // from anywhere — including from inside a `with_matching_workspace`
-    // closure — without re-entrant borrows. Hot paths that want the shared
-    // allocation use `with_matching_workspace` + the CSR solver directly.
-    let csr = BipartiteCsr::from_lists(edges, right_count);
-    maximum_bipartite_matching_csr(&csr, &mut MatchScratch::default())
-}
-
-/// Size of a matching returned by [`maximum_bipartite_matching`].
-pub fn matching_size(assignment: &[Option<usize>]) -> usize {
+/// Size of a matching returned by [`maximum_bipartite_matching_csr`].
+pub(crate) fn matching_size(assignment: &[Option<usize>]) -> usize {
     assignment.iter().filter(|a| a.is_some()).count()
-}
-
-/// Brute-force maximum matching size (exponential; only for small instances
-/// in tests).
-pub fn brute_force_matching_size(
-    left_count: usize,
-    right_count: usize,
-    edges: &[Vec<usize>],
-) -> usize {
-    fn go(l: usize, left_count: usize, edges: &[Vec<usize>], used_right: &mut Vec<bool>) -> usize {
-        if l == left_count {
-            return 0;
-        }
-        // Option 1: leave l unmatched.
-        let mut best = go(l + 1, left_count, edges, used_right);
-        // Option 2: match l with any free neighbor.
-        for &r in &edges[l] {
-            if !used_right[r] {
-                used_right[r] = true;
-                best = best.max(1 + go(l + 1, left_count, edges, used_right));
-                used_right[r] = false;
-            }
-        }
-        best
-    }
-    let mut used = vec![false; right_count];
-    go(0, left_count, edges, &mut used)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// Builds the CSR from nested adjacency lists (`lists[l]` = right
+    /// neighbors of left vertex `l`).
+    fn csr_from_lists(lists: &[Vec<usize>], right_count: usize) -> BipartiteCsr {
+        let mut csr = BipartiteCsr::default();
+        csr.rebuild_from_lists(lists, right_count);
+        csr
+    }
+
+    /// Maximum matching from nested adjacency lists (fresh CSR and scratch).
+    fn maximum_bipartite_matching(
+        left_count: usize,
+        right_count: usize,
+        edges: &[Vec<usize>],
+    ) -> Vec<Option<usize>> {
+        assert_eq!(
+            edges.len(),
+            left_count,
+            "one adjacency list per left vertex"
+        );
+        maximum_bipartite_matching_csr(
+            &csr_from_lists(edges, right_count),
+            &mut MatchScratch::default(),
+        )
+    }
+
+    /// Brute-force maximum matching size (exponential; only for small instances
+    /// in tests).
+    fn brute_force_matching_size(
+        left_count: usize,
+        right_count: usize,
+        edges: &[Vec<usize>],
+    ) -> usize {
+        fn go(
+            l: usize,
+            left_count: usize,
+            edges: &[Vec<usize>],
+            used_right: &mut Vec<bool>,
+        ) -> usize {
+            if l == left_count {
+                return 0;
+            }
+            // Option 1: leave l unmatched.
+            let mut best = go(l + 1, left_count, edges, used_right);
+            // Option 2: match l with any free neighbor.
+            for &r in &edges[l] {
+                if !used_right[r] {
+                    used_right[r] = true;
+                    best = best.max(1 + go(l + 1, left_count, edges, used_right));
+                    used_right[r] = false;
+                }
+            }
+            best
+        }
+        let mut used = vec![false; right_count];
+        go(0, left_count, edges, &mut used)
+    }
 
     #[test]
     fn perfect_matching_on_identity() {
@@ -481,10 +455,10 @@ mod tests {
     #[test]
     fn csr_builders_agree_and_preserve_per_left_order() {
         let lists = vec![vec![2, 0, 3], vec![], vec![1, 1, 4]];
-        let from_lists = BipartiteCsr::from_lists(&lists, 5);
-        assert_eq!(from_lists.left_count(), 3);
-        assert_eq!(from_lists.right_count(), 5);
-        assert_eq!(from_lists.edge_count(), 6);
+        let from_lists = csr_from_lists(&lists, 5);
+        assert_eq!(from_lists.left_count, 3);
+        assert_eq!(from_lists.right_count, 5);
+        assert_eq!(from_lists.edges.len(), 6);
         assert_eq!(from_lists.neighbors(0), &[2, 0, 3]);
         assert_eq!(from_lists.neighbors(1), &[] as &[u32]);
         assert_eq!(from_lists.neighbors(2), &[1, 1, 4]);
@@ -506,8 +480,8 @@ mod tests {
 
     #[test]
     fn scratch_reuse_does_not_change_results() {
-        let a = BipartiteCsr::from_lists(&[vec![0], vec![0, 1]], 2);
-        let b = BipartiteCsr::from_lists(&[vec![0], vec![0], vec![0]], 1);
+        let a = csr_from_lists(&[vec![0], vec![0, 1]], 2);
+        let b = csr_from_lists(&[vec![0], vec![0], vec![0]], 1);
         let mut scratch = MatchScratch::default();
         let first = maximum_bipartite_matching_csr(&a, &mut scratch);
         let second = maximum_bipartite_matching_csr(&b, &mut scratch);
@@ -532,7 +506,7 @@ mod tests {
                 .map(|_| (0..right).filter(|_| rng.random_bool(density)).collect())
                 .collect();
             let reference = reference_nested_vec_matching(left, right, &edges);
-            let csr = BipartiteCsr::from_lists(&edges, right);
+            let csr = csr_from_lists(&edges, right);
             let got = maximum_bipartite_matching_csr(&csr, &mut scratch);
             assert_eq!(got, reference, "case {case}: {edges:?}");
         }

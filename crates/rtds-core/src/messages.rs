@@ -133,7 +133,7 @@ pub enum RtdsMsg {
 
 impl RtdsMsg {
     /// Short label used by the statistics counters and the Fig. 1 trace.
-    pub fn kind(&self) -> &'static str {
+    pub(crate) fn kind(&self) -> &'static str {
         match self {
             RtdsMsg::RoutingUpdate { .. } => "routing_update",
             RtdsMsg::JobArrival { .. } => "job_arrival",
@@ -151,7 +151,7 @@ impl RtdsMsg {
     /// Returns `true` for messages that belong to the distribution of a job
     /// (everything except the initial routing exchange and external
     /// arrivals) — the quantity the paper's overhead claim is about.
-    pub fn is_distribution_message(&self) -> bool {
+    pub(crate) fn is_distribution_message(&self) -> bool {
         !matches!(
             self,
             RtdsMsg::RoutingUpdate { .. } | RtdsMsg::JobArrival { .. }

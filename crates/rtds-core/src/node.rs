@@ -49,7 +49,7 @@ use std::sync::Arc;
 
 /// Exact pairwise site distances, shared by all nodes when the
 /// `exact_acs_diameter` configuration is enabled.
-pub type GlobalDistances = Arc<Vec<Vec<f64>>>;
+pub(crate) type GlobalDistances = Arc<Vec<Vec<f64>>>;
 
 /// A job accepted by this site acting as initiator (drained by the run
 /// loop's harvest, which marks the job accepted).
@@ -146,7 +146,7 @@ impl NodeBuilder {
     }
 
     /// Relative computing power (honoured when `uniform_machines` is set).
-    pub fn speed(mut self, speed: f64) -> Self {
+    pub(crate) fn speed(mut self, speed: f64) -> Self {
         self.speed = speed;
         self
     }
@@ -165,7 +165,7 @@ impl NodeBuilder {
     }
 
     /// Shared exact-distance table for the `exact_acs_diameter` ablation.
-    pub fn global_distances(mut self, global_distances: Option<GlobalDistances>) -> Self {
+    pub(crate) fn global_distances(mut self, global_distances: Option<GlobalDistances>) -> Self {
         self.global_distances = global_distances;
         self
     }
@@ -204,7 +204,7 @@ impl NodeBuilder {
 
 impl RtdsNode {
     /// The site this node runs on.
-    pub fn site(&self) -> SiteId {
+    pub(crate) fn site(&self) -> SiteId {
         self.site
     }
 
@@ -229,12 +229,12 @@ impl RtdsNode {
     }
 
     /// The site's local scheduler (policy + per-core committed plans).
-    pub fn scheduler(&self) -> &SiteScheduler {
+    pub(crate) fn scheduler(&self) -> &SiteScheduler {
         &self.sched
     }
 
     /// Total committed reservations across all cores.
-    pub fn plan_len(&self) -> usize {
+    pub(crate) fn plan_len(&self) -> usize {
         self.sched.reservation_count()
     }
 

@@ -199,7 +199,7 @@ impl PcsState {
     }
 
     /// Returns `true` once all `2h` phases have completed.
-    pub fn is_finished(&self) -> bool {
+    pub(crate) fn is_finished(&self) -> bool {
         self.current_phase > self.total_phases
     }
 
@@ -212,7 +212,7 @@ impl PcsState {
     /// recorded route uses at most `h` hops. The delay diameter is the
     /// conservative over-estimate available from purely local knowledge,
     /// `max_{a≠b} (δ(k,a) + δ(k,b))` — the two largest delays added.
-    pub fn sphere(&self) -> Sphere {
+    pub(crate) fn sphere(&self) -> Sphere {
         let within = || self.table.entries().filter(|e| e.hops <= self.radius);
         let count = within().count();
         let (mut members, mut delays) = (Vec::with_capacity(count), Vec::with_capacity(count));
@@ -230,11 +230,6 @@ impl PcsState {
         }
         let diameter = 0.0f64.max(largest + second);
         Sphere::new(self.owner, self.radius, members, delays, diameter)
-    }
-
-    /// Sphere radius `h`.
-    pub fn radius(&self) -> usize {
-        self.radius
     }
 }
 
@@ -437,7 +432,7 @@ mod tests {
         assert!(state.start().is_empty());
         assert!(state.is_finished());
         assert_eq!(state.sphere().members, vec![SiteId(0)]);
-        assert_eq!(state.radius(), 3);
+        assert_eq!(state.radius, 3);
     }
 
     #[test]

@@ -34,22 +34,20 @@ use rtds_sched::{
 use rtds_sim::json::Json;
 use rtds_sim::snapshot::{
     decode_each, encode_all, expect_schema, field, field_with, non_negative, tagged, Path, Snap,
-    Word,
+    SnapshotError, Word,
 };
 use std::sync::Arc;
 
-pub use rtds_sim::snapshot::SnapshotError;
-
 /// Schema tag of the batch-system snapshot format.
-pub const SYSTEM_SNAPSHOT_SCHEMA: &str = "rtds-system-snapshot/1";
+pub(crate) const SYSTEM_SNAPSHOT_SCHEMA: &str = "rtds-system-snapshot/1";
 
 /// Schema tag of the streaming-run checkpoint format (wraps a system
 /// snapshot plus the harvest-loop state).
-pub const STREAM_SNAPSHOT_SCHEMA: &str = "rtds-stream-snapshot/1";
+pub(crate) const STREAM_SNAPSHOT_SCHEMA: &str = "rtds-stream-snapshot/1";
 
 /// Schema tag of the per-site scheduler section inside node snapshots
 /// (policy kind, resource bundle, per-core plans, memory holds).
-pub const SCHED_SNAPSHOT_SCHEMA: &str = "rtds-sched-snapshot/1";
+pub(crate) const SCHED_SNAPSHOT_SCHEMA: &str = "rtds-sched-snapshot/1";
 
 // ----- task graphs and jobs ------------------------------------------------
 

@@ -11,7 +11,7 @@
 //!   [`rtds_sim::engine::ArrivalSource`] integration in *harvest chunks*: it
 //!   simulates a bounded slice of time, then prunes every committed
 //!   reservation that lies wholly in the past
-//!   ([`rtds_sched::SchedulePlan::drain_completed`]) while folding the
+//!   (`SchedulePlan::drain_completed_with`) while folding the
 //!   drained completion times into aggregate statistics, and finalizes every
 //!   job whose deadline has passed — so the resident state is bounded by the
 //!   *in-flight* work, not by the length of the run,

@@ -150,7 +150,7 @@ impl RtdsSystem {
     }
 
     /// Read access to the simulated network.
-    pub fn network(&self) -> &Network {
+    pub(crate) fn network(&self) -> &Network {
         self.sim.network()
     }
 
@@ -189,11 +189,6 @@ impl RtdsSystem {
     /// itself stays deterministic either way).
     pub fn set_fault_seed(&mut self, seed: u64) {
         self.sim.set_fault_seed(seed);
-    }
-
-    /// Sets the message-loss probability immediately.
-    pub fn set_message_loss(&mut self, probability: f64) {
-        self.sim.set_message_loss(probability);
     }
 
     /// Number of simulation events processed so far.

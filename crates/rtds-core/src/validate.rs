@@ -4,11 +4,11 @@
 //!
 //! * the *member side* — given the trial mapping and the site's own
 //!   scheduler, compute the list of logical processors whose task set
-//!   `T_i` is locally satisfiable ([`endorsable_with`]),
+//!   `T_i` is locally satisfiable (`endorsable_with`),
 //! * the *initiator side* — collect those lists, compute the maximum
 //!   coupling between logical processors and sites, and either extract the
 //!   execution permutation (coupling of size `|U|`) or reject the job
-//!   ([`ValidationRound`]).
+//!   (`ValidationRound`).
 
 use crate::matching::{matching_size, maximum_bipartite_matching_csr, with_matching_workspace};
 use crate::messages::TaskSpec;
@@ -44,7 +44,7 @@ pub(crate) fn task_requests(
 /// `cost / speed` with the given effective site speed. Only the verdict of
 /// each §10 test is asked for, through `requests` (a buffer the caller
 /// keeps): the answer is the only allocation.
-pub fn endorsable_with(
+pub(crate) fn endorsable_with(
     scheduler: &SiteScheduler,
     job: JobId,
     tasks_per_logical: &[Arc<[TaskSpec]>],
@@ -67,7 +67,7 @@ pub fn endorsable_with(
 
 /// Outcome of the initiator-side validation.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub enum ValidationOutcome {
+pub(crate) enum ValidationOutcome {
     /// A perfect coupling exists: `assignment[i]` is the site chosen to
     /// endorse logical processor `i`.
     Accepted {
@@ -86,7 +86,7 @@ pub enum ValidationOutcome {
 /// Initiator-side state: collects validation replies from the ACS members and
 /// computes the coupling once everyone has answered.
 #[derive(Debug, Clone, PartialEq)]
-pub struct ValidationRound {
+pub(crate) struct ValidationRound {
     logical_count: usize,
     /// The sites a reply is expected from, in the order given, each with
     /// its reply once it has arrived.
@@ -100,7 +100,7 @@ pub struct ValidationRound {
 impl ValidationRound {
     /// Starts a round for `logical_count` logical processors, expecting a
     /// reply from every listed site.
-    pub fn new(logical_count: usize, expected: impl IntoIterator<Item = SiteId>) -> Self {
+    pub(crate) fn new(logical_count: usize, expected: impl IntoIterator<Item = SiteId>) -> Self {
         let expected: Vec<_> = expected.into_iter().map(|site| (site, None)).collect();
         let mut by_site: Vec<usize> = (0..expected.len()).collect();
         by_site.sort_by_key(|&at| expected[at].0);
@@ -113,7 +113,7 @@ impl ValidationRound {
     }
 
     /// Records a member's reply (unknown or duplicate senders are ignored).
-    pub fn record_reply(&mut self, from: SiteId, endorsable: Vec<usize>) {
+    pub(crate) fn record_reply(&mut self, from: SiteId, endorsable: Vec<usize>) {
         let site_at = |&at: &usize| self.expected[at].0;
         let Ok(rank) = self.by_site.binary_search_by_key(&from, site_at) else {
             return;
@@ -131,13 +131,8 @@ impl ValidationRound {
     }
 
     /// Returns `true` once every expected site has answered.
-    pub fn is_complete(&self) -> bool {
+    pub(crate) fn is_complete(&self) -> bool {
         self.received == self.expected.len()
-    }
-
-    /// Number of replies still missing.
-    pub fn outstanding(&self) -> usize {
-        self.expected.len() - self.received
     }
 
     /// The replies received so far, by increasing site.
@@ -152,7 +147,7 @@ impl ValidationRound {
     ///
     /// # Panics
     /// Panics if called before the round is complete.
-    pub fn conclude(&self) -> ValidationOutcome {
+    pub(crate) fn conclude(&self) -> ValidationOutcome {
         assert!(self.is_complete(), "validation round is not complete");
         // Bipartite CSR: left = logical processors, right = sites by
         // increasing id. Pairs are fed right-major, reproducing the
@@ -281,7 +276,7 @@ mod tests {
     fn round_accepts_with_perfect_coupling() {
         let mut round = ValidationRound::new(2, vec![SiteId(0), SiteId(1), SiteId(2)]);
         assert!(!round.is_complete());
-        assert_eq!(round.outstanding(), 3);
+        assert_eq!(round.expected.len() - round.received, 3);
         round.record_reply(SiteId(0), vec![0]);
         round.record_reply(SiteId(1), vec![0, 1]);
         round.record_reply(SiteId(2), vec![]);

@@ -25,10 +25,10 @@
 //!
 //! Everything here is exact IEEE-754 arithmetic applied in a fixed order:
 //! links are scanned in ascending [`LinkId`] order and flows in ascending
-//! [`FlowId`] order (a `BTreeMap` walk), so the same flow set always
+//! id order (a `BTreeMap` walk), so the same flow set always
 //! produces bit-identical rates. There is no randomness, no wall-clock and
 //! no hashing — the model is snapshot/restore-compatible by serialising
-//! its raw parts bit-for-bit (see [`FlowModel::raw_flows`] /
+//! its raw parts bit-for-bit (see [`FlowModel::flow_ids`] /
 //! [`FlowModel::from_raw_parts`]); the engine wraps that in the versioned
 //! `rtds-flow-snapshot/1` section (see `docs/NETWORK.md`).
 //!
@@ -66,7 +66,7 @@ pub type LinkId = u32;
 
 /// Identifier of a flow inside a [`FlowModel`]; monotonically increasing,
 /// never reused, so a stale reference can always be detected.
-pub type FlowId = u64;
+pub(crate) type FlowId = u64;
 
 /// One in-flight transfer: the links it crosses, the volume still to move
 /// and the rate assigned by the last [`max_min_rates`] solve.
@@ -266,32 +266,14 @@ impl FlowModel {
         self.flows[&flow].remaining
     }
 
-    /// Whether the flow id is live (started and not yet finished).
-    pub fn contains(&self, flow: FlowId) -> bool {
-        self.flows.contains_key(&flow)
-    }
-
     /// Live flow ids in ascending order.
     pub fn flow_ids(&self) -> impl Iterator<Item = FlowId> + '_ {
         self.flows.keys().copied()
     }
 
-    /// Link capacities in [`LinkId`] order (snapshot support).
-    pub fn capacities(&self) -> &[f64] {
-        &self.capacities
-    }
-
     /// Next id [`start`](Self::start) would hand out (snapshot support).
     pub fn next_id(&self) -> FlowId {
         self.next_id
-    }
-
-    /// Raw per-flow state `(id, links, remaining, rate)` in ascending id
-    /// order, for bit-exact serialisation.
-    pub fn raw_flows(&self) -> impl Iterator<Item = (FlowId, &[LinkId], f64, f64)> + '_ {
-        self.flows
-            .iter()
-            .map(|(&id, f)| (id, f.links.as_slice(), f.remaining, f.rate))
     }
 
     /// Rebuilds a model from serialised parts. Rates are restored verbatim
@@ -659,11 +641,12 @@ mod tests {
         model.advance_to(1.375);
 
         let flows: Vec<_> = model
-            .raw_flows()
-            .map(|(id, links, remaining, rate)| (id, links.to_vec(), remaining, rate))
+            .flows
+            .iter()
+            .map(|(&id, f)| (id, f.links.clone(), f.remaining, f.rate))
             .collect();
         let restore = |next_id, flows| {
-            FlowModel::from_raw_parts(model.capacities().to_vec(), model.time(), next_id, flows)
+            FlowModel::from_raw_parts(model.capacities.clone(), model.time(), next_id, flows)
         };
         assert_eq!(restore(model.next_id(), flows.clone()), Ok(model.clone()));
         // Hostile parts are refused, not asserted on.
@@ -681,8 +664,8 @@ mod tests {
         model.finish(a);
         let b = model.start(vec![link], 1.0);
         assert_ne!(a, b);
-        assert!(!model.contains(a));
-        assert!(model.contains(b));
+        assert!(!model.flows.contains_key(&a));
+        assert!(model.flows.contains_key(&b));
     }
 
     /// Max-min optimality certificate: every finite-rate flow crosses a

@@ -4,7 +4,7 @@
 //! a *data volume* (paper §13: communication delays can be adjusted by the
 //! ratio data volume / throughput when links have identical throughput).
 //! The structure enforces acyclicity lazily: edges can be added freely, and
-//! [`TaskGraph::validate`] / [`TaskGraph::topological_order`] detect cycles.
+//! [`TaskGraph::topological_order`] detects cycles.
 //!
 //! Storage is flat — a vector of tasks and an arena of edges, each edge
 //! linked into its source's successor list and its target's predecessor
@@ -122,7 +122,7 @@ struct Edge {
 /// The layout is flat: one vector of tasks and one arena of edges, whatever
 /// the shape of the graph. An edge is stored once and threaded onto both of
 /// its endpoints' lists, so building a graph costs `O(1)` allocations (two
-/// with [`TaskGraph::with_capacity`]) instead of two per task, and a graph
+/// with `TaskGraph::with_capacity`) instead of two per task, and a graph
 /// is read without chasing a pointer per task.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct TaskGraph {
@@ -178,7 +178,7 @@ impl TaskGraph {
     }
 
     /// Creates an empty graph with room for `tasks` tasks and `edges` edges.
-    pub fn with_capacity(tasks: usize, edges: usize) -> Self {
+    pub(crate) fn with_capacity(tasks: usize, edges: usize) -> Self {
         TaskGraph {
             nodes: Vec::with_capacity(tasks),
             edges: Vec::with_capacity(edges),
@@ -565,22 +565,9 @@ impl TaskGraph {
         }
     }
 
-    /// Reverse topological order (sinks first).
-    pub fn reverse_topological_order(&self) -> Result<Vec<TaskId>, GraphError> {
-        let mut order = self.topological_order()?;
-        order.reverse();
-        Ok(order)
-    }
-
     /// Returns `true` iff the graph is acyclic.
     pub fn is_acyclic(&self) -> bool {
         self.topological_order().is_ok()
-    }
-
-    /// Full structural validation: acyclicity (edge-level invariants are
-    /// enforced at insertion time).
-    pub fn validate(&self) -> Result<(), GraphError> {
-        self.topological_order().map(|_| ())
     }
 
     /// Returns `true` if `ancestor` can reach `descendant` through precedence
@@ -659,8 +646,6 @@ mod tests {
         let g = diamond();
         let order = g.topological_order().unwrap();
         assert_eq!(order, vec![TaskId(0), TaskId(1), TaskId(2), TaskId(3)]);
-        let rev = g.reverse_topological_order().unwrap();
-        assert_eq!(rev[0], TaskId(3));
     }
 
     #[test]
@@ -671,7 +656,6 @@ mod tests {
         g.add_edge(TaskId(2), TaskId(0)).unwrap();
         assert!(!g.is_acyclic());
         assert_eq!(g.topological_order(), Err(GraphError::Cycle));
-        assert_eq!(g.validate(), Err(GraphError::Cycle));
     }
 
     #[test]

@@ -59,7 +59,7 @@ impl CostDistribution {
     }
 
     /// Expected value of the distribution (used to size deadlines).
-    pub fn mean(&self) -> f64 {
+    pub(crate) fn mean(&self) -> f64 {
         match *self {
             CostDistribution::Constant(c) => c,
             CostDistribution::Uniform { min, max } => 0.5 * (min + max),
@@ -174,11 +174,6 @@ impl DagGenerator {
             in_degrees: Vec::new(),
             ranks: Vec::new(),
         }
-    }
-
-    /// The generator's configuration.
-    pub fn config(&self) -> &GeneratorConfig {
-        &self.config
     }
 
     /// Restarts the RNG stream from `seed` without resetting the job-id
@@ -545,7 +540,7 @@ mod tests {
             assert_eq!(job.arrival_site, i % 4);
             assert_eq!(job.release(), i as f64 * 5.0);
             assert!(job.deadline() > job.release());
-            let lf = job.laxity_factor();
+            let lf = job.window() / job.critical_path_length();
             assert!((2.0 - 1e-9..=3.0 + 1e-9).contains(&lf), "laxity {lf}");
         }
     }

@@ -43,7 +43,7 @@ impl JobParams {
     }
 
     /// Length of the execution window `d - r`.
-    pub fn window(&self) -> f64 {
+    pub(crate) fn window(&self) -> f64 {
         self.deadline - self.release
     }
 }
@@ -98,20 +98,6 @@ impl Job {
         critical_path_length(&self.graph)
     }
 
-    /// Laxity factor of the job: window divided by critical-path length.
-    ///
-    /// A laxity factor below 1 means the job cannot meet its deadline even on
-    /// infinitely many fully idle sites; generators typically produce factors
-    /// in `[1.5, 6]`.
-    pub fn laxity_factor(&self) -> f64 {
-        let cp = self.critical_path_length();
-        if cp == 0.0 {
-            f64::INFINITY
-        } else {
-            self.window() / cp
-        }
-    }
-
     /// Total computational demand of the job.
     pub fn total_cost(&self) -> f64 {
         self.graph.total_cost()
@@ -154,12 +140,5 @@ mod tests {
         assert_eq!(job.arrival_time, 0.0);
         assert_eq!(job.total_cost(), 10.0);
         assert_eq!(job.critical_path_length(), 10.0);
-        assert_eq!(job.laxity_factor(), 4.0);
-    }
-
-    #[test]
-    fn laxity_of_empty_graph_is_infinite() {
-        let job = Job::new(JobId(0), TaskGraph::new(), JobParams::new(0.0, 10.0), 0);
-        assert!(job.laxity_factor().is_infinite());
     }
 }

@@ -45,6 +45,6 @@ pub use critical_path::{
     critical_path_length, critical_path_tasks, downward_ranks, upward_ranks, CriticalPathInfo,
 };
 pub use dag::{EdgeData, TaskGraph};
-pub use generators::{DagGenerator, DagShape, GeneratorConfig};
+pub use generators::DagGenerator;
 pub use job::{Job, JobId, JobParams};
 pub use task::{Task, TaskId};

@@ -18,20 +18,6 @@ use std::fmt;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct TaskId(pub usize);
 
-impl TaskId {
-    /// Raw index of the task.
-    #[inline]
-    pub fn index(self) -> usize {
-        self.0
-    }
-
-    /// One-based label used when printing paper-style exhibits.
-    #[inline]
-    pub fn paper_label(self) -> usize {
-        self.0 + 1
-    }
-}
-
 impl fmt::Display for TaskId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "t{}", self.0)
@@ -73,33 +59,6 @@ impl Task {
             label: None,
         }
     }
-
-    /// Creates a task with a label.
-    pub fn with_label(id: TaskId, cost: f64, label: impl Into<String>) -> Self {
-        let mut t = Task::new(id, cost);
-        t.label = Some(label.into());
-        t
-    }
-
-    /// Execution duration of this task on a site with the given surplus
-    /// (paper §12: duration = `c(t) / I`).
-    ///
-    /// # Panics
-    /// Panics if `surplus` is not in `(0, 1]`.
-    pub fn duration_with_surplus(&self, surplus: f64) -> f64 {
-        assert!(
-            surplus > 0.0 && surplus <= 1.0,
-            "surplus must lie in (0, 1], got {surplus}"
-        );
-        self.cost / surplus
-    }
-
-    /// Execution duration on a uniform machine of relative speed `speed`
-    /// (paper §13, related machines).
-    pub fn duration_with_speed(&self, speed: f64) -> f64 {
-        assert!(speed > 0.0, "machine speed must be positive, got {speed}");
-        self.cost / speed
-    }
 }
 
 #[cfg(test)]
@@ -109,46 +68,20 @@ mod tests {
     #[test]
     fn task_id_display_and_labels() {
         let id = TaskId(4);
-        assert_eq!(id.index(), 4);
-        assert_eq!(id.paper_label(), 5);
         assert_eq!(format!("{id}"), "t4");
         assert_eq!(TaskId::from(7), TaskId(7));
     }
 
     #[test]
-    fn task_construction_and_duration() {
+    fn task_construction() {
         let t = Task::new(TaskId(0), 6.0);
         assert_eq!(t.cost, 6.0);
         assert!(t.label.is_none());
-        // Paper example: c = 6 on a site with surplus 0.5 runs for 12 units.
-        assert_eq!(t.duration_with_surplus(0.5), 12.0);
-        assert_eq!(t.duration_with_surplus(1.0), 6.0);
-        assert_eq!(t.duration_with_speed(2.0), 3.0);
-    }
-
-    #[test]
-    fn task_with_label() {
-        let t = Task::with_label(TaskId(1), 3.5, "fft-stage");
-        assert_eq!(t.label.as_deref(), Some("fft-stage"));
     }
 
     #[test]
     #[should_panic(expected = "non-negative")]
     fn negative_cost_rejected() {
         let _ = Task::new(TaskId(0), -1.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "surplus")]
-    fn zero_surplus_rejected() {
-        let t = Task::new(TaskId(0), 1.0);
-        let _ = t.duration_with_surplus(0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "surplus")]
-    fn surplus_above_one_rejected() {
-        let t = Task::new(TaskId(0), 1.0);
-        let _ = t.duration_with_surplus(1.5);
     }
 }

@@ -14,7 +14,7 @@ use rtds_graph::{Task, TaskId};
 
 /// One task's adjacency: the `(neighbor, edge data)` pairs in insertion
 /// order (which is semantic — see [`TaskGraph::raw_adjacency`]).
-pub type EdgeList = Vec<(TaskId, EdgeData)>;
+pub(crate) type EdgeList = Vec<(TaskId, EdgeData)>;
 
 /// A directed acyclic graph of tasks with precedence constraints.
 ///
@@ -23,7 +23,7 @@ pub type EdgeList = Vec<(TaskId, EdgeData)>;
 /// traversals deterministic — an important property for reproducible
 /// simulations and golden tests.
 #[derive(Debug, Clone, Default, PartialEq)]
-pub struct TaskGraph {
+pub(crate) struct TaskGraph {
     tasks: Vec<Task>,
     /// `succs[i]` lists `(j, edge)` for every edge `i -> j`.
     succs: Vec<Vec<(TaskId, EdgeData)>>,
@@ -34,12 +34,12 @@ pub struct TaskGraph {
 
 impl TaskGraph {
     /// Creates an empty task graph.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         TaskGraph::default()
     }
 
     /// Creates a graph with `n` tasks whose costs are given by `costs`.
-    pub fn from_costs(costs: &[f64]) -> Self {
+    pub(crate) fn from_costs(costs: &[f64]) -> Self {
         let mut g = TaskGraph::new();
         for &c in costs {
             g.add_task(c);
@@ -48,7 +48,7 @@ impl TaskGraph {
     }
 
     /// Adds a task with the given computational complexity and returns its id.
-    pub fn add_task(&mut self, cost: f64) -> TaskId {
+    pub(crate) fn add_task(&mut self, cost: f64) -> TaskId {
         let id = TaskId(self.tasks.len());
         self.tasks.push(Task::new(id, cost));
         self.succs.push(Vec::new());
@@ -57,19 +57,19 @@ impl TaskGraph {
     }
 
     /// Adds a labelled task.
-    pub fn add_labelled_task(&mut self, cost: f64, label: impl Into<String>) -> TaskId {
+    pub(crate) fn add_labelled_task(&mut self, cost: f64, label: impl Into<String>) -> TaskId {
         let id = self.add_task(cost);
         self.tasks[id.0].label = Some(label.into());
         id
     }
 
     /// Adds a precedence edge `pred -> succ` with default edge data.
-    pub fn add_edge(&mut self, pred: TaskId, succ: TaskId) -> Result<(), GraphError> {
+    pub(crate) fn add_edge(&mut self, pred: TaskId, succ: TaskId) -> Result<(), GraphError> {
         self.add_edge_with(pred, succ, EdgeData::default())
     }
 
     /// Adds a precedence edge `pred -> succ` carrying a data volume.
-    pub fn add_edge_with_volume(
+    pub(crate) fn add_edge_with_volume(
         &mut self,
         pred: TaskId,
         succ: TaskId,
@@ -79,7 +79,7 @@ impl TaskGraph {
     }
 
     /// Adds a precedence edge with explicit edge data.
-    pub fn add_edge_with(
+    pub(crate) fn add_edge_with(
         &mut self,
         pred: TaskId,
         succ: TaskId,
@@ -110,7 +110,7 @@ impl TaskGraph {
     /// interleave edges differently when edges were not added in
     /// source-major order — so a faithful snapshot must capture both lists
     /// verbatim rather than re-derive one from the other.
-    pub fn raw_adjacency(&self) -> (&[EdgeList], &[EdgeList]) {
+    pub(crate) fn raw_adjacency(&self) -> (&[EdgeList], &[EdgeList]) {
         (&self.succs, &self.preds)
     }
 
@@ -120,7 +120,7 @@ impl TaskGraph {
     /// every edge must satisfy the rules of [`TaskGraph::add_edge_with`] and
     /// appear in both views with the same data, and the result must be a
     /// DAG. The edge count is recomputed from `succs`.
-    pub fn from_raw_parts(
+    pub(crate) fn from_raw_parts(
         tasks: Vec<Task>,
         succs: Vec<EdgeList>,
         preds: Vec<EdgeList>,
@@ -173,17 +173,17 @@ impl TaskGraph {
     }
 
     /// Number of tasks `|T|`.
-    pub fn task_count(&self) -> usize {
+    pub(crate) fn task_count(&self) -> usize {
         self.tasks.len()
     }
 
     /// Number of precedence edges `|E|`.
-    pub fn edge_count(&self) -> usize {
+    pub(crate) fn edge_count(&self) -> usize {
         self.edge_count
     }
 
     /// Returns `true` if the graph has no tasks.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.tasks.is_empty()
     }
 
@@ -191,52 +191,52 @@ impl TaskGraph {
     ///
     /// # Panics
     /// Panics if the id is out of range.
-    pub fn task(&self, id: TaskId) -> &Task {
+    pub(crate) fn task(&self, id: TaskId) -> &Task {
         &self.tasks[id.0]
     }
 
     /// Computational complexity of a task (`c(t)`).
-    pub fn cost(&self, id: TaskId) -> f64 {
+    pub(crate) fn cost(&self, id: TaskId) -> f64 {
         self.tasks[id.0].cost
     }
 
     /// Total computational complexity of all tasks.
-    pub fn total_cost(&self) -> f64 {
+    pub(crate) fn total_cost(&self) -> f64 {
         self.tasks.iter().map(|t| t.cost).sum()
     }
 
     /// Iterator over all tasks in id order.
-    pub fn tasks(&self) -> impl Iterator<Item = &Task> {
+    pub(crate) fn tasks(&self) -> impl Iterator<Item = &Task> {
         self.tasks.iter()
     }
 
     /// Iterator over all task ids.
-    pub fn task_ids(&self) -> impl Iterator<Item = TaskId> {
+    pub(crate) fn task_ids(&self) -> impl Iterator<Item = TaskId> {
         (0..self.tasks.len()).map(TaskId)
     }
 
     /// Immediate successors `Γ⁺(t)` of a task.
-    pub fn successors(&self, id: TaskId) -> impl Iterator<Item = TaskId> + '_ {
+    pub(crate) fn successors(&self, id: TaskId) -> impl Iterator<Item = TaskId> + '_ {
         self.succs[id.0].iter().map(|(s, _)| *s)
     }
 
     /// Immediate predecessors `Γ⁻(t)` of a task.
-    pub fn predecessors(&self, id: TaskId) -> impl Iterator<Item = TaskId> + '_ {
+    pub(crate) fn predecessors(&self, id: TaskId) -> impl Iterator<Item = TaskId> + '_ {
         self.preds[id.0].iter().map(|(p, _)| *p)
     }
 
     /// Immediate successors with their edge data.
-    pub fn successor_edges(&self, id: TaskId) -> &[(TaskId, EdgeData)] {
+    pub(crate) fn successor_edges(&self, id: TaskId) -> &[(TaskId, EdgeData)] {
         &self.succs[id.0]
     }
 
     /// Immediate predecessors with their edge data.
-    pub fn predecessor_edges(&self, id: TaskId) -> &[(TaskId, EdgeData)] {
+    pub(crate) fn predecessor_edges(&self, id: TaskId) -> &[(TaskId, EdgeData)] {
         &self.preds[id.0]
     }
 
     /// Data volume on an edge, if the edge exists.
-    pub fn data_volume(&self, pred: TaskId, succ: TaskId) -> Option<f64> {
+    pub(crate) fn data_volume(&self, pred: TaskId, succ: TaskId) -> Option<f64> {
         self.succs[pred.0]
             .iter()
             .find(|(s, _)| *s == succ)
@@ -244,24 +244,24 @@ impl TaskGraph {
     }
 
     /// Number of immediate predecessors of a task.
-    pub fn in_degree(&self, id: TaskId) -> usize {
+    pub(crate) fn in_degree(&self, id: TaskId) -> usize {
         self.preds[id.0].len()
     }
 
     /// Number of immediate successors of a task.
-    pub fn out_degree(&self, id: TaskId) -> usize {
+    pub(crate) fn out_degree(&self, id: TaskId) -> usize {
         self.succs[id.0].len()
     }
 
     /// Tasks with no predecessors (the job's entry tasks).
-    pub fn sources(&self) -> Vec<TaskId> {
+    pub(crate) fn sources(&self) -> Vec<TaskId> {
         self.task_ids()
             .filter(|t| self.in_degree(*t) == 0)
             .collect()
     }
 
     /// Tasks with no successors (the job's exit tasks).
-    pub fn sinks(&self) -> Vec<TaskId> {
+    pub(crate) fn sinks(&self) -> Vec<TaskId> {
         self.task_ids()
             .filter(|t| self.out_degree(*t) == 0)
             .collect()
@@ -270,7 +270,7 @@ impl TaskGraph {
     /// Kahn topological sort. Returns `Err(GraphError::Cycle)` if the graph is
     /// not acyclic. The order is deterministic: among ready tasks, the lowest
     /// id is emitted first.
-    pub fn topological_order(&self) -> Result<Vec<TaskId>, GraphError> {
+    pub(crate) fn topological_order(&self) -> Result<Vec<TaskId>, GraphError> {
         let n = self.tasks.len();
         let mut indeg: Vec<usize> = (0..n).map(|i| self.preds[i].len()).collect();
         // `order[..emitted]` is the result so far and `order[emitted..]` the
@@ -298,26 +298,26 @@ impl TaskGraph {
     }
 
     /// Reverse topological order (sinks first).
-    pub fn reverse_topological_order(&self) -> Result<Vec<TaskId>, GraphError> {
+    pub(crate) fn reverse_topological_order(&self) -> Result<Vec<TaskId>, GraphError> {
         let mut order = self.topological_order()?;
         order.reverse();
         Ok(order)
     }
 
     /// Returns `true` iff the graph is acyclic.
-    pub fn is_acyclic(&self) -> bool {
+    pub(crate) fn is_acyclic(&self) -> bool {
         self.topological_order().is_ok()
     }
 
     /// Full structural validation: acyclicity (edge-level invariants are
     /// enforced at insertion time).
-    pub fn validate(&self) -> Result<(), GraphError> {
+    pub(crate) fn validate(&self) -> Result<(), GraphError> {
         self.topological_order().map(|_| ())
     }
 
     /// Returns `true` if `ancestor` can reach `descendant` through precedence
     /// edges (used by property tests and by the preemptive extension).
-    pub fn reaches(&self, ancestor: TaskId, descendant: TaskId) -> bool {
+    pub(crate) fn reaches(&self, ancestor: TaskId, descendant: TaskId) -> bool {
         if ancestor == descendant {
             return true;
         }
@@ -339,7 +339,7 @@ impl TaskGraph {
     }
 
     /// Length (in number of tasks) of the longest chain in the graph.
-    pub fn longest_chain_len(&self) -> usize {
+    pub(crate) fn longest_chain_len(&self) -> usize {
         let Ok(order) = self.topological_order() else {
             return 0;
         };

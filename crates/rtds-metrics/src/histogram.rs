@@ -27,11 +27,11 @@
 
 /// Smallest resolved exponent: values below `2^MIN_EXP` underflow into
 /// bucket 0. `2^-21` is far below any simulated-time quantity we track.
-pub const MIN_EXP: i32 = -21;
+pub(crate) const MIN_EXP: i32 = -21;
 
 /// Largest resolved exponent: values at or above `2^(MAX_EXP + 1)` overflow
 /// into the top bucket. `2^42` is far above any simulated-time quantity.
-pub const MAX_EXP: i32 = 41;
+pub(crate) const MAX_EXP: i32 = 41;
 
 /// Number of buckets: one underflow + one per exponent + one overflow.
 pub const BUCKET_COUNT: usize = (MAX_EXP - MIN_EXP + 2) as usize + 1;
@@ -49,7 +49,7 @@ fn floor_log2(v: f64) -> i32 {
 }
 
 /// The bucket a sample lands in (see the module docs for the scheme).
-pub fn bucket_index(v: f64) -> usize {
+pub(crate) fn bucket_index(v: f64) -> usize {
     if v.is_nan() || v < f64::MIN_POSITIVE {
         // NaN, zero, negatives and subnormals all underflow; the exact
         // value still reaches min/max, so nothing is silently lost.
@@ -219,16 +219,6 @@ impl Histogram {
             buckets,
         }
     }
-
-    /// The non-empty buckets as `(upper_bound, count)` pairs, in value
-    /// order (exposed for tests and custom exports).
-    pub fn nonzero_buckets(&self) -> impl Iterator<Item = (f64, u64)> + '_ {
-        self.buckets
-            .iter()
-            .enumerate()
-            .filter(|(_, &n)| n > 0)
-            .map(|(i, &n)| (bucket_upper_bound(i), n))
-    }
 }
 
 /// The deterministic summary of a [`Histogram`]: count, exact min/max and
@@ -293,7 +283,6 @@ mod tests {
                 p99: 0.0
             }
         );
-        assert_eq!(h.nonzero_buckets().count(), 0);
     }
 
     #[test]

@@ -32,5 +32,5 @@
 pub mod histogram;
 pub mod registry;
 
-pub use histogram::{bucket_index, Histogram, HistogramSummary, BUCKET_COUNT, MAX_EXP, MIN_EXP};
+pub use histogram::{Histogram, HistogramSummary, BUCKET_COUNT};
 pub use registry::{Gauge, GaugeFamily, MetricsRegistry, Scope};

@@ -212,14 +212,6 @@ impl MetricsRegistry {
         MetricsRegistry::default()
     }
 
-    /// Whether no instrument was ever touched.
-    pub fn is_empty(&self) -> bool {
-        self.counter_names.is_empty()
-            && self.scoped_counters.is_empty()
-            && self.gauges.is_empty()
-            && self.histograms.is_empty()
-    }
-
     // ----- counters -------------------------------------------------------
 
     /// Adds to a global counter, creating it at zero if needed. One
@@ -348,7 +340,7 @@ impl MetricsRegistry {
     }
 
     /// Sets a scoped gauge.
-    pub fn gauge_set_scoped(&mut self, name: &'static str, scope: Scope, value: f64) {
+    pub(crate) fn gauge_set_scoped(&mut self, name: &'static str, scope: Scope, value: f64) {
         self.gauge_family(name).set(scope, value);
     }
 
@@ -359,7 +351,7 @@ impl MetricsRegistry {
     }
 
     /// Restores a gauge entry verbatim (snapshot path — unlike
-    /// [`MetricsRegistry::gauge_set_scoped`] this can install a `last`
+    /// [`MetricsRegistry::gauge_set`] this can install a `last`
     /// below the recorded `peak`).
     pub fn gauge_restore(&mut self, name: &'static str, scope: Scope, gauge: Gauge) {
         self.gauges.entry(name).or_default().insert(scope, gauge);
@@ -479,7 +471,7 @@ mod tests {
     #[test]
     fn counters_total_across_scopes() {
         let mut m = MetricsRegistry::new();
-        assert!(m.is_empty());
+        assert!(m.counter_families().is_empty());
         m.add("msgs", 3);
         m.add_scoped("msgs", Scope::Site(2), 4);
         m.add_scoped("msgs", Scope::Phase(1), 1);
@@ -487,7 +479,7 @@ mod tests {
         assert_eq!(m.counter_scoped("msgs", Scope::Global), 3);
         assert_eq!(m.counter_scoped("msgs", Scope::Site(2)), 4);
         assert_eq!(m.counter("absent"), 0);
-        assert!(!m.is_empty());
+        assert!(!m.counter_families().is_empty());
         // Family iteration surfaces scopes in Ord order: Global, Phase, Site.
         let families = m.counter_families();
         let (name, scopes) = &families[0];

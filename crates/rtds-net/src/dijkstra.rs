@@ -35,7 +35,7 @@ impl ShortestPaths {
 
     /// [`ShortestPaths::path_to`] appended to `out`; returns `false`, and
     /// appends nothing, if `target` is unreachable.
-    pub fn path_into(&self, target: SiteId, out: &mut Vec<SiteId>) -> bool {
+    pub(crate) fn path_into(&self, target: SiteId, out: &mut Vec<SiteId>) -> bool {
         if self.dist[target.0].is_infinite() {
             return false;
         }
@@ -48,15 +48,6 @@ impl ShortestPaths {
         }
         out[start..].reverse();
         true
-    }
-
-    /// Maximum finite distance (the source's delay eccentricity).
-    pub fn eccentricity(&self) -> f64 {
-        self.dist
-            .iter()
-            .copied()
-            .filter(|d| d.is_finite())
-            .fold(0.0, f64::max)
     }
 }
 
@@ -205,25 +196,6 @@ pub fn all_pairs_shortest_paths(net: &Network) -> Vec<ShortestPaths> {
     net.sites().map(|s| shortest_paths(net, s)).collect()
 }
 
-/// Delay diameter of the network (max over pairs of min delay); `None` if the
-/// network is empty or disconnected.
-pub fn delay_diameter(net: &Network) -> Option<f64> {
-    if net.site_count() == 0 {
-        return None;
-    }
-    let mut max = 0.0f64;
-    for s in net.sites() {
-        let sp = shortest_paths(net, s);
-        for d in &sp.dist {
-            if d.is_infinite() {
-                return None;
-            }
-            max = max.max(*d);
-        }
-    }
-    Some(max)
-}
-
 /// Minimum delay achievable between two sites using paths of at most
 /// `max_hops` links (brute-force dynamic program; used to validate the
 /// interrupted Bellman–Ford, which has exactly this semantics).
@@ -274,7 +246,6 @@ mod tests {
             sp.path_to(SiteId(2)),
             Some(vec![SiteId(0), SiteId(1), SiteId(2)])
         );
-        assert_eq!(sp.eccentricity(), 3.0);
     }
 
     #[test]
@@ -285,13 +256,11 @@ mod tests {
         assert!(sp.dist[2].is_infinite());
         assert_eq!(sp.hops[2], usize::MAX);
         assert_eq!(sp.path_to(SiteId(2)), None);
-        assert_eq!(delay_diameter(&net), None);
     }
 
     #[test]
     fn diameter_of_line() {
         let net = line(5, DelayDistribution::Constant(2.0), 0);
-        assert_eq!(delay_diameter(&net), Some(8.0));
         let aps = all_pairs_shortest_paths(&net);
         assert_eq!(aps.len(), 5);
         assert_eq!(aps[0].dist[4], 8.0);

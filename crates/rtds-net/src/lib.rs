@@ -21,7 +21,7 @@
 //!   All-Pairs Shortest Paths algorithm of §7.2 (Bertsekas–Gallager style),
 //! * [`sphere`] — hop-bounded sphere extraction: the structural core of the
 //!   Potential Computing Sphere,
-//! * [`siteset`] — the fixed-width [`SiteSet`] bitset answering sphere
+//! * [`siteset`] — the fixed-width [`siteset::SiteSet`] bitset answering sphere
 //!   membership in O(1).
 //!
 //! The protocol layers on top live in [`rtds_core`](../rtds_core/index.html);
@@ -36,10 +36,7 @@ pub mod siteset;
 pub mod sphere;
 pub mod topology;
 
-pub use bellman_ford::{phased_apsp, PhasedApspResult};
-pub use dijkstra::{all_pairs_shortest_paths, shortest_paths, RouteMemo, ShortestPaths};
-pub use generators::DelayDistribution;
+pub use bellman_ford::PhasedApspResult;
+pub use dijkstra::RouteMemo;
 pub use routing::{RouteEntry, RoutingTable};
-pub use siteset::SiteSet;
-pub use sphere::Sphere;
 pub use topology::{LinkState, Network, SiteId};

@@ -44,13 +44,13 @@ impl Eq for SiteSet {}
 
 impl SiteSet {
     /// Creates an empty set.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         SiteSet::default()
     }
 
     /// Creates an empty set pre-sized for sites `0..n_sites` (no block
     /// growth as long as only those are inserted).
-    pub fn with_site_capacity(n_sites: usize) -> Self {
+    pub(crate) fn with_site_capacity(n_sites: usize) -> Self {
         SiteSet {
             blocks: vec![0; n_sites.div_ceil(BITS)],
             len: 0,
@@ -66,18 +66,8 @@ impl SiteSet {
         set
     }
 
-    /// Number of member sites.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Returns `true` if no site is a member.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
     /// Inserts a site; returns `true` if it was not already a member.
-    pub fn insert(&mut self, site: SiteId) -> bool {
+    pub(crate) fn insert(&mut self, site: SiteId) -> bool {
         let (block, bit) = (site.0 / BITS, site.0 % BITS);
         if block >= self.blocks.len() {
             self.blocks.resize(block + 1, 0);
@@ -89,31 +79,12 @@ impl SiteSet {
         fresh
     }
 
-    /// Removes a site; returns `true` if it was a member.
-    pub fn remove(&mut self, site: SiteId) -> bool {
-        let (block, bit) = (site.0 / BITS, site.0 % BITS);
-        let Some(word) = self.blocks.get_mut(block) else {
-            return false;
-        };
-        let mask = 1u64 << bit;
-        let present = *word & mask != 0;
-        *word &= !mask;
-        self.len -= present as usize;
-        present
-    }
-
     /// Membership test.
     #[inline]
-    pub fn contains(&self, site: SiteId) -> bool {
+    pub(crate) fn contains(&self, site: SiteId) -> bool {
         self.blocks
             .get(site.0 / BITS)
             .is_some_and(|word| word & (1 << (site.0 % BITS)) != 0)
-    }
-
-    /// Removes every member, keeping the allocated width.
-    pub fn clear(&mut self) {
-        self.blocks.fill(0);
-        self.len = 0;
     }
 
     /// Iterator over the member sites in ascending id order.
@@ -147,22 +118,18 @@ mod tests {
     use super::*;
 
     #[test]
-    fn insert_contains_remove() {
+    fn insert_and_contains() {
         let mut set = SiteSet::new();
-        assert!(set.is_empty());
+        assert_eq!(set.iter().count(), 0);
         assert!(!set.contains(SiteId(3)));
         assert!(set.insert(SiteId(3)));
         assert!(!set.insert(SiteId(3)));
         assert!(set.insert(SiteId(200)));
-        assert_eq!(set.len(), 2);
+        assert_eq!(set.iter().count(), 2);
         assert!(set.contains(SiteId(3)));
         assert!(set.contains(SiteId(200)));
         assert!(!set.contains(SiteId(4)));
         assert!(!set.contains(SiteId(100_000)));
-        assert!(set.remove(SiteId(3)));
-        assert!(!set.remove(SiteId(3)));
-        assert!(!set.remove(SiteId(99)));
-        assert_eq!(set.len(), 1);
     }
 
     #[test]
@@ -172,7 +139,7 @@ mod tests {
         let mut sorted = members.clone();
         sorted.sort_unstable();
         assert_eq!(set.iter().collect::<Vec<_>>(), sorted);
-        assert_eq!(set.len(), 5);
+        assert_eq!(set.iter().count(), 5);
     }
 
     #[test]
@@ -188,13 +155,10 @@ mod tests {
     }
 
     #[test]
-    fn clear_and_collect() {
-        let mut set: SiteSet = (0..70).map(SiteId).collect();
-        assert_eq!(set.len(), 70);
-        set.clear();
-        assert!(set.is_empty());
-        assert_eq!(set.iter().count(), 0);
-        set.insert(SiteId(69));
+    fn collect_from_iterator() {
+        let set: SiteSet = (0..70).map(SiteId).collect();
+        assert_eq!(set.iter().count(), 70);
         assert!(set.contains(SiteId(69)));
+        assert!(!set.contains(SiteId(70)));
     }
 }

@@ -102,16 +102,6 @@ impl Sphere {
         Sphere::new(center, radius, members, delays, diameter)
     }
 
-    /// Number of member sites (including the centre).
-    pub fn len(&self) -> usize {
-        self.members.len()
-    }
-
-    /// Returns `true` if the sphere contains only its centre.
-    pub fn is_empty(&self) -> bool {
-        self.members.len() <= 1
-    }
-
     /// Returns `true` if the given site belongs to the sphere (O(1) bitset
     /// probe).
     #[inline]
@@ -156,8 +146,6 @@ mod tests {
             sphere.members,
             vec![SiteId(2), SiteId(3), SiteId(4), SiteId(5), SiteId(6)]
         );
-        assert_eq!(sphere.len(), 5);
-        assert!(!sphere.is_empty());
         assert!(sphere.contains(SiteId(2)));
         assert!(!sphere.contains(SiteId(0)));
         assert_eq!(sphere.delay_to(SiteId(6)), Some(4.0));
@@ -173,7 +161,6 @@ mod tests {
         let result = phased_apsp(&net, 4);
         let sphere = Sphere::from_tables(&result.tables[0], &result.tables, 0);
         assert_eq!(sphere.members, vec![SiteId(0)]);
-        assert!(sphere.is_empty());
         assert_eq!(sphere.delay_diameter, 0.0);
     }
 
@@ -186,7 +173,7 @@ mod tests {
         let result = phased_apsp(&net, 2 * h);
         let sphere = Sphere::from_tables(&result.tables[0], &result.tables, h);
         // On a ring, radius-2 sphere = 5 consecutive sites.
-        assert_eq!(sphere.len(), 5);
+        assert_eq!(sphere.members.len(), 5);
         // Diameter between extreme members (2 hops each side of the centre) is
         // 4 links of delay 1 — and it is visible within the 2h-hop horizon.
         assert_eq!(sphere.delay_diameter, 4.0);
@@ -202,7 +189,7 @@ mod tests {
         net.add_link(SiteId(0), SiteId(3), 2.0).unwrap();
         let result = phased_apsp(&net, 4);
         let sphere = Sphere::from_tables(&result.tables[0], &result.tables, 1);
-        assert_eq!(sphere.len(), 4);
+        assert_eq!(sphere.members.len(), 4);
         // Leaf 2 to leaf 3 = 5 + 2 = 7, the largest pairwise distance.
         assert_eq!(sphere.delay_diameter, 7.0);
     }

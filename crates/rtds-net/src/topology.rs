@@ -85,7 +85,7 @@ impl std::error::Error for NetworkError {}
 /// uniform-machines extension (1.0 for the identical-machines base model).
 /// One site's adjacency: `(neighbor, delay)` pairs in insertion order
 /// (which is semantic — see [`Network::raw_adjacency`]).
-pub type NeighborList = Vec<(SiteId, f64)>;
+pub(crate) type NeighborList = Vec<(SiteId, f64)>;
 
 /// The full state of one undirected link: propagation delay plus bandwidth
 /// capacity (`f64::INFINITY` for the pure-latency base model).
@@ -416,18 +416,6 @@ impl Network {
             .map(|pos| self.bandwidths[a.0][pos])
     }
 
-    /// Full state (delay + bandwidth) of the direct link between two
-    /// sites, if any.
-    pub fn link_state(&self, a: SiteId, b: SiteId) -> Option<LinkState> {
-        self.adjacency[a.0]
-            .iter()
-            .position(|(s, _)| *s == b)
-            .map(|pos| LinkState {
-                delay: self.adjacency[a.0][pos].1,
-                bandwidth: self.bandwidths[a.0][pos],
-            })
-    }
-
     /// Returns `true` if a direct link exists between two sites.
     pub fn has_link(&self, a: SiteId, b: SiteId) -> bool {
         self.link_delay(a, b).is_some()
@@ -533,8 +521,10 @@ impl Network {
     }
 
     /// Maximum hop-eccentricity over all sites (the hop diameter); `None` if
-    /// the network is disconnected or empty.
-    pub fn hop_diameter(&self) -> Option<usize> {
+    /// the network is disconnected or empty. The generator tests measure
+    /// topologies with it.
+    #[cfg(test)]
+    pub(crate) fn hop_diameter(&self) -> Option<usize> {
         if self.site_count() == 0 {
             return None;
         }
@@ -549,14 +539,6 @@ impl Network {
             }
         }
         Some(max)
-    }
-
-    /// Average node degree.
-    pub fn average_degree(&self) -> f64 {
-        if self.site_count() == 0 {
-            return 0.0;
-        }
-        2.0 * self.link_count as f64 / self.site_count() as f64
     }
 }
 
@@ -583,7 +565,6 @@ mod tests {
         assert_eq!(n.link_delay(SiteId(0), SiteId(0)), None);
         assert!(n.has_link(SiteId(0), SiteId(1)));
         assert_eq!(n.links().count(), 3);
-        assert_eq!(n.average_degree(), 2.0);
         assert_eq!(format!("{}", SiteId(3)), "s3");
         assert_eq!(SiteId::from(2).index(), 2);
     }
@@ -715,22 +696,11 @@ mod tests {
         n.set_link_bandwidth(SiteId(0), SiteId(1), 4.0).unwrap();
         assert_eq!(n.link_bandwidth(SiteId(0), SiteId(1)), Some(4.0));
         assert_eq!(n.link_bandwidth(SiteId(1), SiteId(0)), Some(4.0));
-        assert_eq!(
-            n.link_state(SiteId(0), SiteId(1)),
-            Some(LinkState {
-                delay: 1.0,
-                bandwidth: 4.0
-            })
-        );
+        assert_eq!(n.link_delay(SiteId(0), SiteId(1)), Some(1.0));
         // Delay mutation leaves bandwidth alone and vice versa.
         n.set_link_delay(SiteId(0), SiteId(1), 2.5).unwrap();
-        assert_eq!(
-            n.link_state(SiteId(0), SiteId(1)),
-            Some(LinkState {
-                delay: 2.5,
-                bandwidth: 4.0
-            })
-        );
+        assert_eq!(n.link_delay(SiteId(0), SiteId(1)), Some(2.5));
+        assert_eq!(n.link_bandwidth(SiteId(0), SiteId(1)), Some(4.0));
         assert_eq!(
             n.set_link_bandwidth(SiteId(0), SiteId(1), -1.0),
             Err(NetworkError::InvalidBandwidth(-1.0))
@@ -773,13 +743,8 @@ mod tests {
         assert_eq!(n.version(), v0 + 3);
         n.restore_link(SiteId(0), SiteId(1), state).unwrap();
         assert_eq!(n.version(), v0 + 4);
-        assert_eq!(
-            n.link_state(SiteId(0), SiteId(1)),
-            Some(LinkState {
-                delay: 2.0,
-                bandwidth: 9.0
-            })
-        );
+        assert_eq!(n.link_delay(SiteId(0), SiteId(1)), Some(2.0));
+        assert_eq!(n.link_bandwidth(SiteId(0), SiteId(1)), Some(9.0));
         // Failed mutations do not bump the version.
         assert!(n.set_link_delay(SiteId(0), SiteId(1), -1.0).is_err());
         assert!(n.set_link_bandwidth(SiteId(0), SiteId(9), 1.0).is_err());

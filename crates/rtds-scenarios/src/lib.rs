@@ -26,7 +26,7 @@
 //!   execution path of `rtds-core`.
 //!
 //! The deterministic JSON writer behind the reports lives in
-//! [`rtds_sim::json`] (re-exported here as [`json`]); the workspace `serde`
+//! [`rtds_sim::json`] ([`Json`] is re-exported here); the workspace `serde`
 //! is an offline no-op stub.
 //!
 //! ## Quickstart
@@ -47,12 +47,10 @@ pub mod registry;
 pub mod runner;
 pub mod spec;
 
-// The deterministic JSON layer moved down to `rtds-sim` so the workload
-// trace format can use it without a dependency cycle; re-exported here to
-// keep `rtds_scenarios::json::Json` paths working.
 pub use perturb::{Perturbation, PerturbationPlan};
-pub use registry::{builtin_scenarios, find_scenario, scenario_names};
-pub use rtds_sim::json;
+pub use registry::{builtin_scenarios, find_scenario};
+// Sweep reports render as `Json`; re-exported so their readers need not
+// name the engine crate.
 pub use rtds_sim::json::Json;
 pub use runner::{
     parallel_sweep_sharded, run_cell, run_cell_traced, run_sweep, CellReport, ScenarioSummary,

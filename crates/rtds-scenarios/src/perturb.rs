@@ -86,7 +86,7 @@ pub struct PerturbationPlan {
 
 impl PerturbationPlan {
     /// The empty (quiet) plan.
-    pub fn none() -> Self {
+    pub(crate) fn none() -> Self {
         PerturbationPlan::default()
     }
 

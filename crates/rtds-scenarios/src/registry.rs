@@ -383,11 +383,6 @@ pub fn find_scenario(name: &str) -> Option<Scenario> {
     builtin_scenarios().into_iter().find(|s| s.name == name)
 }
 
-/// Names of all built-in scenarios, in registry order.
-pub fn scenario_names() -> Vec<String> {
-    builtin_scenarios().into_iter().map(|s| s.name).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -522,7 +517,6 @@ mod tests {
         assert!(find_scenario("paper-baseline").is_some());
         assert!(find_scenario("flaky-links").is_some());
         assert!(find_scenario("no-such-scenario").is_none());
-        assert_eq!(scenario_names().len(), builtin_scenarios().len());
     }
 
     #[test]

@@ -6,8 +6,8 @@
 //! in input order, so the aggregate report — including its JSON rendering —
 //! is byte-identical for any thread count.
 
-use crate::json::Json;
 use crate::spec::{mix_seed, Scenario, StreamRecipe};
+use crate::Json;
 use rtds_core::{RtdsSystem, StreamOptions, StreamReport};
 use rtds_sim::metrics_json::metrics_to_json;
 use rtds_sim::trace::render_jsonl;

@@ -239,8 +239,9 @@ impl ResourceRecipe {
         }
     }
 
-    /// Validates the recipe.
-    pub fn validate(&self) -> Result<(), String> {
+    /// Validates the recipe (the registry test checks every built-in one).
+    #[cfg(test)]
+    pub(crate) fn validate(&self) -> Result<(), String> {
         match *self {
             ResourceRecipe::SingleCore => Ok(()),
             ResourceRecipe::Uniform { cores, memory } => {
@@ -383,7 +384,7 @@ pub struct Scenario {
 
 impl Scenario {
     /// A quiet scenario with the given name and all-default ingredients.
-    pub fn named(name: &str, description: &str) -> Self {
+    pub(crate) fn named(name: &str, description: &str) -> Self {
         Scenario {
             name: name.to_string(),
             description: description.to_string(),

@@ -36,11 +36,6 @@ impl TimeInterval {
         self.duration() <= 0.0
     }
 
-    /// Returns `true` if `t` lies inside `[start, end)`.
-    pub fn contains(&self, t: f64) -> bool {
-        t >= self.start && t < self.end
-    }
-
     /// Returns `true` if the two intervals share a positive-length overlap.
     pub fn overlaps(&self, other: &TimeInterval) -> bool {
         self.start < other.end && other.start < self.end
@@ -49,11 +44,6 @@ impl TimeInterval {
     /// Intersection of two intervals (possibly empty).
     pub fn intersect(&self, other: &TimeInterval) -> TimeInterval {
         TimeInterval::new(self.start.max(other.start), self.end.min(other.end))
-    }
-
-    /// Returns `true` if this interval fully contains the other.
-    pub fn covers(&self, other: &TimeInterval) -> bool {
-        other.is_empty() || (self.start <= other.start && other.end <= self.end)
     }
 }
 
@@ -86,14 +76,6 @@ pub fn subtract_busy(window: TimeInterval, busy: &[TimeInterval]) -> Vec<TimeInt
     idle
 }
 
-/// Total idle time inside a window given busy intervals.
-pub fn idle_time(window: TimeInterval, busy: &[TimeInterval]) -> f64 {
-    subtract_busy(window, busy)
-        .iter()
-        .map(|i| i.duration())
-        .sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -103,10 +85,6 @@ mod tests {
         let i = TimeInterval::new(2.0, 5.0);
         assert_eq!(i.duration(), 3.0);
         assert!(!i.is_empty());
-        assert!(i.contains(2.0));
-        assert!(i.contains(4.999));
-        assert!(!i.contains(5.0));
-        assert!(!i.contains(1.0));
         let empty = TimeInterval::new(3.0, 1.0);
         assert!(empty.is_empty());
         assert_eq!(empty.duration(), 0.0);
@@ -122,9 +100,6 @@ mod tests {
         assert!(!a.overlaps(&c)); // closed-open: touching is not overlapping
         assert_eq!(a.intersect(&b), TimeInterval::new(5.0, 10.0));
         assert!(a.intersect(&c).is_empty());
-        assert!(a.covers(&TimeInterval::new(2.0, 8.0)));
-        assert!(!a.covers(&b));
-        assert!(a.covers(&TimeInterval::new(20.0, 20.0))); // empty is always covered
     }
 
     #[test]
@@ -140,7 +115,6 @@ mod tests {
                 TimeInterval::new(60.0, 100.0),
             ]
         );
-        assert_eq!(idle_time(window, &busy), 70.0);
     }
 
     #[test]
@@ -156,7 +130,6 @@ mod tests {
             idle,
             vec![TimeInterval::new(0.0, 5.0), TimeInterval::new(45.0, 50.0)]
         );
-        assert_eq!(idle_time(window, &busy), 10.0);
     }
 
     #[test]

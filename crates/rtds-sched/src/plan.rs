@@ -298,18 +298,13 @@ impl SchedulePlan {
     }
 
     /// Number of committed reservations.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.reservations.len()
     }
 
     /// Returns `true` if nothing is committed.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.reservations.is_empty()
-    }
-
-    /// Reservations belonging to one job.
-    pub fn job_reservations(&self, job: JobId) -> impl Iterator<Item = &Reservation> {
-        self.reservations.iter().filter(move |r| r.job == job)
     }
 
     /// The committed reservations as a [`Timeline`] with nothing on top.
@@ -387,47 +382,17 @@ impl SchedulePlan {
         self.reservations.remove(pos);
     }
 
-    /// Commits several reservations atomically: either all succeed or the
-    /// plan is left unchanged.
-    pub fn insert_all(&mut self, reservations: &[Reservation]) -> Result<(), PlanError> {
-        for (done, r) in reservations.iter().enumerate() {
-            if let Err(e) = self.insert(*r) {
-                for undone in reservations[..done].iter().rev() {
-                    self.undo_insert(undone);
-                }
-                return Err(e);
-            }
-        }
-        Ok(())
-    }
-
     /// Removes every reservation of a job (used when a trial mapping is
     /// invalidated or a lock is released without selection).
-    pub fn remove_job(&mut self, job: JobId) -> usize {
+    pub(crate) fn remove_job(&mut self, job: JobId) -> usize {
         let before = self.reservations.len();
         self.reservations.retain(|r| r.job != job);
         before - self.reservations.len()
     }
 
-    /// Removes and returns every reservation that has fully completed by
-    /// `cutoff` (end `<= cutoff`), preserving the start-time order of both
-    /// the removed and the surviving reservations.
-    ///
-    /// This is the pruning primitive of the streaming execution path: past
-    /// reservations can never influence an admission or validation test
-    /// again (those only look at `[now, ·)` windows), so a long open-loop
-    /// run periodically drains them to keep the plan sized by the *active*
-    /// window instead of the whole history. The drained records carry the
-    /// completion times the streaming report aggregates.
-    pub fn drain_completed(&mut self, cutoff: f64) -> Vec<Reservation> {
-        let mut done = Vec::new();
-        self.drain_completed_with(cutoff, |r| done.push(r));
-        done
-    }
-
     /// [`SchedulePlan::drain_completed`] handing each drained reservation
     /// to `visit` (in plan order) instead of collecting them.
-    pub fn drain_completed_with(&mut self, cutoff: f64, mut visit: impl FnMut(Reservation)) {
+    pub(crate) fn drain_completed_with(&mut self, cutoff: f64, mut visit: impl FnMut(Reservation)) {
         self.reservations.retain(|r| {
             let done = r.end <= cutoff + TIME_EPS;
             if done {
@@ -435,29 +400,6 @@ impl SchedulePlan {
             }
             !done
         });
-    }
-
-    /// The first instant at or after `t` at which the processor is idle.
-    pub fn next_idle_time(&self, t: f64) -> f64 {
-        let mut cursor = t;
-        for r in &self.reservations {
-            if r.end <= cursor + TIME_EPS {
-                continue;
-            }
-            if r.start > cursor + TIME_EPS {
-                break;
-            }
-            cursor = r.end;
-        }
-        cursor
-    }
-
-    /// Completion time of a job on this site: the latest reservation end of
-    /// the job, if any of its tasks run here.
-    pub fn job_completion(&self, job: JobId) -> Option<f64> {
-        self.job_reservations(job)
-            .map(|r| r.end)
-            .fold(None, |acc, e| Some(acc.map_or(e, |a: f64| a.max(e))))
     }
 
     /// Surplus over the observation window `[now, now + window)`: the §2
@@ -526,9 +468,6 @@ mod tests {
         assert!(plan.is_idle(TimeInterval::new(5.0, 10.0)));
         assert!(!plan.is_idle(TimeInterval::new(4.0, 6.0)));
         assert_eq!(plan.busy_time(0.0, 40.0), 20.0);
-        assert_eq!(plan.job_reservations(JobId(1)).count(), 2);
-        assert_eq!(plan.job_completion(JobId(1)), Some(35.0));
-        assert_eq!(plan.job_completion(JobId(9)), None);
         assert_eq!(plan.reservations()[0].duration(), 5.0);
     }
 
@@ -583,18 +522,6 @@ mod tests {
     }
 
     #[test]
-    fn insert_all_is_atomic() {
-        let mut plan = SchedulePlan::new();
-        plan.insert(res(1, 0, 10.0, 20.0)).unwrap();
-        let batch = vec![res(2, 0, 0.0, 5.0), res(2, 1, 15.0, 18.0)];
-        assert_eq!(plan.insert_all(&batch), Err(PlanError::Overlap));
-        assert_eq!(plan.reservations(), &[res(1, 0, 10.0, 20.0)]); // rolled back
-        let ok = vec![res(2, 0, 0.0, 5.0), res(2, 1, 20.0, 25.0)];
-        plan.insert_all(&ok).unwrap();
-        assert_eq!(plan.len(), 3);
-    }
-
-    #[test]
     fn idle_windows_and_earliest_fit() {
         let mut plan = SchedulePlan::new();
         plan.insert(res(1, 0, 10.0, 20.0)).unwrap();
@@ -644,17 +571,13 @@ mod tests {
     }
 
     #[test]
-    fn remove_job_and_next_idle() {
+    fn remove_job_drops_all_its_reservations() {
         let mut plan = SchedulePlan::new();
         plan.insert(res(1, 0, 0.0, 10.0)).unwrap();
         plan.insert(res(2, 0, 10.0, 15.0)).unwrap();
         plan.insert(res(1, 1, 15.0, 20.0)).unwrap();
-        assert_eq!(plan.next_idle_time(0.0), 20.0);
-        assert_eq!(plan.next_idle_time(12.0), 20.0);
-        assert_eq!(plan.next_idle_time(25.0), 25.0);
         assert_eq!(plan.remove_job(JobId(1)), 2);
-        assert_eq!(plan.len(), 1);
-        assert_eq!(plan.next_idle_time(0.0), 0.0);
+        assert_eq!(plan.reservations(), &[res(2, 0, 10.0, 15.0)]);
         assert_eq!(plan.remove_job(JobId(99)), 0);
     }
 
@@ -664,7 +587,12 @@ mod tests {
         plan.insert(res(1, 0, 0.0, 10.0)).unwrap();
         plan.insert(res(2, 0, 10.0, 30.0)).unwrap();
         plan.insert(res(1, 1, 30.0, 35.0)).unwrap();
-        let drained = plan.drain_completed(10.0);
+        let drain = |plan: &mut SchedulePlan, cutoff| {
+            let mut done = Vec::new();
+            plan.drain_completed_with(cutoff, |r| done.push(r));
+            done
+        };
+        let drained = drain(&mut plan, 10.0);
         assert_eq!(drained.len(), 1);
         assert_eq!(drained[0].job, JobId(1));
         assert_eq!(drained[0].end, 10.0);
@@ -672,12 +600,12 @@ mod tests {
         assert!(plan.check_invariants());
         // Queries over the remaining window are unaffected by pruning.
         assert_eq!(plan.earliest_fit(10.0, 60.0, 5.0), Some(35.0));
-        assert_eq!(plan.job_completion(JobId(2)), Some(30.0));
+        assert_eq!(plan.reservations()[0], res(2, 0, 10.0, 30.0));
         // Draining everything empties the plan.
-        let rest = plan.drain_completed(f64::INFINITY);
+        let rest = drain(&mut plan, f64::INFINITY);
         assert_eq!(rest.len(), 2);
         assert!(plan.is_empty());
-        assert!(plan.drain_completed(100.0).is_empty());
+        assert!(drain(&mut plan, 100.0).is_empty());
     }
 
     #[test]

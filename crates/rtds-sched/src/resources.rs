@@ -94,7 +94,7 @@ pub enum SpeedupFn {
 
 impl SpeedupFn {
     /// Speedup factor when the task runs on `cores` cores (`>= 1.0`).
-    pub fn factor(&self, cores: usize) -> f64 {
+    pub(crate) fn factor(&self, cores: usize) -> f64 {
         let k = cores.max(1) as f64;
         match *self {
             SpeedupFn::Flat => 1.0,

@@ -792,7 +792,11 @@ mod tests {
         assert_eq!(sched.busy_cores(7.0), 0);
         let completions = |s: &SiteScheduler| -> Vec<Option<f64>> {
             let plans = s.core_plans().iter();
-            plans.map(|p| p.job_completion(JobId(7))).collect()
+            let job_end = |p: &SchedulePlan| {
+                let mut ends = p.reservations().iter().filter(|r| r.job == JobId(7));
+                ends.next().map(|r| r.end)
+            };
+            plans.map(job_end).collect()
         };
         assert_eq!(completions(&sched), vec![Some(6.0); 2]);
         // Surplus over [0, 12): each core busy 6 of 12.

@@ -24,22 +24,22 @@ const TIME_EPS: f64 = 1e-9;
 
 /// A plan with the pre-rewrite query implementations.
 #[derive(Debug, Clone, Default)]
-pub struct RefPlan {
+pub(crate) struct RefPlan {
     reservations: Vec<Reservation>,
 }
 
 impl RefPlan {
-    pub fn of(plan: &SchedulePlan) -> Self {
+    pub(crate) fn of(plan: &SchedulePlan) -> Self {
         RefPlan {
             reservations: plan.reservations().to_vec(),
         }
     }
 
-    pub fn reservations(&self) -> &[Reservation] {
+    pub(crate) fn reservations(&self) -> &[Reservation] {
         &self.reservations
     }
 
-    pub fn is_idle(&self, interval: TimeInterval) -> bool {
+    pub(crate) fn is_idle(&self, interval: TimeInterval) -> bool {
         if interval.is_empty() {
             return true;
         }
@@ -49,12 +49,12 @@ impl RefPlan {
             .any(|r| r.interval().overlaps(&interval))
     }
 
-    pub fn idle_windows(&self, from: f64, to: f64) -> Vec<TimeInterval> {
+    pub(crate) fn idle_windows(&self, from: f64, to: f64) -> Vec<TimeInterval> {
         let busy: Vec<TimeInterval> = self.reservations.iter().map(|r| r.interval()).collect();
         subtract_busy(TimeInterval::new(from, to), &busy)
     }
 
-    pub fn busy_time(&self, from: f64, to: f64) -> f64 {
+    pub(crate) fn busy_time(&self, from: f64, to: f64) -> f64 {
         let window = TimeInterval::new(from, to);
         self.reservations
             .iter()
@@ -62,7 +62,7 @@ impl RefPlan {
             .sum()
     }
 
-    pub fn earliest_fit(&self, earliest: f64, deadline: f64, duration: f64) -> Option<f64> {
+    pub(crate) fn earliest_fit(&self, earliest: f64, deadline: f64, duration: f64) -> Option<f64> {
         if duration < 0.0 || earliest + duration > deadline + TIME_EPS {
             return None;
         }
@@ -79,7 +79,7 @@ impl RefPlan {
         None
     }
 
-    pub fn earliest_fit_preemptive(
+    pub(crate) fn earliest_fit_preemptive(
         &self,
         earliest: f64,
         deadline: f64,
@@ -110,7 +110,7 @@ impl RefPlan {
         }
     }
 
-    pub fn insert(&mut self, reservation: Reservation) -> Result<(), PlanError> {
+    pub(crate) fn insert(&mut self, reservation: Reservation) -> Result<(), PlanError> {
         if !(reservation.start.is_finite() && reservation.end.is_finite())
             || reservation.end < reservation.start - TIME_EPS
         {
@@ -141,7 +141,7 @@ fn edf_order(requests: &[TaskRequest]) -> Vec<&TaskRequest> {
 }
 
 /// The old single-plan §10 test.
-pub fn satisfiable_single(
+pub(crate) fn satisfiable_single(
     plan: &RefPlan,
     requests: &[TaskRequest],
     preemptive: bool,
@@ -181,7 +181,7 @@ pub fn satisfiable_single(
 }
 
 /// The old single-plan §5 admission: `(reservations, completion)`.
-pub fn admit_single(
+pub(crate) fn admit_single(
     plan: &RefPlan,
     job: &Job,
     now: f64,
@@ -241,7 +241,7 @@ pub fn admit_single(
 
 /// The old `SiteScheduler`, reduced to the state its queries read.
 #[derive(Debug, Clone)]
-pub struct RefSite {
+pub(crate) struct RefSite {
     pub kind: SchedulerKind,
     pub resources: SiteResources,
     pub base_speed: f64,
@@ -472,7 +472,7 @@ impl RefSite {
     }
 
     /// The old `SiteScheduler::admit_dag`, fast path included.
-    pub fn admit_dag(
+    pub(crate) fn admit_dag(
         &self,
         job: &Job,
         now: f64,
@@ -492,7 +492,7 @@ impl RefSite {
     }
 
     /// The old general (multicore) admission path.
-    pub fn admit_multi(
+    pub(crate) fn admit_multi(
         &self,
         job: &Job,
         now: f64,
@@ -590,7 +590,7 @@ impl RefSite {
     }
 
     /// The old `SiteScheduler::satisfiable`, fast path included.
-    pub fn satisfiable(&self, requests: &[TaskRequest]) -> Option<Vec<Placement>> {
+    pub(crate) fn satisfiable(&self, requests: &[TaskRequest]) -> Option<Vec<Placement>> {
         if self.cores.len() == 1 {
             return satisfiable_single(&self.cores[0], requests, self.preemptive).map(on_core_zero);
         }
@@ -598,7 +598,7 @@ impl RefSite {
     }
 
     /// The old general (multicore) §10 path.
-    pub fn satisfiable_multi(&self, requests: &[TaskRequest]) -> Option<Vec<Placement>> {
+    pub(crate) fn satisfiable_multi(&self, requests: &[TaskRequest]) -> Option<Vec<Placement>> {
         if requests.iter().any(|r| !r.is_well_formed()) {
             return None;
         }
@@ -652,7 +652,7 @@ impl RefSite {
 
     /// The old `SiteScheduler::reserve`: backup, insert one by one, restore
     /// on the first failure.
-    pub fn reserve(&mut self, placements: &[Placement]) -> Result<(), PlanError> {
+    pub(crate) fn reserve(&mut self, placements: &[Placement]) -> Result<(), PlanError> {
         let backup = self.cores.clone();
         for p in placements {
             if p.core >= self.cores.len() {
@@ -673,7 +673,7 @@ impl RefSite {
 /// cores and every per-core placement order, placing greedily at the
 /// earliest fit (for a fixed order, greedy earliest-fit placement is
 /// complete, by the standard left-shift exchange argument). Exponential.
-pub fn brute_force_satisfiable(cores: &[SchedulePlan], requests: &[TaskRequest]) -> bool {
+pub(crate) fn brute_force_satisfiable(cores: &[SchedulePlan], requests: &[TaskRequest]) -> bool {
     if requests.iter().any(|r| !r.is_well_formed()) {
         return false;
     }

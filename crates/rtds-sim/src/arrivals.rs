@@ -86,29 +86,6 @@ impl ArrivalSchedule {
     pub fn arrivals(&self) -> &[Arrival] {
         &self.arrivals
     }
-
-    /// Number of arrivals.
-    pub fn len(&self) -> usize {
-        self.arrivals.len()
-    }
-
-    /// Returns `true` if no job ever arrives.
-    pub fn is_empty(&self) -> bool {
-        self.arrivals.is_empty()
-    }
-
-    /// Arrivals destined to one site.
-    pub fn for_site(&self, site: SiteId) -> impl Iterator<Item = &Arrival> {
-        self.arrivals.iter().filter(move |a| a.site == site)
-    }
-
-    /// Empirical aggregate arrival rate (arrivals per time unit per site).
-    pub fn empirical_rate(&self, site_count: usize, horizon: f64) -> f64 {
-        if site_count == 0 || horizon <= 0.0 {
-            return 0.0;
-        }
-        self.arrivals.len() as f64 / (site_count as f64 * horizon)
-    }
 }
 
 fn sample_site(process: ArrivalProcess, horizon: f64, rng: &mut StdRng) -> Vec<f64> {
@@ -174,10 +151,8 @@ mod tests {
         let schedule =
             ArrivalSchedule::generate(ArrivalProcess::Poisson { rate: 0.1 }, 20, 1000.0, 1);
         // Expected arrivals: 20 sites * 0.1 * 1000 = 2000; allow 10 % slack.
-        let n = schedule.len() as f64;
+        let n = schedule.arrivals().len() as f64;
         assert!((1800.0..2200.0).contains(&n), "got {n}");
-        let rate = schedule.empirical_rate(20, 1000.0);
-        assert!((0.09..0.11).contains(&rate), "got {rate}");
         // Time-ordered.
         for w in schedule.arrivals().windows(2) {
             assert!(w[0].time <= w[1].time);
@@ -190,9 +165,7 @@ mod tests {
     fn poisson_zero_rate_is_empty() {
         let schedule =
             ArrivalSchedule::generate(ArrivalProcess::Poisson { rate: 0.0 }, 5, 100.0, 1);
-        assert!(schedule.is_empty());
-        assert_eq!(schedule.empirical_rate(5, 100.0), 0.0);
-        assert_eq!(schedule.empirical_rate(0, 100.0), 0.0);
+        assert!(schedule.arrivals().is_empty());
     }
 
     #[test]
@@ -217,7 +190,7 @@ mod tests {
             55.0,
             3,
         );
-        assert_eq!(jittered.len(), 5);
+        assert_eq!(jittered.arrivals().len(), 5);
         for (a, b) in jittered.arrivals().iter().zip(&times) {
             assert!((a.time - b).abs() <= 1.0 + 1e-9);
         }
@@ -235,9 +208,11 @@ mod tests {
             5,
         );
         // 2 windows * 3 jobs * 2 sites = 12 arrivals.
-        assert_eq!(schedule.len(), 12);
-        assert_eq!(schedule.for_site(SiteId(0)).count(), 6);
-        assert_eq!(schedule.for_site(SiteId(1)).count(), 6);
+        assert_eq!(schedule.arrivals().len(), 12);
+        let arrivals = schedule.arrivals();
+        let at = |site| arrivals.iter().filter(|a| a.site == site).count();
+        assert_eq!(at(SiteId(0)), 6);
+        assert_eq!(at(SiteId(1)), 6);
     }
 
     #[test]
@@ -248,7 +223,7 @@ mod tests {
             500.0,
             9,
         );
-        assert!(!schedule.is_empty());
+        assert!(!schedule.arrivals().is_empty());
         assert!(schedule
             .arrivals()
             .iter()
@@ -275,6 +250,7 @@ mod tests {
             100.0,
             0
         )
+        .arrivals()
         .is_empty());
         assert!(ArrivalSchedule::generate(
             ArrivalProcess::Bursty {
@@ -285,6 +261,7 @@ mod tests {
             100.0,
             0
         )
+        .arrivals()
         .is_empty());
     }
 }

@@ -81,16 +81,6 @@ impl<'a, M> Context<'a, M> {
         self.now
     }
 
-    /// The network topology (read-only).
-    pub fn network(&self) -> &Network {
-        self.network
-    }
-
-    /// Neighbors of the current site with their link delays.
-    pub fn neighbors(&self) -> &[(SiteId, f64)] {
-        self.network.neighbors(self.site)
-    }
-
     /// Sends a message over the *direct link* to a neighbor. The propagation
     /// delay is the link delay. If the link is currently failed by fault
     /// injection, the message is silently lost (the sender cannot know).
@@ -153,13 +143,33 @@ impl<'a, M> Context<'a, M> {
         self.outgoing.push(Outgoing::Transfer { to, volume, msg });
     }
 
-    /// Sets a timer firing `delay` time units from now.
+    /// Sets a timer firing `delay` time units from now, queued as an
+    /// [`EventPayload::Timer`] and handed to [`Protocol::on_timer`]. This is
+    /// the engine's only timer primitive. It stays public although no
+    /// protocol in the workspace sets a timer yet: lock leases (an expiry on
+    /// every member lock and initiator wait) are its planned first caller.
     pub fn set_timer(&mut self, delay: f64, timer_id: u64) {
         assert!(
             delay.is_finite() && delay >= 0.0,
             "timer delay must be finite and non-negative, got {delay}"
         );
         self.outgoing.push(Outgoing::Timer { delay, timer_id });
+    }
+
+    /// Sends `msg` over every direct link of this site, in adjacency order
+    /// (the flood step of the test protocols).
+    #[cfg(test)]
+    pub(crate) fn broadcast(&mut self, msg: M)
+    where
+        M: Clone,
+    {
+        for &(to, _) in self.network.neighbors(self.site) {
+            self.outgoing.push(Outgoing::Send {
+                to,
+                msg: msg.clone(),
+                delay: None,
+            });
+        }
     }
 
     /// Increments a named statistics counter. Names are `&'static str` so
@@ -179,30 +189,6 @@ impl<'a, M> Context<'a, M> {
         self.stats
             .metrics_mut()
             .record_scoped(name, Scope::Phase(phase), value);
-    }
-
-    /// Sets a named gauge (tracks both the last and the peak value).
-    pub fn gauge_set(&mut self, name: &'static str, value: f64) {
-        self.stats.metrics_mut().gauge_set(name, value);
-    }
-
-    /// Sends `msg` over every direct link of this site (the broadcast step
-    /// of flooding-style protocols). Equivalent to calling [`Context::send`]
-    /// for each neighbor in adjacency order, but borrows the neighbor list
-    /// from the topology instead of forcing the protocol to clone it to
-    /// appease the borrow checker.
-    pub fn broadcast(&mut self, msg: M)
-    where
-        M: Clone,
-    {
-        let neighbors = self.network.neighbors(self.site);
-        for (to, _) in neighbors {
-            self.outgoing.push(Outgoing::Send {
-                to: *to,
-                msg: msg.clone(),
-                delay: None,
-            });
-        }
     }
 
     /// Records a typed trace event for this site at the current time, under
@@ -240,18 +226,6 @@ pub trait ArrivalSource<M> {
     /// Takes the next arrival: `(time, site, message)`.
     fn take(&mut self) -> Option<(f64, SiteId, M)>;
 }
-
-/// Names of the six engine event classes, indexed like
-/// [`EngineProfile::dispatch_counts`] (and the `Scope::Phase` index of the
-/// `engine_dispatch` / `engine_time_advance` metrics).
-pub const EVENT_CLASS_NAMES: [&str; 6] = [
-    "deliver",
-    "external",
-    "timer",
-    "fault",
-    "flow_start",
-    "flow_finish",
-];
 
 /// Engine self-profile: how dispatch work split across event classes.
 #[derive(Debug, Clone, Copy, Default)]
@@ -389,7 +363,8 @@ impl<P: Protocol> Simulator<P> {
     /// Enables engine self-profiling: per-class dispatch counters and
     /// simulated-time-advance histograms are recorded into the metrics
     /// registry under `engine_dispatch` / `engine_time_advance` (scoped by
-    /// event class, see [`EVENT_CLASS_NAMES`]), and wall-clock dispatch
+    /// event class: deliver, external, timer, fault, flow start, flow
+    /// finish), and wall-clock dispatch
     /// timers accumulate into [`EngineProfile::wall`]. Opt-in because the
     /// metrics keys become part of deterministic reports.
     pub fn enable_profiling(&mut self) {
@@ -522,7 +497,7 @@ impl<P: Protocol> Simulator<P> {
     }
 
     /// Read access to the fault plane (down sites, failed links, loss).
-    pub fn faults(&self) -> &FaultState {
+    pub(crate) fn faults(&self) -> &FaultState {
         &self.faults
     }
 
@@ -1131,7 +1106,7 @@ mod tests {
 
         fn on_timer(&mut self, timer_id: u64, ctx: &mut Context<'_, &'static str>) {
             self.fired.push(timer_id);
-            if timer_id == 1 && ctx.network().site_count() > 3 {
+            if timer_id == 1 && ctx.network.site_count() > 3 {
                 // Route a message to the far end of the line, charging an
                 // explicit end-to-end delay of 6.
                 ctx.send_routed(SiteId(3), 6.0, "hello");
@@ -1207,7 +1182,12 @@ mod tests {
         type Msg = u32;
 
         fn on_start(&mut self, ctx: &mut Context<'_, u32>) {
-            self.neighbors = ctx.neighbors().iter().map(|(n, _)| *n).collect();
+            self.neighbors = ctx
+                .network
+                .neighbors(ctx.site)
+                .iter()
+                .map(|(n, _)| *n)
+                .collect();
             if ctx.site() == SiteId(0) {
                 self.seen_at = Some(ctx.now());
                 // `self` and `ctx` are disjoint borrows: the snapshot can be
@@ -1460,7 +1440,7 @@ mod tests {
         fn on_message(&mut self, from: SiteId, msg: u32, ctx: &mut Context<'_, u32>) {
             if msg >= 1000 {
                 let volume = msg - 1000;
-                let to = SiteId(ctx.network().site_count() - 1);
+                let to = SiteId(ctx.network.site_count() - 1);
                 ctx.transfer(to, volume as f64, volume);
             } else {
                 self.received.push((from, msg, ctx.now()));

@@ -4,7 +4,7 @@
 //! `(time, class, sequence)`:
 //!
 //! * `time` — simulated firing time;
-//! * `class` — [`EventPayload::class_rank`]: fault/perturbation events rank
+//! * `class` — `EventPayload::class_rank`: fault/perturbation events rank
 //!   before everything else at the same timestamp, so a link that fails at
 //!   time `t` already affects every message delivered at `t`; external
 //!   arrivals rank next, before deliveries and timers, so the position of a
@@ -80,7 +80,7 @@ impl<M> EventPayload<M> {
     /// relative to each other, and flow events rank last so a same-time
     /// delivery (whose handler may start or reshape transfers) is applied
     /// before the bandwidth plane is re-solved.
-    pub fn class_rank(&self) -> u8 {
+    pub(crate) fn class_rank(&self) -> u8 {
         match self {
             EventPayload::Fault { .. } => 0,
             EventPayload::External { .. } => 1,
@@ -144,16 +144,6 @@ impl<M: PartialEq> EventQueue<M> {
     /// Creates an empty queue.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Creates an empty queue whose heap is pre-sized for `capacity` pending
-    /// events (the simulator sizes this off the topology so the start-up
-    /// wave does not regrow the heap).
-    pub fn with_capacity(capacity: usize) -> Self {
-        EventQueue {
-            heap: BinaryHeap::with_capacity(capacity),
-            next_seq: 0,
-        }
     }
 
     /// Schedules an event, assigning it the next sequence number.

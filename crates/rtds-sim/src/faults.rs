@@ -111,7 +111,7 @@ fn link_key(a: SiteId, b: SiteId) -> (usize, usize) {
 /// Engine-side fault bookkeeping: which links are failed (with the state to
 /// restore), which sites are down, and the message-loss plane.
 #[derive(Debug)]
-pub struct FaultState {
+pub(crate) struct FaultState {
     // Crate-visible for the snapshot codec (`crate::snapshot`), which must
     // capture the message-loss RNG position exactly.
     pub(crate) failed_links: BTreeMap<(usize, usize), LinkState>,
@@ -123,7 +123,7 @@ pub struct FaultState {
 impl FaultState {
     /// Creates a quiet fault plane for `site_count` sites, with the RNG for
     /// message-loss draws seeded by `seed`.
-    pub fn new(site_count: usize, seed: u64) -> Self {
+    pub(crate) fn new(site_count: usize, seed: u64) -> Self {
         FaultState {
             failed_links: BTreeMap::new(),
             down_sites: vec![false; site_count],
@@ -133,33 +133,28 @@ impl FaultState {
     }
 
     /// Reseeds the message-loss RNG (only meaningful before any loss draw).
-    pub fn reseed(&mut self, seed: u64) {
+    pub(crate) fn reseed(&mut self, seed: u64) {
         self.rng = StdRng::seed_from_u64(seed);
     }
 
     /// Returns `true` if the link between `a` and `b` is currently failed.
-    pub fn link_is_failed(&self, a: SiteId, b: SiteId) -> bool {
+    pub(crate) fn link_is_failed(&self, a: SiteId, b: SiteId) -> bool {
         self.failed_links.contains_key(&link_key(a, b))
     }
 
     /// Returns `true` if any link is currently failed (guards the routed
     /// reachability check so unperturbed runs never pay for it).
-    pub fn has_failed_links(&self) -> bool {
+    pub(crate) fn has_failed_links(&self) -> bool {
         !self.failed_links.is_empty()
     }
 
     /// Returns `true` if the site is currently down.
-    pub fn site_is_down(&self, s: SiteId) -> bool {
+    pub(crate) fn site_is_down(&self, s: SiteId) -> bool {
         self.down_sites.get(s.0).copied().unwrap_or(false)
     }
 
-    /// Current message-loss probability.
-    pub fn loss_probability(&self) -> f64 {
-        self.loss_probability
-    }
-
     /// Sets the message-loss probability directly (clamped to `[0, 1]`).
-    pub fn set_loss_probability(&mut self, p: f64) {
+    pub(crate) fn set_loss_probability(&mut self, p: f64) {
         self.loss_probability = if p.is_finite() {
             p.clamp(0.0, 1.0)
         } else {
@@ -170,7 +165,7 @@ impl FaultState {
     /// Decides whether the next message is lost. Draws from the RNG only
     /// while loss is active, so a zero-probability plane leaves the stream —
     /// and hence the run — untouched.
-    pub fn roll_message_loss(&mut self) -> bool {
+    pub(crate) fn roll_message_loss(&mut self) -> bool {
         self.loss_probability > 0.0 && self.rng.random_bool(self.loss_probability)
     }
 
@@ -178,7 +173,7 @@ impl FaultState {
     /// to links or sites that do not exist (or are already in the target
     /// state) are ignored — perturbation plans are generated against the
     /// initial topology and may race with each other.
-    pub fn apply(&mut self, fault: FaultEvent, network: &mut Network) {
+    pub(crate) fn apply(&mut self, fault: FaultEvent, network: &mut Network) {
         match fault {
             FaultEvent::SetLinkDelay { a, b, delay } => {
                 if !(delay.is_finite() && delay >= 0.0) {
@@ -450,7 +445,7 @@ mod tests {
     #[test]
     fn message_loss_probability_and_rolls() {
         let mut faults = FaultState::new(1, 42);
-        assert_eq!(faults.loss_probability(), 0.0);
+        assert_eq!(faults.loss_probability, 0.0);
         // Zero probability never draws (and never loses).
         for _ in 0..100 {
             assert!(!faults.roll_message_loss());
@@ -458,9 +453,9 @@ mod tests {
         faults.set_loss_probability(1.0);
         assert!(faults.roll_message_loss());
         faults.set_loss_probability(2.0);
-        assert_eq!(faults.loss_probability(), 1.0);
+        assert_eq!(faults.loss_probability, 1.0);
         faults.set_loss_probability(f64::NAN);
-        assert_eq!(faults.loss_probability(), 0.0);
+        assert_eq!(faults.loss_probability, 0.0);
         // Around half the rolls at p = 0.5.
         faults.set_loss_probability(0.5);
         let lost = (0..1000).filter(|_| faults.roll_message_loss()).count();

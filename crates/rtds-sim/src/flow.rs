@@ -106,12 +106,12 @@ impl<M> Default for FlowPlane<M> {
 
 impl<M> FlowPlane<M> {
     /// Returns `true` when no transfer is in flight.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.flows.is_empty()
     }
 
     /// Number of in-flight transfers.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.flows.len()
     }
 
@@ -135,7 +135,7 @@ impl<M> FlowPlane<M> {
     /// version moved since the last sync. Removed links become capacity
     /// zero (their pinned flows stall until re-solved against a revived
     /// link). Returns `true` when anything was refreshed.
-    pub fn sync_with_network(&mut self, network: &Network) -> bool {
+    pub(crate) fn sync_with_network(&mut self, network: &Network) -> bool {
         if self.topo_version == network.version() {
             return false;
         }
@@ -152,7 +152,7 @@ impl<M> FlowPlane<M> {
     /// follow up with [`FlowPlane::reschedule`] to assign rates and obtain
     /// completion events.
     #[allow(clippy::too_many_arguments)]
-    pub fn start(
+    pub(crate) fn start(
         &mut self,
         now: f64,
         from: SiteId,
@@ -190,12 +190,12 @@ impl<M> FlowPlane<M> {
     /// Checks a completion event against the flow's current epoch. Returns
     /// `false` for stale events (superseded by a reschedule) and for flows
     /// that no longer exist.
-    pub fn finish_is_current(&self, flow: u64, epoch: u64) -> bool {
+    pub(crate) fn finish_is_current(&self, flow: u64, epoch: u64) -> bool {
         self.flows.get(&flow).is_some_and(|f| f.epoch == epoch)
     }
 
     /// Removes a completed flow, returning its record for delivery.
-    pub fn finish(&mut self, now: f64, flow: u64) -> Option<EngineFlow<M>> {
+    pub(crate) fn finish(&mut self, now: f64, flow: u64) -> Option<EngineFlow<M>> {
         self.model.advance_to(now);
         if !self.model.finish(flow) {
             return None;
@@ -209,7 +209,7 @@ impl<M> FlowPlane<M> {
     /// Flows whose prediction is unchanged keep their pending event; flows
     /// that stalled (infinite prediction) get their epoch bumped with no
     /// event, orphaning any pending one.
-    pub fn reschedule(&mut self, now: f64, out: &mut Vec<FinishSchedule>) {
+    pub(crate) fn reschedule(&mut self, now: f64, out: &mut Vec<FinishSchedule>) {
         self.model.advance_to(now);
         self.model.recompute();
         out.clear();
@@ -236,7 +236,7 @@ impl<M> FlowPlane<M> {
     /// link with finite positive capacity that the last
     /// [`FlowPlane::reschedule`] loaded, in ascending site-pair order. Used
     /// for telemetry after a recomputation.
-    pub fn link_utilization_with(&self, mut visit: impl FnMut(usize, usize, f64)) {
+    pub(crate) fn link_utilization_with(&self, mut visit: impl FnMut(usize, usize, f64)) {
         let rates = self.model.link_rates();
         for (&(a, b), &id) in &self.link_ids {
             let capacity = self.model.link_capacity(id);

@@ -67,14 +67,13 @@ pub mod snapshot;
 pub mod stats;
 pub mod trace;
 
-pub use arrivals::{ArrivalProcess, ArrivalSchedule};
-pub use engine::{ArrivalSource, Context, EngineProfile, Protocol, Simulator, EVENT_CLASS_NAMES};
+pub use engine::{Context, EngineProfile, Protocol, Simulator};
 pub use event::{Event, EventPayload};
-pub use faults::{FaultEvent, FaultState};
-pub use metrics_json::{metrics_to_json, summary_to_json};
-pub use queue::{CalendarQueue, QueueStats};
-pub use rtds_metrics::{Gauge, Histogram, HistogramSummary, MetricsRegistry, Scope};
+pub use faults::FaultEvent;
+pub use metrics_json::metrics_to_json;
+pub use queue::CalendarQueue;
+pub use rtds_metrics::MetricsRegistry;
 pub use rtds_trace::json::{self, Json};
-pub use snapshot::{Snap, SnapshotError, ENGINE_SNAPSHOT_SCHEMA};
-pub use stats::{GuaranteeStats, SimStats};
-pub use trace::{Phase, SpanId, Trace, TraceEvent, TracePayload};
+pub use snapshot::{Snap, SnapshotError};
+pub use stats::SimStats;
+pub use trace::{Trace, TraceEvent};

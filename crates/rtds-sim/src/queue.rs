@@ -2,7 +2,7 @@
 //!
 //! [`crate::event::EventQueue`] (a `BinaryHeap<Event<M>>`) defines the
 //! engine's total order: events pop by `(time, class, seq)` — time
-//! ascending, then [`EventPayload::class_rank`] (faults before externals
+//! ascending, then `EventPayload::class_rank` (faults before externals
 //! before deliveries/timers), then insertion sequence. That structure moves
 //! whole `Event<M>` values (≈ 100 bytes for the production message type)
 //! on every sift, and costs `O(log n)` comparisons per operation.
@@ -37,7 +37,7 @@
 //!   the span of the overflow list: that is a handful of keys whatever the
 //!   event rate, and a width tuned to it overflows most pushes (each filed
 //!   twice) and steps over dozens of empty buckets per event.
-//!   [`CalendarQueue::stats`] counts both.
+//!   The queue's layout counters (`QueueStats`) count both.
 //!
 //! Why the pop order cannot depend on the calendar layout: `bucket_of` is
 //! a monotone function of time, so every key in a future bucket has a
@@ -69,10 +69,10 @@ const MIN_WIDTH: f64 = 1e-9;
 const BUCKET_TARGET: f64 = 16.0;
 
 /// What the calendar layout has cost so far (the pop order never depends on
-/// it): counters a regression test or a profile divides by its own event
+/// it): counters the width-tuning regression test divides by its own event
 /// count.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct QueueStats {
+pub(crate) struct QueueStats {
     /// Pushes that landed beyond the bucket window and were filed a second
     /// time at a later re-anchor.
     pub overflow_pushes: u64,
@@ -164,7 +164,7 @@ impl<M> CalendarQueue<M> {
     }
 
     /// Creates an empty queue with slab space for `capacity` events.
-    pub fn with_capacity(capacity: usize) -> Self {
+    pub(crate) fn with_capacity(capacity: usize) -> Self {
         CalendarQueue {
             slab: Vec::with_capacity(capacity),
             free_head: NO_SLOT,
@@ -186,7 +186,8 @@ impl<M> CalendarQueue<M> {
     }
 
     /// The layout counters accumulated since construction.
-    pub fn stats(&self) -> QueueStats {
+    #[cfg(test)]
+    fn stats(&self) -> QueueStats {
         self.stats
     }
 

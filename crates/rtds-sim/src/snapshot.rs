@@ -46,10 +46,10 @@ use std::fmt;
 use std::sync::{Arc, Mutex};
 
 /// Schema tag of the engine snapshot format.
-pub const ENGINE_SNAPSHOT_SCHEMA: &str = "rtds-engine-snapshot/1";
+pub(crate) const ENGINE_SNAPSHOT_SCHEMA: &str = "rtds-engine-snapshot/1";
 
 /// Schema tag of the embedded shared-bandwidth plane section.
-pub const FLOW_SNAPSHOT_SCHEMA: &str = "rtds-flow-snapshot/1";
+pub(crate) const FLOW_SNAPSHOT_SCHEMA: &str = "rtds-flow-snapshot/1";
 
 /// Error raised when a snapshot document cannot be decoded.
 #[derive(Debug, Clone, PartialEq)]
@@ -116,7 +116,7 @@ impl<'a> Path<'a> {
     }
 
     /// The site count decoded [`SiteId`]s must stay below.
-    pub fn sites(&self) -> usize {
+    pub(crate) fn sites(&self) -> usize {
         self.sites
     }
 
@@ -398,7 +398,7 @@ static INTERNED: Mutex<BTreeMap<String, &'static str>> = Mutex::new(BTreeMap::ne
 
 /// Returns a `&'static str` with the given content (leaked once per
 /// distinct name, process-wide).
-pub fn intern(name: &str) -> &'static str {
+pub(crate) fn intern(name: &str) -> &'static str {
     // Every update leaves the table valid, so a poisoned lock is still usable.
     let mut table = INTERNED.lock().unwrap_or_else(|e| e.into_inner());
     if let Some(&interned) = table.get(name) {
@@ -1213,7 +1213,7 @@ mod tests {
         fn on_message(&mut self, from: SiteId, msg: u32, ctx: &mut Context<'_, u32>) {
             if msg >= 1000 {
                 let volume = msg - 1000;
-                let to = SiteId(ctx.network().site_count() - 1);
+                let to = SiteId(1); // the far end of the two-site link
                 ctx.transfer(to, volume as f64, volume);
             } else {
                 self.received.push((from.0, msg, ctx.now().to_bits()));

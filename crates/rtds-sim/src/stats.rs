@@ -36,7 +36,7 @@ pub struct SimStats {
 
 impl SimStats {
     /// Adds to a named counter, creating it at zero if needed.
-    pub fn add(&mut self, name: &'static str, amount: u64) {
+    pub(crate) fn add(&mut self, name: &'static str, amount: u64) {
         self.metrics.add(name, amount);
     }
 
@@ -61,18 +61,8 @@ impl SimStats {
     }
 
     /// Mutable access to the instrument registry.
-    pub fn metrics_mut(&mut self) -> &mut MetricsRegistry {
+    pub(crate) fn metrics_mut(&mut self) -> &mut MetricsRegistry {
         &mut self.metrics
-    }
-
-    /// Merges another statistics record into this one (used when aggregating
-    /// across independent simulation runs). Counters add, gauges keep their
-    /// maxima, histograms merge bucket-wise — associative and commutative,
-    /// so aggregate reports do not depend on merge order.
-    pub fn merge(&mut self, other: &SimStats) {
-        self.messages_sent += other.messages_sent;
-        self.messages_delivered += other.messages_delivered;
-        self.metrics.merge(&other.metrics);
     }
 }
 
@@ -110,17 +100,6 @@ impl GuaranteeStats {
         }
     }
 
-    /// Fraction of accepted jobs that were distributed rather than kept
-    /// local.
-    pub fn distribution_ratio(&self) -> f64 {
-        let acc = self.accepted();
-        if acc == 0 {
-            0.0
-        } else {
-            self.accepted_distributed as f64 / acc as f64
-        }
-    }
-
     /// Merges counters from another record.
     pub fn merge(&mut self, other: &GuaranteeStats) {
         self.submitted += other.submitted;
@@ -150,32 +129,9 @@ mod tests {
     }
 
     #[test]
-    fn merge_stats() {
-        let mut a = SimStats {
-            messages_sent: 10,
-            messages_delivered: 10,
-            ..SimStats::default()
-        };
-        a.add("x", 1);
-        let mut b = SimStats {
-            messages_sent: 5,
-            messages_delivered: 4,
-            ..SimStats::default()
-        };
-        b.add("x", 2);
-        b.add("y", 7);
-        a.merge(&b);
-        assert_eq!(a.messages_sent, 15);
-        assert_eq!(a.messages_delivered, 14);
-        assert_eq!(a.named("x"), 3);
-        assert_eq!(a.named("y"), 7);
-    }
-
-    #[test]
     fn guarantee_ratios() {
         let empty = GuaranteeStats::default();
         assert_eq!(empty.guarantee_ratio(), 1.0);
-        assert_eq!(empty.distribution_ratio(), 0.0);
         let mut g = GuaranteeStats {
             submitted: 10,
             accepted_locally: 4,
@@ -186,7 +142,6 @@ mod tests {
         };
         assert_eq!(g.accepted(), 6);
         assert!((g.guarantee_ratio() - 0.6).abs() < 1e-12);
-        assert!((g.distribution_ratio() - 2.0 / 6.0).abs() < 1e-12);
 
         let h = GuaranteeStats {
             submitted: 10,

@@ -14,13 +14,13 @@
 //! [`DEFAULT_RING_CAPACITY`] events with drop counters), so million-job
 //! streaming runs can keep tracing on without unbounded memory growth.
 
-use rtds_trace::{JsonlSink, RingSink};
+use rtds_trace::{Json, JsonlSink, RingSink};
 use std::fmt::Write as _;
 use std::io::Write;
 
 pub use rtds_trace::{
-    check_well_formed, chrome_trace, read_jsonl, render_jsonl, render_jsonl_with_header,
-    DeferReason, Json, Phase, RejectReason, SpanId, TraceEvent, TracePayload, TRACE_SCHEMA,
+    chrome_trace, read_jsonl, render_jsonl, DeferReason, Phase, RejectReason, SpanId, TraceEvent,
+    TracePayload,
 };
 
 /// Ring capacity used by [`Trace::flight_recorder`] (64 Ki events ≈ 4 MiB).
@@ -61,7 +61,7 @@ impl std::fmt::Debug for Trace {
 
 impl Trace {
     /// A recorder that drops events (the default).
-    pub fn disabled() -> Self {
+    pub(crate) fn disabled() -> Self {
         Trace {
             sink: Sink::Disabled,
         }
@@ -100,7 +100,7 @@ impl Trace {
     /// Records an event (no-op when disabled). Producers should gate on
     /// [`Trace::is_enabled`] to skip payload construction entirely — the
     /// engine's `Context::trace` does.
-    pub fn record(&mut self, event: &TraceEvent) {
+    pub(crate) fn record(&mut self, event: &TraceEvent) {
         match &mut self.sink {
             Sink::Disabled => {}
             Sink::Ring(ring) => ring.record_event(event),

@@ -20,7 +20,7 @@ pub enum DeferReason {
 
 impl DeferReason {
     /// Stable wire name.
-    pub fn as_str(self) -> &'static str {
+    pub(crate) fn as_str(self) -> &'static str {
         match self {
             DeferReason::SiteLocked => "site-locked",
             DeferReason::PcsConstruction => "pcs-under-construction",
@@ -56,7 +56,7 @@ pub enum RejectReason {
 
 impl RejectReason {
     /// Stable wire name.
-    pub fn as_str(self) -> &'static str {
+    pub(crate) fn as_str(self) -> &'static str {
         match self {
             RejectReason::EmptySphere => "empty-sphere",
             RejectReason::MapperFailed => "mapper-failed",
@@ -207,7 +207,7 @@ pub enum TracePayload {
 /// A borrowed argument value, used when streaming an event's fields to a
 /// sink or exporter without allocating.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Arg {
+pub(crate) enum Arg {
     /// An unsigned integer.
     U64(u64),
     /// A float.
@@ -222,7 +222,7 @@ impl TracePayload {
     /// Stable machine-readable kind (also the JSONL `"kind"` field). The
     /// names match the historical free-form trace kinds so golden tests and
     /// the Fig. 1 walkthrough keep working unchanged.
-    pub fn kind(&self) -> &'static str {
+    pub(crate) fn kind(&self) -> &'static str {
         match self {
             TracePayload::Arrival { .. } => "arrival",
             TracePayload::ArrivalDeferred { .. } => "arrival-deferred",
@@ -246,7 +246,7 @@ impl TracePayload {
     }
 
     /// Streams the payload's `(name, value)` fields in wire order.
-    pub fn for_each_arg(&self, f: &mut dyn FnMut(&'static str, Arg)) {
+    pub(crate) fn for_each_arg(&self, f: &mut dyn FnMut(&'static str, Arg)) {
         match *self {
             TracePayload::Arrival {
                 job,
@@ -340,19 +340,6 @@ impl TracePayload {
                 f("value", Arg::F64(value));
             }
         }
-    }
-
-    /// The job id the payload refers to, if it is job-scoped.
-    pub fn job(&self) -> Option<u64> {
-        let mut found = None;
-        self.for_each_arg(&mut |name, arg| {
-            if name == "job" {
-                if let Arg::U64(j) = arg {
-                    found = Some(j);
-                }
-            }
-        });
-        found
     }
 
     /// Human-readable one-line detail (allocates; render-time only).
@@ -487,13 +474,7 @@ mod tests {
             omega: 1.5,
         };
         assert_eq!(p.kind(), "trial-mapping");
-        assert_eq!(p.job(), Some(3));
         assert!(p.describe().contains("|U| = 2"));
-        let r = TracePayload::RoutingFanout {
-            phase: 1,
-            fanout: 4,
-        };
-        assert_eq!(r.job(), None);
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! used for the report files) and [`Json::render_compact`] (single line,
 //! used for JSONL workload traces). Streaming writers that never build a
 //! tree (the trace event lines, the Chrome export) call the scalar writers
-//! [`write_f64`] and [`write_escaped`] directly. [`Json::parse`] reads either
+//! `write_f64` and `write_escaped` directly. [`Json::parse`] reads either
 //! form back in time linear in the input, refusing documents nested deeper
 //! than [`MAX_DEPTH`]; because shortest-round-trip float formatting is exact,
 //! a render → parse → render cycle is byte-identical, which the trace
@@ -80,7 +80,7 @@ impl Json {
 
     /// Appends the compact rendering to `out` (for writers that assemble a
     /// line out of several values without an intermediate `String`).
-    pub fn write_compact(&self, out: &mut String) {
+    pub(crate) fn write_compact(&self, out: &mut String) {
         self.write(out, None);
     }
 
@@ -458,7 +458,7 @@ fn newline(out: &mut String, indent: Option<usize>) {
 
 /// Appends a float in the dialect's number form: shortest round-trip digits
 /// for finite values, `null` otherwise.
-pub fn write_f64(out: &mut String, x: f64) {
+pub(crate) fn write_f64(out: &mut String, x: f64) {
     if x.is_finite() {
         // `{:?}` is Rust's shortest round-trip float formatting ("1.0",
         // "0.25", "1e-7"), stable across platforms and always JSON-legal
@@ -473,7 +473,7 @@ pub fn write_f64(out: &mut String, x: f64) {
 /// (`\"`, `\\`, `\n`, `\r`, `\t`, `\u00XX` for other control characters).
 /// Everything between two escapes is copied in one piece; the escaped
 /// bytes are ASCII, so those pieces end on character boundaries.
-pub fn write_escaped(out: &mut String, s: &str) {
+pub(crate) fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
     let mut copied = 0;
     for (i, b) in s.bytes().enumerate() {

@@ -17,7 +17,7 @@
 //!
 //! Event lines stream into one `String` through the shared scalar writers —
 //! no tree is built on the recording path — and are read back by
-//! [`Json::parse`]. Because the writer and [`parse_event_line`] agree
+//! [`Json::parse`]. Because the writer and `parse_event_line` agree
 //! field-for-field and the float formats are shortest-round-trip, record →
 //! parse → re-render is a byte fixpoint — mirroring the
 //! `rtds-workload-trace/1` design.
@@ -33,7 +33,7 @@ pub const TRACE_SCHEMA: &str = "rtds-trace/1";
 
 /// Renders the header line (without trailing newline): the schema field
 /// first, then `metadata` in the given order.
-pub fn header_line(metadata: &[(&str, Json)]) -> String {
+pub(crate) fn header_line(metadata: &[(&str, Json)]) -> String {
     let mut out = String::with_capacity(64);
     out.push_str("{\"schema\":");
     write_escaped(&mut out, TRACE_SCHEMA);
@@ -48,7 +48,7 @@ pub fn header_line(metadata: &[(&str, Json)]) -> String {
 }
 
 /// Appends one event line (without trailing newline) to `out`.
-pub fn write_event_line(out: &mut String, event: &TraceEvent) {
+pub(crate) fn write_event_line(out: &mut String, event: &TraceEvent) {
     out.push_str("{\"t\":");
     write_f64(out, event.time);
     let _ = write!(out, ",\"site\":{}", event.site);
@@ -250,7 +250,7 @@ fn payload_from(kind: &str, obj: &Line) -> Result<TracePayload, String> {
 }
 
 /// Parses one event line back into a [`TraceEvent`].
-pub fn parse_event_line(line: &str) -> Result<TraceEvent, String> {
+pub(crate) fn parse_event_line(line: &str) -> Result<TraceEvent, String> {
     let obj = Line::parse(line)?;
     Ok(TraceEvent {
         time: obj.f64_field("t")?,
@@ -265,10 +265,9 @@ pub fn parse_event_line(line: &str) -> Result<TraceEvent, String> {
 /// the header; every failure — I/O, a malformed line, a wrong schema — is an
 /// `Err` carrying the line number, never a panic.
 #[derive(Debug)]
-pub struct JsonlReader<R: BufRead> {
+pub(crate) struct JsonlReader<R: BufRead> {
     input: R,
     header_line: String,
-    header: Vec<(String, Json)>,
     line_no: usize,
     buf: String,
 }
@@ -276,7 +275,7 @@ pub struct JsonlReader<R: BufRead> {
 impl<R: BufRead> JsonlReader<R> {
     /// Reads and validates the header line: the input must start with an
     /// object whose `schema` is [`TRACE_SCHEMA`].
-    pub fn new(mut input: R) -> Result<JsonlReader<R>, String> {
+    pub(crate) fn new(mut input: R) -> Result<JsonlReader<R>, String> {
         let mut header_line = String::new();
         let n = input
             .read_line(&mut header_line)
@@ -285,30 +284,17 @@ impl<R: BufRead> JsonlReader<R> {
             return Err("empty trace input (missing header)".to_string());
         }
         header_line.truncate(header_line.trim_end().len());
-        let Line(mut header) = parse_header(&header_line).map_err(|e| format!("header: {e}"))?;
-        header.retain(|(key, _)| key != "schema");
+        parse_header(&header_line).map_err(|e| format!("header: {e}"))?;
         Ok(JsonlReader {
             input,
             header_line,
-            header,
             line_no: 1,
             buf: String::new(),
         })
     }
 
-    /// The raw header line (no trailing newline), reusable verbatim by
-    /// [`render_jsonl_with_header`].
-    pub fn header_line(&self) -> &str {
-        &self.header_line
-    }
-
-    /// Header metadata fields (schema excluded), in file order.
-    pub fn header(&self) -> &[(String, Json)] {
-        &self.header
-    }
-
     /// Reads the next event; `Ok(None)` at end of input.
-    pub fn next_event(&mut self) -> Result<Option<TraceEvent>, String> {
+    pub(crate) fn next_event(&mut self) -> Result<Option<TraceEvent>, String> {
         loop {
             self.buf.clear();
             let n = self
@@ -520,8 +506,7 @@ mod tests {
     fn reader_streams_events_and_keeps_the_header_line() {
         let doc = render_jsonl(&[("seed", Json::UInt(7))], &sample_events());
         let mut reader = JsonlReader::new(doc.as_bytes()).unwrap();
-        assert!(reader.header_line().contains("\"seed\":7"));
-        assert_eq!(reader.header(), [("seed".to_string(), Json::UInt(7))]);
+        assert!(reader.header_line.contains("\"seed\":7"));
         let mut n = 0;
         while let Some(event) = reader.next_event().unwrap() {
             assert_eq!(event, sample_events()[n]);
@@ -554,13 +539,16 @@ mod tests {
     fn string_escapes_round_trip() {
         let label = "a\"b\\c\nd\te\u{1}/\u{8}\u{c}\u{1D11E}";
         let header = header_line(&[("label", Json::str(label))]);
-        let reader = JsonlReader::new(header.as_bytes()).unwrap();
-        assert_eq!(reader.header(), [("label".to_string(), Json::str(label))]);
+        let parsed = parse_header(&header).unwrap();
+        assert_eq!(parsed.get("label"), Some(&Json::str(label)));
         let foreign =
             r#"{"schema":"rtds-trace/1","label":"a\"b\\c\nd\te\u0001\/\b\f\uD834\uDD1E"}"#;
-        let reader = JsonlReader::new(foreign.as_bytes()).unwrap();
-        assert_eq!(reader.header(), [("label".to_string(), Json::str(label))]);
-        let (key, value) = &reader.header()[0];
-        assert_eq!(header_line(&[(key, value.clone())]), header);
+        let value = parse_header(foreign)
+            .unwrap()
+            .get("label")
+            .cloned()
+            .unwrap();
+        assert_eq!(value, Json::str(label));
+        assert_eq!(header_line(&[("label", value)]), header);
     }
 }

@@ -34,12 +34,9 @@ pub mod sink;
 pub mod span;
 
 pub use chrome::chrome_trace;
-pub use event::{Arg, DeferReason, RejectReason, TraceEvent, TracePayload};
+pub use event::{DeferReason, RejectReason, TraceEvent, TracePayload};
 pub use json::Json;
-pub use jsonl::{
-    header_line, parse_event_line, read_jsonl, render_jsonl, render_jsonl_with_header,
-    write_event_line, JsonlReader, TRACE_SCHEMA,
-};
+pub use jsonl::{read_jsonl, render_jsonl, render_jsonl_with_header, TRACE_SCHEMA};
 pub use sink::{JsonlSink, RingSink};
 pub use span::{Phase, SpanId};
 

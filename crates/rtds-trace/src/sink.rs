@@ -60,7 +60,7 @@ impl RingSink {
     }
 
     /// Iterates the retained events in chronological (recording) order.
-    pub fn iter(&self) -> impl Iterator<Item = &TraceEvent> {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &TraceEvent> {
         let split = if self.events.len() == self.capacity {
             self.next
         } else {
@@ -136,12 +136,6 @@ impl<W: Write> JsonlSink<W> {
             .flush()
             .expect("rtds-trace: failed to flush JSONL sink");
     }
-
-    /// Flushes and returns the underlying writer.
-    pub fn into_inner(mut self) -> W {
-        self.flush();
-        self.out
-    }
 }
 
 impl<W: Write> std::fmt::Debug for JsonlSink<W> {
@@ -208,7 +202,7 @@ mod tests {
         sink.record_event(&mark(0));
         sink.record_event(&mark(1));
         assert_eq!(sink.recorded(), 2);
-        let bytes = sink.into_inner();
+        let bytes = sink.out;
         let text = String::from_utf8(bytes).unwrap();
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 3);

@@ -48,7 +48,7 @@ impl SpanId {
     pub const NONE: SpanId = SpanId(0);
 
     /// Returns `true` for [`SpanId::NONE`].
-    pub fn is_none(self) -> bool {
+    pub(crate) fn is_none(self) -> bool {
         self.0 == 0
     }
 

@@ -103,12 +103,6 @@ impl<S: WorkloadSource> JobFactory<S> {
     pub fn into_source(self) -> S {
         self.source
     }
-
-    /// The stream telemetry accumulated so far (inter-arrival jitter and
-    /// realized size mix).
-    pub fn metrics(&self) -> &MetricsRegistry {
-        &self.metrics
-    }
 }
 
 impl<S: WorkloadSource> JobSource for JobFactory<S> {

@@ -12,7 +12,7 @@
 //!   time-ordered [`MergedSource`] combinator,
 //! * [`spec`] — the compact per-arrival [`JobSpec`] (site, task count,
 //!   per-job seed) and heavy-tail [`SizeMix`]es (fixed / uniform / Pareto),
-//! * [`trace`] — a deterministic JSONL trace format with [`TraceWriter`]
+//! * [`trace`] — a deterministic JSONL trace format with `TraceWriter`
 //!   (record), [`TraceReader`] (replay) and the [`RecordingSource`] tee;
 //!   replaying a recorded trace reproduces the live run's report
 //!   byte-for-byte, and re-recording a replay reproduces the trace itself,
@@ -63,6 +63,4 @@ pub mod trace;
 pub use factory::{materialize, JobFactory, JobTemplate};
 pub use source::{MergedSource, OpenLoopSource, OpenLoopSpec, RateProcess, WorkloadSource};
 pub use spec::{JobSpec, SizeMix};
-pub use trace::{
-    reader_from_string, record_to_string, RecordingSource, TraceReader, TraceWriter, TRACE_SCHEMA,
-};
+pub use trace::{reader_from_string, record_to_string, RecordingSource, TraceReader};

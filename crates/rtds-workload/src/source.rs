@@ -113,7 +113,7 @@ fn exponential(rng: &mut StdRng, rate: f64) -> f64 {
 
 impl OpenLoopSource {
     /// Creates the source. `sites` must be positive.
-    pub fn new(spec: OpenLoopSpec, sites: usize, seed: u64) -> Self {
+    pub(crate) fn new(spec: OpenLoopSpec, sites: usize, seed: u64) -> Self {
         assert!(sites > 0, "an arrival stream needs at least one site");
         let mut source = OpenLoopSource {
             spec,
@@ -128,11 +128,6 @@ impl OpenLoopSource {
             source.state_until = exponential(&mut source.rng, 1.0 / mean_on.max(1e-9));
         }
         source
-    }
-
-    /// Jobs emitted so far.
-    pub fn emitted(&self) -> u64 {
-        self.emitted
     }
 
     /// Advances the arrival clock to the next event of the rate process.

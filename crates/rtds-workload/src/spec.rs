@@ -55,7 +55,7 @@ pub enum SizeMix {
 
 impl SizeMix {
     /// Draws one task count.
-    pub fn sample(&self, rng: &mut StdRng) -> usize {
+    pub(crate) fn sample(&self, rng: &mut StdRng) -> usize {
         match *self {
             SizeMix::Fixed { tasks } => tasks.max(1),
             SizeMix::Uniform { min, max } => {

@@ -25,12 +25,12 @@ use rtds_sim::json::Json;
 use std::io::{BufRead, Write};
 
 /// Identifier of the trace schema (bump on breaking format changes).
-pub const TRACE_SCHEMA: &str = "rtds-workload-trace/1";
+pub(crate) const TRACE_SCHEMA: &str = "rtds-workload-trace/1";
 
 /// Streams arrivals to a writer as JSONL (see the module docs). Construction
 /// writes the header line; [`TraceWriter::record`] appends one arrival.
 #[derive(Debug)]
-pub struct TraceWriter<W: Write> {
+pub(crate) struct TraceWriter<W: Write> {
     out: W,
     recorded: u64,
 }
@@ -38,7 +38,7 @@ pub struct TraceWriter<W: Write> {
 impl<W: Write> TraceWriter<W> {
     /// Creates the writer and emits the header line. `metadata` fields are
     /// appended to the mandatory `schema` field.
-    pub fn new(mut out: W, metadata: &[(&str, Json)]) -> std::io::Result<Self> {
+    pub(crate) fn new(mut out: W, metadata: &[(&str, Json)]) -> std::io::Result<Self> {
         let mut fields = vec![("schema", Json::str(TRACE_SCHEMA))];
         fields.extend(metadata.iter().map(|(k, v)| (*k, v.clone())));
         writeln!(out, "{}", Json::object(fields).render_compact())?;
@@ -46,7 +46,7 @@ impl<W: Write> TraceWriter<W> {
     }
 
     /// Appends one arrival line.
-    pub fn record(&mut self, time: f64, spec: &JobSpec) -> std::io::Result<()> {
+    pub(crate) fn record(&mut self, time: f64, spec: &JobSpec) -> std::io::Result<()> {
         let line = Json::object(vec![
             ("t", Json::Num(time)),
             ("site", Json::UInt(spec.site as u64)),
@@ -57,13 +57,8 @@ impl<W: Write> TraceWriter<W> {
         writeln!(self.out, "{}", line.render_compact())
     }
 
-    /// Number of arrivals recorded.
-    pub fn recorded(&self) -> u64 {
-        self.recorded
-    }
-
     /// Flushes and returns the underlying writer.
-    pub fn finish(mut self) -> std::io::Result<W> {
+    pub(crate) fn finish(mut self) -> std::io::Result<W> {
         self.out.flush()?;
         Ok(self.out)
     }

@@ -243,6 +243,33 @@ fn a_routing_update_from_a_stranger_is_refused() {
 }
 
 #[test]
+fn a_nan_observation_window_is_refused() {
+    // Floats travel as their bit patterns, so a NaN is a well-formed value;
+    // only the config's own check can refuse it.
+    let mut doc = Json::parse(&checkpoint(PAUSES[0])).expect("checkpoint parses");
+    let mut all = Vec::new();
+    addresses(&doc, &mut Vec::new(), &mut all);
+    let address = all
+        .iter()
+        .find(|address| {
+            node_mut(&mut doc, address)
+                .1
+                .ends_with(".observation_window")
+        })
+        .expect("the checkpoint carries the config");
+    let (node, location) = node_mut(&mut doc, address);
+    *node = Json::UInt(f64::NAN.to_bits());
+    let config_path = location.trim_end_matches(".observation_window");
+    match resume(&doc.render_compact()) {
+        Outcome::Refused(why) => assert!(
+            why.contains(&format!("{config_path}: observation_window")),
+            "{location}: {why}"
+        ),
+        other => panic!("{location} = NaN: {other:?}"),
+    }
+}
+
+#[test]
 fn truncated_checkpoints_are_errors() {
     let text = checkpoint(PAUSES[0]);
     for step in 0..64 {

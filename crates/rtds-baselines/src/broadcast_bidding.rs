@@ -27,10 +27,9 @@ use rtds_graph::Job;
 use rtds_net::dijkstra::shortest_paths;
 use rtds_net::{Network, SiteId};
 use rtds_sched::Scheduler;
-use serde::{Deserialize, Serialize};
 
 /// Parameters of the broadcast-bidding policy.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BiddingConfig {
     /// How many of the best bidders the initiator tries in turn.
     pub top_bidders: usize,

@@ -7,10 +7,9 @@ use crate::local_only::run_local_only;
 use crate::random_offload::{run_random_offload, RandomOffloadConfig};
 use rtds_graph::Job;
 use rtds_net::Network;
-use serde::{Deserialize, Serialize};
 
 /// Outcome summary of running one policy over one workload.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct PolicyReport {
     /// Jobs submitted.
     pub submitted: u64,

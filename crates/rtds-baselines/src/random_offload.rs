@@ -13,10 +13,9 @@ use rand::prelude::*;
 use rand::rngs::StdRng;
 use rtds_graph::Job;
 use rtds_net::{Network, SiteId};
-use serde::{Deserialize, Serialize};
 
 /// Parameters of the random-offload policy.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RandomOffloadConfig {
     /// Maximum number of forwarding hops after the arrival site.
     pub max_hops: usize,

@@ -37,10 +37,8 @@ pub(crate) fn run(args: ExpArgs) {
     // always ring-backed; `--trace-out` writes the rendered document.
     system.set_trace(Trace::ring(tracing.ring_capacity()));
 
-    // Load site 1, then submit the paper's worked-example job there.
-    system.submit_job(blocking_job(1, 1));
-    system.submit_job(paper_job(JobId(2), 1));
-    let (report, _) = system.run();
+    // Load site 1, then run the paper's worked-example job there.
+    let (report, _) = system.run(vec![blocking_job(1, 1), paper_job(JobId(2), 1)]);
 
     println!("== Fig. 1: protocol walkthrough for one distributed job ==");
     println!();

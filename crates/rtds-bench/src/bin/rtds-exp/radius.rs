@@ -39,8 +39,7 @@ pub(crate) fn run(args: ExpArgs) {
             ..RtdsConfig::default()
         };
         let mut system = RtdsSystem::new(network.clone(), config, 2);
-        system.submit_workload(jobs.clone());
-        let (report, _) = system.run();
+        let (report, _) = system.run(jobs.clone());
         (h, report)
     });
     let mut json_rows = Vec::new();

@@ -130,8 +130,7 @@ pub fn comparison_row(
     seed: u64,
 ) -> ComparisonRow {
     let mut system = RtdsSystem::new(network.clone(), config, seed);
-    system.submit_workload(jobs.to_vec());
-    let (report, _) = system.run();
+    let (report, _) = system.run(jobs.to_vec());
     ComparisonRow::from_rtds(label, &report)
 }
 

@@ -221,8 +221,7 @@ mod tests {
         let mut system = RtdsSystem::new(network, RtdsConfig::default(), 1);
         s.install(&mut system, &[("seed", Json::UInt(1))]);
         assert!(system.trace().is_enabled());
-        system.submit_job(paper_job(JobId(1), 1));
-        system.run();
+        system.run(vec![paper_job(JobId(1), 1)]);
         s.finish(&mut system);
 
         let text = std::fs::read_to_string(&out).unwrap();

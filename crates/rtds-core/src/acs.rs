@@ -11,11 +11,10 @@ use crate::mapper::ProcessorSpec;
 use rtds_net::SiteId;
 use rtds_sim::json::Json;
 use rtds_sim::snapshot::{field, non_negative, Path, Snap, SnapshotError};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// One member of a constructed ACS.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct AcsMember {
     /// The member site.
     pub site: SiteId,

@@ -23,10 +23,9 @@ use crate::config::LaxityDispatch;
 use crate::mapper::{MapperResult, MappingView, ProcessorSpec, NO_TASK};
 use crate::workspace::{with_workspace, Workspace};
 use rtds_graph::{TaskGraph, TaskId};
-use serde::{Deserialize, Serialize};
 
 /// Which adjustment case of §12.2 applied.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AdjustCase {
     /// Case (ii): deadlines scaled by `(d − r) / M`.
     ScaledByWindow,
@@ -35,7 +34,7 @@ pub enum AdjustCase {
 }
 
 /// Outcome of the adjustment step.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum AdjustOutcome {
     /// Case (i): the job cannot meet its deadline with this mapping.
     Rejected {

@@ -8,10 +8,9 @@
 use crate::adjust::AdjustOutcome;
 use crate::mapper::MapperResult;
 use rtds_graph::TaskGraph;
-use serde::{Deserialize, Serialize};
 
 /// One row of a Gantt rendering: a task on a logical processor.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GanttRow {
     /// Task index (0-based; printed 1-based by the binaries).
     pub task: usize,
@@ -24,7 +23,7 @@ pub struct GanttRow {
 }
 
 /// One row of Table 1: raw and adjusted windows of a task.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Table1Row {
     /// Task index (0-based).
     pub task: usize,

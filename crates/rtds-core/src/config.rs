@@ -2,11 +2,10 @@
 
 use rtds_graph::TaskGraph;
 use rtds_sched::{SchedulerKind, SpeedupFn, TaskDemand};
-use serde::{Deserialize, Serialize};
 
 /// How the extra laxity of case (iii) is scattered over the tasks (§12.2 and
 /// the §13 "Laxity Dispatching" generalisation).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LaxityDispatch {
     /// The base rule: every task receives the same laxity
     /// `ℓ = (d - r - M*) / η`.
@@ -20,7 +19,7 @@ pub enum LaxityDispatch {
 ///
 /// Deterministic by construction (no RNG): the same graph always yields the
 /// same demands, so sweeps stay byte-identical across thread counts.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum DemandRule {
     /// Every task is a default single-core demand (the paper's model; the
     /// default). Schedulers receive `None` and take their degenerate fast
@@ -98,7 +97,7 @@ impl DemandRule {
 }
 
 /// Tunable parameters of the RTDS protocol.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RtdsConfig {
     /// Hop radius `h` of the Potential Computing Sphere. The distributed
     /// routing exchange runs for `2h` phases (§7.2).

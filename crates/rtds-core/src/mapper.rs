@@ -37,12 +37,11 @@ use crate::workspace::with_workspace;
 use rtds_graph::critical_path::upward_ranks_into;
 use rtds_graph::{TaskGraph, TaskId};
 use rtds_sched::admission::priority_order_into;
-use serde::{Deserialize, Serialize};
 
 /// One logical processor offered to the Mapper: a site of the ACS described
 /// by its surplus (and, for the §13 uniform-machines extension, its relative
 /// speed).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ProcessorSpec {
     /// §2 surplus `I_j ∈ (0, 1]` of the site.
     pub surplus: f64,
@@ -99,7 +98,7 @@ impl<'a> MapperInput<'a> {
 
 /// Output of the Mapper: the trial schedule `S`, the reference schedule `S*`
 /// and the processor assignment.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MapperResult {
     /// `assignment[t]` is the logical processor (index into the input
     /// processor list) chosen for task `t`.

@@ -21,7 +21,6 @@
 use rtds_graph::{Job, JobId, TaskId};
 use rtds_net::routing::RouteEntry;
 use rtds_net::SiteId;
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// Description of one task of a trial mapping as shipped to a validating /
@@ -29,7 +28,7 @@ use std::sync::Arc;
 /// the execution time from the raw computational complexity and its own
 /// computing power, because the actual occupancy of its computation processor
 /// is `cost / speed` regardless of the surplus the Mapper assumed.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TaskSpec {
     /// Task id within the job.
     pub task: TaskId,
@@ -42,7 +41,7 @@ pub struct TaskSpec {
 }
 
 /// The protocol messages.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum RtdsMsg {
     /// One phase of the §7 routing exchange.
     RoutingUpdate {

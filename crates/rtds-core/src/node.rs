@@ -41,7 +41,6 @@ use rtds_sched::{SchedulePlan, Scheduler, SiteResources, SiteScheduler, TaskRequ
 use rtds_sim::engine::Context;
 use rtds_sim::json::Json;
 use rtds_sim::snapshot::{decode_each, field, field_with, Path, Snap, SnapshotError, Word};
-use rtds_sim::stats::GuaranteeStats;
 use rtds_sim::trace::{DeferReason, Phase, RejectReason, SpanId, TracePayload};
 use rtds_sim::Protocol;
 use std::collections::{BTreeMap, VecDeque};
@@ -57,8 +56,6 @@ pub(crate) type GlobalDistances = Arc<Vec<Vec<f64>>>;
 pub struct AcceptedJob {
     /// The job id.
     pub job: JobId,
-    /// Its absolute deadline.
-    pub deadline: f64,
     /// Whether it was distributed over an ACS (vs. kept local).
     pub distributed: bool,
 }
@@ -101,8 +98,6 @@ pub struct RtdsNode {
     queued: VecDeque<Job>,
     /// In-flight distributions initiated by this site.
     inflight: BTreeMap<JobId, Inflight>,
-    /// Outcome counters for jobs that arrived at this site.
-    pub guarantee: GuaranteeStats,
     /// Jobs this site accepted (locally or after distribution).
     pub accepted: Vec<AcceptedJob>,
     /// Optional exact global distances (ablation of the ACS-diameter
@@ -194,7 +189,6 @@ impl NodeBuilder {
             lock: None,
             queued: VecDeque::new(),
             inflight: BTreeMap::new(),
-            guarantee: GuaranteeStats::default(),
             accepted: Vec::new(),
             global_distances: self.global_distances,
             requests: Vec::new(),
@@ -290,12 +284,11 @@ impl RtdsNode {
 
     // ----- job arrival handling (initiator side) -------------------------
 
-    fn handle_arrival(&mut self, job: Job, ctx: &mut Context<'_, RtdsMsg>, count_submission: bool) {
+    fn handle_arrival(&mut self, job: Job, ctx: &mut Context<'_, RtdsMsg>, first_arrival: bool) {
         let id = job.id;
         let tasks = job.graph.task_count() as u32;
         let deadline = job.deadline();
-        if count_submission {
-            self.guarantee.submitted += 1;
+        if first_arrival {
             // Root of this job's span tree: every later stage links back
             // (directly or transitively) to this event.
             ctx.trace(root_span(id), SpanId::NONE, || TracePayload::Arrival {
@@ -335,10 +328,8 @@ impl RtdsNode {
             self.sched.admit_and_reserve(&job, now, demands)
         });
         if let Some(completion) = admitted {
-            self.guarantee.accepted_locally += 1;
             self.accepted.push(AcceptedJob {
                 job: job.id,
-                deadline: job.deadline(),
                 distributed: false,
             });
             ctx.count("accepted_local", 1);
@@ -411,7 +402,6 @@ impl RtdsNode {
         });
         let Some(acs) = enrolled else {
             // No neighborhood to distribute over: the job is rejected.
-            self.guarantee.rejected += 1;
             ctx.count("rejected_no_acs", 1);
             ctx.trace(root_span(id), SpanId::NONE, || TracePayload::Reject {
                 job: id.0,
@@ -730,10 +720,8 @@ impl RtdsNode {
                 }
             }
         });
-        self.guarantee.accepted_distributed += 1;
         self.accepted.push(AcceptedJob {
             job: job_id,
-            deadline: inflight.job.deadline(),
             distributed: true,
         });
         ctx.count("accepted_distributed", 1);
@@ -763,7 +751,6 @@ impl RtdsNode {
                 self.send_protocol(ctx, member.site, RtdsMsg::Unlock { job: job_id });
             }
         }
-        self.guarantee.rejected += 1;
         ctx.count("rejected_distributed", 1);
         ctx.trace(root_span(job_id), SpanId::NONE, || TracePayload::Reject {
             job: job_id.0,
@@ -960,7 +947,6 @@ impl Snap for RtdsNode {
                 Json::Array(self.queued.iter().map(snap::encode_job).collect()),
             ),
             ("inflight", Json::Array(inflight)),
-            ("guarantee", self.guarantee.encode()),
             ("accepted", self.accepted.encode()),
         ])
     }
@@ -983,7 +969,6 @@ impl Snap for RtdsNode {
                 .into_iter()
                 .map(|(Word(id), inflight)| (JobId(id), inflight))
                 .collect(),
-            guarantee: field(doc, path, "guarantee")?,
             accepted: field(doc, path, "accepted")?,
             global_distances: None,
             requests: Vec::new(),
@@ -1226,7 +1211,6 @@ mod tests {
         assert!(node.check_plan_invariants());
         assert_eq!(node.scheduler().core_plans().len(), 1);
         assert!(node.scheduler().resources().is_degenerate());
-        assert_eq!(node.guarantee.submitted, 0);
     }
 
     #[test]

@@ -418,17 +418,16 @@ pub(crate) fn decode_sched(doc: &Json, path: &Path<'_>) -> Result<SiteScheduler,
 
 // ----- accepted jobs -------------------------------------------------------
 
-/// An accepted job as `[job, deadline, distributed]`.
+/// An accepted job as `[job, distributed]`.
 impl Snap for AcceptedJob {
     fn encode(&self) -> Json {
-        (self.job.0, self.deadline, self.distributed).encode()
+        (self.job.0, self.distributed).encode()
     }
 
     fn decode(j: &Json, path: &Path<'_>) -> Result<Self, SnapshotError> {
-        let (Word(job), deadline, distributed) = Snap::decode(j, path)?;
+        let (Word(job), distributed) = Snap::decode(j, path)?;
         Ok(AcceptedJob {
             job: JobId(job),
-            deadline,
             distributed,
         })
     }

@@ -18,13 +18,13 @@
 //! * the result is a [`StreamReport`]: the guarantee/overhead counters in
 //!   aggregate form (no per-job vector), plus the memory high-water marks
 //!   that prove the boundedness claim,
-//! * [`RtdsSystem::run`] streams the jobs handed to
-//!   [`RtdsSystem::submit_job`] through the same loop and additionally
-//!   returns one [`JobReport`] per job, filled by a per-job sink at
-//!   injection, acceptance and finalization.
+//! * [`RtdsSystem::run`] streams the jobs it is given through the same
+//!   loop and additionally returns one [`JobReport`] per job, filled by a
+//!   per-job sink at injection, acceptance and finalization.
 //!
-//! Harvest is the only code that finalizes a job, and
-//! [`executor::meets_deadline`] is its verdict rule.
+//! Harvest is the only code that counts a verdict or finalizes a job:
+//! [`StreamReport::guarantee`] is built from its counters alone, and
+//! [`executor::meets_deadline`] is its deadline rule.
 //!
 //! Determinism: arrivals are injected in source order (external arrivals
 //! outrank deliveries/timers at equal timestamps — see
@@ -64,7 +64,7 @@ pub trait JobSource {
 }
 
 /// Any job iterator is a source (used to stream pre-materialized workloads,
-/// e.g. the jobs handed to [`RtdsSystem::submit_job`]).
+/// e.g. the jobs handed to [`RtdsSystem::run`]).
 impl JobSource for std::vec::IntoIter<Job> {
     fn next_job(&mut self) -> Option<Job> {
         self.next()
@@ -200,6 +200,8 @@ struct HarvestState {
     inflight: BTreeMap<JobId, Pending>,
     completions: BTreeMap<JobId, f64>,
     injected: u64,
+    accepted_locally: u64,
+    accepted_distributed: u64,
     completed_on_time: u64,
     misses: u64,
     unharvested: u64,
@@ -341,6 +343,11 @@ fn harvest(sim: &mut Simulator<RtdsNode>, cutoff: f64, st: &mut HarvestState) {
         st.peak_plan = st.peak_plan.max(node.plan_len() as u64);
         plan_reservations.set(Scope::Site(s.0 as u32), node.plan_len() as f64);
         for accepted in node.accepted.drain(..) {
+            if accepted.distributed {
+                st.accepted_distributed += 1;
+            } else {
+                st.accepted_locally += 1;
+            }
             if let Some(pending) = st.inflight.get_mut(&accepted.job) {
                 pending.accepted = true;
             }
@@ -424,6 +431,8 @@ impl Snap for HarvestState {
             ("inflight", Json::Array(inflight)),
             ("completions", Json::Array(completions)),
             ("injected", self.injected.encode()),
+            ("accepted_locally", self.accepted_locally.encode()),
+            ("accepted_distributed", self.accepted_distributed.encode()),
             ("completed_on_time", self.completed_on_time.encode()),
             ("misses", self.misses.encode()),
             ("unharvested", self.unharvested.encode()),
@@ -440,6 +449,17 @@ impl Snap for HarvestState {
     fn decode(doc: &Json, path: &Path<'_>) -> Result<Self, SnapshotError> {
         let inflight: Vec<(Word, f64, f64, bool)> = field(doc, path, "inflight")?;
         let completions: Vec<(Word, f64)> = field(doc, path, "completions")?;
+        let injected: u64 = field(doc, path, "injected")?;
+        let accepted_locally: u64 = field(doc, path, "accepted_locally")?;
+        let accepted_distributed: u64 = field(doc, path, "accepted_distributed")?;
+        if accepted_locally
+            .checked_add(accepted_distributed)
+            .map_or(true, |accepted| accepted > injected)
+        {
+            return Err(
+                path.err("accepted_locally + accepted_distributed exceeds the injected job count")
+            );
+        }
         Ok(HarvestState {
             inflight: inflight
                 .into_iter()
@@ -456,7 +476,9 @@ impl Snap for HarvestState {
                 .into_iter()
                 .map(|(Word(id), c)| (JobId(id), c))
                 .collect(),
-            injected: field(doc, path, "injected")?,
+            injected,
+            accepted_locally,
+            accepted_distributed,
             completed_on_time: field(doc, path, "completed_on_time")?,
             misses: field(doc, path, "misses")?,
             unharvested: field(doc, path, "unharvested")?,
@@ -475,22 +497,21 @@ impl Snap for HarvestState {
 }
 
 impl RtdsSystem {
-    /// Runs every job handed to [`RtdsSystem::submit_job`] to quiescence
-    /// and returns the report plus one [`JobReport`] per job, ordered by job
-    /// id.
+    /// Runs `jobs` to quiescence and returns the report plus one
+    /// [`JobReport`] per job, ordered by job id.
     ///
-    /// The submitted jobs are stably sorted by arrival time (clamped to the
-    /// start of the run, so jobs released earlier arrive at 0 in submission
-    /// order) and streamed through [`RtdsSystem::run_streaming`]'s loop with
+    /// The jobs are stably sorted by arrival time (clamped to the start of
+    /// the run, so jobs released earlier arrive at 0 in the order given) and
+    /// streamed through [`RtdsSystem::run_streaming`]'s loop with
     /// the default options — the only difference is the per-job sink. A run
     /// stopped by the event cap counts only the jobs it injected, in the
     /// report and in the vector alike.
     ///
     /// # Panics
     ///
-    /// If this system has already run (see [`RtdsSystem::run_streaming`]).
-    pub fn run(&mut self) -> (StreamReport, Vec<JobReport>) {
-        let mut jobs = std::mem::take(&mut self.submitted);
+    /// If this system has already run (see [`RtdsSystem::run_streaming`]),
+    /// or when a job's arrival site does not exist.
+    pub fn run(&mut self, mut jobs: Vec<Job>) -> (StreamReport, Vec<JobReport>) {
         jobs.sort_by(|a, b| {
             let (a, b) = (arrival_time(a), arrival_time(b));
             a.partial_cmp(&b)
@@ -729,14 +750,15 @@ impl RtdsSystem {
         // remaining job (reservations may extend past the last event time).
         harvest(self.sim_mut(), f64::INFINITY, st);
 
-        let mut guarantee = GuaranteeStats::default();
-        for node in self.sim().nodes() {
-            guarantee.merge(&node.guarantee);
-        }
-        guarantee.submitted = st.injected;
-        guarantee.rejected = st.injected.saturating_sub(guarantee.accepted());
-        guarantee.completed_on_time = st.completed_on_time;
-        guarantee.deadline_misses = st.misses;
+        let accepted = st.accepted_locally + st.accepted_distributed;
+        let guarantee = GuaranteeStats {
+            submitted: st.injected,
+            accepted_locally: st.accepted_locally,
+            accepted_distributed: st.accepted_distributed,
+            rejected: st.injected.saturating_sub(accepted),
+            completed_on_time: st.completed_on_time,
+            deadline_misses: st.misses,
+        };
         let stats = self.sim().stats().clone();
         let messages_per_job = if st.injected > 0 {
             stats.named("distribution_messages") as f64 / st.injected as f64
@@ -803,9 +825,7 @@ mod tests {
     #[test]
     fn streaming_matches_the_batch_path() {
         let jobs = workload(40, 5);
-        let mut submitted = fresh_system(1);
-        submitted.submit_workload(jobs.clone());
-        let (report, records) = submitted.run();
+        let (report, records) = fresh_system(1).run(jobs.clone());
 
         let mut streaming = fresh_system(1);
         let mut source = jobs.clone().into_iter();

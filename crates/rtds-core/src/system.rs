@@ -2,29 +2,26 @@
 //!
 //! [`RtdsSystem`] assembles a network, one [`RtdsNode`] per site and the
 //! discrete-event engine, and runs workloads through the one run loop of
-//! [`crate::streaming`]: [`RtdsSystem::run`] streams the jobs handed to
-//! [`RtdsSystem::submit_job`] and returns the paper's metrics (guarantee
-//! ratio, message overhead, the run-time safety check that accepted jobs
-//! never miss their deadline) plus one [`JobReport`] per job;
-//! [`RtdsSystem::run_streaming`] pulls jobs from an open-loop source.
+//! [`crate::streaming`]: [`RtdsSystem::run`] streams the jobs it is given
+//! and returns the paper's metrics (guarantee ratio, message overhead, the
+//! run-time safety check that accepted jobs never miss their deadline) plus
+//! one [`JobReport`] per job; [`RtdsSystem::run_streaming`] pulls jobs from
+//! an open-loop source.
 
 use crate::config::RtdsConfig;
 use crate::node::{GlobalDistances, NodeBuilder, RtdsNode};
-use crate::snapshot::{decode_job, encode_job, SYSTEM_SNAPSHOT_SCHEMA};
-use rtds_graph::{Job, JobId};
+use crate::snapshot::SYSTEM_SNAPSHOT_SCHEMA;
+use rtds_graph::JobId;
 use rtds_net::dijkstra::all_pairs_shortest_paths;
 use rtds_net::{Network, SiteId};
 use rtds_sched::SiteResources;
 use rtds_sim::json::Json;
-use rtds_sim::snapshot::{
-    decode_each, expect_schema, field, field_with, Path, Snap, SnapshotError, Word,
-};
+use rtds_sim::snapshot::{expect_schema, field, Path, Snap, SnapshotError, Word};
 use rtds_sim::{FaultEvent, Simulator, Trace};
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// How a submitted job ended up.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum JobOutcomeKind {
     /// Guaranteed by the arrival site's local scheduler.
     AcceptedLocally,
@@ -35,7 +32,7 @@ pub enum JobOutcomeKind {
 }
 
 /// Per-job record of the run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct JobReport {
     /// The job.
     pub job: JobId,
@@ -55,12 +52,9 @@ pub struct JobReport {
     pub met_deadline: bool,
 }
 
-/// A deployed RTDS system: network + nodes + simulator + workload.
+/// A deployed RTDS system: network + nodes + simulator.
 pub struct RtdsSystem {
     sim: Simulator<RtdsNode>,
-    /// Jobs submitted since the last [`RtdsSystem::run`], in submission
-    /// order.
-    pub(crate) submitted: Vec<Job>,
     seed: u64,
 }
 
@@ -107,11 +101,7 @@ impl RtdsSystem {
                 .global_distances(global.clone())
                 .build()
         });
-        RtdsSystem {
-            sim,
-            submitted: Vec::new(),
-            seed,
-        }
+        RtdsSystem { sim, seed }
     }
 
     /// Enables structured tracing as a bounded flight recorder (used by the
@@ -157,25 +147,6 @@ impl RtdsSystem {
     /// Read access to a node (after or between runs).
     pub fn node(&self, site: SiteId) -> &RtdsNode {
         self.sim.node(site)
-    }
-
-    /// Submits one job: the next [`RtdsSystem::run`] has it arrive at
-    /// `job.arrival_site` at its arrival time (clamped to the start of the
-    /// run).
-    pub fn submit_job(&mut self, job: Job) {
-        let site = SiteId(job.arrival_site);
-        assert!(
-            site.0 < self.sim.network().site_count(),
-            "arrival site {site} does not exist"
-        );
-        self.submitted.push(job);
-    }
-
-    /// Submits a whole workload.
-    pub fn submit_workload(&mut self, jobs: Vec<Job>) {
-        for job in jobs {
-            self.submit_job(job);
-        }
     }
 
     /// Schedules a perturbation (link jitter/failure, site crash, message
@@ -225,11 +196,11 @@ impl RtdsSystem {
         self.sim.order_log()
     }
 
-    /// Serializes the complete system state — engine, nodes, jobs submitted
-    /// but not yet run — as a deterministic JSON document
-    /// (`rtds-system-snapshot/1`); [`RtdsSystem::resume`] rebuilds the
-    /// identical system. A checkpoint taken before the run resumes to the
-    /// same run. A run in progress carries state of its own loop as well:
+    /// Serializes the complete system state — engine and nodes — as a
+    /// deterministic JSON document (`rtds-system-snapshot/1`);
+    /// [`RtdsSystem::resume`] rebuilds the identical system. A checkpoint
+    /// taken before the run resumes to a system that runs the same jobs the
+    /// same way. A run in progress carries state of its own loop as well:
     /// it is checkpointed by [`RtdsSystem::run_streaming_checkpoint`] (whose
     /// document embeds this one) and continued by
     /// [`RtdsSystem::resume_streaming`]; a system that has already run
@@ -249,11 +220,10 @@ impl RtdsSystem {
     }
 }
 
-/// The complete system state (`rtds-system-snapshot/1`): the submitted
-/// jobs not yet run around the engine snapshot, which carries the nodes.
+/// The complete system state (`rtds-system-snapshot/1`): the engine
+/// snapshot, which carries the nodes, plus what the nodes share.
 impl Snap for RtdsSystem {
     fn encode(&self) -> Json {
-        let submitted = self.submitted.iter().map(encode_job).collect();
         // The exact-distance table is shared by every node; serialize it
         // once, verbatim — faults may have mutated the topology since
         // construction, so recomputing it on restore would diverge.
@@ -261,7 +231,6 @@ impl Snap for RtdsSystem {
         Json::object(vec![
             ("schema", Json::str(SYSTEM_SNAPSHOT_SCHEMA)),
             ("seed", Word(self.seed).encode()),
-            ("submitted", Json::Array(submitted)),
             (
                 "global_distances",
                 global.map_or(Json::Null, |d| d.encode()),
@@ -272,6 +241,14 @@ impl Snap for RtdsSystem {
 
     fn decode(doc: &Json, path: &Path<'_>) -> Result<Self, SnapshotError> {
         expect_schema(doc, path, SYSTEM_SNAPSHOT_SCHEMA)?;
+        // A field this decoder does not read would be dropped silently, so
+        // it is refused (an older writer's `submitted` jobs, for one).
+        if let Json::Object(fields) = doc {
+            let known = ["schema", "seed", "global_distances", "engine"];
+            if let Some((key, _)) = fields.iter().find(|(k, _)| !known.contains(&k.as_str())) {
+                return Err(path.key(key).err("unknown field"));
+            }
+        }
         let mut sim: Simulator<RtdsNode> = field(doc, path, "engine")?;
         let sites = sim.network().site_count();
         let path = &path.within(sites);
@@ -289,12 +266,8 @@ impl Snap for RtdsSystem {
             }
             node.set_global_distances(global.clone());
         }
-        let submitted: Vec<Job> = field_with(doc, path, "submitted", |j, path| {
-            decode_each(j, path, decode_job)
-        })?;
         Ok(RtdsSystem {
             sim,
-            submitted,
             seed: field::<Word>(doc, path, "seed")?.0,
         })
     }
@@ -319,8 +292,7 @@ mod tests {
     fn single_feasible_job_is_accepted_locally() {
         let net = ring(6, DelayDistribution::Constant(1.0), 0);
         let mut system = RtdsSystem::new(net, RtdsConfig::default(), 1);
-        system.submit_job(chain_job(1, &[5.0, 5.0], 0.0, 50.0, 2));
-        let (report, jobs) = system.run();
+        let (report, jobs) = system.run(vec![chain_job(1, &[5.0, 5.0], 0.0, 50.0, 2)]);
         assert_eq!(report.guarantee.submitted, 1);
         assert_eq!(report.guarantee.accepted_locally, 1);
         assert_eq!(report.guarantee.rejected, 0);
@@ -338,9 +310,10 @@ mod tests {
         // the second cannot be guaranteed locally and must be distributed.
         let net = ring(6, DelayDistribution::Constant(1.0), 0);
         let mut system = RtdsSystem::new(net, RtdsConfig::default(), 1);
-        system.submit_job(chain_job(1, &[30.0], 0.0, 40.0, 2));
-        system.submit_job(chain_job(2, &[30.0], 0.0, 40.0, 2));
-        let (report, _) = system.run();
+        let (report, _) = system.run(vec![
+            chain_job(1, &[30.0], 0.0, 40.0, 2),
+            chain_job(2, &[30.0], 0.0, 40.0, 2),
+        ]);
         assert_eq!(report.guarantee.submitted, 2);
         assert_eq!(report.guarantee.accepted_locally, 1);
         assert_eq!(
@@ -365,9 +338,10 @@ mod tests {
         );
         system.enable_trace();
         // Pre-load site 1 so the paper job cannot be guaranteed locally.
-        system.submit_job(chain_job(10, &[60.0], 0.0, 70.0, 1));
-        system.submit_job(paper_job(JobId(11), 1));
-        let (report, jobs) = system.run();
+        let (report, jobs) = system.run(vec![
+            chain_job(10, &[60.0], 0.0, 70.0, 1),
+            paper_job(JobId(11), 1),
+        ]);
         assert_eq!(report.guarantee.submitted, 2);
         assert_eq!(report.deadline_misses(), 0);
         // The first job is local; the paper job must have been distributed
@@ -412,9 +386,10 @@ mod tests {
         };
         let mut system = RtdsSystem::new(net, config, 1);
         // Pre-load site 2 so the fork-join job cannot be guaranteed locally.
-        system.submit_job(chain_job(10, &[60.0], 0.0, 70.0, 2));
-        system.submit_job(fork_join(11, 0.0, 55.0, 2));
-        let (report, _) = system.run();
+        let (report, _) = system.run(vec![
+            chain_job(10, &[60.0], 0.0, 70.0, 2),
+            fork_join(11, 0.0, 55.0, 2),
+        ]);
         assert_eq!(report.guarantee.accepted_locally, 1);
         assert_eq!(report.guarantee.accepted_distributed, 1);
         assert_eq!(report.deadline_misses(), 0);
@@ -439,9 +414,10 @@ mod tests {
                 ..RtdsConfig::default()
             };
             let mut system = RtdsSystem::new(net, config, 1);
-            system.submit_job(chain_job(1, &[30.0], 0.0, 40.0, 2));
-            system.submit_job(chain_job(2, &[30.0], 0.0, 40.0, 2));
-            let (report, _) = system.run();
+            let (report, _) = system.run(vec![
+                chain_job(1, &[30.0], 0.0, 40.0, 2),
+                chain_job(2, &[30.0], 0.0, 40.0, 2),
+            ]);
             let mut stats: Vec<(String, u64)> = report
                 .stats
                 .named_counters()
@@ -462,8 +438,7 @@ mod tests {
         let net = ring(5, DelayDistribution::Constant(1.0), 0);
         let mut system = RtdsSystem::new(net, RtdsConfig::default(), 3);
         // 100 units of serial work in a 20-unit window: nobody can run it.
-        system.submit_job(chain_job(1, &[50.0, 50.0], 0.0, 20.0, 0));
-        let (report, jobs) = system.run();
+        let (report, jobs) = system.run(vec![chain_job(1, &[50.0, 50.0], 0.0, 20.0, 0)]);
         assert_eq!(report.guarantee.rejected, 1);
         assert_eq!(report.guarantee.accepted(), 0);
         assert_eq!(report.deadline_misses(), 0);
@@ -479,9 +454,10 @@ mod tests {
             ..RtdsConfig::default()
         };
         let mut system = RtdsSystem::new(net, config, 1);
-        system.submit_job(chain_job(1, &[30.0], 0.0, 40.0, 2));
-        system.submit_job(chain_job(2, &[30.0], 0.0, 40.0, 2));
-        let (report, _) = system.run();
+        let (report, _) = system.run(vec![
+            chain_job(1, &[30.0], 0.0, 40.0, 2),
+            chain_job(2, &[30.0], 0.0, 40.0, 2),
+        ]);
         assert_eq!(report.guarantee.submitted, 2);
         assert_eq!(report.deadline_misses(), 0);
     }
@@ -498,9 +474,10 @@ mod tests {
                 system.schedule_fault(5.0, FaultEvent::SiteDown { site: SiteId(2) });
                 system.schedule_fault(40.0, FaultEvent::SiteUp { site: SiteId(2) });
             }
-            system.submit_job(chain_job(1, &[5.0, 5.0], 10.0, 90.0, 2));
-            system.submit_job(chain_job(2, &[5.0, 5.0], 50.0, 140.0, 2));
-            system.run()
+            system.run(vec![
+                chain_job(1, &[5.0, 5.0], 10.0, 90.0, 2),
+                chain_job(2, &[5.0, 5.0], 50.0, 140.0, 2),
+            ])
         };
         let (healthy, _) = run(false);
         let (crashed, jobs) = run(true);
@@ -527,9 +504,12 @@ mod tests {
             let mut system = RtdsSystem::new(net, RtdsConfig::default(), 1);
             system.set_fault_seed(7);
             system.schedule_fault(10.0, FaultEvent::SetMessageLoss { probability: loss });
-            system.submit_job(chain_job(1, &[30.0], 20.0, 60.0, 2));
-            system.submit_job(chain_job(2, &[30.0], 20.0, 60.0, 2));
-            system.run().0
+            system
+                .run(vec![
+                    chain_job(1, &[30.0], 20.0, 60.0, 2),
+                    chain_job(2, &[30.0], 20.0, 60.0, 2),
+                ])
+                .0
         };
         let clean = run(0.0);
         let lossy = run(1.0);
@@ -546,6 +526,6 @@ mod tests {
     fn submitting_to_a_missing_site_panics() {
         let net = ring(3, DelayDistribution::Constant(1.0), 0);
         let mut system = RtdsSystem::new(net, RtdsConfig::default(), 1);
-        system.submit_job(chain_job(1, &[1.0], 0.0, 10.0, 9));
+        system.run(vec![chain_job(1, &[1.0], 0.0, 10.0, 9)]);
     }
 }

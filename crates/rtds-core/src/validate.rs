@@ -17,7 +17,6 @@ use rtds_net::SiteId;
 use rtds_sched::{SiteScheduler, TaskRequest};
 use rtds_sim::json::Json;
 use rtds_sim::snapshot::{encode_all, field, Path, Snap, SnapshotError};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -66,7 +65,7 @@ pub(crate) fn endorsable_with(
 }
 
 /// Outcome of the initiator-side validation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub(crate) enum ValidationOutcome {
     /// A perfect coupling exists: `assignment[i]` is the site chosen to
     /// endorse logical processor `i`.

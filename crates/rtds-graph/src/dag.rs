@@ -14,10 +14,9 @@
 //! kept exactly.
 
 use crate::task::{Task, TaskId};
-use serde::{Deserialize, Serialize};
 
 /// Attributes attached to a precedence edge `(pred -> succ)`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EdgeData {
     /// Data volume shipped from the predecessor to the successor when they
     /// run on different sites. Ignored by the core paper model (propagation
@@ -75,7 +74,7 @@ pub type EdgeList = Vec<(TaskId, EdgeData)>;
 const NIL: u32 = u32::MAX;
 
 /// One task plus the heads, tails and lengths of its two adjacency lists.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 struct Node {
     task: Task,
     first_out: u32,
@@ -103,7 +102,7 @@ impl Node {
 /// One precedence edge, a member of two lists at once: the successors of
 /// `pred` (through `next_out`) and the predecessors of `succ` (through
 /// `next_in`).
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 struct Edge {
     pred: u32,
     succ: u32,
@@ -124,7 +123,7 @@ struct Edge {
 /// its endpoints' lists, so building a graph costs `O(1)` allocations (two
 /// with `TaskGraph::with_capacity`) instead of two per task, and a graph
 /// is read without chasing a pointer per task.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct TaskGraph {
     nodes: Vec<Node>,
     /// Edges in global insertion order; list membership is in the links.

@@ -23,10 +23,9 @@ use crate::job::{Job, JobId, JobParams};
 use crate::task::TaskId;
 use rand::prelude::*;
 use rand::rngs::StdRng;
-use serde::{Deserialize, Serialize};
 
 /// Distribution of task computational complexities.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum CostDistribution {
     /// Every task has the same cost.
     Constant(f64),
@@ -72,7 +71,7 @@ impl CostDistribution {
 }
 
 /// Shape (family) of generated DAGs.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum DagShape {
     /// A single chain of `n` tasks.
     Chain,
@@ -101,7 +100,7 @@ pub enum DagShape {
 }
 
 /// Configuration of a [`DagGenerator`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GeneratorConfig {
     /// Desired number of tasks (exact for most shapes; rounded to the nearest
     /// legal size for structured shapes such as trees, FFT or Gaussian

@@ -7,10 +7,9 @@
 
 use crate::critical_path::critical_path_length;
 use crate::dag::TaskGraph;
-use serde::{Deserialize, Serialize};
 
 /// Globally unique job identifier (unique within one simulation run).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct JobId(pub u64);
 
 impl std::fmt::Display for JobId {
@@ -20,7 +19,7 @@ impl std::fmt::Display for JobId {
 }
 
 /// Real-time parameters of a job.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct JobParams {
     /// Release time `r` (absolute simulation time).
     pub release: f64,
@@ -49,7 +48,7 @@ impl JobParams {
 }
 
 /// A job: a DAG, its real-time window and where/when it entered the system.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Job {
     /// Unique identifier.
     pub id: JobId,

@@ -6,7 +6,6 @@
 //! Mapper estimates the execution duration as `c(t) / I` (paper §12); on a
 //! uniform machine of speed `s` the duration is `c(t) / s` (paper §13).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of a task inside one job.
@@ -15,7 +14,7 @@ use std::fmt;
 /// (crate::TaskGraph); they are *not* globally unique across jobs. The paper's
 /// worked example numbers tasks from 1; the crate uses 0-based ids internally
 /// and the paper-facing binaries print them 1-based.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TaskId(pub usize);
 
 impl fmt::Display for TaskId {
@@ -31,7 +30,7 @@ impl From<usize> for TaskId {
 }
 
 /// A task of a job: a name plus its computational complexity.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Task {
     /// Identifier within the owning graph.
     pub id: TaskId,

@@ -13,10 +13,9 @@
 use crate::topology::{Network, SiteId};
 use rand::prelude::*;
 use rand::rngs::StdRng;
-use serde::{Deserialize, Serialize};
 
 /// Distribution of link propagation delays.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum DelayDistribution {
     /// All links have the same delay.
     Constant(f64),

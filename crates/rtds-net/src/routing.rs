@@ -6,10 +6,9 @@
 //! in *hops* — can be read straight off the table.
 
 use crate::topology::SiteId;
-use serde::{Deserialize, Serialize};
 
 /// One line of a routing table.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RouteEntry {
     /// Destination site.
     pub destination: SiteId,
@@ -82,7 +81,7 @@ impl PackedRoute {
 ///
 /// Site ids and hop counts are stored in 32 bits; building or merging a line
 /// that exceeds them panics.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RoutingTable {
     owner: SiteId,
     /// Known destinations, strictly ascending.

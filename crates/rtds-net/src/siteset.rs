@@ -9,12 +9,11 @@
 //! ascending iterator that matches the sorted-vector order exactly.
 
 use crate::topology::SiteId;
-use serde::{Deserialize, Serialize};
 
 const BITS: usize = u64::BITS as usize;
 
 /// A set of [`SiteId`]s backed by `u64` blocks.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct SiteSet {
     blocks: Vec<u64>,
     len: usize,

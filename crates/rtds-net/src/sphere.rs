@@ -15,7 +15,6 @@
 use crate::routing::RoutingTable;
 use crate::siteset::SiteSet;
 use crate::topology::SiteId;
-use serde::{Deserialize, Serialize};
 
 /// A hop-bounded sphere around a centre site.
 ///
@@ -28,7 +27,7 @@ use serde::{Deserialize, Serialize};
 /// snapshot. Do not mutate the public fields in place; build a new sphere
 /// via [`Sphere::new`] instead, or `contains` will disagree with the
 /// vector.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Sphere {
     /// The root site `k`.
     pub center: SiteId,

@@ -6,14 +6,11 @@
 //! is why minimum-delay paths between physically adjacent sites may traverse
 //! several links — the routing layer handles that.
 
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::fmt;
 
 /// Identifier of a site (a node of the communication network).
-#[derive(
-    Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SiteId(pub usize);
 
 impl SiteId {
@@ -89,7 +86,7 @@ pub(crate) type NeighborList = Vec<(SiteId, f64)>;
 
 /// The full state of one undirected link: propagation delay plus bandwidth
 /// capacity (`f64::INFINITY` for the pure-latency base model).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkState {
     /// Propagation delay of the link.
     pub delay: f64,
@@ -108,7 +105,7 @@ enum LinkChange {
     Remove,
 }
 
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Network {
     /// `adjacency[i]` lists `(neighbor, delay)` pairs in insertion order.
     adjacency: Vec<NeighborList>,

@@ -26,8 +26,7 @@
 //!   execution path of `rtds-core`.
 //!
 //! The deterministic JSON writer behind the reports lives in
-//! [`rtds_sim::json`] ([`Json`] is re-exported here); the workspace `serde`
-//! is an offline no-op stub.
+//! [`rtds_sim::json`] ([`Json`] is re-exported here).
 //!
 //! ## Quickstart
 //!

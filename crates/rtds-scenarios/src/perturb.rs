@@ -20,10 +20,9 @@ use rand::prelude::*;
 use rand::rngs::StdRng;
 use rtds_net::{Network, SiteId};
 use rtds_sim::FaultEvent;
-use serde::{Deserialize, Serialize};
 
 /// One declarative fault recipe.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Perturbation {
     /// Every `period` time units in `[start, end)`, re-draw the delay of a
     /// random `fraction` of links, scaling the *original* delay by a factor
@@ -78,7 +77,7 @@ pub enum Perturbation {
 }
 
 /// An ordered collection of perturbations.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct PerturbationPlan {
     /// The recipes, expanded independently and merged by time.
     pub perturbations: Vec<Perturbation>,

@@ -21,7 +21,6 @@ use rtds_net::{Network, SiteId};
 use rtds_sched::SiteResources;
 use rtds_sim::arrivals::{ArrivalProcess, ArrivalSchedule};
 use rtds_workload::{JobTemplate, OpenLoopSpec};
-use serde::{Deserialize, Serialize};
 
 /// Mixes a sweep seed with a fixed salt into an independent stream seed
 /// (splitmix64 finalizer), so network generation, workload generation, fault
@@ -37,7 +36,7 @@ pub fn mix_seed(seed: u64, salt: u64) -> u64 {
 
 /// Which topology family to instantiate (all generators come from
 /// [`rtds_net::generators`] and always yield a connected network).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum TopologyRecipe {
     /// A ring of `sites`.
     Ring { sites: usize },
@@ -66,7 +65,7 @@ pub enum TopologyRecipe {
 }
 
 /// How relative site computing powers are assigned (§13 uniform machines).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum SpeedRecipe {
     /// Every site at unit speed (the paper's base model).
     Identical,
@@ -81,7 +80,7 @@ pub enum SpeedRecipe {
 /// link split its capacity max-min fairly. `Unlimited` (the base model)
 /// leaves every link uncapacitated and the generated network bit-identical
 /// to the pre-flow generators.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum BandwidthRecipe {
     /// Every link has unlimited capacity (flows never contend).
     Unlimited,
@@ -93,7 +92,7 @@ pub enum BandwidthRecipe {
 }
 
 /// Topology recipe plus link delays, bandwidths and site speeds.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TopologySpec {
     /// Network family.
     pub recipe: TopologyRecipe,
@@ -186,7 +185,7 @@ impl TopologySpec {
 /// How per-site resource bundles (cores, memory) are assigned. Like every
 /// other recipe this expands deterministically — heterogeneity comes from
 /// the site index, never from an RNG — so sweeps stay bit-reproducible.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum ResourceRecipe {
     /// Every site is a single unit-speed core with unlimited memory (the
     /// paper's model; the default). Schedulers take their degenerate fast
@@ -274,7 +273,7 @@ impl ResourceRecipe {
 }
 
 /// Workload recipe: how jobs arrive and what each job looks like.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WorkloadRecipe {
     /// Per-site arrival process.
     pub arrivals: ArrivalProcess,
@@ -346,7 +345,7 @@ impl WorkloadRecipe {
 /// The DAG-shaping fields of the scenario's [`WorkloadRecipe`] (`shape`,
 /// `costs`, `ccr`, `laxity`) still apply — they become the
 /// [`JobTemplate`] expanding each compact arrival into a concrete job.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StreamRecipe {
     /// Arrival process, size mix, hotspots, horizon and job cap.
     pub open_loop: OpenLoopSpec,
@@ -357,7 +356,7 @@ pub struct StreamRecipe {
 }
 
 /// A named, seeded, fully declarative experiment.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Scenario {
     /// Registry name (kebab-case).
     pub name: String,

@@ -17,10 +17,9 @@
 use crate::plan::{Reservation, SchedulePlan, TIME_EPS};
 use crate::trial::{Scratch, Trial};
 use rtds_graph::{JobId, TaskId};
-use serde::{Deserialize, Serialize};
 
 /// One task of a trial mapping, as seen by a validating site.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TaskRequest {
     /// Owning job.
     pub job: JobId,

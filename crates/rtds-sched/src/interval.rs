@@ -5,10 +5,8 @@
 //! windows left between committed reservations, so interval arithmetic is the
 //! foundation of every admission and validation test.
 
-use serde::{Deserialize, Serialize};
-
 /// A closed-open time interval `[start, end)`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TimeInterval {
     /// Inclusive start.
     pub start: f64,

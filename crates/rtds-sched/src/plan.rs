@@ -26,14 +26,13 @@
 
 use crate::interval::TimeInterval;
 use rtds_graph::{JobId, TaskId};
-use serde::{Deserialize, Serialize};
 
 /// Tolerance used when comparing times; all workloads in this crate operate
 /// on times well above this scale.
 pub(crate) const TIME_EPS: f64 = 1e-9;
 
 /// A committed reservation: one task of one job occupying `[start, end)`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Reservation {
     /// Owning job.
     pub job: JobId,
@@ -271,7 +270,7 @@ impl Iterator for IdleGaps<'_> {
 }
 
 /// The committed schedule of one site, kept sorted by start time.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SchedulePlan {
     reservations: Vec<Reservation>,
 }

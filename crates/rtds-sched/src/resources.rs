@@ -8,10 +8,8 @@
 //! placement path of [`crate::scheduler`] makes the decisions of the original
 //! single-plan rule, so all pre-multicore reports stay byte-identical.
 
-use serde::{Deserialize, Serialize};
-
 /// Compute resources of one site.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SiteResources {
     /// Number of identical cores (`>= 1`).
     pub cores: usize,
@@ -76,7 +74,7 @@ impl SiteResources {
 }
 
 /// How a task's execution time scales with the cores granted to it.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum SpeedupFn {
     /// No parallel speedup: the task runs at single-core speed however many
     /// cores it occupies.
@@ -110,7 +108,7 @@ impl SpeedupFn {
 /// Resource demand of one task: how many cores it occupies simultaneously
 /// (gang-scheduled), how much memory it holds while resident, and how its
 /// duration scales with the cores it gets.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TaskDemand {
     /// Cores occupied for the whole execution (clamped to the site's cores).
     pub cores: usize,

@@ -31,7 +31,6 @@ use crate::resources::{SiteResources, TaskDemand};
 use crate::trial::{with_scratch, Scratch, Trial};
 use rtds_graph::critical_path::upward_ranks_into;
 use rtds_graph::{Job, JobId, TaskGraph, TaskId};
-use serde::{Deserialize, Serialize};
 
 /// Tolerance mirrored from the plan layer.
 const TIME_EPS: f64 = 1e-9;
@@ -40,7 +39,7 @@ const TIME_EPS: f64 = 1e-9;
 pub type CoreId = usize;
 
 /// A reservation bound to a specific core.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Placement {
     /// Core executing the reservation.
     pub core: CoreId,
@@ -49,7 +48,7 @@ pub struct Placement {
 }
 
 /// Memory held by one job's task for the duration of its reservation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MemHold {
     /// Owning job.
     pub job: JobId,
@@ -75,7 +74,7 @@ pub struct DagSchedule {
 }
 
 /// Which scheduling policy a site runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SchedulerKind {
     /// The paper's §5/§12 critical-path list scheduler (the default).
     #[default]

@@ -9,10 +9,9 @@
 use rand::prelude::*;
 use rand::rngs::StdRng;
 use rtds_net::SiteId;
-use serde::{Deserialize, Serialize};
 
 /// A job-arrival process on one site.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ArrivalProcess {
     /// Poisson process with the given arrival rate (jobs per time unit).
     Poisson { rate: f64 },
@@ -24,7 +23,7 @@ pub enum ArrivalProcess {
 }
 
 /// One scheduled arrival: which site receives a job and when.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Arrival {
     /// Receiving site.
     pub site: SiteId,
@@ -33,7 +32,7 @@ pub struct Arrival {
 }
 
 /// A complete, time-ordered arrival schedule over all sites.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct ArrivalSchedule {
     arrivals: Vec<Arrival>,
 }

@@ -38,11 +38,10 @@
 use rand::prelude::*;
 use rand::rngs::StdRng;
 use rtds_net::{LinkState, Network, SiteId};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// A timed perturbation applied by the engine between protocol events.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum FaultEvent {
     /// Sets the propagation delay of an existing link (latency jitter). If
     /// the link is currently failed, the remembered recovery delay is updated

@@ -23,8 +23,7 @@
 //!   (the open-loop generators live in the `rtds-workload` crate),
 //! * [`json`] re-exports the deterministic hand-rolled JSON layer behind
 //!   every report, workload trace and snapshot; it is defined once, in the
-//!   dependency-free `rtds-trace` crate at the bottom of the crate graph
-//!   (the workspace `serde` is an offline no-op stub),
+//!   dependency-free `rtds-trace` crate at the bottom of the crate graph,
 //! * [`faults`] injects timed perturbations beyond the paper's base model
 //!   (link latency jitter, bandwidth brownouts, link failure/recovery, site
 //!   crash/recovery, probabilistic message loss) for the §13

@@ -34,7 +34,7 @@ use crate::faults::{FaultEvent, FaultState};
 use crate::flow::{EngineFlow, FlowPlane};
 use crate::json::Json;
 use crate::queue::CalendarQueue;
-use crate::stats::{GuaranteeStats, SimStats};
+use crate::stats::SimStats;
 use rand::rngs::StdRng;
 use rtds_flow::FlowModel;
 use rtds_metrics::{Gauge, Histogram, MetricsRegistry, Scope, BUCKET_COUNT};
@@ -546,34 +546,6 @@ impl Snap for SimStats {
         stats.messages_delivered = field(doc, path, "messages_delivered")?;
         *stats.metrics_mut() = field(doc, path, "metrics")?;
         Ok(stats)
-    }
-}
-
-/// The six guarantee counters, in declaration order.
-impl Snap for GuaranteeStats {
-    fn encode(&self) -> Json {
-        [
-            self.submitted,
-            self.accepted_locally,
-            self.accepted_distributed,
-            self.rejected,
-            self.completed_on_time,
-            self.deadline_misses,
-        ]
-        .encode()
-    }
-
-    fn decode(j: &Json, path: &Path<'_>) -> Result<Self, SnapshotError> {
-        let [submitted, accepted_locally, accepted_distributed, rejected, completed_on_time, deadline_misses] =
-            Snap::decode(j, path)?;
-        Ok(GuaranteeStats {
-            submitted,
-            accepted_locally,
-            accepted_distributed,
-            rejected,
-            completed_on_time,
-            deadline_misses,
-        })
     }
 }
 

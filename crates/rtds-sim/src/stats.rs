@@ -12,7 +12,6 @@
 //!   [`GuaranteeStats`].
 
 use rtds_metrics::MetricsRegistry;
-use serde::{Deserialize, Serialize};
 
 /// Engine-level and protocol-level telemetry.
 ///
@@ -22,7 +21,7 @@ use serde::{Deserialize, Serialize};
 /// protocol message — never allocates a `String` per bump), and the same
 /// registry now also carries the streaming histograms and gauges recorded
 /// through [`crate::engine::Context::record`] and friends.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SimStats {
     /// Messages handed to the engine for delivery.
     pub messages_sent: u64,
@@ -67,7 +66,7 @@ impl SimStats {
 }
 
 /// Real-time outcome counters for a workload of jobs.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct GuaranteeStats {
     /// Jobs submitted to the system.
     pub submitted: u64,
@@ -99,16 +98,6 @@ impl GuaranteeStats {
             self.accepted() as f64 / self.submitted as f64
         }
     }
-
-    /// Merges counters from another record.
-    pub fn merge(&mut self, other: &GuaranteeStats) {
-        self.submitted += other.submitted;
-        self.accepted_locally += other.accepted_locally;
-        self.accepted_distributed += other.accepted_distributed;
-        self.rejected += other.rejected;
-        self.completed_on_time += other.completed_on_time;
-        self.deadline_misses += other.deadline_misses;
-    }
 }
 
 #[cfg(test)]
@@ -132,7 +121,7 @@ mod tests {
     fn guarantee_ratios() {
         let empty = GuaranteeStats::default();
         assert_eq!(empty.guarantee_ratio(), 1.0);
-        let mut g = GuaranteeStats {
+        let g = GuaranteeStats {
             submitted: 10,
             accepted_locally: 4,
             accepted_distributed: 2,
@@ -142,16 +131,5 @@ mod tests {
         };
         assert_eq!(g.accepted(), 6);
         assert!((g.guarantee_ratio() - 0.6).abs() < 1e-12);
-
-        let h = GuaranteeStats {
-            submitted: 10,
-            accepted_locally: 10,
-            completed_on_time: 10,
-            ..GuaranteeStats::default()
-        };
-        g.merge(&h);
-        assert_eq!(g.submitted, 20);
-        assert_eq!(g.accepted(), 16);
-        assert_eq!(g.deadline_misses, 0);
     }
 }

@@ -1,10 +1,9 @@
 //! A minimal, deterministic JSON value, writer and parser — the one
 //! definition of the dialect every RTDS document is written in.
 //!
-//! The build environment has no registry access, so the workspace's `serde`
-//! is a no-op stub (see `crates/compat/README.md`); sweep reports, workload
-//! traces, snapshots and the `rtds-trace/1` JSONL lines therefore all
-//! serialize through this hand-rolled layer. It lives in this crate because
+//! Sweep reports, workload traces, snapshots and the `rtds-trace/1` JSONL
+//! lines all serialize through this hand-rolled layer; no type derives a
+//! `serde` trait. It lives in this crate because
 //! `rtds-trace` is the dependency-free bottom of the crate graph and already
 //! has to write the dialect; `rtds_sim::json` re-exports it.
 //! Everything about the output is pinned: object keys keep insertion order,

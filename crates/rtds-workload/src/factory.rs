@@ -18,12 +18,11 @@ use rtds_graph::generators::{CostDistribution, DagGenerator, DagShape, Generator
 use rtds_graph::Job;
 use rtds_metrics::MetricsRegistry;
 use rtds_sim::json::Json;
-use serde::{Deserialize, Serialize};
 
 /// The per-stream job parameters a [`crate::spec::JobSpec`] does not carry:
 /// DAG family, task-cost distribution, communication-to-computation ratio
 /// and the deadline laxity-factor range.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct JobTemplate {
     /// DAG family of every job.
     pub shape: DagShape,
@@ -125,8 +124,8 @@ impl<S: WorkloadSource> JobSource for JobFactory<S> {
 
 /// Expands an entire source eagerly into a sorted job vector — the batch
 /// form of the same workload, used by the streaming-vs-batch equivalence
-/// tests and anywhere the classic [`rtds_core::RtdsSystem::submit_workload`]
-/// path is wanted.
+/// tests and anywhere the batch [`rtds_core::RtdsSystem::run`] path is
+/// wanted.
 pub fn materialize(source: impl WorkloadSource, template: JobTemplate) -> Vec<Job> {
     let mut factory = JobFactory::new(source, template);
     let mut jobs = Vec::new();

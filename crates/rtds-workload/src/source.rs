@@ -21,7 +21,6 @@
 use crate::spec::{JobSpec, SizeMix};
 use rand::prelude::*;
 use rand::rngs::StdRng;
-use serde::{Deserialize, Serialize};
 
 /// A lazy, time-ordered stream of job arrivals.
 pub trait WorkloadSource {
@@ -33,7 +32,7 @@ pub trait WorkloadSource {
 /// Aggregate arrival-rate process (jobs per simulated time unit over the
 /// whole system; for Poisson this is equivalent to independent per-site
 /// processes at `rate / sites`).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum RateProcess {
     /// Homogeneous Poisson arrivals.
     Poisson {
@@ -70,7 +69,7 @@ pub enum RateProcess {
 
 /// Declarative configuration of an [`OpenLoopSource`] (embeddable in
 /// scenario specs; expand with [`OpenLoopSpec::build`]).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OpenLoopSpec {
     /// Arrival-rate process.
     pub process: RateProcess,

@@ -9,11 +9,10 @@
 
 use rand::prelude::*;
 use rand::rngs::StdRng;
-use serde::{Deserialize, Serialize};
 
 /// One job arrival, minus its time: the arrival site, the task count and
 /// the seed that deterministically expands into the full DAG job.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct JobSpec {
     /// Index of the receiving site.
     pub site: usize,
@@ -26,7 +25,7 @@ pub struct JobSpec {
 }
 
 /// Distribution of job sizes (task counts) across a stream.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum SizeMix {
     /// Every job has the same task count.
     Fixed {

@@ -6,8 +6,8 @@
 //!   byte-for-byte (the "identical event trace" property),
 //! * a live streaming run and a replayed-trace streaming run produce the
 //!   identical scenario report,
-//! * streaming a source and running its materialized jobs (submit up
-//!   front, [`RtdsSystem::run`]) agree on every deterministic report field.
+//! * streaming a source and running its materialized jobs (all up front,
+//!   [`RtdsSystem::run`]) agree on every deterministic report field.
 
 use proptest::prelude::*;
 use rtds_core::{RtdsConfig, RtdsSystem, StreamOptions, StreamReport};
@@ -116,8 +116,7 @@ fn streaming_and_batch_execution_agree_per_process_and_seed() {
 
             let network = grid(3, 3, false, DelayDistribution::Constant(1.0), seed);
             let mut batch = RtdsSystem::new(network, RtdsConfig::default(), seed);
-            batch.submit_workload(jobs.clone());
-            let (batch_report, records) = batch.run();
+            let (batch_report, records) = batch.run(jobs.clone());
             assert_eq!(records.len(), jobs.len(), "{label}");
 
             // The same loop: only the source's own telemetry differs.

@@ -29,6 +29,7 @@ fn main() {
         ..GeneratorConfig::default()
     };
     let mut generator = DagGenerator::new(gen_cfg, 1);
+    let mut submitted = Vec::new();
     for i in 0..6 {
         let job = generator.generate_job(5, 10.0 + 5.0 * i as f64);
         println!(
@@ -38,10 +39,10 @@ fn main() {
             job.release(),
             job.deadline()
         );
-        system.submit_job(job);
+        submitted.push(job);
     }
 
-    let (report, jobs) = system.run();
+    let (report, jobs) = system.run(submitted);
 
     println!();
     println!("jobs submitted        : {}", report.guarantee.submitted);

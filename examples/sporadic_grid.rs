@@ -55,8 +55,7 @@ fn main() {
 
     // RTDS (full message-level protocol).
     let mut system = RtdsSystem::new(network.clone(), RtdsConfig::default(), 5);
-    system.submit_workload(jobs.clone());
-    let (rtds, _) = system.run();
+    let (rtds, _) = system.run(jobs.clone());
     println!(
         "{:<22} {:>9} {:>9} {:>9.3} {:>10} {:>12.1}",
         "rtds (h = 2)",

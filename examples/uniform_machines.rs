@@ -52,8 +52,7 @@ fn workload(site_count: usize, seed: u64, ccr: f64) -> Vec<Job> {
 
 fn run(label: &str, network: Network, jobs: Vec<Job>, config: RtdsConfig) {
     let mut system = RtdsSystem::new(network, config, 3);
-    system.submit_workload(jobs);
-    let (report, _) = system.run();
+    let (report, _) = system.run(jobs);
     println!(
         "{:<34} accepted {:>4}/{:<4}  ratio {:>6.3}  misses {}  msgs/job {:>6.1}",
         label,

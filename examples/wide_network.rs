@@ -52,8 +52,7 @@ fn main() {
             ..RtdsConfig::default()
         };
         let mut system = RtdsSystem::new(network.clone(), config, 13);
-        system.submit_workload(jobs.clone());
-        let (rtds, _) = system.run();
+        let (rtds, _) = system.run(jobs.clone());
 
         let bidding = run_broadcast_bidding(&network, &jobs, BiddingConfig::default());
 

@@ -4,7 +4,7 @@
 # rejection of bad input). Used by CI, one step per check, and runnable
 # locally from anywhere:
 #
-#   scripts/smoke.sh <scenarios|workloads|trace|flow|sched|all>
+#   scripts/smoke.sh <scenarios|workloads|trace|flow|sched|examples|all>
 #
 # Reports land in $SMOKE_OUT_DIR (default: the repo root).
 set -euo pipefail
@@ -18,6 +18,7 @@ workloads|record/replay round-trip is byte-identical
 trace|same-seed traces are byte-identical and exports are well-formed
 flow|report is byte-identical and incast transfers really contend
 sched|report is byte-identical and no scheduler missed a deadline
+examples|every example runs to completion and passes its own asserts
 '
 
 run() { # <experiment> <args...>
@@ -111,6 +112,17 @@ smoke_sched() {
     # scenario with a non-degenerate resource recipe.
     run sched --scenario hetero-multicore --seed 1 --seeds 2 \
         --json "$out/sched-smoke-hetero.json"
+}
+
+smoke_examples() {
+    # `cargo test` only builds the examples; this runs each one. Every
+    # example asserts what it demonstrates (paper values, zero misses,
+    # replay identity), so an assert that fires fails the check.
+    local example
+    for example in examples/*.rs; do
+        example=$(basename "$example" .rs)
+        cargo run --release --example "$example" > "$out/example-smoke-$example.txt"
+    done
 }
 
 names=$(printf '%s' "$table" | cut -d'|' -f1 | grep .)

@@ -65,9 +65,8 @@
 //! let config = RtdsConfig { sphere_radius: 2, ..RtdsConfig::default() };
 //! let mut system = RtdsSystem::new(network, config, 7);
 //!
-//! // Submit the paper's worked-example job at site 0 and run to quiescence.
-//! system.submit_job(paper_job(JobId(1), 0));
-//! let (report, jobs) = system.run();
+//! // Run the paper's worked-example job, arriving at site 0, to quiescence.
+//! let (report, jobs) = system.run(vec![paper_job(JobId(1), 0)]);
 //! assert_eq!(report.guarantee.submitted, 1);
 //! assert!(jobs[0].met_deadline);
 //! ```

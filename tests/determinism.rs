@@ -26,8 +26,7 @@ fn run_once(net_seed: u64, workload_seed: u64, system_seed: u64) -> (StreamRepor
         },
     );
     let mut system = RtdsSystem::new(network, RtdsConfig::default(), system_seed);
-    system.submit_workload(jobs);
-    system.run()
+    system.run(jobs)
 }
 
 #[test]
@@ -117,8 +116,7 @@ fn engine_dispatch_order_is_reproducible_event_for_event() {
         );
         let mut system = RtdsSystem::new(network, RtdsConfig::default(), 7);
         system.enable_order_log(capacity);
-        system.submit_workload(jobs);
-        let report = system.run();
+        let report = system.run(jobs);
         (report, system.order_log().to_vec())
     };
     let (first_report, first_log) = run_logged();

@@ -65,8 +65,7 @@ fn accepted_jobs_never_miss_deadlines() {
     for (i, network) in topologies.into_iter().enumerate() {
         let jobs = poisson_workload(&network, 0.01, 300.0, 40 + i as u64);
         let mut system = RtdsSystem::new(network.clone(), RtdsConfig::default(), i as u64);
-        system.submit_workload(jobs.clone());
-        let (report, records) = system.run();
+        let (report, records) = system.run(jobs.clone());
         assert_eq!(report.guarantee.submitted as usize, jobs.len());
         assert_eq!(report.deadline_misses(), 0, "topology {i}");
         assert_eq!(report.unharvested_completions, 0, "topology {i}");
@@ -116,8 +115,7 @@ fn rtds_accepts_more_than_local_only_under_hotspots() {
     assert!(jobs.len() > 20, "workload too small to be meaningful");
 
     let mut system = RtdsSystem::new(network.clone(), RtdsConfig::default(), 3);
-    system.submit_workload(jobs.clone());
-    let (rtds, _) = system.run();
+    let (rtds, _) = system.run(jobs.clone());
     let local = run_local_only(&network, &jobs, false);
 
     assert_eq!(rtds.deadline_misses(), 0);
@@ -162,8 +160,7 @@ fn sphere_overhead_is_independent_of_network_size() {
             .collect();
 
         let mut system = RtdsSystem::new(network.clone(), RtdsConfig::default(), 1);
-        system.submit_workload(jobs.clone());
-        let (report, _) = system.run();
+        let (report, _) = system.run(jobs.clone());
         rtds_cost.push(report.messages_per_job);
 
         let bidding = run_broadcast_bidding(&network, &jobs, BiddingConfig::default());
@@ -189,14 +186,10 @@ fn concurrent_distributions_respect_locks() {
     let network = ring(8, DelayDistribution::Constant(1.0), 0);
     let mut system = RtdsSystem::new(network.clone(), RtdsConfig::default(), 11);
     // Every site gets two overlapping heavy jobs at the same instant.
-    let mut id = 0;
-    for site in 0..8 {
-        for _ in 0..2 {
-            system.submit_job(chain_job(id, &[30.0], 0.0, 45.0, site));
-            id += 1;
-        }
-    }
-    let (report, _) = system.run();
+    let jobs = (0..16)
+        .map(|id| chain_job(id, &[30.0], 0.0, 45.0, id as usize / 2))
+        .collect();
+    let (report, _) = system.run(jobs);
     assert_eq!(report.guarantee.submitted, 16);
     assert_eq!(report.guarantee.accepted() + report.guarantee.rejected, 16);
     assert_eq!(report.deadline_misses(), 0);
@@ -262,8 +255,7 @@ fn extension_configurations_are_safe() {
     ];
     for (i, config) in configs.into_iter().enumerate() {
         let mut system = RtdsSystem::new(network.clone(), config, i as u64);
-        system.submit_workload(jobs.clone());
-        let (report, _) = system.run();
+        let (report, _) = system.run(jobs.clone());
         assert_eq!(report.deadline_misses(), 0, "config {i}");
         assert_eq!(report.unharvested_completions, 0, "config {i}");
         assert_eq!(report.stats.named("placement_failures"), 0, "config {i}");
@@ -294,8 +286,7 @@ fn run_sorts_submissions_by_clamped_arrival() {
     shuffled.swap(0, 5);
     let run = |order: &[Job]| {
         let mut system = RtdsSystem::new(network.clone(), RtdsConfig::default(), 2);
-        system.submit_workload(order.to_vec());
-        system.run()
+        system.run(order.to_vec())
     };
     let reference = run(&sorted);
     assert_eq!(run(&shuffled), reference);
@@ -313,8 +304,7 @@ fn a_capped_run_counts_only_the_jobs_it_reached() {
     let run = |cap: u64| {
         let mut system = RtdsSystem::new(network.clone(), RtdsConfig::default(), 1);
         system.set_max_events(cap);
-        system.submit_workload(jobs.clone());
-        system.run()
+        system.run(jobs.clone())
     };
     let (full, _) = run(u64::MAX);
     assert_eq!(full.guarantee.submitted, jobs.len() as u64);
@@ -331,9 +321,8 @@ fn a_capped_run_counts_only_the_jobs_it_reached() {
 fn a_system_runs_once() {
     let network = ring(6, DelayDistribution::Constant(1.0), 0);
     let mut system = RtdsSystem::new(network, RtdsConfig::default(), 0);
-    system.submit_job(chain_job(1, &[5.0], 0.0, 50.0, 0));
-    let _ = system.run();
-    let _ = system.run();
+    let _ = system.run(vec![chain_job(1, &[5.0], 0.0, 50.0, 0)]);
+    let _ = system.run(Vec::new());
 }
 
 /// A job that cannot run anywhere is rejected everywhere, never half-placed.
@@ -342,8 +331,7 @@ fn infeasible_jobs_leave_no_residue() {
     let network = ring(6, DelayDistribution::Constant(1.0), 0);
     let run = |job: Job| {
         let mut system = RtdsSystem::new(network.clone(), RtdsConfig::default(), 0);
-        system.submit_job(job);
-        let (report, jobs) = system.run();
+        let (report, jobs) = system.run(vec![job]);
         (system, report, jobs)
     };
     let (system, report, jobs) = run(chain_job(1, &[100.0, 100.0], 0.0, 50.0, 0));

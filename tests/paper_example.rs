@@ -150,8 +150,7 @@ fn fig2_job_meets_its_deadline_end_to_end_on_the_papers_topology() {
         ..RtdsConfig::default()
     };
     let mut system = RtdsSystem::new(network, config, 7);
-    system.submit_job(paper_job(JobId(1), 0));
-    let (report, jobs) = system.run();
+    let (report, jobs) = system.run(vec![paper_job(JobId(1), 0)]);
 
     assert_eq!(report.guarantee.submitted, 1);
     assert_eq!(report.deadline_misses(), 0);

@@ -4,7 +4,7 @@
 //! bookkeeping stays consistent.
 
 use proptest::prelude::*;
-use rtds::core::{LaxityDispatch, RtdsConfig, RtdsSystem};
+use rtds::core::{JobOutcomeKind, LaxityDispatch, RtdsConfig, RtdsSystem};
 use rtds::graph::generators::{CostDistribution, DagGenerator, DagShape, GeneratorConfig};
 use rtds::graph::Job;
 use rtds::net::generators::{erdos_renyi_connected, grid, ring, DelayDistribution};
@@ -101,13 +101,18 @@ proptest! {
         let jobs = workload(&network, rate, load_seed);
         let submitted = jobs.len() as u64;
         let mut system = RtdsSystem::new(network.clone(), config, net_seed ^ load_seed);
-        system.submit_workload(jobs);
-        let (report, records) = system.run();
+        let (report, records) = system.run(jobs);
 
         // Termination bookkeeping.
         prop_assert_eq!(report.guarantee.submitted, submitted);
         prop_assert_eq!(records.len() as u64, submitted);
         prop_assert_eq!(report.guarantee.accepted() + report.guarantee.rejected, submitted);
+        // The aggregate verdicts and the per-job records agree.
+        let outcomes = |kind| records.iter().filter(|r| r.outcome == kind).count() as u64;
+        let g = &report.guarantee;
+        prop_assert_eq!(g.accepted_locally, outcomes(JobOutcomeKind::AcceptedLocally));
+        prop_assert_eq!(g.accepted_distributed, outcomes(JobOutcomeKind::AcceptedDistributed));
+        prop_assert_eq!(g.rejected, outcomes(JobOutcomeKind::Rejected));
         // Safety: accepted implies on-time; no placement ever failed; plans
         // stay consistent (drained plans are valid, empty plans); no locks or
         // queued jobs survive quiescence.

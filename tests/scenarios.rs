@@ -23,8 +23,7 @@ fn traced_run(scenario: &Scenario, seed: u64) -> (StreamReport, Vec<JobReport>, 
     for (time, fault) in faults {
         system.schedule_fault(time.max(0.0), fault);
     }
-    system.submit_workload(jobs);
-    let (report, jobs) = system.run();
+    let (report, jobs) = system.run(jobs);
     let trace = system.trace().events();
     (report, jobs, trace)
 }

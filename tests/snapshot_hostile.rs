@@ -270,6 +270,29 @@ fn a_nan_observation_window_is_refused() {
 }
 
 #[test]
+fn more_acceptances_than_injected_jobs_are_refused() {
+    // Each counter is a well-formed integer on its own; only the harvest's
+    // check that acceptances are a subset of injected jobs can refuse it.
+    let mut doc = Json::parse(&checkpoint(PAUSES[0])).expect("checkpoint parses");
+    let injected = doc.get("harvest").and_then(|h| h.get("injected")?.as_u64());
+    let local = injected.expect("the harvest counts injected jobs") + 1;
+    let mut all = Vec::new();
+    addresses(&doc, &mut Vec::new(), &mut all);
+    let address = all
+        .iter()
+        .find(|address| node_mut(&mut doc, address).1 == "stream.harvest.accepted_locally")
+        .expect("the harvest counts local acceptances");
+    *node_mut(&mut doc, address).0 = Json::UInt(local);
+    match resume(&doc.render_compact()) {
+        Outcome::Refused(why) => assert!(
+            why.contains("stream.harvest") && why.contains("accepted_locally"),
+            "{why}"
+        ),
+        other => panic!("accepted_locally = {local}: {other:?}"),
+    }
+}
+
+#[test]
 fn truncated_checkpoints_are_errors() {
     let text = checkpoint(PAUSES[0]);
     for step in 0..64 {

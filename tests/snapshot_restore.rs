@@ -48,8 +48,7 @@ fn batch_checkpoint_resumes_byte_identically() {
     let seed = 7;
 
     let mut uninterrupted = batch_system(&scenario, seed);
-    uninterrupted.submit_workload(batch_jobs(&scenario, seed).collect());
-    let (full, _) = uninterrupted.run();
+    let (full, _) = uninterrupted.run(batch_jobs(&scenario, seed).collect());
     assert!(full.guarantee.submitted > 0, "the cell must be non-trivial");
 
     // Same cell, stopped a third of the way into the horizon, serialized,
@@ -86,39 +85,50 @@ fn batch_checkpoint_text_round_trips() {
     assert_eq!(restored.checkpoint(), text);
 }
 
-/// Jobs submitted but not yet run are part of the system state: a checkpoint
-/// taken before the run resumes to the same run.
+/// The one job a checkpoint carries is the stream's look-ahead: one at a
+/// site the network lacks is refused.
 #[test]
-fn submitted_jobs_travel_in_the_checkpoint() {
+fn a_look_ahead_job_at_a_missing_site_is_refused() {
     let scenario = find_scenario("paper-baseline").expect("registry scenario");
-    let submitted = || {
-        let mut system = batch_system(&scenario, 7);
-        system.submit_workload(batch_jobs(&scenario, 7).collect());
-        system
-    };
-    let text = submitted().checkpoint();
-    let mut resumed = RtdsSystem::resume(&text).expect("checkpoint decodes");
-    assert_eq!(resumed.checkpoint(), text);
-    assert_eq!(resumed.run(), submitted().run());
-    // A submitted job at a site the network lacks is refused.
+    let (_, text) = paused_batch(&scenario, 7, 80.0);
     let sites = scenario.build_network(7).site_count();
     let mut doc = Json::parse(&text).expect("checkpoint parses");
     let Json::Object(fields) = &mut doc else {
         panic!("a checkpoint is an object");
     };
-    let submitted = fields.iter_mut().find(|(k, _)| k == "submitted");
-    let Some((_, Json::Array(jobs))) = submitted else {
-        panic!("submitted is an array");
-    };
-    let Json::Object(job) = &mut jobs[0] else {
-        panic!("a job is an object");
+    let buffered = fields.iter_mut().find(|(k, _)| k == "buffered");
+    let Some((_, Json::Object(job))) = buffered else {
+        panic!("the paused run holds a look-ahead job");
     };
     let site = job.iter_mut().find(|(k, _)| k == "site");
     site.expect("a job names its site").1 = Json::UInt(sites as u64);
+    let refused = RtdsSystem::resume_streaming(&doc.render(), &mut batch_jobs(&scenario, 7))
+        .expect_err("the site does not exist");
+    let refused = refused.to_string();
+    assert!(refused.contains("stream.buffered.site"), "{refused}");
+    assert!(refused.contains("outside"), "{refused}");
+}
+
+/// A system checkpoint field the decoder does not read — such as the
+/// `submitted` jobs an older writer put there — is refused, not dropped.
+#[test]
+fn a_system_checkpoint_with_an_unknown_field_is_refused() {
+    let scenario = find_scenario("paper-baseline").expect("registry scenario");
+    let text = batch_system(&scenario, 7).checkpoint();
+    let mut doc = Json::parse(&text).expect("checkpoint parses");
+    let Json::Object(fields) = &mut doc else {
+        panic!("a checkpoint is an object");
+    };
+    fields.insert(2, ("submitted".to_string(), Json::Array(Vec::new())));
     let refused = RtdsSystem::resume(&doc.render())
         .err()
-        .expect("the site does not exist");
-    assert!(refused.to_string().contains("outside"), "{refused}");
+        .expect("the field is unknown");
+    let refused = refused.to_string();
+    assert!(
+        refused.contains("system.submitted: unknown field"),
+        "{refused}"
+    );
+    assert!(RtdsSystem::resume(&text).is_ok());
 }
 
 /// The `diurnal-wave` streaming cell's job source, rebuilt fresh each time

@@ -75,7 +75,7 @@ fn footprint(sites: usize) -> Footprint {
     let (live, requested) = (LIVE.get(), REQUESTED.get());
     let mut system = RtdsSystem::with_resources(network, recipe.config, 5, resources);
     let construction = REQUESTED.get() - requested;
-    system.run();
+    system.run(Vec::new());
     let nodes = (0..sites).map(|s| system.node(SiteId(s)));
     assert!(nodes.clone().all(|node| node.sphere().is_some()));
     Footprint {

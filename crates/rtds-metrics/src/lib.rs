@@ -16,9 +16,10 @@
 //!    anywhere: merging is `u64` addition plus exact `f64` min/max, both
 //!    associative and commutative.
 //! 2. **Hot-path cost.** Instrument names are `&'static str` literals and
-//!    a histogram is a fixed `u64` array: recording a sample is two map
-//!    walks and an increment, with allocation only on the first touch of
-//!    an instrument.
+//!    a histogram is a fixed `u64` array: recording a sample is a map walk
+//!    by name, a binary search by scope and an increment, with allocation
+//!    only on the first touch of an instrument (and then exactly the one
+//!    slot it needs, see [`ScopeMap`]).
 //! 3. **Scopes.** Instruments optionally carry a [`Scope`] label
 //!    (`Phase(n)`, `Site(n)`), and any scoped family can be rolled up into
 //!    its global view by the same associative merge.
@@ -33,4 +34,4 @@ pub mod histogram;
 pub mod registry;
 
 pub use histogram::{Histogram, HistogramSummary, BUCKET_COUNT};
-pub use registry::{Gauge, GaugeFamily, MetricsRegistry, Scope};
+pub use registry::{Gauge, GaugeFamily, MetricsRegistry, Scope, ScopeMap};

@@ -5,8 +5,9 @@
 //! workspace is a literal, so the hot path never allocates a `String` per
 //! bump) plus a [`Scope`] label — `Global`, `Phase(n)` (one routing-exchange
 //! phase, one harvest pass, …) or `Site(n)` (one site of the simulated
-//! network). Storage is ordered (`BTreeMap` keyed by name then scope), so
-//! iteration order — and therefore any JSON rendering — is deterministic.
+//! network). Storage is ordered — a `BTreeMap` keyed by name whose values
+//! are [`ScopeMap`]s, exact-size vectors sorted by scope — so iteration
+//! order, and therefore any JSON rendering, is deterministic.
 //!
 //! [`MetricsRegistry::merge`] folds a whole registry into another:
 //! counters add, gauges fold by maximum, histograms merge bucket-wise. All
@@ -66,17 +67,77 @@ impl Gauge {
     }
 }
 
+/// The scopes of one instrument family: `(scope, value)` pairs sorted by
+/// [`Scope`], found by binary search.
+///
+/// Almost every family has exactly one scope, and a histogram value is
+/// 552 B, so the container is sized to its entries: the first insert
+/// allocates exactly one slot. A `BTreeMap` leaf always allocates eleven,
+/// which made each one-scope histogram family cost about 6 KB; a sweep
+/// keeps one registry per cell, so that slack was most of its memory.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ScopeMap<V>(Vec<(Scope, V)>);
+
+impl<V> Default for ScopeMap<V> {
+    fn default() -> Self {
+        ScopeMap(Vec::new())
+    }
+}
+
+impl<V> ScopeMap<V> {
+    /// The value under `scope`, inserting `make()` first if absent.
+    fn entry(&mut self, scope: Scope, make: impl FnOnce() -> V) -> &mut V {
+        let index = match self.0.binary_search_by(|(s, _)| s.cmp(&scope)) {
+            Ok(index) => index,
+            Err(index) => {
+                if self.0.is_empty() {
+                    self.0.reserve_exact(1);
+                }
+                self.0.insert(index, (scope, make()));
+                index
+            }
+        };
+        &mut self.0[index].1
+    }
+
+    /// The value under `scope`, if any.
+    pub fn get(&self, scope: &Scope) -> Option<&V> {
+        self.0
+            .binary_search_by(|(s, _)| s.cmp(scope))
+            .ok()
+            .map(|index| &self.0[index].1)
+    }
+
+    /// The `(scope, value)` entries in `Scope` order (`Global` first).
+    pub fn iter(&self) -> std::slice::Iter<'_, (Scope, V)> {
+        self.0.iter()
+    }
+
+    /// The values in `Scope` order.
+    pub fn values(&self) -> impl Iterator<Item = &V> {
+        self.0.iter().map(|(_, v)| v)
+    }
+}
+
+impl<'a, V> IntoIterator for &'a ScopeMap<V> {
+    type Item = &'a (Scope, V);
+    type IntoIter = std::slice::Iter<'a, (Scope, V)>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.0.iter()
+    }
+}
+
 /// The scopes of one gauge, borrowed from a [`MetricsRegistry`] by
 /// [`MetricsRegistry::gauge_family`].
 #[derive(Debug)]
-pub struct GaugeFamily<'a>(&'a mut BTreeMap<Scope, Gauge>);
+pub struct GaugeFamily<'a>(&'a mut ScopeMap<Gauge>);
 
 impl GaugeFamily<'_> {
     /// Sets one scope of the gauge (tracks both the last and the peak value).
     pub fn set(&mut self, scope: Scope, value: f64) {
         self.0
-            .entry(scope)
-            .or_insert(Gauge {
+            .entry(scope, || Gauge {
                 last: f64::NEG_INFINITY,
                 peak: f64::NEG_INFINITY,
             })
@@ -171,7 +232,10 @@ impl CounterIndex {
 /// ordered name→slot map is consulted only the first time each name (by
 /// address) is seen and for exports, which iterate it in name order so
 /// every rendering stays deterministic. The rarer scoped counters, and
-/// the cold gauges and histograms, use nested per-scope maps.
+/// the cold gauges and histograms, map each name to a [`ScopeMap`]: a
+/// vector sorted by scope that holds exactly the scopes recorded, so a
+/// one-scope histogram family costs one 552-B value, not an eleven-slot
+/// B-tree leaf of them.
 #[derive(Debug, Clone, Default)]
 pub struct MetricsRegistry {
     /// `Scope::Global` counter values, indexed by slot (creation order).
@@ -182,9 +246,9 @@ pub struct MetricsRegistry {
     counter_index: CounterIndex,
     /// Non-global counters only (`add_scoped` with `Global` routes to the
     /// flat slots, keeping the representation canonical).
-    scoped_counters: BTreeMap<&'static str, BTreeMap<Scope, u64>>,
-    gauges: BTreeMap<&'static str, BTreeMap<Scope, Gauge>>,
-    histograms: BTreeMap<&'static str, BTreeMap<Scope, Histogram>>,
+    scoped_counters: BTreeMap<&'static str, ScopeMap<u64>>,
+    gauges: BTreeMap<&'static str, ScopeMap<Gauge>>,
+    histograms: BTreeMap<&'static str, ScopeMap<Histogram>>,
 }
 
 impl PartialEq for MetricsRegistry {
@@ -260,8 +324,7 @@ impl MetricsRegistry {
                     .scoped_counters
                     .entry(name)
                     .or_default()
-                    .entry(scope)
-                    .or_insert(0) += amount;
+                    .entry(scope, || 0) += amount;
             }
         }
     }
@@ -306,9 +369,7 @@ impl MetricsRegistry {
     }
 
     /// The non-global counter families in name order, for snapshotting.
-    pub fn scoped_counter_families(
-        &self,
-    ) -> impl Iterator<Item = (&'static str, &BTreeMap<Scope, u64>)> {
+    pub fn scoped_counter_families(&self) -> impl Iterator<Item = (&'static str, &ScopeMap<u64>)> {
         self.scoped_counters.iter().map(|(k, v)| (*k, v))
     }
 
@@ -354,7 +415,7 @@ impl MetricsRegistry {
     /// [`MetricsRegistry::gauge_set`] this can install a `last`
     /// below the recorded `peak`).
     pub fn gauge_restore(&mut self, name: &'static str, scope: Scope, gauge: Gauge) {
-        self.gauges.entry(name).or_default().insert(scope, gauge);
+        *self.gauges.entry(name).or_default().entry(scope, || gauge) = gauge;
     }
 
     /// A gauge merged across all its scopes (None if never set).
@@ -379,7 +440,7 @@ impl MetricsRegistry {
     }
 
     /// All gauge families in name order.
-    pub fn gauge_families(&self) -> impl Iterator<Item = (&'static str, &BTreeMap<Scope, Gauge>)> {
+    pub fn gauge_families(&self) -> impl Iterator<Item = (&'static str, &ScopeMap<Gauge>)> {
         self.gauges.iter().map(|(k, v)| (*k, v))
     }
 
@@ -395,17 +456,17 @@ impl MetricsRegistry {
         self.histograms
             .entry(name)
             .or_default()
-            .entry(scope)
-            .or_default()
+            .entry(scope, Histogram::new)
             .record(value);
     }
 
     /// Restores a histogram entry verbatim (snapshot path).
     pub fn histogram_restore(&mut self, name: &'static str, scope: Scope, histogram: Histogram) {
-        self.histograms
+        *self
+            .histograms
             .entry(name)
             .or_default()
-            .insert(scope, histogram);
+            .entry(scope, Histogram::new) = histogram;
     }
 
     /// A histogram merged across all its scopes (empty if never recorded).
@@ -427,9 +488,7 @@ impl MetricsRegistry {
     }
 
     /// All histogram families in name order.
-    pub fn histogram_families(
-        &self,
-    ) -> impl Iterator<Item = (&'static str, &BTreeMap<Scope, Histogram>)> {
+    pub fn histogram_families(&self) -> impl Iterator<Item = (&'static str, &ScopeMap<Histogram>)> {
         self.histograms.iter().map(|(k, v)| (*k, v))
     }
 
@@ -446,19 +505,19 @@ impl MetricsRegistry {
         for (name, scopes) in &other.scoped_counters {
             let mine = self.scoped_counters.entry(name).or_default();
             for (scope, value) in scopes {
-                *mine.entry(*scope).or_insert(0) += value;
+                *mine.entry(*scope, || 0) += value;
             }
         }
         for (name, scopes) in &other.gauges {
             let mine = self.gauges.entry(name).or_default();
             for (scope, gauge) in scopes {
-                mine.entry(*scope).or_insert(*gauge).merge(gauge);
+                mine.entry(*scope, || *gauge).merge(gauge);
             }
         }
         for (name, scopes) in &other.histograms {
             let mine = self.histograms.entry(name).or_default();
             for (scope, histogram) in scopes {
-                mine.entry(*scope).or_default().merge(histogram);
+                mine.entry(*scope, Histogram::new).merge(histogram);
             }
         }
     }
@@ -586,6 +645,93 @@ mod tests {
             assert_eq!(m.counter(name), 5050);
         }
         assert_eq!(m.counter_families().len(), NAMES.len());
+    }
+
+    #[test]
+    fn scope_maps_iterate_in_scope_order_whatever_the_insert_order() {
+        let mut m = MetricsRegistry::new();
+        for (scope, value) in [
+            (Scope::Site(3), 1.0),
+            (Scope::Global, 2.0),
+            (Scope::Phase(2), 4.0),
+        ] {
+            m.record_scoped("h", scope, value);
+            m.add_scoped("c", scope, 1);
+            m.gauge_set_scoped("g", scope, value);
+        }
+        let expected = vec![Scope::Global, Scope::Phase(2), Scope::Site(3)];
+        let (_, histograms) = m.histogram_families().next().unwrap();
+        assert_eq!(
+            histograms.iter().map(|(s, _)| *s).collect::<Vec<_>>(),
+            expected
+        );
+        let (_, gauges) = m.gauge_families().next().unwrap();
+        let order: Vec<Scope> = gauges.into_iter().map(|(s, _)| *s).collect();
+        assert_eq!(order, expected);
+        assert_eq!(gauges.get(&Scope::Phase(2)).unwrap().last, 4.0);
+        assert!(gauges.get(&Scope::Phase(3)).is_none());
+        // Global lives in the flat slots; the scoped family keeps the rest.
+        let (_, counters) = m.scoped_counter_families().next().unwrap();
+        assert_eq!(
+            counters.iter().map(|(s, _)| *s).collect::<Vec<_>>(),
+            expected[1..]
+        );
+        assert_eq!(counters.values().sum::<u64>(), 2);
+    }
+
+    #[test]
+    fn a_one_scope_family_holds_exactly_one_slot() {
+        let mut m = MetricsRegistry::new();
+        for _ in 0..5 {
+            m.record("h", 1.0);
+            m.gauge_set("g", 1.0);
+            m.add_scoped("c", Scope::Site(0), 1);
+        }
+        fn slots<'a, V: 'a>(
+            mut families: impl Iterator<Item = (&'static str, &'a ScopeMap<V>)>,
+        ) -> usize {
+            let (_, scopes) = families.next().expect("one family");
+            scopes.0.capacity()
+        }
+        assert_eq!(slots(m.histogram_families()), 1);
+        assert_eq!(slots(m.gauge_families()), 1);
+        assert_eq!(slots(m.scoped_counter_families()), 1);
+        // A merge into an empty registry keeps the exact size too.
+        let mut merged = MetricsRegistry::new();
+        merged.merge(&m);
+        assert_eq!(slots(merged.histogram_families()), 1);
+    }
+
+    #[test]
+    fn merging_interleaved_scopes_is_order_independent() {
+        let mut a = MetricsRegistry::new();
+        let mut b = MetricsRegistry::new();
+        for site in 0..8u32 {
+            let (mine, other) = if site % 2 == 0 {
+                (&mut a, &mut b)
+            } else {
+                (&mut b, &mut a)
+            };
+            mine.record_scoped("h", Scope::Site(site), f64::from(site));
+            mine.add_scoped("c", Scope::Site(site), u64::from(site));
+            mine.gauge_set_scoped("g", Scope::Site(site), f64::from(site));
+            other.record_scoped("h", Scope::Phase(site), 1.0);
+        }
+        a.record("h", 0.5);
+        let mut ab = a.clone();
+        ab.merge(&b);
+        let mut ba = b.clone();
+        ba.merge(&a);
+        assert_eq!(ab, ba);
+        let (_, scopes) = ab.histogram_families().next().unwrap();
+        assert_eq!(scopes.iter().count(), 17);
+        assert!(scopes
+            .iter()
+            .zip(scopes.iter().skip(1))
+            .all(|(x, y)| x.0 < y.0));
+        assert_eq!(ab.histogram("h").count(), 17);
+        assert_eq!(ab.counter("c"), 28);
+        assert_eq!(ab.gauge("g").unwrap().peak, 7.0);
     }
 
     #[test]

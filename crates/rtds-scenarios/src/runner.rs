@@ -128,7 +128,10 @@ pub struct CellReport {
 }
 
 impl CellReport {
-    fn from_report(scenario: &str, seed: u64, report: &StreamReport) -> Self {
+    /// Takes the run's registry rather than copying it: a sweep holds every
+    /// cell until it renders the report, so a clone would be kept alive once
+    /// per cell while the original is dropped.
+    fn from_report(scenario: &str, seed: u64, report: StreamReport) -> Self {
         let stats = &report.stats;
         let messages_lost = stats.named("sim_lost_random")
             + stats.named("sim_lost_link_down")
@@ -154,7 +157,7 @@ impl CellReport {
             messages_lost,
             finished_at: report.finished_at,
             events_processed: report.events_processed,
-            metrics: report.metrics.clone(),
+            metrics: report.metrics,
         }
     }
 
@@ -300,23 +303,26 @@ pub struct SweepReport {
 impl SweepReport {
     /// Renders the report as deterministic JSON (byte-identical across runs
     /// and thread counts for the same scenarios and seeds).
+    ///
+    /// The text is exactly `Json::render` of the whole `{"seeds", "scenarios"}`
+    /// object, but only one scenario's [`Json`] tree exists at a time: each
+    /// is built, rendered at its nesting depth and dropped before the next.
     pub fn to_json(&self) -> String {
-        Json::object(vec![
-            (
-                "seeds",
-                Json::Array(self.seeds.iter().map(|s| Json::UInt(*s)).collect()),
-            ),
-            (
-                "scenarios",
-                Json::Array(
-                    self.scenarios
-                        .iter()
-                        .map(ScenarioSummary::to_json)
-                        .collect(),
-                ),
-            ),
-        ])
-        .render()
+        let mut out = String::from("{\n  \"seeds\": ");
+        Json::Array(self.seeds.iter().map(|s| Json::UInt(*s)).collect()).write_pretty(&mut out, 1);
+        out.push_str(",\n  \"scenarios\": ");
+        if self.scenarios.is_empty() {
+            out.push_str("[]");
+        } else {
+            out.push('[');
+            for (i, scenario) in self.scenarios.iter().enumerate() {
+                out.push_str(if i == 0 { "\n    " } else { ",\n    " });
+                scenario.to_json().write_pretty(&mut out, 2);
+            }
+            out.push_str("\n  ]");
+        }
+        out.push_str("\n}\n");
+        out
     }
 
     /// Summary lookup by scenario name.
@@ -379,7 +385,7 @@ fn run_cell_with(
         }
         Some(stream) => run_stream_cell(scenario, &stream, &mut system, site_count, seed),
     };
-    let cell = CellReport::from_report(&scenario.name, seed, &report);
+    let cell = CellReport::from_report(&scenario.name, seed, report);
     let rendered = want_trace.then(|| {
         render_jsonl(
             &[
@@ -499,6 +505,24 @@ mod tests {
             assert!(summary.mean_guarantee_ratio > 0.0);
             let json = single.to_json();
             assert!(json.contains(&summary.name));
+        }
+    }
+
+    #[test]
+    fn the_report_renders_as_its_whole_json_tree_would() {
+        // `to_json` writes one scenario's tree at a time; the text must be
+        // exactly what rendering the whole document in one piece gives.
+        let scenarios = vec![
+            find_scenario("paper-baseline").unwrap(),
+            find_scenario("site-crash-wave").unwrap(),
+        ];
+        let empty = SweepReport {
+            seeds: Vec::new(),
+            scenarios: Vec::new(),
+        };
+        for report in [run_sweep(&scenarios, &SweepConfig::new(1, 2, 1)), empty] {
+            let rendered = report.to_json();
+            assert_eq!(rendered, Json::parse(&rendered).unwrap().render());
         }
     }
 

@@ -37,7 +37,7 @@ use crate::queue::CalendarQueue;
 use crate::stats::SimStats;
 use rand::rngs::StdRng;
 use rtds_flow::FlowModel;
-use rtds_metrics::{Gauge, Histogram, MetricsRegistry, Scope, BUCKET_COUNT};
+use rtds_metrics::{Gauge, Histogram, MetricsRegistry, Scope, ScopeMap, BUCKET_COUNT};
 use rtds_net::routing::RouteEntry;
 use rtds_net::sphere::Sphere;
 use rtds_net::{LinkState, Network, SiteId};
@@ -473,10 +473,10 @@ impl Snap for Histogram {
 impl Snap for MetricsRegistry {
     fn encode(&self) -> Json {
         fn families<'a, V: 'a>(
-            families: impl Iterator<Item = (&'static str, &'a BTreeMap<Scope, V>)>,
+            families: impl Iterator<Item = (&'static str, &'a ScopeMap<V>)>,
             entry: impl Fn(&Scope, &V) -> Json,
         ) -> Json {
-            let row = |(name, scopes): (&str, &BTreeMap<Scope, V>)| {
+            let row = |(name, scopes): (&str, &ScopeMap<V>)| {
                 let entries = scopes.iter().map(|(s, v)| entry(s, v)).collect();
                 Json::Array(vec![Json::str(name), Json::Array(entries)])
             };

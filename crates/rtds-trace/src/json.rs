@@ -69,6 +69,15 @@ impl Json {
         out
     }
 
+    /// Appends the pretty rendering of the value to `out` as it appears
+    /// nested `depth` containers deep in a larger document (no trailing
+    /// newline). A writer that assembles a document piece by piece — the
+    /// sweep report renders one scenario at a time — gets the same bytes as
+    /// [`Json::render`] of the whole tree without ever building it.
+    pub fn write_pretty(&self, out: &mut String, depth: usize) {
+        self.write(out, Some(depth));
+    }
+
     /// Renders the value on a single line with no whitespace and no trailing
     /// newline (the JSONL form used by workload traces).
     pub fn render_compact(&self) -> String {

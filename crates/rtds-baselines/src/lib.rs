@@ -16,15 +16,15 @@
 //!   bids during a bidding window and then offers the job to the best
 //!   bidders; acceptance is good but the message cost grows with the network
 //!   size — exactly what the Computing Sphere is designed to avoid,
-//! * [`centralized`] — an omniscient centralized scheduler with exact global
-//!   knowledge and zero protocol cost; an upper bound on what any on-line
-//!   distribution scheme could accept,
+//! * [`centralized`] — a centralized greedy scheduler with exact global
+//!   knowledge and zero protocol cost. It is not a bound: `global-heft`
+//!   accepts more on some workloads,
 //! * [`global_heft`] — centralized insertion-based HEFT list scheduling
 //!   with communication-inclusive upward ranks (Topcuoglu et al.); the
 //!   classic DAG-scheduling heuristic as a distribution baseline,
-//! * [`policy`] — the common report type and the [`DistributionPolicy`]
-//!   trait unifying all five entry points, so harnesses iterate over
-//!   `Box<dyn DistributionPolicy>` instead of hand-wiring each signature.
+//! * [`policy`] — the common report type and [`BASELINES`], the five entry
+//!   points by name behind one signature, so harnesses iterate over one
+//!   `(name, fn)` table instead of hand-wiring each policy's parameters.
 //!
 //! Every policy consumes the same ingredients as RTDS itself — networks from
 //! [`rtds_net`], jobs from [`rtds_graph`], one [`rtds_sched::SiteScheduler`]
@@ -52,8 +52,4 @@ mod sites;
 pub use broadcast_bidding::{run_broadcast_bidding, BiddingConfig};
 pub use global_heft::run_global_heft;
 pub use local_only::run_local_only;
-pub use policy::{
-    all_policies, BroadcastBidding, CentralizedOracle, DistributionPolicy, GlobalHeft, LocalOnly,
-    PolicyReport, RandomOffload,
-};
-pub use random_offload::RandomOffloadConfig;
+pub use policy::{Baseline, PolicyReport, BASELINES};

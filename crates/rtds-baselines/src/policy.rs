@@ -1,4 +1,5 @@
-//! The report format and policy trait shared by every distribution policy.
+//! The report format shared by every distribution policy, and the table of
+//! their entry points.
 
 use crate::broadcast_bidding::{run_broadcast_bidding, BiddingConfig};
 use crate::centralized::run_centralized_oracle;
@@ -55,107 +56,39 @@ impl PolicyReport {
     }
 }
 
-/// A distribution policy: given a network and a workload, decide which jobs
-/// run where and report the outcome. Every baseline implements this trait so
-/// harnesses can iterate over a uniform `Vec<Box<dyn DistributionPolicy>>`
-/// instead of hand-wiring five differently-shaped entry points.
-pub trait DistributionPolicy {
-    /// Stable policy name used in report rows.
-    fn name(&self) -> &'static str;
-    /// Runs the policy over the workload and summarises the outcome.
-    fn run(&self, network: &Network, jobs: &[Job]) -> PolicyReport;
-}
+/// A baseline's entry point: the network, the jobs in arrival order,
+/// whether sites may split tasks across idle windows, and the seed of the
+/// policy's own random choices (only random offload makes any). Every other
+/// parameter is the policy's default.
+pub type Baseline = fn(&Network, &[Job], bool, u64) -> PolicyReport;
 
-/// [`crate::local_only`] behind the trait.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct LocalOnly {
-    /// Whether sites may split tasks across idle windows.
-    pub preemptive: bool,
-}
-
-impl DistributionPolicy for LocalOnly {
-    fn name(&self) -> &'static str {
-        "local-only"
-    }
-    fn run(&self, network: &Network, jobs: &[Job]) -> PolicyReport {
-        run_local_only(network, jobs, self.preemptive)
-    }
-}
-
-/// [`crate::random_offload`] behind the trait.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct RandomOffload {
-    /// Forwarding parameters.
-    pub config: RandomOffloadConfig,
-}
-
-impl DistributionPolicy for RandomOffload {
-    fn name(&self) -> &'static str {
-        "random-offload"
-    }
-    fn run(&self, network: &Network, jobs: &[Job]) -> PolicyReport {
-        run_random_offload(network, jobs, self.config)
-    }
-}
-
-/// [`crate::broadcast_bidding`] behind the trait.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct BroadcastBidding {
-    /// Bidding parameters.
-    pub config: BiddingConfig,
-}
-
-impl DistributionPolicy for BroadcastBidding {
-    fn name(&self) -> &'static str {
-        "broadcast-bidding"
-    }
-    fn run(&self, network: &Network, jobs: &[Job]) -> PolicyReport {
-        run_broadcast_bidding(network, jobs, self.config)
-    }
-}
-
-/// [`crate::centralized`] behind the trait.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct CentralizedOracle {
-    /// Whether sites may split tasks across idle windows.
-    pub preemptive: bool,
-}
-
-impl DistributionPolicy for CentralizedOracle {
-    fn name(&self) -> &'static str {
-        "centralized-oracle"
-    }
-    fn run(&self, network: &Network, jobs: &[Job]) -> PolicyReport {
-        run_centralized_oracle(network, jobs, self.preemptive)
-    }
-}
-
-/// [`crate::global_heft`] behind the trait.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct GlobalHeft {
-    /// Whether sites may split tasks across idle windows.
-    pub preemptive: bool,
-}
-
-impl DistributionPolicy for GlobalHeft {
-    fn name(&self) -> &'static str {
-        "global-heft"
-    }
-    fn run(&self, network: &Network, jobs: &[Job]) -> PolicyReport {
-        run_global_heft(network, jobs, self.preemptive)
-    }
-}
-
-/// All five baselines with their default parameters, in comparison order.
-pub fn all_policies() -> Vec<Box<dyn DistributionPolicy>> {
-    vec![
-        Box::new(LocalOnly::default()),
-        Box::new(RandomOffload::default()),
-        Box::new(BroadcastBidding::default()),
-        Box::new(GlobalHeft::default()),
-        Box::new(CentralizedOracle::default()),
-    ]
-}
+/// The five baselines by report name, in comparison order.
+pub const BASELINES: [(&str, Baseline); 5] = [
+    ("local-only", |network, jobs, preemptive, _| {
+        run_local_only(network, jobs, preemptive)
+    }),
+    ("random-offload", |network, jobs, preemptive, seed| {
+        let config = RandomOffloadConfig {
+            seed,
+            preemptive,
+            ..RandomOffloadConfig::default()
+        };
+        run_random_offload(network, jobs, config)
+    }),
+    ("broadcast-bidding", |network, jobs, preemptive, _| {
+        let config = BiddingConfig {
+            preemptive,
+            ..BiddingConfig::default()
+        };
+        run_broadcast_bidding(network, jobs, config)
+    }),
+    ("global-heft", |network, jobs, preemptive, _| {
+        run_global_heft(network, jobs, preemptive)
+    }),
+    ("centralized-oracle", |network, jobs, preemptive, _| {
+        run_centralized_oracle(network, jobs, preemptive)
+    }),
+];
 
 #[cfg(test)]
 mod tests {
@@ -182,10 +115,8 @@ mod tests {
     }
 
     #[test]
-    fn the_trait_covers_all_five_baselines() {
-        let policies = all_policies();
-        assert_eq!(policies.len(), 5);
-        let names: Vec<&str> = policies.iter().map(|p| p.name()).collect();
+    fn the_table_covers_all_five_baselines() {
+        let names: Vec<&str> = BASELINES.iter().map(|(name, _)| *name).collect();
         assert_eq!(
             names,
             vec![
@@ -205,16 +136,16 @@ mod tests {
             JobParams::new(0.0, 20.0),
             0,
         )];
-        for policy in &policies {
-            let report = policy.run(&net, &jobs);
-            assert_eq!(report.submitted, 1, "{}", policy.name());
-            assert_eq!(report.accepted() + report.rejected, 1, "{}", policy.name());
-            assert_eq!(report.deadline_misses, 0, "{}", policy.name());
+        for (name, run) in BASELINES {
+            let report = run(&net, &jobs, false, 0);
+            assert_eq!(report.submitted, 1, "{name}");
+            assert_eq!(report.accepted() + report.rejected, 1, "{name}");
+            assert_eq!(report.deadline_misses, 0, "{name}");
         }
     }
 
     #[test]
-    fn trait_calls_match_the_free_functions() {
+    fn table_entries_match_the_free_functions() {
         let net = ring(5, DelayDistribution::Constant(1.0), 0);
         let jobs: Vec<Job> = (0..6)
             .map(|i| {
@@ -226,25 +157,24 @@ mod tests {
                 )
             })
             .collect();
-        assert_eq!(
-            LocalOnly::default().run(&net, &jobs),
-            run_local_only(&net, &jobs, false)
-        );
-        assert_eq!(
-            RandomOffload::default().run(&net, &jobs),
-            run_random_offload(&net, &jobs, RandomOffloadConfig::default())
-        );
-        assert_eq!(
-            BroadcastBidding::default().run(&net, &jobs),
-            run_broadcast_bidding(&net, &jobs, BiddingConfig::default())
-        );
-        assert_eq!(
-            GlobalHeft::default().run(&net, &jobs),
-            run_global_heft(&net, &jobs, false)
-        );
-        assert_eq!(
-            CentralizedOracle::default().run(&net, &jobs),
-            run_centralized_oracle(&net, &jobs, false)
-        );
+        let offload = RandomOffloadConfig {
+            seed: 9,
+            preemptive: true,
+            ..RandomOffloadConfig::default()
+        };
+        let bidding = BiddingConfig {
+            preemptive: true,
+            ..BiddingConfig::default()
+        };
+        let direct = [
+            run_local_only(&net, &jobs, true),
+            run_random_offload(&net, &jobs, offload),
+            run_broadcast_bidding(&net, &jobs, bidding),
+            run_global_heft(&net, &jobs, true),
+            run_centralized_oracle(&net, &jobs, true),
+        ];
+        for ((name, run), want) in BASELINES.iter().zip(direct) {
+            assert_eq!(run(&net, &jobs, true, 9), want, "{name}");
+        }
     }
 }

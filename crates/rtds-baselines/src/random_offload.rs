@@ -16,13 +16,13 @@ use rtds_net::{Network, SiteId};
 
 /// Parameters of the random-offload policy.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RandomOffloadConfig {
+pub(crate) struct RandomOffloadConfig {
     /// Maximum number of forwarding hops after the arrival site.
-    pub max_hops: usize,
+    pub(crate) max_hops: usize,
     /// RNG seed (forwarding decisions are random but reproducible).
-    pub seed: u64,
+    pub(crate) seed: u64,
     /// Whether sites may split tasks across idle windows.
-    pub preemptive: bool,
+    pub(crate) preemptive: bool,
 }
 
 impl Default for RandomOffloadConfig {

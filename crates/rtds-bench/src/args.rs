@@ -205,22 +205,12 @@ impl ExpArgs {
         }
     }
 
-    /// Writes the `{experiment, seed, rows}` document of a table experiment
-    /// to the `--json` path when one was given.
-    pub fn write_rows(&self, experiment: &str, seed: u64, rows: Vec<Json>) {
-        self.write_json(&Json::object(vec![
-            ("experiment", Json::str(experiment)),
-            ("seed", Json::UInt(seed)),
-            ("rows", Json::Array(rows)),
-        ]));
-    }
-
     /// The `--scenario <name|all>` × `--seed`/`--seeds` selection of the
     /// registry-driven experiments: the chosen scenarios out of `pool` (all
     /// of them by default, in registry order), the `--seed` value (1 by
     /// default) and the `--seeds` consecutive seeds starting there. A name
-    /// outside the pool, a zero `--seeds` and a seed range that runs past
-    /// `u64::MAX` are usage errors.
+    /// outside the pool and a bad seed range (see [`ExpArgs::seed_range`])
+    /// are usage errors.
     pub fn selection(
         &self,
         pool: Vec<Scenario>,
@@ -239,8 +229,14 @@ impl ExpArgs {
                 }
             },
         };
+        let seeds = self.seed_range(self.u64_of("seeds", default_seeds));
+        (scenarios, seeds[0], seeds)
+    }
+
+    /// `count` consecutive sweep seeds from `--seed` (1 by default). A zero
+    /// count and a range that runs past `u64::MAX` are usage errors.
+    pub fn seed_range(&self, count: u64) -> Vec<u64> {
         let base_seed = self.seed(1);
-        let count = self.u64_of("seeds", default_seeds);
         if count == 0 {
             self.usage_error("--seeds: must be at least 1");
         }
@@ -249,8 +245,7 @@ impl ExpArgs {
                 "--seeds: {count} seeds from --seed {base_seed} run past u64::MAX"
             ));
         }
-        let seeds = (0..count).map(|i| base_seed + i).collect();
-        (scenarios, base_seed, seeds)
+        (0..count).map(|i| base_seed + i).collect()
     }
 }
 

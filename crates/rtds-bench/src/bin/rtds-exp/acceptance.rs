@@ -1,68 +1,60 @@
 //! E1 — guarantee ratio vs. arrival rate: RTDS against local-only,
-//! random-offload, broadcast-bidding and the centralized oracle on a grid
-//! with hotspot arrivals.
+//! random-offload, broadcast-bidding, global HEFT and the centralized oracle
+//! on a 25-site grid whose arrivals all land on 4 hotspot sites.
 //!
-//! `--seed <u64>` defaults to 42, `--json <path>` dumps the table.
+//! One row per `(rate, policy)`, swept over 16 seeds from `--seed`
+//! (default 1); `--json <path>` writes the sweep report.
 
-use rtds_bench::harness::{default_threads, policy_ratio};
-use rtds_bench::{policy_comparison, workload, ExpArgs, WorkloadSpec};
-use rtds_core::RtdsConfig;
-use rtds_net::generators::{grid, DelayDistribution};
-use rtds_scenarios::{parallel_sweep_sharded, Json};
+use rtds_bench::harness::{run_table, Row, JOBS, MESSAGES, RATIO};
+use rtds_bench::ExpArgs;
+use rtds_scenarios::Scenario;
+use rtds_sim::arrivals::ArrivalProcess;
+
+const POLICIES: [&str; 6] = [
+    "rtds",
+    "local-only",
+    "random-offload",
+    "broadcast-bidding",
+    "global-heft",
+    "centralized-oracle",
+];
+
+fn rows() -> Vec<Row> {
+    let mut rows = Vec::new();
+    for rate in [0.01, 0.02, 0.04, 0.08, 0.16] {
+        let mut scenario = Scenario::named(
+            "acceptance",
+            &format!("E1: 25-site grid, Poisson rate {rate} per hotspot site, 4 hotspots"),
+        );
+        scenario.workload.arrivals = ArrivalProcess::Poisson { rate };
+        scenario.workload.hotspots = 4;
+        for policy in POLICIES {
+            rows.push(Row::new(
+                format!("rate={rate:.3}"),
+                policy,
+                scenario.clone(),
+            ));
+        }
+    }
+    rows
+}
+
+/// What the table shows, printed under it.
+const CLAIMS: &str = "\
+At the default seeds (1-16) RTDS's median acceptance is above local-only at
+every rate, and above random offload and broadcast bidding up to rate 0.080;
+at 0.160 both of those accept more than RTDS. RTDS does not approach the
+centralized policies at any load: global HEFT and the centralized oracle
+accept every job up to rate 0.040, where RTDS's median is 0.58-0.83, and the
+gap widens with load. RTDS pays about 18-27 messages per job (median),
+broadcast bidding 75-100.";
 
 pub(crate) fn run(args: ExpArgs) {
-    let seed = args.seed(42);
-    let network = grid(5, 5, false, DelayDistribution::Constant(1.0), 3);
-    let rates = vec![0.01, 0.02, 0.04, 0.08, 0.16];
-    println!("== E1: acceptance ratio vs. arrival rate (25-site grid, 4 hotspot sites) ==");
-    println!();
-    println!(
-        "{:>8} {:>6} | {:>8} {:>8} {:>8} {:>8} {:>8} {:>8}",
-        "rate", "jobs", "rtds", "local", "random", "bcast", "heft", "oracle"
+    run_table(
+        &args,
+        "E1: acceptance ratio vs. arrival rate (25-site grid, 4 hotspot sites)",
+        &rows(),
+        &[JOBS, RATIO, MESSAGES],
+        CLAIMS,
     );
-    let rows = parallel_sweep_sharded(rates, default_threads(), |rate| {
-        let jobs = workload(
-            &network,
-            WorkloadSpec {
-                rate,
-                horizon: 300.0,
-                hotspots: 4,
-                seed,
-                ..WorkloadSpec::default()
-            },
-        );
-        let rows = policy_comparison(&network, &jobs, RtdsConfig::default(), 7);
-        (rate, jobs.len(), rows)
-    });
-    let mut json_rows = Vec::new();
-    for (rate, njobs, rows) in rows {
-        let ratio = |name: &str| policy_ratio(&rows, name);
-        println!(
-            "{:>8.3} {:>6} | {:>8.3} {:>8.3} {:>8.3} {:>8.3} {:>8.3} {:>8.3}",
-            rate,
-            njobs,
-            ratio("rtds"),
-            ratio("local-only"),
-            ratio("random-offload"),
-            ratio("broadcast-bidding"),
-            ratio("global-heft"),
-            ratio("centralized-oracle"),
-        );
-        assert!(rows.iter().all(|r| r.misses == 0), "deadline miss detected");
-        json_rows.push(Json::object(vec![
-            ("rate", Json::Num(rate)),
-            ("jobs", Json::UInt(njobs as u64)),
-            ("rtds", Json::Num(ratio("rtds"))),
-            ("local_only", Json::Num(ratio("local-only"))),
-            ("random_offload", Json::Num(ratio("random-offload"))),
-            ("broadcast_bidding", Json::Num(ratio("broadcast-bidding"))),
-            ("global_heft", Json::Num(ratio("global-heft"))),
-            ("centralized_oracle", Json::Num(ratio("centralized-oracle"))),
-        ]));
-    }
-    args.write_rows("acceptance_vs_load", seed, json_rows);
-    println!();
-    println!("Expected shape (paper §14): RTDS accepts more jobs than no cooperation");
-    println!("(local-only) and blind forwarding, approaches the broadcast/oracle curve");
-    println!("at low load, and the gap to local-only widens as hotspots saturate.");
 }

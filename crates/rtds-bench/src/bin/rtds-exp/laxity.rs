@@ -3,64 +3,62 @@
 //! scattering, (ii) window scaling) and shows how the guarantee ratio decays
 //! as windows shrink.
 //!
-//! `--seed <u64>` defaults to 33, `--json <path>` dumps the table.
+//! One row per `(laxity, policy)` on a 25-site grid with 4 hotspot sites,
+//! swept over 16 seeds from `--seed` (default 1); `--json <path>` writes the
+//! sweep report.
 
-use rtds_bench::harness::{default_threads, policy_ratio};
-use rtds_bench::{policy_comparison, workload, ExpArgs, WorkloadSpec};
-use rtds_core::RtdsConfig;
-use rtds_net::generators::{grid, DelayDistribution};
-use rtds_scenarios::{parallel_sweep_sharded, Json};
+use rtds_bench::harness::{run_table, Row, JOBS, MESSAGES, RATIO};
+use rtds_bench::ExpArgs;
+use rtds_scenarios::Scenario;
+use rtds_sim::arrivals::ArrivalProcess;
+
+const POLICIES: [&str; 4] = [
+    "rtds",
+    "local-only",
+    "broadcast-bidding",
+    "centralized-oracle",
+];
+
+fn rows() -> Vec<Row> {
+    let mut rows = Vec::new();
+    for laxity in [1.1, 1.3, 1.6, 2.0, 3.0, 4.0] {
+        let mut scenario = Scenario::named(
+            "laxity",
+            &format!(
+                "E4: 25-site grid, 4 hotspots, deadline laxity factor {laxity:.1}-{:.1}",
+                laxity + 0.2
+            ),
+        );
+        scenario.workload.arrivals = ArrivalProcess::Poisson { rate: 0.04 };
+        scenario.workload.horizon = 250.0;
+        scenario.workload.hotspots = 4;
+        scenario.workload.laxity = (laxity, laxity + 0.2);
+        for policy in POLICIES {
+            rows.push(Row::new(
+                format!("laxity={laxity:.1}"),
+                policy,
+                scenario.clone(),
+            ));
+        }
+    }
+    rows
+}
+
+/// What the table shows, printed under it.
+const CLAIMS: &str = "\
+At the default seeds (1-16), with laxity 1.1-1.3, RTDS, local-only and
+broadcast bidding accept almost nothing while the centralized oracle accepts
+0.84-1.00 (median): communication and the §12.2 adjustment eat the
+slack. From 1.6 on RTDS recovers (median 0.30 at 1.6 to 0.90 at 4.0) and
+stays above local-only; broadcast bidding stays below RTDS up to 2.0 but
+accepts every job from 3.0 on.";
 
 pub(crate) fn run(args: ExpArgs) {
-    let seed = args.seed(33);
-    let network = grid(5, 5, false, DelayDistribution::Constant(1.0), 4);
-    let laxities = vec![1.1, 1.3, 1.6, 2.0, 3.0, 4.0];
-    println!("== E4: guarantee ratio vs. deadline tightness (25-site grid, 4 hotspots) ==");
-    println!();
-    println!(
-        "{:>8} {:>6} | {:>8} {:>8} {:>8} {:>8}",
-        "laxity", "jobs", "rtds", "local", "bcast", "oracle"
+    run_table(
+        &args,
+        "E4: guarantee ratio vs. deadline tightness (25-site grid, 4 hotspots)",
+        &rows(),
+        &[JOBS, RATIO, MESSAGES],
+        CLAIMS,
     );
-    let rows = parallel_sweep_sharded(laxities, default_threads(), |laxity| {
-        let jobs = workload(
-            &network,
-            WorkloadSpec {
-                rate: 0.04,
-                horizon: 250.0,
-                hotspots: 4,
-                laxity: (laxity, laxity + 0.2),
-                seed,
-                ..WorkloadSpec::default()
-            },
-        );
-        let rows = policy_comparison(&network, &jobs, RtdsConfig::default(), 9);
-        (laxity, jobs.len(), rows)
-    });
-    let mut json_rows = Vec::new();
-    for (laxity, njobs, rows) in rows {
-        let ratio = |name: &str| policy_ratio(&rows, name);
-        println!(
-            "{:>8.1} {:>6} | {:>8.3} {:>8.3} {:>8.3} {:>8.3}",
-            laxity,
-            njobs,
-            ratio("rtds"),
-            ratio("local-only"),
-            ratio("broadcast-bidding"),
-            ratio("centralized-oracle"),
-        );
-        assert!(rows.iter().all(|r| r.misses == 0));
-        json_rows.push(Json::object(vec![
-            ("laxity", Json::Num(laxity)),
-            ("jobs", Json::UInt(njobs as u64)),
-            ("rtds", Json::Num(ratio("rtds"))),
-            ("local_only", Json::Num(ratio("local-only"))),
-            ("broadcast_bidding", Json::Num(ratio("broadcast-bidding"))),
-            ("centralized_oracle", Json::Num(ratio("centralized-oracle"))),
-        ]));
-    }
-    args.write_rows("laxity_tightness", seed, json_rows);
-    println!();
-    println!("Expected shape: with laxity close to 1 the remote option barely helps");
-    println!("(communication eats the slack, adjustment case (i) rejects most mappings);");
-    println!("as the windows loosen, cooperation recovers most of what local-only loses.");
 }

@@ -1,194 +1,183 @@
-//! Shared experiment utilities: workload construction, policy comparison and
-//! the report-field renderers several experiments share.
+//! Shared experiment utilities: the rows E1–E5 sweep and the table they
+//! print, plus the report-field renderers several experiments share.
 
-use rtds_baselines::{
-    BiddingConfig, BroadcastBidding, CentralizedOracle, DistributionPolicy, GlobalHeft, LocalOnly,
-    PolicyReport, RandomOffload, RandomOffloadConfig,
-};
-use rtds_core::{RtdsConfig, RtdsSystem, StreamReport};
-use rtds_graph::generators::{CostDistribution, DagGenerator, DagShape, GeneratorConfig};
-use rtds_graph::Job;
-use rtds_net::{Network, SiteId};
-use rtds_scenarios::{CellReport, Json};
-use rtds_sim::arrivals::{ArrivalProcess, ArrivalSchedule};
+use crate::{write_json_report, ExpArgs};
+use rtds_baselines::{Baseline, BASELINES};
+use rtds_scenarios::{mix_seed, run_cell, run_sweep_with, CellReport, Json, Scenario, SweepConfig};
+use rtds_sim::MetricsRegistry;
 
-/// Description of a synthetic workload.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct WorkloadSpec {
-    /// Per-site Poisson arrival rate (jobs per time unit).
-    pub rate: f64,
-    /// Simulation horizon for arrivals.
-    pub horizon: f64,
-    /// Tasks per job.
-    pub tasks_per_job: usize,
-    /// Deadline laxity factor range.
-    pub laxity: (f64, f64),
-    /// Restrict arrivals to the first `hotspots` sites (0 = all sites).
-    pub hotspots: usize,
-    /// RNG seed.
-    pub seed: u64,
+/// How many consecutive seeds, from `--seed`, every E1–E5 row runs over.
+const EXPERIMENT_SEEDS: u64 = 16;
+
+/// One row of an E1–E5 table: a scenario and the policy that runs it.
+#[derive(Debug)]
+pub struct Row {
+    /// What the row varies, printed as the table's first column
+    /// (`rate=0.040`, `h=3`, `preemptive`).
+    label: String,
+    /// The policy's report name: `rtds` or a [`BASELINES`] entry's.
+    policy: &'static str,
+    /// The baseline's entry point; `None` runs the RTDS protocol.
+    baseline: Option<Baseline>,
+    /// The network, workload and protocol configuration; named
+    /// `label/policy` in the sweep report.
+    scenario: Scenario,
 }
 
-impl Default for WorkloadSpec {
-    fn default() -> Self {
-        WorkloadSpec {
-            rate: 0.01,
-            horizon: 300.0,
-            tasks_per_job: 8,
-            laxity: (1.6, 2.6),
-            hotspots: 0,
-            seed: 1,
+impl Row {
+    /// A row running `scenario` under `policy`: `rtds` or a baseline's name.
+    /// Panics on any other name.
+    pub fn new(label: String, policy: &str, mut scenario: Scenario) -> Row {
+        let (policy, baseline) = match BASELINES.iter().find(|(name, _)| *name == policy) {
+            Some(&(name, run)) => (name, Some(run)),
+            None if policy == "rtds" => ("rtds", None),
+            None => panic!("no policy named {policy:?}"),
+        };
+        scenario.name = format!("{label}/{policy}");
+        Row {
+            label,
+            policy,
+            baseline,
+            scenario,
+        }
+    }
+
+    /// Runs the row's cell for one sweep seed.
+    fn run_cell(&self, seed: u64) -> CellReport {
+        match self.baseline {
+            None => run_cell(&self.scenario, seed),
+            Some(run) => baseline_cell(&self.scenario, run, seed),
         }
     }
 }
 
-/// Builds the workload described by `spec` for the given network.
-pub fn workload(network: &Network, spec: WorkloadSpec) -> Vec<Job> {
-    let schedule = if spec.hotspots == 0 {
-        ArrivalSchedule::generate(
-            ArrivalProcess::Poisson { rate: spec.rate },
-            network.site_count(),
-            spec.horizon,
-            spec.seed,
-        )
-    } else {
-        let sites: Vec<SiteId> = network.sites().take(spec.hotspots).collect();
-        ArrivalSchedule::generate_on_sites(
-            ArrivalProcess::Poisson { rate: spec.rate },
-            &sites,
-            spec.horizon,
-            spec.seed,
-        )
+/// Runs a baseline on the network and jobs [`run_cell`] would build for the
+/// same scenario and seed, with the scenario's `preemptive` switch. A
+/// baseline models no messages on the wire, slack, faults or events, so
+/// those fields are 0 and its registry is empty.
+fn baseline_cell(scenario: &Scenario, run: Baseline, seed: u64) -> CellReport {
+    assert!(
+        scenario.stream.is_none() && scenario.perturbations.is_empty(),
+        "{}: baselines run batch workloads without faults",
+        scenario.name
+    );
+    let network = scenario.build_network(seed);
+    let jobs = scenario.build_workload(&network, seed);
+    let report = run(
+        &network,
+        &jobs,
+        scenario.config.preemptive,
+        mix_seed(seed, 5),
+    );
+    CellReport {
+        scenario: scenario.name.clone(),
+        seed,
+        submitted: report.submitted,
+        accepted_locally: report.accepted_locally,
+        accepted_distributed: report.accepted_remotely,
+        rejected: report.rejected,
+        deadline_misses: report.deadline_misses,
+        // An empty workload reads as RTDS's own cells do.
+        guarantee_ratio: report.guarantee_ratio().unwrap_or(1.0),
+        messages_per_job: report.messages_per_job().unwrap_or(0.0),
+        messages_sent: 0,
+        messages_delivered: 0,
+        mean_slack: 0.0,
+        min_slack: 0.0,
+        faults_injected: 0,
+        messages_lost: 0,
+        finished_at: 0.0,
+        events_processed: 0,
+        metrics: MetricsRegistry::new(),
+    }
+}
+
+/// A table column: header, decimals, and the per-cell value whose median
+/// and range over the seeds it prints.
+pub type Column = (&'static str, usize, fn(&CellReport) -> f64);
+
+/// Jobs submitted.
+pub const JOBS: Column = ("jobs", 0, |c| c.submitted as f64);
+/// Guarantee ratio.
+pub const RATIO: Column = ("ratio", 3, |c| c.guarantee_ratio);
+/// Distribution messages per submitted job.
+pub const MESSAGES: Column = ("msgs/job", 1, |c| c.messages_per_job);
+
+/// Median, minimum and maximum of a non-empty sample (the median of an even
+/// count is the mean of the middle two).
+fn median_min_max(mut values: Vec<f64>) -> (f64, f64, f64) {
+    values.sort_by(f64::total_cmp);
+    let n = values.len();
+    let median = (values[(n - 1) / 2] + values[n / 2]) / 2.0;
+    (median, values[0], values[n - 1])
+}
+
+/// Runs one of E1–E5: sweeps `rows` over 16 seeds from `--seed` (default
+/// 1), prints `title` and one line per row with each column's median and
+/// `[min-max]` over the seeds, then `claims`. Writes the
+/// [`rtds_scenarios::SweepReport`] to `--json`, then exits 1 if an accepted
+/// job missed its deadline.
+pub fn run_table(args: &ExpArgs, title: &str, rows: &[Row], columns: &[Column], claims: &str) {
+    let config = SweepConfig {
+        seeds: args.seed_range(EXPERIMENT_SEEDS),
+        threads: default_threads(),
     };
-    let cfg = GeneratorConfig {
-        task_count: spec.tasks_per_job,
-        shape: DagShape::LayeredRandom {
-            layers: 3,
-            edge_prob: 0.3,
-        },
-        costs: CostDistribution::Uniform { min: 2.0, max: 9.0 },
-        ccr: 0.0,
-        laxity_factor: spec.laxity,
-    };
-    let mut generator = DagGenerator::new(cfg, spec.seed.wrapping_mul(97).wrapping_add(13));
-    schedule
-        .arrivals()
-        .iter()
-        .map(|a| generator.generate_job(a.site.index(), a.time))
-        .collect()
-}
-
-/// One row of a policy-comparison table.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ComparisonRow {
-    /// Policy label.
-    pub policy: String,
-    /// Jobs accepted.
-    pub accepted: u64,
-    /// Jobs submitted.
-    pub submitted: u64,
-    /// Guarantee ratio (`None` for an empty workload — a 0/0 ratio).
-    pub ratio: Option<f64>,
-    /// Deadline misses among accepted jobs (must be zero).
-    pub misses: u64,
-    /// Distribution messages per submitted job (`None` for an empty
-    /// workload).
-    pub messages_per_job: Option<f64>,
-}
-
-impl ComparisonRow {
-    fn from_policy(label: &str, report: &PolicyReport) -> Self {
-        ComparisonRow {
-            policy: label.to_string(),
-            accepted: report.accepted(),
-            submitted: report.submitted,
-            ratio: report.guarantee_ratio(),
-            misses: report.deadline_misses,
-            messages_per_job: report.messages_per_job(),
+    let scenarios: Vec<Scenario> = rows.iter().map(|r| r.scenario.clone()).collect();
+    let report = run_sweep_with(&scenarios, &config, |index, seed| {
+        rows[index].run_cell(seed)
+    });
+    println!("== {title} ==");
+    println!(
+        "{} seeds from {}; each column is the median [min-max] over the seeds",
+        config.seeds.len(),
+        config.seeds[0]
+    );
+    println!();
+    let mut lines = vec![["row", "policy"]
+        .into_iter()
+        .chain(columns.iter().map(|c| c.0))
+        .map(str::to_string)
+        .collect::<Vec<_>>()];
+    for (row, summary) in rows.iter().zip(&report.scenarios) {
+        let mut line = vec![row.label.clone(), row.policy.to_string()];
+        for &(_, decimals, value) in columns {
+            let (median, min, max) = median_min_max(summary.cells.iter().map(value).collect());
+            line.push(format!(
+                "{median:.decimals$} [{min:.decimals$}-{max:.decimals$}]"
+            ));
         }
+        lines.push(line);
     }
-
-    fn from_rtds(label: &str, report: &StreamReport) -> Self {
-        let submitted = report.guarantee.submitted;
-        ComparisonRow {
-            policy: label.to_string(),
-            accepted: report.guarantee.accepted(),
-            submitted,
-            ratio: (submitted > 0).then(|| report.guarantee_ratio()),
-            misses: report.accepted_misses(),
-            messages_per_job: (submitted > 0).then_some(report.messages_per_job),
-        }
+    let widths: Vec<usize> = (0..lines[0].len())
+        .map(|i| {
+            lines
+                .iter()
+                .map(|l| l[i].chars().count())
+                .max()
+                .unwrap_or(0)
+        })
+        .collect();
+    for line in &lines {
+        let cells: Vec<String> = (line.iter().zip(&widths).enumerate())
+            .map(|(i, (cell, &width))| match i {
+                0 | 1 => format!("{cell:<width$}"),
+                _ => format!("{cell:>width$}"),
+            })
+            .collect();
+        println!("{}", cells.join("  ").trim_end());
     }
-}
-
-/// Runs RTDS (full protocol) and returns its comparison row.
-pub fn comparison_row(
-    label: &str,
-    network: &Network,
-    jobs: &[Job],
-    config: RtdsConfig,
-    seed: u64,
-) -> ComparisonRow {
-    let mut system = RtdsSystem::new(network.clone(), config, seed);
-    let (report, _) = system.run(jobs.to_vec());
-    ComparisonRow::from_rtds(label, &report)
-}
-
-/// The five baselines parameterised for a comparison against `config`.
-pub(crate) fn baseline_policies(
-    config: &RtdsConfig,
-    seed: u64,
-) -> Vec<Box<dyn DistributionPolicy>> {
-    vec![
-        Box::new(LocalOnly {
-            preemptive: config.preemptive,
-        }),
-        Box::new(RandomOffload {
-            config: RandomOffloadConfig {
-                seed,
-                preemptive: config.preemptive,
-                ..RandomOffloadConfig::default()
-            },
-        }),
-        Box::new(BroadcastBidding {
-            config: BiddingConfig {
-                preemptive: config.preemptive,
-                ..BiddingConfig::default()
-            },
-        }),
-        Box::new(GlobalHeft {
-            preemptive: config.preemptive,
-        }),
-        Box::new(CentralizedOracle {
-            preemptive: config.preemptive,
-        }),
-    ]
-}
-
-/// Runs RTDS plus all five baselines on the same workload.
-pub fn policy_comparison(
-    network: &Network,
-    jobs: &[Job],
-    config: RtdsConfig,
-    seed: u64,
-) -> Vec<ComparisonRow> {
-    let mut rows = vec![comparison_row("rtds", network, jobs, config, seed)];
-    for policy in baseline_policies(&config, seed) {
-        rows.push(ComparisonRow::from_policy(
-            policy.name(),
-            &policy.run(network, jobs),
-        ));
+    println!();
+    println!("{claims}");
+    if let Some(path) = args.json_path() {
+        write_json_report(path, &report.to_json());
     }
-    rows
-}
-
-/// Guarantee ratio of the named policy in a [`policy_comparison`] result
-/// (NaN when the policy is absent or its ratio undefined).
-pub fn policy_ratio(rows: &[ComparisonRow], policy: &str) -> f64 {
-    rows.iter()
-        .find(|r| r.policy == policy)
-        .and_then(|r| r.ratio)
-        .unwrap_or(f64::NAN)
+    require_no_deadline_misses(
+        report
+            .scenarios
+            .iter()
+            .map(|s| s.total_deadline_misses)
+            .sum(),
+    );
 }
 
 /// An optional number as JSON: undefined ratios serialize as `null`, never
@@ -241,42 +230,36 @@ pub fn default_threads() -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rtds_net::generators::{ring, DelayDistribution};
+    use rtds_sim::arrivals::ArrivalProcess;
 
     #[test]
-    fn workload_is_reproducible_and_respects_hotspots() {
-        let net = ring(8, DelayDistribution::Constant(1.0), 0);
-        let spec = WorkloadSpec {
-            hotspots: 2,
-            ..WorkloadSpec::default()
-        };
-        let a = workload(&net, spec);
-        let b = workload(&net, spec);
-        assert_eq!(a.len(), b.len());
-        assert!(!a.is_empty());
-        assert!(a.iter().all(|j| j.arrival_site < 2));
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.id, y.id);
-            assert_eq!(x.arrival_site, y.arrival_site);
-            assert_eq!(x.params, y.params);
+    fn every_baseline_cell_accounts_for_every_job() {
+        let mut scenario = Scenario::named("small", "a 5x5 grid with 4 hotspot sites");
+        scenario.workload.arrivals = ArrivalProcess::Poisson { rate: 0.08 };
+        scenario.workload.horizon = 100.0;
+        scenario.workload.hotspots = 4;
+        for seed in [1, 2] {
+            // Every policy is offered the jobs RTDS's own cell is offered.
+            let rtds = Row::new("small".to_string(), "rtds", scenario.clone()).run_cell(seed);
+            assert!(rtds.submitted > 0);
+            for (name, _) in BASELINES {
+                let cell = Row::new("small".to_string(), name, scenario.clone()).run_cell(seed);
+                assert_eq!(cell.scenario, format!("small/{name}"));
+                assert_eq!(cell.submitted, rtds.submitted, "{name} seed {seed}");
+                assert_eq!(
+                    cell.accepted_locally + cell.accepted_distributed + cell.rejected,
+                    cell.submitted,
+                    "{name} seed {seed}"
+                );
+                assert_eq!(cell.deadline_misses, 0, "{name} seed {seed}");
+            }
         }
     }
 
     #[test]
-    fn comparison_runs_all_policies() {
-        let net = ring(6, DelayDistribution::Constant(1.0), 0);
-        let jobs = workload(
-            &net,
-            WorkloadSpec {
-                rate: 0.02,
-                horizon: 100.0,
-                ..WorkloadSpec::default()
-            },
-        );
-        let rows = policy_comparison(&net, &jobs, RtdsConfig::default(), 1);
-        assert_eq!(rows.len(), 6);
-        assert!(rows.iter().any(|r| r.policy == "global-heft"));
-        assert!(rows.iter().all(|r| r.misses == 0));
-        assert!(rows.iter().all(|r| r.submitted == jobs.len() as u64));
+    fn median_of_an_even_count_is_the_mean_of_the_middle_two() {
+        assert_eq!(median_min_max(vec![4.0, 1.0, 3.0, 2.0]), (2.5, 1.0, 4.0));
+        assert_eq!(median_min_max(vec![0.5]), (0.5, 0.5, 0.5));
+        assert_eq!(median_min_max(vec![3.0, 1.0, 2.0]), (2.0, 1.0, 3.0));
     }
 }

@@ -16,6 +16,12 @@
 //! * `laxity` — E4: acceptance vs. deadline tightness (which exercises
 //!   adjustment cases (i)/(ii)/(iii)),
 //! * `ablation` — E5: the §13 extension switches,
+//!
+//!   E1–E5 are scenario sweeps: each is a list of [`harness::Row`]s (a
+//!   scenario plus the policy that runs it, RTDS or a baseline) swept over
+//!   16 seeds from `--seed` by the same code as
+//!   [`rtds_scenarios::run_sweep`]; the table prints each row's median and
+//!   min–max, and `--json` writes the [`rtds_scenarios::SweepReport`],
 //! * `scenarios` — E6: the declarative scenario engine: registry listing,
 //!   fault-injection scenarios and the sharded seed sweep (see
 //!   [`rtds_scenarios`]),
@@ -30,7 +36,7 @@
 //!   [`rtds_workload`] and `docs/WORKLOADS.md`).
 //!
 //! The library holds what the experiments share: the argument parser
-//! ([`args`]), reproducible workloads, policy comparisons and report-field
+//! ([`args`]), the E1–E5 rows, their sweep and table, and the report-field
 //! renderers ([`harness`]) and the tracing flags ([`tracing`]). Nothing here
 //! measures time: speed is `benchmark/`'s job. What a fixed suite of runs
 //! computes and allocates is pinned by the root cost ledger
@@ -41,5 +47,4 @@ pub mod harness;
 pub mod tracing;
 
 pub use args::{write_json_report, ExpArgs};
-pub use harness::{comparison_row, policy_comparison, workload, ComparisonRow, WorkloadSpec};
 pub use tracing::TraceSetup;

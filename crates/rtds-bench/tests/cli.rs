@@ -1,7 +1,8 @@
 //! The `rtds-exp` command line, driven as a user would: the exit-status
-//! contract (0 success, 1 a failed experiment check, 2 a usage error) and
-//! the refusal of hostile flag values.
+//! contract (0 success, 1 a failed experiment check, 2 a usage error), the
+//! refusal of hostile flag values and the sweep report E1–E5 write.
 
+use rtds_scenarios::Json;
 use std::path::PathBuf;
 use std::process::{Command, Output};
 
@@ -24,7 +25,7 @@ fn scratch(name: &str) -> PathBuf {
 #[test]
 fn scenarios_writes_its_report_before_failing_on_a_deadline_miss() {
     // flaky-links misses one deadline within its first 32 seeds (ROADMAP
-    // item 2). The sweep must print every row and write the report, then
+    // item 1). The sweep must print every row and write the report, then
     // exit 1 — not abort mid-table.
     let path = scratch("flaky.json");
     let output = rtds_exp(&[
@@ -99,4 +100,40 @@ fn table1_matches_the_paper() {
         last,
         "RESULT: all 20 values of Table 1 (plus M and M*) match the paper exactly."
     );
+}
+
+#[test]
+fn radius_writes_a_byte_identical_sweep_report() {
+    let paths = [scratch("radius_a.json"), scratch("radius_b.json")];
+    let reports: Vec<String> = paths
+        .iter()
+        .map(|path| {
+            let output = rtds_exp(&["radius", "--json", path.to_str().unwrap()]);
+            assert!(output.status.success(), "{}", stderr(&output));
+            let report = std::fs::read_to_string(path).expect("report written");
+            let _ = std::fs::remove_file(path);
+            report
+        })
+        .collect();
+    assert_eq!(reports[0], reports[1], "two runs must write the same bytes");
+    let report = Json::parse(&reports[0]).expect("the report is JSON");
+    let seeds = report.get("seeds").and_then(Json::items).expect("seeds");
+    let seeds: Vec<u64> = seeds.iter().filter_map(Json::as_u64).collect();
+    assert_eq!(seeds, (1..=16).collect::<Vec<u64>>());
+    let scenarios = report
+        .get("scenarios")
+        .and_then(Json::items)
+        .expect("scenarios");
+    let names: Vec<&str> = scenarios
+        .iter()
+        .filter_map(|s| s.get("name").and_then(Json::as_str))
+        .collect();
+    assert_eq!(
+        names,
+        ["h=1/rtds", "h=2/rtds", "h=3/rtds", "h=4/rtds", "h=5/rtds"]
+    );
+    for scenario in scenarios {
+        let cells = scenario.get("cells").and_then(Json::items).expect("cells");
+        assert_eq!(cells.len(), 16);
+    }
 }

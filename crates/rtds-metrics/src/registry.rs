@@ -61,7 +61,8 @@ impl Gauge {
         }
     }
 
-    fn merge(&mut self, other: &Gauge) {
+    /// Folds `other` in: both fields keep their maximum.
+    pub fn merge(&mut self, other: &Gauge) {
         self.last = self.last.max(other.last);
         self.peak = self.peak.max(other.peak);
     }

@@ -52,8 +52,8 @@ pub use registry::{builtin_scenarios, find_scenario};
 // name the engine crate.
 pub use rtds_sim::json::Json;
 pub use runner::{
-    parallel_sweep_sharded, run_cell, run_cell_traced, run_sweep, CellReport, ScenarioSummary,
-    SweepConfig, SweepReport,
+    parallel_sweep_sharded, run_cell, run_cell_traced, run_sweep, run_sweep_with, CellReport,
+    ScenarioSummary, SweepConfig, SweepReport,
 };
 pub use spec::{
     mix_seed, ResourceRecipe, Scenario, SpeedRecipe, StreamRecipe, TopologyRecipe, TopologySpec,

@@ -432,13 +432,25 @@ fn run_stream_cell(
 /// Runs the full sweep `scenarios × config.seeds` on `config.threads`
 /// worker threads and aggregates per-scenario summaries.
 pub fn run_sweep(scenarios: &[Scenario], config: &SweepConfig) -> SweepReport {
+    run_sweep_with(scenarios, config, |index, seed| {
+        run_cell(&scenarios[index], seed)
+    })
+}
+
+/// [`run_sweep`] with each cell run by `cell(scenario index, seed)` instead
+/// of [`run_cell`]: the same sharding, ordering and aggregation, for callers
+/// that run some scenarios another way (`rtds-exp` runs its baseline rows
+/// through `rtds-baselines`).
+pub fn run_sweep_with<F>(scenarios: &[Scenario], config: &SweepConfig, cell: F) -> SweepReport
+where
+    F: Fn(usize, u64) -> CellReport + Sync,
+{
     let cells: Vec<(usize, u64)> = (0..scenarios.len())
         .flat_map(|i| config.seeds.iter().map(move |&seed| (i, seed)))
         .collect();
-    let mut reports = parallel_sweep_sharded(cells, config.threads, |(index, seed)| {
-        run_cell(&scenarios[index], seed)
-    })
-    .into_iter();
+    let mut reports =
+        parallel_sweep_sharded(cells, config.threads, |(index, seed)| cell(index, seed))
+            .into_iter();
     // Results come back in input order (scenario-major), so each scenario's
     // cells are the next `seeds.len()` reports — name collisions between
     // scenarios cannot cross-contaminate summaries.

@@ -383,7 +383,7 @@ pub struct Scenario {
 
 impl Scenario {
     /// A quiet scenario with the given name and all-default ingredients.
-    pub(crate) fn named(name: &str, description: &str) -> Self {
+    pub fn named(name: &str, description: &str) -> Self {
         Scenario {
             name: name.to_string(),
             description: description.to_string(),

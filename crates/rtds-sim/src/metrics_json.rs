@@ -24,7 +24,7 @@
 //! count, an exact recorded `f64`, or a power-of-two bucket bound.
 
 use crate::json::Json;
-use rtds_metrics::{HistogramSummary, MetricsRegistry};
+use rtds_metrics::{Histogram, HistogramSummary, MetricsRegistry};
 
 /// Renders a histogram summary as the fixed six-field object.
 pub fn summary_to_json(summary: &HistogramSummary) -> Json {
@@ -66,7 +66,10 @@ pub fn metrics_to_json(metrics: &MetricsRegistry, detail: bool) -> Json {
                     ]),
                 ));
             }
-        } else if let Some(gauge) = metrics.gauge(name) {
+        } else if let Some(gauge) = scopes.values().copied().reduce(|mut a, b| {
+            a.merge(&b);
+            a
+        }) {
             gauges.push((
                 name.to_string(),
                 Json::object(vec![
@@ -86,10 +89,11 @@ pub fn metrics_to_json(metrics: &MetricsRegistry, detail: bool) -> Json {
                 ));
             }
         } else {
-            histograms.push((
-                name.to_string(),
-                summary_to_json(&metrics.histogram(name).summary()),
-            ));
+            let mut merged = Histogram::new();
+            for histogram in scopes.values() {
+                merged.merge(histogram);
+            }
+            histograms.push((name.to_string(), summary_to_json(&merged.summary())));
         }
     }
     Json::Object(vec![
@@ -144,7 +148,11 @@ mod tests {
 
     #[test]
     fn compact_rendering_rolls_scopes_up() {
-        let json = metrics_to_json(&sample_registry(), false);
+        let mut registry = sample_registry();
+        // A gauge family opened but never set has no scopes to roll up.
+        registry.gauge_family("never_set");
+        let json = metrics_to_json(&registry, false);
+        assert!(json.get("gauges").unwrap().get("never_set").is_none());
         let counters = json.get("counters").unwrap();
         assert_eq!(
             counters.get("routing_update").and_then(Json::as_u64),

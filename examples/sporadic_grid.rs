@@ -6,7 +6,7 @@
 //!
 //! Run with: `cargo run --release --example sporadic_grid`
 
-use rtds::baselines::all_policies;
+use rtds::baselines::BASELINES;
 use rtds::core::{RtdsConfig, RtdsSystem};
 use rtds::graph::generators::{CostDistribution, DagGenerator, DagShape, GeneratorConfig};
 use rtds::graph::Job;
@@ -66,20 +66,21 @@ fn main() {
         rtds.messages_per_job
     );
 
-    // The five baselines behind the common DistributionPolicy trait.
+    // The five baselines at their default parameters (non-preemptive sites,
+    // random-offload seed 0).
     let mut local_accepted = 0;
-    for policy in all_policies() {
-        let report = policy.run(&network, &jobs);
+    for (name, run) in BASELINES {
+        let report = run(&network, &jobs, false, 0);
         println!(
             "{:<22} {:>9} {:>9} {:>9.3} {:>10} {:>12.1}",
-            policy.name(),
+            name,
             report.accepted(),
             report.rejected,
             report.guarantee_ratio().unwrap_or(f64::NAN),
             report.deadline_misses,
             report.messages_per_job().unwrap_or(f64::NAN)
         );
-        if policy.name() == "local-only" {
+        if name == "local-only" {
             local_accepted = report.accepted();
         }
     }

@@ -4,7 +4,7 @@
 # rejection of bad input). Used by CI, one step per check, and runnable
 # locally from anywhere:
 #
-#   scripts/smoke.sh <scenarios|workloads|trace|flow|sched|examples|all>
+#   scripts/smoke.sh <scenarios|workloads|trace|flow|sched|experiments|examples|all>
 #
 # Reports land in $SMOKE_OUT_DIR (default: the repo root).
 set -euo pipefail
@@ -18,6 +18,7 @@ workloads|record/replay round-trip is byte-identical
 trace|same-seed traces are byte-identical and exports are well-formed
 flow|report is byte-identical and incast transfers really contend
 sched|report is byte-identical and no scheduler missed a deadline
+experiments|E1-E5 sweep 16 seeds each with no deadline miss
 examples|every example runs to completion and passes its own asserts
 '
 
@@ -112,6 +113,17 @@ smoke_sched() {
     # scenario with a non-degenerate resource recipe.
     run sched --scenario hetero-multicore --seed 1 --seeds 2 \
         --json "$out/sched-smoke-hetero.json"
+}
+
+smoke_experiments() {
+    # E1-E5 at their default flags: each sweeps its rows over 16 seeds,
+    # writes the scenario sweep's report and exits nonzero on a deadline
+    # miss, which fails the check.
+    local experiment
+    for experiment in acceptance overhead radius laxity ablation; do
+        run "$experiment" --json "$out/experiment-smoke-$experiment.json"
+        has "$out/experiment-smoke-$experiment.json" '"seeds": [' '"scenarios": ['
+    done
 }
 
 smoke_examples() {

@@ -34,7 +34,7 @@
 //!   validation by maximum matching and distributed execution,
 //! * [`baselines`] — the comparison policies (local-only, random offload,
 //!   broadcast bidding à la focused addressing, global HEFT, centralized
-//!   oracle) unified behind the `DistributionPolicy` trait,
+//!   oracle), listed by name in the `BASELINES` table,
 //! * [`scenarios`] — the declarative scenario engine: named seeded
 //!   scenarios composing topology, workload and fault-injection recipes
 //!   (link jitter/failure, partitions, site crashes, message loss), a

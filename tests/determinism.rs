@@ -5,8 +5,8 @@
 
 use rtds::core::{JobReport, RtdsConfig, RtdsSystem, StreamReport};
 use rtds::net::generators::{grid, DelayDistribution};
-use rtds::scenarios::{find_scenario, run_cell, run_sweep, SweepConfig};
-use rtds_bench::{workload, WorkloadSpec};
+use rtds::scenarios::{find_scenario, run_cell, run_sweep, SweepConfig, WorkloadRecipe};
+use rtds::sim::arrivals::ArrivalProcess;
 
 fn run_once(net_seed: u64, workload_seed: u64, system_seed: u64) -> (StreamReport, Vec<JobReport>) {
     let network = grid(
@@ -16,15 +16,12 @@ fn run_once(net_seed: u64, workload_seed: u64, system_seed: u64) -> (StreamRepor
         DelayDistribution::Uniform { min: 0.5, max: 2.0 },
         net_seed,
     );
-    let jobs = workload(
-        &network,
-        WorkloadSpec {
-            rate: 0.03,
-            horizon: 120.0,
-            seed: workload_seed,
-            ..WorkloadSpec::default()
-        },
-    );
+    let jobs = WorkloadRecipe {
+        arrivals: ArrivalProcess::Poisson { rate: 0.03 },
+        horizon: 120.0,
+        ..WorkloadRecipe::default()
+    }
+    .build(&network, workload_seed);
     let mut system = RtdsSystem::new(network, RtdsConfig::default(), system_seed);
     system.run(jobs)
 }
@@ -105,15 +102,12 @@ fn engine_dispatch_order_is_reproducible_event_for_event() {
             DelayDistribution::Uniform { min: 0.5, max: 2.0 },
             11,
         );
-        let jobs = workload(
-            &network,
-            WorkloadSpec {
-                rate: 0.25,
-                horizon: 220.0,
-                seed: 42,
-                ..WorkloadSpec::default()
-            },
-        );
+        let jobs = WorkloadRecipe {
+            arrivals: ArrivalProcess::Poisson { rate: 0.25 },
+            horizon: 220.0,
+            ..WorkloadRecipe::default()
+        }
+        .build(&network, 42);
         let mut system = RtdsSystem::new(network, RtdsConfig::default(), 7);
         system.enable_order_log(capacity);
         let report = system.run(jobs);

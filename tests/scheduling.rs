@@ -6,9 +6,7 @@
 //! degenerate path no longer delegates verbatim to the single-plan
 //! primitives.
 
-use rtds::baselines::{
-    all_policies, CentralizedOracle, DistributionPolicy, LocalOnly, PolicyReport,
-};
+use rtds::baselines::{PolicyReport, BASELINES};
 use rtds::core::DemandRule;
 use rtds::graph::Job;
 use rtds::net::generators::DelayDistribution;
@@ -104,20 +102,17 @@ fn policy_workloads() -> Vec<(&'static str, Network, Vec<Job>)> {
     ]
 }
 
-/// The five default policies plus the preemptive variants of the two whose
-/// entry point takes the flag directly.
+/// The five policies at their defaults (non-preemptive, random-offload seed
+/// 0) plus the preemptive variants of local-only and the centralized oracle.
 fn policy_rows(network: &Network, jobs: &[Job]) -> Vec<(String, PolicyReport)> {
-    let mut rows: Vec<(String, PolicyReport)> = all_policies()
+    let mut rows: Vec<(String, PolicyReport)> = BASELINES
         .iter()
-        .map(|p| (p.name().to_string(), p.run(network, jobs)))
+        .map(|(name, run)| (name.to_string(), run(network, jobs, false, 0)))
         .collect();
-    let preemptive: [&dyn DistributionPolicy; 2] = [
-        &LocalOnly { preemptive: true },
-        &CentralizedOracle { preemptive: true },
-    ];
-    for policy in preemptive {
-        let name = format!("{}/preemptive", policy.name());
-        rows.push((name, policy.run(network, jobs)));
+    for (name, run) in BASELINES {
+        if name == "local-only" || name == "centralized-oracle" {
+            rows.push((format!("{name}/preemptive"), run(network, jobs, true, 0)));
+        }
     }
     rows
 }

@@ -1,13 +1,22 @@
 //! Log-bucketed streaming histograms with deterministic percentile
 //! summaries.
 //!
-//! A [`Histogram`] holds a fixed array of power-of-two buckets: bucket `i`
-//! (for `1 <= i < BUCKET_COUNT - 1`) counts samples in
+//! A [`Histogram`] counts samples in [`BUCKET_COUNT`] power-of-two buckets:
+//! bucket `i` (for `1 <= i < BUCKET_COUNT - 1`) counts samples in
 //! `[2^(MIN_EXP + i - 1), 2^(MIN_EXP + i))`, bucket `0` is the underflow
 //! bucket (everything below `2^MIN_EXP`, including zero and negative
 //! values), and the last bucket is the overflow bucket. Classifying a
 //! sample reads the IEEE-754 exponent bits directly — no `log2` call, so
 //! the bucket of a value is exact and identical on every platform.
+//!
+//! A histogram stores only the buckets it uses: the underflow count, and
+//! the contiguous span from the first occupied bucket above it to the
+//! last, kept in an inline window of a few slots. A span that outgrows the
+//! window spills to the full bucket array. A run's histograms mostly
+//! occupy two to five buckets, so a histogram is 104 B instead of the
+//! 544 B of the full array, and recording into the window never
+//! allocates. Neither form shows through the API: equality, merge and
+//! quantiles see the same buckets.
 //!
 //! Because the state is nothing but unsigned bucket counts plus the exact
 //! running minimum and maximum, [`Histogram::merge`] is associative and
@@ -24,6 +33,8 @@
 //! the true order statistic. For latency distributions spanning orders of
 //! magnitude this is the standard trade (HdrHistogram makes the same one
 //! with finer sub-buckets).
+
+use std::fmt;
 
 /// Smallest resolved exponent: values below `2^MIN_EXP` underflow into
 /// bucket 0. `2^-21` is far below any simulated-time quantity we track.
@@ -85,15 +96,128 @@ fn exp2(e: i32) -> f64 {
     f64::from_bits(((e + 1023) as u64) << 52)
 }
 
-/// A fixed-size log-bucketed histogram (see the module docs).
-#[derive(Debug, Clone, PartialEq)]
+/// Occupied buckets a histogram keeps inline before it spills to the full
+/// array. A registry sweep's histograms span 2.9 buckets above the
+/// underflow bucket on average, and one in twenty is wider than eight.
+const WINDOW: usize = 8;
+
+/// A log-bucketed histogram (see the module docs) that stores only the
+/// buckets it uses.
+#[derive(Debug, Clone)]
 pub struct Histogram {
     count: u64,
     /// Exact running minimum (`+inf` when empty — the merge identity).
     min: f64,
     /// Exact running maximum (`-inf` when empty — the merge identity).
     max: f64,
-    buckets: [u64; BUCKET_COUNT],
+    /// Bucket 0, kept apart from the span: a latency histogram with both
+    /// zero and large samples would otherwise span most of the scheme.
+    underflow: u64,
+    /// Buckets `1..BUCKET_COUNT`.
+    span: Span,
+}
+
+/// The buckets above the underflow bucket, from the first non-zero one to
+/// the last. Counts only grow, so the span only widens, and two histograms
+/// with equal buckets have equal spans whichever form holds them.
+#[derive(Debug, Clone)]
+enum Span {
+    /// `len` buckets from bucket `lo`, in `slots[..len]`; the other slots
+    /// are zero. `len == 0` is the empty span.
+    Inline {
+        lo: u8,
+        len: u8,
+        slots: [u64; WINDOW],
+    },
+    /// Wider than the window: every bucket at its own index, occupied from
+    /// `lo` for `len` buckets.
+    Spilled {
+        lo: u8,
+        len: u8,
+        buckets: Box<[u64; BUCKET_COUNT]>,
+    },
+}
+
+impl Span {
+    const EMPTY: Span = Span::Inline {
+        lo: 0,
+        len: 0,
+        slots: [0; WINDOW],
+    };
+
+    /// The first occupied bucket and the counts from it to the last.
+    fn occupied(&self) -> (usize, &[u64]) {
+        match self {
+            Span::Inline { lo, len, slots } => (usize::from(*lo), &slots[..usize::from(*len)]),
+            Span::Spilled { lo, len, buckets } => {
+                let lo = usize::from(*lo);
+                (lo, &buckets[lo..lo + usize::from(*len)])
+            }
+        }
+    }
+
+    /// Adds `n > 0` samples to bucket `index` (`1 <= index < BUCKET_COUNT`),
+    /// widening the span to take it and spilling if it outgrows the window.
+    #[inline]
+    fn add(&mut self, index: usize, n: u64) {
+        if let Span::Inline { lo, len, slots } = self {
+            // The common case: a bucket the inline span already covers.
+            let offset = index.wrapping_sub(usize::from(*lo));
+            if offset < usize::from(*len) {
+                slots[offset] += n;
+                return;
+            }
+        }
+        self.widen_and_add(index, n);
+    }
+
+    /// [`Span::add`] for a spilled span or a bucket outside the span.
+    fn widen_and_add(&mut self, index: usize, n: u64) {
+        let (lo, len) = match self {
+            Span::Inline { lo, len, .. } | Span::Spilled { lo, len, .. } => {
+                (usize::from(*lo), usize::from(*len))
+            }
+        };
+        let (first, end) = if len == 0 {
+            (index, index + 1)
+        } else {
+            (lo.min(index), (lo + len).max(index + 1))
+        };
+        // Both fit a `u8`: BUCKET_COUNT is 65.
+        let (new_lo, new_len) = (first as u8, (end - first) as u8);
+        match self {
+            Span::Inline {
+                lo: lo_slot,
+                len: len_slot,
+                slots,
+            } if end - first <= WINDOW => {
+                if len > 0 && first < lo {
+                    slots.copy_within(..len, lo - first);
+                    slots[..lo - first].fill(0);
+                }
+                (*lo_slot, *len_slot) = (new_lo, new_len);
+                slots[index - first] += n;
+            }
+            Span::Inline { slots, .. } => {
+                let mut buckets = Box::new([0; BUCKET_COUNT]);
+                buckets[lo..lo + len].copy_from_slice(&slots[..len]);
+                buckets[index] += n;
+                *self = Span::Spilled {
+                    lo: new_lo,
+                    len: new_len,
+                    buckets,
+                };
+            }
+            Span::Spilled {
+                lo: lo_slot,
+                len: len_slot,
+                buckets,
+            } => {
+                (*lo_slot, *len_slot) = (new_lo, new_len);
+                buckets[index] += n;
+            }
+        }
+    }
 }
 
 impl Default for Histogram {
@@ -102,8 +226,21 @@ impl Default for Histogram {
             count: 0,
             min: f64::INFINITY,
             max: f64::NEG_INFINITY,
-            buckets: [0; BUCKET_COUNT],
+            underflow: 0,
+            span: Span::EMPTY,
         }
+    }
+}
+
+impl PartialEq for Histogram {
+    /// Equal samples-per-bucket and bounds; whether the span is inline or
+    /// spilled does not matter.
+    fn eq(&self, other: &Self) -> bool {
+        self.count == other.count
+            && self.min == other.min
+            && self.max == other.max
+            && self.underflow == other.underflow
+            && self.span.occupied() == other.span.occupied()
     }
 }
 
@@ -113,12 +250,21 @@ impl Histogram {
         Histogram::default()
     }
 
+    /// Adds `n > 0` samples to bucket `index`.
+    fn add_to_bucket(&mut self, index: usize, n: u64) {
+        if index == 0 {
+            self.underflow += n;
+        } else {
+            self.span.add(index, n);
+        }
+    }
+
     /// Records one sample. NaN samples are counted in the underflow bucket
     /// but excluded from min/max (a NaN min would poison the merge
     /// algebra).
     pub fn record(&mut self, value: f64) {
         self.count += 1;
-        self.buckets[bucket_index(value)] += 1;
+        self.add_to_bucket(bucket_index(value), 1);
         if !value.is_nan() {
             self.min = self.min.min(value);
             self.max = self.max.max(value);
@@ -130,21 +276,29 @@ impl Histogram {
         self.count
     }
 
-    /// Exact smallest recorded sample (0 when empty).
+    /// Whether a sample other than NaN was recorded: the empty sentinels
+    /// are the only bounds with `min > max`.
+    fn has_bounds(&self) -> bool {
+        self.min <= self.max
+    }
+
+    /// Exact smallest recorded sample (0 when empty or only NaN was
+    /// recorded).
     pub fn min(&self) -> f64 {
-        if self.count == 0 || self.min.is_infinite() {
-            0.0
-        } else {
+        if self.has_bounds() {
             self.min
+        } else {
+            0.0
         }
     }
 
-    /// Exact largest recorded sample (0 when empty).
+    /// Exact largest recorded sample (0 when empty or only NaN was
+    /// recorded).
     pub fn max(&self) -> f64 {
-        if self.count == 0 || self.max.is_infinite() {
-            0.0
-        } else {
+        if self.has_bounds() {
             self.max
+        } else {
+            0.0
         }
     }
 
@@ -159,8 +313,8 @@ impl Histogram {
         self.count += other.count;
         self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);
-        for (mine, theirs) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *mine += theirs;
+        for (index, n) in other.buckets() {
+            self.add_to_bucket(index, n);
         }
     }
 
@@ -181,7 +335,7 @@ impl Histogram {
         // 1-based rank of the requested order statistic.
         let rank = ((q * self.count as f64).ceil() as u64).clamp(1, self.count);
         let mut seen = 0u64;
-        for (index, &n) in self.buckets.iter().enumerate() {
+        for (index, n) in self.buckets() {
             seen += n;
             if seen >= rank {
                 return bucket_upper_bound(index).clamp(self.min(), self.max());
@@ -202,24 +356,118 @@ impl Histogram {
         }
     }
 
-    /// The raw state `(count, min, max, buckets)` — the exact internal
-    /// representation, including the `±inf` min/max sentinels of an empty
-    /// histogram. Snapshot path: [`Histogram::from_raw_parts`] rebuilds a
-    /// bit-identical histogram from these values.
-    pub fn raw_parts(&self) -> (u64, f64, f64, &[u64; BUCKET_COUNT]) {
-        (self.count, self.min, self.max, &self.buckets)
+    /// The non-zero buckets as `(index, count)` in index order — with
+    /// [`Histogram::raw_bounds`], the state [`Histogram::from_buckets`]
+    /// rebuilds a histogram from.
+    pub fn buckets(&self) -> impl Iterator<Item = (usize, u64)> + '_ {
+        let (lo, occupied) = self.span.occupied();
+        let underflow = (self.underflow > 0).then_some((0, self.underflow));
+        underflow.into_iter().chain(
+            occupied
+                .iter()
+                .enumerate()
+                .filter(|(_, &n)| n > 0)
+                .map(move |(offset, &n)| (lo + offset, n)),
+        )
     }
 
-    /// Rebuilds a histogram from state captured by [`Histogram::raw_parts`].
-    pub fn from_raw_parts(count: u64, min: f64, max: f64, buckets: [u64; BUCKET_COUNT]) -> Self {
-        Histogram {
+    /// The exact running `(min, max)`, including the `(+inf, -inf)`
+    /// sentinels of an empty histogram that [`Histogram::min`] and
+    /// [`Histogram::max`] report as 0.
+    pub fn raw_bounds(&self) -> (f64, f64) {
+        (self.min, self.max)
+    }
+
+    /// Rebuilds a histogram from its count, its raw bounds and its non-zero
+    /// buckets (see [`Histogram::buckets`]). Refuses state no sequence of
+    /// records and merges produces: a NaN bound, a bucket index out of
+    /// range, listed twice or out of order, a bucket listed with no
+    /// samples, or a count that is not the sum of the buckets.
+    pub fn from_buckets(
+        count: u64,
+        min: f64,
+        max: f64,
+        buckets: impl IntoIterator<Item = (usize, u64)>,
+    ) -> Result<Self, HistogramError> {
+        for (bound, value) in [("min", min), ("max", max)] {
+            if value.is_nan() {
+                return Err(HistogramError::NanBound(bound));
+            }
+        }
+        let mut histogram = Histogram {
             count,
             min,
             max,
-            buckets,
+            ..Histogram::default()
+        };
+        let (mut previous, mut sum) = (None, 0u64);
+        for (index, n) in buckets {
+            if index >= BUCKET_COUNT {
+                return Err(HistogramError::BucketOutOfRange(index));
+            }
+            if let Some(previous) = previous.filter(|&p| p >= index) {
+                return Err(HistogramError::BucketOutOfOrder { index, previous });
+            }
+            if n == 0 {
+                return Err(HistogramError::EmptyBucket(index));
+            }
+            sum = sum
+                .checked_add(n)
+                .ok_or(HistogramError::CountMismatch { count })?;
+            histogram.add_to_bucket(index, n);
+            previous = Some(index);
+        }
+        if sum != count {
+            return Err(HistogramError::CountMismatch { count });
+        }
+        Ok(histogram)
+    }
+}
+
+/// Why [`Histogram::from_buckets`] refused its input.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum HistogramError {
+    /// The named bound (`"min"` or `"max"`) is NaN.
+    NanBound(&'static str),
+    /// A bucket index at or above [`BUCKET_COUNT`].
+    BucketOutOfRange(usize),
+    /// A bucket index not above the one listed before it.
+    BucketOutOfOrder {
+        /// The offending index.
+        index: usize,
+        /// The index listed before it.
+        previous: usize,
+    },
+    /// A bucket listed with a zero count.
+    EmptyBucket(usize),
+    /// The count is not the sum of the bucket counts.
+    CountMismatch {
+        /// The count given.
+        count: u64,
+    },
+}
+
+impl fmt::Display for HistogramError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            HistogramError::NanBound(bound) => write!(f, "histogram {bound} is NaN"),
+            HistogramError::BucketOutOfRange(index) => {
+                write!(f, "bucket index {index} out of range")
+            }
+            HistogramError::BucketOutOfOrder { index, previous } => {
+                write!(f, "bucket index {index} listed after bucket {previous}")
+            }
+            HistogramError::EmptyBucket(index) => {
+                write!(f, "bucket {index} listed with no samples")
+            }
+            HistogramError::CountMismatch { count } => {
+                write!(f, "count {count} is not the sum of the bucket counts")
+            }
         }
     }
 }
+
+impl std::error::Error for HistogramError {}
 
 /// The deterministic summary of a [`Histogram`]: count, exact min/max and
 /// bucket-resolved p50/p90/p99. All zeros when empty.

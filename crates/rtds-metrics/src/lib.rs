@@ -16,10 +16,11 @@
 //!    anywhere: merging is `u64` addition plus exact `f64` min/max, both
 //!    associative and commutative.
 //! 2. **Hot-path cost.** Instrument names are `&'static str` literals and
-//!    a histogram is a fixed `u64` array: recording a sample is a map walk
-//!    by name, a binary search by scope and an increment, with allocation
-//!    only on the first touch of an instrument (and then exactly the one
-//!    slot it needs, see [`ScopeMap`]).
+//!    a histogram holds its occupied buckets inline: recording a sample is
+//!    a map walk by name, a binary search by scope and an increment, with
+//!    allocation only on the first touch of an instrument (and then exactly
+//!    the one slot it needs, see [`ScopeMap`]) and once more if a
+//!    histogram's span outgrows its inline window.
 //! 3. **Scopes.** Instruments optionally carry a [`Scope`] label
 //!    (`Phase(n)`, `Site(n)`), and any scoped family can be rolled up into
 //!    its global view by the same associative merge.
@@ -33,5 +34,5 @@
 pub mod histogram;
 pub mod registry;
 
-pub use histogram::{Histogram, HistogramSummary, BUCKET_COUNT};
-pub use registry::{Gauge, GaugeFamily, MetricsRegistry, Scope, ScopeMap};
+pub use histogram::{Histogram, HistogramError, HistogramSummary, BUCKET_COUNT};
+pub use registry::{CounterFamily, Gauge, GaugeFamily, MetricsRegistry, Scope, ScopeMap};

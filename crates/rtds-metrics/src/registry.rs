@@ -17,6 +17,7 @@
 //! reports at any thread count.
 
 use crate::histogram::Histogram;
+use std::cmp::Ordering;
 use std::collections::BTreeMap;
 
 /// The label dimension of an instrument.
@@ -71,11 +72,12 @@ impl Gauge {
 /// The scopes of one instrument family: `(scope, value)` pairs sorted by
 /// [`Scope`], found by binary search.
 ///
-/// Almost every family has exactly one scope, and a histogram value is
-/// 552 B, so the container is sized to its entries: the first insert
-/// allocates exactly one slot. A `BTreeMap` leaf always allocates eleven,
-/// which made each one-scope histogram family cost about 6 KB; a sweep
-/// keeps one registry per cell, so that slack was most of its memory.
+/// Almost every family has exactly one scope, so the container is sized to
+/// its entries: the first insert allocates exactly one slot, 112 B for a
+/// histogram. A `BTreeMap` leaf always allocates eleven, which made each
+/// one-scope histogram family cost about 6 KB when a histogram was a
+/// 544-B bucket array; a sweep keeps one registry per cell, so that slack
+/// was most of its memory.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScopeMap<V>(Vec<(Scope, V)>);
 
@@ -129,6 +131,27 @@ impl<'a, V> IntoIterator for &'a ScopeMap<V> {
     }
 }
 
+/// The scopes of one counter, as [`MetricsRegistry::counter_families`]
+/// yields them.
+#[derive(Debug, Clone, Copy)]
+pub struct CounterFamily<'a> {
+    global: Option<u64>,
+    scoped: &'a [(Scope, u64)],
+}
+
+impl<'a> CounterFamily<'a> {
+    /// The `(scope, value)` entries in `Scope` order (`Global` first).
+    pub fn iter(&self) -> impl Iterator<Item = (Scope, u64)> + 'a {
+        let global = self.global.map(|value| (Scope::Global, value));
+        global.into_iter().chain(self.scoped.iter().copied())
+    }
+
+    /// The counter totalled across its scopes.
+    pub fn total(&self) -> u64 {
+        self.iter().map(|(_, value)| value).sum()
+    }
+}
+
 /// The scopes of one gauge, borrowed from a [`MetricsRegistry`] by
 /// [`MetricsRegistry::gauge_family`].
 #[derive(Debug)]
@@ -153,7 +176,7 @@ impl GaugeFamily<'_> {
 /// literals with equal content (possible across codegen units) simply
 /// occupy two cache entries pointing at the same slot — the canonical
 /// name→slot map resolves content equality on the one-time miss path.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 struct CounterIndex {
     /// `(ptr, len, slot)`; `ptr == 0` marks an empty bucket (no real
     /// `&'static str` has address zero). Length is a power of two.
@@ -235,9 +258,13 @@ impl CounterIndex {
 /// every rendering stays deterministic. The rarer scoped counters, and
 /// the cold gauges and histograms, map each name to a [`ScopeMap`]: a
 /// vector sorted by scope that holds exactly the scopes recorded, so a
-/// one-scope histogram family costs one 552-B value, not an eleven-slot
-/// B-tree leaf of them.
-#[derive(Debug, Clone, Default)]
+/// one-scope histogram family costs one slot, not an eleven-slot B-tree
+/// leaf of them.
+///
+/// A clone starts with an empty address cache, which refills on its first
+/// bumps: a report keeps a clone of its run's registry, and the cache is
+/// a kilobyte that only a registry still being recorded into uses.
+#[derive(Debug, Default)]
 pub struct MetricsRegistry {
     /// `Scope::Global` counter values, indexed by slot (creation order).
     counter_slots: Vec<u64>,
@@ -250,6 +277,19 @@ pub struct MetricsRegistry {
     scoped_counters: BTreeMap<&'static str, ScopeMap<u64>>,
     gauges: BTreeMap<&'static str, ScopeMap<Gauge>>,
     histograms: BTreeMap<&'static str, ScopeMap<Histogram>>,
+}
+
+impl Clone for MetricsRegistry {
+    fn clone(&self) -> Self {
+        MetricsRegistry {
+            counter_slots: self.counter_slots.clone(),
+            counter_names: self.counter_names.clone(),
+            counter_index: CounterIndex::default(),
+            scoped_counters: self.scoped_counters.clone(),
+            gauges: self.gauges.clone(),
+            histograms: self.histograms.clone(),
+        }
+    }
 }
 
 impl PartialEq for MetricsRegistry {
@@ -374,24 +414,39 @@ impl MetricsRegistry {
         self.scoped_counters.iter().map(|(k, v)| (*k, v))
     }
 
-    /// All counter families in name order: `(name, per-scope values)` with
-    /// the scopes of each name in `Scope` order (`Global` first). Export
-    /// path — allocates the merged view.
-    pub fn counter_families(&self) -> Vec<(&'static str, Vec<(Scope, u64)>)> {
-        let mut families: BTreeMap<&'static str, Vec<(Scope, u64)>> = BTreeMap::new();
-        for (name, &slot) in &self.counter_names {
-            families
-                .entry(name)
-                .or_default()
-                .push((Scope::Global, self.counter_slots[slot]));
-        }
-        for (name, scopes) in &self.scoped_counters {
-            let family = families.entry(name).or_default();
-            family.extend(scopes.iter().map(|(s, v)| (*s, *v)));
-            // Global (pushed first when present) already precedes the
-            // nested scopes, which iterate in Scope order themselves.
-        }
-        families.into_iter().collect()
+    /// All counter families in name order, each with its scopes in `Scope`
+    /// order (`Global` first). Export path: a merge-join of the global and
+    /// the scoped counters, which are both kept in name order, so it
+    /// allocates nothing.
+    pub fn counter_families(&self) -> impl Iterator<Item = (&'static str, CounterFamily<'_>)> {
+        let mut globals = self.counter_names.iter().peekable();
+        let mut scoped = self.scoped_counters.iter().peekable();
+        std::iter::from_fn(move || {
+            let order = match (globals.peek(), scoped.peek()) {
+                (None, None) => return None,
+                (Some(_), None) => Ordering::Less,
+                (None, Some(_)) => Ordering::Greater,
+                (Some((g, _)), Some((s, _))) => g.cmp(s),
+            };
+            let global = order
+                .is_le()
+                .then(|| globals.next())
+                .flatten()
+                .map(|(name, &slot)| (*name, self.counter_slots[slot]));
+            let scopes = order
+                .is_ge()
+                .then(|| scoped.next())
+                .flatten()
+                .map(|(name, scopes)| (*name, scopes.0.as_slice()));
+            let name = global
+                .map(|(name, _)| name)
+                .or(scopes.map(|(name, _)| name))?;
+            let family = CounterFamily {
+                global: global.map(|(_, value)| value),
+                scoped: scopes.map_or(&[], |(_, scopes)| scopes),
+            };
+            Some((name, family))
+        })
     }
 
     // ----- gauges ---------------------------------------------------------
@@ -531,7 +586,7 @@ mod tests {
     #[test]
     fn counters_total_across_scopes() {
         let mut m = MetricsRegistry::new();
-        assert!(m.counter_families().is_empty());
+        assert_eq!(m.counter_families().count(), 0);
         m.add("msgs", 3);
         m.add_scoped("msgs", Scope::Site(2), 4);
         m.add_scoped("msgs", Scope::Phase(1), 1);
@@ -539,18 +594,61 @@ mod tests {
         assert_eq!(m.counter_scoped("msgs", Scope::Global), 3);
         assert_eq!(m.counter_scoped("msgs", Scope::Site(2)), 4);
         assert_eq!(m.counter("absent"), 0);
-        assert!(!m.counter_families().is_empty());
         // Family iteration surfaces scopes in Ord order: Global, Phase, Site.
-        let families = m.counter_families();
-        let (name, scopes) = &families[0];
-        assert_eq!(*name, "msgs");
-        let order: Vec<Scope> = scopes.iter().map(|(s, _)| *s).collect();
+        let (name, scopes) = m.counter_families().next().expect("one family");
+        assert_eq!(name, "msgs");
+        let order: Vec<Scope> = scopes.iter().map(|(s, _)| s).collect();
         assert_eq!(order, vec![Scope::Global, Scope::Phase(1), Scope::Site(2)]);
+        assert_eq!(scopes.total(), 8);
         // A purely scoped counter still shows up as a family.
         let mut scoped_only = MetricsRegistry::new();
         scoped_only.add_scoped("only", Scope::Phase(4), 2);
         assert_eq!(scoped_only.counter("only"), 2);
-        assert_eq!(scoped_only.counter_families().len(), 1);
+        assert_eq!(scoped_only.counter_families().count(), 1);
+    }
+
+    #[test]
+    fn counter_families_join_global_and_scoped_names_in_order() {
+        let mut m = MetricsRegistry::new();
+        m.add("b", 1);
+        m.add_scoped("a", Scope::Site(0), 2);
+        m.add("c", 3);
+        m.add_scoped("c", Scope::Phase(1), 4);
+        m.add_scoped("d", Scope::Phase(0), 5);
+        m.add("e", 6);
+        let families: Vec<(&str, Vec<(Scope, u64)>)> = m
+            .counter_families()
+            .map(|(name, scopes)| (name, scopes.iter().collect()))
+            .collect();
+        assert_eq!(
+            families,
+            vec![
+                ("a", vec![(Scope::Site(0), 2)]),
+                ("b", vec![(Scope::Global, 1)]),
+                ("c", vec![(Scope::Global, 3), (Scope::Phase(1), 4)]),
+                ("d", vec![(Scope::Phase(0), 5)]),
+                ("e", vec![(Scope::Global, 6)]),
+            ]
+        );
+        let totals: Vec<u64> = m.counter_families().map(|(_, s)| s.total()).collect();
+        assert_eq!(totals, vec![2, 1, 7, 5, 6]);
+    }
+
+    #[test]
+    fn a_clone_leaves_the_address_cache_behind() {
+        let mut m = MetricsRegistry::new();
+        m.add("x", 1);
+        m.add("y", 2);
+        assert!(!m.counter_index.buckets.is_empty());
+        let mut copy = m.clone();
+        assert!(copy.counter_index.buckets.is_empty());
+        assert_eq!(copy, m);
+        // The first bump refills it from the name map.
+        copy.add("x", 1);
+        copy.add("z", 1);
+        assert_eq!(copy.counter("x"), 2);
+        assert_eq!(copy.counter("z"), 1);
+        assert_eq!(copy.counter_index.len, 2);
     }
 
     #[test]
@@ -645,7 +743,7 @@ mod tests {
         for name in NAMES {
             assert_eq!(m.counter(name), 5050);
         }
-        assert_eq!(m.counter_families().len(), NAMES.len());
+        assert_eq!(m.counter_families().count(), NAMES.len());
     }
 
     #[test]

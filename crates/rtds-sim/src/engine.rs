@@ -1046,8 +1046,7 @@ mod tests {
             .stats()
             .metrics()
             .counter_families()
-            .iter()
-            .all(|(name, _)| *name != "engine_dispatch"));
+            .all(|(name, _)| name != "engine_dispatch"));
         assert_eq!(
             plain.profile().dispatch_counts.iter().sum::<u64>(),
             plain.events_processed()

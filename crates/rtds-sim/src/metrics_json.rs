@@ -44,14 +44,11 @@ pub fn metrics_to_json(metrics: &MetricsRegistry, detail: bool) -> Json {
     let mut counters = Vec::new();
     for (name, scopes) in metrics.counter_families() {
         if detail {
-            for (scope, value) in scopes {
+            for (scope, value) in scopes.iter() {
                 counters.push((format!("{name}{}", scope.suffix()), Json::UInt(value)));
             }
         } else {
-            counters.push((
-                name.to_string(),
-                Json::UInt(scopes.iter().map(|(_, v)| *v).sum()),
-            ));
+            counters.push((name.to_string(), Json::UInt(scopes.total())));
         }
     }
     let mut gauges = Vec::new();

@@ -37,7 +37,7 @@ use crate::queue::CalendarQueue;
 use crate::stats::SimStats;
 use rand::rngs::StdRng;
 use rtds_flow::FlowModel;
-use rtds_metrics::{Gauge, Histogram, MetricsRegistry, Scope, ScopeMap, BUCKET_COUNT};
+use rtds_metrics::{Gauge, Histogram, MetricsRegistry, Scope, ScopeMap};
 use rtds_net::routing::RouteEntry;
 use rtds_net::sphere::Sphere;
 use rtds_net::{LinkState, Network, SiteId};
@@ -434,37 +434,32 @@ impl Snap for Scope {
     }
 }
 
-/// Count, exact min/max and the non-empty buckets as `[index, count]`.
+/// Count, exact min/max and the non-empty buckets as `[index, count]` in
+/// index order. Decoding refuses what no run records (see
+/// [`Histogram::from_buckets`]): a NaN bound, a bucket listed twice, out of
+/// order or empty, or a count that is not the sum of the buckets.
 impl Snap for Histogram {
     fn encode(&self) -> Json {
-        let (count, min, max, buckets) = self.raw_parts();
-        let nonzero = buckets
-            .iter()
-            .enumerate()
-            .filter(|(_, &n)| n > 0)
-            .map(|(i, &n)| (i, n).encode())
-            .collect();
+        let (min, max) = self.raw_bounds();
         Json::object(vec![
-            ("count", count.encode()),
+            ("count", self.count().encode()),
             ("min", min.encode()),
             ("max", max.encode()),
-            ("buckets", Json::Array(nonzero)),
+            (
+                "buckets",
+                Json::Array(self.buckets().map(|bucket| bucket.encode()).collect()),
+            ),
         ])
     }
 
     fn decode(doc: &Json, path: &Path<'_>) -> Result<Self, SnapshotError> {
-        let mut buckets = [0u64; BUCKET_COUNT];
-        for (index, n) in field::<Vec<(usize, u64)>>(doc, path, "buckets")? {
-            *buckets
-                .get_mut(index)
-                .ok_or_else(|| path.err(format!("bucket index {index} out of range")))? = n;
-        }
-        Ok(Histogram::from_raw_parts(
+        Histogram::from_buckets(
             field(doc, path, "count")?,
             field(doc, path, "min")?,
             field(doc, path, "max")?,
-            buckets,
-        ))
+            field::<Vec<(usize, u64)>>(doc, path, "buckets")?,
+        )
+        .map_err(|e| path.err(e))
     }
 }
 

@@ -46,11 +46,10 @@ impl SimStats {
     }
 
     /// All named counters in name order (each totalled across its scopes).
-    pub fn named_counters(&self) -> impl Iterator<Item = (&'static str, u64)> {
+    pub fn named_counters(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
         self.metrics
             .counter_families()
-            .into_iter()
-            .map(|(name, scopes)| (name, scopes.iter().map(|(_, v)| *v).sum()))
+            .map(|(name, scopes)| (name, scopes.total()))
     }
 
     /// Read access to the full instrument registry (histograms, gauges,

@@ -367,3 +367,91 @@ fn mutate_every_field(mut doc: Json) {
         "only {refused} of {tried} refused"
     );
 }
+
+/// The first histogram in a checkpoint with at least `buckets` non-empty
+/// buckets: its address and its rendered location.
+fn histogram_with(doc: &mut Json, buckets: usize) -> (Vec<usize>, String) {
+    let mut all = Vec::new();
+    addresses(doc, &mut Vec::new(), &mut all);
+    all.into_iter()
+        .find_map(|address| {
+            let (node, location) = node_mut(doc, &address);
+            let filled = node.get("buckets").and_then(Json::items)?.len();
+            let histogram = location.contains(".histograms[") && node.get("count").is_some();
+            (histogram && filled >= buckets).then_some((address, location))
+        })
+        .expect("the checkpoint records histograms")
+}
+
+/// Applies `damage` to the first histogram with `buckets` non-empty buckets
+/// and checks that resuming refuses it with an error naming that histogram
+/// and containing `why`.
+fn refused_histogram(buckets: usize, why: &str, damage: impl FnOnce(&mut Vec<(String, Json)>)) {
+    let mut doc = Json::parse(&checkpoint(PAUSES[0])).expect("checkpoint parses");
+    let (address, location) = histogram_with(&mut doc, buckets);
+    match node_mut(&mut doc, &address).0 {
+        Json::Object(fields) => damage(fields),
+        _ => unreachable!("a histogram is an object"),
+    }
+    match resume(&doc.render_compact()) {
+        Outcome::Refused(error) => assert!(
+            error.contains(&format!("{location}: ")) && error.contains(why),
+            "{location}: {error}"
+        ),
+        other => panic!("{location}: {other:?}"),
+    }
+}
+
+/// The value of histogram field `key`.
+fn histogram_field<'a>(fields: &'a mut [(String, Json)], key: &str) -> &'a mut Json {
+    let (_, value) = fields.iter_mut().find(|(k, _)| k == key).expect("field");
+    value
+}
+
+#[test]
+fn a_histogram_bucket_listed_twice_is_refused() {
+    // Listed again with the same count, so overwriting it would restore
+    // the same histogram and hide the damage.
+    refused_histogram(1, "listed after bucket", |fields| {
+        if let Json::Array(buckets) = histogram_field(fields, "buckets") {
+            buckets.push(buckets[0].clone());
+        }
+    });
+}
+
+#[test]
+fn histogram_buckets_out_of_order_are_refused() {
+    refused_histogram(2, "listed after bucket", |fields| {
+        if let Json::Array(buckets) = histogram_field(fields, "buckets") {
+            buckets.swap(0, 1);
+        }
+    });
+}
+
+#[test]
+fn an_empty_histogram_bucket_is_refused() {
+    refused_histogram(1, "with no samples", |fields| {
+        if let Json::Array(buckets) = histogram_field(fields, "buckets") {
+            buckets.push(Json::Array(vec![Json::UInt(64), Json::UInt(0)]));
+        }
+    });
+}
+
+#[test]
+fn a_histogram_count_that_is_not_its_buckets_is_refused() {
+    refused_histogram(1, "is not the sum of the bucket counts", |fields| {
+        let count = histogram_field(fields, "count");
+        *count = Json::UInt(count.as_u64().expect("a count") + 1);
+    });
+}
+
+#[test]
+fn a_nan_histogram_bound_is_refused() {
+    // Floats travel as their bit patterns, so a NaN min or max is a
+    // well-formed value that would poison every later merge.
+    for bound in ["min", "max"] {
+        refused_histogram(1, &format!("histogram {bound} is NaN"), |fields| {
+            *histogram_field(fields, bound) = Json::UInt(f64::NAN.to_bits());
+        });
+    }
+}

@@ -20,7 +20,7 @@
 //! that rejection behaviour is unit-testable instead of living behind
 //! `process::exit`.
 
-use rtds_scenarios::{Json, Scenario};
+use rtds_scenarios::{Json, Scenario, SweepConfig};
 
 /// Parsed command-line arguments of one experiment: an ordered list of
 /// `(flag, optional value)` pairs.
@@ -205,18 +205,11 @@ impl ExpArgs {
         }
     }
 
-    /// The `--scenario <name|all>` × `--seed`/`--seeds` selection of the
-    /// registry-driven experiments: the chosen scenarios out of `pool` (all
-    /// of them by default, in registry order), the `--seed` value (1 by
-    /// default) and the `--seeds` consecutive seeds starting there. A name
-    /// outside the pool and a bad seed range (see [`ExpArgs::seed_range`])
-    /// are usage errors.
-    pub fn selection(
-        &self,
-        pool: Vec<Scenario>,
-        default_seeds: u64,
-    ) -> (Vec<Scenario>, u64, Vec<u64>) {
-        let scenarios = match self.value_of("scenario") {
+    /// The `--scenario <name|all>` selection of the registry-driven
+    /// experiments: the chosen scenarios out of `pool`, all of them by
+    /// default, in registry order. A name outside the pool is a usage error.
+    pub fn selection(&self, pool: Vec<Scenario>) -> Vec<Scenario> {
+        match self.value_of("scenario") {
             None | Some("all") => pool,
             Some(name) => match pool.iter().find(|s| s.name == name) {
                 Some(s) => vec![s.clone()],
@@ -228,14 +221,18 @@ impl ExpArgs {
                     ))
                 }
             },
-        };
-        let seeds = self.seed_range(self.u64_of("seeds", default_seeds));
-        (scenarios, seeds[0], seeds)
+        }
     }
 
-    /// `count` consecutive sweep seeds from `--seed` (1 by default). A zero
-    /// count and a range that runs past `u64::MAX` are usage errors.
-    pub fn seed_range(&self, count: u64) -> Vec<u64> {
+    /// The sweep of a registry experiment: `--seeds` consecutive seeds
+    /// (`default_seeds` when absent) from `--seed` (1 when absent), on
+    /// `--threads` worker threads (the available parallelism when absent;
+    /// every sweep reassembles its results in input order, so no report
+    /// depends on it). An experiment that does not take a flag gets its
+    /// default. A zero seed count and a range that runs past `u64::MAX` are
+    /// usage errors.
+    pub fn sweep_config(&self, default_seeds: u64) -> SweepConfig {
+        let count = self.u64_of("seeds", default_seeds);
         let base_seed = self.seed(1);
         if count == 0 {
             self.usage_error("--seeds: must be at least 1");
@@ -245,7 +242,11 @@ impl ExpArgs {
                 "--seeds: {count} seeds from --seed {base_seed} run past u64::MAX"
             ));
         }
-        (0..count).map(|i| base_seed + i).collect()
+        let threads = std::thread::available_parallelism().map_or(4, |n| n.get());
+        SweepConfig {
+            seeds: (0..count).map(|i| base_seed + i).collect(),
+            threads: self.usize_of("threads", threads),
+        }
     }
 }
 
@@ -360,15 +361,18 @@ mod tests {
     fn selection_filters_the_pool_and_lists_consecutive_seeds() {
         let parse = |v: &[&str]| {
             let v = v.iter().map(|s| s.to_string()).collect();
-            ExpArgs::try_from_vec("exp_test", v, &["scenario", "seeds"], &[]).unwrap()
+            ExpArgs::try_from_vec("exp_test", v, &["scenario", "seeds", "threads"], &[]).unwrap()
         };
         let pool = rtds_scenarios::builtin_scenarios();
-        let (all, base, seeds) = parse(&["--scenario", "all"]).selection(pool.clone(), 3);
-        assert_eq!((all.len(), base, seeds), (pool.len(), 1, vec![1, 2, 3]));
+        let all = parse(&["--scenario", "all"]);
+        assert_eq!(all.selection(pool.clone()).len(), pool.len());
+        assert_eq!(all.sweep_config(3).seeds, vec![1, 2, 3]);
         let picked = parse(&["--scenario", &pool[1].name, "--seed=7", "--seeds=1"]);
-        let (one, base, seeds) = picked.selection(pool.clone(), 3);
-        assert_eq!((one.len(), base, seeds), (1, 7, vec![7]));
+        let one = picked.selection(pool.clone());
+        assert_eq!(one.len(), 1);
         assert_eq!(one[0].name, pool[1].name);
+        assert_eq!(picked.sweep_config(3).seeds, vec![7]);
+        assert_eq!(parse(&["--threads", "3"]).sweep_config(1).threads, 3);
     }
 
     #[test]

@@ -7,7 +7,9 @@
 //! as fast, swept over 16 seeds from `--seed` (default 1); `--json <path>`
 //! writes the sweep report.
 
-use rtds_bench::harness::{run_table, Row, JOBS, MESSAGES, RATIO};
+use rtds_bench::harness::{
+    require_no_deadline_misses, run_table, Row, EXPERIMENT_SEEDS, JOBS, MESSAGES, RATIO,
+};
 use rtds_bench::ExpArgs;
 use rtds_core::{LaxityDispatch, RtdsConfig};
 use rtds_scenarios::{Scenario, SpeedRecipe, TopologyRecipe};
@@ -90,11 +92,13 @@ and an ACS capped at 3 members accepts a little less (0.323) for fewer
 messages per job (10.7 against 14.2).";
 
 pub(crate) fn run(args: ExpArgs) {
-    run_table(
+    let report = run_table(
         &args,
+        &args.sweep_config(EXPERIMENT_SEEDS),
         "E5: ablation of the §13 extensions (16-site ring, even sites 2x fast)",
         &rows(),
         &[JOBS, RATIO, MESSAGES],
         CLAIMS,
     );
+    require_no_deadline_misses(&report);
 }

@@ -5,7 +5,9 @@
 //! One row per `(rate, policy)`, swept over 16 seeds from `--seed`
 //! (default 1); `--json <path>` writes the sweep report.
 
-use rtds_bench::harness::{run_table, Row, JOBS, MESSAGES, RATIO};
+use rtds_bench::harness::{
+    require_no_deadline_misses, run_table, Row, EXPERIMENT_SEEDS, JOBS, MESSAGES, RATIO,
+};
 use rtds_bench::ExpArgs;
 use rtds_scenarios::Scenario;
 use rtds_sim::arrivals::ArrivalProcess;
@@ -50,11 +52,13 @@ gap widens with load. RTDS pays about 18-27 messages per job (median),
 broadcast bidding 75-100.";
 
 pub(crate) fn run(args: ExpArgs) {
-    run_table(
+    let report = run_table(
         &args,
+        &args.sweep_config(EXPERIMENT_SEEDS),
         "E1: acceptance ratio vs. arrival rate (25-site grid, 4 hotspot sites)",
         &rows(),
         &[JOBS, RATIO, MESSAGES],
         CLAIMS,
     );
+    require_no_deadline_misses(&report);
 }

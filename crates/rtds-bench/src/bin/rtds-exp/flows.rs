@@ -3,10 +3,11 @@
 //! Runs the registry's flow scenarios (`incast-storm`,
 //! `bandwidth-starved-sphere`, `transfer-vs-compute`), where every §11
 //! permutation ships its input data through `rtds-flow`'s max-min
-//! fair-share model instead of a delay-only send, and reports the
-//! transfer-time/flow-rate/link-utilization telemetry per scenario. The
-//! whole report (`rtds-exp-flows/1`) is deterministic — a pure function of
-//! `--seed` — so two runs with the same flags are byte-identical.
+//! fair-share model instead of a delay-only send: one row per scenario with
+//! each column's median and `[min-max]` over the seeds, then each
+//! scenario's transfer-time p99 over all its seeds against the uncontended
+//! bound. `--json` writes the [`rtds_scenarios::SweepReport`], whose merged
+//! metrics hold the transfer-time/flow-rate/link-utilization telemetry.
 //!
 //! ```text
 //! rtds-exp flows [--scenario <name|all>] [--seed <u64>] [--seeds <n>]
@@ -23,124 +24,59 @@
 //! does a deadline miss or a shipped input that never arrived — after the
 //! whole table is printed and the report written.
 
-use rtds_bench::harness::{cell_outcome_fields, cells_accepted, require_no_deadline_misses};
-use rtds_bench::{write_json_report, ExpArgs};
-use rtds_scenarios::{builtin_scenarios, run_cell, CellReport, Json, Scenario};
-use rtds_sim::metrics_json::summary_to_json;
-use rtds_sim::MetricsRegistry;
+use rtds_bench::harness::{require_no_deadline_misses, run_table, Column, Row, JOBS, RATIO};
+use rtds_bench::ExpArgs;
+use rtds_scenarios::{builtin_scenarios, Scenario, ScenarioSummary};
 
-/// Identifier of the report schema (bump on breaking field changes).
-const FLOWS_SCHEMA: &str = "rtds-exp-flows/1";
+/// Flows that finished.
+const FLOWS: Column = ("flows", 0, |c| {
+    c.metrics.counter("sim_flow_finished") as f64
+});
+/// Task inputs shipped.
+const DATA: Column = ("data", 0, |c| c.metrics.counter("task_data_sent") as f64);
 
-/// Deterministic flow telemetry of one scenario, aggregated over its seeds.
-struct ScenarioFlows {
-    scenario: Scenario,
-    cells: Vec<CellReport>,
-    /// The cells' telemetry folded together: counters add, histograms merge
-    /// bucket-wise.
-    metrics: MetricsRegistry,
-    /// Smallest link capacity over every seed's built network.
-    min_bandwidth: f64,
+/// What the table shows, printed under it.
+const CLAIMS: &str = "\
+The bound is max(shipped volume) / min(link bandwidth): the worst time any
+transfer could take with the network to itself. p99 above it = real sharing.";
+
+/// One flow scenario's transfer-time p99 over all its seeds, against the
+/// time the largest shipped volume takes alone on the slowest link.
+struct Contention {
+    p99_transfer_time: f64,
+    uncontended_bound: f64,
 }
 
-impl ScenarioFlows {
-    fn run(scenario: Scenario, seeds: &[u64]) -> Self {
-        let mut out = ScenarioFlows {
-            cells: Vec::new(),
-            metrics: MetricsRegistry::new(),
-            min_bandwidth: f64::INFINITY,
-            scenario,
-        };
-        for &seed in seeds {
-            let network = out.scenario.build_network(seed);
-            for (a, b, _) in network.links().collect::<Vec<_>>() {
-                let capacity = network.link_bandwidth(a, b).unwrap_or(f64::INFINITY);
-                out.min_bandwidth = out.min_bandwidth.min(capacity);
-            }
-            let cell = run_cell(&out.scenario, seed);
-            out.metrics.merge(&cell.metrics);
-            out.cells.push(cell);
+impl Contention {
+    /// Reads the scenario's merged metrics; `min_bandwidth` is the smallest
+    /// link capacity over every seed's network. A multi-hop path is pinned
+    /// at its bottleneck link, so no transfer alone takes longer than the
+    /// bound.
+    fn of(summary: &ScenarioSummary, min_bandwidth: f64) -> Contention {
+        Contention {
+            p99_transfer_time: summary.metrics.histogram("transfer_time").quantile(0.99),
+            uncontended_bound: summary.metrics.histogram("task_data_volume").max() / min_bandwidth,
         }
-        out
     }
 
-    /// The analytic bound no *uncontended* transfer can exceed: shipping
-    /// even the largest volume across even the slowest link, alone, takes
-    /// at most `max_volume / min_bandwidth` (a multi-hop path is pinned at
-    /// its bottleneck link). A p99 transfer time above it proves flows
-    /// were sharing bandwidth.
-    fn uncontended_bound(&self) -> f64 {
-        self.metrics.histogram("task_data_volume").max() / self.min_bandwidth
-    }
-
-    fn p99_transfer_time(&self) -> f64 {
-        self.metrics.histogram("transfer_time").quantile(0.99)
-    }
-
+    /// Whether some transfer took longer than it could have alone: proof
+    /// that flows shared bandwidth. False when nothing was shipped.
     fn contended(&self) -> bool {
-        !self.metrics.histogram("transfer_time").is_empty()
-            && self.p99_transfer_time() > self.uncontended_bound()
+        self.p99_transfer_time > self.uncontended_bound
     }
+}
 
-    fn to_json(&self) -> Json {
-        let cells = self
-            .cells
-            .iter()
-            .map(|c| {
-                let mut fields = vec![("seed", Json::UInt(c.seed))];
-                fields.extend(cell_outcome_fields(c));
-                fields.extend([
-                    ("guarantee_ratio", Json::Num(c.guarantee_ratio)),
-                    (
-                        "flows_started",
-                        Json::UInt(c.metrics.counter("sim_flow_started")),
-                    ),
-                    (
-                        "flows_finished",
-                        Json::UInt(c.metrics.counter("sim_flow_finished")),
-                    ),
-                    (
-                        "stale_finishes",
-                        Json::UInt(c.metrics.counter("sim_flow_stale_finish")),
-                    ),
-                    (
-                        "task_data_sent",
-                        Json::UInt(c.metrics.counter("task_data_sent")),
-                    ),
-                    (
-                        "task_data_received",
-                        Json::UInt(c.metrics.counter("task_data_received")),
-                    ),
-                    ("finished_at", Json::Num(c.finished_at)),
-                    ("events_processed", Json::UInt(c.events_processed)),
-                ]);
-                Json::object(fields)
-            })
-            .collect();
-        let summary = |name: &str| summary_to_json(&self.metrics.histogram(name).summary());
-        Json::object(vec![
-            ("name", Json::str(&self.scenario.name)),
-            ("description", Json::str(&self.scenario.description)),
-            ("cells", Json::Array(cells)),
-            ("transfer_time", summary("transfer_time")),
-            ("flow_rate", summary("flow_rate")),
-            ("link_utilization", summary("link_utilization")),
-            ("task_data_volume", summary("task_data_volume")),
-            (
-                "contention",
-                Json::object(vec![
-                    (
-                        "max_volume",
-                        Json::Num(self.metrics.histogram("task_data_volume").max()),
-                    ),
-                    ("min_bandwidth", Json::Num(self.min_bandwidth)),
-                    ("uncontended_bound", Json::Num(self.uncontended_bound())),
-                    ("p99_transfer_time", Json::Num(self.p99_transfer_time())),
-                    ("contended", Json::Bool(self.contended())),
-                ]),
-            ),
-        ])
+/// The smallest link capacity over the networks `scenario` builds for
+/// `seeds`.
+fn min_bandwidth(scenario: &Scenario, seeds: &[u64]) -> f64 {
+    let mut min = f64::INFINITY;
+    for &seed in seeds {
+        let network = scenario.build_network(seed);
+        for (a, b, _) in network.links() {
+            min = min.min(network.link_bandwidth(a, b).unwrap_or(f64::INFINITY));
+        }
     }
+    min
 }
 
 pub(crate) fn run(args: ExpArgs) {
@@ -148,64 +84,40 @@ pub(crate) fn run(args: ExpArgs) {
         .into_iter()
         .filter(|s| s.config.flow_transfers)
         .collect();
-    let (selected, base_seed, seeds) = args.selection(flow_scenarios, 3);
-
-    println!(
-        "== E7: flow plane under contention ({} scenario(s) x {} seed(s) from {}) ==",
-        selected.len(),
-        seeds.len(),
-        base_seed
+    let selected = args.selection(flow_scenarios);
+    let config = args.sweep_config(3);
+    let rows: Vec<Row> = selected.iter().cloned().map(Row::registry).collect();
+    let report = run_table(
+        &args,
+        &config,
+        "E7: flow plane under contention",
+        &rows,
+        &[JOBS, RATIO, FLOWS, DATA],
+        CLAIMS,
     );
+
     println!();
-    println!(
-        "{:<26} {:>6} {:>7} {:>7} {:>10} {:>10} {:>10}",
-        "scenario", "ratio", "flows", "data", "p99 xfer", "bound", "contended"
-    );
-
-    let mut results = Vec::new();
-    let (mut misses, mut undelivered) = (0u64, 0u64);
-    for scenario in selected {
-        let result = ScenarioFlows::run(scenario, &seeds);
-        let submitted: u64 = result.cells.iter().map(|c| c.submitted).sum();
-        let accepted = cells_accepted(&result.cells);
+    let mut contention = Vec::new();
+    for (scenario, summary) in selected.iter().zip(&report.scenarios) {
+        let c = Contention::of(summary, min_bandwidth(scenario, &config.seeds));
         println!(
-            "{:<26} {:>6.3} {:>7} {:>7} {:>10.2} {:>10.2} {:>10}",
-            result.scenario.name,
-            accepted as f64 / submitted.max(1) as f64,
-            result.metrics.counter("sim_flow_finished"),
-            result.metrics.counter("task_data_sent"),
-            result.p99_transfer_time(),
-            result.uncontended_bound(),
-            result.contended(),
+            "{}: p99 transfer time {:.2}, uncontended bound {:.2}, contended: {}",
+            scenario.name,
+            c.p99_transfer_time,
+            c.uncontended_bound,
+            c.contended()
         );
-        misses += result.cells.iter().map(|c| c.deadline_misses).sum::<u64>();
-        undelivered += result
-            .metrics
-            .counter("task_data_sent")
-            .abs_diff(result.metrics.counter("task_data_received"));
-        results.push(result);
-    }
-    println!();
-    println!("The bound is max(shipped volume) / min(link bandwidth): the worst time any");
-    println!("transfer could take with the network to itself. p99 above it = real sharing.");
-
-    if let Some(path) = args.json_path() {
-        let report = Json::object(vec![
-            ("schema", Json::str(FLOWS_SCHEMA)),
-            ("seed", Json::UInt(base_seed)),
-            (
-                "seeds",
-                Json::Array(seeds.iter().map(|&s| Json::UInt(s)).collect()),
-            ),
-            (
-                "scenarios",
-                Json::Array(results.iter().map(ScenarioFlows::to_json).collect()),
-            ),
-        ]);
-        write_json_report(path, &report.render());
+        contention.push((scenario.name.as_str(), c));
     }
 
-    require_no_deadline_misses(misses);
+    require_no_deadline_misses(&report);
+    let undelivered: u64 = (report.scenarios.iter())
+        .map(|s| {
+            s.metrics
+                .counter("task_data_sent")
+                .abs_diff(s.metrics.counter("task_data_received"))
+        })
+        .sum();
     if undelivered > 0 {
         eprintln!(
             "delivery check FAILED: {undelivered} shipped input(s) never arrived \
@@ -215,27 +127,67 @@ pub(crate) fn run(args: ExpArgs) {
     }
 
     if args.has("assert-contention") {
-        let incast = results
-            .iter()
-            .find(|r| r.scenario.name == "incast-storm")
-            .unwrap_or_else(|| {
-                eprintln!("--assert-contention needs incast-storm in the selection");
-                std::process::exit(2);
-            });
+        let Some((_, incast)) = contention.iter().find(|(name, _)| *name == "incast-storm") else {
+            eprintln!("--assert-contention needs incast-storm in the selection");
+            std::process::exit(2);
+        };
         if incast.contended() {
             println!();
             println!(
                 "contention check: incast-storm p99 {:.2} > uncontended bound {:.2} — flows share bandwidth",
-                incast.p99_transfer_time(),
-                incast.uncontended_bound()
+                incast.p99_transfer_time, incast.uncontended_bound
             );
         } else {
             eprintln!(
                 "contention check FAILED: incast-storm p99 {:.2} <= bound {:.2} — transfers look uncontended",
-                incast.p99_transfer_time(),
-                incast.uncontended_bound()
+                incast.p99_transfer_time, incast.uncontended_bound
             );
             std::process::exit(1);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rtds_sim::MetricsRegistry;
+
+    /// A summary whose merged metrics hold one transfer of `time` units and
+    /// one shipped volume of 20.
+    fn doctored(time: f64) -> ScenarioSummary {
+        let mut metrics = MetricsRegistry::new();
+        metrics.record("transfer_time", time);
+        metrics.record("task_data_volume", 20.0);
+        ScenarioSummary {
+            name: "incast-storm".to_string(),
+            description: String::new(),
+            cells: Vec::new(),
+            mean_guarantee_ratio: 0.0,
+            min_guarantee_ratio: 0.0,
+            max_guarantee_ratio: 0.0,
+            mean_messages_per_job: 0.0,
+            mean_slack: 0.0,
+            total_deadline_misses: 0,
+            total_faults_injected: 0,
+            total_messages_lost: 0,
+            metrics,
+        }
+    }
+
+    #[test]
+    fn contention_fails_when_the_p99_is_within_the_bound() {
+        // Volume 20 over bandwidth 2: no transfer alone takes more than 10.
+        for time in [4.0, 10.0] {
+            let c = Contention::of(&doctored(time), 2.0);
+            assert_eq!(c.uncontended_bound, 10.0);
+            assert!(!c.contended(), "p99 {} <= bound 10", c.p99_transfer_time);
+        }
+        assert!(Contention::of(&doctored(15.0), 2.0).contended());
+        // Nothing shipped is no evidence of sharing.
+        let empty = ScenarioSummary {
+            metrics: MetricsRegistry::new(),
+            ..doctored(0.0)
+        };
+        assert!(!Contention::of(&empty, 2.0).contended());
     }
 }

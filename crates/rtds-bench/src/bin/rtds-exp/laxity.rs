@@ -7,7 +7,9 @@
 //! swept over 16 seeds from `--seed` (default 1); `--json <path>` writes the
 //! sweep report.
 
-use rtds_bench::harness::{run_table, Row, JOBS, MESSAGES, RATIO};
+use rtds_bench::harness::{
+    require_no_deadline_misses, run_table, Row, EXPERIMENT_SEEDS, JOBS, MESSAGES, RATIO,
+};
 use rtds_bench::ExpArgs;
 use rtds_scenarios::Scenario;
 use rtds_sim::arrivals::ArrivalProcess;
@@ -54,11 +56,13 @@ stays above local-only; broadcast bidding stays below RTDS up to 2.0 but
 accepts every job from 3.0 on.";
 
 pub(crate) fn run(args: ExpArgs) {
-    run_table(
+    let report = run_table(
         &args,
+        &args.sweep_config(EXPERIMENT_SEEDS),
         "E4: guarantee ratio vs. deadline tightness (25-site grid, 4 hotspots)",
         &rows(),
         &[JOBS, RATIO, MESSAGES],
         CLAIMS,
     );
+    require_no_deadline_misses(&report);
 }

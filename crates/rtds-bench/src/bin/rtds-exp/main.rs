@@ -7,8 +7,11 @@
 //!
 //! [`EXPERIMENTS`] is the whole dispatch: one row per experiment with its
 //! flags and entry point; the module of the same name documents what the
-//! experiment shows and what its flags mean. Exit status: 0 on success, 1
-//! when an experiment's own check fails, 2 on a usage error.
+//! experiment shows and what its flags mean. E1–E8 print one table format
+//! (each row's median [min-max] over the seeds) and write one `--json`
+//! format, the sweep report (`rtds_bench::harness::run_table`). Exit
+//! status: 0 on success, 1 when an experiment's own check fails, 2 on a
+//! usage error.
 
 use rtds_bench::ExpArgs;
 
@@ -50,12 +53,12 @@ const EXPERIMENTS: [Experiment; 11] = [
         &[], &[], laxity::run),
     ("ablation", "E5: the section-13 extension switches, one at a time",
         &[], &[], ablation::run),
-    ("scenarios", "E6: the scenario registry swept over seeds on worker threads",
+    ("scenarios", "E6: every registry scenario swept over seeds on worker threads",
         &["scenario", "seeds", "threads", "trace-out", "trace-ring", "chrome-trace"],
         &["list"], scenarios::run),
     ("flows", "E7: the shared-bandwidth flow plane under contention",
         &["scenario", "seeds"], &["assert-contention"], flows::run),
-    ("sched", "E8: local scheduler comparison (protocol vs. HEFT vs. lookahead)",
+    ("sched", "E8: local scheduler comparison (protocol vs. HEFT)",
         &["scenario", "seeds"], &[], sched::run),
     ("workloads", "streaming open-loop workload runs with trace record/replay",
         &["jobs", "rate", "process", "sites", "hotspots", "record", "replay",

@@ -7,7 +7,9 @@
 //! hotspot sites), swept over 16 seeds from `--seed` (default 1);
 //! `--json <path>` writes the sweep report.
 
-use rtds_bench::harness::{run_table, Row, JOBS, MESSAGES, RATIO};
+use rtds_bench::harness::{
+    require_no_deadline_misses, run_table, Row, EXPERIMENT_SEEDS, JOBS, MESSAGES, RATIO,
+};
 use rtds_bench::ExpArgs;
 use rtds_scenarios::{Scenario, TopologyRecipe};
 use rtds_sim::arrivals::ArrivalProcess;
@@ -46,11 +48,13 @@ RTDS's median acceptance is also above broadcast bidding's at every size
 (0.83-1.00 against 0.77).";
 
 pub(crate) fn run(args: ExpArgs) {
-    run_table(
+    let report = run_table(
         &args,
+        &args.sweep_config(EXPERIMENT_SEEDS),
         "E2: messages per job vs. network size (Barabasi-Albert, m = 2, 4 hotspots)",
         &rows(),
         &[JOBS, MESSAGES, RATIO],
         CLAIMS,
     );
+    require_no_deadline_misses(&report);
 }

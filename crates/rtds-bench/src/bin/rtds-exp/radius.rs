@@ -4,7 +4,9 @@
 //! One row per `h` on a 36-site grid with 3 hotspot sites, swept over 16
 //! seeds from `--seed` (default 1); `--json <path>` writes the sweep report.
 
-use rtds_bench::harness::{run_table, Column, Row, JOBS, MESSAGES, RATIO};
+use rtds_bench::harness::{
+    require_no_deadline_misses, run_table, Column, Row, EXPERIMENT_SEEDS, JOBS, MESSAGES, RATIO,
+};
 use rtds_bench::ExpArgs;
 use rtds_scenarios::{Scenario, TopologyRecipe};
 use rtds_sim::arrivals::ArrivalProcess;
@@ -50,11 +52,13 @@ sphere enrols more sites (mean ACS size 3.4 to 16.7) but accepts fewer jobs.
 Messages per job and the one-time routing traffic grow with h.";
 
 pub(crate) fn run(args: ExpArgs) {
-    run_table(
+    let report = run_table(
         &args,
+        &args.sweep_config(EXPERIMENT_SEEDS),
         "E3: sphere radius h sweep (36-site grid, 3 hotspots)",
         &rows(),
         &[JOBS, RATIO, MESSAGES, ROUTING, ACS_SIZE],
         CLAIMS,
     );
+    require_no_deadline_misses(&report);
 }

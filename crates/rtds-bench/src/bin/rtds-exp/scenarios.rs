@@ -17,12 +17,28 @@
 //!   Chrome `about:tracing` JSON (see `docs/TRACING.md`); byte-identical
 //!   for any `--threads` value, since the traced cell runs alone.
 //!
-//! Whatever the faults, an accepted job must never miss its deadline: the
-//! whole table is printed and the report written, then any miss exits 1.
+//! One row per selected scenario, under its registry name, with each
+//! column's median and `[min-max]` over the seeds; `--json` writes the
+//! [`rtds_scenarios::SweepReport`]. Whatever the faults, an accepted job must
+//! never miss its deadline: the whole table is printed and the report
+//! written, then any miss exits 1.
 
-use rtds_bench::harness::{default_threads, require_no_deadline_misses};
+use rtds_bench::harness::{require_no_deadline_misses, run_table, Column, Row, MESSAGES, RATIO};
 use rtds_bench::{ExpArgs, TraceSetup};
-use rtds_scenarios::{builtin_scenarios, run_cell_traced, run_sweep, SweepConfig};
+use rtds_scenarios::{builtin_scenarios, run_cell_traced};
+
+/// Mean slack (deadline minus completion) of the on-time jobs.
+const SLACK: Column = ("slack", 1, |c| c.mean_slack);
+/// Fault events the engine applied.
+const FAULTS: Column = ("faults", 0, |c| c.faults_injected as f64);
+/// Messages lost or dropped by fault injection.
+const LOST: Column = ("lost", 0, |c| c.messages_lost as f64);
+
+/// What the table shows, printed under it.
+const CLAIMS: &str = "\
+Scenarios sharing the paper-baseline recipes (lossy-messages, site-crash-wave)
+isolate the effect of the injected faults: same jobs, same network, different
+acceptance. Reports are byte-identical for any --threads value.";
 
 pub(crate) fn run(args: ExpArgs) {
     let tracing = TraceSetup::from_args(&args);
@@ -37,57 +53,28 @@ pub(crate) fn run(args: ExpArgs) {
         return;
     }
 
-    let (selected, base_seed, seeds) = args.selection(scenarios, 3);
-    let threads = args.usize_of("threads", default_threads());
-    let config = SweepConfig { seeds, threads };
-
-    println!(
-        "== E6: scenario sweep ({} scenario(s) x {} seed(s) from {}, {} thread(s)) ==",
-        selected.len(),
-        config.seeds.len(),
-        base_seed,
-        threads
+    let selected = args.selection(scenarios);
+    let config = args.sweep_config(3);
+    let rows: Vec<Row> = selected.iter().cloned().map(Row::registry).collect();
+    let report = run_table(
+        &args,
+        &config,
+        &format!("E6: scenario sweep ({} thread(s))", config.threads),
+        &rows,
+        &[RATIO, MESSAGES, SLACK, FAULTS, LOST],
+        CLAIMS,
     );
-    println!();
-    println!(
-        "{:<22} {:>7} {:>7} {:>7} {:>9} {:>10} {:>8} {:>8}",
-        "scenario", "ratio", "min", "max", "msgs/job", "slack", "faults", "lost"
-    );
-    let report = run_sweep(&selected, &config);
-    let mut misses = 0u64;
-    for summary in &report.scenarios {
-        println!(
-            "{:<22} {:>7.3} {:>7.3} {:>7.3} {:>9.1} {:>10.1} {:>8} {:>8}",
-            summary.name,
-            summary.mean_guarantee_ratio,
-            summary.min_guarantee_ratio,
-            summary.max_guarantee_ratio,
-            summary.mean_messages_per_job,
-            summary.mean_slack,
-            summary.total_faults_injected,
-            summary.total_messages_lost,
-        );
-        misses += summary.total_deadline_misses;
-    }
-    println!();
-    println!("Scenarios sharing the paper-baseline recipes (lossy-messages, site-crash-wave)");
-    println!("isolate the effect of the injected faults: same jobs, same network, different");
-    println!("acceptance. Reports are byte-identical for any --threads value.");
-
-    if let Some(path) = args.json_path() {
-        rtds_bench::write_json_report(path, &report.to_json());
-    }
 
     if tracing.is_active() {
-        let traced = &selected[0];
-        let (cell, document) = run_cell_traced(traced, base_seed, tracing.ring_capacity());
+        let (traced, seed) = (&selected[0], config.seeds[0]);
+        let (cell, document) = run_cell_traced(traced, seed, tracing.ring_capacity());
         println!();
         println!(
             "traced cell: {} seed {} ({} jobs submitted)",
-            traced.name, base_seed, cell.submitted
+            traced.name, seed, cell.submitted
         );
         tracing.export_document(&document);
     }
 
-    require_no_deadline_misses(misses);
+    require_no_deadline_misses(&report);
 }

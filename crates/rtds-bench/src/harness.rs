@@ -1,32 +1,36 @@
-//! Shared experiment utilities: the rows E1–E5 sweep and the table they
-//! print, plus the report-field renderers several experiments share.
+//! Shared experiment utilities: the rows every registry experiment (E1–E8)
+//! sweeps, and the table and report they print.
 
 use crate::{write_json_report, ExpArgs};
 use rtds_baselines::{Baseline, BASELINES};
-use rtds_scenarios::{mix_seed, run_cell, run_sweep_with, CellReport, Json, Scenario, SweepConfig};
+use rtds_scenarios::{
+    mix_seed, run_cell, run_sweep_with, CellReport, Scenario, SweepConfig, SweepReport,
+};
+use rtds_sched::SchedulerKind;
 use rtds_sim::MetricsRegistry;
 
 /// How many consecutive seeds, from `--seed`, every E1–E5 row runs over.
-const EXPERIMENT_SEEDS: u64 = 16;
+pub const EXPERIMENT_SEEDS: u64 = 16;
 
-/// One row of an E1–E5 table: a scenario and the policy that runs it.
+/// One row of an experiment table: a scenario and the policy that runs it.
 #[derive(Debug)]
 pub struct Row {
     /// What the row varies, printed as the table's first column
-    /// (`rate=0.040`, `h=3`, `preemptive`).
+    /// (`rate=0.040`, `h=3`, `incast-storm`).
     label: String,
-    /// The policy's report name: `rtds` or a [`BASELINES`] entry's.
+    /// The policy's report name: `rtds`, a [`BASELINES`] entry's or the
+    /// local scheduler's ([`SchedulerKind::name`]).
     policy: &'static str,
     /// The baseline's entry point; `None` runs the RTDS protocol.
     baseline: Option<Baseline>,
-    /// The network, workload and protocol configuration; named
-    /// `label/policy` in the sweep report.
+    /// The network, workload and protocol configuration, under the name the
+    /// sweep report gives the row.
     scenario: Scenario,
 }
 
 impl Row {
-    /// A row running `scenario` under `policy`: `rtds` or a baseline's name.
-    /// Panics on any other name.
+    /// A row running `scenario` under `policy`: `rtds` or a baseline's name,
+    /// named `label/policy` in the report. Panics on any other name.
     pub fn new(label: String, policy: &str, mut scenario: Scenario) -> Row {
         let (policy, baseline) = match BASELINES.iter().find(|(name, _)| *name == policy) {
             Some(&(name, run)) => (name, Some(run)),
@@ -38,6 +42,30 @@ impl Row {
             label,
             policy,
             baseline,
+            scenario,
+        }
+    }
+
+    /// A registry scenario run by RTDS as it stands, under its own name.
+    pub fn registry(scenario: Scenario) -> Row {
+        Row {
+            label: scenario.name.clone(),
+            policy: "rtds",
+            baseline: None,
+            scenario,
+        }
+    }
+
+    /// A registry scenario run by RTDS with every site's local scheduler
+    /// set to `kind`, named `scenario/kind` in the report.
+    pub fn scheduler(mut scenario: Scenario, kind: SchedulerKind) -> Row {
+        let label = scenario.name.clone();
+        scenario.name = format!("{label}/{}", kind.name());
+        scenario.config.scheduler = kind;
+        Row {
+            label,
+            policy: kind.name(),
+            baseline: None,
             scenario,
         }
     }
@@ -112,20 +140,20 @@ fn median_min_max(mut values: Vec<f64>) -> (f64, f64, f64) {
     (median, values[0], values[n - 1])
 }
 
-/// Runs one of E1–E5: sweeps `rows` over 16 seeds from `--seed` (default
-/// 1), prints `title` and one line per row with each column's median and
-/// `[min-max]` over the seeds, then `claims`. Writes the
-/// [`rtds_scenarios::SweepReport`] to `--json`, then exits 1 if an accepted
-/// job missed its deadline.
-pub fn run_table(args: &ExpArgs, title: &str, rows: &[Row], columns: &[Column], claims: &str) {
-    let config = SweepConfig {
-        seeds: args.seed_range(EXPERIMENT_SEEDS),
-        threads: default_threads(),
-    };
+/// Runs one registry experiment: sweeps `rows` over `config`, prints
+/// `title` and one line per row with each column's median and `[min-max]`
+/// over the seeds, then `claims`, and writes the [`SweepReport`] to
+/// `--json`. The caller closes with [`require_no_deadline_misses`].
+pub fn run_table(
+    args: &ExpArgs,
+    config: &SweepConfig,
+    title: &str,
+    rows: &[Row],
+    columns: &[Column],
+    claims: &str,
+) -> SweepReport {
     let scenarios: Vec<Scenario> = rows.iter().map(|r| r.scenario.clone()).collect();
-    let report = run_sweep_with(&scenarios, &config, |index, seed| {
-        rows[index].run_cell(seed)
-    });
+    let report = run_sweep_with(&scenarios, config, |index, seed| rows[index].run_cell(seed));
     println!("== {title} ==");
     println!(
         "{} seeds from {}; each column is the median [min-max] over the seeds",
@@ -171,60 +199,22 @@ pub fn run_table(args: &ExpArgs, title: &str, rows: &[Row], columns: &[Column], 
     if let Some(path) = args.json_path() {
         write_json_report(path, &report.to_json());
     }
-    require_no_deadline_misses(
-        report
-            .scenarios
-            .iter()
-            .map(|s| s.total_deadline_misses)
-            .sum(),
-    );
+    report
 }
 
-/// An optional number as JSON: undefined ratios serialize as `null`, never
-/// as a fake `1.0` or `0.0`.
-pub fn opt_num(value: Option<f64>) -> Json {
-    value.map(Json::Num).unwrap_or(Json::Null)
-}
-
-/// The outcome counts every per-cell JSON object carries, in report order.
-pub fn cell_outcome_fields(cell: &CellReport) -> Vec<(&'static str, Json)> {
-    vec![
-        ("submitted", Json::UInt(cell.submitted)),
-        ("accepted_locally", Json::UInt(cell.accepted_locally)),
-        (
-            "accepted_distributed",
-            Json::UInt(cell.accepted_distributed),
-        ),
-        ("rejected", Json::UInt(cell.rejected)),
-        ("deadline_misses", Json::UInt(cell.deadline_misses)),
-    ]
-}
-
-/// Jobs accepted (locally or after distribution) over a set of cells.
-pub fn cells_accepted(cells: &[CellReport]) -> u64 {
-    cells
+/// The check closing every registry experiment, after its table is printed
+/// and its report written: an accepted job must never miss its deadline.
+/// Any miss is reported on stderr and exits with status 1.
+pub fn require_no_deadline_misses(report: &SweepReport) {
+    let misses: u64 = report
+        .scenarios
         .iter()
-        .map(|c| c.accepted_locally + c.accepted_distributed)
-        .sum()
-}
-
-/// The check closing every registry-driven experiment, after its table is
-/// printed and its report written: an accepted job must never miss its
-/// deadline. Any miss is reported on stderr and exits with status 1.
-pub fn require_no_deadline_misses(misses: u64) {
+        .map(|s| s.total_deadline_misses)
+        .sum();
     if misses > 0 {
         eprintln!("deadline-miss check FAILED: {misses} accepted job(s) missed their deadline");
         std::process::exit(1);
     }
-}
-
-/// Worker threads for the experiment sweeps: the available parallelism.
-/// Every sweep reassembles its results in input order, so no report depends
-/// on this.
-pub fn default_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4)
 }
 
 #[cfg(test)]

@@ -1,6 +1,7 @@
 //! The `rtds-exp` command line, driven as a user would: the exit-status
 //! contract (0 success, 1 a failed experiment check, 2 a usage error), the
-//! refusal of hostile flag values and the sweep report E1–E5 write.
+//! refusal of hostile flag values and the sweep report the registry
+//! experiments write.
 
 use rtds_scenarios::Json;
 use std::path::PathBuf;
@@ -104,36 +105,59 @@ fn table1_matches_the_paper() {
 
 #[test]
 fn radius_writes_a_byte_identical_sweep_report() {
-    let paths = [scratch("radius_a.json"), scratch("radius_b.json")];
-    let reports: Vec<String> = paths
+    // E3 at its defaults, and E7 and E8, whose tables are registry sweeps
+    // too, at two seeds: each writes the same sweep report format.
+    let flows = [
+        "incast-storm",
+        "bandwidth-starved-sphere",
+        "transfer-vs-compute",
+    ];
+    let sched: Vec<String> = rtds_scenarios::builtin_scenarios()
         .iter()
-        .map(|path| {
-            let output = rtds_exp(&["radius", "--json", path.to_str().unwrap()]);
-            assert!(output.status.success(), "{}", stderr(&output));
-            let report = std::fs::read_to_string(path).expect("report written");
-            let _ = std::fs::remove_file(path);
-            report
-        })
+        .flat_map(|s| ["protocol", "heft"].map(|kind| format!("{}/{kind}", s.name)))
         .collect();
-    assert_eq!(reports[0], reports[1], "two runs must write the same bytes");
-    let report = Json::parse(&reports[0]).expect("the report is JSON");
-    let seeds = report.get("seeds").and_then(Json::items).expect("seeds");
-    let seeds: Vec<u64> = seeds.iter().filter_map(Json::as_u64).collect();
-    assert_eq!(seeds, (1..=16).collect::<Vec<u64>>());
-    let scenarios = report
-        .get("scenarios")
-        .and_then(Json::items)
-        .expect("scenarios");
-    let names: Vec<&str> = scenarios
-        .iter()
-        .filter_map(|s| s.get("name").and_then(Json::as_str))
-        .collect();
-    assert_eq!(
-        names,
-        ["h=1/rtds", "h=2/rtds", "h=3/rtds", "h=4/rtds", "h=5/rtds"]
-    );
-    for scenario in scenarios {
-        let cells = scenario.get("cells").and_then(Json::items).expect("cells");
-        assert_eq!(cells.len(), 16);
+    let radius = ["h=1/rtds", "h=2/rtds", "h=3/rtds", "h=4/rtds", "h=5/rtds"];
+    let cases: [(&[&str], u64, Vec<String>); 3] = [
+        (&["radius"], 16, radius.map(String::from).to_vec()),
+        (
+            &["flows", "--seeds", "2"],
+            2,
+            flows.map(String::from).to_vec(),
+        ),
+        (&["sched", "--seeds", "2"], 2, sched),
+    ];
+    for (args, seed_count, expected_names) in cases {
+        let paths = [scratch("sweep_a.json"), scratch("sweep_b.json")];
+        let reports: Vec<String> = paths
+            .iter()
+            .map(|path| {
+                let output = rtds_exp(&[args, &["--json", path.to_str().unwrap()]].concat());
+                assert!(output.status.success(), "{args:?}: {}", stderr(&output));
+                let report = std::fs::read_to_string(path).expect("report written");
+                let _ = std::fs::remove_file(path);
+                report
+            })
+            .collect();
+        assert_eq!(
+            reports[0], reports[1],
+            "{args:?}: two runs must write the same bytes"
+        );
+        let report = Json::parse(&reports[0]).expect("the report is JSON");
+        let seeds = report.get("seeds").and_then(Json::items).expect("seeds");
+        let seeds: Vec<u64> = seeds.iter().filter_map(Json::as_u64).collect();
+        assert_eq!(seeds, (1..=seed_count).collect::<Vec<u64>>(), "{args:?}");
+        let scenarios = report
+            .get("scenarios")
+            .and_then(Json::items)
+            .expect("scenarios");
+        let names: Vec<&str> = scenarios
+            .iter()
+            .filter_map(|s| s.get("name").and_then(Json::as_str))
+            .collect();
+        assert_eq!(names, expected_names, "{args:?}");
+        for scenario in scenarios {
+            let cells = scenario.get("cells").and_then(Json::items).expect("cells");
+            assert_eq!(cells.len() as u64, seed_count, "{args:?}");
+        }
     }
 }

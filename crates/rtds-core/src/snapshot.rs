@@ -603,7 +603,7 @@ mod tests {
     fn sched_section_round_trips_through_text() {
         use rtds_sched::Placement;
         let mut sched = SiteScheduler::new(
-            SchedulerKind::Lookahead,
+            SchedulerKind::Heft,
             SiteResources {
                 cores: 2,
                 speed: 1.5,

@@ -28,9 +28,9 @@
 //!   ([`resources::SiteResources`], per-task [`resources::TaskDemand`] with
 //!   amdahl/linear/flat [`resources::SpeedupFn`] laws),
 //! * [`scheduler`] — the [`scheduler::Scheduler`] trait over per-core plans
-//!   and its one implementation, [`scheduler::SiteScheduler`], in three
-//!   kinds: the paper's protocol policy plus HEFT-style and
-//!   one-step-lookahead baselines. It is the only way to ask a site the §5
+//!   and its one implementation, [`scheduler::SiteScheduler`], in two
+//!   kinds: the paper's protocol policy and a HEFT-style baseline. It is
+//!   the only way to ask a site the §5
 //!   or the §10 question, and there is one placement path behind it: the
 //!   `cores = 1, memory = ∞` case *is* the paper's single-plan rule.
 //!

@@ -3,7 +3,7 @@
 //! The paper leaves the local scheduler unspecified beyond the §5 insertion
 //! idea. This module puts that decision behind the [`Scheduler`] trait over
 //! a multicore [`SiteResources`] bundle. One type implements it,
-//! [`SiteScheduler`], in three [`SchedulerKind`]s:
+//! [`SiteScheduler`], in two [`SchedulerKind`]s:
 //!
 //! * `Protocol` — the paper's §5/§12 critical-path list scheduler,
 //!   generalised to place each task on the core with the earliest fit. On
@@ -12,11 +12,8 @@
 //! * `Heft` — HEFT-style list scheduling (Topcuoglu et al.): tasks ordered
 //!   by communication-inclusive upward rank, each placed on the core
 //!   minimising its earliest finish time (insertion-based EFT).
-//! * `Lookahead` — the one-step lookahead variant: a task's core is chosen
-//!   to minimise the worst earliest finish time of its *children* given the
-//!   tentative placement (ties broken by own EFT, then core id).
 //!
-//! The kinds differ only in rank and core choice; everything else (per-core
+//! The kinds differ only in rank; everything else (per-core
 //! [`SchedulePlan`]s, trial placement over them without copies (the `trial`
 //! module), gang fits for multi-core task demands, a memory ledger) is
 //! shared. [`SiteScheduler`] is what the protocol node and every baseline
@@ -81,8 +78,6 @@ pub enum SchedulerKind {
     Protocol,
     /// HEFT-style insertion-based EFT list scheduling.
     Heft,
-    /// One-step lookahead over child finish times.
-    Lookahead,
 }
 
 impl SchedulerKind {
@@ -91,7 +86,6 @@ impl SchedulerKind {
         match self {
             SchedulerKind::Protocol => "protocol",
             SchedulerKind::Heft => "heft",
-            SchedulerKind::Lookahead => "lookahead",
         }
     }
 
@@ -100,18 +94,13 @@ impl SchedulerKind {
         match name {
             "protocol" => Some(SchedulerKind::Protocol),
             "heft" => Some(SchedulerKind::Heft),
-            "lookahead" => Some(SchedulerKind::Lookahead),
             _ => None,
         }
     }
 
     /// All kinds, in a stable order.
-    pub fn all() -> [SchedulerKind; 3] {
-        [
-            SchedulerKind::Protocol,
-            SchedulerKind::Heft,
-            SchedulerKind::Lookahead,
-        ]
+    pub fn all() -> [SchedulerKind; 2] {
+        [SchedulerKind::Protocol, SchedulerKind::Heft]
     }
 }
 
@@ -272,14 +261,12 @@ impl SiteScheduler {
 
 /// One task being placed by [`SiteScheduler::place_dag`].
 struct Pending<'a> {
-    graph: &'a TaskGraph,
     job: JobId,
     task: TaskId,
     ready: f64,
     deadline: f64,
-    /// Per-task durations on this site / finish times of the placed tasks.
+    /// Per-task durations on this site.
     durations: &'a [f64],
-    finish: &'a [f64],
 }
 
 impl Pending<'_> {
@@ -349,9 +336,7 @@ impl SiteScheduler {
             .topological_order_into(topo, in_degrees)
             .expect("task graphs are acyclic");
         match self.kind {
-            SchedulerKind::Protocol | SchedulerKind::Lookahead => {
-                upward_ranks_into(graph, topo, ranks)
-            }
+            SchedulerKind::Protocol => upward_ranks_into(graph, topo, ranks),
             SchedulerKind::Heft => heft_upward_rank_into(graph, topo, ranks),
         }
         priority_order_into(graph, ranks, task_order, in_degrees);
@@ -367,13 +352,11 @@ impl SiteScheduler {
                 .map(|p| finish[p.0])
                 .fold(start_floor, f64::max);
             let task = Pending {
-                graph,
                 job: job.id,
                 task: t,
                 ready,
                 deadline,
                 durations,
-                finish,
             };
             let first_placement = placements.len();
             let end = if k > 1 {
@@ -395,10 +378,7 @@ impl SiteScheduler {
                 }
                 end.max(ready)
             } else {
-                let (core, start, end) = match self.kind {
-                    SchedulerKind::Lookahead => lookahead_fit(&mut trial, &task)?,
-                    _ => trial.best_single_fit(ready, deadline, task.duration())?,
-                };
+                let (core, start, end) = trial.best_single_fit(ready, deadline, task.duration())?;
                 trial.place(core, task.reservation(start, end), placements)?;
                 end
             };
@@ -502,50 +482,6 @@ fn place_gang(
         return Some(t + duration);
     }
     None
-}
-
-/// The one-step lookahead core choice: minimise, over the task's children,
-/// the worst insertion-based EFT the child could still get with the task
-/// tentatively placed — ties broken by own EFT, then by core id (plain EFT
-/// for childless tasks). Returns `(core, start, finish)`.
-fn lookahead_fit(trial: &mut Trial<'_>, task: &Pending<'_>) -> Option<(CoreId, f64, f64)> {
-    let (graph, deadline, duration) = (task.graph, task.deadline, task.duration());
-    let mut best: Option<(f64, CoreId, f64, f64)> = None;
-    for core in 0..trial.core_count() {
-        let Some(start) = trial
-            .timeline(core)
-            .earliest_fit(task.ready, deadline, duration)
-        else {
-            continue;
-        };
-        let own_eft = start + duration;
-        // Tentatively occupy the slot and score each child's best EFT.
-        let slot = trial.insert(core, task.reservation(start, own_eft)).ok()?;
-        let mut score = own_eft;
-        for child in graph.successors(task.task) {
-            // The child's ready time, counting already-placed parents and
-            // this tentative finish (unplaced parents unknown).
-            let child_ready = graph
-                .predecessors(child)
-                .map(|p| task.finish[p.0])
-                .fold(own_eft, f64::max);
-            match trial.best_single_fit(child_ready, deadline, task.durations[child.0]) {
-                Some((_, _, child_eft)) => score = score.max(child_eft),
-                None => {
-                    score = f64::INFINITY;
-                    break;
-                }
-            }
-        }
-        trial.remove(core, slot);
-        let better = best.map_or(true, |(s, _, _, e)| {
-            score < s - TIME_EPS || ((score - s).abs() <= TIME_EPS && e > own_eft + TIME_EPS)
-        });
-        if better {
-            best = Some((score, core, start, own_eft));
-        }
-    }
-    best.map(|(_, core, start, own_eft)| (core, start, own_eft))
 }
 
 /// HEFT upward rank: `rank(t) = cost(t) + max over children c of
@@ -953,47 +889,6 @@ mod tests {
     }
 
     #[test]
-    fn lookahead_places_for_the_children() {
-        // Diamond: a(1) -> {b(8), c(1)} -> d, on two cores with core 1
-        // blocked in [1, 3). Plain EFT puts a on core 0 and then b on
-        // core 0 too... both schedulers must stay feasible; lookahead must
-        // never be worse than HEFT on the final completion here.
-        let mut g = TaskGraph::from_costs(&[1.0, 8.0, 1.0, 1.0]);
-        g.add_edge(TaskId(0), TaskId(1)).unwrap();
-        g.add_edge(TaskId(0), TaskId(2)).unwrap();
-        g.add_edge(TaskId(1), TaskId(3)).unwrap();
-        g.add_edge(TaskId(2), TaskId(3)).unwrap();
-        let job = job_from(g, 0.0, 40.0);
-        let block = Placement {
-            core: 1,
-            reservation: Reservation {
-                job: JobId(50),
-                task: TaskId(0),
-                start: 1.0,
-                end: 3.0,
-            },
-        };
-        let mut heft = SiteScheduler::new(
-            SchedulerKind::Heft,
-            SiteResources::multicore(2, 1.0),
-            1.0,
-            false,
-        );
-        heft.reserve(&[block]).unwrap();
-        let mut look = SiteScheduler::new(
-            SchedulerKind::Lookahead,
-            SiteResources::multicore(2, 1.0),
-            1.0,
-            false,
-        );
-        look.reserve(&[block]).unwrap();
-        let h = heft.admit_dag(&job, 0.0, None).unwrap();
-        let l = look.admit_dag(&job, 0.0, None).unwrap();
-        assert!(l.completion <= h.completion + 1e-9);
-        assert_eq!(l.placements.len(), 4);
-    }
-
-    #[test]
     fn all_kinds_accept_nothing_infeasible() {
         // Total demand exceeds total core-time before the deadline.
         let graph = TaskGraph::from_costs(&[6.0, 6.0, 6.0, 6.0, 6.0]);
@@ -1092,7 +987,7 @@ mod tests {
     #[test]
     fn from_parts_round_trips() {
         let mut sched = SiteScheduler::new(
-            SchedulerKind::Lookahead,
+            SchedulerKind::Heft,
             SiteResources::multicore(2, 1.5),
             2.0,
             true,

@@ -9,7 +9,7 @@
 //! from call to call: after warm-up a query allocates only what it returns.
 
 use crate::interval::TimeInterval;
-use crate::plan::{PlanError, Reservation, SchedulePlan, Timeline, TIME_EPS};
+use crate::plan::{Reservation, SchedulePlan, Timeline, TIME_EPS};
 use crate::scheduler::{CoreId, MemHold, Placement};
 use rtds_graph::TaskId;
 use std::cell::RefCell;
@@ -86,34 +86,25 @@ impl<'a> Trial<'a> {
     }
 
     /// Tentatively places a reservation under the rule of
-    /// [`SchedulePlan::insert`]; returns its position in the core's trial
-    /// list for [`Trial::remove`].
-    pub(crate) fn insert(&mut self, core: CoreId, r: Reservation) -> Result<usize, PlanError> {
-        r.check_well_formed()?;
-        if !self.timeline(core).is_idle(r.interval()) {
-            return Err(PlanError::Overlap);
-        }
-        let pos = self.added[core].partition_point(|a| a.start <= r.start);
-        self.added[core].insert(pos, r);
-        Ok(pos)
-    }
-
-    /// [`Trial::insert`] on behalf of a placement list: records the placement
-    /// in `out`, or returns `None` if the reservation does not fit.
+    /// [`SchedulePlan::insert`] and records the placement in `out`, or
+    /// returns `None` if the reservation does not fit.
     pub(crate) fn place(
         &mut self,
         core: CoreId,
-        reservation: Reservation,
+        r: Reservation,
         out: &mut Vec<Placement>,
     ) -> Option<()> {
-        self.insert(core, reservation).ok()?;
-        out.push(Placement { core, reservation });
+        r.check_well_formed().ok()?;
+        if !self.timeline(core).is_idle(r.interval()) {
+            return None;
+        }
+        let pos = self.added[core].partition_point(|a| a.start <= r.start);
+        self.added[core].insert(pos, r);
+        out.push(Placement {
+            core,
+            reservation: r,
+        });
         Some(())
-    }
-
-    /// Takes back the reservation [`Trial::insert`] put at `pos`.
-    pub(crate) fn remove(&mut self, core: CoreId, pos: usize) {
-        self.added[core].remove(pos);
     }
 
     /// Earliest single-core fit across all cores: `(core, start, finish)`.

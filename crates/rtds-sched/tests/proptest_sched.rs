@@ -235,7 +235,7 @@ proptest! {
         busy in proptest::collection::vec(
             proptest::collection::vec((0.0f64..60.0, 1.0f64..10.0), 0..4), 1..4),
         reqs in proptest::collection::vec((0.0f64..40.0, 4.0f64..30.0, 0.5f64..8.0), 0..5),
-        kind_index in 0usize..3,
+        kind_index in 0usize..2,
     ) {
         let cores: Vec<SchedulePlan> = busy.iter().map(|p| plan_from_pairs(p)).collect();
         let requests: Vec<TaskRequest> = reqs
@@ -438,7 +438,7 @@ fn nudge() -> impl Strategy<Value = f64> {
 }
 
 fn arbitrary_kind() -> impl Strategy<Value = SchedulerKind> {
-    (0usize..3).prop_map(|i| SchedulerKind::all()[i])
+    (0usize..2).prop_map(|i| SchedulerKind::all()[i])
 }
 
 fn arbitrary_cores() -> impl Strategy<Value = Vec<SchedulePlan>> {

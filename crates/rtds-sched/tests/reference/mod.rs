@@ -319,7 +319,7 @@ impl RefSite {
 
     fn rank(&self, graph: &TaskGraph) -> Vec<f64> {
         match self.kind {
-            SchedulerKind::Protocol | SchedulerKind::Lookahead => upward_ranks(graph),
+            SchedulerKind::Protocol => upward_ranks(graph),
             SchedulerKind::Heft => heft_upward_rank(graph),
         }
     }
@@ -328,14 +328,11 @@ impl RefSite {
     fn place_single(
         &self,
         scratch: &mut [RefPlan],
-        graph: &TaskGraph,
         job: JobId,
         t: TaskId,
         ready: f64,
         deadline: f64,
         duration: f64,
-        durations: &[f64],
-        finish: &[f64],
         out: &mut Vec<Placement>,
     ) -> Option<f64> {
         if self.preemptive {
@@ -364,12 +361,7 @@ impl RefSite {
             }
             return Some(end.max(ready));
         }
-        let core = match self.kind {
-            SchedulerKind::Lookahead => self.lookahead_core(
-                scratch, graph, job, t, ready, deadline, duration, durations, finish,
-            )?,
-            _ => Self::best_single_fit(scratch, ready, deadline, duration)?.0,
-        };
+        let core = Self::best_single_fit(scratch, ready, deadline, duration)?.0;
         let start = scratch[core].earliest_fit(ready, deadline, duration)?;
         let r = Reservation {
             job,
@@ -383,66 +375,6 @@ impl RefSite {
             reservation: r,
         });
         Some(start + duration)
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn lookahead_core(
-        &self,
-        scratch: &[RefPlan],
-        graph: &TaskGraph,
-        job: JobId,
-        t: TaskId,
-        ready: f64,
-        deadline: f64,
-        duration: f64,
-        durations: &[f64],
-        finish: &[f64],
-    ) -> Option<CoreId> {
-        let children: Vec<TaskId> = graph.successors(t).collect();
-        let mut best: Option<(f64, f64, CoreId)> = None;
-        for (c, plan) in scratch.iter().enumerate() {
-            let start = match plan.earliest_fit(ready, deadline, duration) {
-                Some(s) => s,
-                None => continue,
-            };
-            let own_eft = start + duration;
-            let mut tentative: Vec<RefPlan> = scratch.to_vec();
-            let r = Reservation {
-                job,
-                task: t,
-                start,
-                end: own_eft,
-            };
-            tentative[c].insert(r).ok()?;
-            let mut score = own_eft;
-            for &child in &children {
-                let child_ready = graph
-                    .predecessors(child)
-                    .map(|p| finish[p.0])
-                    .fold(own_eft, f64::max);
-                let child_eft =
-                    Self::best_single_fit(&tentative, child_ready, deadline, durations[child.0])
-                        .map(|(_, _, f)| f);
-                match child_eft {
-                    Some(f) => score = score.max(f),
-                    None => {
-                        score = f64::INFINITY;
-                        break;
-                    }
-                }
-            }
-            let better = match best {
-                None => true,
-                Some((s, e, _)) => {
-                    score < s - TIME_EPS
-                        || ((score - s).abs() <= TIME_EPS && e > own_eft + TIME_EPS)
-                }
-            };
-            if better {
-                best = Some((score, own_eft, c));
-            }
-        }
-        best.map(|(_, _, c)| c)
     }
 
     fn memory_fits(&self, new_holds: &[MemHold]) -> bool {
@@ -548,14 +480,11 @@ impl RefSite {
             } else {
                 self.place_single(
                     &mut scratch,
-                    graph,
                     job.id,
                     t,
                     ready,
                     deadline,
                     duration,
-                    &durations,
-                    &finish,
                     &mut placements,
                 )?
             };

@@ -86,29 +86,29 @@ smoke_trace() {
 }
 
 smoke_flow() {
-    # rtds-exp-flows/1 carries no timing fields at all, and the incast-storm
+    # The sweep report carries no timing fields at all, and the incast-storm
     # contention tripwire must hold: p99 transfer time strictly above the
     # uncontended bound max(volume)/min(bandwidth), proving transfers share
     # link bandwidth instead of each enjoying full capacity.
     run flows --seed 1 --seeds 2 --json "$out/flow-smoke.json" --assert-contention
     run flows --seed 1 --seeds 2 --json "$out/flow-smoke-b.json"
     cmp "$out/flow-smoke.json" "$out/flow-smoke-b.json"
-    has "$out/flow-smoke.json" '"schema": "rtds-exp-flows/1"' '"name": "incast-storm"' \
-        '"contended": true'
+    has "$out/flow-smoke.json" '"seeds": [' '"name": "incast-storm"'
     # A single-scenario run exercises the --scenario filter.
     run flows --scenario incast-storm --seed 1 --seeds 2 \
         --json "$out/flow-smoke-incast.json" --assert-contention
 }
 
 smoke_sched() {
-    # rtds-exp-sched/1 carries no timing fields; the experiment exits nonzero if
-    # any scheduler variant misses a deadline, and hetero-multicore must be
-    # present so the comparison covers the non-degenerate resource model.
+    # The sweep report carries no timing fields; the experiment exits nonzero
+    # if any scheduler variant misses a deadline, and hetero-multicore's HEFT
+    # row must be present so the comparison covers the non-degenerate
+    # resource model.
     run sched --seed 1 --seeds 2 --json "$out/sched-smoke.json"
     run sched --seed 1 --seeds 2 --json "$out/sched-smoke-b.json"
     cmp "$out/sched-smoke.json" "$out/sched-smoke-b.json"
-    has "$out/sched-smoke.json" '"schema": "rtds-exp-sched/1"' '"scheduler": "protocol"' \
-        '"scheduler": "heft"' '"scheduler": "lookahead"' '"name": "hetero-multicore"'
+    has "$out/sched-smoke.json" '"seeds": [' '"name": "paper-baseline/protocol"' \
+        '"name": "hetero-multicore/heft"'
     # A single-scenario run exercises the --scenario filter on the one
     # scenario with a non-degenerate resource recipe.
     run sched --scenario hetero-multicore --seed 1 --seeds 2 \

@@ -27,7 +27,7 @@
 //! * [`sched`] — the per-site local scheduler (§5): reservation plans, idle
 //!   intervals, admission tests and surplus, plus the multicore resource
 //!   model (`SiteResources`, per-task speedup laws) and the pluggable
-//!   `Scheduler` trait with protocol / HEFT / lookahead policies (see
+//!   `Scheduler` trait with protocol and HEFT policies (see
 //!   `docs/SCHEDULING.md`),
 //! * [`core`] — the RTDS protocol itself: Potential/Available Computing
 //!   Spheres, the Mapper, release/deadline adjustment, Trial-Mapping

@@ -34,27 +34,6 @@ impl StdRng {
         debug_assert!(s.iter().any(|&w| w != 0));
         StdRng { s }
     }
-
-    /// The raw xoshiro256++ state words, for checkpointing a generator
-    /// mid-stream.
-    pub fn state(&self) -> [u64; 4] {
-        self.s
-    }
-
-    /// Rebuilds a generator from state words captured by [`StdRng::state`].
-    /// The resulting generator continues the exact output stream of the
-    /// captured one.
-    ///
-    /// # Panics
-    /// Panics on the all-zero state, which xoshiro forbids (a genuine
-    /// [`StdRng`] can never reach it).
-    pub fn from_state(s: [u64; 4]) -> Self {
-        assert!(
-            s.iter().any(|&w| w != 0),
-            "xoshiro256++ state must not be all zero"
-        );
-        StdRng { s }
-    }
 }
 
 impl SeedableRng for StdRng {

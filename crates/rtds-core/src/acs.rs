@@ -9,9 +9,6 @@
 
 use crate::mapper::ProcessorSpec;
 use rtds_net::SiteId;
-use rtds_sim::json::Json;
-use rtds_sim::snapshot::{field, non_negative, Path, Snap, SnapshotError};
-use std::collections::BTreeMap;
 
 /// One member of a constructed ACS.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -151,49 +148,6 @@ impl AcsCollection {
         }
         // Fewer than two members: no pair, no diameter.
         (largest + second).max(0.0)
-    }
-}
-
-/// The collection round: who was contacted and has not answered, who joined,
-/// who refused.
-impl Snap for AcsCollection {
-    fn encode(&self) -> Json {
-        Json::object(vec![
-            ("outstanding", self.outstanding.encode()),
-            ("members", self.members.encode()),
-            ("busy", self.busy.encode()),
-        ])
-    }
-
-    fn decode(doc: &Json, path: &Path<'_>) -> Result<Self, SnapshotError> {
-        // Through a map: sorted by site, one entry per site.
-        let outstanding: BTreeMap<SiteId, f64> = field(doc, path, "outstanding")?;
-        for &delay in outstanding.values() {
-            non_negative(delay, path)?;
-        }
-        Ok(AcsCollection {
-            outstanding: outstanding.into_iter().collect(),
-            members: field(doc, path, "members")?,
-            busy: field(doc, path, "busy")?,
-        })
-    }
-}
-
-/// One ACS member as `[site, surplus, speed, delay]`. The Mapper orders
-/// members by these numbers, so they must be numbers.
-impl Snap for AcsMember {
-    fn encode(&self) -> Json {
-        (self.site, self.surplus, self.speed, self.delay).encode()
-    }
-
-    fn decode(j: &Json, path: &Path<'_>) -> Result<Self, SnapshotError> {
-        let (site, surplus, speed, delay) = Snap::decode(j, path)?;
-        Ok(AcsMember {
-            site,
-            surplus: non_negative(surplus, path)?,
-            speed: non_negative(speed, path)?,
-            delay: non_negative(delay, path)?,
-        })
     }
 }
 

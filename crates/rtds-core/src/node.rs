@@ -31,7 +31,6 @@ use crate::config::RtdsConfig;
 use crate::mapper::MapperInput;
 use crate::messages::{RtdsMsg, TaskSpec};
 use crate::pcs::PcsState;
-use crate::snapshot as snap;
 use crate::validate::{endorsable_with, task_requests, ValidationOutcome, ValidationRound};
 use crate::workspace::{with_workspace, Workspace};
 use rtds_graph::{Job, JobId, TaskGraph, TaskId};
@@ -39,8 +38,6 @@ use rtds_net::sphere::Sphere;
 use rtds_net::{RoutingTable, SiteId};
 use rtds_sched::{SchedulePlan, Scheduler, SiteResources, SiteScheduler, TaskRequest};
 use rtds_sim::engine::Context;
-use rtds_sim::json::Json;
-use rtds_sim::snapshot::{decode_each, field, field_with, Path, Snap, SnapshotError, Word};
 use rtds_sim::trace::{DeferReason, Phase, RejectReason, SpanId, TracePayload};
 use rtds_sim::Protocol;
 use std::collections::{BTreeMap, VecDeque};
@@ -84,9 +81,6 @@ struct Inflight {
 pub struct RtdsNode {
     site: SiteId,
     config: RtdsConfig,
-    /// Relative computing power of this site (honoured only when the
-    /// uniform-machines extension is enabled).
-    speed: f64,
     pcs: PcsState,
     sphere: Option<Sphere>,
     /// The local scheduler: per-core committed plans plus the policy chosen
@@ -182,7 +176,6 @@ impl NodeBuilder {
         RtdsNode {
             site: self.site,
             config: self.config,
-            speed: self.speed,
             pcs,
             sphere: None,
             sched,
@@ -197,11 +190,6 @@ impl NodeBuilder {
 }
 
 impl RtdsNode {
-    /// The site this node runs on.
-    pub(crate) fn site(&self) -> SiteId {
-        self.site
-    }
-
     /// The Potential Computing Sphere, once the §7 construction finished.
     pub fn sphere(&self) -> Option<&Sphere> {
         self.sphere.as_ref()
@@ -906,113 +894,6 @@ impl RtdsNode {
         }
         self.process_queue(ctx);
     }
-
-    /// The shared exact-distance table, if the `exact_acs_diameter` ablation
-    /// is enabled (snapshot support: the system layer serializes it once,
-    /// verbatim — faults may have mutated the topology since construction,
-    /// so it must not be recomputed on restore).
-    pub(crate) fn global_distances(&self) -> Option<&GlobalDistances> {
-        self.global_distances.as_ref()
-    }
-
-    /// Installs the shared exact-distance table after a restore (the system
-    /// layer decodes it once; see [`RtdsNode::global_distances`]).
-    pub(crate) fn set_global_distances(&mut self, global_distances: Option<GlobalDistances>) {
-        self.global_distances = global_distances;
-    }
-}
-
-/// The full node state. The exact-distance table is not part of it: the
-/// system layer stores the shared table once and re-installs it.
-impl Snap for RtdsNode {
-    fn encode(&self) -> Json {
-        let inflight = self
-            .inflight
-            .iter()
-            .map(|(id, inflight)| Json::Array(vec![id.0.encode(), inflight.encode()]))
-            .collect();
-        Json::object(vec![
-            ("site", self.site.encode()),
-            ("config", self.config.encode()),
-            ("speed", self.speed.encode()),
-            ("pcs", self.pcs.encode()),
-            ("sphere", self.sphere.encode()),
-            ("sched", snap::encode_sched(&self.sched)),
-            (
-                "lock",
-                self.lock.map(|(holder, job)| (holder, job.0)).encode(),
-            ),
-            (
-                "queued",
-                Json::Array(self.queued.iter().map(snap::encode_job).collect()),
-            ),
-            ("inflight", Json::Array(inflight)),
-            ("accepted", self.accepted.encode()),
-        ])
-    }
-
-    fn decode(doc: &Json, path: &Path<'_>) -> Result<Self, SnapshotError> {
-        let lock: Option<(SiteId, Word)> = field(doc, path, "lock")?;
-        let inflight: Vec<(Word, Inflight)> = field(doc, path, "inflight")?;
-        Ok(RtdsNode {
-            site: field(doc, path, "site")?,
-            config: field(doc, path, "config")?,
-            speed: field(doc, path, "speed")?,
-            pcs: field(doc, path, "pcs")?,
-            sphere: field(doc, path, "sphere")?,
-            sched: field_with(doc, path, "sched", snap::decode_sched)?,
-            lock: lock.map(|(holder, Word(job))| (holder, JobId(job))),
-            queued: field_with(doc, path, "queued", |j, path| {
-                decode_each(j, path, snap::decode_job)
-            })?,
-            inflight: inflight
-                .into_iter()
-                .map(|(Word(id), inflight)| (JobId(id), inflight))
-                .collect(),
-            accepted: field(doc, path, "accepted")?,
-            global_distances: None,
-            requests: Vec::new(),
-        })
-    }
-}
-
-impl Snap for Inflight {
-    fn encode(&self) -> Json {
-        Json::object(vec![
-            ("job", snap::encode_job(&self.job)),
-            ("acs", self.acs.encode()),
-            ("members", self.members.encode()),
-            ("tpl", self.tasks_per_logical.encode()),
-            ("validation", self.validation.encode()),
-            ("started_at", self.started_at.encode()),
-            ("mapped_at", self.mapped_at.encode()),
-        ])
-    }
-
-    fn decode(doc: &Json, path: &Path<'_>) -> Result<Self, SnapshotError> {
-        let inflight = Inflight {
-            job: field_with(doc, path, "job", snap::decode_job)?,
-            acs: field(doc, path, "acs")?,
-            members: field(doc, path, "members")?,
-            tasks_per_logical: field(doc, path, "tpl")?,
-            validation: field(doc, path, "validation")?,
-            started_at: field(doc, path, "started_at")?,
-            mapped_at: field(doc, path, "mapped_at")?,
-        };
-        // The commit indexes the graph by mapped task and the mapping by
-        // validated logical processor.
-        let tasks = inflight.job.graph.task_count();
-        let mut mapped = inflight.tasks_per_logical.iter().flat_map(|t_i| t_i.iter());
-        let rounds = inflight.validation.as_ref().map(|v| v.logical_count());
-        if !mapped.all(|spec| spec.task.0 < tasks)
-            || rounds.is_some_and(|n| n != inflight.tasks_per_logical.len())
-        {
-            return Err(
-                path.err("trial mapping disagrees with the job graph or the validation round")
-            );
-        }
-        Ok(inflight)
-    }
 }
 
 /// Fills `logical_of_task[t]` with the logical processor task `t` of a
@@ -1202,7 +1083,7 @@ mod tests {
         let node = NodeBuilder::new(SiteId(1))
             .neighbors(net.neighbors(SiteId(1)).to_vec())
             .build();
-        assert_eq!(node.site(), SiteId(1));
+        assert_eq!(node.site, SiteId(1));
         assert!(!node.is_locked());
         assert_eq!(node.queued_len(), 0);
         assert!(node.sphere().is_none());

@@ -15,8 +15,6 @@
 use rtds_net::routing::{RouteEntry, RoutingTable};
 use rtds_net::sphere::Sphere;
 use rtds_net::SiteId;
-use rtds_sim::json::Json;
-use rtds_sim::snapshot::{field, non_negative, Path, Snap, SnapshotError};
 use std::sync::Arc;
 
 /// Outgoing routing-update message produced by the PCS state machine.
@@ -233,102 +231,6 @@ impl PcsState {
     }
 }
 
-/// The full construction state; the routing table travels as its lines, the
-/// tables waiting to be merged as `[sender, lines]` pairs in ascending sender
-/// order (`pending`: the phase being collected; `future`: `[phase, pairs]`
-/// for the phase after, when any arrived early).
-impl Snap for PcsState {
-    fn encode(&self) -> Json {
-        let pairs = |ahead: usize| -> Vec<Json> {
-            let filled = self.inboxes.iter().filter_map(|inbox| {
-                let lines = inbox.held[ahead].as_ref()?;
-                Some(Json::Array(vec![inbox.from.encode(), lines.encode()]))
-            });
-            filled.collect()
-        };
-        let early = pairs(1);
-        let future = if early.is_empty() {
-            Vec::new()
-        } else {
-            let phase = (self.current_phase + 1).encode();
-            vec![Json::Array(vec![phase, Json::Array(early)])]
-        };
-        Json::object(vec![
-            ("owner", self.owner.encode()),
-            ("neighbors", self.neighbors.encode()),
-            ("table", self.table.lines().encode()),
-            ("total_phases", self.total_phases.encode()),
-            ("current_phase", self.current_phase.encode()),
-            ("pending", Json::Array(pairs(0))),
-            ("future", Json::Array(future)),
-            ("radius", self.radius.encode()),
-        ])
-    }
-
-    fn decode(doc: &Json, path: &Path<'_>) -> Result<Self, SnapshotError> {
-        type Senders = Vec<(SiteId, Arc<[RouteEntry]>)>;
-        let owner = field(doc, path, "owner")?;
-        let neighbors: Vec<(SiteId, f64)> = field(doc, path, "neighbors")?;
-        for (i, &(_, delay)) in neighbors.iter().enumerate() {
-            // Link delays add up to route distances.
-            non_negative(delay, &path.key("neighbors").index(i))?;
-        }
-        let lines: Vec<RouteEntry> = field(doc, path, "table")?;
-        let current_phase: usize = field(doc, path, "current_phase")?;
-        if current_phase == 0 {
-            return Err(path.key("current_phase").err("phases count from 1"));
-        }
-        let mut state = Self::assemble(
-            owner,
-            neighbors,
-            RoutingTable::from_entries(owner, lines.iter().copied()),
-            field(doc, path, "total_phases")?,
-            current_phase,
-            field(doc, path, "radius")?,
-        );
-        // Messages follow the table's next hops and delays.
-        let table_path = path.key("table");
-        if state.table.route(owner).is_none() {
-            return Err(table_path.err(format!("no route line for the owner, site {owner}")));
-        }
-        for (i, line) in lines.iter().enumerate() {
-            let via_neighbor = line
-                .next_hop
-                .is_some_and(|hop| state.inbox_of(hop).is_some());
-            if line.destination != owner && !via_neighbor {
-                return Err(table_path.index(i).err("the next hop is not a neighbor"));
-            }
-        }
-        let mut fill = |senders: Senders, path: &Path<'_>, ahead: usize| {
-            for (i, (from, lines)) in senders.into_iter().enumerate() {
-                let Some(inbox) = state.inbox_of(from) else {
-                    return Err(path
-                        .index(i)
-                        .err(format!("sender {from} is not a neighbor")));
-                };
-                if state.inboxes[inbox].held[ahead].replace(lines).is_some() {
-                    return Err(path.index(i).err(format!("sender {from} listed twice")));
-                }
-            }
-            Ok(())
-        };
-        fill(field(doc, path, "pending")?, &path.key("pending"), 0)?;
-        let future: Vec<(usize, Senders)> = field(doc, path, "future")?;
-        let future_path = path.key("future");
-        for (i, (phase, senders)) in future.into_iter().enumerate() {
-            let path = future_path.index(i);
-            if phase != current_phase + 1 {
-                return Err(path.err(format!(
-                    "phase {phase} is not the one after the current phase {current_phase}"
-                )));
-            }
-            fill(senders, &path.index(1), 1)?;
-        }
-        state.received = state.inboxes.iter().filter(|i| i.held[0].is_some()).count();
-        Ok(state)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -467,76 +369,5 @@ mod tests {
         assert!(a.is_finished());
         assert_eq!(a.table().distance(SiteId(1)), Some(1.0));
         assert_eq!(b.table().distance(SiteId(0)), Some(1.0));
-    }
-
-    #[test]
-    fn hostile_construction_states_are_refused() {
-        // Site 1 of a three-site line, mid-construction: site 0's phase-1
-        // table is in, site 2's is not, and site 0 has also run ahead.
-        let mut state = PcsState::new(SiteId(1), vec![(SiteId(2), 1.0), (SiteId(0), 1.0)], 2);
-        state.start();
-        let lines: Arc<[RouteEntry]> = RoutingTable::initial(SiteId(0), &[(SiteId(1), 1.0)])
-            .lines()
-            .into();
-        assert!(state.on_update(SiteId(0), 1, lines.clone()).is_empty());
-        assert!(state.on_update(SiteId(0), 2, lines.clone()).is_empty());
-        // A stranger's update is dropped, whatever it claims.
-        assert!(state.on_update(SiteId(7), 1, lines.clone()).is_empty());
-        let doc = state.encode();
-        let path = Path::root("pcs").within(3);
-        assert_eq!(PcsState::decode(&doc, &path).as_ref(), Ok(&state));
-
-        let refused = |key: &str, value: Json, expected: [&str; 2]| {
-            let Json::Object(mut fields) = doc.clone() else {
-                panic!("the state encodes as an object");
-            };
-            let field = fields.iter_mut().find(|(k, _)| k == key).expect(key);
-            field.1 = value;
-            let error = PcsState::decode(&Json::Object(fields), &path).expect_err(key);
-            for part in expected {
-                assert!(error.0.contains(part), "{key}: {error}");
-            }
-        };
-        let from = |site: usize| vec![(SiteId(site), lines.clone())];
-        refused(
-            "pending",
-            from(1).encode(),
-            ["pcs.pending[0]", "not a neighbor"],
-        );
-        let twice = [from(0), from(0)].concat();
-        refused("pending", twice.encode(), ["pcs.pending[1]", "twice"]);
-        refused(
-            "future",
-            vec![(3usize, from(0))].encode(),
-            ["pcs.future[0]", "phase 3"],
-        );
-        refused(
-            "future",
-            vec![(2usize, from(1))].encode(),
-            ["pcs.future[0][1][0]", "not a neighbor"],
-        );
-        refused(
-            "current_phase",
-            0usize.encode(),
-            ["pcs.current_phase", "from 1"],
-        );
-        refused(
-            "neighbors",
-            vec![(SiteId(2), 1.0), (SiteId(0), f64::NAN)].encode(),
-            ["pcs.neighbors[1]", "non-negative"],
-        );
-        let table = state.table().lines();
-        refused(
-            "table",
-            table[..1].to_vec().encode(),
-            ["pcs.table", "owner"],
-        );
-        let mut via_stranger = table;
-        via_stranger[2].next_hop = Some(SiteId(1));
-        refused(
-            "table",
-            via_stranger.encode(),
-            ["pcs.table[2]", "not a neighbor"],
-        );
     }
 }

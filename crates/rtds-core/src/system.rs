@@ -10,13 +10,13 @@
 
 use crate::config::RtdsConfig;
 use crate::node::{GlobalDistances, NodeBuilder, RtdsNode};
-use crate::snapshot::SYSTEM_SNAPSHOT_SCHEMA;
+use crate::snapshot::Construction;
 use rtds_graph::JobId;
 use rtds_net::dijkstra::all_pairs_shortest_paths;
 use rtds_net::{Network, SiteId};
 use rtds_sched::SiteResources;
 use rtds_sim::json::Json;
-use rtds_sim::snapshot::{expect_schema, field, Path, Snap, SnapshotError, Word};
+use rtds_sim::snapshot::{Path, Snap, SnapshotError};
 use rtds_sim::{FaultEvent, Simulator, Trace};
 use std::sync::Arc;
 
@@ -52,16 +52,18 @@ pub struct JobReport {
     pub met_deadline: bool,
 }
 
-/// A deployed RTDS system: network + nodes + simulator.
+/// A deployed RTDS system: network + nodes + simulator, plus the inputs it
+/// was built from (its checkpoint; see [`crate::snapshot`]).
 pub struct RtdsSystem {
     sim: Simulator<RtdsNode>,
-    seed: u64,
+    record: Construction,
 }
 
 impl RtdsSystem {
     /// Builds a system over `network` with the given configuration. The seed
-    /// is kept for future stochastic extensions and for symmetry with the
-    /// baseline policies (the RTDS protocol itself is deterministic).
+    /// is kept in the system's record, for future stochastic extensions and
+    /// for symmetry with the baseline policies (the RTDS protocol itself is
+    /// deterministic).
     pub fn new(network: Network, config: RtdsConfig, seed: u64) -> Self {
         let sites = network.site_count();
         Self::with_resources(network, config, seed, vec![SiteResources::default(); sites])
@@ -101,7 +103,16 @@ impl RtdsSystem {
                 .global_distances(global.clone())
                 .build()
         });
-        RtdsSystem { sim, seed }
+        let record = Construction {
+            network: topology,
+            config,
+            seed,
+            resources,
+            faults: Vec::new(),
+            fault_seed: None,
+            max_events: None,
+        };
+        RtdsSystem { sim, record }
     }
 
     /// Enables structured tracing as a bounded flight recorder (used by the
@@ -154,12 +165,14 @@ impl RtdsSystem {
     /// stress the §13 dynamic-network extensions.
     pub fn schedule_fault(&mut self, time: f64, fault: FaultEvent) {
         self.sim.schedule_fault(time, fault);
+        self.record.faults.push((time, fault));
     }
 
     /// Seeds the RNG used exclusively for message-loss draws (the protocol
     /// itself stays deterministic either way).
     pub fn set_fault_seed(&mut self, seed: u64) {
         self.sim.set_fault_seed(seed);
+        self.record.fault_seed = Some(seed);
     }
 
     /// Number of simulation events processed so far.
@@ -172,6 +185,7 @@ impl RtdsSystem {
     /// counted as submitted.
     pub fn set_max_events(&mut self, max: u64) {
         self.sim.set_max_events(max);
+        self.record.max_events = Some(max);
     }
 
     /// Engine access for the run loop (see [`crate::streaming`]).
@@ -196,19 +210,18 @@ impl RtdsSystem {
         self.sim.order_log()
     }
 
-    /// Serializes the complete system state — engine and nodes — as a
-    /// deterministic JSON document (`rtds-system-snapshot/1`);
-    /// [`RtdsSystem::resume`] rebuilds the identical system. A checkpoint
-    /// taken before the run resumes to a system that runs the same jobs the
-    /// same way. A run in progress carries state of its own loop as well:
-    /// it is checkpointed by [`RtdsSystem::run_streaming_checkpoint`] (whose
-    /// document embeds this one) and continued by
-    /// [`RtdsSystem::resume_streaming`]; a system that has already run
-    /// refuses to run again. Trace recorders, profiling and the ordering
-    /// log are observability surfaces and restart disabled (see
-    /// [`rtds_sim::snapshot`]).
+    /// The system's record (`rtds-system-record/1`): the inputs it was
+    /// built from — network, configuration, seed, resource bundles — and
+    /// every fault, fault seed and event cap set on it since, as a
+    /// deterministic JSON document. [`RtdsSystem::resume`] rebuilds from it
+    /// the system as it stood before its first event, which runs the same
+    /// jobs the same way. A run in progress is checkpointed by
+    /// [`RtdsSystem::run_streaming_checkpoint`] (whose document embeds this
+    /// one) and continued by [`RtdsSystem::resume_streaming`]. Trace
+    /// recorders, profiling and the ordering log are observability surfaces
+    /// and are not recorded.
     pub fn checkpoint(&self) -> String {
-        self.encode().render()
+        self.record.encode().render()
     }
 
     /// Rebuilds a system from a document written by
@@ -216,60 +229,12 @@ impl RtdsSystem {
     pub fn resume(text: &str) -> Result<RtdsSystem, SnapshotError> {
         let doc = Json::parse(text)
             .map_err(|e| SnapshotError(format!("checkpoint does not parse: {e}")))?;
-        RtdsSystem::decode(&doc, &Path::root("system"))
-    }
-}
-
-/// The complete system state (`rtds-system-snapshot/1`): the engine
-/// snapshot, which carries the nodes, plus what the nodes share.
-impl Snap for RtdsSystem {
-    fn encode(&self) -> Json {
-        // The exact-distance table is shared by every node; serialize it
-        // once, verbatim — faults may have mutated the topology since
-        // construction, so recomputing it on restore would diverge.
-        let global = self.sim.nodes().next().and_then(|n| n.global_distances());
-        Json::object(vec![
-            ("schema", Json::str(SYSTEM_SNAPSHOT_SCHEMA)),
-            ("seed", Word(self.seed).encode()),
-            (
-                "global_distances",
-                global.map_or(Json::Null, |d| d.encode()),
-            ),
-            ("engine", self.sim.encode()),
-        ])
+        Construction::decode(&doc, &Path::root("system")).map(RtdsSystem::from_record)
     }
 
-    fn decode(doc: &Json, path: &Path<'_>) -> Result<Self, SnapshotError> {
-        expect_schema(doc, path, SYSTEM_SNAPSHOT_SCHEMA)?;
-        // A field this decoder does not read would be dropped silently, so
-        // it is refused (an older writer's `submitted` jobs, for one).
-        if let Json::Object(fields) = doc {
-            let known = ["schema", "seed", "global_distances", "engine"];
-            if let Some((key, _)) = fields.iter().find(|(k, _)| !known.contains(&k.as_str())) {
-                return Err(path.key(key).err("unknown field"));
-            }
-        }
-        let mut sim: Simulator<RtdsNode> = field(doc, path, "engine")?;
-        let sites = sim.network().site_count();
-        let path = &path.within(sites);
-        let global: Option<Vec<Vec<f64>>> = field(doc, path, "global_distances")?;
-        let square =
-            |rows: &Vec<Vec<f64>>| rows.len() == sites && rows.iter().all(|r| r.len() == sites);
-        if !global.as_ref().map_or(true, square) {
-            return Err(path.err("global_distances must have one row and column per site"));
-        }
-        let global = global.map(Arc::new);
-        for site in 0..sites {
-            let node = sim.node_mut(SiteId(site));
-            if node.site() != SiteId(site) {
-                return Err(path.err(format!("node {site} claims to be {}", node.site())));
-            }
-            node.set_global_distances(global.clone());
-        }
-        Ok(RtdsSystem {
-            sim,
-            seed: field::<Word>(doc, path, "seed")?.0,
-        })
+    /// The system's record (see [`RtdsSystem::checkpoint`]).
+    pub(crate) fn record(&self) -> &Construction {
+        &self.record
     }
 }
 

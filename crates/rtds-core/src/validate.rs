@@ -15,9 +15,6 @@ use crate::messages::TaskSpec;
 use rtds_graph::JobId;
 use rtds_net::SiteId;
 use rtds_sched::{SiteScheduler, TaskRequest};
-use rtds_sim::json::Json;
-use rtds_sim::snapshot::{encode_all, field, Path, Snap, SnapshotError};
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Refills `requests` with the §10 question for one logical processor's
@@ -124,11 +121,6 @@ impl ValidationRound {
         }
     }
 
-    /// Number of logical processors the round couples.
-    pub(crate) fn logical_count(&self) -> usize {
-        self.logical_count
-    }
-
     /// Returns `true` once every expected site has answered.
     pub(crate) fn is_complete(&self) -> bool {
         self.received == self.expected.len()
@@ -175,36 +167,6 @@ impl ValidationRound {
             .map(|r| site(r.expect("perfect matching")))
             .collect();
         ValidationOutcome::Accepted { assignment }
-    }
-}
-
-impl Snap for ValidationRound {
-    fn encode(&self) -> Json {
-        let expected = self.expected.iter().map(|(site, _)| site);
-        let replies = self
-            .replies()
-            .map(|(site, reply)| Json::Array(vec![site.encode(), reply.encode()]));
-        Json::object(vec![
-            ("logical_count", self.logical_count.encode()),
-            ("expected", encode_all(expected)),
-            ("replies", Json::Array(replies.collect())),
-        ])
-    }
-
-    fn decode(doc: &Json, path: &Path<'_>) -> Result<Self, SnapshotError> {
-        let expected: Vec<SiteId> = field(doc, path, "expected")?;
-        let mut round = ValidationRound::new(field(doc, path, "logical_count")?, expected);
-        let replies: BTreeMap<SiteId, Vec<usize>> = field(doc, path, "replies")?;
-        let repliers = replies.len();
-        for (site, reply) in replies {
-            round.record_reply(site, reply);
-        }
-        // The mapping uses a subset of the ACS and only members reply; the
-        // coupling's work arrays are sized by both counts.
-        if round.logical_count > round.expected.len() || round.received != repliers {
-            return Err(path.err("more logical processors or repliers than expected sites"));
-        }
-        Ok(round)
     }
 }
 

@@ -12,8 +12,7 @@
 //! a simulation runs on one thread however wide the network is, and a buffer
 //! per site is memory that grows with the width for no benefit. And
 //! **nothing in a workspace is simulation state**: every user overwrites what
-//! it reads, nothing is carried from one handler to the next, and nothing
-//! here reaches a snapshot.
+//! it reads, and nothing is carried from one handler to the next.
 
 use crate::acs::AcsMember;
 use crate::adjust::Adjustment;

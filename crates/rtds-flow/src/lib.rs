@@ -27,10 +27,8 @@
 //! links are scanned in ascending [`LinkId`] order and flows in ascending
 //! id order (a `BTreeMap` walk), so the same flow set always
 //! produces bit-identical rates. There is no randomness, no wall-clock and
-//! no hashing — the model is snapshot/restore-compatible by serialising
-//! its raw parts bit-for-bit (see [`FlowModel::flow_ids`] /
-//! [`FlowModel::from_raw_parts`]); the engine wraps that in the versioned
-//! `rtds-flow-snapshot/1` section (see `docs/NETWORK.md`).
+//! no hashing — so a run that replays the same events reproduces every rate
+//! bit-for-bit.
 //!
 //! ## The solver
 //!
@@ -269,54 +267,6 @@ impl FlowModel {
     /// Live flow ids in ascending order.
     pub fn flow_ids(&self) -> impl Iterator<Item = FlowId> + '_ {
         self.flows.keys().copied()
-    }
-
-    /// Next id [`start`](Self::start) would hand out (snapshot support).
-    pub fn next_id(&self) -> FlowId {
-        self.next_id
-    }
-
-    /// Rebuilds a model from serialised parts. Rates are restored verbatim
-    /// (not recomputed) so a restored run continues bit-identically. The
-    /// parts are untrusted: a flow over an out-of-range link, an id at or
-    /// above `next_id`, a capacity [`FlowModel::add_link`] would refuse or
-    /// a non-finite clock is an error.
-    pub fn from_raw_parts(
-        capacities: Vec<f64>,
-        time: f64,
-        next_id: FlowId,
-        flows: Vec<(FlowId, Vec<LinkId>, f64, f64)>,
-    ) -> Result<Self, String> {
-        if !time.is_finite() {
-            return Err(format!("flow model time {time} is not finite"));
-        }
-        if let Some(bad) = capacities.iter().find(|c| c.is_nan() || **c < 0.0) {
-            return Err(format!("link capacity {bad} is negative or NaN"));
-        }
-        let mut map = BTreeMap::new();
-        for (id, links, remaining, rate) in flows {
-            if id >= next_id {
-                return Err(format!("flow id {id} not below next_id {next_id}"));
-            }
-            if let Some(link) = links.iter().find(|&&l| l as usize >= capacities.len()) {
-                return Err(format!("unknown link {link} in restored flow {id}"));
-            }
-            map.insert(
-                id,
-                FlowState {
-                    links,
-                    remaining,
-                    rate,
-                },
-            );
-        }
-        Ok(Self {
-            capacities,
-            flows: map,
-            next_id,
-            time,
-            ..Self::default()
-        })
     }
 }
 
@@ -628,32 +578,6 @@ mod tests {
         model.set_link_capacity(link, 5.0);
         model.recompute();
         assert_eq!(model.finish_time(a), 102.0);
-    }
-
-    #[test]
-    fn raw_parts_round_trip_bit_exactly() {
-        let mut model = FlowModel::new();
-        let l0 = model.add_link(3.0);
-        let l1 = model.add_link(f64::INFINITY);
-        model.start(vec![l0, l1], 7.5);
-        model.start(vec![l1], 2.25);
-        model.recompute();
-        model.advance_to(1.375);
-
-        let flows: Vec<_> = model
-            .flows
-            .iter()
-            .map(|(&id, f)| (id, f.links.clone(), f.remaining, f.rate))
-            .collect();
-        let restore = |next_id, flows| {
-            FlowModel::from_raw_parts(model.capacities.clone(), model.time(), next_id, flows)
-        };
-        assert_eq!(restore(model.next_id(), flows.clone()), Ok(model.clone()));
-        // Hostile parts are refused, not asserted on.
-        assert!(restore(1, flows.clone()).is_err());
-        let mut unknown_link = flows;
-        unknown_link[0].1.push(9);
-        assert!(restore(model.next_id(), unknown_link).is_err());
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! linked into its source's successor list and its target's predecessor
 //! list — so a graph costs a constant number of allocations however many
 //! tasks it has, and both per-task insertion orders (which are semantic:
-//! list scheduling, the Mapper's tie-breaks and snapshots follow them) are
+//! list scheduling, the Mapper's tie-breaks and message fan-out follow them) are
 //! kept exactly.
 
 use crate::task::{Task, TaskId};
@@ -41,11 +41,6 @@ pub enum GraphError {
     DuplicateEdge(TaskId, TaskId),
     /// A self-loop `t -> t` was inserted.
     SelfLoop(TaskId),
-    /// Raw parts carry a negative or non-finite task cost or data volume.
-    InvalidWeight,
-    /// Raw successor and predecessor lists do not describe one edge set
-    /// over the given tasks.
-    InconsistentAdjacency,
 }
 
 impl std::fmt::Display for GraphError {
@@ -55,20 +50,11 @@ impl std::fmt::Display for GraphError {
             GraphError::UnknownTask(t) => write!(f, "edge references unknown task {t}"),
             GraphError::DuplicateEdge(a, b) => write!(f, "duplicate edge {a} -> {b}"),
             GraphError::SelfLoop(t) => write!(f, "self loop on task {t}"),
-            GraphError::InvalidWeight => write!(f, "negative or non-finite cost or data volume"),
-            GraphError::InconsistentAdjacency => {
-                write!(f, "successor and predecessor lists disagree")
-            }
         }
     }
 }
 
 impl std::error::Error for GraphError {}
-
-/// One task's adjacency as exchanged with the snapshot layer: the
-/// `(neighbor, edge data)` pairs in insertion order (which is semantic — see
-/// [`TaskGraph::from_raw_parts`]).
-pub type EdgeList = Vec<(TaskId, EdgeData)>;
 
 /// End-of-list marker of the intrusive adjacency lists.
 const NIL: u32 = u32::MAX;
@@ -315,98 +301,6 @@ impl TaskGraph {
             nodes: self.nodes.drain(..).collect(),
             edges,
         }
-    }
-
-    /// Rebuilds a graph from tasks plus each task's successor and
-    /// predecessor lists (the snapshot path, so the parts are untrusted).
-    /// Per-list **insertion order** is semantic (scheduling and message
-    /// fan-out iterate these lists in order), and the two views interleave
-    /// edges differently when edges were not added in source-major order —
-    /// so a faithful snapshot captures both views verbatim rather than
-    /// re-deriving one from the other, and both orders are reproduced here.
-    ///
-    /// Weights must be finite and non-negative, task ids dense, every edge
-    /// must satisfy the rules of [`TaskGraph::add_edge_with`] and appear in
-    /// both views with the same data, and the result must be a DAG.
-    pub fn from_raw_parts(
-        tasks: Vec<Task>,
-        succs: Vec<EdgeList>,
-        preds: Vec<EdgeList>,
-    ) -> Result<Self, GraphError> {
-        let n = tasks.len();
-        let weight_ok = |w: f64| w.is_finite() && w >= 0.0;
-        if !tasks.iter().all(|t| weight_ok(t.cost)) {
-            return Err(GraphError::InvalidWeight);
-        }
-        let dense = tasks.iter().enumerate().all(|(i, t)| t.id.0 == i);
-        let edge_count = succs.iter().map(Vec::len).sum::<usize>();
-        if !dense || succs.len() != n || preds.len() != n {
-            return Err(GraphError::InconsistentAdjacency);
-        }
-        if preds.iter().map(Vec::len).sum::<usize>() != edge_count {
-            return Err(GraphError::InconsistentAdjacency);
-        }
-        if n >= NIL as usize || edge_count >= NIL as usize {
-            return Err(GraphError::InconsistentAdjacency);
-        }
-        for (u, list) in succs.iter().enumerate() {
-            for (k, &(v, data)) in list.iter().enumerate() {
-                if v.0 >= n {
-                    return Err(GraphError::UnknownTask(v));
-                }
-                if v.0 == u {
-                    return Err(GraphError::SelfLoop(v));
-                }
-                if !weight_ok(data.data_volume) {
-                    return Err(GraphError::InvalidWeight);
-                }
-                if list[..k].iter().any(|(s, _)| *s == v) {
-                    return Err(GraphError::DuplicateEdge(TaskId(u), v));
-                }
-                // Equal totals plus one distinct mirror per successor entry
-                // make the two views the same edge set.
-                let mirrored = preds[v.0].iter().any(|&(p, d)| {
-                    p.0 == u && d.data_volume.to_bits() == data.data_volume.to_bits()
-                });
-                if !mirrored {
-                    return Err(GraphError::InconsistentAdjacency);
-                }
-            }
-        }
-        // Successor lists come out in the given order by inserting
-        // source-major; the predecessor lists are then re-threaded in theirs.
-        let mut graph = TaskGraph {
-            nodes: tasks.into_iter().map(Node::new).collect(),
-            edges: Vec::with_capacity(edge_count),
-        };
-        for (u, list) in succs.iter().enumerate() {
-            for &(v, data) in list {
-                graph
-                    .add_edge_with(TaskId(u), v, data)
-                    .expect("validated above");
-            }
-        }
-        for node in &mut graph.nodes {
-            (node.first_in, node.last_in, node.in_degree) = (NIL, NIL, 0);
-        }
-        for (v, list) in preds.iter().enumerate() {
-            for &(p, _) in list {
-                let mut e = graph.nodes[p.0].first_out;
-                while let Some(edge) = graph.edges.get(e as usize) {
-                    if edge.succ as usize == v {
-                        break;
-                    }
-                    e = edge.next_out;
-                }
-                let Some(edge) = graph.edges.get_mut(e as usize) else {
-                    return Err(GraphError::InconsistentAdjacency);
-                };
-                edge.next_in = NIL;
-                graph.append_incoming(v, e);
-            }
-        }
-        graph.topological_order()?;
-        Ok(graph)
     }
 
     /// Number of tasks `|T|`.

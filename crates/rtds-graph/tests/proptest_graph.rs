@@ -5,9 +5,9 @@
 mod reference;
 
 use proptest::prelude::*;
-use rtds_graph::dag::{EdgeData, EdgeList};
+use rtds_graph::dag::EdgeData;
 use rtds_graph::generators::{CostDistribution, DagGenerator, DagShape, GeneratorConfig};
-use rtds_graph::{critical_path_tasks, downward_ranks, upward_ranks, Task, TaskGraph, TaskId};
+use rtds_graph::{critical_path_tasks, downward_ranks, upward_ranks, TaskGraph, TaskId};
 
 fn arbitrary_shape() -> impl Strategy<Value = DagShape> {
     prop_oneof![
@@ -307,7 +307,7 @@ fn arbitrary_step() -> impl Strategy<Value = Step> {
 }
 
 /// The per-task `(successor lists, predecessor lists)` of the flat graph.
-fn adjacency_of(g: &TaskGraph) -> (Vec<EdgeList>, Vec<EdgeList>) {
+fn adjacency_of(g: &TaskGraph) -> (Vec<reference::EdgeList>, Vec<reference::EdgeList>) {
     let succs = g.task_ids().map(|t| g.successor_edges(t).collect());
     let preds = g.task_ids().map(|t| g.predecessor_edges(t).collect());
     (succs.collect(), preds.collect())
@@ -318,9 +318,7 @@ proptest! {
 
     /// Any sequence of `add_task` / `add_edge_with` calls gives the same
     /// `Result`s on both graphs, the same adjacency in the same per-task
-    /// order, and the same answers to every structural query; the parts of
-    /// either graph rebuild, through `from_raw_parts`, a graph equal to the
-    /// flat one (or fail with the same error when the script made a cycle).
+    /// order, and the same answers to every structural query.
     #[test]
     fn flat_graph_equals_the_reference_graph(
         steps in proptest::collection::vec(arbitrary_step(), 0..80),
@@ -366,63 +364,6 @@ proptest! {
         prop_assert_eq!(flat.longest_chain_len(), reference.longest_chain_len());
         prop_assert_eq!(flat.total_cost().to_bits(), reference.total_cost().to_bits());
 
-        let tasks: Vec<Task> = flat.tasks().cloned().collect();
-        let rebuilt = TaskGraph::from_raw_parts(tasks.clone(), succs.clone(), preds.clone());
-        let ref_rebuilt = reference::TaskGraph::from_raw_parts(tasks, succs, preds);
-        match (rebuilt, ref_rebuilt) {
-            (Ok(rebuilt), Ok(_)) => {
-                prop_assert_eq!(&rebuilt, &flat);
-                prop_assert_eq!(adjacency_of(&rebuilt), adjacency_of(&flat));
-            }
-            (Err(e), Err(ref_e)) => prop_assert_eq!(e, ref_e),
-            (a, b) => prop_assert!(false, "verdicts differ: {a:?} vs {:?}", b.map(|_| ())),
-        }
-    }
-
-    /// Untrusted parts — lists that are too short, name unknown tasks,
-    /// repeat an edge, disagree between the views or carry bad weights —
-    /// get the same verdict from both `from_raw_parts`.
-    #[test]
-    fn from_raw_parts_verdicts_match_the_reference(
-        costs in proptest::collection::vec(-1.0f64..9.0, 0..7),
-        succ_entries in proptest::collection::vec((0usize..8, 0usize..8, 0usize..3), 0..10),
-        pred_entries in proptest::collection::vec((0usize..8, 0usize..8, 0usize..3), 0..10),
-        mirror in proptest::bool::ANY,
-        short in proptest::bool::ANY,
-    ) {
-        let n = costs.len();
-        let tasks: Vec<Task> = costs
-            .iter()
-            .enumerate()
-            .map(|(i, &cost)| Task { id: TaskId(i), cost, label: None })
-            .collect();
-        let volume = |v: usize| EdgeData { data_volume: [0.0, 2.5, -1.0][v] };
-        let lists = if short { n.saturating_sub(1) } else { n };
-        let mut succs: Vec<EdgeList> = vec![Vec::new(); lists];
-        let mut preds: Vec<EdgeList> = vec![Vec::new(); n];
-        for (u, v, w) in succ_entries {
-            if let Some(list) = succs.get_mut(u % n.max(1)) {
-                list.push((TaskId(v), volume(w)));
-                // Mostly consistent inputs, so acceptance is exercised too.
-                if mirror && v < n {
-                    preds[v].push((TaskId(u % n.max(1)), volume(w)));
-                }
-            }
-        }
-        if !mirror {
-            for (v, u, w) in pred_entries {
-                if let Some(list) = preds.get_mut(v % n.max(1)) {
-                    list.push((TaskId(u), volume(w)));
-                }
-            }
-        }
-        let flat = TaskGraph::from_raw_parts(tasks.clone(), succs.clone(), preds.clone());
-        let reference = reference::TaskGraph::from_raw_parts(tasks, succs.clone(), preds.clone());
-        match (flat, reference) {
-            (Ok(flat), Ok(_)) => prop_assert_eq!(adjacency_of(&flat), (succs, preds)),
-            (Err(e), Err(ref_e)) => prop_assert_eq!(e, ref_e),
-            (a, b) => prop_assert!(false, "verdicts differ: {a:?} vs {:?}", b.map(|_| ())),
-        }
     }
 }
 

@@ -1,6 +1,6 @@
 //! The `Vec<Vec<_>>` task graph as it was before the flat layout, kept
-//! verbatim as the oracle of `proptest_graph.rs` (and of the snapshot-bytes
-//! test in `rtds-core`): two adjacency vectors per task, each edge stored
+//! verbatim as the oracle of `proptest_graph.rs`: two adjacency vectors per
+//! task, each edge stored
 //! once per view. Only the imports differ — tasks, ids, edge data and errors
 //! are the library's own types, so answers compare directly.
 //!
@@ -104,72 +104,12 @@ impl TaskGraph {
         Ok(())
     }
 
-    /// The raw `(succs, preds)` adjacency, exposed for snapshot
-    /// serialization. Per-list **insertion order** is semantic (scheduling
-    /// and message fan-out iterate these lists in order), and the two views
-    /// interleave edges differently when edges were not added in
-    /// source-major order — so a faithful snapshot must capture both lists
-    /// verbatim rather than re-derive one from the other.
+    /// The raw `(succs, preds)` adjacency. Per-list **insertion order** is
+    /// semantic (scheduling and message fan-out iterate these lists in
+    /// order), and the two views interleave edges differently when edges
+    /// were not added in source-major order.
     pub(crate) fn raw_adjacency(&self) -> (&[EdgeList], &[EdgeList]) {
         (&self.succs, &self.preds)
-    }
-
-    /// Rebuilds a graph from tasks plus the adjacency captured by
-    /// [`TaskGraph::raw_adjacency`] (the snapshot path, so the parts are
-    /// untrusted): weights must be finite and non-negative, task ids dense,
-    /// every edge must satisfy the rules of [`TaskGraph::add_edge_with`] and
-    /// appear in both views with the same data, and the result must be a
-    /// DAG. The edge count is recomputed from `succs`.
-    pub(crate) fn from_raw_parts(
-        tasks: Vec<Task>,
-        succs: Vec<EdgeList>,
-        preds: Vec<EdgeList>,
-    ) -> Result<Self, GraphError> {
-        let n = tasks.len();
-        let weight_ok = |w: f64| w.is_finite() && w >= 0.0;
-        if !tasks.iter().all(|t| weight_ok(t.cost)) {
-            return Err(GraphError::InvalidWeight);
-        }
-        let dense = tasks.iter().enumerate().all(|(i, t)| t.id.0 == i);
-        let edge_count = succs.iter().map(Vec::len).sum::<usize>();
-        if !dense || succs.len() != n || preds.len() != n {
-            return Err(GraphError::InconsistentAdjacency);
-        }
-        if preds.iter().map(Vec::len).sum::<usize>() != edge_count {
-            return Err(GraphError::InconsistentAdjacency);
-        }
-        for (u, list) in succs.iter().enumerate() {
-            for (k, &(v, data)) in list.iter().enumerate() {
-                if v.0 >= n {
-                    return Err(GraphError::UnknownTask(v));
-                }
-                if v.0 == u {
-                    return Err(GraphError::SelfLoop(v));
-                }
-                if !weight_ok(data.data_volume) {
-                    return Err(GraphError::InvalidWeight);
-                }
-                if list[..k].iter().any(|(s, _)| *s == v) {
-                    return Err(GraphError::DuplicateEdge(TaskId(u), v));
-                }
-                // Equal totals plus one distinct mirror per successor entry
-                // make the two views the same edge set.
-                let mirrored = preds[v.0].iter().any(|&(p, d)| {
-                    p.0 == u && d.data_volume.to_bits() == data.data_volume.to_bits()
-                });
-                if !mirrored {
-                    return Err(GraphError::InconsistentAdjacency);
-                }
-            }
-        }
-        let graph = TaskGraph {
-            tasks,
-            succs,
-            preds,
-            edge_count,
-        };
-        graph.topological_order()?;
-        Ok(graph)
     }
 
     /// Number of tasks `|T|`.

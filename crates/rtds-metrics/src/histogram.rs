@@ -34,8 +34,6 @@
 //! magnitude this is the standard trade (HdrHistogram makes the same one
 //! with finer sub-buckets).
 
-use std::fmt;
-
 /// Smallest resolved exponent: values below `2^MIN_EXP` underflow into
 /// bucket 0. `2^-21` is far below any simulated-time quantity we track.
 pub(crate) const MIN_EXP: i32 = -21;
@@ -356,9 +354,7 @@ impl Histogram {
         }
     }
 
-    /// The non-zero buckets as `(index, count)` in index order — with
-    /// [`Histogram::raw_bounds`], the state [`Histogram::from_buckets`]
-    /// rebuilds a histogram from.
+    /// The non-zero buckets as `(index, count)` in index order.
     pub fn buckets(&self) -> impl Iterator<Item = (usize, u64)> + '_ {
         let (lo, occupied) = self.span.occupied();
         let underflow = (self.underflow > 0).then_some((0, self.underflow));
@@ -370,104 +366,7 @@ impl Histogram {
                 .map(move |(offset, &n)| (lo + offset, n)),
         )
     }
-
-    /// The exact running `(min, max)`, including the `(+inf, -inf)`
-    /// sentinels of an empty histogram that [`Histogram::min`] and
-    /// [`Histogram::max`] report as 0.
-    pub fn raw_bounds(&self) -> (f64, f64) {
-        (self.min, self.max)
-    }
-
-    /// Rebuilds a histogram from its count, its raw bounds and its non-zero
-    /// buckets (see [`Histogram::buckets`]). Refuses state no sequence of
-    /// records and merges produces: a NaN bound, a bucket index out of
-    /// range, listed twice or out of order, a bucket listed with no
-    /// samples, or a count that is not the sum of the buckets.
-    pub fn from_buckets(
-        count: u64,
-        min: f64,
-        max: f64,
-        buckets: impl IntoIterator<Item = (usize, u64)>,
-    ) -> Result<Self, HistogramError> {
-        for (bound, value) in [("min", min), ("max", max)] {
-            if value.is_nan() {
-                return Err(HistogramError::NanBound(bound));
-            }
-        }
-        let mut histogram = Histogram {
-            count,
-            min,
-            max,
-            ..Histogram::default()
-        };
-        let (mut previous, mut sum) = (None, 0u64);
-        for (index, n) in buckets {
-            if index >= BUCKET_COUNT {
-                return Err(HistogramError::BucketOutOfRange(index));
-            }
-            if let Some(previous) = previous.filter(|&p| p >= index) {
-                return Err(HistogramError::BucketOutOfOrder { index, previous });
-            }
-            if n == 0 {
-                return Err(HistogramError::EmptyBucket(index));
-            }
-            sum = sum
-                .checked_add(n)
-                .ok_or(HistogramError::CountMismatch { count })?;
-            histogram.add_to_bucket(index, n);
-            previous = Some(index);
-        }
-        if sum != count {
-            return Err(HistogramError::CountMismatch { count });
-        }
-        Ok(histogram)
-    }
 }
-
-/// Why [`Histogram::from_buckets`] refused its input.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum HistogramError {
-    /// The named bound (`"min"` or `"max"`) is NaN.
-    NanBound(&'static str),
-    /// A bucket index at or above [`BUCKET_COUNT`].
-    BucketOutOfRange(usize),
-    /// A bucket index not above the one listed before it.
-    BucketOutOfOrder {
-        /// The offending index.
-        index: usize,
-        /// The index listed before it.
-        previous: usize,
-    },
-    /// A bucket listed with a zero count.
-    EmptyBucket(usize),
-    /// The count is not the sum of the bucket counts.
-    CountMismatch {
-        /// The count given.
-        count: u64,
-    },
-}
-
-impl fmt::Display for HistogramError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            HistogramError::NanBound(bound) => write!(f, "histogram {bound} is NaN"),
-            HistogramError::BucketOutOfRange(index) => {
-                write!(f, "bucket index {index} out of range")
-            }
-            HistogramError::BucketOutOfOrder { index, previous } => {
-                write!(f, "bucket index {index} listed after bucket {previous}")
-            }
-            HistogramError::EmptyBucket(index) => {
-                write!(f, "bucket {index} listed with no samples")
-            }
-            HistogramError::CountMismatch { count } => {
-                write!(f, "count {count} is not the sum of the bucket counts")
-            }
-        }
-    }
-}
-
-impl std::error::Error for HistogramError {}
 
 /// The deterministic summary of a [`Histogram`]: count, exact min/max and
 /// bucket-resolved p50/p90/p99. All zeros when empty.

@@ -34,5 +34,5 @@
 pub mod histogram;
 pub mod registry;
 
-pub use histogram::{Histogram, HistogramError, HistogramSummary, BUCKET_COUNT};
+pub use histogram::{Histogram, HistogramSummary, BUCKET_COUNT};
 pub use registry::{CounterFamily, Gauge, GaugeFamily, MetricsRegistry, Scope, ScopeMap};

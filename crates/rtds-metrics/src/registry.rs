@@ -401,19 +401,6 @@ impl MetricsRegistry {
         }
     }
 
-    /// The global (unscoped) counters in name order — the raw state behind
-    /// [`MetricsRegistry::counter_families`], exposed for snapshotting.
-    pub fn global_counters(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
-        self.counter_names
-            .iter()
-            .map(|(name, &slot)| (*name, self.counter_slots[slot]))
-    }
-
-    /// The non-global counter families in name order, for snapshotting.
-    pub fn scoped_counter_families(&self) -> impl Iterator<Item = (&'static str, &ScopeMap<u64>)> {
-        self.scoped_counters.iter().map(|(k, v)| (*k, v))
-    }
-
     /// All counter families in name order, each with its scopes in `Scope`
     /// order (`Global` first). Export path: a merge-join of the global and
     /// the scoped counters, which are both kept in name order, so it
@@ -467,13 +454,6 @@ impl MetricsRegistry {
         GaugeFamily(self.gauges.entry(name).or_default())
     }
 
-    /// Restores a gauge entry verbatim (snapshot path — unlike
-    /// [`MetricsRegistry::gauge_set`] this can install a `last`
-    /// below the recorded `peak`).
-    pub fn gauge_restore(&mut self, name: &'static str, scope: Scope, gauge: Gauge) {
-        *self.gauges.entry(name).or_default().entry(scope, || gauge) = gauge;
-    }
-
     /// A gauge merged across all its scopes (None if never set).
     pub fn gauge(&self, name: &str) -> Option<Gauge> {
         let scopes = self.gauges.get(name)?;
@@ -514,15 +494,6 @@ impl MetricsRegistry {
             .or_default()
             .entry(scope, Histogram::new)
             .record(value);
-    }
-
-    /// Restores a histogram entry verbatim (snapshot path).
-    pub fn histogram_restore(&mut self, name: &'static str, scope: Scope, histogram: Histogram) {
-        *self
-            .histograms
-            .entry(name)
-            .or_default()
-            .entry(scope, Histogram::new) = histogram;
     }
 
     /// A histogram merged across all its scopes (empty if never recorded).
@@ -770,7 +741,7 @@ mod tests {
         assert_eq!(gauges.get(&Scope::Phase(2)).unwrap().last, 4.0);
         assert!(gauges.get(&Scope::Phase(3)).is_none());
         // Global lives in the flat slots; the scoped family keeps the rest.
-        let (_, counters) = m.scoped_counter_families().next().unwrap();
+        let (_, counters) = m.scoped_counters.iter().next().unwrap();
         assert_eq!(
             counters.iter().map(|(s, _)| *s).collect::<Vec<_>>(),
             expected[1..]
@@ -794,7 +765,7 @@ mod tests {
         }
         assert_eq!(slots(m.histogram_families()), 1);
         assert_eq!(slots(m.gauge_families()), 1);
-        assert_eq!(slots(m.scoped_counter_families()), 1);
+        assert_eq!(slots(m.scoped_counters.iter().map(|(k, v)| (*k, v))), 1);
         // A merge into an empty registry keeps the exact size too.
         let mut merged = MetricsRegistry::new();
         merged.merge(&m);

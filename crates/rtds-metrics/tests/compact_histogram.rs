@@ -117,7 +117,6 @@ fn agrees(h: &Histogram, dense: &Dense) -> Result<(), String> {
     let check = |what: &str, ok: bool| if ok { Ok(()) } else { Err(what.to_string()) };
     check("count", h.count() == dense.count)?;
     check("bounds", (h.min(), h.max()) == dense.shown())?;
-    check("raw bounds", h.raw_bounds() == (dense.min, dense.max))?;
     check(
         "buckets",
         h.buckets().collect::<Vec<_>>() == dense.nonzero(),
@@ -126,8 +125,7 @@ fn agrees(h: &Histogram, dense: &Dense) -> Result<(), String> {
         let (got, want) = (h.quantile(q), dense.quantile(q));
         check(&format!("quantile {q}: {got} vs {want}"), got == want)?;
     }
-    let rebuilt = Histogram::from_buckets(dense.count, dense.min, dense.max, dense.nonzero());
-    check("rebuilt", rebuilt.as_ref() == Ok(h))
+    Ok(())
 }
 
 /// Zero and negatives, NaN, subnormals, values under `2^-21`, every resolved
@@ -278,13 +276,7 @@ fn equality_ignores_how_the_span_is_held() {
         other.record(2f64.powi(e));
     }
     assert_eq!(spilled, other);
-    let rebuilt = Histogram::from_buckets(
-        spilled.count(),
-        spilled.raw_bounds().0,
-        spilled.raw_bounds().1,
-        spilled.buckets(),
-    );
-    assert_eq!(rebuilt, Ok(spilled));
+    assert!(spilled.buckets().eq(other.buckets()));
 }
 
 /// Counts this thread's heap allocations, so tests running in parallel do

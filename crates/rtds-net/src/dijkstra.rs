@@ -150,7 +150,7 @@ fn search(
 /// a miss runs the [`shortest_paths`] search over reusable buffers and keeps
 /// only that route, so memory grows with the pairs asked about, not with
 /// per-source trees. Any change of [`Network::version`] drops every route.
-/// Versions are per instance (a restored network restarts at 0): one memo
+/// Versions are per instance (a rebuilt network restarts at 0): one memo
 /// serves one network.
 #[derive(Debug, Default)]
 pub struct RouteMemo {

@@ -52,6 +52,8 @@ pub enum NetworkError {
     MissingLink(SiteId, SiteId),
     /// Raw adjacency, bandwidth and speed lists disagree on their lengths.
     RaggedLists,
+    /// A site speed that is not positive and finite.
+    InvalidSpeed(f64),
 }
 
 impl fmt::Display for NetworkError {
@@ -66,6 +68,7 @@ impl fmt::Display for NetworkError {
             NetworkError::RaggedLists => {
                 write!(f, "adjacency, bandwidth and speed lists differ in length")
             }
+            NetworkError::InvalidSpeed(s) => write!(f, "invalid site speed {s}"),
         }
     }
 }
@@ -147,8 +150,8 @@ impl Network {
 
     /// The raw adjacency lists, in per-site insertion order, plus the
     /// per-site speeds. Insertion order is semantic — neighbor iteration
-    /// (and therefore protocol broadcast order) follows it — so a snapshot
-    /// must capture the lists verbatim rather than re-adding links.
+    /// (and therefore protocol broadcast order) follows it — so a checkpoint
+    /// record captures the lists verbatim rather than re-adding links.
     pub fn raw_adjacency(&self) -> (&[NeighborList], &[f64]) {
         (&self.adjacency, &self.speeds)
     }
@@ -160,12 +163,12 @@ impl Network {
     }
 
     /// Rebuilds a network from raw adjacency, bandwidth and speed lists
-    /// (the snapshot path, so the lists are untrusted). The bandwidth lists
+    /// (the checkpoint path, so the lists are untrusted). The bandwidth lists
     /// must be entry-parallel to the adjacency lists, every entry must
-    /// satisfy the rules of [`Network::add_link_with_bandwidth`], and the
-    /// lists must be symmetric: each `a → b` entry has exactly one `b → a`
-    /// twin carrying the same delay and bandwidth bits. The restored network
-    /// starts at mutation version 0.
+    /// satisfy the rules of [`Network::add_link_with_bandwidth`], every speed
+    /// those of [`Network::set_speed`], and the lists must be symmetric: each
+    /// `a → b` entry has exactly one `b → a` twin carrying the same delay and
+    /// bandwidth bits. The rebuilt network starts at mutation version 0.
     pub fn from_raw_parts(
         adjacency: Vec<NeighborList>,
         bandwidths: Vec<Vec<f64>>,
@@ -180,6 +183,9 @@ impl Network {
                 .all(|(l, b)| l.len() == b.len());
         if !parallel {
             return Err(NetworkError::RaggedLists);
+        }
+        if let Some(&bad) = speeds.iter().find(|s| !(s.is_finite() && **s > 0.0)) {
+            return Err(NetworkError::InvalidSpeed(bad));
         }
         let mut directed = 0;
         for (a, (list, bws)) in adjacency.iter().zip(&bandwidths).enumerate() {
@@ -225,8 +231,8 @@ impl Network {
     /// [`set_link_bandwidth`](Network::set_link_bandwidth) /
     /// [`remove_link`](Network::remove_link), so derived state (routing
     /// tables, in-flight flows) can detect topology change without
-    /// diffing. Not part of structural equality and reset to 0 on
-    /// snapshot restore.
+    /// diffing. Not part of structural equality and 0 in a network rebuilt
+    /// by [`Network::from_raw_parts`].
     pub fn version(&self) -> u64 {
         self.version
     }
@@ -797,6 +803,12 @@ mod tests {
             rebuild(&adjacency[..2], n.raw_bandwidths()),
             Err(NetworkError::RaggedLists)
         );
+        let mut speeds = speeds.to_vec();
+        speeds[1] = f64::NAN;
+        assert!(matches!(
+            Network::from_raw_parts(adjacency.to_vec(), n.raw_bandwidths().to_vec(), speeds),
+            Err(NetworkError::InvalidSpeed(s)) if s.is_nan()
+        ));
     }
 
     #[test]

@@ -65,7 +65,8 @@ impl Reservation {
     }
 }
 
-/// Errors raised by plan mutations and by rebuilding a plan from a snapshot.
+/// Errors raised by plan mutations and by rebuilding a plan from a
+/// reservation list.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum PlanError {
     /// The new reservation overlaps an existing one.
@@ -283,8 +284,8 @@ impl SchedulePlan {
 
     /// Rebuilds a plan from reservations captured by
     /// [`SchedulePlan::reservations`], refusing a list that breaks the
-    /// sorted-and-disjoint invariant every query relies on (a snapshot
-    /// written by this crate always satisfies it).
+    /// sorted-and-disjoint invariant every query relies on (a list read
+    /// from a plan always satisfies it).
     pub fn from_reservations(reservations: Vec<Reservation>) -> Result<Self, PlanError> {
         let plan = SchedulePlan { reservations };
         plan.validate()?;

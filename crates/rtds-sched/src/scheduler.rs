@@ -17,8 +17,7 @@
 //! [`SchedulePlan`]s, trial placement over them without copies (the `trial`
 //! module), gang fits for multi-core task demands, a memory ledger) is
 //! shared. [`SiteScheduler`] is what the protocol node and every baseline
-//! store — a plain enum-dispatched struct, it stays `Clone + PartialEq` and
-//! snapshots cleanly (`rtds-sched-snapshot/1`, encoded by `rtds-core`).
+//! store — a plain enum-dispatched struct that stays `Clone + PartialEq`.
 
 use crate::admission::priority_order_into;
 use crate::feasibility::{place_requests, TaskRequest};
@@ -81,7 +80,7 @@ pub enum SchedulerKind {
 }
 
 impl SchedulerKind {
-    /// Stable lowercase name (used in reports and snapshots).
+    /// Stable lowercase name (used in reports and checkpoint records).
     pub fn name(&self) -> &'static str {
         match self {
             SchedulerKind::Protocol => "protocol",
@@ -201,7 +200,7 @@ impl SiteScheduler {
         }
     }
 
-    /// Rebuilds a scheduler from snapshot parts (untrusted): an invalid
+    /// Builds a scheduler from its parts (untrusted): an invalid
     /// resource bundle, a non-positive or non-finite base speed, a plan
     /// count that differs from the core count and a malformed memory hold
     /// are errors.
@@ -238,12 +237,6 @@ impl SiteScheduler {
             cores,
             holds,
         })
-    }
-
-    /// Snapshot accessors: `(base_speed, preemptive, holds)` — kind,
-    /// resources and plans have trait accessors.
-    pub fn snapshot_parts(&self) -> (f64, bool, &[MemHold]) {
-        (self.base_speed, self.preemptive, &self.holds)
     }
 
     /// The site's effective single-core speed: base speed × resource
@@ -981,7 +974,7 @@ mod tests {
         assert_eq!(drained.len(), 1);
         assert_eq!(drained[0].core, 1);
         assert_eq!(sched.reservation_count(), 1);
-        assert!(sched.snapshot_parts().2.is_empty());
+        assert!(sched.holds.is_empty());
     }
 
     #[test]
@@ -1003,18 +996,16 @@ mod tests {
                 },
             }])
             .unwrap();
-        let (base_speed, preemptive, holds) = sched.snapshot_parts();
         let rebuilt = SiteScheduler::from_parts(
             sched.kind(),
             *sched.resources(),
-            base_speed,
-            preemptive,
+            2.0,
+            true,
             sched.core_plans().to_vec(),
-            holds.to_vec(),
+            Vec::new(),
         )
         .unwrap();
         assert_eq!(rebuilt, sched);
         assert!((sched.effective_speed() - 3.0).abs() < 1e-12);
-        assert!(preemptive);
     }
 }

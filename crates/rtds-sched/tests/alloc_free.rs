@@ -290,17 +290,10 @@ fn admit_and_reserve_commits_a_multicore_job_in_place() {
                 memory: 4.0,
                 ..*sched.resources()
             };
-            let (base_speed, _, _) = sched.snapshot_parts();
             let plans = sched.core_plans().to_vec();
-            sched = SiteScheduler::from_parts(
-                kind,
-                resources,
-                base_speed,
-                preemptive,
-                plans,
-                Vec::new(),
-            )
-            .expect("valid parts");
+            // `busy_scheduler` builds every site at base speed 1.
+            sched = SiteScheduler::from_parts(kind, resources, 1.0, preemptive, plans, Vec::new())
+                .expect("valid parts");
             let schedule = sched.admit_dag(&job, 1.0, Some(&demands)).expect("fits");
             assert_eq!(schedule.holds.len(), 5, "{what}");
             // Warm the thread's buffers and the plans' capacity once.

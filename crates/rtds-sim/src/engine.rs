@@ -269,7 +269,7 @@ pub struct Simulator<P: Protocol> {
     wall_by_class: [Duration; 6],
     /// Shared-bandwidth plane tracking in-flight [`Context::transfer`]s.
     flows: FlowPlane<P::Msg>,
-    /// The transfers' routes (not state: a restore starts it empty).
+    /// The transfers' routes (a cache, not simulation state).
     routes: RouteMemo,
     /// Reused buffer for the completion events of a flow re-solve.
     finish_scratch: Vec<FinishSchedule>,
@@ -440,8 +440,7 @@ impl<P: Protocol> Simulator<P> {
     /// Running a protocol handler on a site touches it — handlers are the
     /// only way node state changes during a run, so a driver that inspects
     /// nodes between chunks of simulated time need only look at these — and
-    /// so does [`Simulator::touch`]. A restored simulator reports every site
-    /// on the first call.
+    /// so does [`Simulator::touch`].
     pub fn take_touched(&mut self, out: &mut Vec<SiteId>) {
         for site in &self.touched {
             self.is_touched[site.0] = false;
@@ -496,84 +495,9 @@ impl<P: Protocol> Simulator<P> {
         self.faults.set_loss_probability(probability);
     }
 
-    /// Read access to the fault plane (down sites, failed links, loss).
-    pub(crate) fn faults(&self) -> &FaultState {
-        &self.faults
-    }
-
     /// Number of transfers currently occupying bandwidth.
     pub fn flows_in_flight(&self) -> usize {
         self.flows.len()
-    }
-
-    /// The shared-bandwidth plane (snapshot serialization reads it).
-    pub(crate) fn flow_plane(&self) -> &FlowPlane<P::Msg> {
-        &self.flows
-    }
-
-    /// The pending-event queue (snapshot serialization reads it with
-    /// `for_each_sorted`).
-    pub(crate) fn queue(&self) -> &CalendarQueue<P::Msg> {
-        &self.queue
-    }
-
-    /// Whether the per-site `on_start` wave already ran.
-    pub(crate) fn started(&self) -> bool {
-        self.started
-    }
-
-    /// The configured event cap.
-    pub(crate) fn max_events(&self) -> u64 {
-        self.max_events
-    }
-
-    /// Rebuilds a simulator from restored state (see `crate::snapshot`).
-    /// Trace recording, profiling and the order log restart disabled — they
-    /// are observability surfaces, not simulation state.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn from_restored(
-        network: Network,
-        nodes: Vec<P>,
-        queue: CalendarQueue<P::Msg>,
-        now: f64,
-        started: bool,
-        stats: SimStats,
-        faults: FaultState,
-        max_events: u64,
-        events_processed: u64,
-        dispatch_counts: [u64; 6],
-        mut flows: FlowPlane<P::Msg>,
-    ) -> Self {
-        // A restored network restarts its mutation version from zero; align
-        // the plane so the first fault after resume still triggers a resync.
-        flows.topo_version = network.version();
-        // Which sites the checkpointed run had touched is not part of the
-        // snapshot: all of them count as touched.
-        let touched = network.sites().collect();
-        let is_touched = vec![true; nodes.len()];
-        Simulator {
-            network,
-            nodes,
-            queue,
-            now,
-            started,
-            stats,
-            trace: Trace::disabled(),
-            faults,
-            max_events,
-            events_processed,
-            outgoing_scratch: Vec::new(),
-            profiling: false,
-            dispatch_counts,
-            wall_by_class: [Duration::ZERO; 6],
-            flows,
-            routes: RouteMemo::default(),
-            finish_scratch: Vec::new(),
-            batch_scratch: Vec::new(),
-            order_log: None,
-            touched,
-            is_touched,
-        }
     }
 
     fn ensure_started(&mut self) {
@@ -1227,7 +1151,7 @@ mod tests {
         assert_eq!(sim.node(SiteId(3)).seen_at, None);
         assert_eq!(sim.stats().named("sim_lost_link_down"), 1);
         assert_eq!(sim.stats().named("sim_fault_events"), 1);
-        assert!(sim.faults().link_is_failed(SiteId(1), SiteId(2)));
+        assert!(sim.faults.link_is_failed(SiteId(1), SiteId(2)));
     }
 
     #[test]
@@ -1250,7 +1174,7 @@ mod tests {
         );
         sim.inject_at(6.0, SiteId(0), "go");
         sim.run_to_quiescence();
-        assert!(!sim.faults().link_is_failed(SiteId(0), SiteId(1)));
+        assert!(!sim.faults.link_is_failed(SiteId(0), SiteId(1)));
         assert_eq!(sim.network().link_delay(SiteId(0), SiteId(1)), Some(2.0));
     }
 
@@ -1697,7 +1621,7 @@ mod tests {
             },
         );
         sim.run_to_quiescence();
-        assert!(sim.faults().link_is_failed(SiteId(1), SiteId(2)));
+        assert!(sim.faults.link_is_failed(SiteId(1), SiteId(2)));
         assert_eq!(sim.network().link_delay(SiteId(1), SiteId(2)), None);
         assert_eq!(sim.node(SiteId(2)).seen_at, None);
         assert_eq!(sim.stats().named("sim_fault_events"), 2);
@@ -1715,7 +1639,7 @@ mod tests {
         sim.inject_at(2.5, SiteId(1), "dropped");
         sim.inject_at(4.0, SiteId(1), "kept");
         sim.run_to_quiescence();
-        assert!(!sim.faults().site_is_down(SiteId(1)));
+        assert!(!sim.faults.site_is_down(SiteId(1)));
         assert_eq!(sim.node(SiteId(1)).received, vec![(SiteId(1), "kept")]);
         assert_eq!(sim.stats().named("sim_dropped_arrival_site_down"), 1);
     }
@@ -1749,7 +1673,7 @@ mod tests {
         );
         sim.run_to_quiescence();
         // Recovery restores the original delay exactly once.
-        assert!(!sim.faults().link_is_failed(SiteId(0), SiteId(1)));
+        assert!(!sim.faults.link_is_failed(SiteId(0), SiteId(1)));
         assert_eq!(sim.network().link_delay(SiteId(0), SiteId(1)), Some(2.0));
         assert_eq!(sim.network().link_delay(SiteId(0), SiteId(2)), None);
         assert_eq!(sim.network().link_count(), 2);

@@ -111,12 +111,10 @@ fn link_key(a: SiteId, b: SiteId) -> (usize, usize) {
 /// restore), which sites are down, and the message-loss plane.
 #[derive(Debug)]
 pub(crate) struct FaultState {
-    // Crate-visible for the snapshot codec (`crate::snapshot`), which must
-    // capture the message-loss RNG position exactly.
-    pub(crate) failed_links: BTreeMap<(usize, usize), LinkState>,
-    pub(crate) down_sites: Vec<bool>,
-    pub(crate) loss_probability: f64,
-    pub(crate) rng: StdRng,
+    failed_links: BTreeMap<(usize, usize), LinkState>,
+    down_sites: Vec<bool>,
+    loss_probability: f64,
+    rng: StdRng,
 }
 
 impl FaultState {

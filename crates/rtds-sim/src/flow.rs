@@ -12,8 +12,8 @@
 //!
 //! A transfer's head delay and pinned path come from the engine's
 //! [`rtds_net::RouteMemo`]: one Dijkstra per `(from, to)` pair, keeping that
-//! pair's route only, dropped on any change of [`Network::version`], never
-//! snapshotted (a restored network restarts at version 0). A re-solve runs
+//! pair's route only, dropped on any change of [`Network::version`]. A
+//! re-solve runs
 //! over the rate model's own buffers, fills an engine-owned buffer and
 //! visits link utilizations, so once warm it allocates nothing.
 //!
@@ -21,9 +21,8 @@
 //!
 //! Each flow carries a monotonically increasing *epoch*, and every scheduled
 //! completion carries the epoch it was predicted under. The queue forgets an
-//! event only by popping it, and the epoch travels inside the event, so the
-//! check stays valid across snapshot/restore (which re-pushes every pending
-//! event into a fresh queue). A recomputation that
+//! event only by popping it, and the epoch travels inside the event, so a
+//! superseded completion is recognised whenever it pops. A recomputation that
 //! changes a flow's predicted completion (bit-compared, so byte-identical
 //! re-solves never churn the queue) bumps the epoch and pushes a fresh
 //! [`crate::event::EventPayload::FlowFinish`]; an event whose epoch no
@@ -36,7 +35,7 @@
 //! All state lives in `BTreeMap`s keyed by flow id and normalized site
 //! pair; recomputation visits flows in ascending id order and links in
 //! ascending allocation order, so the plane is a pure function of the
-//! event history and snapshot/restore reproduces it bit-exactly.
+//! event history.
 
 use rtds_flow::{FlowModel, LinkId};
 use rtds_net::{Network, SiteId};

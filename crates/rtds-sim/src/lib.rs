@@ -22,7 +22,7 @@
 //!   run length is bounded by time, not by how many arrivals fit in memory
 //!   (the open-loop generators live in the `rtds-workload` crate),
 //! * [`json`] re-exports the deterministic hand-rolled JSON layer behind
-//!   every report, workload trace and snapshot; it is defined once, in the
+//!   every report, workload trace and checkpoint; it is defined once, in the
 //!   dependency-free `rtds-trace` crate at the bottom of the crate graph,
 //! * [`faults`] injects timed perturbations beyond the paper's base model
 //!   (link latency jitter, bandwidth brownouts, link failure/recovery, site

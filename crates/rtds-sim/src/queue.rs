@@ -43,10 +43,8 @@
 //! a monotone function of time, so every key in a future bucket has a
 //! strictly greater time than every key in the serving set, and keys with
 //! equal times always land in the same bucket, where the serving heap
-//! orders them by the packed key. The snapshot layer
-//! ([`crate::snapshot`]) relies on this: a snapshot stores only the sorted
-//! event list (not the bucket layout), and a restored queue — whatever
-//! width it re-tunes to — pops the same sequence.
+//! orders them by the packed key. So a queue pops the same sequence
+//! whatever width it re-tunes to.
 
 use crate::event::{Event, EventPayload};
 use rtds_net::SiteId;
@@ -201,21 +199,6 @@ impl<M> CalendarQueue<M> {
         self.live == 0
     }
 
-    /// The sequence number the next push will be assigned.
-    pub fn next_seq(&self) -> u64 {
-        self.next_seq
-    }
-
-    /// Forces the sequence counter (snapshot restore only; panics if the
-    /// queue already handed out sequence numbers at or past `seq`).
-    pub fn set_next_seq(&mut self, seq: u64) {
-        assert!(
-            seq >= self.next_seq,
-            "set_next_seq would reuse sequence numbers"
-        );
-        self.next_seq = seq;
-    }
-
     #[inline]
     fn bucket_of(&self, time: f64) -> i64 {
         (time / self.width).floor() as i64
@@ -267,18 +250,6 @@ impl<M> CalendarQueue<M> {
         assert!(time.is_finite(), "event time must be finite, got {time}");
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.push_with_seq(time, seq, target, payload)
-    }
-
-    /// Schedules an event under an explicit sequence number (snapshot
-    /// restore). Does not advance the automatic counter; callers must
-    /// finish with [`CalendarQueue::set_next_seq`].
-    pub fn push_raw(&mut self, time: f64, seq: u64, target: SiteId, payload: EventPayload<M>) {
-        assert!(time.is_finite(), "event time must be finite, got {time}");
-        self.push_with_seq(time, seq, target, payload)
-    }
-
-    fn push_with_seq(&mut self, time: f64, seq: u64, target: SiteId, payload: EventPayload<M>) {
         let key = pack_key(time, payload.class_rank(), seq);
         let slot = self.alloc_slot(time, target, payload);
         if self.file(key, slot, time) {
@@ -407,29 +378,6 @@ impl<M> CalendarQueue<M> {
                 payload,
             } => (time, target, payload),
             Slot::Free { .. } => unreachable!("popped key points at free slot"),
-        }
-    }
-
-    /// Visits every pending event in pop order without disturbing the
-    /// queue: `(time, seq, target, payload)`. Snapshot serialization uses
-    /// this; restore re-pushes the list with [`CalendarQueue::push_raw`].
-    pub fn for_each_sorted(&self, mut f: impl FnMut(f64, u64, SiteId, &EventPayload<M>)) {
-        let mut keys: Vec<(u128, u32)> = Vec::with_capacity(self.live);
-        keys.extend(self.serving.iter().map(|&Reverse(p)| p));
-        for bucket in &self.buckets {
-            keys.extend(bucket.iter().copied());
-        }
-        keys.extend(self.overflow.iter().copied());
-        keys.sort_unstable();
-        for (key, slot) in keys {
-            match &self.slab[slot as usize] {
-                Slot::Occupied {
-                    time,
-                    target,
-                    payload,
-                } => f(*time, (key & ((1 << 62) - 1)) as u64, *target, payload),
-                Slot::Free { .. } => unreachable!("calendar key points at free slot"),
-            }
         }
     }
 }
@@ -622,31 +570,5 @@ mod tests {
         cal.pop_batch(&mut batch, 0);
         assert!(batch.is_empty());
         assert_eq!(cal.len(), 3);
-    }
-
-    #[test]
-    fn push_raw_and_for_each_sorted_round_trip() {
-        let mut cal: CalendarQueue<u32> = CalendarQueue::new();
-        cal.push(2.0, SiteId(0), payload(0));
-        cal.push(1.0, SiteId(1), payload(1));
-        let mut listed = Vec::new();
-        cal.for_each_sorted(|time, seq, target, p| listed.push((time, seq, target, p.clone())));
-        assert_eq!(listed.len(), 2);
-        assert_eq!(listed[0].0, 1.0);
-        assert_eq!(listed[1].0, 2.0);
-
-        let mut restored: CalendarQueue<u32> = CalendarQueue::new();
-        for (time, seq, target, p) in &listed {
-            restored.push_raw(*time, *seq, *target, p.clone());
-        }
-        restored.set_next_seq(cal.next_seq());
-        assert_eq!(restored.next_seq(), 2);
-        let a = restored.pop().unwrap();
-        assert_eq!((a.time, a.seq), (1.0, 1));
-        let b = restored.pop().unwrap();
-        assert_eq!((b.time, b.seq), (2.0, 0));
-        // New pushes continue the original sequence space.
-        restored.push(5.0, SiteId(0), payload(9));
-        assert_eq!(restored.pop().unwrap().seq, 2);
     }
 }

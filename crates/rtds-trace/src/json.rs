@@ -1,7 +1,7 @@
 //! A minimal, deterministic JSON value, writer and parser — the one
 //! definition of the dialect every RTDS document is written in.
 //!
-//! Sweep reports, workload traces, snapshots and the `rtds-trace/1` JSONL
+//! Sweep reports, workload traces, checkpoints and the `rtds-trace/1` JSONL
 //! lines all serialize through this hand-rolled layer; no type derives a
 //! `serde` trait. It lives in this crate because
 //! `rtds-trace` is the dependency-free bottom of the crate graph and already

@@ -14,7 +14,7 @@
 //! - [`json`] — the workspace's one JSON dialect: the [`Json`] value, its
 //!   deterministic pretty/compact writers, the scalar writers streaming
 //!   sinks call directly, and a linear-time, depth-bounded parser. Reports,
-//!   workload traces and snapshots upstream all go through it
+//!   workload traces and checkpoints upstream all go through it
 //!   (`rtds_sim::json` re-exports it).
 //! - [`jsonl`] — the `rtds-trace/1` wire format: deterministic JSONL with a
 //!   self-contained header; record → parse → re-render is a byte fixpoint.

@@ -1,13 +1,19 @@
-//! A snapshot file is untrusted input: whatever is done to a real mid-run
-//! `rtds-stream-snapshot/1` document — cut short, a field deleted, a value
+//! A checkpoint file is untrusted input: whatever is done to a real mid-run
+//! `rtds-stream-replay/1` document — cut short, a field deleted, a value
 //! swapped for one of another type, an integer pushed to `u64::MAX` (which
 //! turns ids into out-of-range indices and bit-pattern floats into NaNs) —
-//! [`RtdsSystem::resume_streaming`] either returns a `SnapshotError` or a
-//! system that runs to quiescence. It never panics and never aborts.
+//! [`RtdsSystem::resume_streaming`] either returns a `SnapshotError` or
+//! replays the run to its end. It never panics and never aborts.
+//!
+//! The document is the system's record (network, configuration, seed,
+//! resource bundles, faults, fault seed, event cap) plus the harvest
+//! interval, the pause point and the digest; each refusal the record's
+//! decoder and the replay owe is checked by name below.
 
-use rtds::core::{RtdsConfig, RtdsSystem, StreamOptions, StreamPause, StreamRun};
+use rtds::core::{RtdsConfig, RtdsSystem, StreamOptions, StreamPause, StreamReport, StreamRun};
 use rtds::net::generators::{grid, DelayDistribution};
 use rtds::net::SiteId;
+use rtds::sched::SiteResources;
 use rtds::sim::{FaultEvent, Json};
 use rtds::workload::{JobFactory, JobTemplate, OpenLoopSource, OpenLoopSpec, RateProcess, SizeMix};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -20,15 +26,14 @@ const OPTIONS: StreamOptions = StreamOptions {
     harvest_interval: 0.25,
 };
 
-/// Two pause instants that between them populate every section of a
-/// running system: at the first a Trial-Mapping validation round is open
-/// (replies on the wire), at the second a data transfer is in flight on the
-/// bandwidth plane. Both hold locked sites, deferred arrivals, a failed link
-/// and a pending fault.
-const PAUSES: [f64; 2] = [12.5, 16.5];
+/// Mid-run, with the brownout applied and every other fault still ahead.
+const PAUSE_AT: f64 = 12.5;
 
-/// A short overloaded stream, so the pause catches deferred arrivals,
-/// distributions in flight and data transfers on the wire.
+/// A cap well above the run's events, so a mutation that makes the
+/// protocol loop still ends.
+const CAP: u64 = 50_000;
+
+/// A short overloaded stream, so the run distributes, defers and transfers.
 fn source() -> JobFactory<OpenLoopSource> {
     let spec = OpenLoopSpec {
         process: RateProcess::Poisson { rate: 1.5 },
@@ -44,22 +49,13 @@ fn source() -> JobFactory<OpenLoopSource> {
     JobFactory::new(spec.build(6, SEED), template)
 }
 
-/// A mid-run checkpoint of a 6-site system with every optional section
-/// populated: flow transfers, the exact-distance table, a failed link, a
-/// pending fault and message loss.
-fn checkpoint(pause_at: f64) -> String {
-    checkpoint_with(DelayDistribution::Constant(1.0), pause_at)
-}
-
-/// A checkpoint from the middle of the §7 construction. Unequal link delays
-/// spread the routing updates out, so sites hold tables for the phase they
-/// are collecting and early ones for the phase after.
-fn construction_checkpoint() -> String {
-    checkpoint_with(DelayDistribution::Uniform { min: 0.2, max: 2.0 }, 1.0)
-}
-
-fn checkpoint_with(delays: DelayDistribution, pause_at: f64) -> String {
-    let mut network = grid(2, 3, false, delays, SEED);
+/// A 6-site system with every part of the record populated: flow
+/// transfers and the exact-distance table, two-core bundles on two sites,
+/// a link that fails and recovers, a bandwidth brownout, a crash and
+/// message loss, a fault seed and an event cap. The losses come late: a
+/// lost message leaves its sites locked for the rest of the run.
+fn system() -> RtdsSystem {
+    let mut network = grid(2, 3, false, DelayDistribution::Constant(1.0), SEED);
     for (a, b, _) in network.links().collect::<Vec<_>>() {
         network.set_link_bandwidth(a, b, 4.0).expect("grid link");
     }
@@ -69,13 +65,35 @@ fn checkpoint_with(delays: DelayDistribution, pause_at: f64) -> String {
         exact_acs_diameter: true,
         ..RtdsConfig::default()
     };
-    let mut system = RtdsSystem::new(network, config, SEED);
+    let mut resources = vec![SiteResources::default(); 6];
+    resources[1] = SiteResources::multicore(2, 1.0);
+    resources[4] = SiteResources::multicore(2, 1.5);
+    let mut system = RtdsSystem::with_resources(network, config, SEED, resources);
     system.set_fault_seed(SEED);
+    system.set_max_events(CAP);
     let (a, b) = (SiteId(4), SiteId(5));
-    system.schedule_fault(3.0, FaultEvent::LinkDown { a, b });
+    system.schedule_fault(18.0, FaultEvent::LinkDown { a, b });
     system.schedule_fault(28.0, FaultEvent::LinkUp { a, b });
-    let pause = StreamPause::AtTime(pause_at);
-    match system.run_streaming_checkpoint(&mut source(), &OPTIONS, &pause) {
+    let (c, d) = (SiteId(0), SiteId(1));
+    system.schedule_fault(
+        6.0,
+        FaultEvent::SetLinkBandwidth {
+            a: c,
+            b: d,
+            bandwidth: 0.5,
+        },
+    );
+    system.schedule_fault(27.0, FaultEvent::SetMessageLoss { probability: 0.3 });
+    system.schedule_fault(22.0, FaultEvent::SiteDown { site: SiteId(2) });
+    system.schedule_fault(24.0, FaultEvent::SiteUp { site: SiteId(2) });
+    system.schedule_fault(29.0, FaultEvent::SetMessageLoss { probability: 0.0 });
+    system
+}
+
+/// The fixture's checkpoint at [`PAUSE_AT`].
+fn checkpoint() -> String {
+    let pause = StreamPause::AtTime(PAUSE_AT);
+    match system().run_streaming_checkpoint(&mut source(), &OPTIONS, &pause) {
         StreamRun::Paused(text) => text,
         StreamRun::Finished(_) => panic!("the run must pause before draining"),
     }
@@ -86,8 +104,8 @@ fn checkpoint_with(delays: DelayDistribution, pause_at: f64) -> String {
 enum Outcome {
     /// Refused with this `SnapshotError`.
     Refused(String),
-    /// Restored and ran to quiescence.
-    Ran,
+    /// Replayed and ran to its end.
+    Ran(Box<StreamReport>),
     /// The failure this file exists to catch.
     Panicked,
 }
@@ -98,9 +116,199 @@ fn resume(text: &str) -> Outcome {
         RtdsSystem::resume_streaming(text, &mut source())
     }));
     match outcome {
-        Ok(Ok(_)) => Outcome::Ran,
+        Ok(Ok(report)) => Outcome::Ran(Box::new(report)),
         Ok(Err(e)) => Outcome::Refused(e.to_string()),
         Err(_) => Outcome::Panicked,
+    }
+}
+
+/// The fixture's checkpoint with the value at `path` (object keys, or
+/// array indices as decimal strings) replaced by `value`.
+fn with(path: &[&str], value: Json) -> String {
+    let mut doc = Json::parse(&checkpoint()).expect("checkpoint parses");
+    *at(&mut doc, path) = value;
+    doc.render_compact()
+}
+
+fn at<'a>(doc: &'a mut Json, path: &[&str]) -> &'a mut Json {
+    path.iter().fold(doc, |doc, key| match doc {
+        Json::Object(fields) => {
+            let field = fields.iter_mut().find(|(k, _)| k == key);
+            &mut field.unwrap_or_else(|| panic!("no field {key}")).1
+        }
+        Json::Array(items) => &mut items[key.parse::<usize>().expect("an index")],
+        _ => panic!("{key}: not a container"),
+    })
+}
+
+/// Resumes `text` and expects a refusal whose message contains every one
+/// of `parts`.
+fn refused(text: &str, parts: &[&str]) {
+    match resume(text) {
+        Outcome::Refused(why) => {
+            for part in parts {
+                assert!(why.contains(part), "{part:?} not in {why:?}");
+            }
+        }
+        other => panic!("expected a refusal naming {parts:?}, got {other:?}"),
+    }
+}
+
+/// The index, in the fixture's record, of the first fault of kind `kind`
+/// (its `"k"` tag).
+fn fault_index(kind: &str) -> String {
+    let mut doc = Json::parse(&checkpoint()).expect("checkpoint parses");
+    let faults = at(&mut doc, &["system", "faults"]).items().expect("a list");
+    let is_kind = |fault: &Json| fault.items().and_then(|f| f[1].get("k")?.as_str()) == Some(kind);
+    let index = faults.iter().position(is_kind);
+    index.expect("a fixture fault").to_string()
+}
+
+#[test]
+fn the_fixtures_are_rich_and_valid_checkpoints() {
+    let text = checkpoint();
+    for part in [
+        "rtds-stream-replay/1",
+        "rtds-system-record/1",
+        "\"link_down\"",
+        "\"link_up\"",
+        "\"bw\"",
+        "\"loss\"",
+        "\"site_down\"",
+        "\"exact_acs_diameter\": true",
+    ] {
+        assert!(text.contains(part), "fixture lacks {part}");
+    }
+    let mut doc = Json::parse(&text).expect("checkpoint parses");
+    let cores = at(&mut doc, &["system", "resources", "4", "0"]).as_u64();
+    assert_eq!(cores, Some(2));
+    // The pause lands mid-run, and the resumed run is the uninterrupted one.
+    let full = system().run_streaming(&mut source(), &OPTIONS);
+    let paused_at = at(&mut doc, &["events_processed"]).as_u64();
+    assert!(paused_at.is_some_and(|events| events < full.events_processed));
+    assert!(full.stats.named("sim_flow_finished") > 0);
+    assert!(full.stats.named("sim_lost_random") > 0);
+    assert_eq!(resume(&text), Outcome::Ran(Box::new(full)));
+}
+
+#[test]
+fn a_nan_observation_window_is_refused() {
+    // Floats travel as their bit patterns, so a NaN is a well-formed value;
+    // only the config's own check can refuse it.
+    let nan = Json::UInt(f64::NAN.to_bits());
+    let text = with(&["system", "config", "observation_window"], nan);
+    refused(&text, &["stream.system.config: observation_window"]);
+}
+
+#[test]
+fn an_invalid_config_is_refused() {
+    // Flows are sized by data volumes, so flow transfers need them.
+    let text = with(
+        &["system", "config", "data_volume_aware"],
+        Json::Bool(false),
+    );
+    refused(&text, &["stream.system.config: flow_transfers requires"]);
+}
+
+#[test]
+fn a_bundle_that_fails_validation_is_refused() {
+    let text = with(&["system", "resources", "1", "0"], Json::UInt(0));
+    refused(
+        &text,
+        &["stream.system.resources[1]: ", "at least one core"],
+    );
+    let nan = Json::UInt(f64::NAN.to_bits());
+    let text = with(&["system", "resources", "4", "1"], nan);
+    refused(&text, &["stream.system.resources[4]: ", "speed"]);
+}
+
+#[test]
+fn a_bundle_with_more_cores_than_memory_allows_is_refused() {
+    // One plan per core: a hostile count must not reach the constructor.
+    let text = with(&["system", "resources", "1", "0"], Json::UInt(1 << 40));
+    refused(&text, &["stream.system.resources[1]: ", "cores"]);
+}
+
+#[test]
+fn a_bundle_count_that_is_not_the_site_count_is_refused() {
+    let mut doc = Json::parse(&checkpoint()).expect("checkpoint parses");
+    let Json::Array(bundles) = at(&mut doc, &["system", "resources"]) else {
+        panic!("the bundles are an array");
+    };
+    bundles.pop();
+    refused(
+        &doc.render_compact(),
+        &["stream.system.resources: ", "5 bundles for 6 sites"],
+    );
+}
+
+#[test]
+fn a_fault_at_a_missing_site_is_refused() {
+    let crash = fault_index("site_down");
+    let text = with(&["system", "faults", &crash, "1", "s"], Json::UInt(6));
+    refused(
+        &text,
+        &[&format!("stream.system.faults[{crash}][1].s: "), "outside"],
+    );
+}
+
+#[test]
+fn a_fault_on_a_missing_link_is_refused() {
+    // Sites 0 and 5 are opposite corners of the 2 × 3 grid.
+    let brownout = fault_index("bw");
+    let text = with(&["system", "faults", &brownout, "1", "b"], Json::UInt(5));
+    refused(
+        &text,
+        &[
+            &format!("stream.system.faults[{brownout}]: "),
+            "no link s0 -- s5",
+        ],
+    );
+}
+
+#[test]
+fn a_negative_or_non_finite_fault_time_is_refused() {
+    let failure = fault_index("link_down");
+    for time in [-1.0, f64::INFINITY, f64::NAN] {
+        let bits = Json::UInt(f64::to_bits(time));
+        let text = with(&["system", "faults", &failure, "0"], bits);
+        refused(
+            &text,
+            &[&format!("stream.system.faults[{failure}]: "), "fault time"],
+        );
+    }
+}
+
+#[test]
+fn a_pause_point_past_the_end_is_refused() {
+    let text = with(&["events_processed"], Json::UInt(CAP));
+    refused(
+        &text,
+        &["stream.events_processed: ", "before the pause point"],
+    );
+}
+
+#[test]
+fn a_digest_mismatch_is_refused() {
+    let mut doc = Json::parse(&checkpoint()).expect("checkpoint parses");
+    let digest = at(&mut doc, &["digest"]);
+    *digest = Json::UInt(digest.as_u64().expect("a digest") ^ 1);
+    refused(&doc.render_compact(), &["stream.digest: ", "another state"]);
+}
+
+#[test]
+fn truncated_checkpoints_are_errors() {
+    let text = checkpoint();
+    for step in 0..64 {
+        let mut cut = text.len() * step / 64;
+        while !text.is_char_boundary(cut) {
+            cut -= 1;
+        }
+        let outcome = resume(&text[..cut]);
+        assert!(
+            matches!(outcome, Outcome::Refused(_)),
+            "cut at byte {cut}: {outcome:?}"
+        );
     }
 }
 
@@ -157,169 +365,9 @@ fn put_child(parent: &mut Json, i: usize, (key, child): (String, Json)) {
 }
 
 #[test]
-fn the_fixtures_are_rich_and_valid_checkpoints() {
-    let texts = PAUSES.map(checkpoint);
-    for text in &texts {
-        for section in [
-            "rtds-stream-snapshot/1",
-            "rtds-system-snapshot/1",
-            "rtds-engine-snapshot/1",
-            "rtds-flow-snapshot/1",
-            "rtds-sched-snapshot/1",
-            "\"link_up\"",
-        ] {
-            assert!(text.contains(section), "fixture lacks {section}");
-        }
-        let doc = Json::parse(text).expect("checkpoint parses");
-        let has_items = |path: &[&str]| {
-            let section = path.iter().try_fold(&doc, |d, key| d.get(key));
-            section.and_then(Json::items).is_some_and(|i| !i.is_empty())
-        };
-        assert!(has_items(&["system", "engine", "faults", "failed_links"]));
-        assert!(has_items(&["system", "engine", "queue", "events"]));
-        assert!(has_items(&["system", "global_distances"]));
-        assert!(has_items(&["harvest", "inflight"]));
-        assert_eq!(resume(text), Outcome::Ran);
-    }
-    assert!(texts[0].contains("\"validation\": {") && texts[0].contains("\"k\": \"tm\""));
-    assert!(texts[1].contains("\"rate\": ") && texts[1].contains("\"k\": \"td\""));
-
-    let text = construction_checkpoint();
-    let doc = Json::parse(&text).expect("checkpoint parses");
-    let nodes = doc
-        .get("system")
-        .and_then(|d| d.get("engine")?.get("nodes")?.items());
-    let some_node_holds = |key: &str| {
-        let held = |node: &Json| node.get("pcs")?.get(key)?.items().map(|i| !i.is_empty());
-        nodes.is_some_and(|nodes| nodes.iter().any(|node| held(node) == Some(true)))
-    };
-    assert!(some_node_holds("pending") && some_node_holds("future"));
-    assert_eq!(resume(&text), Outcome::Ran);
-}
-
-/// The node whose `pcs` section holds a routing update with its sender at
-/// `location`: `pending[i][0]` or `future[i][1][j][0]`.
-fn held_sender(location: &str) -> Option<usize> {
-    let (_, rest) = location.split_once(".nodes[")?;
-    let (node, rest) = rest.split_once("].pcs.")?;
-    let depth = |indices: &str| indices.matches('[').count();
-    let is_sender = match (rest.strip_prefix("pending"), rest.strip_prefix("future")) {
-        (Some(indices), _) => depth(indices) == 2,
-        (_, Some(indices)) => depth(indices) == 4 && indices.contains("][1]["),
-        _ => false,
-    };
-    (is_sender && rest.ends_with("[0]")).then(|| node.parse().ok())?
-}
-
-#[test]
-fn a_routing_update_from_a_stranger_is_refused() {
-    // In range, so the site-id check passes it — but no site is its own
-    // neighbor, and only neighbors send routing updates.
-    let text = construction_checkpoint();
-    let mut doc = Json::parse(&text).expect("checkpoint parses");
-    let mut all = Vec::new();
-    addresses(&doc, &mut Vec::new(), &mut all);
-    let mut rewritten = 0;
-    for address in &all {
-        let (node, location) = node_mut(&mut doc, address);
-        let Some(holder) = held_sender(&location) else {
-            continue;
-        };
-        let original = std::mem::replace(node, Json::UInt(holder as u64));
-        match resume(&doc.render_compact()) {
-            Outcome::Refused(why) => assert!(
-                why.contains(&format!("nodes[{holder}].pcs.")) && why.contains("not a neighbor"),
-                "{location}: {why}"
-            ),
-            other => panic!("{location} = {holder}: {other:?}"),
-        }
-        *node_mut(&mut doc, address).0 = original;
-        rewritten += 1;
-    }
-    assert!(
-        rewritten >= 2,
-        "the fixture holds tables in pending and future"
-    );
-}
-
-#[test]
-fn a_nan_observation_window_is_refused() {
-    // Floats travel as their bit patterns, so a NaN is a well-formed value;
-    // only the config's own check can refuse it.
-    let mut doc = Json::parse(&checkpoint(PAUSES[0])).expect("checkpoint parses");
-    let mut all = Vec::new();
-    addresses(&doc, &mut Vec::new(), &mut all);
-    let address = all
-        .iter()
-        .find(|address| {
-            node_mut(&mut doc, address)
-                .1
-                .ends_with(".observation_window")
-        })
-        .expect("the checkpoint carries the config");
-    let (node, location) = node_mut(&mut doc, address);
-    *node = Json::UInt(f64::NAN.to_bits());
-    let config_path = location.trim_end_matches(".observation_window");
-    match resume(&doc.render_compact()) {
-        Outcome::Refused(why) => assert!(
-            why.contains(&format!("{config_path}: observation_window")),
-            "{location}: {why}"
-        ),
-        other => panic!("{location} = NaN: {other:?}"),
-    }
-}
-
-#[test]
-fn more_acceptances_than_injected_jobs_are_refused() {
-    // Each counter is a well-formed integer on its own; only the harvest's
-    // check that acceptances are a subset of injected jobs can refuse it.
-    let mut doc = Json::parse(&checkpoint(PAUSES[0])).expect("checkpoint parses");
-    let injected = doc.get("harvest").and_then(|h| h.get("injected")?.as_u64());
-    let local = injected.expect("the harvest counts injected jobs") + 1;
-    let mut all = Vec::new();
-    addresses(&doc, &mut Vec::new(), &mut all);
-    let address = all
-        .iter()
-        .find(|address| node_mut(&mut doc, address).1 == "stream.harvest.accepted_locally")
-        .expect("the harvest counts local acceptances");
-    *node_mut(&mut doc, address).0 = Json::UInt(local);
-    match resume(&doc.render_compact()) {
-        Outcome::Refused(why) => assert!(
-            why.contains("stream.harvest") && why.contains("accepted_locally"),
-            "{why}"
-        ),
-        other => panic!("accepted_locally = {local}: {other:?}"),
-    }
-}
-
-#[test]
-fn truncated_checkpoints_are_errors() {
-    let text = checkpoint(PAUSES[0]);
-    for step in 0..64 {
-        let mut cut = text.len() * step / 64;
-        while !text.is_char_boundary(cut) {
-            cut -= 1;
-        }
-        let outcome = resume(&text[..cut]);
-        assert!(
-            matches!(outcome, Outcome::Refused(_)),
-            "cut at byte {cut}: {outcome:?}"
-        );
-    }
-}
-
-#[test]
 fn single_field_mutations_never_panic() {
-    for text in PAUSES
-        .map(checkpoint)
-        .into_iter()
-        .chain([construction_checkpoint()])
-    {
-        mutate_every_field(Json::parse(&text).expect("checkpoint parses"));
-    }
-}
-
-fn mutate_every_field(mut doc: Json) {
+    let text = checkpoint();
+    let mut doc = Json::parse(&text).expect("checkpoint parses");
     let mut all = Vec::new();
     addresses(&doc, &mut Vec::new(), &mut all);
     let (mut tried, mut refused, mut panicked) = (0u32, 0u32, Vec::new());
@@ -327,7 +375,7 @@ fn mutate_every_field(mut doc: Json) {
         tried += 1;
         match resume(&doc.render_compact()) {
             Outcome::Refused(_) => refused += 1,
-            Outcome::Ran => {}
+            Outcome::Ran(_) => {}
             Outcome::Panicked => panicked.push(what),
         }
     };
@@ -358,100 +406,12 @@ fn mutate_every_field(mut doc: Json) {
         attempt(format!("{location} deleted"), &doc);
         put_child(node_mut(&mut doc, parent).0, last, removed);
     }
-    assert_eq!(resume(&doc.render_compact()), Outcome::Ran);
+    assert!(matches!(resume(&doc.render_compact()), Outcome::Ran(_)));
     assert!(panicked.is_empty(), "resuming panicked on: {panicked:#?}");
     // Most single-field damage is detectable; a document that still resumes
-    // ran to quiescence without a panic, which is the other allowed outcome.
+    // ran to its end without a panic, which is the other allowed outcome.
     assert!(
         refused * 10 > tried * 7,
         "only {refused} of {tried} refused"
     );
-}
-
-/// The first histogram in a checkpoint with at least `buckets` non-empty
-/// buckets: its address and its rendered location.
-fn histogram_with(doc: &mut Json, buckets: usize) -> (Vec<usize>, String) {
-    let mut all = Vec::new();
-    addresses(doc, &mut Vec::new(), &mut all);
-    all.into_iter()
-        .find_map(|address| {
-            let (node, location) = node_mut(doc, &address);
-            let filled = node.get("buckets").and_then(Json::items)?.len();
-            let histogram = location.contains(".histograms[") && node.get("count").is_some();
-            (histogram && filled >= buckets).then_some((address, location))
-        })
-        .expect("the checkpoint records histograms")
-}
-
-/// Applies `damage` to the first histogram with `buckets` non-empty buckets
-/// and checks that resuming refuses it with an error naming that histogram
-/// and containing `why`.
-fn refused_histogram(buckets: usize, why: &str, damage: impl FnOnce(&mut Vec<(String, Json)>)) {
-    let mut doc = Json::parse(&checkpoint(PAUSES[0])).expect("checkpoint parses");
-    let (address, location) = histogram_with(&mut doc, buckets);
-    match node_mut(&mut doc, &address).0 {
-        Json::Object(fields) => damage(fields),
-        _ => unreachable!("a histogram is an object"),
-    }
-    match resume(&doc.render_compact()) {
-        Outcome::Refused(error) => assert!(
-            error.contains(&format!("{location}: ")) && error.contains(why),
-            "{location}: {error}"
-        ),
-        other => panic!("{location}: {other:?}"),
-    }
-}
-
-/// The value of histogram field `key`.
-fn histogram_field<'a>(fields: &'a mut [(String, Json)], key: &str) -> &'a mut Json {
-    let (_, value) = fields.iter_mut().find(|(k, _)| k == key).expect("field");
-    value
-}
-
-#[test]
-fn a_histogram_bucket_listed_twice_is_refused() {
-    // Listed again with the same count, so overwriting it would restore
-    // the same histogram and hide the damage.
-    refused_histogram(1, "listed after bucket", |fields| {
-        if let Json::Array(buckets) = histogram_field(fields, "buckets") {
-            buckets.push(buckets[0].clone());
-        }
-    });
-}
-
-#[test]
-fn histogram_buckets_out_of_order_are_refused() {
-    refused_histogram(2, "listed after bucket", |fields| {
-        if let Json::Array(buckets) = histogram_field(fields, "buckets") {
-            buckets.swap(0, 1);
-        }
-    });
-}
-
-#[test]
-fn an_empty_histogram_bucket_is_refused() {
-    refused_histogram(1, "with no samples", |fields| {
-        if let Json::Array(buckets) = histogram_field(fields, "buckets") {
-            buckets.push(Json::Array(vec![Json::UInt(64), Json::UInt(0)]));
-        }
-    });
-}
-
-#[test]
-fn a_histogram_count_that_is_not_its_buckets_is_refused() {
-    refused_histogram(1, "is not the sum of the bucket counts", |fields| {
-        let count = histogram_field(fields, "count");
-        *count = Json::UInt(count.as_u64().expect("a count") + 1);
-    });
-}
-
-#[test]
-fn a_nan_histogram_bound_is_refused() {
-    // Floats travel as their bit patterns, so a NaN min or max is a
-    // well-formed value that would poison every later merge.
-    for bound in ["min", "max"] {
-        refused_histogram(1, &format!("histogram {bound} is NaN"), |fields| {
-            *histogram_field(fields, bound) = Json::UInt(f64::NAN.to_bits());
-        });
-    }
 }

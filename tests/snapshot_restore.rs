@@ -1,39 +1,54 @@
-//! Checkpoint → restore round-trips: a run interrupted mid-flight and
-//! resumed from its serialized snapshot must end in exactly the state of an
-//! uninterrupted run — same report, bit-equal floats, byte-identical JSON.
+//! Checkpoint → resume round-trips: a run interrupted mid-flight and
+//! resumed from its checkpoint must end exactly like an uninterrupted run —
+//! same report, bit-equal floats, byte-identical JSON.
 //!
-//! Covers real registry scenarios with both kinds of workload: a
-//! pre-built one (`paper-baseline`, whose system checkpoint at the pause —
-//! [`RtdsSystem::checkpoint`] / [`RtdsSystem::resume`] — must be a byte
-//! fixpoint) and an open-loop one (`diurnal-wave`), both paused via
-//! [`RtdsSystem::run_streaming_checkpoint`] and resumed with a fresh
-//! deterministic job source, plus a 1/2/4-thread sweep showing the
-//! checkpointed cells are independent of sweep parallelism, and an
-//! open-ended stream on a 256-site grid that only the event cap stops.
+//! A checkpoint is the system's record (what it was built from) plus a pause
+//! point, and resuming replays a fresh source to that point. Covers real
+//! registry scenarios with both kinds of workload: a pre-built one
+//! (`paper-baseline`, and `bandwidth-starved-sphere`, paused with a transfer
+//! in flight under a bandwidth brownout) and an open-loop one
+//! (`diurnal-wave`), a 1/2/4-thread sweep showing the checkpointed cells are
+//! independent of sweep parallelism, an open-ended stream on a 256-site
+//! grid that only the event cap stops, and resumes that must be refused: a
+//! source of another seed, and a source whose jobs name sites the record's
+//! network lacks.
 
 use rtds::core::{RtdsConfig, RtdsSystem, StreamOptions, StreamPause, StreamReport, StreamRun};
 use rtds::graph::Job;
 use rtds::net::generators::{grid, DelayDistribution};
-use rtds::scenarios::{find_scenario, mix_seed, parallel_sweep_sharded, Scenario};
-use rtds::sim::{metrics_to_json, Json};
+use rtds::scenarios::{
+    find_scenario, mix_seed, parallel_sweep_sharded, run_cell, CellReport, Scenario,
+};
+use rtds::sim::{metrics_to_json, FaultEvent, Json};
 use rtds::workload::{JobFactory, JobTemplate, OpenLoopSpec, RateProcess, SizeMix};
 
-/// The `paper-baseline` workload exactly as `run_cell` builds it, fresh on
+/// A batch scenario's workload exactly as `run_cell` builds it, fresh on
 /// every call — which resuming relies on.
 fn batch_jobs(scenario: &Scenario, seed: u64) -> std::vec::IntoIter<Job> {
     let network = scenario.build_network(seed);
     scenario.build_workload(&network, seed).into_iter()
 }
 
-fn batch_system(scenario: &Scenario, seed: u64) -> RtdsSystem {
+/// A batch scenario's system exactly as `run_cell` builds it: resource
+/// bundles, fault seed, event cap and the expanded perturbation plan.
+fn cell_system(scenario: &Scenario, seed: u64) -> RtdsSystem {
     let network = scenario.build_network(seed);
-    RtdsSystem::new(network, scenario.config, mix_seed(seed, 5))
+    let faults = scenario.perturbations.expand(&network, mix_seed(seed, 3));
+    let bundles = scenario.resources.bundles(network.site_count());
+    let mut system =
+        RtdsSystem::with_resources(network, scenario.config, mix_seed(seed, 5), bundles);
+    system.set_fault_seed(mix_seed(seed, 4));
+    system.set_max_events(scenario.max_events);
+    for (time, fault) in faults {
+        system.schedule_fault(time.max(0.0), fault);
+    }
+    system
 }
 
-/// A `paper-baseline` system paused at the first harvest boundary at or
-/// past `at`, plus its stream checkpoint.
+/// A batch cell paused at the first harvest boundary at or past `at`,
+/// plus its stream checkpoint.
 fn paused_batch(scenario: &Scenario, seed: u64, at: f64) -> (RtdsSystem, String) {
-    let mut system = batch_system(scenario, seed);
+    let mut system = cell_system(scenario, seed);
     let mut jobs = batch_jobs(scenario, seed);
     let pause = StreamPause::AtTime(at);
     match system.run_streaming_checkpoint(&mut jobs, &StreamOptions::default(), &pause) {
@@ -42,79 +57,80 @@ fn paused_batch(scenario: &Scenario, seed: u64, at: f64) -> (RtdsSystem, String)
     }
 }
 
+/// The uninterrupted run of a batch cell.
+fn full_batch(scenario: &Scenario, seed: u64) -> StreamReport {
+    let mut jobs = batch_jobs(scenario, seed);
+    cell_system(scenario, seed).run_streaming(&mut jobs, &StreamOptions::default())
+}
+
 #[test]
 fn batch_checkpoint_resumes_byte_identically() {
     let scenario = find_scenario("paper-baseline").expect("registry scenario");
     let seed = 7;
-
-    let mut uninterrupted = batch_system(&scenario, seed);
-    let (full, _) = uninterrupted.run(batch_jobs(&scenario, seed).collect());
+    let full = full_batch(&scenario, seed);
     assert!(full.guarantee.submitted > 0, "the cell must be non-trivial");
 
-    // Same cell, stopped a third of the way into the horizon, serialized,
-    // restored and driven to quiescence.
+    // Same cell, stopped a third of the way into the horizon and resumed
+    // from the text alone.
     let (paused, text) = paused_batch(&scenario, seed, 80.0);
     assert!(
         paused.events_processed() < full.events_processed,
         "the checkpoint must land mid-run"
     );
-    assert!(text.contains("rtds-system-snapshot/1"));
-    let (resumed, report) =
-        RtdsSystem::resume_streaming_system(&text, &mut batch_jobs(&scenario, seed))
-            .expect("checkpoint decodes");
+    assert!(text.contains("rtds-stream-replay/1") && text.contains("rtds-system-record/1"));
+    let report = RtdsSystem::resume_streaming(&text, &mut batch_jobs(&scenario, seed))
+        .expect("checkpoint resumes");
 
     // The reports agree structurally (PartialEq on f64 is bit-level here:
     // every value is reproduced exactly, not approximately)...
     assert_eq!(report, full);
-    // ...their rendered telemetry is byte-identical...
+    // ...and their rendered telemetry is byte-identical.
     assert_eq!(
         metrics_to_json(&report.metrics, true).render(),
         metrics_to_json(&full.metrics, true).render()
     );
-    // ...and so is the final engine state itself.
-    assert_eq!(resumed.checkpoint(), uninterrupted.checkpoint());
 }
 
 #[test]
 fn batch_checkpoint_text_round_trips() {
-    let scenario = find_scenario("paper-baseline").expect("registry scenario");
+    // A perturbed cell, so the record carries faults, the fault seed and
+    // the event cap as well as the construction.
+    let scenario = find_scenario("flaky-links").expect("registry scenario");
     let (system, _) = paused_batch(&scenario, 11, 60.0);
     let text = system.checkpoint();
+    for part in ["\"faults\": [\n", "\"fault_seed\": ", "\"max_events\": "] {
+        assert!(text.contains(part), "the record lacks {part}");
+    }
     // checkpoint → resume → checkpoint is the identity on the document.
     let restored = RtdsSystem::resume(&text).expect("checkpoint decodes");
     assert_eq!(restored.checkpoint(), text);
+    // The rebuilt system has not run, and runs the cell as `run_cell` does.
+    assert_eq!(restored.events_processed(), 0);
+    let mut restored = restored;
+    let mut jobs = batch_jobs(&scenario, 11);
+    let report = restored.run_streaming(&mut jobs, &StreamOptions::default());
+    assert!(is_the_cell(&report, &run_cell(&scenario, 11)));
 }
 
-/// The one job a checkpoint carries is the stream's look-ahead: one at a
-/// site the network lacks is refused.
-#[test]
-fn a_look_ahead_job_at_a_missing_site_is_refused() {
-    let scenario = find_scenario("paper-baseline").expect("registry scenario");
-    let (_, text) = paused_batch(&scenario, 7, 80.0);
-    let sites = scenario.build_network(7).site_count();
-    let mut doc = Json::parse(&text).expect("checkpoint parses");
-    let Json::Object(fields) = &mut doc else {
-        panic!("a checkpoint is an object");
-    };
-    let buffered = fields.iter_mut().find(|(k, _)| k == "buffered");
-    let Some((_, Json::Object(job))) = buffered else {
-        panic!("the paused run holds a look-ahead job");
-    };
-    let site = job.iter_mut().find(|(k, _)| k == "site");
-    site.expect("a job names its site").1 = Json::UInt(sites as u64);
-    let refused = RtdsSystem::resume_streaming(&doc.render(), &mut batch_jobs(&scenario, 7))
-        .expect_err("the site does not exist");
-    let refused = refused.to_string();
-    assert!(refused.contains("stream.buffered.site"), "{refused}");
-    assert!(refused.contains("outside"), "{refused}");
+/// Whether `report` is the run `run_cell` reported as `cell`.
+fn is_the_cell(report: &StreamReport, cell: &CellReport) -> bool {
+    (
+        report.events_processed,
+        report.stats.messages_sent,
+        report.finished_at.to_bits(),
+    ) == (
+        cell.events_processed,
+        cell.messages_sent,
+        cell.finished_at.to_bits(),
+    )
 }
 
-/// A system checkpoint field the decoder does not read — such as the
+/// A system record field the decoder does not read — such as the
 /// `submitted` jobs an older writer put there — is refused, not dropped.
 #[test]
 fn a_system_checkpoint_with_an_unknown_field_is_refused() {
     let scenario = find_scenario("paper-baseline").expect("registry scenario");
-    let text = batch_system(&scenario, 7).checkpoint();
+    let text = cell_system(&scenario, 7).checkpoint();
     let mut doc = Json::parse(&text).expect("checkpoint parses");
     let Json::Object(fields) = &mut doc else {
         panic!("a checkpoint is an object");
@@ -130,6 +146,84 @@ fn a_system_checkpoint_with_an_unknown_field_is_refused() {
     );
     assert!(RtdsSystem::resume(&text).is_ok());
 }
+
+/// A source whose jobs name sites the record's network lacks — here the
+/// jobs of a 64-site cell replayed on a 25-site checkpoint — is refused
+/// with the site it named, never a panic.
+#[test]
+fn a_source_job_at_a_missing_site_is_refused() {
+    let scenario = find_scenario("paper-baseline").expect("registry scenario");
+    let (_, text) = paused_batch(&scenario, 7, 80.0);
+    let wide = find_scenario("wide-low-degree").expect("registry scenario");
+    assert!(wide.build_network(7).site_count() > scenario.build_network(7).site_count());
+    let refused = RtdsSystem::resume_streaming(&text, &mut batch_jobs(&wide, 7))
+        .expect_err("the site does not exist")
+        .to_string();
+    assert!(
+        refused.contains("stream: ") && refused.contains("lacks"),
+        "{refused}"
+    );
+}
+
+/// Resuming from a fresh source of another seed reaches the pause point in
+/// another state, and the digest says so.
+#[test]
+fn a_source_of_another_seed_fails_the_digest() {
+    let scenario = find_scenario("diurnal-wave").expect("registry scenario");
+    let mut system = diurnal_system(&scenario, 3);
+    let pause = StreamPause::AtTime(180.0);
+    let options = StreamOptions::default();
+    let StreamRun::Paused(text) =
+        system.run_streaming_checkpoint(&mut diurnal_source(&scenario, 3), &options, &pause)
+    else {
+        panic!("the run must pause before draining");
+    };
+    let refused = RtdsSystem::resume_streaming(&text, &mut diurnal_source(&scenario, 4))
+        .expect_err("another seed is another run")
+        .to_string();
+    assert!(refused.contains("stream.digest: "), "{refused}");
+    assert!(RtdsSystem::resume_streaming(&text, &mut diurnal_source(&scenario, 3)).is_ok());
+}
+
+/// `bandwidth-starved-sphere` — transfers contending for starved links
+/// under a bandwidth brownout — paused with a transfer in flight and
+/// resumed, ends with the uninterrupted cell's report.
+#[test]
+fn a_bandwidth_starved_sphere_paused_mid_transfer_resumes_identically() {
+    let scenario = find_scenario("bandwidth-starved-sphere").expect("registry scenario");
+    let seed = 7;
+    let network = scenario.build_network(seed);
+    let brownouts = scenario
+        .perturbations
+        .expand(&network, mix_seed(seed, 3))
+        .into_iter()
+        .filter(|(_, fault)| matches!(fault, FaultEvent::SetLinkBandwidth { .. }))
+        .count();
+    assert!(brownouts > 0, "the cell must re-solve under brownouts");
+    let full = full_batch(&scenario, seed);
+    assert!(full.stats.named("sim_flow_finished") > 0);
+    assert!(is_the_cell(&full, &run_cell(&scenario, seed)));
+
+    let (paused, text) = paused_batch(&scenario, seed, PAUSE_MID_TRANSFER);
+    // The same cell capped at the paused run's event count stops where the
+    // pause did: a flow it started and did not finish was in flight there.
+    let mut capped = cell_system(&scenario, seed);
+    capped.set_max_events(paused.events_processed());
+    let mut jobs = batch_jobs(&scenario, seed);
+    let at_pause = capped.run_streaming(&mut jobs, &StreamOptions::default());
+    assert_eq!(at_pause.events_processed, paused.events_processed());
+    let in_flight =
+        at_pause.stats.named("sim_flow_started") - at_pause.stats.named("sim_flow_finished");
+    assert!(in_flight > 0, "the pause must land mid-transfer");
+
+    let report = RtdsSystem::resume_streaming(&text, &mut batch_jobs(&scenario, seed))
+        .expect("checkpoint resumes");
+    assert_eq!(report, full);
+}
+
+/// A harvest boundary of `bandwidth-starved-sphere` seed 7 with a transfer
+/// in flight (the test above checks that it still is one).
+const PAUSE_MID_TRANSFER: f64 = 120.0;
 
 /// The `diurnal-wave` streaming cell's job source, rebuilt fresh each time
 /// exactly as `run_cell` does — deterministic per seed, which is what
@@ -162,8 +256,8 @@ fn streaming_checkpoint_resumes_byte_identically() {
     let full = uninterrupted.run_streaming(&mut source, &options);
     assert!(full.guarantee.submitted > 0, "the cell must be non-trivial");
 
-    // Pause mid-run (the scenario horizon is 360), serialize, resume with a
-    // fresh instance of the same source.
+    // Pause mid-run (the scenario horizon is 360) and resume with a fresh
+    // instance of the same source.
     let mut paused = diurnal_system(&scenario, seed);
     let mut live = diurnal_source(&scenario, seed);
     let text =
@@ -171,10 +265,10 @@ fn streaming_checkpoint_resumes_byte_identically() {
             StreamRun::Paused(text) => text,
             StreamRun::Finished(_) => panic!("the run must pause before draining"),
         };
-    assert!(text.contains("rtds-stream-snapshot/1"));
+    assert!(text.contains("rtds-stream-replay/1"));
 
     let mut fresh = diurnal_source(&scenario, seed);
-    let resumed = RtdsSystem::resume_streaming(&text, &mut fresh).expect("checkpoint decodes");
+    let resumed = RtdsSystem::resume_streaming(&text, &mut fresh).expect("checkpoint resumes");
     assert_eq!(resumed, full);
     assert_eq!(
         metrics_to_json(&resumed.metrics, true).render(),
@@ -211,7 +305,7 @@ fn checkpointed_stream_cell(seed: u64) -> StreamReport {
     match system.run_streaming_checkpoint(&mut live, &options, &StreamPause::AfterEvents(2_000)) {
         StreamRun::Paused(text) => {
             let mut fresh = diurnal_source(&scenario, seed);
-            RtdsSystem::resume_streaming(&text, &mut fresh).expect("checkpoint decodes")
+            RtdsSystem::resume_streaming(&text, &mut fresh).expect("checkpoint resumes")
         }
         StreamRun::Finished(report) => *report,
     }
@@ -236,7 +330,7 @@ fn checkpointed_cells_are_independent_of_sweep_threads() {
 }
 
 /// An open-ended Poisson stream that only the event cap stops, on a 16×16
-/// constant-delay grid (256 sites): the cap rides in the checkpoint, so the
+/// constant-delay grid (256 sites): the cap rides in the record, so the
 /// resumed run stops exactly where the uninterrupted one did, and the
 /// truncated run keeps its in-flight state bounded.
 #[test]
@@ -291,59 +385,6 @@ fn a_capped_open_ended_stream_resumes_to_its_cap() {
     else {
         panic!("the run must pause before its cap");
     };
-    let resumed = RtdsSystem::resume_streaming(&text, &mut source()).expect("checkpoint decodes");
+    let resumed = RtdsSystem::resume_streaming(&text, &mut source()).expect("checkpoint resumes");
     assert_eq!(resumed, full);
-}
-
-/// Applies `mutate` to the first scheduler plan of a checkpoint document
-/// that holds at least two reservations; `false` if there is none.
-fn tamper_with_a_plan(doc: &mut Json, mutate: fn(&mut Vec<Json>)) -> bool {
-    match doc {
-        Json::Object(fields) => fields.iter_mut().any(|(key, value)| match value {
-            Json::Array(plans) if key == "plans" => plans.iter_mut().any(|plan| match plan {
-                Json::Array(rows) if rows.len() >= 2 => {
-                    mutate(rows);
-                    true
-                }
-                _ => false,
-            }),
-            other => tamper_with_a_plan(other, mutate),
-        }),
-        Json::Array(items) => items
-            .iter_mut()
-            .any(|item| tamper_with_a_plan(item, mutate)),
-        _ => false,
-    }
-}
-
-/// The plan queries rely on reservations being sorted and disjoint, so a
-/// checkpoint whose plan breaks that — two reservations swapped, or two made
-/// to overlap — is refused with a `SnapshotError`, never a panic.
-#[test]
-fn tampered_plans_are_refused_not_trusted() {
-    let scenario = find_scenario("paper-baseline").expect("registry scenario");
-    let (system, _) = paused_batch(&scenario, 7, 80.0);
-    let text = system.checkpoint();
-    let tampered = |mutate: fn(&mut Vec<Json>)| {
-        let mut doc = Json::parse(&text).expect("checkpoint parses");
-        assert!(
-            tamper_with_a_plan(&mut doc, mutate),
-            "the checkpoint must hold a plan with two reservations"
-        );
-        doc.render()
-    };
-    let swapped = tampered(|rows| rows.swap(0, 1));
-    let overlapping = tampered(|rows| {
-        // The second reservation now starts where the first does.
-        let start = rows[0].items().expect("reservation row")[2].clone();
-        let Json::Array(second) = &mut rows[1] else {
-            panic!("reservation row");
-        };
-        second[2] = start;
-    });
-    for (what, text) in [("swapped", swapped), ("overlapping", overlapping)] {
-        let refused = RtdsSystem::resume(&text).err().expect(what);
-        assert!(refused.to_string().contains("plan"), "{what}: {refused}");
-    }
-    assert!(RtdsSystem::resume(&text).is_ok());
 }
